@@ -1,11 +1,12 @@
 """EXP-C13: incremental automaton scaling — O(Δ) cursors vs O(n) recompute.
 
 The object automaton's response precondition needs ``View(H, A)`` and a
-spec-legality check for every enabled-response query.  The original path
-recomputes the view from the raw history and replays it through the spec
-NFA — O(n) per event — while the cursor path maintains each view opseq
-and its macro-state under event deltas — O(Δ) amortized.  This bench
-pins down two claims:
+spec-legality check for every enabled-response query.  A view without
+a delta cursor (here the same view behind
+``repro.reference.opaque_view``, "recompute" below) is recomputed from
+the raw history and replayed through the spec NFA — O(n) per event —
+while the cursor path maintains each view opseq and its macro-state
+under event deltas — O(Δ) amortized.  This bench pins down two claims:
 
 1. **Exact equivalence** — for every view in {UIP, DU, SUIP} the two
    paths agree event-for-event: identical enabled-response sets along a
@@ -34,6 +35,7 @@ from repro.adts.bank_account import BankAccount
 from repro.core import DU, SUIP, UIP, EmptyConflict, ObjectAutomaton
 from repro.core.events import inv
 from repro.core.object_automaton import TransactionProgram, generate_trace
+from repro.reference import opaque_view
 
 ARTIFACT = (
     pathlib.Path(__file__).resolve().parent.parent
@@ -65,7 +67,7 @@ def timed(thunk):
     return best
 
 
-def drive(view, n_events, *, incremental, probe_enabled=False):
+def drive(view, n_events, *, probe_enabled=False):
     """A deterministic drive producing an ``n_events``-long history.
 
     ``TXNS`` transactions stay concurrently active, invoking and
@@ -77,7 +79,7 @@ def drive(view, n_events, *, incremental, probe_enabled=False):
     returned for cross-path comparison.
     """
     spec = BankAccount()
-    automaton = ObjectAutomaton(spec, view, EmptyConflict(), incremental=incremental)
+    automaton = ObjectAutomaton(spec, view, EmptyConflict())
     txns = ["T%d" % i for i in range(TXNS)]
     # invoke+respond per op, plus one commit per txn
     ops_per_txn = max(1, (n_events - TXNS) // (2 * TXNS))
@@ -117,12 +119,12 @@ def sample_programs():
 def test_incremental_matches_recompute_lockstep(benchmark, view_name, view):
     """Both paths see identical enabled sets and histories, step for step."""
     fast_history, fast_probes = benchmark.pedantic(
-        lambda: drive(view, 160, incremental=True, probe_enabled=True),
+        lambda: drive(view, 160, probe_enabled=True),
         rounds=1,
         iterations=1,
     )
     slow_history, slow_probes = drive(
-        view, 160, incremental=False, probe_enabled=True
+        opaque_view(view), 160, probe_enabled=True
     )
     assert tuple(fast_history) == tuple(slow_history)
     assert fast_probes == slow_probes, "%s enabled sets diverged" % view_name
@@ -135,7 +137,7 @@ def test_generate_trace_byte_identical(benchmark, view_name, view):
     spec = BankAccount()
     conflict = spec.nfc_conflict()
 
-    def sample(incremental, seed):
+    def sample(view, seed):
         return generate_trace(
             spec,
             view,
@@ -143,23 +145,18 @@ def test_generate_trace_byte_identical(benchmark, view_name, view):
             sample_programs(),
             random.Random(seed),
             abort_probability=0.15,
-            incremental=incremental,
         )
 
-    benchmark.pedantic(lambda: sample(True, 0), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: sample(view, 0), rounds=1, iterations=1)
     for seed in range(4):
-        fast = sample(True, seed)
-        slow = sample(False, seed)
+        fast = sample(view, seed)
+        slow = sample(opaque_view(view), seed)
         assert tuple(fast) == tuple(slow), (
             "%s seed=%d diverged" % (view_name, seed)
         )
         # and both membership paths agree the sample is in the language
-        assert ObjectAutomaton.accepts(
-            spec, view, conflict, fast, incremental=True
-        )
-        assert ObjectAutomaton.accepts(
-            spec, view, conflict, fast, incremental=False
-        )
+        assert ObjectAutomaton.accepts(spec, view, conflict, fast)
+        assert ObjectAutomaton.accepts(spec, opaque_view(view), conflict, fast)
 
 
 @pytest.mark.experiment("EXP-C13")
@@ -170,9 +167,9 @@ def test_automaton_scaling_speedup(benchmark, capsys):
     for n in HISTORY_LENGTHS:
         per_view = {}
         for view_name, view in VIEWS:
-            fast_s = timed(lambda v=view, k=n: drive(v, k, incremental=True))
-            slow_s = timed(lambda v=view, k=n: drive(v, k, incremental=False))
-            events = len(drive(view, n, incremental=True)[0])
+            fast_s = timed(lambda v=view, k=n: drive(v, k))
+            slow_s = timed(lambda v=opaque_view(view), k=n: drive(v, k))
+            events = len(drive(view, n)[0])
             per_view[view_name] = {
                 "events": events,
                 "incremental_s": fast_s,
@@ -183,7 +180,7 @@ def test_automaton_scaling_speedup(benchmark, capsys):
             }
         curve[str(n)] = per_view
     benchmark.pedantic(
-        lambda: drive(UIP, HISTORY_LENGTHS[-1], incremental=True),
+        lambda: drive(UIP, HISTORY_LENGTHS[-1]),
         rounds=1,
         iterations=1,
     )

@@ -1,20 +1,18 @@
 """EXP-C14: compiled conflict tables — bitmask lock-manager fast path.
 
 Conflict checks sit on every lock acquisition and every dynamic-atomicity
-checker step.  The interpreted path answers each query by classifying
-both operations and probing a pair set per held operation per holder;
-the compiled path (:mod:`repro.analysis.compile_tables`) answers with
-one cached classification plus one integer AND per holder against a
-precomputed *held mask*.  This bench pins down two claims:
+checker step.  The per-pair loop (what a relation that does not compile
+gets — here the same relation behind
+``repro.reference.opaque_conflict``, "interpreted" below) answers each
+query by classifying both operations and probing a pair set per held
+operation per holder; the compiled path
+(:mod:`repro.analysis.compile_tables`) answers with one cached
+classification plus one integer AND per holder against a precomputed
+*held mask*.  This bench pins down two claims:
 
 1. **Exact equivalence** — for every probe over a contended lock table
    the compiled and interpreted :meth:`LockManager.blockers` return
-   identical blocker sets (refine-carrying ADTs included); the
-   vectorized and scalar ``pairwise_matrix`` passes agree cell-for-cell
-   on every registered ADT's ground alphabet; and the checker's
-   ``explain_rejection`` verdicts are byte-identical across
-   ``pairwise`` modes on the paper's worked examples and on abort-heavy
-   torture histories.
+   identical blocker sets (refine-carrying ADTs included).
 2. **Measured speedup** — blockers/sec on both paths with ``HOLDERS``
    active transactions each holding ``OPS_PER_HOLDER`` operations.  The
    >= 10x floor is asserted only on real timing runs
@@ -29,26 +27,12 @@ import itertools
 import json
 import os
 import pathlib
-import random
 import time
 
 import pytest
 
 from repro.adts import BankAccount, KVStore, PriorityQueue
-from repro.adts.registry import analysis_instance, registered_kinds
-from repro.analysis.compile_tables import (
-    ground_compiled,
-    have_numpy,
-    pairwise_matrix,
-)
-from repro.core import DU, UIP, ObjectAutomaton
-from repro.core.events import inv
-from repro.core.object_automaton import TransactionProgram, generate_trace
-from repro.experiments.examples import (
-    section_3_3_history,
-    section_3_4_perturbed_history,
-    section_5_history,
-)
+from repro.reference import opaque_conflict
 from repro.runtime.lock_manager import LockManager
 
 ARTIFACT = (
@@ -72,9 +56,6 @@ LOCK_CASES = (
     ("pqueue-nfc", lambda: PriorityQueue("PQ"), "nfc_conflict"),
 )
 
-VIEWS = (("UIP", UIP), ("DU", DU))
-RELATIONS = ("nfc_conflict", "nrbc_conflict")
-
 
 def cpus_available() -> int:
     try:
@@ -93,7 +74,7 @@ def timed(thunk):
     return best
 
 
-def loaded_manager(adt, conflict, compiled):
+def loaded_manager(adt, conflict):
     """A manager with ``HOLDERS`` transactions holding ground operations.
 
     Holdings cycle the ground alphabet with per-holder offsets, so each
@@ -102,7 +83,7 @@ def loaded_manager(adt, conflict, compiled):
     path answers from the held mask.
     """
     ops = adt.ground_alphabet()
-    manager = LockManager(conflict, compiled=compiled)
+    manager = LockManager(conflict)
     cycle = itertools.cycle(ops)
     for i in range(HOLDERS):
         for _ in range(i % len(ops)):  # stagger the per-holder offsets
@@ -126,9 +107,9 @@ def test_lock_manager_blockers_identical(benchmark, case_id, factory, relation):
     """Compiled and interpreted blockers agree on every probe, non-vacuously."""
     adt = factory()
     conflict = getattr(adt, relation)()
-    fast = loaded_manager(adt, conflict, compiled=True)
-    slow = loaded_manager(adt, conflict, compiled=False)
-    assert fast.mode == "compiled" and slow.mode == "interpreted"
+    fast = loaded_manager(adt, conflict)
+    slow = loaded_manager(adt, opaque_conflict(conflict))
+    assert fast.compiled is not None and slow.compiled is None
     probes = adt.ground_alphabet()
     fast_sets = benchmark.pedantic(
         lambda: probe_all(fast, probes), rounds=1, iterations=1
@@ -140,102 +121,6 @@ def test_lock_manager_blockers_identical(benchmark, case_id, factory, relation):
 
 
 @pytest.mark.experiment("EXP-C14")
-def test_pairwise_matrix_vectorized_matches_scalar(benchmark):
-    """Vectorized gather == scalar loop on every registered ADT's alphabet."""
-    checked = []
-
-    def sweep():
-        results = []
-        for kind in registered_kinds():
-            adt = analysis_instance(kind)
-            ops = adt.ground_alphabet()
-            for relation in RELATIONS:
-                conflict = getattr(adt, relation)()
-                scalar = pairwise_matrix(conflict, ops, vectorized=False)
-                auto = pairwise_matrix(conflict, ops, vectorized=None)
-                results.append((kind, relation, scalar == auto, any(map(any, scalar))))
-                if have_numpy():
-                    vec = pairwise_matrix(conflict, ops, vectorized=True)
-                    results.append((kind, relation, scalar == vec, True))
-        return results
-
-    checked = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for kind, relation, equal, _ in checked:
-        assert equal, (kind, relation)
-    # non-vacuous: every relation marks at least one conflicting pair
-    assert all(marked for _, _, _, marked in checked)
-
-
-def torture_histories():
-    """Abort-heavy sampled histories plus the paper's worked examples."""
-    spec = BankAccount("BA")
-    conflict = spec.nfc_conflict()
-    programs = [
-        TransactionProgram(
-            "T%d" % i,
-            tuple(
-                inv("deposit", 1 + (i + j) % 3)
-                if (i + j) % 2
-                else inv("withdraw", 1 + j % 3)
-                for j in range(5)
-            ),
-        )
-        for i in range(4)
-    ]
-    histories = [
-        section_3_3_history(),
-        section_3_4_perturbed_history(),
-        section_5_history(),
-    ]
-    for seed in range(4):
-        histories.append(
-            generate_trace(
-                spec,
-                UIP,
-                conflict,
-                programs,
-                random.Random(seed),
-                abort_probability=0.3,
-            )
-        )
-    return histories
-
-
-@pytest.mark.experiment("EXP-C14")
-def test_checker_verdicts_byte_identical(benchmark):
-    """``explain_rejection`` is byte-identical across pairwise modes."""
-    spec = BankAccount("BA")
-    histories = torture_histories()
-    cases = [
-        (getattr(spec, relation)(), view)
-        for relation in RELATIONS
-        for _, view in VIEWS
-    ]
-
-    def verdicts(pairwise):
-        out = []
-        for history in histories:
-            for conflict, view in cases:
-                out.append(
-                    ObjectAutomaton.explain_rejection(
-                        spec, view, conflict, history, pairwise=pairwise
-                    )
-                )
-        return out
-
-    baseline = benchmark.pedantic(
-        lambda: verdicts(None), rounds=1, iterations=1
-    )
-    for mode in ("auto", "scalar", "vectorized"):
-        if mode == "vectorized" and not have_numpy():
-            continue
-        assert verdicts(mode) == baseline, mode
-    # the sample must contain both accepted and rejected histories
-    assert any(v is None for v in baseline)
-    assert any(v is not None for v in baseline)
-
-
-@pytest.mark.experiment("EXP-C14")
 def test_conflict_table_speedup(benchmark, capsys):
     """Record blockers/sec on both paths; assert the floor when timing."""
     cpus = cpus_available()
@@ -243,8 +128,8 @@ def test_conflict_table_speedup(benchmark, capsys):
     for case_id, factory, relation in LOCK_CASES:
         adt = factory()
         conflict = getattr(adt, relation)()
-        fast = loaded_manager(adt, conflict, compiled=True)
-        slow = loaded_manager(adt, conflict, compiled=False)
+        fast = loaded_manager(adt, conflict)
+        slow = loaded_manager(adt, opaque_conflict(conflict))
         probes = adt.ground_alphabet()
         assert probe_all(fast, probes) == probe_all(slow, probes)
         queries = len(probes) * 2 * TIMING_REPEATS
@@ -265,9 +150,7 @@ def test_conflict_table_speedup(benchmark, capsys):
         }
     benchmark.pedantic(
         lambda: probe_all(
-            loaded_manager(
-                BankAccount("BA"), BankAccount("BA").nrbc_conflict(), True
-            ),
+            loaded_manager(BankAccount("BA"), BankAccount("BA").nrbc_conflict()),
             BankAccount("BA").ground_alphabet(),
         ),
         rounds=1,
@@ -279,7 +162,6 @@ def test_conflict_table_speedup(benchmark, capsys):
         "ops_per_holder": OPS_PER_HOLDER,
         "timing_repeats": TIMING_REPEATS,
         "cpus": cpus,
-        "numpy": have_numpy(),
         "equality_only": EQUALITY_ONLY,
         "floor": SPEEDUP_FLOOR,
         "floor_asserted": not EQUALITY_ONLY,

@@ -6,11 +6,10 @@ stretches of ticks where no transaction is runnable, no hook is due and
 no group-commit hold timer can expire, instead of walking them one
 ``system.tick()`` at a time.  The claims this bench pins down:
 
-1. **Elision is invisible** — the event-driven and polling loops produce
+1. **Elision is invisible** — the scheduler and its walking oracle
+   (``repro.reference.walk_dead_ticks``, "polling" below) produce
    identical RunMetrics counters, commit latencies and JSONL traces on
-   both workloads below (the ``REPRO_POLLING_SCHEDULER=1`` escape hatch
-   selects the loop; nothing else changes).  These are the trend-gate
-   equality fields.
+   both workloads below.  These are the trend-gate equality fields.
 2. **Sparse drives collapse to their live ticks** — a low-rate zipfian
    open-loop drive (case ``sparse``) is ~95% dead ticks; the wall-clock
    floor is >= 3x over polling.
@@ -27,8 +26,8 @@ time too noisily) and ``REPRO_BENCH_EQUALITY_ONLY=1`` skips the timing
 section outright; the equality claims run everywhere.
 """
 
+import contextlib
 import json
-import os
 import pathlib
 import time
 
@@ -36,8 +35,8 @@ import pytest
 
 from conftest import cpus_available, require_cpus
 
+from repro.reference import walk_dead_ticks
 from repro.runtime.openloop import OpenLoopConfig, drive
-from repro.runtime.scheduler import POLLING_ENV
 from repro.runtime.trace import TraceCollector
 
 ARTIFACT = (
@@ -77,19 +76,12 @@ CASES = {
 
 
 def run_case(name: str, polling: bool, with_trace: bool = False):
-    """One drive of ``CASES[name]`` under the chosen scheduler loop."""
-    saved = os.environ.get(POLLING_ENV)
-    os.environ[POLLING_ENV] = "1" if polling else "0"
-    try:
+    """One drive of ``CASES[name]``, dead ticks jumped or (``polling``) walked."""
+    with walk_dead_ticks() if polling else contextlib.nullcontext():
         trace = TraceCollector() if with_trace else None
         report = drive(CASES[name], seed=SEED, trace=trace)
         events = [dict(e) for e in trace.events] if with_trace else None
         return report, events
-    finally:
-        if saved is None:
-            del os.environ[POLLING_ENV]
-        else:
-            os.environ[POLLING_ENV] = saved
 
 
 def timed_case(name: str, polling: bool) -> float:

@@ -31,11 +31,7 @@ from .compile_tables import (
     compile_classifier,
     compile_conflict_classes,
     compile_table,
-    ground_compiled,
-    ground_pairs,
-    have_numpy,
     maybe_compile,
-    pairwise_matrix,
 )
 from .finite import ExactChecker, is_finite_state
 from .memo import PairMemo
@@ -60,11 +56,7 @@ __all__ = [
     "compile_classifier",
     "compile_conflict_classes",
     "compile_table",
-    "ground_compiled",
-    "ground_pairs",
-    "have_numpy",
     "maybe_compile",
-    "pairwise_matrix",
     "ExactChecker",
     "is_finite_state",
     "ConflictTable",

@@ -21,15 +21,6 @@ one cached classification and one integer AND against a per-transaction
 *held mask* — the fast path the lock manager and the object automaton
 query (see EXP-C14 in ``benchmarks/bench_conflict_tables.py``).
 
-Batch consumers (the dynamic-atomicity checker's replay over a whole
-history) use the **vectorized pairwise pass**: classify every operation
-once, then gather the full ``n × n`` verdict matrix from the dense class
-table in one numpy indexing operation (:func:`pairwise_matrix`), with a
-pure-Python bit-scan fallback when numpy is absent.  numpy is an
-optional extra (``pip install repro[fast]``); ``REPRO_NO_NUMPY=1``
-forces the fallback and ``REPRO_INTERPRETED_CONFLICTS=1`` disables
-compiled tables entirely (the differential-testing flag).
-
 Compilation sources, in decreasing order of directness:
 
 * a :class:`~repro.core.conflict.ClassifierConflict` (what every ADT's
@@ -47,7 +38,6 @@ Compilation sources, in decreasing order of directness:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -63,40 +53,6 @@ from ..core.conflict import ClassifierConflict, ConflictRelation
 from ..core.events import Operation
 from .memo import PairMemo
 from .tables import ConflictTable, OperationClass, table_from_verdicts
-
-#: sentinel for the lazily-imported numpy module (None = unavailable).
-_UNSET = object()
-_np_module = _UNSET
-
-
-def _numpy():
-    """The numpy module, or None when absent or gated off.
-
-    ``REPRO_NO_NUMPY=1`` is checked on every call (not just the first)
-    so tests can flip the gate with ``monkeypatch.setenv``; the import
-    attempt itself is cached.
-    """
-    global _np_module
-    if os.environ.get("REPRO_NO_NUMPY") == "1":
-        return None
-    if _np_module is _UNSET:
-        try:
-            import numpy  # noqa: PLC0415 — optional dependency, lazy by design
-
-            _np_module = numpy
-        except ImportError:  # pragma: no cover — exercised via subprocess test
-            _np_module = None
-    return _np_module
-
-
-def have_numpy() -> bool:
-    """True iff the vectorized pairwise pass is available right now."""
-    return _numpy() is not None
-
-
-def interpreted_forced() -> bool:
-    """True iff ``REPRO_INTERPRETED_CONFLICTS=1`` disables compiled tables."""
-    return os.environ.get("REPRO_INTERPRETED_CONFLICTS") == "1"
 
 
 @dataclass(frozen=True)
@@ -160,21 +116,6 @@ class CompiledTable:
             frozenset((str(r), str(c)) for r, c in self.marks()),
         )
 
-    def dense(self, np=None):
-        """The matrix as a numpy bool array (requires numpy)."""
-        np = np if np is not None else _numpy()
-        if np is None:
-            raise RuntimeError("numpy is not available (install repro[fast])")
-        k = len(self.labels)
-        out = np.zeros((k, k), dtype=bool)
-        for i, mask in enumerate(self.masks):
-            m = mask
-            while m:
-                j = (m & -m).bit_length() - 1
-                out[i, j] = True
-                m &= m - 1
-        return out
-
 
 def compile_table(table: ConflictTable) -> CompiledTable:
     """Compile a figure-style :class:`ConflictTable` into bitmasks."""
@@ -190,15 +131,9 @@ class CompiledConflict(ConflictRelation):
 
     ``classify`` maps a ground operation to its class label; labels are
     assigned dense indices on first sight.  A label outside the compiled
-    table is handled per ``on_unknown``:
-
-    * ``"grow"`` (class-level tables) — the label gets a fresh index
-      whose row mask is 0, matching
-      :class:`~repro.core.conflict.ClassifierConflict`'s "pair not in
-      the matrix" verdict of False;
-    * ``"error"`` (ground tables built by :func:`ground_compiled`, where
-      the label universe is exactly the enumerated alphabet) — raise
-      ``KeyError`` rather than silently report no conflict.
+    table gets a fresh index whose row mask is 0, matching
+    :class:`~repro.core.conflict.ClassifierConflict`'s "pair not in the
+    matrix" verdict of False.
 
     ``refine`` mirrors :class:`ClassifierConflict`: a class-level hit may
     be weakened by the argument-level predicate, so the bitmask answer is
@@ -211,11 +146,8 @@ class CompiledConflict(ConflictRelation):
         table: CompiledTable,
         *,
         refine: Optional[Callable[[Operation, Operation], bool]] = None,
-        on_unknown: str = "grow",
         name: str = "compiled",
     ):
-        if on_unknown not in ("grow", "error"):
-            raise ValueError("on_unknown must be 'grow' or 'error'")
         self._classify = classify
         self._labels: List[Hashable] = list(table.labels)
         self._index: Dict[Hashable, int] = {
@@ -223,7 +155,6 @@ class CompiledConflict(ConflictRelation):
         }
         self._masks: List[int] = list(table.masks)
         self._refine = refine
-        self._on_unknown = on_unknown
         self.name = name
         #: operation → class index, filled on demand.  Operations are
         #: frozen dataclasses, so the cache is sound; it is the reason a
@@ -251,11 +182,6 @@ class CompiledConflict(ConflictRelation):
             label = self._classify(operation)
             idx = self._index.get(label)
             if idx is None:
-                if self._on_unknown == "error":
-                    raise KeyError(
-                        "operation %s classifies to unknown label %r"
-                        % (operation, label)
-                    )
                 idx = len(self._labels)
                 self._labels.append(label)
                 self._index[label] = idx
@@ -310,17 +236,18 @@ def maybe_compile(conflict: ConflictRelation) -> Optional[CompiledConflict]:
     """A compiled form of ``conflict``, or None when not compilable.
 
     Already-compiled relations pass through; classifier relations
-    compile from their matrix; anything else (predicates, unions, pair
-    sets without a classifier) stays interpreted.  Returns None
-    unconditionally when ``REPRO_INTERPRETED_CONFLICTS=1`` — the global
-    differential-testing switch.
+    compile from their matrix, once per relation instance (the table is
+    kept on the relation, so every lock manager built over it — the
+    objects of a shard, a restart after a crash — shares one); anything
+    else (predicates, unions, pair sets without a classifier) stays
+    interpreted.
     """
-    if interpreted_forced():
-        return None
     if isinstance(conflict, CompiledConflict):
         return conflict
     if isinstance(conflict, ClassifierConflict):
-        return compile_classifier(conflict)
+        if conflict.compiled is None:
+            conflict.compiled = compile_classifier(conflict)
+        return conflict.compiled
     return None
 
 
@@ -380,141 +307,13 @@ def compile_adt_tables(adt, domain=None) -> CompiledADTTables:
     if the ADT itself derives its relations mechanically.
     """
     classes = tuple(adt.operation_classes(domain))
-    nfc = maybe_compile(adt.nfc_conflict(domain))
-    nrbc = maybe_compile(adt.nrbc_conflict(domain))
-    if nfc is None or nrbc is None:
-        # Either the flag forces interpretation (compile anyway: callers
-        # of this function asked explicitly) or the ADT returned a
-        # non-classifier relation: lift it over the class alphabet.
-        nfc_rel = adt.nfc_conflict(domain)
-        nrbc_rel = adt.nrbc_conflict(domain)
-        nfc = (
-            compile_classifier(nfc_rel)
-            if isinstance(nfc_rel, ClassifierConflict)
-            else compile_conflict_classes(nfc_rel, classes, adt.classify)
+
+    def compiled(relation: ConflictRelation) -> CompiledConflict:
+        # A non-classifier relation is lifted over the class alphabet.
+        return maybe_compile(relation) or compile_conflict_classes(
+            relation, classes, adt.classify
         )
-        nrbc = (
-            compile_classifier(nrbc_rel)
-            if isinstance(nrbc_rel, ClassifierConflict)
-            else compile_conflict_classes(nrbc_rel, classes, adt.classify)
-        )
+
+    nfc = compiled(adt.nfc_conflict(domain))
+    nrbc = compiled(adt.nrbc_conflict(domain))
     return CompiledADTTables(adt.name, classes, nfc, nrbc)
-
-
-# -- the vectorized pairwise pass ----------------------------------------------
-
-
-def pairwise_matrix(
-    conflict: ConflictRelation,
-    new_ops: Sequence[Operation],
-    old_ops: Optional[Sequence[Operation]] = None,
-    *,
-    vectorized: Optional[bool] = None,
-) -> List[List[bool]]:
-    """The full ``conflicts(new, old)`` verdict matrix over two alphabets.
-
-    This is the pairwise pass batch consumers (the dynamic-atomicity
-    checker's history replay, relation comparisons over ground
-    alphabets) run.  ``vectorized=None`` picks numpy automatically when
-    it is available *and* the relation compiles to a class table; the
-    pure-Python path scans bitmask rows.  Both paths return a plain list
-    of lists of bools, verdict-identical by construction — the property
-    suite asserts it, and ``vectorized=True`` raises rather than
-    silently degrade (RuntimeError without numpy, ValueError for an
-    uncompilable relation).
-    """
-    new_ops = list(new_ops)
-    old_ops = list(old_ops) if old_ops is not None else new_ops
-    compiled = maybe_compile(conflict)
-    np = _numpy()
-    if vectorized is True:
-        if np is None:
-            raise RuntimeError(
-                "vectorized pairwise pass requires numpy (install repro[fast])"
-            )
-        if compiled is None:
-            raise ValueError(
-                "relation %r does not compile to a class table" % conflict.name
-            )
-    use_vector = (
-        vectorized
-        if vectorized is not None
-        else (np is not None and compiled is not None)
-    )
-    if use_vector:
-        new_idx = np.array(
-            [compiled.class_index(o) for o in new_ops], dtype=np.intp
-        )
-        old_idx = np.array(
-            [compiled.class_index(o) for o in old_ops], dtype=np.intp
-        )
-        # Indices first, dense table second: classification may grow the
-        # label universe, and the gather must cover every index seen.
-        dense = compiled.table.dense(np)
-        out = dense[new_idx[:, None], old_idx[None, :]]
-        if compiled.refine is not None:
-            # Argument-level refinement only ever weakens a class hit, so
-            # the scalar fixup touches exactly the True cells.
-            for i, j in zip(*out.nonzero()):
-                out[i, j] = bool(compiled.refine(new_ops[i], old_ops[j]))
-        return [[bool(v) for v in row] for row in out]
-    relation = compiled if compiled is not None else conflict
-    return [
-        [bool(relation.conflicts(new, old)) for old in old_ops]
-        for new in new_ops
-    ]
-
-
-def ground_compiled(
-    conflict: ConflictRelation,
-    alphabet: Sequence[Operation],
-    *,
-    vectorized: Optional[bool] = None,
-    name: Optional[str] = None,
-) -> CompiledConflict:
-    """Precompute ``conflict`` over a ground alphabet as a bitmask table.
-
-    Each distinct operation becomes its own class (identity classifier),
-    so later queries over the alphabet are pure bit tests — no classify
-    call, no refine call.  Used by the dynamic-atomicity checker to
-    replay a whole history against one precomputed table; queries
-    outside the alphabet raise (``on_unknown="error"``) instead of
-    guessing.
-    """
-    alphabet = list(dict.fromkeys(alphabet))  # dedupe, keep first-seen order
-    matrix = pairwise_matrix(conflict, alphabet, vectorized=vectorized)
-    masks = [0] * len(alphabet)
-    for i, row in enumerate(matrix):
-        mask = 0
-        for j, hit in enumerate(row):
-            if hit:
-                mask |= 1 << j
-        masks[i] = mask
-    return CompiledConflict(
-        lambda operation: operation,
-        CompiledTable(tuple(alphabet), tuple(masks)),
-        on_unknown="error",
-        name=name or "ground(%s)" % conflict.name,
-    )
-
-
-def ground_pairs(
-    conflict: ConflictRelation,
-    alphabet: Sequence[Operation],
-    *,
-    vectorized: Optional[bool] = None,
-):
-    """All conflicting ``(new, old)`` pairs over a finite alphabet.
-
-    The batch counterpart of
-    :meth:`~repro.core.conflict.ConflictRelation.pairs`, answered through
-    the pairwise pass; returns a frozenset for drop-in comparison.
-    """
-    alphabet = list(alphabet)
-    matrix = pairwise_matrix(conflict, alphabet, vectorized=vectorized)
-    return frozenset(
-        (alphabet[i], alphabet[j])
-        for i, row in enumerate(matrix)
-        for j, hit in enumerate(row)
-        if hit
-    )

@@ -778,17 +778,6 @@ def cmd_trace_report(args) -> int:
     return 0
 
 
-def _add_scheduler_arg(p) -> None:
-    p.add_argument(
-        "--scheduler",
-        choices=("auto", "polling"),
-        default="auto",
-        help="main-loop strategy: 'auto' jumps provably-dead ticks via "
-        "the wake calendar, 'polling' walks every tick (histories, "
-        "metrics and traces are byte-identical either way)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -873,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan the (configuration, seed) cells over N worker processes "
         "(1 = serial; output is byte-identical either way)",
     )
-    _add_scheduler_arg(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
@@ -938,7 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash site S at tick F, recovering at tick R (omit R or "
         "use 'end' to keep it down); repeatable",
     )
-    _add_scheduler_arg(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
@@ -1079,7 +1066,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash site S at tick F, recovering at tick R (omit R or "
         "use 'end' to keep it down); repeatable",
     )
-    _add_scheduler_arg(p)
     p.set_defaults(func=cmd_drive)
 
     p = sub.add_parser(
@@ -1185,7 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fan the schedules over N worker processes (1 = serial; "
         "the report is byte-identical either way)",
     )
-    _add_scheduler_arg(p)
     p.set_defaults(func=cmd_torture)
 
     p = sub.add_parser(
@@ -1206,12 +1191,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "scheduler", "auto") == "polling":
-        # The env var (not a Scheduler kwarg) so the choice propagates
-        # through worker pools and every internally-built scheduler.
-        import os
-
-        os.environ["REPRO_POLLING_SCHEDULER"] = "1"
     return args.func(args)
 
 

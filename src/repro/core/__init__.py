@@ -95,13 +95,11 @@ from .object_automaton import (
 from .serial_spec import LanguageSpec, SerialSpec, is_prefix_closed
 from .automaton_spec import FunctionalSpec, SpecStateCursor, StateMachineSpec
 from .view_cursors import (
-    CheckedViewCursor,
     DUCursor,
     RecomputeViewCursor,
     SUIPCursor,
     UIPCursor,
     ViewCursor,
-    ViewCursorMismatch,
     cursor_for_view,
 )
 from .theorems import (
@@ -190,12 +188,10 @@ __all__ = [
     "SUIP",
     # incremental view cursors
     "ViewCursor",
-    "ViewCursorMismatch",
     "UIPCursor",
     "DUCursor",
     "SUIPCursor",
     "RecomputeViewCursor",
-    "CheckedViewCursor",
     "cursor_for_view",
     # object automaton
     "ObjectAutomaton",

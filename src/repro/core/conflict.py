@@ -171,6 +171,10 @@ class ClassifierConflict(ConflictRelation):
         self._matrix: FrozenSet[Tuple[Hashable, Hashable]] = frozenset(matrix)
         self._refine = refine
         self.name = name
+        #: the bitmask form of this relation, filled in on first use by
+        #: :func:`repro.analysis.compile_tables.maybe_compile` — the
+        #: matrix is immutable, so one table serves every user.
+        self.compiled = None
 
     def classify(self, operation: Operation) -> Hashable:
         return self._classify(operation)

@@ -25,16 +25,17 @@ histories (``H ∈ L(I(X, Spec, View, Conflict))``), which is what the
 theorem machinery needs.  :func:`generate_trace` drives the automaton
 with randomized scheduling to sample its language.
 
-By default the automaton maintains its views **incrementally**: a
+The automaton maintains its views **incrementally**: a
 :class:`~repro.core.view_cursors.ViewCursor` tracks each active
 transaction's ``View(H, A)`` (and the spec macro-state after it) under
 event deltas, so the legality precondition steps the spec NFA by one
 operation instead of recomputing the view from the raw history and
 replaying it from the initial states — O(Δ) amortized per event instead
-of O(n).  ``incremental=False`` selects the original from-scratch path
-(the equality oracle for the property suite and the EXP-C13 baseline);
-``check_cursors=True`` cross-validates every cursor answer against that
-path on the fly.
+of O(n).  A view (or spec) without a delta cursor gets the
+from-scratch :class:`~repro.core.view_cursors.RecomputeViewCursor`;
+:func:`repro.reference.opaque_view` forces that path for a known view,
+which is the equality oracle of the property suite and the EXP-C13
+baseline.
 """
 
 from __future__ import annotations
@@ -95,52 +96,23 @@ class _TxnOps:
 
 
 class ObjectAutomaton:
-    """Executable ``I(X, Spec, View, Conflict)`` for the object ``Spec.name``.
+    """Executable ``I(X, Spec, View, Conflict)`` for the object ``Spec.name``."""
 
-    ``incremental`` (default) maintains view opseqs and spec macro-states
-    via cursors, making per-event work O(Δ) amortized; ``False`` selects
-    the original recompute-from-history path.  ``check_cursors=True``
-    (implies incremental) cross-validates every cursor answer against the
-    from-scratch computation, raising
-    :class:`~repro.core.view_cursors.ViewCursorMismatch` on divergence.
-    """
-
-    def __init__(
-        self,
-        spec: SerialSpec,
-        view: View,
-        conflict: ConflictRelation,
-        *,
-        incremental: bool = True,
-        check_cursors: bool = False,
-        compiled_conflicts="auto",
-    ):
+    def __init__(self, spec: SerialSpec, view: View, conflict: ConflictRelation):
         self.spec = spec
         self.view = view
         self.conflict = conflict
         self._builder = HistoryBuilder()
         self._active_ops: Dict[str, _TxnOps] = {}
-        self._incremental = incremental or check_cursors
-        self._check_cursors = check_cursors
-        self._cursor = (
-            view.cursor(spec, check=check_cursors) if self._incremental else None
-        )
+        self._cursor = view.cursor(spec)
         # The conflict precondition runs on every checker step; compile
         # the relation into a bitmask table when it allows it, so the
         # per-step test is one cached classification and one integer AND
-        # per active transaction.  ``compiled_conflicts=False`` (or
-        # ``REPRO_INTERPRETED_CONFLICTS=1``) keeps the interpreted
-        # per-pair path for differential testing.  Imported lazily:
-        # ``repro.analysis`` depends on ``repro.core``, not vice versa.
-        from ..analysis.compile_tables import CompiledConflict, maybe_compile
+        # per active transaction.  Imported lazily: ``repro.analysis``
+        # depends on ``repro.core``, not vice versa.
+        from ..analysis.compile_tables import maybe_compile
 
-        self._compiled_conflicts = compiled_conflicts
-        if compiled_conflicts is False:
-            self._compiled = None
-        elif isinstance(compiled_conflicts, CompiledConflict):
-            self._compiled = compiled_conflicts
-        else:
-            self._compiled = maybe_compile(conflict)
+        self._compiled = maybe_compile(conflict)
 
     # -- state access ----------------------------------------------------------
 
@@ -158,23 +130,16 @@ class ObjectAutomaton:
         O(1)-prefix advantage instead of re-validating (or replaying the
         spec over) the shared prefix.
         """
-        twin = ObjectAutomaton(
-            self.spec,
-            self.view,
-            self.conflict,
-            incremental=self._incremental,
-            check_cursors=self._check_cursors,
-            compiled_conflicts=self._compiled_conflicts,
-        )
-        # Share the parent's compiled table: verdicts are pure, and the
-        # shared operation-class cache keeps branch exploration O(1).
-        twin._compiled = self._compiled
+        # The twin shares the parent's compiled table (one per relation):
+        # verdicts are pure, and the shared operation-class cache keeps
+        # branch exploration O(1).
+        twin = ObjectAutomaton(self.spec, self.view, self.conflict)
         twin._active_ops = {
             txn: _TxnOps(list(holder.ops), holder.mask, list(holder.idxs))
             for txn, holder in self._active_ops.items()
         }
         twin._builder = self._builder.copy()
-        twin._cursor = self._cursor.fork() if self._cursor is not None else None
+        twin._cursor = self._cursor.fork()
         return twin
 
     @property
@@ -223,19 +188,12 @@ class ObjectAutomaton:
                     return other
         return None
 
-    def _legal_responses(self, txn: str, invocation) -> FrozenSet[Hashable]:
-        """``Spec.responses(View(H, txn), invocation)`` via cursor or recompute."""
-        if self._cursor is not None:
-            return self._cursor.responses(txn, invocation)
-        serial_state = self.view(self._builder.snapshot(), txn)
-        return self.spec.responses(serial_state, invocation)
-
     def enabled_responses(self, txn: str) -> FrozenSet[Hashable]:
         """All responses ``R`` for which ``<R, X, txn>`` is enabled now."""
         pending = self._builder.pending_invocation(txn)
         if pending is None:
             return frozenset()
-        candidates = self._legal_responses(txn, pending.invocation)
+        candidates = self._cursor.responses(txn, pending.invocation)
         enabled: Set[Hashable] = set()
         for response in candidates:
             operation = self.spec.operation(pending.invocation, response)
@@ -252,7 +210,7 @@ class ObjectAutomaton:
         pending = self._builder.pending_invocation(txn)
         if pending is None:
             return frozenset()
-        candidates = self._legal_responses(txn, pending.invocation)
+        candidates = self._cursor.responses(txn, pending.invocation)
         blocked: Set[Hashable] = set()
         for response in candidates:
             operation = self.spec.operation(pending.invocation, response)
@@ -282,8 +240,7 @@ class ObjectAutomaton:
         if isinstance(event, ResponseEvent):
             completed = self._check_response(event)
         self._builder.append(event)
-        if self._cursor is not None:
-            self._cursor.apply(event)
+        self._cursor.apply(event)
         self._post_append(event, completed)
         return completed
 
@@ -297,12 +254,7 @@ class ObjectAutomaton:
             raise ResponseNotEnabled(
                 event, "conflict", "conflicts with active transaction %s" % holder
             )
-        if self._cursor is not None:
-            legal = self._cursor.accepts(event.txn, operation)
-        else:
-            serial_state = self.view(self._builder.snapshot(), event.txn)
-            legal = self.spec.is_legal(tuple(serial_state) + (operation,))
-        if not legal:
+        if not self._cursor.accepts(event.txn, operation):
             raise ResponseNotEnabled(
                 event,
                 "not-legal",
@@ -360,22 +312,9 @@ class ObjectAutomaton:
         view: View,
         conflict: ConflictRelation,
         history: History,
-        *,
-        incremental: bool = True,
-        pairwise: Optional[str] = None,
     ) -> bool:
         """``history ∈ L(I(X, Spec, View, Conflict))``?"""
-        return (
-            cls.explain_rejection(
-                spec,
-                view,
-                conflict,
-                history,
-                incremental=incremental,
-                pairwise=pairwise,
-            )
-            is None
-        )
+        return cls.explain_rejection(spec, view, conflict, history) is None
 
     @classmethod
     def explain_rejection(
@@ -384,47 +323,9 @@ class ObjectAutomaton:
         view: View,
         conflict: ConflictRelation,
         history: History,
-        *,
-        incremental: bool = True,
-        pairwise: Optional[str] = None,
     ) -> Optional[str]:
-        """None if the history is a schedule of the automaton, else a reason.
-
-        ``pairwise`` selects the batch conflict pass for the replay: the
-        history's completed operations are enumerated up front and the
-        relation precomputed over that ground alphabet, so every checker
-        step answers conflicts from a bitmask row instead of per-pair
-        verdict calls.  ``"vectorized"`` gathers the matrix with numpy,
-        ``"scalar"`` uses the pure-Python pass, ``"auto"`` picks
-        vectorized when numpy and a compilable relation are available,
-        and None (default) skips precomputation — the incremental
-        compiled-mask path still applies.  All modes are
-        verdict-identical; the regression suite compares their rejection
-        messages byte-for-byte.
-        """
-        if pairwise not in (None, "auto", "scalar", "vectorized"):
-            raise ValueError(
-                "pairwise must be None, 'auto', 'scalar' or 'vectorized'"
-            )
-        use_conflict: ConflictRelation = conflict
-        if pairwise is not None:
-            from ..analysis.compile_tables import ground_compiled
-
-            vectorized = {"auto": None, "scalar": False, "vectorized": True}[
-                pairwise
-            ]
-            try:
-                alphabet = history.opseq()
-            except (KeyError, IllFormedHistoryError):
-                # Ill-formed input (e.g. a response with no pending
-                # invocation): let the replay below report it the same
-                # way the un-precomputed path would.
-                alphabet = ()
-            if alphabet:
-                use_conflict = ground_compiled(
-                    conflict, alphabet, vectorized=vectorized
-                )
-        automaton = cls(spec, view, use_conflict, incremental=incremental)
+        """None if the history is a schedule of the automaton, else a reason."""
+        automaton = cls(spec, view, conflict)
         for i, event in enumerate(history):
             try:
                 automaton.step(event)
@@ -461,7 +362,6 @@ def generate_trace(
     *,
     abort_probability: float = 0.0,
     max_steps: int = 10_000,
-    incremental: bool = True,
 ) -> History:
     """Sample a history from ``L(I(X, Spec, View, Conflict))``.
 
@@ -486,7 +386,7 @@ def generate_trace(
     automaton — this is the sampling backend for the "if" directions of
     Theorems 9 and 10 in the test suite and benchmarks.
     """
-    automaton = ObjectAutomaton(spec, view, conflict, incremental=incremental)
+    automaton = ObjectAutomaton(spec, view, conflict)
     progress: Dict[str, int] = {p.txn: 0 for p in programs}
     by_txn: Dict[str, TransactionProgram] = {p.txn: p for p in programs}
     finished: Set[str] = set()  # committed or aborted

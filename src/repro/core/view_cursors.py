@@ -33,12 +33,11 @@ on UIP aborts and on DU/SUIP commits that carry operations — exactly the
 events after which the view opseq is *not* an extension of its previous
 value.
 
-Every cursor also supports a ``check`` mode
-(:class:`CheckedViewCursor`): each answer is cross-validated against the
-from-scratch :class:`~repro.core.views.View` and the spec's replaying
-``states_after``, raising :class:`ViewCursorMismatch` on any divergence.
-The property suite drives randomized schedules through checked cursors
-across the full ADT × view × conflict matrix.
+The property suite drives randomized schedules through cursors wrapped
+in :class:`repro.reference.CheckedViewCursor` — each answer
+cross-validated against the from-scratch :class:`~repro.core.views.View`
+and the spec's replaying ``states_after`` — across the full ADT × view ×
+conflict matrix.
 
 Views without a registered cursor class fall back to
 :class:`RecomputeViewCursor`, which is correct for *any* view at the old
@@ -65,10 +64,6 @@ from .events import (
 from .history import HistoryBuilder
 from .serial_spec import SerialSpec
 from .views import DeferredUpdate, StrictUpdateInPlace, UpdateInPlace, View
-
-
-class ViewCursorMismatch(AssertionError):
-    """A checked cursor answer diverged from the from-scratch computation."""
 
 
 class ViewCursor(ABC):
@@ -367,8 +362,8 @@ class RecomputeViewCursor(ViewCursor):
     Mirrors the event stream into a history and answers every query by
     calling the view and replaying the spec — the pre-cursor O(n) cost.
     Used for view classes without a registered incremental cursor (e.g.
-    exploratory views handed to the view synthesizer), and as the oracle
-    inside :class:`CheckedViewCursor`.
+    exploratory views handed to the view synthesizer) and for
+    language-style specs, which have no macro-state to step.
     """
 
     def __init__(self, view: View, spec: SerialSpec, events: Iterable[Event] = ()):
@@ -403,77 +398,6 @@ class RecomputeViewCursor(ViewCursor):
         return twin
 
 
-class CheckedViewCursor(ViewCursor):
-    """``check`` mode: every cursor answer cross-validated from scratch.
-
-    Wraps an incremental cursor and mirrors the event stream into a
-    history of its own; each :meth:`opseq`, :meth:`responses` and
-    :meth:`accepts` call recomputes the answer via the from-scratch
-    ``View`` (and the spec's replaying ``states_after``) and raises
-    :class:`ViewCursorMismatch` on any divergence.  O(n) per query by
-    design — this is the property-test harness, not a production mode.
-    """
-
-    def __init__(self, inner: ViewCursor, events: Iterable[Event] = ()):
-        self._inner = inner
-        self._builder = HistoryBuilder()
-        super().__init__(inner.view, inner.spec, events)
-
-    def apply(self, event: Event) -> None:
-        self._inner.apply(event)
-        self._builder.append(event)
-
-    def _on_respond(self, txn: str, operation: Operation) -> None:  # pragma: no cover
-        pass
-
-    def _on_commit(self, txn: str) -> None:  # pragma: no cover
-        pass
-
-    def _on_abort(self, txn: str) -> None:  # pragma: no cover
-        pass
-
-    def _scratch_opseq(self, txn: str) -> OpSeq:
-        return tuple(self.view(self._builder.snapshot(), txn))
-
-    def opseq(self, txn: str) -> OpSeq:
-        got = self._inner.opseq(txn)
-        want = self._scratch_opseq(txn)
-        if got != want:
-            raise ViewCursorMismatch(
-                "%s cursor opseq for %r diverged:\n  cursor: %s\n  scratch: %s"
-                % (self.view.name, txn, got, want)
-            )
-        return got
-
-    def responses(self, txn: str, invocation: Invocation) -> FrozenSet[Hashable]:
-        got = self._inner.responses(txn, invocation)
-        want = self.spec.responses(self.opseq(txn), invocation)
-        if got != want:
-            raise ViewCursorMismatch(
-                "%s cursor responses(%r, %s) diverged: cursor %s, scratch %s"
-                % (self.view.name, txn, invocation, sorted(got, key=repr),
-                   sorted(want, key=repr))
-            )
-        return got
-
-    def accepts(self, txn: str, operation: Operation) -> bool:
-        got = self._inner.accepts(txn, operation)
-        want = self.spec.is_legal(self.opseq(txn) + (operation,))
-        if got != want:
-            raise ViewCursorMismatch(
-                "%s cursor accepts(%r, %s) diverged: cursor %s, scratch %s"
-                % (self.view.name, txn, operation, got, want)
-            )
-        return got
-
-    def fork(self) -> "CheckedViewCursor":
-        twin = CheckedViewCursor.__new__(CheckedViewCursor)
-        self._fork_base_into(twin)
-        twin._inner = self._inner.fork()
-        twin._builder = HistoryBuilder(self._builder.snapshot())
-        return twin
-
-
 #: View class → incremental cursor class.  Views not listed fall back to
 #: :class:`RecomputeViewCursor`.
 CURSOR_CLASSES = {
@@ -484,25 +408,13 @@ CURSOR_CLASSES = {
 
 
 def cursor_for_view(
-    view: View,
-    spec: SerialSpec,
-    events: Iterable[Event] = (),
-    *,
-    check: bool = False,
+    view: View, spec: SerialSpec, events: Iterable[Event] = ()
 ) -> ViewCursor:
-    """Build the incremental cursor for ``view`` (fallback: recompute).
-
-    With ``check=True`` the cursor is wrapped in a
-    :class:`CheckedViewCursor` that cross-validates every answer against
-    the from-scratch computation.
-    """
-    events = tuple(events)
+    """Build the incremental cursor for ``view`` (fallback: recompute)."""
     if isinstance(spec, StateMachineSpec):
         cursor_class = CURSOR_CLASSES.get(type(view), RecomputeViewCursor)
     else:
         # Language-style specs have no macro-state to step; fall back to
         # the from-scratch path (their legality test replays anyway).
         cursor_class = RecomputeViewCursor
-    if check:
-        return CheckedViewCursor(cursor_class(view, spec), events)
     return cursor_class(view, spec, events)

@@ -52,7 +52,7 @@ class View(ABC):
     def __call__(self, history: History, txn: str) -> OpSeq:
         """The operation sequence ``View(H, A)`` (``txn`` must be active in ``history``)."""
 
-    def cursor(self, spec, history: Iterable = (), *, check: bool = False):
+    def cursor(self, spec, history: Iterable = ()):
         """An incremental :class:`~repro.core.view_cursors.ViewCursor` companion.
 
         The cursor maintains this view's operation sequences — and a
@@ -60,15 +60,14 @@ class View(ABC):
         object automaton answers legality/response queries in O(1)
         amortized instead of recomputing ``View(H, A)`` and replaying it
         through ``spec``.  ``history`` seeds the cursor with an existing
-        event sequence; ``check=True`` cross-validates every answer
-        against the from-scratch computation (property-test mode).
+        event sequence.
 
         Views without a dedicated cursor fall back to a from-scratch
         recompute cursor with the same interface.
         """
         from .view_cursors import cursor_for_view
 
-        return cursor_for_view(self, spec, history, check=check)
+        return cursor_for_view(self, spec, history)
 
     def _require_active(self, history: History, txn: str) -> None:
         if not history.is_active(txn):

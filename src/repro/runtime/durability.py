@@ -49,16 +49,8 @@ class DurableObject(ManagedObject):
         uip_strategy: str = "auto",
         restart_policy: str = "replay-winners",
         log_factory=None,
-        compiled_conflicts="auto",
     ):
-        super().__init__(
-            adt,
-            conflict,
-            recovery,
-            uip_strategy=uip_strategy,
-            compiled_conflicts=compiled_conflicts,
-        )
-        self._compiled_conflicts = compiled_conflicts
+        super().__init__(adt, conflict, recovery, uip_strategy=uip_strategy)
         self._recovery_method = recovery.upper()
         log = log_factory() if log_factory is not None else None
         if self._recovery_method == "UIP":
@@ -240,7 +232,7 @@ class DurableObject(ManagedObject):
             self.trace.emit(
                 "recovery", obj=self.name, records=len(self.wal.log)
             )
-        self.locks = LockManager(self.conflict, compiled=self._compiled_conflicts)
+        self.locks = LockManager(self.conflict)
         self._pending = {}
         self._force_tickets = {}  # group-commit tickets died with the process
         if self._recovery_method == "UIP":

@@ -20,10 +20,11 @@ compiles to a bitmask table (every ADT's NFC/NRBC relation does — see
 *held mask* per transaction (the OR of the held operations' class bits)
 and answers :meth:`blockers` with one cached classification plus one
 integer AND per holder, instead of a Python verdict call per held
-operation.  The interpreted path is kept behind a flag
-(``compiled=False``, or ``REPRO_INTERPRETED_CONFLICTS=1`` globally) for
-differential testing: both paths are verdict-identical, which the
-differential fuzz suite and EXP-C14 assert.
+operation.  A relation that does not compile (a predicate, a union, a
+pair set) takes the per-pair loop.  Both are verdict-identical, which
+``tests/runtime/test_compiled_lock_differential.py`` and EXP-C14 assert
+by hiding a compilable relation behind
+:func:`repro.reference.opaque_conflict`.
 
 :class:`WaitsForGraph` aggregates blocking edges across all objects of a
 system and detects cycles, so the scheduler can pick deadlock victims.
@@ -34,41 +35,17 @@ exercise in lock-manager engineering.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..analysis.compile_tables import CompiledConflict, maybe_compile
 from ..core.conflict import ConflictRelation
 from ..core.events import Operation
 
-#: ``compiled=`` argument: "auto" compiles when the relation allows it,
-#: True insists (raising for uncompilable relations), False forces the
-#: interpreted path, and a :class:`CompiledConflict` is used as given.
-CompiledArg = Union[str, bool, CompiledConflict]
-
-
-def resolve_compiled(
-    conflict: ConflictRelation, compiled: CompiledArg
-) -> Optional[CompiledConflict]:
-    """The compiled table to use for ``conflict``, or None (interpreted)."""
-    if compiled is False:
-        return None
-    if isinstance(compiled, CompiledConflict):
-        return compiled
-    resolved = maybe_compile(conflict)
-    if compiled is True and resolved is None:
-        raise ValueError(
-            "conflict relation %r does not compile to a bitmask table"
-            % conflict.name
-        )
-    if compiled not in (True, "auto"):
-        raise ValueError("compiled must be 'auto', True, False or a CompiledConflict")
-    return resolved
-
 
 class LockManager:
     """Operation locks for one object under a given conflict relation."""
 
-    def __init__(self, conflict: ConflictRelation, *, compiled: CompiledArg = "auto"):
+    def __init__(self, conflict: ConflictRelation):
         self.conflict = conflict
         self._held: Dict[str, List[Operation]] = {}
         #: every transaction that ever acquired a lock here, across the
@@ -77,21 +54,15 @@ class LockManager:
         #: audits assert that by checking no read-only transaction ever
         #: shows up in :meth:`lifetime_holders` on any object.
         self._ever_held: Set[str] = set()
-        #: the compiled bitmask table, or None on the interpreted path.
-        self.compiled: Optional[CompiledConflict] = resolve_compiled(
-            conflict, compiled
-        )
+        #: the relation's bitmask table, or None when it does not
+        #: compile and :meth:`blockers` takes the per-pair loop.
+        self.compiled: Optional[CompiledConflict] = maybe_compile(conflict)
         #: per-transaction OR of held operations' class bits (compiled only).
         self._held_masks: Dict[str, int] = {}
         #: per-transaction class indices aligned with ``_held`` (compiled
         #: only) — lets refine-carrying relations rescan a holder with
         #: plain bit tests instead of re-classifying held operations.
         self._held_idx: Dict[str, List[int]] = {}
-
-    @property
-    def mode(self) -> str:
-        """``"compiled"`` or ``"interpreted"`` — which path answers queries."""
-        return "compiled" if self.compiled is not None else "interpreted"
 
     def held_by(self, txn: str) -> Tuple[Operation, ...]:
         """The operations (implicit locks) currently held by ``txn``."""
@@ -151,8 +122,8 @@ class LockManager:
         conflicting hold per transaction: the full list attributes a
         blocked attempt to each conflict-table entry involved.  Only
         called on the traced path (contention attribution), so it keeps
-        the interpreted per-pair walk — verdicts are identical on both
-        paths, and the extra work never touches untraced runs.
+        the per-pair walk over the relation itself — verdict-identical
+        to the table, and the extra work never touches untraced runs.
         """
         hits: List[Tuple[str, Operation]] = []
         for other, ops in self._held.items():

@@ -362,9 +362,11 @@ class DriveReport:
 
     @property
     def availability(self) -> float:
-        """Fraction of the offered load that committed — the EXP-C17
-        service metric under site-crash schedules."""
-        return self.metrics.committed / self.offered if self.offered else 0.0
+        """Fraction of the offered load — update and read-only
+        transactions alike — that committed: the EXP-C17 service metric
+        under site-crash schedules."""
+        done = self.metrics.committed + self.metrics.ro_committed
+        return done / self.offered if self.offered else 0.0
 
     @property
     def committed_per_s(self) -> float:
@@ -420,7 +422,7 @@ class DriveReport:
         if self.per_site:
             lines.append(
                 "availability         : %.3f (%d/%d offered committed)"
-                % (self.availability, self.metrics.committed, self.offered)
+                % (self.availability, m.committed + m.ro_committed, self.offered)
             )
             for row in self.per_site:
                 lines.append(
@@ -760,8 +762,8 @@ def run_shard_cell(
         for script, tick in open_loop_scripts(config, random.Random(seed))
         if home_shard(script, config.shards) == shard
     ]
-    conflict, compiled = shared_conflict_case(config.adt_kind, config.recovery)
-    system = _build_shard_subsystem(config, shard, conflict, compiled)
+    conflict = shared_conflict_case(config.adt_kind, config.recovery)
+    system = _build_shard_subsystem(config, shard, conflict)
     collector = trace if trace is not None else TraceCollector()
     if not scripts:
         metrics = RunMetrics(label=config.label())
@@ -783,10 +785,10 @@ def run_shard_cell(
 
 
 def _build_shard_subsystem(
-    config: OpenLoopConfig, shard: int, conflict, compiled
+    config: OpenLoopConfig, shard: int, conflict
 ) -> ShardedSystem:
     """A sharded system holding only ``shard``'s objects, all sharing one
-    derived conflict relation and one compiled bitmask table."""
+    derived conflict relation (and so its one compiled bitmask table)."""
     from ..adts.registry import make_adt
     from .durability import DurableObject
     from .wal import GroupCommitPolicy, StableLog
@@ -802,7 +804,6 @@ def _build_shard_subsystem(
                 conflict,
                 config.recovery.upper(),
                 log_factory=lambda: StableLog(policy=policy),
-                compiled_conflicts=compiled if compiled is not None else False,
             )
         )
     return ShardedSystem(objects, shards=config.shards)

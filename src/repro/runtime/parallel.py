@@ -47,7 +47,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from .metrics import FaultCounters
 from .trace import TraceCollector
@@ -212,29 +212,24 @@ def _worker_init(counter, trace_base: Optional[str]) -> None:
 
 
 @lru_cache(maxsize=None)
-def shared_conflict_case(
-    adt_kind: str, recovery: str
-) -> Tuple[Any, Optional[Any]]:
+def shared_conflict_case(adt_kind: str, recovery: str) -> Any:
     """The shared read-only conflict registry for one ``(kind, recovery)``.
 
-    Returns ``(conflict, compiled)``: the recovery method's conflict
-    relation for the ADT kind (NRBC under UIP, NFC under DU) and its
-    compiled bitmask table (None when ``REPRO_INTERPRETED_CONFLICTS=1``
-    forces the interpreted path).  Cached **per process**: a persistent
-    pool worker derives each case once and reuses it across every cell
-    and every object it ever builds, instead of re-running the
-    commutativity checker per object — the dominant per-cell setup cost
-    for many-object open-loop shards.  Both values are immutable at
-    runtime (the relation answers pure verdict queries; the table is a
-    frozen mask array), so sharing one instance across objects is safe.
+    Returns the recovery method's conflict relation for the ADT kind
+    (NRBC under UIP, NFC under DU); its compiled bitmask table rides on
+    it (:func:`~repro.analysis.compile_tables.maybe_compile` compiles a
+    relation once).  Cached **per process**: a persistent pool worker
+    derives each case once and reuses it across every cell and every
+    object it ever builds, instead of re-running the commutativity
+    checker per object — the dominant per-cell setup cost for
+    many-object open-loop shards.  The relation answers pure verdict
+    queries, so sharing one instance across objects is safe.
     """
     from ..adts.registry import make_adt
-    from ..analysis.compile_tables import maybe_compile
 
     recovery = recovery.upper()
     adt = make_adt(adt_kind)
-    conflict = adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
-    return conflict, maybe_compile(conflict)
+    return adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
 
 
 def _append_shard(trace: TraceCollector, cell_index: int) -> None:

@@ -733,14 +733,13 @@ def build_replicated_system(
     group_commit: int = 1,
     hold: int = 4,
     log_factory=None,
-    compiled_conflicts="auto",
 ) -> ReplicatedSystem:
     """A replicated system of ``adt_kind`` objects, ``sites`` copies each.
 
     Every copy gets its own stable log (built by ``log_factory``, or a
     fresh :class:`~repro.runtime.wal.StableLog` under the group-commit
-    policy); all copies of all objects share one compiled conflict table
-    through the per-kind registry.
+    policy); its conflict relation compiles to a bitmask table once,
+    which restarts after a crash reuse.
     """
     from ..adts.registry import make_adt
     from .wal import GroupCommitPolicy, StableLog
@@ -759,13 +758,7 @@ def build_replicated_system(
                 adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
             )
             copies.append(
-                DurableObject(
-                    adt,
-                    conflict,
-                    recovery,
-                    log_factory=log_factory,
-                    compiled_conflicts=compiled_conflicts,
-                )
+                DurableObject(adt, conflict, recovery, log_factory=log_factory)
             )
         logical_objects.append(copies)
     return ReplicatedSystem(logical_objects, sites=sites)

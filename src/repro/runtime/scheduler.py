@@ -29,14 +29,15 @@ hold-timer deadlines — names the next tick at which anything can
 happen, and the stretch of provably-dead ticks before it is jumped in
 one step instead of walked.  The elision is semantically invisible:
 histories, metrics, RNG draws and JSONL traces are byte-identical to
-the walk-every-tick loop (``event_driven=False``, or the
-``REPRO_POLLING_SCHEDULER=1`` environment escape hatch).
+walking every tick, which ``tests/runtime/test_event_scheduler.py``
+pins against the walking oracle in :mod:`repro.reference`.  A hook
+that declares no schedule is assumed to act on every tick, so nothing
+is ever jumped past it.
 """
 
 from __future__ import annotations
 
 import bisect
-import os
 import random
 from dataclasses import dataclass
 from typing import (
@@ -55,13 +56,6 @@ from .errors import InvalidTransactionState
 from .lock_manager import WaitsForGraph
 from .metrics import RunMetrics
 from .system import TransactionSystem
-
-#: Environment escape hatch: ``REPRO_POLLING_SCHEDULER=1`` forces the
-#: classic walk-every-tick loop even where the wake calendar could
-#: elide dead ticks.  Histories, metrics and traces are identical
-#: either way — this exists to cheaply rule the elision in or out when
-#: debugging.
-POLLING_ENV = "REPRO_POLLING_SCHEDULER"
 
 #: Live-transaction / waits-for rows printed by the non-convergence
 #: diagnostic before truncating.
@@ -159,22 +153,11 @@ class Scheduler:
         on_tick=None,
         trace=None,
         arrivals: Optional[Mapping[str, int]] = None,
-        event_driven="auto",
     ):
         names = [s.name for s in scripts]
         if len(set(names)) != len(names):
             raise ValueError("script names must be unique")
-        if event_driven not in (True, False, "auto"):
-            raise ValueError(
-                "event_driven must be True, False or 'auto' (got %r)"
-                % (event_driven,)
-            )
         self.system = system
-        #: ``"auto"`` elides provably-dead ticks whenever every tick
-        #: source can report its next wake; ``True`` additionally raises
-        #: if a source cannot; ``False`` keeps the walk-every-tick loop
-        #: (histories, metrics and traces are identical either way).
-        self.event_driven = event_driven
         self.scripts = tuple(scripts)
         self.rng = random.Random(seed)
         self.max_restarts = max_restarts
@@ -182,7 +165,10 @@ class Scheduler:
         self.metrics = RunMetrics(label=label)
         #: optional hook called as ``on_tick(tick)`` after each pass; a
         #: truthy return counts as progress (crash injectors, periodic
-        #: checkpoints and the like hang off this).
+        #: checkpoints and the like hang off this).  A hook that acts
+        #: only on some ticks says so with a ``next_wake(tick)``
+        #: attribute (see :func:`periodic_wake`); without one it is
+        #: called on every tick.
         self.on_tick = on_tick
         #: optional :class:`~repro.runtime.trace.TraceCollector`; when
         #: set, it is bound to the system's emit sites too (objects and
@@ -198,9 +184,6 @@ class Scheduler:
         #: ``_is_retired`` re-filter (and its ``system.status`` calls).
         self._active: List[_LiveTxn] = list(self._live)
         self._dirty = False
-        self._system_tick = getattr(system, "tick", None)
-        self._system_next_deadline = getattr(system, "next_deadline", None)
-        self._system_advance = getattr(system, "advance_ticks", None)
         #: open-loop arrivals (script name -> arrival tick): the script
         #: enters the system at its arrival tick rather than at tick 1,
         #: independent of how many earlier transactions have finished —
@@ -231,19 +214,6 @@ class Scheduler:
             # tick counter — exactly as ``metrics.ticks`` does.
             self.trace.begin_tick(0)
             self.trace.emit("run-start", label=self.metrics.label)
-        capable = self._elision_ready()
-        if self.event_driven is True and not capable:
-            raise ValueError(
-                "event_driven=True needs every tick source to expose its "
-                "next wake: the on_tick hook must carry a next_wake(tick) "
-                "attribute and the system must offer next_deadline()/"
-                "advance_ticks() alongside tick()"
-            )
-        elide = (
-            capable
-            and self.event_driven is not False
-            and os.environ.get(POLLING_ENV) != "1"
-        )
         # A script can retire outside a scan transition (crash-time
         # in-doubt resolution commits a done entry); sweep before the
         # loop so re-entry after a crash starts from a clean view.
@@ -256,9 +226,7 @@ class Scheduler:
         # hook, a hold-timer flush — can possibly happen.  Ticks before
         # it are provably dead: no event, no RNG draw, no progress.
         horizon = self.max_ticks + 1  # sentinel: no wake source ahead
-        next_live = 0
-        if capable and self._active:
-            next_live = self._wake_plan(0, horizon)
+        next_live = self._wake_plan(0, horizon) if self._active else 0
         converged = False
         tick = 0
         while tick < self.max_ticks:
@@ -266,45 +234,33 @@ class Scheduler:
             if not self._active:
                 converged = True
                 break
+            dead = tick < next_live
+            if dead:
+                tick = self._cross_dead_ticks(
+                    tick, min(next_live - 1, self.max_ticks)
+                )
             self.metrics.ticks = tick
             if self.trace is not None:
                 self.trace.begin_tick(tick)
-            if capable and tick < next_live:
-                # Dead tick.  The polling loop still walks it (one
-                # ``system.tick()`` to advance hold timers); the
-                # event-driven loop jumps the whole stretch with one
-                # ``advance_ticks`` — the calendar guarantees no flush
-                # deadline falls inside the skipped window.
-                if elide:
-                    target = min(next_live - 1, self.max_ticks)
-                    if self._system_advance is not None:
-                        self._system_advance(target - tick + 1)
-                    tick = target
-                    self.metrics.ticks = tick
-                    if self.trace is not None:
-                        self.trace.begin_tick(tick)
-                elif self._system_tick is not None:
-                    self._system_tick()
+            if dead:
                 continue
             live = self._active
             if self._any_runnable(tick, live):
                 progressed = self._tick(tick, live)
             else:
                 # Nothing runnable: skip the scan — and its RNG shuffle
-                # — entirely.  Both modes take this branch on the same
-                # ticks, so they draw the same RNG sequence: a shuffle
-                # happens exactly on the ticks where the scan could act.
+                # — entirely, so a shuffle happens exactly on the ticks
+                # where the scan could act.
                 progressed = False
             if self.on_tick is not None:
                 progressed = bool(self.on_tick(tick)) or progressed
             # Drive durability hold-timers: a held group-commit batch
             # flushes deterministically once its hold window expires.
-            if self._system_tick is not None:
-                self._system_tick()
+            self.system.tick()
             if not progressed:
                 self._break_deadlock(tick, live)
             self._compact()
-            if capable and self._active:
+            if self._active:
                 next_live = self._wake_plan(tick, horizon)
         if not converged:
             raise RuntimeError(self._nonconvergence_report())
@@ -317,31 +273,32 @@ class Scheduler:
             )
         return self.metrics
 
-    def _elision_ready(self) -> bool:
-        """Can every source of future work report its next wake tick?"""
-        hook_ok = self.on_tick is None or callable(
-            getattr(self.on_tick, "next_wake", None)
+    def _cross_dead_ticks(self, tick: int, last: int) -> int:
+        """Consume the dead ticks ``tick..last`` in one step and return
+        the last tick consumed.  Only the hold timers move — the
+        calendar guarantees no flush deadline falls inside the stretch.
+        (:func:`repro.reference.walk_dead_ticks` swaps in the oracle
+        that walks them one ``system.tick()`` at a time.)"""
+        self.system.advance_ticks(last - tick + 1)
+        return last
+
+    def _still_waiting(self, entry: _LiveTxn) -> bool:
+        """Victim-waits-for-winners: drop the finished transactions from
+        ``entry.wait_for``; True while any is left.  Idempotent —
+        statuses are final once set and incarnation names never reuse —
+        so the scan, the runnable test and the calendar may all apply
+        it and reach the same answer."""
+        entry.wait_for = frozenset(
+            t for t in entry.wait_for if self.system.status(t) == "active"
         )
-        system_ok = self._system_tick is None or (
-            callable(self._system_next_deadline)
-            and callable(self._system_advance)
-        )
-        return hook_ok and system_ok
+        return bool(entry.wait_for)
 
     def _any_runnable(self, tick: int, live: List[_LiveTxn]) -> bool:
         """Could any entry act at ``tick``?  Mirrors the skip checks at
-        the top of :meth:`_tick`.  Filtering ``wait_for`` here is safe:
-        statuses are final once set and incarnation names never reuse,
-        so the scan's own filter would reach the same answer."""
+        the top of :meth:`_tick`."""
         for entry in live:
-            if entry.wait_for:
-                entry.wait_for = frozenset(
-                    t
-                    for t in entry.wait_for
-                    if self.system.status(t) == "active"
-                )
-                if entry.wait_for:
-                    continue
+            if entry.wait_for and self._still_waiting(entry):
+                continue
             if entry.backoff_until > tick:
                 continue
             return True
@@ -363,48 +320,41 @@ class Scheduler:
         floor = tick + 1
         wake: Optional[int] = None
         for entry in self._active:
-            if entry.wait_for:
-                # Same idempotent filter as the scan: a waited-on
-                # transaction may have finished during the tick that
-                # just ran, releasing this entry for the next tick.
-                entry.wait_for = frozenset(
-                    t
-                    for t in entry.wait_for
-                    if self.system.status(t) == "active"
-                )
-                if entry.wait_for:
-                    continue
+            # A waited-on transaction may have finished during the tick
+            # that just ran, releasing this entry for the next one.
+            if entry.wait_for and self._still_waiting(entry):
+                continue
             w = entry.backoff_until if entry.backoff_until > tick else floor
             if wake is None or w < wake:
                 if w <= floor:
                     return floor
                 wake = w
         if self.on_tick is not None:
-            hook = self.on_tick.next_wake(tick)
+            next_wake = getattr(self.on_tick, "next_wake", None)
+            if next_wake is None:
+                return floor  # no declared schedule: it may act every tick
+            hook = next_wake(tick)
             if hook is not None:
                 w = max(int(hook), floor)
                 if wake is None or w < wake:
                     if w <= floor:
                         return floor
                     wake = w
-        if self._system_next_deadline is not None:
-            deadline = self._system_next_deadline()
-            if deadline is not None:
-                w = tick + max(int(deadline), 1)
-                if wake is None or w < wake:
-                    wake = w
+        deadline = self.system.next_deadline()
+        if deadline is not None:
+            w = tick + max(int(deadline), 1)
+            if wake is None or w < wake:
+                wake = w
         return wake
 
     def _wake_plan(self, tick: int, horizon: int) -> int:
         """Consult the wake calendar after ``tick``'s work is done and
         account the dead stretch ahead of the next wake.
 
-        The accounting (``dead_ticks_elided``/``calendar_wakeups`` and
-        one ``calendar-wake`` trace event per stretch) runs in *both*
-        scheduler modes whenever the calendar is available, so polling
-        and event-driven runs stay byte-identical; only whether the
-        stretch is walked or jumped differs.  A stretch that runs into
-        the tick budget records a wake of 0 (nothing ever wakes).
+        The accounting is ``dead_ticks_elided``/``calendar_wakeups``
+        and one ``calendar-wake`` trace event per stretch.  A stretch
+        that runs into the tick budget records a wake of 0 (nothing
+        ever wakes).
         """
         wake = self._next_wake(tick)
         next_live = horizon if wake is None else min(wake, horizon)
@@ -544,20 +494,14 @@ class Scheduler:
         self.rng.shuffle(order)
         progressed = False
         for entry in order:
-            if entry.wait_for:
-                # Victim-waits-for-winners: re-enter only once every
-                # surviving member of the deadlock cycle this entry died
-                # in has finished (each is an incarnation the scheduler
-                # drives to commit or abort).  Sitting out is not
-                # progress: if nothing else moves, the stall-breaker
-                # must still run so the waited-on transactions unblock.
-                entry.wait_for = frozenset(
-                    t
-                    for t in entry.wait_for
-                    if self.system.status(t) == "active"
-                )
-                if entry.wait_for:
-                    continue
+            if entry.wait_for and self._still_waiting(entry):
+                # Re-enter only once every surviving member of the
+                # deadlock cycle this entry died in has finished (each
+                # is an incarnation the scheduler drives to commit or
+                # abort).  Sitting out is not progress: if nothing else
+                # moves, the stall-breaker must still run so the
+                # waited-on transactions unblock.
+                continue
             if entry.backoff_until > tick:
                 continue
             if entry.script.read_only:

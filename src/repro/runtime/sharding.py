@@ -300,15 +300,13 @@ def build_sharded_system(
     group_commit: int = 1,
     hold: int = 4,
     log_factory=None,
-    compiled_conflicts="auto",
 ) -> ShardedSystem:
     """A sharded system of ``adt_kind`` objects, one per name.
 
     Every object gets its own stable log (built by ``log_factory``, or a
     fresh :class:`~repro.runtime.wal.StableLog` under the group-commit
-    policy); objects of the same kind share one compiled conflict table
-    through the registry, so adding objects does not re-run the table
-    compiler per instance.
+    policy); its conflict relation compiles to a bitmask table once,
+    which restarts after a crash reuse.
     """
     from ..adts.registry import make_adt
     from .wal import GroupCommitPolicy, StableLog
@@ -325,13 +323,7 @@ def build_sharded_system(
             adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
         )
         objects.append(
-            DurableObject(
-                adt,
-                conflict,
-                recovery,
-                log_factory=log_factory,
-                compiled_conflicts=compiled_conflicts,
-            )
+            DurableObject(adt, conflict, recovery, log_factory=log_factory)
         )
     return ShardedSystem(objects, shards=shards)
 

@@ -69,14 +69,10 @@ class ManagedObject:
         *,
         uip_strategy: str = "auto",
         response_chooser=None,
-        compiled_conflicts="auto",
     ):
         self.adt = adt
         self.conflict = conflict
-        # "auto" queries the compiled bitmask table when the relation
-        # compiles (every ADT NFC/NRBC relation does); False keeps the
-        # interpreted per-pair path — the differential-testing flag.
-        self.locks = LockManager(conflict, compiled=compiled_conflicts)
+        self.locks = LockManager(conflict)
         if isinstance(recovery, RecoveryManager):
             self.recovery: RecoveryManager = recovery
         else:

@@ -8,15 +8,12 @@ from repro.analysis.compile_tables import (
     CompiledTable,
     compile_classifier,
     compile_table,
-    ground_compiled,
-    interpreted_forced,
     maybe_compile,
-    pairwise_matrix,
 )
 from repro.analysis.tables import ConflictTable
 from repro.core.conflict import ClassifierConflict, PredicateConflict
 from repro.core.events import op
-from repro.runtime.lock_manager import LockManager, resolve_compiled
+from repro.runtime.lock_manager import LockManager
 
 
 def small_table():
@@ -76,21 +73,6 @@ def test_unknown_label_grows_with_empty_row():
     assert compiled.held_bit(stranger) == 1 << compiled.class_index(stranger)
 
 
-def test_unknown_label_errors_on_ground_tables():
-    ba = BankAccount("BA")
-    alphabet = ba.ground_alphabet()
-    compiled = ground_compiled(ba.nrbc_conflict(), alphabet)
-    with pytest.raises(KeyError):
-        compiled.class_index(op("BA", "frobnicate", response="no"))
-
-
-def test_on_unknown_validated():
-    with pytest.raises(ValueError):
-        CompiledConflict(
-            classify_kind, compile_table(small_table()), on_unknown="ignore"
-        )
-
-
 def test_compile_classifier_grow_matches_matrix_miss():
     """A label outside the matrix answers False, like ClassifierConflict."""
     relation = ClassifierConflict(
@@ -102,15 +84,15 @@ def test_compile_classifier_grow_matches_matrix_miss():
         assert compiled.conflicts(new, old) == relation.conflicts(new, old)
 
 
-def test_maybe_compile_dispatch(monkeypatch):
+def test_maybe_compile_dispatch():
     ba = BankAccount("BA")
-    compiled = maybe_compile(ba.nrbc_conflict())
+    relation = ba.nrbc_conflict()
+    compiled = maybe_compile(relation)
     assert isinstance(compiled, CompiledConflict)
     assert maybe_compile(compiled) is compiled  # pass-through
+    assert maybe_compile(relation) is compiled  # once per relation instance
+    assert maybe_compile(ba.nrbc_conflict()) is not compiled
     assert maybe_compile(PredicateConflict(lambda a, b: True)) is None
-    monkeypatch.setenv("REPRO_INTERPRETED_CONFLICTS", "1")
-    assert interpreted_forced()
-    assert maybe_compile(ba.nrbc_conflict()) is None
 
 
 def test_refine_carried_through_compilation():
@@ -131,26 +113,12 @@ def test_refine_carried_through_compilation():
     assert not compiled.conflicts(write_a, write_b)
 
 
-# -- resolve_compiled / LockManager modes ----------------------------------------
-
-
-def test_resolve_compiled_contract():
-    ba = BankAccount("BA")
-    relation = ba.nrbc_conflict()
-    assert resolve_compiled(relation, False) is None
-    assert isinstance(resolve_compiled(relation, "auto"), CompiledConflict)
-    assert isinstance(resolve_compiled(relation, True), CompiledConflict)
-    prebuilt = compile_classifier(relation)
-    assert resolve_compiled(relation, prebuilt) is prebuilt
-    with pytest.raises(ValueError):
-        resolve_compiled(PredicateConflict(lambda a, b: True), True)
-    with pytest.raises(ValueError):
-        resolve_compiled(relation, "sometimes")
+# -- LockManager: table when the relation compiles, per-pair loop otherwise -----
 
 
 def test_uncompilable_relation_falls_back_to_interpreted():
     manager = LockManager(PredicateConflict(lambda a, b: True, name="total"))
-    assert manager.mode == "interpreted"
+    assert manager.compiled is None
     manager.acquire("T1", op("X", "w"))
     assert manager.blockers("T2", op("X", "w")) == frozenset(["T1"])
 
@@ -158,7 +126,7 @@ def test_uncompilable_relation_falls_back_to_interpreted():
 def test_lock_manager_release_clears_masks():
     ba = BankAccount("BA")
     manager = LockManager(ba.nrbc_conflict())
-    assert manager.mode == "compiled"
+    assert manager.compiled is not None
     deposit = op("BA", "deposit", 1)
     balance = op("BA", "balance", response=0)
     manager.acquire("T1", deposit)
@@ -168,42 +136,15 @@ def test_lock_manager_release_clears_masks():
     assert manager.held_by("T1") == ()
 
 
-# -- pairwise pass ---------------------------------------------------------------
+def test_restart_reuses_the_relations_table():
+    """One table per relation instance: a crash restart builds a fresh
+    lock manager over the same relation and does not compile again."""
+    from repro.runtime.durability import DurableObject
 
-
-def test_pairwise_matrix_rectangular():
     ba = BankAccount("BA")
-    relation = ba.nrbc_conflict()
-    news = ba.ground_alphabet()[:3]
-    olds = ba.ground_alphabet()
-    matrix = pairwise_matrix(relation, news, olds, vectorized=False)
-    assert len(matrix) == len(news) and len(matrix[0]) == len(olds)
-    for i, new in enumerate(news):
-        for j, old in enumerate(olds):
-            assert matrix[i][j] == relation.conflicts(new, old)
-
-
-def test_pairwise_vectorized_true_requires_compilable():
-    with pytest.raises(ValueError):
-        pairwise_matrix(
-            PredicateConflict(lambda a, b: True),
-            [op("X", "w")],
-            vectorized=True,
-        )
-
-
-def test_pairwise_vectorized_true_requires_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    ba = BankAccount("BA")
-    with pytest.raises(RuntimeError):
-        pairwise_matrix(
-            ba.nrbc_conflict(), ba.ground_alphabet(), vectorized=True
-        )
-
-
-def test_ground_compiled_dedupes_alphabet():
-    ba = BankAccount("BA")
-    alphabet = ba.ground_alphabet()
-    doubled = tuple(alphabet) + tuple(alphabet)
-    compiled = ground_compiled(ba.nrbc_conflict(), doubled)
-    assert len(compiled.labels) == len(alphabet)
+    obj = DurableObject(ba, ba.nrbc_conflict(), "UIP")
+    table = obj.locks.compiled
+    locks = obj.locks
+    obj.crash_and_restart()
+    assert obj.locks is not locks
+    assert obj.locks.compiled is table

@@ -5,7 +5,9 @@ import pytest
 from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.core.object_automaton import ObjectAutomaton
+from repro.core.view_cursors import RecomputeViewCursor
 from repro.core.views import UIP
+from repro.reference import opaque_view
 
 
 @pytest.fixture
@@ -76,9 +78,7 @@ class TestClone:
         # (though blocked by the NRBC conflict with the active deposit).
         assert twin.blocked_responses("B") == frozenset({"ok"})
         # And the twin's answers equal a fresh recompute of its history.
-        replay = ObjectAutomaton(
-            ba, UIP, ba.nrbc_conflict(), incremental=False
-        )
+        replay = ObjectAutomaton(ba, opaque_view(UIP), ba.nrbc_conflict())
         for event in twin.history:
             replay.step(event)
         for txn in ("A", "B"):
@@ -86,12 +86,15 @@ class TestClone:
             assert twin.blocked_responses(txn) == replay.blocked_responses(txn)
 
     def test_clone_of_recompute_automaton(self):
-        """incremental=False automata clone without any cursor to fork."""
+        """An automaton over a view with no delta cursor forks its
+        recompute cursor like any other."""
         ba = BankAccount(domain=(1, 2))
-        a = ObjectAutomaton(ba, UIP, ba.nrbc_conflict(), incremental=False)
+        a = ObjectAutomaton(ba, opaque_view(UIP), ba.nrbc_conflict())
         a.invoke("A", inv("deposit", 1))
         a.respond("A", "ok")
         twin = a.clone()
         twin.commit("A")
         assert "A" in a.active_transactions()
-        assert twin._cursor is None and a._cursor is None
+        assert isinstance(twin._cursor, RecomputeViewCursor)
+        assert twin._cursor is not a._cursor
+        assert twin.history != a.history

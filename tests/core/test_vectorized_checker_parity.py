@@ -1,18 +1,22 @@
-"""Regression: the checker's batch pairwise passes are verdict-identical.
+"""Regression: the checker's fast path and its oracles are verdict-identical.
 
-``ObjectAutomaton.accepts`` / ``explain_rejection`` accept a ``pairwise``
-mode that precomputes the conflict relation over the history's ground
-alphabet (scalar bitmask scan or numpy gather).  Every mode must return
-*byte-identical* results to the default path — same booleans, same
-rejection strings, holder attribution included — on:
+``ObjectAutomaton.accepts`` / ``explain_rejection`` answer conflicts from
+the compiled bitmask table and legality from the delta cursors.  Hiding
+the relation behind ``repro.reference.opaque_conflict`` and/or the view
+behind ``opaque_view`` makes the same checker take the per-pair loop and
+the recompute-from-history cursor; every combination must return
+*byte-identical* results — same booleans, same rejection strings, holder
+attribution included — on:
 
 * the paper's worked examples (Sections 3.3, 3.4 and 5) under both
   views and both relations;
 * abort-heavy torture histories sampled from the automaton's language;
 * perturbed torture histories (adjacent events swapped) that the
   automaton rejects;
-* ill-formed input (a response with no pending invocation), where the
-  alphabet precomputation itself cannot run and must fall back.
+* ill-formed input (a response with no pending invocation).
+
+(The file keeps the name it had when the compared paths were the
+scalar/vectorized pairwise passes.)
 """
 
 import random
@@ -20,7 +24,6 @@ import random
 import pytest
 
 from repro.adts import BankAccount
-from repro.analysis.compile_tables import have_numpy
 from repro.core import DU, UIP, ObjectAutomaton
 from repro.core.events import inv, respond
 from repro.core.history import History
@@ -30,14 +33,29 @@ from repro.experiments.examples import (
     section_3_4_perturbed_history,
     section_5_history,
 )
+from repro.reference import opaque_conflict, opaque_view
 
 VIEWS = (("UIP", UIP), ("DU", DU))
 RELATIONS = ("nfc_conflict", "nrbc_conflict")
-MODES = ("auto", "scalar", "vectorized")
 
 
-def modes():
-    return [m for m in MODES if m != "vectorized" or have_numpy()]
+def same(x):
+    return x
+
+
+#: (label, wrap the view, wrap the relation) — the oracle combinations.
+MODES = (
+    ("per-pair", same, opaque_conflict),
+    ("recompute", opaque_view, same),
+    ("both", opaque_view, opaque_conflict),
+)
+
+
+def oracle_verdicts(spec, view, conflict, history):
+    for label, wrap_view, wrap_conflict in MODES:
+        yield label, ObjectAutomaton.explain_rejection(
+            spec, wrap_view(view), wrap_conflict(conflict), history
+        )
 
 
 def worked_histories():
@@ -76,7 +94,7 @@ def torture_histories():
         out.append(("seed%d" % seed, trace))
         # a perturbed sibling: swap the middle pair of events, which
         # typically breaks a precondition and must be rejected the same
-        # way on every pairwise mode
+        # way on every path
         events = list(trace)
         if len(events) >= 4:
             mid = len(events) // 2
@@ -94,14 +112,11 @@ def test_worked_examples_verdicts_byte_identical(view_name, view, relation):
     conflict = getattr(spec, relation)()
     for label, history in worked_histories():
         baseline = ObjectAutomaton.explain_rejection(spec, view, conflict, history)
-        for mode in modes():
-            got = ObjectAutomaton.explain_rejection(
-                spec, view, conflict, history, pairwise=mode
-            )
+        for mode, got in oracle_verdicts(spec, view, conflict, history):
             assert got == baseline, (label, mode)
-            assert ObjectAutomaton.accepts(
-                spec, view, conflict, history, pairwise=mode
-            ) == (baseline is None)
+        assert ObjectAutomaton.accepts(spec, view, conflict, history) == (
+            baseline is None
+        )
 
 
 @pytest.mark.parametrize("view_name,view", VIEWS, ids=[n for n, _ in VIEWS])
@@ -115,10 +130,7 @@ def test_torture_histories_verdicts_byte_identical(view_name, view):
                 spec, view, conflict, history
             )
             verdicts.append(baseline)
-            for mode in modes():
-                got = ObjectAutomaton.explain_rejection(
-                    spec, view, conflict, history, pairwise=mode
-                )
+            for mode, got in oracle_verdicts(spec, view, conflict, history):
                 assert got == baseline, (relation, label, mode)
     # the sample covers both outcomes, so the byte-identity is not vacuous
     assert any(v is None for v in verdicts)
@@ -126,24 +138,11 @@ def test_torture_histories_verdicts_byte_identical(view_name, view):
 
 
 def test_ill_formed_history_identical_across_modes():
-    """A response with no pending invocation defeats alphabet enumeration."""
+    """A response with no pending invocation is reported the same way."""
     spec = BankAccount("BA")
     conflict = spec.nrbc_conflict()
     bad = History([respond("ok", "BA", "T1")], validate=False)
     baseline = ObjectAutomaton.explain_rejection(spec, UIP, conflict, bad)
     assert baseline is not None
-    for mode in modes():
-        assert (
-            ObjectAutomaton.explain_rejection(
-                spec, UIP, conflict, bad, pairwise=mode
-            )
-            == baseline
-        )
-
-
-def test_pairwise_mode_validated():
-    spec = BankAccount("BA")
-    with pytest.raises(ValueError):
-        ObjectAutomaton.explain_rejection(
-            spec, UIP, spec.nrbc_conflict(), section_3_3_history(), pairwise="bogus"
-        )
+    for mode, got in oracle_verdicts(spec, UIP, conflict, bad):
+        assert got == baseline, mode

@@ -7,15 +7,14 @@ from repro.core.events import abort, commit, inv, invoke, respond
 from repro.core.history import HistoryBuilder
 from repro.core.serial_spec import LanguageSpec
 from repro.core.view_cursors import (
-    CheckedViewCursor,
     DUCursor,
     RecomputeViewCursor,
     SUIPCursor,
     UIPCursor,
-    ViewCursorMismatch,
     cursor_for_view,
 )
 from repro.core.views import DU, SUIP, UIP, View
+from repro.reference import CheckedViewCursor, ViewCursorMismatch, checked_view
 
 BA = BankAccount(domain=(1, 2))
 X = BA.name
@@ -172,20 +171,20 @@ class TestFallbacks:
 
 class TestCheckMode:
     def test_clean_run_passes(self):
-        cursor = cursor_for_view(UIP, BA, script(), check=True)
+        cursor = checked_view(UIP).cursor(BA, script())
         assert isinstance(cursor, CheckedViewCursor)
         h = HistoryBuilder(script()).snapshot()
         assert cursor.opseq(PROBE) == tuple(UIP(h, PROBE))
 
     def test_divergence_raises(self):
-        cursor = cursor_for_view(UIP, BA, script()[:6], check=True)
+        cursor = checked_view(UIP).cursor(BA, script()[:6])
         # Sabotage the inner cursor: drop an operation it should retain.
         cursor._inner._ops.pop()
         with pytest.raises(ViewCursorMismatch):
             cursor.opseq(PROBE)
 
     def test_divergent_responses_raise(self):
-        cursor = cursor_for_view(DU, BA, script()[:6], check=True)
+        cursor = checked_view(DU).cursor(BA, script()[:6])
         cursor._inner._tails["A"].pop()
         cursor._inner._txn_cursors.clear()
         with pytest.raises(ViewCursorMismatch):

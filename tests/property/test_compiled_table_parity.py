@@ -11,8 +11,9 @@ exact, queryable replacement for the relation it compiles:
   full ground-operation cross product — the refine-carrying ADTs
   (key-indexed KV, priority-ordered PQ) included, where a class-level
   mask hit must still be weakened exactly as the interpreter weakens it;
-* batch equivalence: :func:`ground_pairs` equals
-  :meth:`~repro.core.conflict.ConflictRelation.pairs`.
+* batch equivalence: the compiled relation's
+  :meth:`~repro.core.conflict.ConflictRelation.pairs` equals those of
+  the relation hidden behind ``repro.reference.opaque_conflict``.
 """
 
 import pytest
@@ -21,8 +22,9 @@ from repro.adts.registry import analysis_instance, compiled_tables, registered_k
 from repro.analysis import PairMemo
 from repro.analysis.compile_tables import (
     compile_conflict_classes,
-    ground_pairs,
+    maybe_compile,
 )
+from repro.reference import opaque_conflict
 
 KINDS = registered_kinds()
 RELATIONS = ("nfc", "nrbc")
@@ -32,8 +34,7 @@ def _marked(compiled_conflict, row_label, col_label) -> bool:
     """The compiled class-level verdict, treating absent labels as no-conflict.
 
     ``compile_classifier`` only assigns indices to labels appearing in
-    the matrix; a label outside the table has an all-zero row/column by
-    the ``on_unknown="grow"`` contract.
+    the matrix; a label outside the table grows an all-zero row/column.
     """
     table = compiled_conflict.table
     index = table.index()
@@ -98,7 +99,9 @@ def test_compiled_verdicts_match_interpreted_ground(kind, relation):
                 new,
                 old,
             )
-    assert ground_pairs(conflict, alphabet) == conflict.pairs(alphabet)
+    reference = opaque_conflict(conflict)
+    assert maybe_compile(reference) is None
+    assert maybe_compile(conflict).pairs(alphabet) == reference.pairs(alphabet)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -2,16 +2,16 @@
 
 Randomized schedules are driven through two object automata in lockstep:
 
-* the *checked* automaton (``check_cursors=True``) — the incremental
-  path, with every cursor answer cross-validated against the
+* the *checked* automaton (over ``repro.reference.checked_view``) — the
+  incremental path, with every cursor answer cross-validated against the
   from-scratch ``View`` (a divergence raises
-  :class:`~repro.core.view_cursors.ViewCursorMismatch` immediately), and
-* the *oracle* automaton (``incremental=False``) — the original
+  :class:`~repro.reference.ViewCursorMismatch` immediately), and
+* the *oracle* automaton (over ``repro.reference.opaque_view``) — the
   recompute-from-history path.
 
 At every step, for every live transaction, both automata must report the
 same enabled-response set; at the end both histories must be identical
-and both ``accepts`` paths must admit them.  Schedules are abort-heavy
+and ``accepts`` must admit them under both the plain and the opaque view.  Schedules are abort-heavy
 and include crash-style moves that mass-abort every live transaction,
 because aborts are exactly where the cursors rebuild instead of append.
 
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.adts import BankAccount, Counter, FifoQueue, SetADT
 from repro.core.object_automaton import ObjectAutomaton
 from repro.core.views import DU, SUIP, UIP
+from repro.reference import checked_view, opaque_view
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -53,8 +54,8 @@ def build_pair(adt_name, view_name, conflict_name):
     conflict = (
         spec.nfc_conflict() if conflict_name == "NFC" else spec.nrbc_conflict()
     )
-    checked = ObjectAutomaton(spec, view, conflict, check_cursors=True)
-    oracle = ObjectAutomaton(spec, view, conflict, incremental=False)
+    checked = ObjectAutomaton(spec, checked_view(view), conflict)
+    oracle = ObjectAutomaton(spec, opaque_view(view), conflict)
     return spec, view, conflict, checked, oracle
 
 
@@ -129,12 +130,8 @@ def test_cursor_agrees_with_recompute(data, adt_name, view_name, conflict_name):
     lockstep_drive(data.draw, spec, checked, oracle)
     history = checked.history
     assert tuple(history) == tuple(oracle.history)
-    assert ObjectAutomaton.accepts(
-        spec, view, conflict, history, incremental=True
-    )
-    assert ObjectAutomaton.accepts(
-        spec, view, conflict, history, incremental=False
-    )
+    assert ObjectAutomaton.accepts(spec, view, conflict, history)
+    assert ObjectAutomaton.accepts(spec, opaque_view(view), conflict, history)
 
 
 @pytest.mark.parametrize("view_name", sorted(VIEWS))
@@ -157,7 +154,7 @@ def test_clone_fork_is_independent(data, view_name):
         checked.abort(txn)
     # The twin still answers from the branch point, validated per query
     # by check mode and compared against a fresh recompute automaton.
-    replay = ObjectAutomaton(spec, view, conflict, incremental=False)
+    replay = ObjectAutomaton(spec, opaque_view(view), conflict)
     for event in twin.history:
         replay.step(event)
     for txn in TXNS:

@@ -2,8 +2,9 @@
 
 Seeded random workloads run through the full runtime (scheduler, lock
 manager, waits-for deadlock detection, recovery) twice — once with the
-compiled bitmask tables, once with the interpreted per-pair verdicts —
-and every observable must be identical: the event-for-event object
+compiled bitmask tables, once with the relation hidden behind
+``repro.reference.opaque_conflict`` so the lock manager has nothing to
+compile and answers with per-pair verdicts — and every observable must be identical: the event-for-event object
 histories (so every grant/wait/abort/deadlock decision matched) and the
 complete :class:`~repro.runtime.metrics.RunMetrics` counters.
 
@@ -26,6 +27,7 @@ from repro.adts import (
     PriorityQueue,
     SetADT,
 )
+from repro.reference import opaque_conflict
 from repro.runtime import ManagedObject, TransactionSystem, run_scripts
 from repro.runtime.workloads import (
     escrow_workload,
@@ -91,13 +93,14 @@ CASES = [
 ]
 
 
-def run_once(factory, relation, recovery, scripts_fn, seed, compiled):
+def run_once(factory, relation, recovery, scripts_fn, seed, wrap=lambda c: c):
     adt = factory()
-    conflict = getattr(adt, relation)()
-    obj = ManagedObject(adt, conflict, recovery, compiled_conflicts=compiled)
+    conflict = wrap(getattr(adt, relation)())
+    obj = ManagedObject(adt, conflict, recovery)
     system = TransactionSystem([obj])
     metrics = run_scripts(system, scripts_fn(random.Random(seed)), seed=seed)
-    return obj.locks.mode, tuple(system.history()), metrics.counters()
+    compiled = obj.locks.compiled is not None
+    return compiled, tuple(system.history()), metrics.counters()
 
 
 @pytest.mark.parametrize("factory,relation,recovery,scripts_fn", CASES)
@@ -106,13 +109,13 @@ def test_compiled_and_interpreted_runs_identical(
 ):
     contended = 0
     for seed in SEEDS:
-        fast_mode, fast_history, fast_counters = run_once(
-            factory, relation, recovery, scripts_fn, seed, "auto"
+        fast_compiled, fast_history, fast_counters = run_once(
+            factory, relation, recovery, scripts_fn, seed
         )
-        slow_mode, slow_history, slow_counters = run_once(
-            factory, relation, recovery, scripts_fn, seed, False
+        slow_compiled, slow_history, slow_counters = run_once(
+            factory, relation, recovery, scripts_fn, seed, opaque_conflict
         )
-        assert fast_mode == "compiled" and slow_mode == "interpreted"
+        assert fast_compiled and not slow_compiled
         assert fast_history == slow_history, seed
         assert fast_counters == slow_counters, seed
         contended += fast_counters.get("blocked_attempts", 0)
@@ -123,13 +126,12 @@ def test_compiled_and_interpreted_runs_identical(
 def test_multi_object_transfers_identical():
     """Two-phase commit + cross-object waits-for graph, both paths."""
 
-    def run(seed, compiled):
+    def run(seed, wrap=lambda c: c):
         objs = [
             ManagedObject(
                 BankAccount(name, opening=6),
-                BankAccount(name).nrbc_conflict(),
+                wrap(BankAccount(name).nrbc_conflict()),
                 "UIP",
-                compiled_conflicts=compiled,
             )
             for name in ("ACC1", "ACC2", "ACC3")
         ]
@@ -140,29 +142,4 @@ def test_multi_object_transfers_identical():
         return tuple(system.history()), metrics.counters()
 
     for seed in SEEDS:
-        assert run(seed, "auto") == run(seed, False), seed
-
-
-def test_interpreted_env_flag_forces_both_paths_off(monkeypatch):
-    """REPRO_INTERPRETED_CONFLICTS=1 downgrades 'auto' to interpreted."""
-    monkeypatch.setenv("REPRO_INTERPRETED_CONFLICTS", "1")
-    mode, history, counters = run_once(
-        lambda: BankAccount("BA", opening=6),
-        "nrbc_conflict",
-        "UIP",
-        lambda rng: hotspot_banking(rng, obj="BA"),
-        0,
-        "auto",
-    )
-    assert mode == "interpreted"
-    monkeypatch.delenv("REPRO_INTERPRETED_CONFLICTS")
-    mode2, history2, counters2 = run_once(
-        lambda: BankAccount("BA", opening=6),
-        "nrbc_conflict",
-        "UIP",
-        lambda rng: hotspot_banking(rng, obj="BA"),
-        0,
-        "auto",
-    )
-    assert mode2 == "compiled"
-    assert (history, counters) == (history2, counters2)
+        assert run(seed) == run(seed, opaque_conflict), seed

@@ -1,8 +1,9 @@
-"""The event-driven scheduler is byte-identical to the polling loop.
+"""Jumping dead ticks is byte-identical to walking them.
 
 The wake calendar (``repro.runtime.scheduler``) jumps provably-dead
 ticks; these tests pin the claim that the jump is unobservable — same
-histories, same RunMetrics, same JSONL trace streams, same RNG draws —
+histories, same RunMetrics, same JSONL trace streams, same RNG draws as
+the walking oracle (``repro.reference.walk_dead_ticks``) —
 across the axes the runtime supports: crash schedules, group-commit
 holds, shards, sites, read mixes and open-loop arrivals.  Alongside the
 differential matrix: boundary pins for ``backoff_until`` (a restarted
@@ -18,10 +19,10 @@ import pytest
 
 from repro.adts import BankAccount
 from repro.core.events import inv
+from repro.reference import walk_dead_ticks
 from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.scheduler import (
-    POLLING_ENV,
     Scheduler,
     TransactionScript,
     periodic_wake,
@@ -38,7 +39,7 @@ from repro.runtime.trace import TraceCollector, reconstruct_counters
 from repro.runtime.wal import GroupCommitPolicy, StableLog
 
 # ---------------------------------------------------------------------------
-# differential matrix: event-driven vs polling, axis by axis
+# differential matrix: jumped vs walked, axis by axis
 # ---------------------------------------------------------------------------
 
 
@@ -119,14 +120,14 @@ DRIVE_CASES = {
 }
 
 
+def _jumped_and_walked(fn):
+    jumped = fn()
+    with walk_dead_ticks():
+        walked = fn()
+    return jumped, walked
+
+
 class TestDifferentialMatrix:
-    def _both_modes(self, monkeypatch, fn):
-        monkeypatch.delenv(POLLING_ENV, raising=False)
-        event = fn()
-        monkeypatch.setenv(POLLING_ENV, "1")
-        polling = fn()
-        monkeypatch.delenv(POLLING_ENV, raising=False)
-        return event, polling
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize(
@@ -139,36 +140,35 @@ class TestDifferentialMatrix:
         ],
         ids=["counter-du-gc2", "bank-uip"],
     )
-    def test_torture_crash_schedules(self, monkeypatch, config, seed):
-        event, polling = self._both_modes(
-            monkeypatch, lambda: _torture_cells(config, 8, seed)
+    def test_torture_crash_schedules(self, config, seed):
+        jumped, walked = _jumped_and_walked(
+            lambda: _torture_cells(config, 8, seed)
         )
-        assert event == polling
+        assert jumped == walked
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_site_crash_torture(self, monkeypatch, seed):
+    def test_site_crash_torture(self, seed):
         config = TortureConfig(
             "counter", "DU", sites=2, group_commit=2, hold=3
         )
-        event, polling = self._both_modes(
-            monkeypatch, lambda: _site_cells(config, seed)
+        jumped, walked = _jumped_and_walked(
+            lambda: _site_cells(config, seed)
         )
-        assert event == polling
+        assert jumped == walked
 
     @pytest.mark.parametrize("case", sorted(DRIVE_CASES))
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_open_loop_drives(self, monkeypatch, case, seed):
-        event, polling = self._both_modes(
-            monkeypatch, lambda: _drive_cell(DRIVE_CASES[case], seed)
+    def test_open_loop_drives(self, case, seed):
+        jumped, walked = _jumped_and_walked(
+            lambda: _drive_cell(DRIVE_CASES[case], seed)
         )
-        assert event == polling
+        assert jumped == walked
         if case == "sparse":
-            counters = event[0]
+            counters = jumped[0]
             assert counters["dead_ticks_elided"] > 0
             assert counters["calendar_wakeups"] > 0
 
-    def test_sparse_drive_reconciles(self, monkeypatch):
-        monkeypatch.delenv(POLLING_ENV, raising=False)
+    def test_sparse_drive_reconciles(self):
         counters, _, events = _drive_cell(DRIVE_CASES["sparse"], 5)
         rebuilt = reconstruct_counters(
             [e for e in events if e["kind"] != "drive-start"]
@@ -183,8 +183,8 @@ class TestDifferentialMatrix:
 
 
 class TestLockstepTraces:
-    def test_crash_heavy_traces_match_tick_by_tick(self, monkeypatch):
-        """Compare the two modes' trace streams tick group by tick
+    def test_crash_heavy_traces_match_tick_by_tick(self):
+        """Compare the two loops' trace streams tick group by tick
         group, so any divergence is localized to its first tick rather
         than drowned in a whole-stream diff."""
         config = TortureConfig(
@@ -196,11 +196,8 @@ class TestLockstepTraces:
             rows, events = _torture_cells(config, 10, seed=1)
             return events
 
-        monkeypatch.delenv(POLLING_ENV, raising=False)
-        event_stream = run()
-        monkeypatch.setenv(POLLING_ENV, "1")
-        polling_stream = run()
-        assert any(e["kind"] == "crash" for e in event_stream)
+        jumped_stream, walked_stream = _jumped_and_walked(run)
+        assert any(e["kind"] == "crash" for e in jumped_stream)
 
         def by_tick(stream):
             groups = []
@@ -211,16 +208,16 @@ class TestLockstepTraces:
                     groups.append((e["tick"], [e]))
             return groups
 
-        event_groups = by_tick(event_stream)
-        polling_groups = by_tick(polling_stream)
-        for i, (egroup, pgroup) in enumerate(
-            zip(event_groups, polling_groups)
+        jumped_groups = by_tick(jumped_stream)
+        walked_groups = by_tick(walked_stream)
+        for i, (jgroup, wgroup) in enumerate(
+            zip(jumped_groups, walked_groups)
         ):
-            assert egroup == pgroup, (
+            assert jgroup == wgroup, (
                 "first divergence at tick group %d (tick %s): %r != %r"
-                % (i, egroup[0], egroup, pgroup)
+                % (i, jgroup[0], jgroup, wgroup)
             )
-        assert len(event_groups) == len(polling_groups)
+        assert len(jumped_groups) == len(walked_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +243,10 @@ def _arrival_scheduler(arrival, **kwargs):
 
 
 class TestBackoffBoundary:
-    @pytest.mark.parametrize("event_driven", [False, "auto"])
-    def test_arrival_runs_exactly_at_backoff_until(self, event_driven):
+    def test_arrival_runs_exactly_at_backoff_until(self):
         """An entry whose ``backoff_until`` is B acts at tick B — not
         B+1 (off-by-one in the calendar) and not B-1 (early wake)."""
-        scheduler = _arrival_scheduler(10, event_driven=event_driven)
+        scheduler = _arrival_scheduler(10)
         scheduler.run()
         ticks = {
             e["kind"]: e["tick"] for e in scheduler.trace.events
@@ -287,28 +283,11 @@ class TestBackoffBoundary:
 
 
 # ---------------------------------------------------------------------------
-# mode resolution, escape hatch, wake helpers
+# undeclared hooks, wake helpers
 # ---------------------------------------------------------------------------
 
 
 class TestModeResolution:
-    def test_invalid_event_driven_value_rejected(self):
-        with pytest.raises(ValueError, match="event_driven"):
-            _arrival_scheduler(0, event_driven="yes")
-
-    def test_event_driven_true_requires_capable_hook(self):
-        scheduler = _arrival_scheduler(0, event_driven=True, on_tick=len)
-        with pytest.raises(ValueError, match="next_wake"):
-            scheduler.run()
-
-    def test_escape_hatch_beats_event_driven_true(self, monkeypatch):
-        monkeypatch.setenv(POLLING_ENV, "1")
-        scheduler = _arrival_scheduler(4, event_driven=True)
-        metrics = scheduler.run()
-        assert metrics.committed == 1
-        # polling walked the dead ticks, but the accounting still ran
-        assert metrics.dead_ticks_elided == 3
-
     def test_uncapable_hook_falls_back_to_polling(self):
         hits = []
 
@@ -322,6 +301,22 @@ class TestModeResolution:
         # no next_wake on the hook: every tick must still reach it
         assert hits == list(range(1, metrics.ticks + 1))
         assert metrics.dead_ticks_elided == 0
+
+    def test_walked_oracle_never_jumps(self, monkeypatch):
+        """The differential matrix is not vacuous: under the oracle the
+        hold timers only ever move one tick at a time, and the calendar
+        accounting still runs."""
+
+        def no_jump(self, ticks):
+            raise AssertionError("advance_ticks(%d) under the oracle" % ticks)
+
+        monkeypatch.setattr(TransactionSystem, "advance_ticks", no_jump)
+        with walk_dead_ticks():
+            metrics = _arrival_scheduler(4).run()
+        assert metrics.committed == 1
+        assert metrics.dead_ticks_elided == 3
+        with pytest.raises(AssertionError, match="advance_ticks"):
+            _arrival_scheduler(4).run()
 
     def test_periodic_wake(self):
         wake = periodic_wake(10)
@@ -413,11 +408,8 @@ class TestHoldTimerDeadline:
 
 
 class TestNonConvergenceDiagnostics:
-    @pytest.mark.parametrize("event_driven", [False, "auto"])
-    def test_report_includes_live_snapshot(self, event_driven):
-        scheduler = _arrival_scheduler(
-            50, max_ticks=10, event_driven=event_driven
-        )
+    def test_report_includes_live_snapshot(self):
+        scheduler = _arrival_scheduler(50, max_ticks=10)
         with pytest.raises(RuntimeError) as excinfo:
             scheduler.run()
         message = str(excinfo.value)
@@ -461,9 +453,9 @@ class TestRetireBookkeeping:
         # the full entry list survives compaction for crash bookkeeping
         assert len(scheduler._live) == 5
 
-    def test_random_matrix_smoke(self, monkeypatch):
-        """A randomized mini-fuzz across workload shapes: both modes,
-        same counters and histories, on freshly drawn scripts."""
+    def test_random_matrix_smoke(self):
+        """A randomized mini-fuzz across workload shapes: jumped and
+        walked, same counters and histories, on freshly drawn scripts."""
         rng = random.Random(99)
         for _ in range(6):
             n = rng.randint(2, 5)
@@ -497,7 +489,5 @@ class TestRetireBookkeeping:
                     [repr(e) for e in system.history()],
                 )
 
-            monkeypatch.delenv(POLLING_ENV, raising=False)
-            event = cell()
-            monkeypatch.setenv(POLLING_ENV, "1")
-            assert cell() == event
+            jumped, walked = _jumped_and_walked(cell)
+            assert jumped == walked

@@ -452,6 +452,23 @@ def test_replicated_drive_reports_per_site_and_availability():
     assert "availability" in report.format()
 
 
+def test_fault_free_read_mostly_drive_is_fully_available():
+    # Read-only scripts are offered load too: counting only update
+    # commits made a fault-free 90%-reader drive look like an outage.
+    report = drive(
+        OpenLoopConfig(
+            adt_kind="counter", objects=8, transactions=60,
+            arrival_rate=1.0, read_mix=0.9, sites=2,
+        ),
+        seed=0,
+    )
+    assert report.metrics.ro_committed > report.metrics.committed > 0
+    assert report.availability == 1.0
+    assert "availability         : 1.000 (60/60 offered committed)" in (
+        report.format()
+    )
+
+
 def test_replicated_drive_availability_beats_single_site_outage():
     # EXP-C17 in miniature: a site lost for good.  With a second copy
     # the service keeps committing; the single site alone cannot.

@@ -1,0 +1,156 @@
+"""One production path per job: no mode selector survives anywhere.
+
+Each fast path (compiled conflict tables, delta view cursors, jumped
+dead ticks) is chosen from the input the code is handed; the slow twins
+are reached only through ``repro.reference``, by tests and twin benches.
+These checks keep a selector — an environment variable, a constructor
+flag, an import of the oracle module — from coming back.
+"""
+
+import ast
+import inspect
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import repro
+from repro.adts import BankAccount
+from repro.core.events import inv
+from repro.core.object_automaton import ObjectAutomaton
+from repro.runtime import ManagedObject, TransactionSystem
+from repro.runtime.durability import DurableObject
+from repro.runtime.lock_manager import LockManager
+from repro.runtime.replication import build_replicated_system
+from repro.runtime.scheduler import Scheduler, TransactionScript, periodic_wake
+from repro.runtime.sharding import build_sharded_system
+from repro.runtime.trace import TraceCollector
+
+PACKAGE = pathlib.Path(repro.__file__).parent
+SRC = PACKAGE.parent
+
+RETIRED_PARAMETERS = {
+    "event_driven",
+    "compiled",
+    "compiled_conflicts",
+    "incremental",
+    "check_cursors",
+    "check",
+    "pairwise",
+    "vectorized",
+    "on_unknown",
+}
+
+
+def _modules():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_no_module_reads_the_environment():
+    offenders = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(a.name in ("environ", "getenv") for a in node.names))
+    ]
+    assert not offenders, offenders
+
+
+def test_only_tests_and_benches_import_the_oracles():
+    offenders = []
+    for path, tree in _modules():
+        if path == PACKAGE / "reference.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base] + ["%s.%s" % (base, a.name) for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "reference" for n in names):
+                offenders.append("%s:%d" % (path.relative_to(SRC), node.lineno))
+    assert not offenders, offenders
+
+
+def test_no_constructor_takes_a_retired_selector():
+    for fn in (
+        Scheduler,
+        LockManager,
+        ManagedObject,
+        DurableObject,
+        ObjectAutomaton,
+        ObjectAutomaton.accepts,
+        ObjectAutomaton.explain_rejection,
+        build_sharded_system,
+        build_replicated_system,
+    ):
+        retired = RETIRED_PARAMETERS & set(inspect.signature(fn).parameters)
+        assert not retired, (fn.__qualname__, retired)
+
+
+def test_a_drive_never_imports_numpy():
+    code = textwrap.dedent(
+        """
+        import sys
+        import repro.analysis
+        import repro.runtime
+        from repro.runtime.openloop import OpenLoopConfig, drive
+
+        report = drive(
+            OpenLoopConfig(adt_kind="counter", objects=4, transactions=12,
+                           arrival_rate=1.0),
+            seed=0,
+        )
+        assert report.metrics.committed == 12, report.metrics.committed
+        assert "numpy" not in sys.modules, "numpy was imported"
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_undeclared_hook_is_woken_every_tick():
+    """The hook's ``next_wake`` attribute is the whole selection: without
+    it nothing is elided and no ``calendar-wake`` is emitted; with it the
+    same run jumps the ticks before the arrival."""
+
+    def run(hook):
+        ba = BankAccount("BA")
+        system = TransactionSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP")])
+        scheduler = Scheduler(
+            system,
+            [TransactionScript("T", (("BA", inv("deposit", 1)),))],
+            trace=TraceCollector(),
+            arrivals={"T": 9},
+            on_tick=hook,
+        )
+        metrics = scheduler.run()
+        wakes = [e for e in scheduler.trace.events if e["kind"] == "calendar-wake"]
+        return metrics, wakes
+
+    def undeclared(tick):
+        return False
+
+    def declared(tick):
+        return False
+
+    declared.next_wake = periodic_wake(100)
+
+    metrics, wakes = run(undeclared)
+    assert metrics.committed == 1
+    assert metrics.dead_ticks_elided == 0 and metrics.calendar_wakeups == 0
+    assert wakes == []
+    metrics, wakes = run(declared)
+    assert metrics.committed == 1
+    assert metrics.dead_ticks_elided == 8 and len(wakes) == 1
