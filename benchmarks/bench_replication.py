@@ -30,11 +30,8 @@ from repro.adts.registry import make_adt
 from repro.runtime.durability import CrashableSystem, DurableObject
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.torture import (
-    TortureConfig,
-    build_replicated_torture_system,
-    workload_for,
-)
+from repro.runtime.replication import build_replicated_system
+from repro.runtime.torture import TortureConfig, workload_for
 from repro.runtime.wal import GroupCommitPolicy, StableLog
 
 ARTIFACT = (
@@ -106,7 +103,10 @@ def sites1_identity():
             )
         ]
     )
-    replicated, rep_adt = build_replicated_torture_system(config)
+    replicated = build_replicated_system(
+        "bank", ["X"], sites=1, recovery="DU", group_commit=2, hold=3
+    )
+    rep_adt = replicated.objects["X"].adt
     flat_metrics, flat_events = run(flat, adt)
     rep_metrics, rep_events = run(replicated, rep_adt)
     return {

@@ -309,51 +309,54 @@ def _count_jsonl(path: str) -> int:
 
 
 def _parse_site_crashes(specs, sites: int):
-    """``--site-crash`` rows as ``(site, fail_tick, recover_tick)``.
+    """``--site-crash`` rows as validated ``SiteCrash`` rows.
 
     Accepts ``S@F`` (site S crashes at tick F and stays down) and
     ``S@F-R`` (recovers at tick R); ``S@F-end`` is the explicit
     spelling of "stays down", matching the torture schedule notation.
     """
-    out = []
+    from .runtime.durability import validate_site_crashes
+
+    rows = []
     for spec in specs or ():
         text = spec[4:] if spec.startswith("site") else spec
         site_s, _, rest = text.partition("@")
         fail_s, _, rec_s = rest.partition("-")
         try:
-            site = int(site_s)
-            fail_tick = int(fail_s)
-            recover = 0 if rec_s in ("", "end") else int(rec_s)
+            rows.append(
+                (
+                    int(site_s),
+                    int(fail_s),
+                    0 if rec_s in ("", "end") else int(rec_s),
+                )
+            )
         except ValueError:
             raise SystemExit(
                 "--site-crash must look like S@F (site S down from tick F "
                 "on) or S@F-R (recovering at tick R), got %r" % spec
             )
-        if not 0 <= site < sites:
-            raise SystemExit(
-                "--site-crash site %d out of range 0..%d (see --sites)"
-                % (site, sites - 1)
-            )
-        if fail_tick < 1:
-            raise SystemExit("--site-crash fail tick must be >= 1")
-        if recover and recover <= fail_tick:
-            raise SystemExit(
-                "--site-crash recovery tick must be after the fail tick "
-                "(got %r)" % spec
-            )
-        out.append((site, fail_tick, recover))
-    return tuple(out)
+    try:
+        return validate_site_crashes(rows, sites)
+    except ValueError as exc:
+        raise SystemExit("--%s" % exc)
 
 
 def cmd_run(args) -> int:
     """Run one workload on a durable (crash-capable) system and report
-    run metrics including the group-commit force accounting."""
+    run metrics including the group-commit force accounting; with
+    ``--sites``/``--site-crash`` the system is replicated, its sites
+    fail and recover from the tick clock, and per-site rows follow."""
     import random
 
-    from .runtime.durability import CrashableSystem, DurableObject
+    from .runtime.durability import (
+        CrashableSystem,
+        build_durable_object,
+        run_with_site_crashes,
+    )
+    from .runtime.replication import build_replicated_system
     from .runtime.scheduler import Scheduler
     from .runtime.torture import TortureConfig, workload_for
-    from .runtime.wal import GroupCommitPolicy, StableLog
+    from .runtime.wal import StableLog
 
     if args.adt not in ADT_REGISTRY:
         raise SystemExit(
@@ -366,13 +369,12 @@ def cmd_run(args) -> int:
     _check_min(args, (("sites", 1),))
     seed = args.seed_base + args.seed
     site_crashes = _parse_site_crashes(args.site_crash, args.sites)
-    if args.sites > 1 or site_crashes:
-        if args.workers > 1:
-            raise SystemExit(
-                "replicated runs keep every site's copies in lockstep "
-                "under one scheduler; use --workers 1"
-            )
-        return _cmd_run_replicated(args, seed, site_crashes)
+    replicated = args.sites > 1 or bool(site_crashes)
+    if replicated and args.workers > 1:
+        raise SystemExit(
+            "replicated runs keep every site's copies in lockstep "
+            "under one scheduler; use --workers 1"
+        )
     recovery = args.recovery.upper()
     config = TortureConfig(
         args.adt,
@@ -381,6 +383,7 @@ def cmd_run(args) -> int:
         ops_per_txn=args.ops,
         group_commit=args.group_commit,
         hold=args.hold,
+        sites=args.sites,
     )
     trace_count = None
     if args.workers > 1:
@@ -412,24 +415,34 @@ def cmd_run(args) -> int:
         if args.trace_out:
             trace_count = _count_jsonl(args.trace_out)
     else:
-        adt = make_adt(args.adt)
-        conflict = (
-            adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
-        )
-        policy = GroupCommitPolicy(args.group_commit, args.hold)
-        obj = DurableObject(
-            adt, conflict, recovery, log_factory=lambda: StableLog(policy=policy)
-        )
-        system = CrashableSystem([obj])
+        if replicated:
+            system = build_replicated_system(
+                args.adt,
+                ["X"],
+                sites=args.sites,
+                recovery=recovery,
+                group_commit=args.group_commit,
+                hold=args.hold,
+            )
+            adt = system.objects["X"].adt
+        else:
+            obj = build_durable_object(
+                args.adt, None, recovery, args.group_commit, args.hold, StableLog
+            )
+            system, adt = CrashableSystem([obj]), obj.adt
         scripts = workload_for(config, adt, random.Random(seed))
         trace = None
         if args.trace_out:
             from .runtime.trace import TraceCollector
 
             trace = TraceCollector()
-        metrics = Scheduler(
+        scheduler = Scheduler(
             system, scripts, seed=seed, label=config.label(), trace=trace
-        ).run()
+        )
+        if replicated:
+            metrics = run_with_site_crashes(scheduler, site_crashes)
+        else:
+            metrics = scheduler.run()
         if trace is not None:
             trace_count = trace.dump_jsonl(args.trace_out)
     print("workload          : %s" % config.label())
@@ -443,97 +456,24 @@ def cmd_run(args) -> int:
     print("avg batch size    : %.2f" % metrics.avg_batch_size)
     print("forces/commit     : %.2f" % metrics.forces_per_commit)
     print("commit stall ticks: %d" % metrics.commit_stall_ticks)
+    if replicated:
+        for row in system.force_accounting_by_site():
+            site = row["site"]
+            print(
+                "  site %-2d         : %d forces (%d requests), %d failures, "
+                "%d copies requalified"
+                % (
+                    site,
+                    row["forces"],
+                    row["force_requests"],
+                    system.site_failures[site],
+                    system.requalifications[site],
+                )
+            )
     if trace_count is not None:
         print(
             "trace             : %d events -> %s" % (trace_count, args.trace_out)
         )
-    return 0
-
-
-def _cmd_run_replicated(args, seed: int, site_crashes) -> int:
-    """``repro run --sites N``: the same workload against a replicated
-    system, with ``--site-crash`` schedules fired from the tick clock."""
-    import random
-
-    from .runtime.scheduler import Scheduler, schedule_wake
-    from .runtime.torture import (
-        TortureConfig,
-        build_replicated_torture_system,
-        workload_for,
-    )
-
-    config = TortureConfig(
-        args.adt,
-        args.recovery.upper(),
-        transactions=args.transactions,
-        ops_per_txn=args.ops,
-        group_commit=args.group_commit,
-        hold=args.hold,
-        sites=args.sites,
-    )
-    system, adt = build_replicated_torture_system(config)
-    scripts = workload_for(config, adt, random.Random(seed))
-    trace = None
-    if args.trace_out:
-        from .runtime.trace import TraceCollector
-
-        trace = TraceCollector()
-
-    def drive_sites(tick: int) -> bool:
-        progressed = False
-        for site, fail_tick, recover_tick in site_crashes:
-            if fail_tick == tick and system.site_up(site):
-                scheduler.handle_crash(system.fail_site(site), tick)
-                progressed = True
-            if (
-                recover_tick
-                and recover_tick == tick
-                and not system.site_up(site)
-            ):
-                system.recover_site(site)
-                progressed = True
-        return progressed
-
-    drive_sites.next_wake = schedule_wake(
-        t for _, fail_tick, recover_tick in site_crashes
-        for t in (fail_tick, recover_tick)
-    )
-
-    scheduler = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        label=config.label(),
-        trace=trace,
-        on_tick=drive_sites,
-    )
-    metrics = scheduler.run()
-    for site in range(args.sites):
-        if not system.site_up(site):
-            system.recover_site(site)
-    system.poll_catchup()
-    print("workload          : %s" % config.label())
-    print("group commit      : batch=%d hold=%d" % (args.group_commit, args.hold))
-    print("committed         : %d (aborted %d, deadlocks %d)"
-          % (metrics.committed, metrics.aborted, metrics.deadlocks))
-    print("ticks             : %d (throughput %.4f)"
-          % (metrics.ticks, metrics.throughput))
-    for row in system.force_accounting_by_site():
-        site = row["site"]
-        print(
-            "  site %-2d         : %d forces (%d requests), %d failures, "
-            "%d copies requalified"
-            % (
-                site,
-                row["forces"],
-                row["force_requests"],
-                system.site_failures[site],
-                system.requalifications[site],
-            )
-        )
-    if trace is not None:
-        count = trace.dump_jsonl(args.trace_out)
-        print("trace             : %d events -> %s" % (count, args.trace_out))
     return 0
 
 
@@ -632,6 +572,11 @@ def cmd_drive(args) -> int:
     return 0
 
 
+#: ``repro torture`` knobs that shape log-fault schedules only, with
+#: their defaults (a ``--sites`` campaign refuses any other value).
+LOG_FAULT_KNOBS = {"checkpoint_every": 0, "max_faults": 2, "max_retries": 3}
+
+
 def cmd_torture(args) -> int:
     from .runtime.faults import RetryPolicy
     from .runtime.torture import configs_for, run_torture
@@ -658,11 +603,20 @@ def cmd_torture(args) -> int:
             "--inject-bug skip-catchup plants a replication bug; it "
             "needs --sites >= 2"
         )
-    if args.sites > 1 and args.inject_bug == "skip-commit-force":
-        raise SystemExit(
-            "--inject-bug skip-commit-force is a log-fault control; "
-            "with --sites use skip-catchup"
-        )
+    if args.sites > 1:
+        if args.inject_bug == "skip-commit-force":
+            raise SystemExit(
+                "--inject-bug skip-commit-force is a log-fault control; "
+                "with --sites use skip-catchup"
+            )
+        # The site-crash campaign draws tick schedules, not log faults.
+        for attr, default in LOG_FAULT_KNOBS.items():
+            if getattr(args, attr) != default:
+                raise SystemExit(
+                    "--%s shapes log-fault schedules; the --sites "
+                    "campaign crashes sites instead (leave it at its "
+                    "default)" % attr.replace("_", "-")
+                )
     if args.adt == "all":
         adt_kinds = sorted(ADT_REGISTRY)
     else:
@@ -677,8 +631,6 @@ def cmd_torture(args) -> int:
     methods = {"both": ("DU", "UIP"), "du": ("DU",), "uip": ("UIP",)}[
         args.recovery
     ]
-    if args.sites > 1:
-        return _cmd_torture_sites(args, adt_kinds, methods)
     configs = configs_for(
         adt_kinds,
         methods,
@@ -689,6 +641,7 @@ def cmd_torture(args) -> int:
         hold=args.hold,
         bug=args.inject_bug,
         read_mix=args.read_mix,
+        sites=args.sites,
     )
     seed = args.seed_base + args.seed
     trace = None
@@ -712,47 +665,6 @@ def cmd_torture(args) -> int:
         print("trace: %d events -> %s" % (count, args.trace_out))
     elif args.trace_out and args.workers > 1:
         count = _count_jsonl(args.trace_out)
-        print("trace: %d events -> %s" % (count, args.trace_out))
-    return 0 if report.ok else 1
-
-
-def _cmd_torture_sites(args, adt_kinds, methods) -> int:
-    """``repro torture --sites N``: the site-crash campaign — tick-driven
-    site failures and recoveries against replicated systems, auditing
-    catch-up completeness, copy convergence, and global dynamic
-    atomicity of the merged multi-site history."""
-    from .runtime.torture import configs_for, run_site_torture
-
-    if args.workers > 1:
-        raise SystemExit(
-            "the site-crash campaign is serial (small next to the "
-            "log-fault matrix); use --workers 1"
-        )
-    configs = configs_for(
-        adt_kinds,
-        methods,
-        transactions=args.transactions,
-        ops_per_txn=args.ops,
-        group_commit=args.group_commit,
-        hold=args.hold,
-        bug=args.inject_bug,
-        read_mix=args.read_mix,
-        sites=args.sites,
-    )
-    trace = None
-    if args.trace_out:
-        from .runtime.trace import TraceCollector
-
-        trace = TraceCollector()
-    report = run_site_torture(
-        configs,
-        schedules=args.schedules,
-        seed=args.seed_base + args.seed,
-        trace=trace,
-    )
-    print(report.format())
-    if trace is not None:
-        count = trace.dump_jsonl(args.trace_out)
         print("trace: %d events -> %s" % (count, args.trace_out))
     return 0 if report.ok else 1
 
@@ -1109,19 +1021,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-faults",
         type=int,
-        default=2,
+        default=LOG_FAULT_KNOBS["max_faults"],
         help="faults per sampled schedule",
     )
     p.add_argument(
         "--max-retries",
         type=int,
-        default=3,
+        default=LOG_FAULT_KNOBS["max_retries"],
         help="transient IO-error retry budget before escalating to a crash",
     )
     p.add_argument(
         "--checkpoint-every",
         type=int,
-        default=0,
+        default=LOG_FAULT_KNOBS["checkpoint_every"],
         metavar="TICKS",
         help="attempt quiescent checkpoints every TICKS scheduler ticks",
     )

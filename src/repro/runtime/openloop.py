@@ -45,10 +45,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .durability import (
+    build_durable_object,
+    run_with_site_crashes,
+    validate_site_crashes,
+)
 from .metrics import RunMetrics
-from .scheduler import Scheduler, TransactionScript, schedule_wake
+from .replication import ReplicatedSystem, build_replicated_system
+from .scheduler import Scheduler, TransactionScript
 from .sharding import ShardedSystem, build_sharded_system, shard_of
 from .trace import PERCENTILES, TraceCollector, _percentile
+from .wal import StableLog
 from .workloads import _script
 
 __all__ = [
@@ -134,20 +141,7 @@ class OpenLoopConfig:
             )
         if self.sites > 1 and self.cross_shard > 0:
             raise ValueError("cross_shard needs shards > 1, not replication")
-        for row in self.site_crashes:
-            site, fail_tick, recover_tick = row
-            if not 0 <= site < self.sites:
-                raise ValueError(
-                    "site_crashes site %d out of range 0..%d"
-                    % (site, self.sites - 1)
-                )
-            if fail_tick < 1:
-                raise ValueError("site_crashes fail_tick must be >= 1")
-            if recover_tick and recover_tick <= fail_tick:
-                raise ValueError(
-                    "site_crashes recover_tick must be 0 (never) or "
-                    "> fail_tick"
-                )
+        validate_site_crashes(self.site_crashes, self.sites)
 
     def label(self) -> str:
         base = "drive/%s/%s/s%d/r%g/z%g" % (
@@ -479,18 +473,19 @@ def drive(
 
     ``workers <= 1``: one in-process scheduler over a
     :class:`ShardedSystem` holding every shard (cross-shard traffic
-    allowed).  ``workers > 1``: one worker process per shard via the
-    parallel engine (single-shard traffic only); counters merge to the
-    sum of the per-shard serial runs, deterministically.
+    allowed) — or, with ``sites > 1`` or a site-crash schedule, over a
+    :class:`~repro.runtime.replication.ReplicatedSystem` whose sites
+    fail and recover from the tick schedule.  ``workers > 1``: one
+    worker process per shard via the parallel engine (single-shard
+    traffic only); counters merge to the sum of the per-shard serial
+    runs, deterministically.
     """
-    if config.sites > 1 or config.site_crashes:
-        if workers > 1:
+    if workers > 1:
+        if config.sites > 1 or config.site_crashes:
             raise ValueError(
                 "replicated drives keep every site's copies in lockstep "
                 "under one scheduler; use workers=1"
             )
-        return _drive_replicated(config, seed=seed, trace=trace)
-    if workers > 1:
         if config.cross_shard > 0:
             raise ValueError(
                 "cross-shard transactions need one scheduler over every "
@@ -508,44 +503,71 @@ def drive(
 def _drive_inline(
     config: OpenLoopConfig, *, seed: int, trace: Optional[TraceCollector]
 ) -> DriveReport:
+    """One scheduler over every shard, or over every site's copies.
+
+    A replicated drive sees the same global arrival stream as the
+    single-site drive (identical rng draws), *thinned* over the sites —
+    see :func:`split_arrivals` for why that is the only split that
+    keeps the offered process Poisson at the target rate — and its
+    report's ``availability`` is the committed fraction of the offered
+    load through the site-crash schedule.
+    """
     collector = trace if trace is not None else TraceCollector()
-    scripts = open_loop_scripts(config, random.Random(seed))
-    system = build_sharded_system(
-        config.adt_kind,
-        config.object_names(),
-        shards=config.shards,
+    rng = random.Random(seed)
+    scripts = open_loop_scripts(config, rng)
+    knobs = dict(
         recovery=config.recovery,
         group_commit=config.group_commit,
         hold=config.hold,
     )
+    replicated = config.sites > 1 or bool(config.site_crashes)
+    if replicated:
+        origin = split_arrivals([tick for _, tick in scripts], config.sites, rng)
+        home = {script.name: origin[i] for i, (script, _) in enumerate(scripts)}
+        system = build_replicated_system(
+            config.adt_kind, config.object_names(), sites=config.sites, **knobs
+        )
+    else:
+        home = {s.name: home_shard(s, config.shards) for s, _ in scripts}
+        system = build_sharded_system(
+            config.adt_kind, config.object_names(), shards=config.shards, **knobs
+        )
+    shards = 1 if replicated else config.shards
     collector.emit(
         "drive-start",
         label=config.label(),
-        shards=config.shards,
+        shards=shards,
         arrival_rate=config.arrival_rate,
     )
     first_event = len(collector.events)
     start = time.perf_counter()
-    metrics = _run_shard(
-        system, scripts, config, seed=seed, trace=collector
-    )
+    scheduler = _scheduler(system, scripts, config, seed=seed, trace=collector)
+    if replicated:
+        metrics = run_with_site_crashes(scheduler, config.site_crashes)
+    else:
+        metrics = scheduler.run()
     wall = time.perf_counter() - start
     # Only this drive's segment of the stream: a caller-owned collector
     # may already carry events from earlier runs.
     segment = collector.events[first_event:]
-    latencies = _latencies_from_trace(segment)
-    home = {s.name: home_shard(s, config.shards) for s, _ in scripts}
     committed = _committed_by_shard(segment, home)
-    per_shard = _per_shard_rows(system, config, scripts, committed)
+    per_shard: List[Dict[str, int]] = []
+    per_site: List[Dict[str, int]] = []
+    if replicated:
+        per_site = _per_site_rows(system, origin, committed)
+    else:
+        per_shard = _per_shard_rows(system, config, scripts, committed)
     report = DriveReport(
         label=config.label(),
-        shards=config.shards,
+        shards=shards,
         workers=1,
         offered=len(scripts),
         metrics=metrics,
         wall_s=wall,
-        latencies=latencies,
+        latencies=_latencies_from_trace(segment),
         per_shard=per_shard,
+        sites=config.sites,
+        per_site=per_site,
     )
     lat = report.latency_summary()
     collector.emit(
@@ -559,18 +581,18 @@ def _drive_inline(
     return report
 
 
-def _run_shard(
-    system: ShardedSystem,
+def _scheduler(
+    system,
     scripts: Sequence[Tuple[TransactionScript, int]],
     config: OpenLoopConfig,
     *,
     seed: int,
     trace: Optional[TraceCollector],
-) -> RunMetrics:
-    """One scheduler pass over ``scripts`` with open-loop arrivals."""
+) -> Scheduler:
+    """A scheduler over ``scripts`` with open-loop arrivals."""
     arrivals = {script.name: tick for script, tick in scripts}
     last = max(arrivals.values(), default=0)
-    scheduler = Scheduler(
+    return Scheduler(
         system,
         [script for script, _ in scripts],
         seed=seed,
@@ -582,7 +604,6 @@ def _run_shard(
         trace=trace,
         arrivals=arrivals,
     )
-    return scheduler.run()
 
 
 def _per_shard_rows(
@@ -611,128 +632,25 @@ def _per_shard_rows(
     return rows
 
 
-# ---------------------------------------------------------------------------
-# the replicated path
-# ---------------------------------------------------------------------------
-
-
-def _drive_replicated(
-    config: OpenLoopConfig, *, seed: int, trace: Optional[TraceCollector]
-) -> DriveReport:
-    """Open-loop traffic against a :class:`ReplicatedSystem`, with site
-    crashes fired from the tick schedule.
-
-    The same global arrival stream as the single-site drive (identical
-    rng draws) is *thinned* over the sites — see :func:`split_arrivals`
-    for why that is the only split that keeps the offered process
-    Poisson at the target rate.  One scheduler drives every site's
-    copies in lockstep; ``config.site_crashes`` fail and recover sites
-    mid-run, and the report's ``availability`` is the committed
-    fraction of the offered load.
-    """
-    from .replication import build_replicated_system
-
-    collector = trace if trace is not None else TraceCollector()
-    rng = random.Random(seed)
-    scripts = open_loop_scripts(config, rng)
-    origin = split_arrivals([tick for _, tick in scripts], config.sites, rng)
-    system = build_replicated_system(
-        config.adt_kind,
-        config.object_names(),
-        sites=config.sites,
-        recovery=config.recovery,
-        group_commit=config.group_commit,
-        hold=config.hold,
-    )
-    collector.emit(
-        "drive-start",
-        label=config.label(),
-        shards=1,
-        arrival_rate=config.arrival_rate,
-    )
-    first_event = len(collector.events)
-    arrivals = {script.name: tick for script, tick in scripts}
-    last = max(arrivals.values(), default=0)
-
-    def drive_sites(tick: int) -> bool:
-        progressed = False
-        for site, fail_tick, recover_tick in config.site_crashes:
-            if fail_tick == tick and system.site_up(site):
-                victims = system.fail_site(site)
-                scheduler.handle_crash(victims, tick)
-                progressed = True
-            if recover_tick and recover_tick == tick and not system.site_up(
-                site
-            ):
-                system.recover_site(site)
-                progressed = True
-        return progressed
-
-    drive_sites.next_wake = schedule_wake(
-        t for _, fail_tick, recover_tick in config.site_crashes
-        for t in (fail_tick, recover_tick)
-    )
-
-    start = time.perf_counter()
-    scheduler = Scheduler(
-        system,
-        [script for script, _ in scripts],
-        seed=seed,
-        label=config.label(),
-        max_restarts=config.max_restarts,
-        max_ticks=max(config.max_ticks, last + 10_000),
-        trace=collector,
-        arrivals=arrivals,
-        on_tick=drive_sites,
-    )
-    metrics = scheduler.run()
-    for site in range(config.sites):
-        if not system.site_up(site):
-            system.recover_site(site)
-    system.poll_catchup()
-    wall = time.perf_counter() - start
-    segment = collector.events[first_event:]
-    latencies = _latencies_from_trace(segment)
-    site_of_script = {
-        script.name: origin[i] for i, (script, _) in enumerate(scripts)
-    }
-    committed_by_site = _committed_by_shard(segment, site_of_script)
-    force_rows = system.force_accounting_by_site()
+def _per_site_rows(
+    system: ReplicatedSystem,
+    origin: Sequence[int],
+    committed_by_site: Dict[int, int],
+) -> List[Dict[str, int]]:
     arrivals_by_site: Dict[int, int] = {}
     for site in origin:
         arrivals_by_site[site] = arrivals_by_site.get(site, 0) + 1
-    per_site = [
+    return [
         {
-            "site": k,
-            "arrivals": arrivals_by_site.get(k, 0),
-            "committed": committed_by_site.get(k, 0),
-            "failures": system.site_failures[k],
-            "requalified": system.requalifications[k],
-            "forces": force_rows[k]["forces"],
+            "site": acc["site"],
+            "arrivals": arrivals_by_site.get(acc["site"], 0),
+            "committed": committed_by_site.get(acc["site"], 0),
+            "failures": system.site_failures[acc["site"]],
+            "requalified": system.requalifications[acc["site"]],
+            "forces": acc["forces"],
         }
-        for k in range(config.sites)
+        for acc in system.force_accounting_by_site()
     ]
-    report = DriveReport(
-        label=config.label(),
-        shards=1,
-        workers=1,
-        offered=len(scripts),
-        metrics=metrics,
-        wall_s=wall,
-        latencies=latencies,
-        sites=config.sites,
-        per_site=per_site,
-    )
-    lat = report.latency_summary()
-    collector.emit(
-        "drive-end",
-        label=config.label(),
-        committed=metrics.committed,
-        p50=lat["p50"],
-        p95=lat["p95"],
-        p99=lat["p99"],
-    )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +681,29 @@ def run_shard_cell(
         if home_shard(script, config.shards) == shard
     ]
     conflict = shared_conflict_case(config.adt_kind, config.recovery)
-    system = _build_shard_subsystem(config, shard, conflict)
+    system = ShardedSystem(
+        [
+            build_durable_object(
+                config.adt_kind,
+                name,
+                config.recovery,
+                config.group_commit,
+                config.hold,
+                StableLog,
+                conflict=conflict,
+            )
+            for name in config.object_names()
+            if shard_of(name, config.shards) == shard
+        ],
+        shards=config.shards,
+    )
     collector = trace if trace is not None else TraceCollector()
     if not scripts:
         metrics = RunMetrics(label=config.label())
     else:
-        metrics = _run_shard(
+        metrics = _scheduler(
             system, scripts, config, seed=seed, trace=collector
-        )
+        ).run()
     return {
         "metrics": metrics,
         "latencies": _latencies_from_trace(collector.events),
@@ -782,31 +715,6 @@ def run_shard_cell(
         ),
         "operations": metrics.operations,
     }
-
-
-def _build_shard_subsystem(
-    config: OpenLoopConfig, shard: int, conflict
-) -> ShardedSystem:
-    """A sharded system holding only ``shard``'s objects, all sharing one
-    derived conflict relation (and so its one compiled bitmask table)."""
-    from ..adts.registry import make_adt
-    from .durability import DurableObject
-    from .wal import GroupCommitPolicy, StableLog
-
-    policy = GroupCommitPolicy(config.group_commit, config.hold)
-    objects = []
-    for name in config.object_names():
-        if shard_of(name, config.shards) != shard:
-            continue
-        objects.append(
-            DurableObject(
-                make_adt(config.adt_kind, name),
-                conflict,
-                config.recovery.upper(),
-                log_factory=lambda: StableLog(policy=policy),
-            )
-        )
-    return ShardedSystem(objects, shards=config.shards)
 
 
 def _drive_partitioned(

@@ -226,10 +226,9 @@ def shared_conflict_case(adt_kind: str, recovery: str) -> Any:
     queries, so sharing one instance across objects is safe.
     """
     from ..adts.registry import make_adt
+    from .durability import recovery_conflict
 
-    recovery = recovery.upper()
-    adt = make_adt(adt_kind)
-    return adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
+    return recovery_conflict(make_adt(adt_kind), recovery)
 
 
 def _append_shard(trace: TraceCollector, cell_index: int) -> None:
@@ -554,34 +553,35 @@ def _execute_run(cell: Cell, trace: Optional[TraceCollector]) -> Any:
     """
     import random
 
-    from ..adts.registry import make_adt
-    from .durability import CrashableSystem, DurableObject
+    from .durability import CrashableSystem, build_durable_object
     from .scheduler import Scheduler
     from .torture import TortureConfig, workload_for
-    from .wal import GroupCommitPolicy, StableLog
+    from .wal import StableLog
 
     spec = cell.spec
-    recovery = str(spec.get("recovery", "DU")).upper()
-    group_commit = int(spec.get("group_commit", 1))
-    hold = int(spec.get("hold", 4))
     config = TortureConfig(
         spec["adt"],
-        recovery,
+        str(spec.get("recovery", "DU")).upper(),
         transactions=int(spec.get("transactions", 8)),
         ops_per_txn=int(spec.get("ops", 3)),
-        group_commit=group_commit,
-        hold=hold,
+        group_commit=int(spec.get("group_commit", 1)),
+        hold=int(spec.get("hold", 4)),
     )
-    adt = make_adt(spec["adt"])
-    conflict = adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
-    policy = GroupCommitPolicy(group_commit, hold)
-    obj = DurableObject(
-        adt, conflict, recovery, log_factory=lambda: StableLog(policy=policy)
+    obj = build_durable_object(
+        config.adt_kind,
+        None,
+        config.recovery,
+        config.group_commit,
+        config.hold,
+        StableLog,
     )
-    system = CrashableSystem([obj])
-    scripts = workload_for(config, adt, random.Random(cell.seed))
+    scripts = workload_for(config, obj.adt, random.Random(cell.seed))
     return Scheduler(
-        system, scripts, seed=cell.seed, label=config.label(), trace=trace
+        CrashableSystem([obj]),
+        scripts,
+        seed=cell.seed,
+        label=config.label(),
+        trace=trace,
     ).run()
 
 

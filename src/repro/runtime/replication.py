@@ -97,9 +97,15 @@ from ..core.events import (
     respond as respond_event,
 )
 from ..core.history import History
-from .durability import CrashableSystem, DurableObject
+from .durability import (
+    CrashableSystem,
+    DomainTrace,
+    DurableObject,
+    build_durable_object,
+)
 from .errors import UnknownObjectError
 from .system import OperationOutcome
+from .wal import StableLog
 
 
 class ReplicationError(RuntimeError):
@@ -117,19 +123,14 @@ def copy_name(logical: str, site: int) -> str:
     return logical if site == 0 else "%s@s%d" % (logical, site)
 
 
-class SiteTrace:
-    """Per-site emit proxy: stamps every event with its site id (the
-    replication counterpart of :class:`~repro.runtime.sharding.ShardTrace`)."""
+class SiteTrace(DomainTrace):
+    """The per-site emit proxy: stamps every event with ``site``."""
 
-    __slots__ = ("_inner", "site")
-
-    def __init__(self, inner, site: int) -> None:
-        self._inner = inner
-        self.site = site
-
-    def emit(self, kind: str, **fields) -> None:
-        fields.setdefault("site", self.site)
-        self._inner.emit(kind, **fields)
+    __slots__ = ()
+    field = "site"
+    # Defined here, not only inherited: the end-to-end benchmark's
+    # ledger times this class's own ``emit``.
+    emit = DomainTrace.emit
 
 
 class ReplicatedSystem(CrashableSystem):
@@ -258,32 +259,15 @@ class ReplicatedSystem(CrashableSystem):
 
     def bind_trace(self, collector) -> None:
         """Bind a trace collector, stamping object/log events per site."""
-        self.trace = collector
-        for name, obj in self.objects.items():
-            proxy = SiteTrace(collector, self._copy_site[name])
-            obj.trace = proxy
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is not None:
-                log.trace = proxy
-                log.trace_name = name
+        self._bind_domain_trace(collector, SiteTrace, self._copy_site)
 
     # -- per-site accounting -------------------------------------------------------
 
     def force_accounting_by_site(self) -> List[Dict[str, int]]:
         """``(forces, force_requests, forced_records)`` per site."""
-        rows = [
-            {"site": k, "forces": 0, "force_requests": 0, "forced_records": 0}
-            for k in range(self.sites)
-        ]
-        for name, obj in self.objects.items():
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is None:
-                continue
-            row = rows[self._copy_site[name]]
-            row["forces"] += log.forces
-            row["force_requests"] += log.force_requests
-            row["forced_records"] += log.forced_records
-        return rows
+        return self._force_accounting_by_domain(
+            "site", self.sites, self._copy_site
+        )
 
     # -- operation routing ---------------------------------------------------------
 
@@ -394,6 +378,14 @@ class ReplicatedSystem(CrashableSystem):
         The copy's state equals the authority's (lockstep invariant) and
         the response was pre-checked lock-free there, so the forced
         choice must succeed; anything else is divergence and raises."""
+        self._force_response(name, txn, operation, "mirror")
+
+    def _force_response(
+        self, name: str, txn: str, operation: Operation, what: str
+    ) -> None:
+        """Run ``operation``'s invocation at copy ``name`` with its
+        response forced; :class:`ReplicationError` (naming ``what``) if
+        the copy does not enable exactly that response."""
         obj = self.objects[name]
         want = operation.response
         previous = obj._response_chooser
@@ -403,8 +395,8 @@ class ReplicatedSystem(CrashableSystem):
                 if response == want:
                     return response, op
             raise ReplicationError(
-                "mirror of %s=%r not enabled at %s: copies diverged"
-                % (operation.invocation, want, name)
+                "%s of %s=%r not enabled at %s: copies diverged"
+                % (what, operation.invocation, want, name)
             )
 
         obj._response_chooser = chooser
@@ -414,8 +406,8 @@ class ReplicatedSystem(CrashableSystem):
             obj._response_chooser = previous
         if not outcome.ok:
             raise ReplicationError(
-                "mirror of %s=%r %s at %s: copies diverged"
-                % (operation.invocation, want, outcome.status, name)
+                "%s of %s=%r %s at %s: copies diverged"
+                % (what, operation.invocation, want, outcome.status, name)
             )
 
     # -- commit / abort bookkeeping -------------------------------------------------
@@ -475,15 +467,16 @@ class ReplicatedSystem(CrashableSystem):
     def fail_site(self, site: int) -> Set[str]:
         """Crash one site and keep it down until :meth:`recover_site`.
 
-        The ``crash_shard`` protocol generalized across sites: the
-        site's stable logs lose their volatile tails (held group-commit
-        batches die unflushed), every unfinished transaction that
-        touched the site is resolved by the surviving-commit-record rule
-        — completed everywhere (healthy copies force their records
-        durable) or killed everywhere — and read-only snapshot readers
-        that observed the site die with their registrations.  The site's
-        copies leave the available set; they restart from their logs at
-        recovery time.  Returns the transactions killed.
+        :meth:`~repro.runtime.durability.CrashableSystem._resolve_failure`
+        scoped to the site's copies: their stable logs lose their
+        volatile tails (held group-commit batches die unflushed), every
+        unfinished transaction that touched the site is resolved by the
+        surviving-commit-record rule — completed everywhere (healthy
+        copies force their records durable) or killed everywhere — and
+        read-only snapshot readers that observed the site die with
+        their registrations.  Unlike a shard crash the copies are not
+        restarted: they leave the available set and restart from their
+        logs at recovery time.  Returns the transactions killed.
         """
         if not 0 <= site < self.sites:
             raise ValueError(
@@ -493,82 +486,11 @@ class ReplicatedSystem(CrashableSystem):
             raise ReplicationError("site %d is already down" % site)
         self._site_up[site] = False
         self.site_failures[site] += 1
-        names = {c for c, s in self._copy_site.items() if s == site}
-        self._sync_events()
-        self._current -= names
-        self._qualified -= names
-        self._pending_catchup -= names
-        doomed = [
-            txn
-            for txn, pending in self._committing.items()
-            if names.intersection(pending.touched)
-        ]
-        for txn in doomed:
-            del self._committing[txn]
-        for name in sorted(names):
-            self.objects[name].wal.log.crash()
-        candidates = [
-            txn
-            for txn, touched in self._touched.items()
-            if txn not in self._finished and touched & names
-        ]
-        victims: Set[str] = set()
-        ro_victims = [
-            txn
-            for txn, observed in self._ro_touched.items()
-            if txn in self._ro_active and observed & names
-        ]
-        for txn in sorted(ro_victims):
-            del self._ro_active[txn]
-            self._finished[txn] = "aborted"
-            victims.add(txn)
-        resolved: List[str] = []
-        for txn in sorted(candidates):
-            touched = sorted(self._touched[txn])
-            reached_commit_point = any(
-                self.objects[name].wal.has_durable_commit(txn)
-                for name in touched
-            )
-            if reached_commit_point:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_commit(txn)
-                    else:
-                        self._complete_surviving_commit(name, txn)
-                self._finished[txn] = "committed"
-                resolved.append(txn)
-                self._install_versions(txn, touched)
-            else:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_kill(txn)
-                    else:
-                        self.objects[name].abort(txn)
-                self._finished[txn] = "aborted"
-                victims.add(txn)
-                self._drop_txn(txn)
-        self._sync_events()
-        if self.trace is not None:
-            self.trace.emit(
-                "site-failure",
-                site=site,
-                victims=sorted(victims),
-                resolved=resolved,
-            )
-        return victims
-
-    def _complete_surviving_commit(self, name: str, txn: str) -> None:
-        """Finish an in-doubt commit at a healthy copy (same completion
-        as :meth:`~repro.runtime.sharding.ShardedSystem._complete_surviving_commit`):
-        make the commit record durable, forcing a held batch if needed,
-        then acknowledge."""
-        obj = self.objects[name]
-        if not obj.wal.has_durable_commit(txn):
-            obj.submit_commit(txn)
-            if not obj.commit_ready(txn):
-                obj.wal.log.force()
-        obj.complete_commit(txn)
-        self._sync_events(name)
+        failed = sorted(c for c, s in self._copy_site.items() if s == site)
+        self._current.difference_update(failed)
+        self._qualified.difference_update(failed)
+        self._pending_catchup.difference_update(failed)
+        return self._resolve_failure(failed, "site-failure", site=site)
 
     # -- site recovery ---------------------------------------------------------------
 
@@ -635,28 +557,8 @@ class ReplicatedSystem(CrashableSystem):
         obj = self.objects[name]
         self._sync_seq += 1
         txn = "sync.%s.%d" % (name, self._sync_seq)
-        previous = obj._response_chooser
         for operation in missed:
-            want = operation.response
-
-            def chooser(free, want=want, operation=operation):
-                for response, op in free:
-                    if response == want:
-                        return response, op
-                raise ReplicationError(
-                    "catch-up replay of %s=%r not enabled at %s"
-                    % (operation.invocation, want, name)
-                )
-
-            obj._response_chooser = chooser
-            try:
-                outcome = obj.try_operation(txn, operation.invocation)
-            finally:
-                obj._response_chooser = previous
-            if not outcome.ok:
-                raise ReplicationError(
-                    "catch-up replay %s at %s" % (outcome.status, name)
-                )
+            self._force_response(name, txn, operation, "catch-up replay")
         # Durable commit (forces the log if the batch is held): restart
         # after catch-up must not lose the replay.
         obj.commit(txn)
@@ -675,10 +577,7 @@ class ReplicatedSystem(CrashableSystem):
                 "recover all sites before a whole-system crash (down: %s)"
                 % [k for k, up in enumerate(self._site_up) if not up]
             )
-        victims = super().crash()
-        for txn in sorted(victims):
-            self._drop_txn(txn)
-        return victims
+        return super().crash()
 
     # -- read-only snapshot routing --------------------------------------------------
 
@@ -732,33 +631,27 @@ def build_replicated_system(
     recovery: str = "DU",
     group_commit: int = 1,
     hold: int = 4,
-    log_factory=None,
 ) -> ReplicatedSystem:
     """A replicated system of ``adt_kind`` objects, ``sites`` copies each.
 
-    Every copy gets its own stable log (built by ``log_factory``, or a
-    fresh :class:`~repro.runtime.wal.StableLog` under the group-commit
-    policy); its conflict relation compiles to a bitmask table once,
-    which restarts after a crash reuse.
+    Every copy gets its own fresh :class:`~repro.runtime.wal.StableLog`
+    under the group-commit policy; its conflict relation compiles to a
+    bitmask table once, which restarts after a crash reuse.
     """
-    from ..adts.registry import make_adt
-    from .wal import GroupCommitPolicy, StableLog
-
-    recovery = recovery.upper()
-    policy = GroupCommitPolicy(group_commit, hold)
-    if log_factory is None:
-        def log_factory():  # noqa: F811 — default factory
-            return StableLog(policy=policy)
-    logical_objects = []
-    for name in object_names:
-        copies = []
-        for site in range(sites):
-            adt = make_adt(adt_kind, copy_name(name, site))
-            conflict = (
-                adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
-            )
-            copies.append(
-                DurableObject(adt, conflict, recovery, log_factory=log_factory)
-            )
-        logical_objects.append(copies)
-    return ReplicatedSystem(logical_objects, sites=sites)
+    return ReplicatedSystem(
+        [
+            [
+                build_durable_object(
+                    adt_kind,
+                    copy_name(name, site),
+                    recovery,
+                    group_commit,
+                    hold,
+                    StableLog,
+                )
+                for site in range(sites)
+            ]
+            for name in object_names
+        ],
+        sites=sites,
+    )

@@ -48,7 +48,13 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Sequence, Set
 
-from .durability import CrashableSystem, DurableObject
+from .durability import (
+    CrashableSystem,
+    DomainTrace,
+    DurableObject,
+    build_durable_object,
+)
+from .wal import StableLog
 
 
 def shard_of(name: str, shards: int) -> int:
@@ -63,23 +69,14 @@ def shard_of(name: str, shards: int) -> int:
     return zlib.crc32(name.encode("utf-8")) % shards
 
 
-class ShardTrace:
-    """A per-shard emit proxy: stamps every event with its shard id.
+class ShardTrace(DomainTrace):
+    """The per-shard emit proxy: stamps every event with ``shard``."""
 
-    Bound in place of the raw collector on a shard's objects and logs,
-    so ``op-invoke``/``lock-wait``/``force``/``recovery`` events carry
-    ``shard`` without the emit sites knowing about sharding at all.
-    """
-
-    __slots__ = ("_inner", "shard")
-
-    def __init__(self, inner, shard: int) -> None:
-        self._inner = inner
-        self.shard = shard
-
-    def emit(self, kind: str, **fields) -> None:
-        fields.setdefault("shard", self.shard)
-        self._inner.emit(kind, **fields)
+    __slots__ = ()
+    field = "shard"
+    # Defined here, not only inherited: the end-to-end benchmark's
+    # ledger times this class's own ``emit``.
+    emit = DomainTrace.emit
 
 
 class ShardedSystem(CrashableSystem):
@@ -132,62 +129,28 @@ class ShardedSystem(CrashableSystem):
         flat-system wiring.  System-level events (2PC phases, crashes)
         stay unstamped — they span shards.
         """
-        self.trace = collector
-        for name, obj in self.objects.items():
-            proxy = ShardTrace(collector, self._placement[name])
-            obj.trace = proxy
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is not None:
-                log.trace = proxy
-                log.trace_name = name
+        self._bind_domain_trace(collector, ShardTrace, self._placement)
 
     # -- per-shard accounting ------------------------------------------------------
 
     def force_accounting_by_shard(self) -> List[Dict[str, int]]:
         """``(forces, force_requests, forced_records)`` per shard."""
-        rows = [
-            {"shard": k, "forces": 0, "force_requests": 0, "forced_records": 0}
-            for k in range(self.shards)
-        ]
-        for name, obj in self.objects.items():
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is None:
-                continue
-            row = rows[self._placement[name]]
-            row["forces"] += log.forces
-            row["force_requests"] += log.force_requests
-            row["forced_records"] += log.forced_records
-        return rows
+        return self._force_accounting_by_domain(
+            "shard", self.shards, self._placement
+        )
 
     # -- partial failure -----------------------------------------------------------
 
     def crash_shard(self, shard: int) -> Set[str]:
         """Crash one shard; the others keep their volatile state.
 
-        The shard's protocol mirrors the whole-system crash, scoped to
-        the shard's objects:
-
-        1. mirror unreported object-local events into the global history;
-        2. the shard's stable logs lose their volatile tails (held
-           group-commit batches die unflushed);
-        3. **in-doubt resolution** for every unfinished transaction that
-           touched the shard: committed iff a commit record *survives*
-           at any object it touched — durable on a crashed shard's
-           stable log, or still held (volatile or durable) at a healthy
-           shard, whose process is alive and makes the record durable
-           during resolution.  Resolution completes, never retracts:
-           resolved commits finish everywhere (healthy objects through
-           the normal pipeline, forcing held batches; crashed objects
-           through the recovery path).  Everything else is killed
-           everywhere: crashed objects just record the abort event (no
-           undo is possible), healthy objects perform a clean volatile
-           abort.
-        4. read-only snapshot transactions that read from the shard are
-           killed (their snapshot registration is volatile); readers
-           confined to healthy shards continue — version chains are
-           never retracted, so their snapshots remain valid;
-        5. the shard's objects lose volatile state and restart from
-           their stable logs.
+        :meth:`~repro.runtime.durability.CrashableSystem._resolve_failure`
+        scoped to the shard's objects: in-doubt transactions touching
+        the shard are completed everywhere (healthy shards finish the
+        commit normally, forcing held batches) or killed everywhere
+        (healthy shards abort cleanly), read-only readers that read from
+        the shard die, and the shard's objects then lose volatile state
+        and restart from their stable logs.
 
         Transactions that never touched the shard are untouched: their
         locks, intentions and commit pipelines keep running.  Returns
@@ -197,98 +160,12 @@ class ShardedSystem(CrashableSystem):
             raise ValueError(
                 "shard must be in 0..%d (got %d)" % (self.shards - 1, shard)
             )
-        names = set(self.shard_objects(shard))
+        failed = self.shard_objects(shard)
         self.shard_crashes[shard] += 1
-        self._sync_events()
-        # Commit pipelines that depend on the dead shard's logs cannot
-        # proceed; drop them and resolve the transactions below.
-        doomed = [
-            txn
-            for txn, pending in self._committing.items()
-            if names.intersection(pending.touched)
-        ]
-        for txn in doomed:
-            del self._committing[txn]
-        for name in sorted(names):
-            self.objects[name].wal.log.crash()
-        candidates = [
-            txn
-            for txn, touched in self._touched.items()
-            if txn not in self._finished and touched & names
-        ]
-        victims: Set[str] = set()
-        # Read-only snapshot transactions die only if they actually read
-        # from the crashed shard (their registration lives with the
-        # system, but the observation is attributed to the shard that
-        # served it).  Readers confined to healthy shards keep going:
-        # version chains are never retracted, so their snapshot stays
-        # valid even while the crashed shard recovers.
-        ro_victims = [
-            txn
-            for txn, observed in self._ro_touched.items()
-            if txn in self._ro_active and observed & names
-        ]
-        for txn in sorted(ro_victims):
-            del self._ro_active[txn]
-            self._finished[txn] = "aborted"
-            victims.add(txn)
-        resolved: List[str] = []
-        for txn in sorted(candidates):
-            touched = sorted(self._touched[txn])
-            reached_commit_point = any(
-                self.objects[name].wal.has_durable_commit(txn)
-                for name in touched
-            )
-            if reached_commit_point:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_commit(txn)
-                    else:
-                        self._complete_surviving_commit(name, txn)
-                self._finished[txn] = "committed"
-                resolved.append(txn)
-                # Durable everywhere it touched: stamp the version under
-                # a fresh CSN, as the normal completion would have.
-                self._install_versions(txn, touched)
-            else:
-                for name in touched:
-                    if name in names:
-                        self.objects[name].crash_kill(txn)
-                    else:
-                        self.objects[name].abort(txn)
-                self._finished[txn] = "aborted"
-                victims.add(txn)
-        self._sync_events()
-        if self.trace is not None:
-            self.trace.emit(
-                "shard-crash",
-                shard=shard,
-                victims=sorted(victims),
-                resolved=resolved,
-            )
-        for name in sorted(names):
+        victims = self._resolve_failure(failed, "shard-crash", shard=shard)
+        for name in failed:
             self.objects[name].crash_and_restart()
         return victims
-
-    def _complete_surviving_commit(self, name: str, txn: str) -> None:
-        """Finish an in-doubt commit at a healthy (non-crashed) object.
-
-        The object's volatile state is intact, so the commit completes
-        through the normal pipeline rather than the recovery path: make
-        the commit record durable (forcing the log if a held batch was
-        still parking it), then acknowledge — release locks, apply the
-        recovery manager's completion, record the commit event.
-        """
-        obj = self.objects[name]
-        if not obj.wal.has_durable_commit(txn):
-            # Either the commit record is sitting in a held batch, or it
-            # was never submitted; a force after (re)submission covers
-            # both, and duplicate commit records are harmless to replay.
-            obj.submit_commit(txn)
-            if not obj.commit_ready(txn):
-                obj.wal.log.force()
-        obj.complete_commit(txn)
-        self._sync_events(name)
 
 
 def build_sharded_system(
@@ -299,33 +176,22 @@ def build_sharded_system(
     recovery: str = "DU",
     group_commit: int = 1,
     hold: int = 4,
-    log_factory=None,
 ) -> ShardedSystem:
     """A sharded system of ``adt_kind`` objects, one per name.
 
-    Every object gets its own stable log (built by ``log_factory``, or a
-    fresh :class:`~repro.runtime.wal.StableLog` under the group-commit
-    policy); its conflict relation compiles to a bitmask table once,
-    which restarts after a crash reuse.
+    Every object gets its own fresh :class:`~repro.runtime.wal.StableLog`
+    under the group-commit policy; its conflict relation compiles to a
+    bitmask table once, which restarts after a crash reuse.
     """
-    from ..adts.registry import make_adt
-    from .wal import GroupCommitPolicy, StableLog
-
-    recovery = recovery.upper()
-    policy = GroupCommitPolicy(group_commit, hold)
-    if log_factory is None:
-        def log_factory():  # noqa: F811 — default factory
-            return StableLog(policy=policy)
-    objects = []
-    for name in object_names:
-        adt = make_adt(adt_kind, name)
-        conflict = (
-            adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
-        )
-        objects.append(
-            DurableObject(adt, conflict, recovery, log_factory=log_factory)
-        )
-    return ShardedSystem(objects, shards=shards)
+    return ShardedSystem(
+        [
+            build_durable_object(
+                adt_kind, name, recovery, group_commit, hold, StableLog
+            )
+            for name in object_names
+        ],
+        shards=shards,
+    )
 
 
 def audit_shard(
@@ -351,20 +217,8 @@ def audit_shard(
 
     return audit_recovery(
         system,
-        _AuditLabel(label or "shard%d" % shard),
+        label or "shard%d" % shard,
         schedule,
         names=system.shard_objects(shard),
         check_atomicity=check_atomicity,
     )
-
-
-class _AuditLabel:
-    """Minimal stand-in for TortureConfig where only ``label()`` is read."""
-
-    __slots__ = ("_label",)
-
-    def __init__(self, label: str) -> None:
-        self._label = label
-
-    def label(self) -> str:
-        return self._label

@@ -34,6 +34,7 @@ Everything is deterministic: a report is reproducible from
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,12 +42,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..adts.registry import make_adt
 from ..core.atomicity import TooManyOrdersError, is_dynamic_atomic
 from ..core.views import DU, UIP
-from .durability import CrashableSystem, DurableObject
+from .durability import (
+    CrashableSystem,
+    SiteCrash,
+    build_durable_object,
+    run_with_site_crashes,
+)
 from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
 from .metrics import FaultCounters
 from .replication import ReplicatedSystem, ReplicationError, build_replicated_system
-from .scheduler import Scheduler, periodic_wake, schedule_wake
-from .wal import CommitRecord, GroupCommitPolicy, IntentionsRecord
+from .scheduler import Scheduler, periodic_wake
+from .wal import CommitRecord, IntentionsRecord
 from .workloads import (
     escrow_workload,
     generic_workload,
@@ -190,27 +196,45 @@ def workload_for(config: TortureConfig, adt, rng: random.Random):
 
 def build_system(
     config: TortureConfig,
-    plan: FaultPlan,
+    plan: Optional[FaultPlan],
     counters: Optional[FaultCounters] = None,
 ) -> Tuple[CrashableSystem, object]:
-    """A single-object crashable system wired to the fault plan."""
-    adt = make_adt(config.adt_kind)
-    conflict = (
-        adt.nrbc_conflict() if config.recovery == "UIP" else adt.nfc_conflict()
-    )
-    counters = counters if counters is not None else FaultCounters()
-    skip = config.bug == "skip-commit-force"
-    policy = GroupCommitPolicy(config.group_commit, config.hold)
-    obj = DurableObject(
-        adt,
-        conflict,
+    """The system one schedule of ``config`` runs on, and its ADT.
+
+    One site: a single-object crashable system whose stable log injects
+    ``plan``'s faults.  ``sites > 1``: one logical object ``X`` with a
+    copy per site.  Site crashes are driven by tick schedules rather
+    than log-interaction fault plans, so the copies use plain stable
+    logs (``plan`` is not consulted); the durability-accounting
+    invariant, which needs the fault archive, is covered by the
+    single-site matrix.
+    """
+    if config.sites > 1:
+        system = build_replicated_system(
+            config.adt_kind,
+            ["X"],
+            sites=config.sites,
+            recovery=config.recovery,
+            group_commit=config.group_commit,
+            hold=config.hold,
+        )
+        system._skip_catchup_bug = config.bug == "skip-catchup"
+        return system, system.objects["X"].adt
+    obj = build_durable_object(
+        config.adt_kind,
+        None,
         config.recovery,
-        restart_policy=config.restart_policy,
-        log_factory=lambda: FaultyStableLog(
-            plan, counters=counters, skip_commit_force=skip, policy=policy
+        config.group_commit,
+        config.hold,
+        functools.partial(
+            FaultyStableLog,
+            plan,
+            counters=counters if counters is not None else FaultCounters(),
+            skip_commit_force=config.bug == "skip-commit-force",
         ),
+        restart_policy=config.restart_policy,
     )
-    return CrashableSystem([obj]), adt
+    return CrashableSystem([obj]), obj.adt
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +262,7 @@ class Violation:
 
 def audit_recovery(
     system: CrashableSystem,
-    config: TortureConfig,
+    label: str,
     schedule: str,
     *,
     names: Optional[Sequence[str]] = None,
@@ -256,7 +280,6 @@ def audit_recovery(
     of one system run it once instead of per shard.
     """
     violations: List[Violation] = []
-    label = config.label()
     specs = {name: obj.adt for name, obj in system.objects.items()}
     audited = (
         sorted(system.objects.items())
@@ -360,7 +383,11 @@ def run_schedule(
     counters: Optional[FaultCounters] = None,
     trace=None,
 ) -> ScheduleResult:
-    """Drive one workload under one fault plan, auditing every recovery.
+    """Drive one workload under one schedule, auditing every recovery.
+
+    ``plan`` is a :class:`~repro.runtime.faults.FaultPlan`, or — for a
+    ``sites > 1`` config — the :class:`SiteCrash` rows handed to
+    :func:`run_site_schedule`.
 
     The scheduler runs until every script commits or retires; each
     :class:`~repro.runtime.faults.CrashPoint` the plan raises triggers
@@ -369,6 +396,8 @@ def run_schedule(
     end state so schedules whose faults never fired (or were absorbed as
     IO errors) still exercise restart.
     """
+    if config.sites > 1:
+        return run_site_schedule(config, plan, seed=seed, trace=trace)
     counters = counters if counters is not None else FaultCounters()
     system, adt = build_system(config, plan, counters)
     scripts = workload_for(config, adt, random.Random(seed))
@@ -403,11 +432,11 @@ def run_schedule(
             break
         except CrashPoint:
             victims = system.crash()
-            violations.extend(audit_recovery(system, config, schedule))
+            violations.extend(audit_recovery(system, config.label(), schedule))
             scheduler.handle_crash(victims)
     # Final clean crash: even a fault-free schedule must restart cleanly.
     system.crash()
-    violations.extend(audit_recovery(system, config, schedule))
+    violations.extend(audit_recovery(system, config.label(), schedule))
     scheduler.metrics.faults = counters
     return ScheduleResult(
         config=config.label(),
@@ -420,22 +449,23 @@ def run_schedule(
 
 
 def profile_horizon(config: TortureConfig, *, seed: int = 0) -> int:
-    """How many log interactions a fault-free run of the config performs.
-
-    Sampled fault plans draw their indexes from this horizon, so every
-    fault lands on an interaction the workload actually reaches.
+    """The horizon a fault-free run of the config's workload spans, in
+    the unit its schedules are drawn in: log interactions for a one-site
+    config, scheduler ticks for a ``sites > 1`` one — so every sampled
+    fault or site crash lands where the workload actually reaches.
     """
     plan = FaultPlan(seed=seed)
-    counters = FaultCounters()
-    system, adt = build_system(config, plan, counters)
+    system, adt = build_system(config, plan)
     scripts = workload_for(config, adt, random.Random(seed))
-    Scheduler(
+    metrics = Scheduler(
         system,
         scripts,
         seed=seed,
         max_restarts=config.max_restarts,
         max_ticks=config.max_ticks,
     ).run()
+    if config.sites > 1:
+        return max(2, metrics.ticks)
     return max(1, plan.clock)
 
 
@@ -566,9 +596,12 @@ def run_torture(
     workers: int = 1,
     trace_out: Optional[str] = None,
 ) -> TortureReport:
-    """Run ``schedules`` fault schedules round-robin over the configs.
+    """Run ``schedules`` schedules round-robin over the configs.
 
-    See :func:`plan_campaign` for the schedule-assignment policy.  With
+    One-site configs draw log-fault plans (:func:`plan_campaign`, which
+    ``max_faults`` and ``retry`` shape); ``sites > 1`` configs draw
+    site-crash schedules (:func:`plan_site_campaign`).  Either way each
+    ``(config, plan, run_seed)`` runs through :func:`run_schedule`.  With
     ``workers > 1`` the schedules fan out over a process pool (see
     :mod:`repro.runtime.parallel`) and merge back in schedule order, so
     the report is byte-identical to the serial campaign; tracing then
@@ -582,13 +615,16 @@ def run_torture(
             "a shared trace collector cannot cross process boundaries; "
             "use trace_out= with workers > 1"
         )
-    assignments = plan_campaign(
-        configs,
-        schedules=schedules,
-        seed=seed,
-        max_faults=max_faults,
-        retry=retry,
-    )
+    if any(config.sites > 1 for config in configs):
+        assignments = plan_site_campaign(configs, schedules=schedules, seed=seed)
+    else:
+        assignments = plan_campaign(
+            configs,
+            schedules=schedules,
+            seed=seed,
+            max_faults=max_faults,
+            retry=retry,
+        )
     report = TortureReport(seed=seed)
     if workers <= 1:
         for config, plan, run_seed in assignments:
@@ -647,50 +683,12 @@ def _merge_schedule(report: TortureReport, result: ScheduleResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteCrash:
-    """Fail one site at a tick, recover it at a later tick (0 = leave it
-    down until the end-of-run recovery)."""
-
-    site: int
-    fail_tick: int
-    recover_tick: int = 0
-
-    def describe(self) -> str:
-        if self.recover_tick:
-            return "site%d@%d-%d" % (self.site, self.fail_tick, self.recover_tick)
-        return "site%d@%d-end" % (self.site, self.fail_tick)
-
-
 def describe_site_schedule(crashes: Sequence[SiteCrash]) -> str:
     return ",".join(c.describe() for c in crashes) or "no-crashes"
 
 
-def build_replicated_torture_system(
-    config: TortureConfig, obj_name: str = "X"
-) -> Tuple[ReplicatedSystem, object]:
-    """A one-logical-object replicated system for the config.
-
-    Site crashes are driven by tick schedules rather than log-interaction
-    fault plans, so the copies use plain stable logs under the config's
-    group-commit policy; the durability-accounting invariant (which needs
-    the fault archive) is covered by the single-site matrix.
-    """
-    system = build_replicated_system(
-        config.adt_kind,
-        [obj_name],
-        sites=config.sites,
-        recovery=config.recovery,
-        group_commit=config.group_commit,
-        hold=config.hold,
-    )
-    if config.bug == "skip-catchup":
-        system._skip_catchup_bug = True
-    return system, system.objects[obj_name].adt
-
-
 def audit_replication(
-    system: ReplicatedSystem, config: TortureConfig, schedule: str
+    system: ReplicatedSystem, label: str, schedule: str
 ) -> List[Violation]:
     """The replication-level invariants, checked at a quiescent moment
     (end of run, every site recovered):
@@ -705,7 +703,6 @@ def audit_replication(
       writes in the logical history.
     """
     violations: List[Violation] = []
-    label = config.label()
     stuck = sorted(system._pending_catchup)
     if stuck:
         violations.append(
@@ -773,33 +770,12 @@ def run_site_schedule(
     every copy — restart state per copy plus global dynamic atomicity of
     the merged copy-level history.
     """
-    system, adt = build_replicated_torture_system(config)
+    system, adt = build_system(config, None)
     scripts = workload_for(config, adt, random.Random(seed))
     schedule = describe_site_schedule(crashes)
     violations: List[Violation] = []
     if trace is not None:
         trace.emit("schedule-start", label=config.label(), plan=schedule)
-
-    def drive_sites(tick: int) -> bool:
-        progressed = False
-        for crash in crashes:
-            if crash.fail_tick == tick and system.site_up(crash.site):
-                victims = system.fail_site(crash.site)
-                scheduler.handle_crash(victims, tick)
-                progressed = True
-            if (
-                crash.recover_tick
-                and crash.recover_tick == tick
-                and not system.site_up(crash.site)
-            ):
-                system.recover_site(crash.site)
-                progressed = True
-        return progressed
-
-    drive_sites.next_wake = schedule_wake(
-        t for crash in crashes for t in (crash.fail_tick, crash.recover_tick)
-    )
-
     scheduler = Scheduler(
         system,
         scripts,
@@ -807,22 +783,15 @@ def run_site_schedule(
         max_restarts=config.max_restarts,
         max_ticks=config.max_ticks,
         label=config.label(),
-        on_tick=drive_sites,
         trace=trace,
     )
-    committed = 0
     try:
-        scheduler.run()
-        committed = scheduler.metrics.committed
-        for site in range(config.sites):
-            if not system.site_up(site):
-                system.recover_site(site)
-        system.poll_catchup()
-        violations.extend(audit_replication(system, config, schedule))
+        run_with_site_crashes(scheduler, crashes)
+        violations.extend(audit_replication(system, config.label(), schedule))
         # Final clean whole-system crash: every copy restarts from its
         # log and the single-site invariants must hold per copy.
         system.crash()
-        violations.extend(audit_recovery(system, config, schedule))
+        violations.extend(audit_recovery(system, config.label(), schedule))
     except ReplicationError as exc:
         # Lockstep divergence (a mirrored or replayed operation was not
         # legal at its copy) is itself a reportable invariant breach —
@@ -833,31 +802,14 @@ def run_site_schedule(
                 config.label(), schedule, "replication-divergence", str(exc)
             )
         )
-        committed = scheduler.metrics.committed
     return ScheduleResult(
         config=config.label(),
         schedule=schedule,
         violations=violations,
         crashes=sum(system.site_failures) + system.crash_count,
-        committed=committed,
+        committed=scheduler.metrics.committed,
         faults_fired=len(crashes),
     )
-
-
-def profile_site_horizon(config: TortureConfig, *, seed: int = 0) -> int:
-    """Tick count of a crash-free run of the config's workload on the
-    replicated system — the tick horizon site-crash schedules draw
-    their fail/recover points from."""
-    system, adt = build_replicated_torture_system(config)
-    scripts = workload_for(config, adt, random.Random(seed))
-    metrics = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-    ).run()
-    return max(2, metrics.ticks)
 
 
 def plan_site_campaign(
@@ -885,7 +837,7 @@ def plan_site_campaign(
                 % (config.sites, config.label())
             )
     master = random.Random(seed)
-    horizons = {c.label(): profile_site_horizon(c, seed=seed) for c in configs}
+    horizons = {c.label(): profile_horizon(c, seed=seed) for c in configs}
     sweep_pos: Dict[str, int] = {c.label(): 0 for c in configs}
     cells: List[Tuple[TortureConfig, Tuple[SiteCrash, ...], int]] = []
     for i in range(schedules):
@@ -925,22 +877,3 @@ def plan_site_campaign(
             )
         cells.append((config, crashes, master.randrange(2**31)))
     return cells
-
-
-def run_site_torture(
-    configs: Sequence[TortureConfig],
-    *,
-    schedules: int,
-    seed: int = 0,
-    trace=None,
-) -> TortureReport:
-    """Run ``schedules`` site-crash schedules round-robin over the
-    configs (each with ``sites >= 2``).  Serial by construction — the
-    campaign is small compared to the log-fault matrix, and the report
-    is reproducible from ``(configs, schedules, seed)``."""
-    cells = plan_site_campaign(configs, schedules=schedules, seed=seed)
-    report = TortureReport(seed=seed)
-    for config, crashes, run_seed in cells:
-        result = run_site_schedule(config, crashes, seed=run_seed, trace=trace)
-        _merge_schedule(report, result)
-    return report

@@ -360,9 +360,15 @@ def test_config_validates_replication_axes():
         dict(sites=2, site_crashes=((2, 5, 0),)),
         dict(sites=2, site_crashes=((1, 0, 0),)),
         dict(sites=2, site_crashes=((1, 9, 4),)),
+        # one site's down-windows overlap: the second failure would be
+        # silently skipped (the site is already down)
+        dict(sites=2, site_crashes=((1, 5, 20), (1, 10, 30))),
+        dict(sites=2, site_crashes=((1, 5, 0), (1, 40, 60))),
     ):
         with pytest.raises(ValueError):
             OpenLoopConfig(**bad)
+    # disjoint windows of one site are a legal schedule
+    OpenLoopConfig(sites=2, site_crashes=((1, 5, 20), (1, 21, 30)))
 
 
 def test_replication_label_suffixes_only_when_in_use():

@@ -110,6 +110,13 @@ class TestTortureEquality:
             assert report.format() == serial.format()
             assert report.counters == serial.counters
 
+    def test_site_crash_campaign_matches_serial(self):
+        configs = configs_for(["bank", "counter"], ("DU", "UIP"), sites=2)
+        serial = run_torture(configs, schedules=10, seed=3)
+        assert serial.ok and serial.crashes > serial.schedules
+        parallel = run_torture(configs, schedules=10, seed=3, workers=2)
+        assert parallel.format() == serial.format()
+
     def test_plan_campaign_is_the_serial_prefix(self):
         """The cell decomposition draws exactly the serial RNG stream."""
         configs = configs_for(["bank"], ("DU",))

@@ -15,7 +15,7 @@ from repro.runtime.torture import (
     describe_site_schedule,
     plan_site_campaign,
     run_site_schedule,
-    run_site_torture,
+    run_torture,
 )
 from repro.runtime.trace import TraceCollector
 
@@ -66,7 +66,7 @@ def test_plan_site_campaign_is_deterministic():
 @pytest.mark.parametrize("recovery", ["DU", "UIP"])
 @pytest.mark.parametrize("adt_kind", ["counter", "bank"])
 def test_site_crash_campaign_preserves_invariants(adt_kind, recovery):
-    report = run_site_torture(
+    report = run_torture(
         [_config(adt_kind=adt_kind, recovery=recovery)],
         schedules=6,
         seed=9,
@@ -77,7 +77,7 @@ def test_site_crash_campaign_preserves_invariants(adt_kind, recovery):
 
 
 def test_three_site_campaign_with_group_commit():
-    report = run_site_torture(
+    report = run_torture(
         [_config(sites=3, group_commit=2, hold=3)],
         schedules=5,
         seed=2,

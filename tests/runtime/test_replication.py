@@ -23,11 +23,7 @@ from repro.runtime.replication import (
     copy_name,
 )
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.torture import (
-    TortureConfig,
-    build_replicated_torture_system,
-    workload_for,
-)
+from repro.runtime.torture import TortureConfig, workload_for
 from repro.runtime.trace import TraceCollector
 from repro.runtime.wal import GroupCommitPolicy, StableLog
 from repro.adts.registry import make_adt
@@ -112,7 +108,10 @@ def test_sites1_is_byte_identical_to_flat_system(seed):
             )
         ]
     )
-    replicated, rep_adt = build_replicated_torture_system(config)
+    replicated = build_replicated_system(
+        "bank", ["X"], sites=1, recovery="DU", group_commit=2, hold=3
+    )
+    rep_adt = replicated.objects["X"].adt
     m_rep, h_rep = run(replicated, rep_adt)
     m_flat, h_flat = run(flat, adt)
     assert h_rep == h_flat

@@ -27,14 +27,6 @@ NAMES = ["K%02d" % i for i in range(6)]
 SHARDS = 2
 
 
-class _Label:
-    def __init__(self, label):
-        self._label = label
-
-    def label(self):
-        return self._label
-
-
 def _build(**kwargs):
     defaults = dict(
         shards=SHARDS, recovery="DU", group_commit=4, hold=3
@@ -162,7 +154,7 @@ def test_whole_system_crash_verdicts_match_flat_system():
     def outcome(system):
         metrics = _run_whole_system_crashes(system, scripts, seed=4)
         system.crash()  # final clean crash, as the torture harness does
-        violations = audit_recovery(system, _Label("flat-vs-sharded"), "")
+        violations = audit_recovery(system, "flat-vs-sharded", "")
         return (
             metrics.row(),
             [repr(e) for e in system.history()],

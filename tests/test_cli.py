@@ -209,6 +209,16 @@ class TestRunCommand:
         assert "counter/DU/x2" in out
         assert "site 0" in out and "site 1" in out
         assert "requalified" in out
+        # the shared summary prints for replicated runs too
+        for label in ("forces ", "avg batch size", "forces/commit", "commit stall ticks"):
+            assert "\n%s" % label in out, label
+
+    def test_run_rejects_overlapping_site_crash_windows(self):
+        with pytest.raises(SystemExit, match="site1@10-30 overlaps site1@5-20"):
+            main([
+                "run", "counter", "--sites", "2",
+                "--site-crash", "1@5-20", "--site-crash", "1@10-30",
+            ])
 
     def test_run_sites_rejects_workers(self):
         with pytest.raises(SystemExit, match="lockstep"):

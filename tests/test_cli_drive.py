@@ -176,6 +176,16 @@ class TestReplicatedDrive:
                 SMALL + ["--sites", "2", "--site-crash", "1@9-4"],
                 "after the fail tick",
             ),
+            (
+                SMALL + ["--sites", "2", "--site-crash", "1@5-20",
+                         "--site-crash", "1@10-30"],
+                "overlaps site1@5-20",
+            ),
+            (
+                SMALL + ["--sites", "2", "--site-crash", "1@5",
+                         "--site-crash", "1@40-60"],
+                "overlaps site1@5-end",
+            ),
         ],
     )
     def test_rejects_bad_replication_arguments(self, argv, match):

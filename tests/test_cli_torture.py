@@ -1,5 +1,7 @@
 """CLI tests for ``repro torture``: exit codes, knobs, reproducibility."""
 
+import pytest
+
 from repro.cli import main
 
 
@@ -146,6 +148,13 @@ class TestSiteCrashCampaign:
 
         with pytest.raises(SystemExit, match="needs --sites"):
             main(["torture", "--inject-bug", "skip-catchup"])
+
+    @pytest.mark.parametrize(
+        "knob", [["--checkpoint-every", "3"], ["--max-faults", "5"], ["--max-retries", "7"]]
+    )
+    def test_log_fault_knobs_rejected_with_sites(self, knob):
+        with pytest.raises(SystemExit, match=knob[0] + " shapes log-fault"):
+            main(["torture", "--sites", "2", "--schedules", "2"] + knob)
 
     def test_log_fault_bug_rejected_with_sites(self, capsys):
         import pytest

@@ -4,15 +4,19 @@ Each fast path (compiled conflict tables, delta view cursors, jumped
 dead ticks) is chosen from the input the code is handed; the slow twins
 are reached only through ``repro.reference``, by tests and twin benches.
 These checks keep a selector — an environment variable, a constructor
-flag, an import of the oracle module — from coming back.
+flag, an import of the oracle module — from coming back, and keep the
+failure-domain machinery (in-doubt resolution, the durable-object
+builder, the recovery/conflict pairing) at one copy each.
 """
 
 import ast
+import importlib.util
 import inspect
 import pathlib
 import subprocess
 import sys
 import textwrap
+import types
 
 import repro
 from repro.adts import BankAccount
@@ -154,3 +158,92 @@ def test_undeclared_hook_is_woken_every_tick():
     metrics, wakes = run(declared)
     assert metrics.committed == 1
     assert metrics.dead_ticks_elided == 8 and len(wakes) == 1
+
+
+# ---------------------------------------------------------------------------
+# one failure-domain core
+# ---------------------------------------------------------------------------
+
+
+def _functions():
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, node
+
+
+def _calls(node):
+    """Names and attribute names called anywhere under ``node``."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            fn = sub.func
+            out.add(fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None))
+    return out
+
+
+def test_commit_or_kill_is_decided_in_one_function():
+    """The surviving-commit-record rule — ``has_durable_commit`` over a
+    transaction's touched set, then complete or kill — has one home."""
+    deciders = [
+        "%s:%s" % (path.relative_to(SRC), fn.name)
+        for path, fn in _functions()
+        if {"has_durable_commit", "crash_kill"} <= _calls(fn)
+    ]
+    assert deciders == ["repro/runtime/durability.py:_resolve_failure"]
+
+
+def test_one_surviving_commit_completion():
+    homes = [
+        str(path.relative_to(SRC))
+        for path, fn in _functions()
+        if fn.name == "_complete_surviving_commit"
+    ]
+    assert homes == ["repro/runtime/durability.py"]
+
+
+def test_durable_objects_are_built_in_one_place():
+    sites = [
+        "%s:%s" % (path.relative_to(SRC), fn.name)
+        for path, fn in _functions()
+        if "DurableObject" in _calls(fn)
+    ]
+    assert sites == ["repro/runtime/durability.py:build_durable_object"]
+
+
+def test_recovery_method_picks_the_conflict_relation_once():
+    """UIP -> NRBC, DU -> NFC (Theorems 9 and 10) is stated once for the
+    runtime; everything else asks ``recovery_conflict``."""
+    choices = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.IfExp, ast.If))
+        and any(
+            isinstance(c, ast.Constant) and c.value == "UIP"
+            for c in ast.walk(node.test)
+        )
+        and {"nrbc_conflict", "nfc_conflict"} & _calls(node)
+    ]
+    assert len(choices) == 1 and choices[0].startswith(
+        "repro/runtime/durability.py:"
+    ), choices
+
+
+def test_every_benchmark_span_is_defined_on_its_owner():
+    """``benchmarks/e2e/spans.py`` wraps ``vars(owner)[attr]``; a name
+    that moved to a base class would drop out of the ledger silently
+    here and fail ``pytest benchmarks/e2e`` in CI."""
+    path = SRC.parent / "benchmarks" / "e2e" / "spans.py"
+    spec = importlib.util.spec_from_file_location("_e2e_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for targets in spans.SPANS.values():
+        for module_name, qualname in targets:
+            module = importlib.import_module(module_name)
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            if not isinstance(vars(owner).get(attr), types.FunctionType):
+                missing.append("%s:%s" % (module_name, qualname))
+    assert not missing, missing
