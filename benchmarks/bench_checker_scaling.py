@@ -1,18 +1,19 @@
-"""EXP-S1: checker scaling — reference vs pruned dynamic-atomicity checking.
+"""EXP-S1: checker scaling — the order search vs its enumerating oracle.
 
-The reference checker enumerates linear extensions; the fast checker
-prunes dead prefixes and memoizes configurations.  On histories of
-commuting transactions the gap is factorial-vs-linear; this bench pins
-the crossover shape and keeps both checkers honest against each other.
+``repro.core.atomicity`` prunes dead prefixes and memoizes
+configurations; the oracle ``repro.reference.enumerate_*`` walks every
+linear extension.  On histories of commuting transactions the gap is
+factorial-vs-linear; this bench pins the crossover shape and keeps the
+two honest against each other.
 """
 
 import pytest
 
 from repro.adts import BankAccount
-from repro.core.atomicity import is_dynamic_atomic
+from repro.core.atomicity import find_dynamic_atomicity_violation, is_dynamic_atomic
 from repro.core.events import commit, inv, invoke, respond
-from repro.core.fast_atomicity import fast_is_dynamic_atomic
 from repro.core.history import History
+from repro.reference import enumerate_find_dynamic_atomicity_violation
 
 BA = BankAccount(domain=(1, 2))
 
@@ -47,26 +48,28 @@ def contending_history(n: int) -> History:
 @pytest.mark.experiment("EXP-S1")
 def test_reference_checker_small(benchmark):
     h = commuting_history(6)
-    assert benchmark(lambda: is_dynamic_atomic(h, BA))
+    assert benchmark(
+        lambda: enumerate_find_dynamic_atomicity_violation(h, BA) is None
+    )
 
 
 @pytest.mark.experiment("EXP-S1")
 def test_fast_checker_small(benchmark):
     h = commuting_history(6)
-    assert benchmark(lambda: fast_is_dynamic_atomic(h, BA))
+    assert benchmark(lambda: is_dynamic_atomic(h, BA))
 
 
 @pytest.mark.experiment("EXP-S1")
 def test_fast_checker_large(benchmark):
-    """14 concurrent transactions: 87 billion orders, ~15 configurations."""
+    """14 concurrent transactions: 87 billion orders, 2**14 configurations."""
     h = commuting_history(14)
-    assert benchmark(lambda: fast_is_dynamic_atomic(h, BA))
+    assert benchmark(lambda: is_dynamic_atomic(h, BA))
 
 
 @pytest.mark.experiment("EXP-S1")
 def test_fast_checker_mixed_large(benchmark):
     h = contending_history(10)
-    result = benchmark(lambda: fast_is_dynamic_atomic(h, BA))
+    result = benchmark(lambda: is_dynamic_atomic(h, BA))
     assert isinstance(result, bool)
 
 
@@ -74,10 +77,10 @@ def test_fast_checker_mixed_large(benchmark):
 def test_checkers_agree(benchmark):
     def agree():
         for n in (2, 4, 6):
-            h = commuting_history(n)
-            assert fast_is_dynamic_atomic(h, BA) == is_dynamic_atomic(h, BA)
-            h2 = contending_history(n)
-            assert fast_is_dynamic_atomic(h2, BA) == is_dynamic_atomic(h2, BA)
+            for history in (commuting_history(n), contending_history(n)):
+                assert find_dynamic_atomicity_violation(
+                    history, BA
+                ) == enumerate_find_dynamic_atomicity_violation(history, BA)
         return True
 
     assert benchmark.pedantic(agree, rounds=1, iterations=1)

@@ -82,14 +82,12 @@ class ViewSynthesizer:
         contexts: Sequence[MacroContext],
         *,
         rho_depth: int = 2,
-        max_orders: int = 10_000,
     ):
         self.spec = spec
         self.view = view
         self.invocations = tuple(invocations)
         self.contexts = tuple(contexts)
         self.rho_depth = rho_depth
-        self.max_orders = max_orders
 
     # -- probing one pair ----------------------------------------------------------
 
@@ -201,9 +199,7 @@ class ViewSynthesizer:
     def _check(
         self, history: History, pair: Tuple[Operation, Operation]
     ) -> Optional[RequiredConflict]:
-        violation = find_dynamic_atomicity_violation(
-            history, self.spec, max_orders=self.max_orders
-        )
+        violation = find_dynamic_atomicity_violation(history, self.spec)
         if violation is None:
             return None
         return RequiredConflict(pair, history, violation.order)

@@ -231,10 +231,7 @@ def cmd_compare(args) -> int:
     _check_workload_args(args)
     _check_min(args, (("seeds", 1), ("opening", 0)))
     _check_parallel_args(args)
-    if not 0.0 <= args.read_mix <= 1.0:
-        raise SystemExit(
-            "--read-mix must be in [0.0, 1.0] (got %g)" % args.read_mix
-        )
+    _check_fraction(args, "read_mix")
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
     try:
         adt_factory, workload = comparison_case(
@@ -292,6 +289,23 @@ def _check_min(args, minimums) -> None:
             )
 
 
+def _check_fraction(args, attr: str) -> None:
+    """Clean CLI error for a knob that is a share of the traffic."""
+    value = getattr(args, attr)
+    if not 0.0 <= value <= 1.0:
+        raise SystemExit(
+            "--%s must be in [0, 1] (got %g)" % (attr.replace("_", "-"), value)
+        )
+
+
+def _check_adt_kind(kind: str) -> None:
+    if kind not in ADT_REGISTRY:
+        raise SystemExit(
+            "unknown ADT %r (choose from: %s)"
+            % (kind, ", ".join(sorted(ADT_REGISTRY)))
+        )
+
+
 def _check_workload_args(args) -> None:
     """Shared floors for the workload-shape knobs of run/compare/torture."""
     _check_min(args, (("transactions", 1), ("ops", 1)))
@@ -341,40 +355,34 @@ def _parse_site_crashes(specs, sites: int):
         raise SystemExit("--%s" % exc)
 
 
+def _replication_args(args, what: str):
+    """The ``--sites``/``--site-crash`` checks ``run`` and ``drive``
+    share; returns the validated site-crash rows."""
+    _check_min(args, (("sites", 1),))
+    site_crashes = _parse_site_crashes(args.site_crash, args.sites)
+    if (args.sites > 1 or site_crashes) and args.workers > 1:
+        raise SystemExit(
+            "replicated %s keep every site's copies in lockstep "
+            "under one scheduler; use --workers 1" % what
+        )
+    return site_crashes
+
+
 def cmd_run(args) -> int:
     """Run one workload on a durable (crash-capable) system and report
     run metrics including the group-commit force accounting; with
     ``--sites``/``--site-crash`` the system is replicated, its sites
     fail and recover from the tick clock, and per-site rows follow."""
-    import random
+    from .runtime.durability import run_with_site_crashes
+    from .runtime.torture import TortureConfig, fault_free_scheduler
 
-    from .runtime.durability import (
-        CrashableSystem,
-        build_durable_object,
-        run_with_site_crashes,
-    )
-    from .runtime.replication import build_replicated_system
-    from .runtime.scheduler import Scheduler
-    from .runtime.torture import TortureConfig, workload_for
-    from .runtime.wal import StableLog
-
-    if args.adt not in ADT_REGISTRY:
-        raise SystemExit(
-            "unknown ADT %r (choose from: %s)"
-            % (args.adt, ", ".join(sorted(ADT_REGISTRY)))
-        )
+    _check_adt_kind(args.adt)
     _check_group_commit_args(args)
     _check_workload_args(args)
     _check_parallel_args(args)
-    _check_min(args, (("sites", 1),))
-    seed = args.seed_base + args.seed
-    site_crashes = _parse_site_crashes(args.site_crash, args.sites)
+    site_crashes = _replication_args(args, "runs")
     replicated = args.sites > 1 or bool(site_crashes)
-    if replicated and args.workers > 1:
-        raise SystemExit(
-            "replicated runs keep every site's copies in lockstep "
-            "under one scheduler; use --workers 1"
-        )
+    seed = args.seed_base + args.seed
     recovery = args.recovery.upper()
     config = TortureConfig(
         args.adt,
@@ -415,30 +423,15 @@ def cmd_run(args) -> int:
         if args.trace_out:
             trace_count = _count_jsonl(args.trace_out)
     else:
-        if replicated:
-            system = build_replicated_system(
-                args.adt,
-                ["X"],
-                sites=args.sites,
-                recovery=recovery,
-                group_commit=args.group_commit,
-                hold=args.hold,
-            )
-            adt = system.objects["X"].adt
-        else:
-            obj = build_durable_object(
-                args.adt, None, recovery, args.group_commit, args.hold, StableLog
-            )
-            system, adt = CrashableSystem([obj]), obj.adt
-        scripts = workload_for(config, adt, random.Random(seed))
         trace = None
         if args.trace_out:
             from .runtime.trace import TraceCollector
 
             trace = TraceCollector()
-        scheduler = Scheduler(
-            system, scripts, seed=seed, label=config.label(), trace=trace
+        scheduler = fault_free_scheduler(
+            config, seed, trace, replicated=replicated
         )
+        system = scheduler.system
         if replicated:
             metrics = run_with_site_crashes(scheduler, site_crashes)
         else:
@@ -482,11 +475,7 @@ def cmd_drive(args) -> int:
     commit-latency percentiles plus per-shard traffic."""
     from .runtime.openloop import OpenLoopConfig, drive
 
-    if args.adt not in ADT_REGISTRY:
-        raise SystemExit(
-            "unknown ADT %r (choose from: %s)"
-            % (args.adt, ", ".join(sorted(ADT_REGISTRY)))
-        )
+    _check_adt_kind(args.adt)
     _check_group_commit_args(args)
     _check_workload_args(args)
     _check_parallel_args(args)
@@ -495,16 +484,10 @@ def cmd_drive(args) -> int:
         raise SystemExit(
             "--arrival-rate must be > 0 (got %g)" % args.arrival_rate
         )
-    if not 0.0 <= args.cross_shard <= 1.0:
-        raise SystemExit(
-            "--cross-shard must be in [0, 1] (got %g)" % args.cross_shard
-        )
+    _check_fraction(args, "cross_shard")
     if args.zipf < 0:
         raise SystemExit("--zipf must be >= 0 (got %g)" % args.zipf)
-    if not 0.0 <= args.read_mix <= 1.0:
-        raise SystemExit(
-            "--read-mix must be in [0, 1] (got %g)" % args.read_mix
-        )
+    _check_fraction(args, "read_mix")
     if args.workers > 1 and args.cross_shard > 0:
         raise SystemExit(
             "--workers > 1 partitions traffic per shard and requires "
@@ -516,18 +499,12 @@ def cmd_drive(args) -> int:
             "--trace-out requires --workers 1 (partitioned drives trace "
             "per worker shard)"
         )
-    _check_min(args, (("sites", 1),))
-    site_crashes = _parse_site_crashes(args.site_crash, args.sites)
     if args.sites > 1 and args.shards != 1:
         raise SystemExit(
             "--sites replicates whole objects and --shards partitions "
             "them; pick one axis (use --shards 1 with --sites)"
         )
-    if (args.sites > 1 or site_crashes) and args.workers > 1:
-        raise SystemExit(
-            "replicated drives keep every site's copies in lockstep "
-            "under one scheduler; use --workers 1"
-        )
+    site_crashes = _replication_args(args, "drives")
     config = OpenLoopConfig(
         adt_kind=args.adt,
         objects=args.objects,
@@ -593,10 +570,7 @@ def cmd_torture(args) -> int:
             ("checkpoint_every", 0),
         ),
     )
-    if not 0.0 <= args.read_mix <= 1.0:
-        raise SystemExit(
-            "--read-mix must be in [0.0, 1.0] (got %g)" % args.read_mix
-        )
+    _check_fraction(args, "read_mix")
     _check_min(args, (("sites", 1),))
     if args.inject_bug == "skip-catchup" and args.sites < 2:
         raise SystemExit(
@@ -620,14 +594,9 @@ def cmd_torture(args) -> int:
     if args.adt == "all":
         adt_kinds = sorted(ADT_REGISTRY)
     else:
-        kinds = [k.strip() for k in args.adt.split(",") if k.strip()]
-        for kind in kinds:
-            if kind not in ADT_REGISTRY:
-                raise SystemExit(
-                    "unknown ADT %r (choose from: %s)"
-                    % (kind, ", ".join(sorted(ADT_REGISTRY)))
-                )
-        adt_kinds = kinds
+        adt_kinds = [k.strip() for k in args.adt.split(",") if k.strip()]
+        for kind in adt_kinds:
+            _check_adt_kind(kind)
     methods = {"both": ("DU", "UIP"), "du": ("DU",), "uip": ("UIP",)}[
         args.recovery
     ]
@@ -690,6 +659,59 @@ def cmd_trace_report(args) -> int:
     return 0
 
 
+# The knobs run/drive/torture/compare share: one adder per block, the
+# per-command help text passed in (flag names and defaults are fixed).
+
+
+def _add_seed_args(p, seed_base_help: str, *, seed: bool = True) -> None:
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed-base", type=int, default=0, metavar="B", help=seed_base_help
+    )
+
+
+def _add_group_commit_args(p, group_commit_help: str, hold_help: str) -> None:
+    p.add_argument(
+        "--group-commit", type=int, default=1, metavar="N", help=group_commit_help
+    )
+    p.add_argument("--hold", type=int, default=4, metavar="T", help=hold_help)
+
+
+def _add_workers_arg(p, workers_help: str) -> None:
+    p.add_argument("--workers", type=int, default=1, metavar="N", help=workers_help)
+
+
+def _add_trace_out_arg(p, trace_out_help: str) -> None:
+    p.add_argument("--trace-out", metavar="FILE", default=None, help=trace_out_help)
+
+
+def _add_sites_args(p, sites_help: str, *, site_crash: bool = True) -> None:
+    p.add_argument("--sites", type=int, default=1, metavar="N", help=sites_help)
+    if site_crash:
+        p.add_argument(
+            "--site-crash",
+            action="append",
+            default=None,
+            metavar="S@F[-R]",
+            help="crash site S at tick F, recovering at tick R (omit R or "
+            "use 'end' to keep it down); repeatable",
+        )
+
+
+def _add_read_mix_args(p, read_mix_help: str, ro_mode_help: str = None) -> None:
+    p.add_argument(
+        "--read-mix", type=float, default=0.0, metavar="F", help=read_mix_help
+    )
+    if ro_mode_help is not None:
+        p.add_argument(
+            "--ro-mode",
+            choices=("snapshot", "locked"),
+            default="snapshot",
+            help=ro_mode_help,
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -741,37 +763,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run a concurrency comparison")
     p.add_argument("workload", help="hotspot|escrow|semiqueue|fifo|set|register")
     p.add_argument("--seeds", type=int, default=8)
-    p.add_argument(
-        "--seed-base",
-        type=int,
-        default=0,
-        metavar="B",
-        help="first seed of the sweep (seeds run B..B+seeds-1)",
+    _add_seed_args(
+        p, "first seed of the sweep (seeds run B..B+seeds-1)", seed=False
     )
     p.add_argument("--transactions", type=int, default=8)
     p.add_argument("--ops", type=int, default=3)
     p.add_argument("--opening", type=int, default=100)
-    p.add_argument(
-        "--read-mix",
-        type=float,
-        default=0.0,
-        metavar="F",
-        help="fraction of transactions added as read-only reader scripts "
+    _add_read_mix_args(
+        p,
+        "fraction of transactions added as read-only reader scripts "
         "(0 disables; observer-less workloads like fifo/semiqueue reject it)",
-    )
-    p.add_argument(
-        "--ro-mode",
-        choices=("snapshot", "locked"),
-        default="snapshot",
-        help="run readers on the lock-free snapshot path or as identically"
+        "run readers on the lock-free snapshot path or as identically"
         "-drawn locked transactions (baseline)",
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the (configuration, seed) cells over N worker processes "
+    _add_workers_arg(
+        p,
+        "fan the (configuration, seed) cells over N worker processes "
         "(1 = serial; output is byte-identical either way)",
     )
     p.set_defaults(func=cmd_compare)
@@ -783,60 +790,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--recovery", choices=["du", "uip"], default="du", help="recovery method"
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--seed-base",
-        type=int,
-        default=0,
-        metavar="B",
-        help="offset added to --seed (shared with compare/torture sweeps)",
+    _add_seed_args(
+        p, "offset added to --seed (shared with compare/torture sweeps)"
     )
     p.add_argument("--transactions", type=int, default=8)
     p.add_argument("--ops", type=int, default=3)
-    p.add_argument(
-        "--group-commit",
-        type=int,
-        default=1,
-        metavar="N",
-        help="coalesce N log-force requests into one physical flush "
+    _add_group_commit_args(
+        p,
+        "coalesce N log-force requests into one physical flush "
         "(1 = classic per-commit force)",
+        "flush a short batch after T scheduler ticks anyway",
     )
-    p.add_argument(
-        "--hold",
-        type=int,
-        default=4,
-        metavar="T",
-        help="flush a short batch after T scheduler ticks anyway",
+    _add_trace_out_arg(
+        p, "write the structured run trace as JSONL (see `repro trace-report`)"
     )
-    p.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="write the structured run trace as JSONL (see `repro trace-report`)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="route the run through the parallel engine's worker pool "
+    _add_workers_arg(
+        p,
+        "route the run through the parallel engine's worker pool "
         "(1 = serial; metrics are identical either way)",
     )
-    p.add_argument(
-        "--sites",
-        type=int,
-        default=1,
-        metavar="N",
-        help="replicate every object over N sites (available-copies; "
+    _add_sites_args(
+        p,
+        "replicate every object over N sites (available-copies; "
         "requires --workers 1 when N > 1)",
-    )
-    p.add_argument(
-        "--site-crash",
-        action="append",
-        default=None,
-        metavar="S@F[-R]",
-        help="crash site S at tick F, recovering at tick R (omit R or "
-        "use 'end' to keep it down); repeatable",
     )
     p.set_defaults(func=cmd_run)
 
@@ -905,19 +881,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of transactions touching a second object in "
         "another shard (2PC across shards)",
     )
-    p.add_argument(
-        "--read-mix",
-        type=float,
-        default=0.0,
-        metavar="F",
-        help="fraction of arrivals that are read-only transactions "
+    _add_read_mix_args(
+        p,
+        "fraction of arrivals that are read-only transactions "
         "(observer invocations only; 0 = pure update traffic)",
-    )
-    p.add_argument(
-        "--ro-mode",
-        choices=["snapshot", "locked"],
-        default="snapshot",
-        help="how read-only arrivals execute: lock-free multiversion "
+        "how read-only arrivals execute: lock-free multiversion "
         "snapshot reads (default) or the ordinary locked path (the "
         "EXP-C16 baseline; identical scripts either way)",
     )
@@ -926,57 +894,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--transactions", type=int, default=128)
     p.add_argument("--ops", type=int, default=3)
-    p.add_argument(
-        "--group-commit",
-        type=int,
-        default=1,
-        metavar="N",
-        help="coalesce N log-force requests into one physical flush",
+    _add_group_commit_args(
+        p,
+        "coalesce N log-force requests into one physical flush",
+        "flush a short group-commit batch after T ticks anyway",
     )
-    p.add_argument(
-        "--hold",
-        type=int,
-        default=4,
-        metavar="T",
-        help="flush a short group-commit batch after T ticks anyway",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--seed-base",
-        type=int,
-        default=0,
-        metavar="B",
-        help="offset added to --seed (shared with run/compare sweeps)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan single-shard traffic over one worker process per "
+    _add_seed_args(p, "offset added to --seed (shared with run/compare sweeps)")
+    _add_workers_arg(
+        p,
+        "fan single-shard traffic over one worker process per "
         "shard (requires --cross-shard 0)",
     )
-    p.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="write the structured drive trace as JSONL (workers=1 only)",
+    _add_trace_out_arg(
+        p, "write the structured drive trace as JSONL (workers=1 only)"
     )
-    p.add_argument(
-        "--sites",
-        type=int,
-        default=1,
-        metavar="N",
-        help="replicate every object over N sites (available-copies; "
+    _add_sites_args(
+        p,
+        "replicate every object over N sites (available-copies; "
         "one lockstep scheduler, so --shards 1 and --workers 1)",
-    )
-    p.add_argument(
-        "--site-crash",
-        action="append",
-        default=None,
-        metavar="S@F[-R]",
-        help="crash site S at tick F, recovering at tick R (omit R or "
-        "use 'end' to keep it down); repeatable",
     )
     p.set_defaults(func=cmd_drive)
 
@@ -994,14 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="recovery methods to torture (default: both)",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--seed-base",
-        type=int,
-        default=0,
-        metavar="B",
-        help="offset added to --seed (shared with run/compare sweeps)",
-    )
+    _add_seed_args(p, "offset added to --seed (shared with run/compare sweeps)")
     p.add_argument(
         "--schedules",
         type=int,
@@ -1010,12 +938,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--transactions", type=int, default=4)
     p.add_argument("--ops", type=int, default=2)
-    p.add_argument(
-        "--read-mix",
-        type=float,
-        default=0.0,
-        metavar="F",
-        help="add snapshot reader scripts per schedule (fraction of "
+    _add_read_mix_args(
+        p,
+        "add snapshot reader scripts per schedule (fraction of "
         "--transactions; observer-less ADTs are skipped silently)",
     )
     p.add_argument(
@@ -1037,20 +962,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TICKS",
         help="attempt quiescent checkpoints every TICKS scheduler ticks",
     )
-    p.add_argument(
-        "--group-commit",
-        type=int,
-        default=1,
-        metavar="N",
-        help="coalesce N log-force requests into one physical flush "
+    _add_group_commit_args(
+        p,
+        "coalesce N log-force requests into one physical flush "
         "(1 = classic per-commit force)",
-    )
-    p.add_argument(
-        "--hold",
-        type=int,
-        default=4,
-        metavar="T",
-        help="flush a short group-commit batch after T scheduler ticks anyway",
+        "flush a short group-commit batch after T scheduler ticks anyway",
     )
     p.add_argument(
         "--inject-bug",
@@ -1060,27 +976,19 @@ def build_parser() -> argparse.ArgumentParser:
         "(skip-commit-force for log-fault schedules, skip-catchup for "
         "--sites site-crash campaigns)",
     )
-    p.add_argument(
-        "--sites",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run the site-crash campaign instead: replicate the object "
+    _add_sites_args(
+        p,
+        "run the site-crash campaign instead: replicate the object "
         "over N sites and torture it with tick-driven site failures "
         "and recoveries (N >= 2)",
+        site_crash=False,
     )
-    p.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="write the structured trace of every schedule as JSONL",
+    _add_trace_out_arg(
+        p, "write the structured trace of every schedule as JSONL"
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan the schedules over N worker processes (1 = serial; "
+    _add_workers_arg(
+        p,
+        "fan the schedules over N worker processes (1 = serial; "
         "the report is byte-identical either way)",
     )
     p.set_defaults(func=cmd_torture)

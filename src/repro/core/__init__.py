@@ -11,7 +11,6 @@ structure:
 
 from .atomicity import (
     DynamicAtomicityViolation,
-    TooManyOrdersError,
     commit_sets,
     find_dynamic_atomicity_violation,
     find_online_violation,
@@ -21,7 +20,6 @@ from .atomicity import (
     is_dynamic_atomic,
     is_online_dynamic_atomic,
     is_serializable,
-    linear_extensions,
     normalize_specs,
     serializable_in_order,
 )
@@ -46,13 +44,6 @@ from .conflict import (
     WithoutPairs,
     incomparable,
     relation_difference,
-)
-from .fast_atomicity import (
-    fast_find_dynamic_atomicity_violation,
-    fast_find_serialization_order,
-    fast_is_atomic,
-    fast_is_dynamic_atomic,
-    fast_is_serializable,
 )
 from .equieffective import (
     LooksLikeViolation,
@@ -209,15 +200,8 @@ __all__ = [
     "find_dynamic_atomicity_violation",
     "find_online_violation",
     "commit_sets",
-    "linear_extensions",
     "normalize_specs",
     "DynamicAtomicityViolation",
-    "TooManyOrdersError",
-    "fast_is_serializable",
-    "fast_is_atomic",
-    "fast_is_dynamic_atomic",
-    "fast_find_serialization_order",
-    "fast_find_dynamic_atomicity_violation",
     # theorems
     "Counterexample",
     "SampleReport",

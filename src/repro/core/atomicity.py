@@ -20,11 +20,29 @@ The hierarchy of correctness notions, all made executable here:
   serializable in every total order consistent with ``precedes(H|CS)``
   (Section 7) — the induction invariant in the proof of Theorem 9.
 
-Dynamic atomicity quantifies over the linear extensions of a partial
-order, so the checkers are exponential in the number of transactions in
-the worst case; they are meant for the history sizes that appear in
-specifications, tests and counterexamples.  A ``max_orders`` guard makes
-the explosion explicit rather than silent.
+Serializability asks for *some* total order and dynamic atomicity for
+*every* linear extension of ``precedes``; both are answered by one
+search (:func:`_search`) over the tree of precedes-respecting
+serialization prefixes, carrying one macro-state per object:
+
+* **Prefix pruning** — serial specifications are prefix-closed, so once
+  a prefix is illegal at some object every completion is illegal: for
+  the ∃-question the subtree is cut, for the ∀-question any completion
+  is the counterexample.
+* **Configuration memoization** — two prefixes over the same *set* of
+  transactions that reach identical per-object macro-states have
+  identical futures; each configuration is explored once.  Commuting
+  transactions collapse factorially many orders into one configuration,
+  which is exactly the history a commutativity-based scheduler emits.
+
+Prefixes are tried in lexicographic order, so the witness returned is
+the lexicographically first one — the same order, and the same
+:class:`DynamicAtomicityViolation`, that enumerating the linear
+extensions one by one would report.  That enumerator lives on as the
+oracle ``repro.reference.enumerate_*``; the property suite pins the two
+to identical witnesses.  The worst case is still exponential (many
+mutually non-commuting concurrent transactions); there is no budget
+knob, a check either answers or is still running.
 """
 
 from __future__ import annotations
@@ -45,14 +63,12 @@ from typing import (
     Union,
 )
 
+from .automaton_spec import StateMachineSpec
+from .events import OpSeq
 from .history import History, serial_history
 from .serial_spec import SerialSpec
 
 SpecsLike = Union[SerialSpec, Mapping[str, SerialSpec], Iterable[SerialSpec]]
-
-
-class TooManyOrdersError(RuntimeError):
-    """The dynamic-atomicity check would enumerate more orders than allowed."""
 
 
 def normalize_specs(specs: SpecsLike) -> Dict[str, SerialSpec]:
@@ -85,85 +101,147 @@ def serializable_in_order(
     return is_acceptable(serial_history(history, order), specs)
 
 
-def find_serialization_order(
-    history: History,
-    specs: SpecsLike,
-    *,
-    max_orders: int = 1_000_000,
-) -> Optional[Tuple[str, ...]]:
-    """Some total order in which the failure-free history serializes, or None."""
-    txns = sorted(history.transactions())
-    count = 0
-    for order in _permutations_guarded(txns):
-        count += 1
-        if count > max_orders:
-            raise TooManyOrdersError(
-                "more than %d candidate orders for %d transactions"
-                % (max_orders, len(txns))
+# ---------------------------------------------------------------------------
+# the order search
+# ---------------------------------------------------------------------------
+
+
+class _ObjectSimulator:
+    """Per-object incremental legality: macro-states where the spec is a
+    state machine, the whole serialized prefix otherwise."""
+
+    def __init__(self, spec: SerialSpec):
+        self.spec = spec
+        self._is_macro = isinstance(spec, StateMachineSpec)
+
+    def initial(self):
+        if self._is_macro:
+            return self.spec.initial_macro_state()
+        return ()
+
+    def extend(self, state, ops: OpSeq):
+        """Advance by a transaction's operations; None when illegal."""
+        if self._is_macro:
+            return self.spec.run_macro(state, ops) or None
+        prefix = state + tuple(ops)
+        return prefix if self.spec.is_legal(prefix) else None
+
+
+class _Problem:
+    """One failure-free history prepared for :func:`_search`: its
+    transactions in sorted order, each one's predecessors under
+    ``precedes``, and each one's operations per object."""
+
+    def __init__(
+        self,
+        history: History,
+        specs: SpecsLike,
+        precedes: Iterable[Tuple[str, str]] = (),
+    ):
+        spec_map = normalize_specs(specs)
+        self.txns: Tuple[str, ...] = tuple(sorted(history.transactions()))
+        before: Dict[str, Set[str]] = {t: set() for t in self.txns}
+        for a, b in precedes:
+            if a in before and b in before and a != b:
+                before[b].add(a)
+        self.before = {t: frozenset(s) for t, s in before.items()}
+        self.ops_by_txn: Dict[str, Dict[str, OpSeq]] = {}
+        for txn in self.txns:
+            projected = history.project_transactions(txn)
+            per_obj = self.ops_by_txn[txn] = {}
+            for obj in projected.objects():
+                ops = projected.project_objects(obj).opseq()
+                if ops:
+                    per_obj[obj] = ops
+        self.simulators: Dict[str, _ObjectSimulator] = {}
+        for obj in sorted({o for per in self.ops_by_txn.values() for o in per}):
+            spec = spec_map.get(obj)
+            if spec is None:
+                raise KeyError("no serial specification for object %r" % obj)
+            self.simulators[obj] = _ObjectSimulator(spec)
+
+    def apply(self, states: Dict[str, object], txn: str):
+        """States after serializing ``txn`` next, or None if illegal."""
+        new_states = dict(states)
+        for obj, ops in self.ops_by_txn[txn].items():
+            nxt = self.simulators[obj].extend(states[obj], ops)
+            if nxt is None:
+                return None
+            new_states[obj] = nxt
+        return new_states
+
+    def complete(self, prefix: Sequence[str]) -> Tuple[str, ...]:
+        """The lexicographically first total order consistent with
+        ``precedes`` that starts with ``prefix``."""
+        order, placed = list(prefix), set(prefix)
+        while len(order) < len(self.txns):
+            nxt = next(
+                t for t in self.txns
+                if t not in placed and self.before[t] <= placed
             )
-        if serializable_in_order(history, order, specs):
-            return order
-    return None
+            order.append(nxt)
+            placed.add(nxt)
+        return tuple(order)
 
 
-def is_serializable(
-    history: History, specs: SpecsLike, *, max_orders: int = 1_000_000
-) -> bool:
-    """∃ a total order in which the failure-free history serializes."""
-    return find_serialization_order(history, specs, max_orders=max_orders) is not None
+def _search(problem: _Problem, *, every_order: bool) -> Optional[Tuple[str, ...]]:
+    """Walk the precedes-respecting serialization prefixes, depth first in
+    lexicographic order, visiting each (transaction set, per-object state)
+    configuration once.
 
-
-def is_atomic(history: History, specs: SpecsLike, *, max_orders: int = 1_000_000) -> bool:
-    """``permanent(history)`` is serializable."""
-    return is_serializable(history.permanent(), specs, max_orders=max_orders)
-
-
-def _permutations_guarded(items: Sequence[str]) -> Iterator[Tuple[str, ...]]:
-    from itertools import permutations
-
-    return permutations(items)
-
-
-def linear_extensions(
-    items: Sequence[str], pairs: Iterable[Tuple[str, str]]
-) -> Iterator[Tuple[str, ...]]:
-    """All linear extensions of the partial order ``pairs`` over ``items``.
-
-    ``pairs`` is a set of (before, after) constraints; pairs mentioning
-    elements outside ``items`` are ignored.  Yields tuples in a
-    deterministic (lexicographic-by-choice) order via backtracking over
-    minimal elements.
+    ``every_order=False`` (∃): the first total order that is legal at
+    every object, or None — an illegal prefix prunes its subtree.
+    ``every_order=True`` (∀): the first total order that is *illegal*, or
+    None when every linear extension serializes — specs are prefix-closed,
+    so the first illegal prefix, completed with the first order that
+    continues it, is that witness.
     """
-    items = sorted(items)
-    universe = set(items)
-    succ: Dict[str, Set[str]] = {x: set() for x in items}
-    indegree: Dict[str, int] = {x: 0 for x in items}
-    for a, b in pairs:
-        if a in universe and b in universe and a != b:
-            if b not in succ[a]:
-                succ[a].add(b)
-                indegree[b] += 1
-
+    visited: Set = set()
     prefix: List[str] = []
 
-    def backtrack() -> Iterator[Tuple[str, ...]]:
-        if len(prefix) == len(items):
-            yield tuple(prefix)
-            return
-        for x in items:
-            if indegree[x] == 0 and x not in taken:
-                taken.add(x)
-                prefix.append(x)
-                for y in succ[x]:
-                    indegree[y] -= 1
-                yield from backtrack()
-                for y in succ[x]:
-                    indegree[y] += 1
-                prefix.pop()
-                taken.discard(x)
+    def dfs(done: FrozenSet[str], states) -> Optional[Tuple[str, ...]]:
+        if len(done) == len(problem.txns):
+            return None if every_order else tuple(prefix)
+        key = (done, tuple(sorted(states.items())))
+        if key in visited:
+            return None
+        visited.add(key)
+        for txn in problem.txns:
+            if txn in done or not problem.before[txn] <= done:
+                continue
+            nxt = problem.apply(states, txn)
+            if nxt is None:
+                if every_order:
+                    return problem.complete(prefix + [txn])
+                continue
+            prefix.append(txn)
+            found = dfs(done | {txn}, nxt)
+            if found is not None:
+                return found
+            prefix.pop()
+        return None
 
-    taken: Set[str] = set()
-    yield from backtrack()
+    initial = {obj: sim.initial() for obj, sim in problem.simulators.items()}
+    return dfs(frozenset(), initial)
+
+
+def find_serialization_order(
+    history: History, specs: SpecsLike
+) -> Optional[Tuple[str, ...]]:
+    """Some total order in which the failure-free history serializes, or None."""
+    if not history.failure_free():
+        raise ValueError("serializability is defined for failure-free histories")
+    return _search(_Problem(history, specs), every_order=False)
+
+
+def is_serializable(history: History, specs: SpecsLike) -> bool:
+    """∃ a total order in which the failure-free history serializes."""
+    return find_serialization_order(history, specs) is not None
+
+
+def is_atomic(history: History, specs: SpecsLike) -> bool:
+    """``permanent(history)`` is serializable."""
+    return is_serializable(history.permanent(), specs)
 
 
 @dataclass(frozen=True)
@@ -183,10 +261,7 @@ class DynamicAtomicityViolation:
 
 
 def find_dynamic_atomicity_violation(
-    history: History,
-    specs: SpecsLike,
-    *,
-    max_orders: int = 100_000,
+    history: History, specs: SpecsLike
 ) -> Optional[DynamicAtomicityViolation]:
     """A precedes-consistent order in which ``permanent(history)`` fails, or None.
 
@@ -194,31 +269,14 @@ def find_dynamic_atomicity_violation(
     must be serializable in *every* total order consistent with
     ``precedes(H)``.
     """
-    permanent = history.permanent()
-    txns = permanent.transactions()
-    precedes = {
-        (a, b) for (a, b) in history.precedes() if a in txns and b in txns
-    }
-    count = 0
-    for order in linear_extensions(sorted(txns), precedes):
-        count += 1
-        if count > max_orders:
-            raise TooManyOrdersError(
-                "more than %d precedes-consistent orders" % max_orders
-            )
-        if not serializable_in_order(permanent, order, specs):
-            return DynamicAtomicityViolation(order)
-    return None
+    problem = _Problem(history.permanent(), specs, history.precedes())
+    order = _search(problem, every_order=True)
+    return None if order is None else DynamicAtomicityViolation(order)
 
 
-def is_dynamic_atomic(
-    history: History, specs: SpecsLike, *, max_orders: int = 100_000
-) -> bool:
+def is_dynamic_atomic(history: History, specs: SpecsLike) -> bool:
     """``permanent(H)`` serializable in every order consistent with ``precedes(H)``."""
-    return (
-        find_dynamic_atomicity_violation(history, specs, max_orders=max_orders)
-        is None
-    )
+    return find_dynamic_atomicity_violation(history, specs) is None
 
 
 def commit_sets(history: History) -> Iterator[FrozenSet[str]]:
@@ -236,30 +294,18 @@ def commit_sets(history: History) -> Iterator[FrozenSet[str]]:
 
 
 def find_online_violation(
-    history: History,
-    specs: SpecsLike,
-    *,
-    max_orders: int = 100_000,
+    history: History, specs: SpecsLike
 ) -> Optional[DynamicAtomicityViolation]:
     """A commit set and order witnessing failure of online dynamic atomicity."""
     for cs in commit_sets(history):
         projected = history.project_transactions(cs)
-        txns = projected.transactions()
-        precedes = projected.precedes()
-        count = 0
-        for order in linear_extensions(sorted(txns), precedes):
-            count += 1
-            if count > max_orders:
-                raise TooManyOrdersError(
-                    "more than %d orders for commit set %s" % (max_orders, cs)
-                )
-            if not serializable_in_order(projected, order, specs):
-                return DynamicAtomicityViolation(order, commit_set=cs)
+        problem = _Problem(projected, specs, projected.precedes())
+        order = _search(problem, every_order=True)
+        if order is not None:
+            return DynamicAtomicityViolation(order, commit_set=cs)
     return None
 
 
-def is_online_dynamic_atomic(
-    history: History, specs: SpecsLike, *, max_orders: int = 100_000
-) -> bool:
+def is_online_dynamic_atomic(history: History, specs: SpecsLike) -> bool:
     """``H|CS`` serializable in every precedes-consistent order, for every commit set."""
-    return find_online_violation(history, specs, max_orders=max_orders) is None
+    return find_online_violation(history, specs) is None

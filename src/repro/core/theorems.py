@@ -277,7 +277,6 @@ def sample_correctness(
     samples: int = 50,
     seed: int = 0,
     abort_probability: float = 0.15,
-    max_orders: int = 100_000,
 ) -> SampleReport:
     """Sample traces of ``I(X, Spec, view, conflict)`` and check dynamic atomicity.
 
@@ -299,9 +298,7 @@ def sample_correctness(
             rng,
             abort_probability=abort_probability,
         )
-        violation = find_dynamic_atomicity_violation(
-            history, spec, max_orders=max_orders
-        )
+        violation = find_dynamic_atomicity_violation(history, spec)
         if violation is not None:
             violations.append((history, violation))
     return SampleReport(samples, tuple(violations))

@@ -3,11 +3,13 @@
 The product has one path per job and picks it from its input: a conflict
 relation that compiles is answered from its bitmask table, a known view
 over a state-machine spec gets its delta cursor, and the scheduler jumps
-the dead ticks its wake calendar proves.  Each fast path has a slow,
+the dead ticks its wake calendar proves, and the atomicity checkers
+prune and memoize one order search.  Each fast path has a slow,
 obviously-right twin that the byte-identity suites compare it with.
 This module is where those twins are reached — by handing the product an
 input it cannot accelerate, or, for the scheduler, by swapping the one
-method that performs the jump.  No other ``repro`` module imports it
+method that performs the jump; the order search has no such input, so
+its twin is the enumerator itself, kept here whole.  No other ``repro`` module imports it
 (``tests/test_single_path.py`` checks).
 
 ==========================  =============================================
@@ -21,14 +23,37 @@ oracle                      what the product then does
                             against the from-scratch computation
 :func:`walk_dead_ticks`     dead ticks walked one ``system.tick()`` at a
                             time instead of jumped
+``enumerate_find_*``        nothing: these *are* the slow twins of
+                            ``core.atomicity.find_*`` — every permutation /
+                            every linear extension of ``precedes``, each
+                            re-simulated from scratch, under a
+                            ``max_orders`` guard
 ==========================  =============================================
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import FrozenSet, Hashable, Iterable, Iterator
+from itertools import permutations
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from .core.atomicity import (
+    DynamicAtomicityViolation,
+    SpecsLike,
+    commit_sets,
+    serializable_in_order,
+)
 from .core.conflict import ConflictRelation
 from .core.events import Event, Invocation, OpSeq, Operation
 from .core.history import History, HistoryBuilder
@@ -168,3 +193,122 @@ def walk_dead_ticks() -> Iterator[None]:
         yield
     finally:
         Scheduler._cross_dead_ticks = jump
+
+
+# ---------------------------------------------------------------------------
+# the enumerating atomicity checkers (oracles for repro.core.atomicity)
+# ---------------------------------------------------------------------------
+
+
+class TooManyOrdersError(RuntimeError):
+    """The enumeration would examine more orders than allowed."""
+
+
+def enumerate_find_serialization_order(
+    history: History,
+    specs: SpecsLike,
+    *,
+    max_orders: int = 1_000_000,
+) -> Optional[Tuple[str, ...]]:
+    """Some total order in which the failure-free history serializes, or None."""
+    txns = sorted(history.transactions())
+    count = 0
+    for order in permutations(txns):
+        count += 1
+        if count > max_orders:
+            raise TooManyOrdersError(
+                "more than %d candidate orders for %d transactions"
+                % (max_orders, len(txns))
+            )
+        if serializable_in_order(history, order, specs):
+            return order
+    return None
+
+
+def linear_extensions(
+    items: Sequence[str], pairs: Iterable[Tuple[str, str]]
+) -> Iterator[Tuple[str, ...]]:
+    """All linear extensions of the partial order ``pairs`` over ``items``.
+
+    ``pairs`` is a set of (before, after) constraints; pairs mentioning
+    elements outside ``items`` are ignored.  Yields tuples in a
+    deterministic (lexicographic-by-choice) order via backtracking over
+    minimal elements.
+    """
+    items = sorted(items)
+    universe = set(items)
+    succ: Dict[str, Set[str]] = {x: set() for x in items}
+    indegree: Dict[str, int] = {x: 0 for x in items}
+    for a, b in pairs:
+        if a in universe and b in universe and a != b:
+            if b not in succ[a]:
+                succ[a].add(b)
+                indegree[b] += 1
+
+    prefix: List[str] = []
+
+    def backtrack() -> Iterator[Tuple[str, ...]]:
+        if len(prefix) == len(items):
+            yield tuple(prefix)
+            return
+        for x in items:
+            if indegree[x] == 0 and x not in taken:
+                taken.add(x)
+                prefix.append(x)
+                for y in succ[x]:
+                    indegree[y] -= 1
+                yield from backtrack()
+                for y in succ[x]:
+                    indegree[y] += 1
+                prefix.pop()
+                taken.discard(x)
+
+    taken: Set[str] = set()
+    yield from backtrack()
+
+
+def enumerate_find_dynamic_atomicity_violation(
+    history: History,
+    specs: SpecsLike,
+    *,
+    max_orders: int = 100_000,
+) -> Optional[DynamicAtomicityViolation]:
+    """A precedes-consistent order in which ``permanent(history)`` fails, or None."""
+    permanent = history.permanent()
+    txns = permanent.transactions()
+    precedes = {
+        (a, b) for (a, b) in history.precedes() if a in txns and b in txns
+    }
+    count = 0
+    for order in linear_extensions(sorted(txns), precedes):
+        count += 1
+        if count > max_orders:
+            raise TooManyOrdersError(
+                "more than %d precedes-consistent orders" % max_orders
+            )
+        if not serializable_in_order(permanent, order, specs):
+            return DynamicAtomicityViolation(order)
+    return None
+
+
+def enumerate_find_online_violation(
+    history: History,
+    specs: SpecsLike,
+    *,
+    max_orders: int = 100_000,
+) -> Optional[DynamicAtomicityViolation]:
+    """A commit set and order witnessing failure of online dynamic atomicity."""
+    for cs in commit_sets(history):
+        projected = history.project_transactions(cs)
+        txns = projected.transactions()
+        precedes = projected.precedes()
+        count = 0
+        for order in linear_extensions(sorted(txns), precedes):
+            count += 1
+            if count > max_orders:
+                raise TooManyOrdersError(
+                    "more than %d orders for commit set %s" % (max_orders, cs)
+                )
+            if not serializable_in_order(projected, order, specs):
+                return DynamicAtomicityViolation(order, commit_set=cs)
+    return None

@@ -551,12 +551,7 @@ def _execute_run(cell: Cell, trace: Optional[TraceCollector]) -> Any:
     Spec keys: ``adt`` (registry kind), ``recovery``, ``transactions``,
     ``ops``, ``group_commit``, ``hold``.  Returns the RunMetrics.
     """
-    import random
-
-    from .durability import CrashableSystem, build_durable_object
-    from .scheduler import Scheduler
-    from .torture import TortureConfig, workload_for
-    from .wal import StableLog
+    from .torture import TortureConfig, fault_free_scheduler
 
     spec = cell.spec
     config = TortureConfig(
@@ -567,22 +562,7 @@ def _execute_run(cell: Cell, trace: Optional[TraceCollector]) -> Any:
         group_commit=int(spec.get("group_commit", 1)),
         hold=int(spec.get("hold", 4)),
     )
-    obj = build_durable_object(
-        config.adt_kind,
-        None,
-        config.recovery,
-        config.group_commit,
-        config.hold,
-        StableLog,
-    )
-    scripts = workload_for(config, obj.adt, random.Random(cell.seed))
-    return Scheduler(
-        CrashableSystem([obj]),
-        scripts,
-        seed=cell.seed,
-        label=config.label(),
-        trace=trace,
-    ).run()
+    return fault_free_scheduler(config, cell.seed, trace).run()
 
 
 def _execute_openloop_shard(cell: Cell, trace: Optional[TraceCollector]) -> Any:

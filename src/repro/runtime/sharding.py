@@ -200,7 +200,6 @@ def audit_shard(
     *,
     label: str = "",
     schedule: str = "",
-    check_atomicity: bool = True,
 ):
     """Run the torture harness's recovery audit over one shard's objects.
 
@@ -208,9 +207,7 @@ def audit_shard(
     list: restart-state equivalence for each of the shard's objects plus
     the durability accounting, and — because shard-level crashes must
     not hide global anomalies — dynamic atomicity of the *global*
-    history.  When auditing every shard of one system in turn, pass
-    ``check_atomicity=False`` for all but one call: the global check is
-    identical each time and dominates the cost.
+    history.
     """
     # Lazy: torture imports the runtime stack; this module is below it.
     from .torture import audit_recovery
@@ -220,5 +217,4 @@ def audit_shard(
         label or "shard%d" % shard,
         schedule,
         names=system.shard_objects(shard),
-        check_atomicity=check_atomicity,
     )

@@ -1,10 +1,18 @@
-"""Unit tests for serializability, atomicity and dynamic atomicity."""
+"""Unit tests for serializability, atomicity and dynamic atomicity.
+
+``repro.core.atomicity`` is the pruned, memoized order search; the
+enumerating checkers it replaced are the ``repro.reference.enumerate_*``
+oracles.  ``TestProductAndOracle`` runs both over the same inputs.
+"""
+
+import types
 
 import pytest
 
+from repro import reference
 from repro.adts import BankAccount, Register
+from repro.core import atomicity
 from repro.core.atomicity import (
-    TooManyOrdersError,
     commit_sets,
     find_dynamic_atomicity_violation,
     find_online_violation,
@@ -14,12 +22,17 @@ from repro.core.atomicity import (
     is_dynamic_atomic,
     is_online_dynamic_atomic,
     is_serializable,
-    linear_extensions,
     normalize_specs,
     serializable_in_order,
 )
 from repro.core.events import abort, commit, inv, invoke, op, respond
 from repro.core.history import History
+from repro.reference import (
+    TooManyOrdersError,
+    enumerate_find_dynamic_atomicity_violation,
+    enumerate_find_serialization_order,
+    linear_extensions,
+)
 
 
 @pytest.fixture
@@ -37,6 +50,64 @@ def committed_pair_history():
         respond("ok", "BA", "B"),
         commit("BA", "B"),
     )
+
+
+def unserializable_history():
+    """Two successful withdrawals of 2 each with only 3 deposited: no
+    order works."""
+    return History.of(
+        invoke(inv("deposit", 3), "BA", "A"),
+        respond("ok", "BA", "A"),
+        commit("BA", "A"),
+        invoke(inv("withdraw", 2), "BA", "B"),
+        respond("ok", "BA", "B"),
+        invoke(inv("withdraw", 2), "BA", "C"),
+        respond("ok", "BA", "C"),
+        commit("BA", "B"),
+        commit("BA", "C"),
+    )
+
+
+def order_sensitive_history():
+    """B and C concurrent; serializable A-B-C but not A-C-B."""
+    return History.of(
+        invoke(inv("deposit", 2), "BA", "A"),
+        respond("ok", "BA", "A"),
+        commit("BA", "A"),
+        invoke(inv("withdraw", 2), "BA", "B"),
+        respond("ok", "BA", "B"),
+        invoke(inv("withdraw", 2), "BA", "C"),
+        respond("no", "BA", "C"),
+        commit("BA", "B"),
+        commit("BA", "C"),
+    )
+
+
+def overdrawn_active_history():
+    """A (committed) deposits 2; B and C, both still active, each
+    withdraw the whole balance: the commit set {A, B, C} cannot
+    serialize."""
+    return History.of(
+        invoke(inv("deposit", 2), "BA", "A"),
+        respond("ok", "BA", "A"),
+        commit("BA", "A"),
+        invoke(inv("withdraw", 2), "BA", "B"),
+        respond("ok", "BA", "B"),
+        invoke(inv("withdraw", 2), "BA", "C"),
+        respond("ok", "BA", "C"),
+    )
+
+
+def commuting_history(n):
+    """``n`` concurrent committed ``deposit(1)`` transactions: ``n!``
+    linear extensions, one configuration per subset (``2**n``)."""
+    txns = ["T%02d" % i for i in range(n)]
+    events = []
+    for txn in txns:
+        events.append(invoke(inv("deposit", 1), "BA", txn))
+        events.append(respond("ok", "BA", txn))
+    events.extend(commit("BA", txn) for txn in txns)
+    return History(events)
 
 
 class TestNormalizeSpecs:
@@ -98,20 +169,7 @@ class TestSerializability:
         assert is_serializable(committed_pair_history(), ba)
 
     def test_not_serializable(self, ba):
-        # Two successful withdrawals of 2 each with only 3 deposited: no
-        # order works.
-        h = History.of(
-            invoke(inv("deposit", 3), "BA", "A"),
-            respond("ok", "BA", "A"),
-            commit("BA", "A"),
-            invoke(inv("withdraw", 2), "BA", "B"),
-            respond("ok", "BA", "B"),
-            invoke(inv("withdraw", 2), "BA", "C"),
-            respond("ok", "BA", "C"),
-            commit("BA", "B"),
-            commit("BA", "C"),
-        )
-        assert not is_serializable(h, ba)
+        assert not is_serializable(unserializable_history(), ba)
 
     def test_rejects_aborting_history(self, ba):
         h = History.of(abort("BA", "A"))
@@ -119,9 +177,10 @@ class TestSerializability:
             serializable_in_order(h, ["A"], ba)
 
     def test_max_orders_guard(self, ba):
+        """The budget went to ``repro.reference`` with the enumerator."""
         h = committed_pair_history()
         with pytest.raises(TooManyOrdersError):
-            find_serialization_order(h, ba, max_orders=0)
+            enumerate_find_serialization_order(h, ba, max_orders=0)
 
 
 class TestAtomicity:
@@ -175,19 +234,7 @@ class TestDynamicAtomicity:
         assert is_dynamic_atomic(committed_pair_history(), ba)
 
     def test_concurrent_unserializable_order_detected(self, ba):
-        # B and C concurrent; serializable A-B-C but not A-C-B.
-        h = History.of(
-            invoke(inv("deposit", 2), "BA", "A"),
-            respond("ok", "BA", "A"),
-            commit("BA", "A"),
-            invoke(inv("withdraw", 2), "BA", "B"),
-            respond("ok", "BA", "B"),
-            invoke(inv("withdraw", 2), "BA", "C"),
-            respond("no", "BA", "C"),
-            commit("BA", "B"),
-            commit("BA", "C"),
-        )
-        violation = find_dynamic_atomicity_violation(h, ba)
+        violation = find_dynamic_atomicity_violation(order_sensitive_history(), ba)
         assert violation is not None
         assert violation.order == ("A", "C", "B")
 
@@ -224,7 +271,12 @@ class TestDynamicAtomicity:
         # Both orders must be examined when there is no precedes edge...
         # here there IS an edge, so one order: guard of 0 triggers.
         with pytest.raises(TooManyOrdersError):
-            find_dynamic_atomicity_violation(h, ba, max_orders=0)
+            enumerate_find_dynamic_atomicity_violation(h, ba, max_orders=0)
+
+    def test_commuting_transactions_collapse(self, ba):
+        """14! linear extensions, 2**14 configurations: the enumerator
+        gave up here (``TooManyOrdersError``); the search just answers."""
+        assert is_dynamic_atomic(commuting_history(14), ba) is True
 
 
 class TestOnlineDynamicAtomicity:
@@ -244,15 +296,7 @@ class TestOnlineDynamicAtomicity:
         withdrawn it.  Nothing is committed besides A, so permanent(H)
         is fine — but the commit set {A, B, C} cannot serialize.
         """
-        h = History.of(
-            invoke(inv("deposit", 2), "BA", "A"),
-            respond("ok", "BA", "A"),
-            commit("BA", "A"),
-            invoke(inv("withdraw", 2), "BA", "B"),
-            respond("ok", "BA", "B"),
-            invoke(inv("withdraw", 2), "BA", "C"),
-            respond("ok", "BA", "C"),
-        )
+        h = overdrawn_active_history()
         assert is_dynamic_atomic(h, ba)
         violation = find_online_violation(h, ba)
         assert violation is not None
@@ -267,14 +311,52 @@ class TestOnlineDynamicAtomicity:
         assert is_dynamic_atomic(h, ba)
 
     def test_violation_str_mentions_commit_set(self, ba):
-        h = History.of(
-            invoke(inv("deposit", 2), "BA", "A"),
-            respond("ok", "BA", "A"),
-            commit("BA", "A"),
-            invoke(inv("withdraw", 2), "BA", "B"),
-            respond("ok", "BA", "B"),
-            invoke(inv("withdraw", 2), "BA", "C"),
-            respond("ok", "BA", "C"),
-        )
-        violation = find_online_violation(h, ba)
+        violation = find_online_violation(overdrawn_active_history(), ba)
         assert "commit set" in str(violation)
+
+
+PRODUCT = types.SimpleNamespace(
+    serialization_order=atomicity.find_serialization_order,
+    violation=atomicity.find_dynamic_atomicity_violation,
+    online_violation=atomicity.find_online_violation,
+)
+ORACLE = types.SimpleNamespace(
+    serialization_order=reference.enumerate_find_serialization_order,
+    violation=reference.enumerate_find_dynamic_atomicity_violation,
+    online_violation=reference.enumerate_find_online_violation,
+)
+
+
+@pytest.mark.parametrize(
+    "checker", [PRODUCT, ORACLE], ids=["product", "oracle"]
+)
+class TestProductAndOracle:
+    """The search and the enumerator on the same inputs, same witnesses."""
+
+    def test_serial_pair(self, ba, checker):
+        h = committed_pair_history()
+        assert checker.serialization_order(h, ba) == ("A", "B")
+        assert checker.violation(h, ba) is None
+        assert checker.online_violation(h, ba) is None
+
+    def test_no_order_serializes(self, ba, checker):
+        h = unserializable_history()
+        assert checker.serialization_order(h, ba) is None
+        assert checker.violation(h, ba).order == ("A", "B", "C")
+
+    def test_first_failing_extension_is_the_witness(self, ba, checker):
+        h = order_sensitive_history()
+        assert checker.serialization_order(h, ba) == ("A", "B", "C")
+        assert checker.violation(h, ba).order == ("A", "C", "B")
+
+    def test_online_witness_names_the_commit_set(self, ba, checker):
+        h = overdrawn_active_history()
+        assert checker.violation(h, ba) is None
+        violation = checker.online_violation(h, ba)
+        assert violation.commit_set == {"A", "B", "C"}
+        assert violation.order == ("A", "B", "C")
+
+    def test_commuting_deposits(self, ba, checker):
+        h = commuting_history(5)
+        assert checker.serialization_order(h, ba) == tuple(sorted(h.transactions()))
+        assert checker.violation(h, ba) is None

@@ -1,7 +1,12 @@
-"""Property tests: fast checkers ≡ reference checkers.
+"""Property tests: the pruned, memoized order search of
+``repro.core.atomicity`` returns the *same witness* as the enumerating
+oracle of ``repro.reference`` — same ``DynamicAtomicityViolation``, same
+serialization order — not merely the same verdict.
 
-Random histories over random finite specifications — the adversarial
-regime for the pruned/memoized implementations.
+Random histories over random finite specifications (``LanguageSpec``:
+the carry-the-prefix simulator) and over the bank account (a
+``StateMachineSpec``: macro-states) — the adversarial regime for pruning
+and memoization.
 """
 
 import random
@@ -11,17 +16,19 @@ from hypothesis import strategies as st
 
 from repro.core.atomicity import (
     find_dynamic_atomicity_violation,
-    is_serializable,
+    find_online_violation,
+    find_serialization_order,
     serializable_in_order,
 )
 from repro.core.conflict import EmptyConflict
-from repro.core.fast_atomicity import (
-    fast_find_dynamic_atomicity_violation,
-    fast_find_serialization_order,
-    fast_is_serializable,
-)
+from repro.core.events import inv
 from repro.core.object_automaton import TransactionProgram, generate_trace
 from repro.core.views import DU, UIP
+from repro.reference import (
+    enumerate_find_dynamic_atomicity_violation,
+    enumerate_find_online_violation,
+    enumerate_find_serialization_order,
+)
 
 from .strategies import BA
 from .test_random_spec_theorems import INVOCATIONS, random_programs, random_specs
@@ -37,12 +44,14 @@ def test_dynamic_atomicity_agrees_on_random_specs(spec, seed):
         spec, UIP, EmptyConflict(), random_programs(rng), rng,
         abort_probability=0.2,
     )
-    reference = find_dynamic_atomicity_violation(trace, spec)
-    fast = fast_find_dynamic_atomicity_violation(trace, spec)
-    assert (reference is None) == (fast is None)
-    if fast is not None:
-        # The fast witness must be a genuine precedes-consistent failure.
-        assert not serializable_in_order(trace.permanent(), fast.order, spec)
+    product = find_dynamic_atomicity_violation(trace, spec)
+    assert product == enumerate_find_dynamic_atomicity_violation(trace, spec)
+    if product is not None:
+        # The witness must be a genuine precedes-consistent failure.
+        assert not serializable_in_order(trace.permanent(), product.order, spec)
+    assert find_online_violation(trace, spec) == enumerate_find_online_violation(
+        trace, spec
+    )
 
 
 @SETTINGS
@@ -54,7 +63,9 @@ def test_serializability_agrees_on_random_specs(spec, seed):
         abort_probability=0.2,
     )
     perm = trace.permanent()
-    assert fast_is_serializable(perm, spec) == is_serializable(perm, spec)
+    assert find_serialization_order(
+        perm, spec
+    ) == enumerate_find_serialization_order(perm, spec)
 
 
 @SETTINGS
@@ -65,7 +76,7 @@ def test_found_orders_are_legal(spec, seed):
         spec, UIP, EmptyConflict(), random_programs(rng), rng,
     )
     perm = trace.permanent()
-    order = fast_find_serialization_order(perm, spec)
+    order = find_serialization_order(perm, spec)
     if order is not None:
         assert serializable_in_order(perm, order, spec)
 
@@ -75,8 +86,6 @@ def test_found_orders_are_legal(spec, seed):
 def test_bank_account_traces_agree(seed):
     rng = random.Random(seed)
     programs = random_programs(rng)
-    from repro.core.events import inv
-
     programs = [
         TransactionProgram(
             p.txn,
@@ -90,6 +99,10 @@ def test_bank_account_traces_agree(seed):
         for p in programs
     ]
     trace = generate_trace(BA, UIP, EmptyConflict(), programs, rng)
-    reference = find_dynamic_atomicity_violation(trace, BA)
-    fast = fast_find_dynamic_atomicity_violation(trace, BA)
-    assert (reference is None) == (fast is None)
+    assert find_dynamic_atomicity_violation(
+        trace, BA
+    ) == enumerate_find_dynamic_atomicity_violation(trace, BA)
+    perm = trace.permanent()
+    assert find_serialization_order(
+        perm, BA
+    ) == enumerate_find_serialization_order(perm, BA)

@@ -8,7 +8,7 @@ equivalence of a history with its serializations.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.atomicity import linear_extensions
+from repro.reference import linear_extensions
 from repro.core.history import History, equivalent, serial_history
 
 from .strategies import OBJECTS, TXNS, well_formed_histories

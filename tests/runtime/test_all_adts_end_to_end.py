@@ -24,7 +24,7 @@ from repro.adts import (
     SetADT,
     Stack,
 )
-from repro.core.fast_atomicity import fast_is_dynamic_atomic
+from repro.core.atomicity import is_dynamic_atomic
 from repro.runtime import ManagedObject, TransactionSystem, run_scripts
 from repro.runtime.scheduler import TransactionScript
 
@@ -61,7 +61,7 @@ def test_uip_nrbc_end_to_end(factory, seed):
     scripts = random_scripts(adt, random.Random(seed))
     metrics = run_scripts(system, scripts, seed=seed)
     assert metrics.committed >= 1
-    assert fast_is_dynamic_atomic(system.history(), adt)
+    assert is_dynamic_atomic(system.history(), adt)
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
@@ -72,7 +72,7 @@ def test_du_nfc_end_to_end(factory, seed):
     scripts = random_scripts(adt, random.Random(seed + 77))
     metrics = run_scripts(system, scripts, seed=seed)
     assert metrics.committed >= 1
-    assert fast_is_dynamic_atomic(system.history(), adt)
+    assert is_dynamic_atomic(system.history(), adt)
 
 
 @pytest.mark.parametrize("factory", FACTORIES)
@@ -87,4 +87,4 @@ def test_rw_baseline_end_to_end(factory):
         )
         scripts = random_scripts(adt, random.Random(5))
         run_scripts(system, scripts, seed=5)
-        assert fast_is_dynamic_atomic(system.history(), adt)
+        assert is_dynamic_atomic(system.history(), adt)

@@ -12,10 +12,14 @@ retry/backoff accounting, record fates, and the negative control.
 from __future__ import annotations
 
 import random
+import types
 
 import pytest
 
 from repro.adts.registry import ADT_REGISTRY, make_adt
+from repro.core.events import commit, inv, invoke, respond
+from repro.core.history import History
+from repro.runtime import torture
 from repro.runtime.faults import (
     CrashPoint,
     FaultEvent,
@@ -27,6 +31,7 @@ from repro.runtime.faults import (
 from repro.runtime.metrics import FaultCounters
 from repro.runtime.torture import (
     TortureConfig,
+    audit_recovery,
     configs_for,
     profile_horizon,
     run_schedule,
@@ -292,3 +297,51 @@ def test_negative_control_is_detected(recovery):
     assert flagged, "the audit failed to detect the planted bug"
     kinds = {v.invariant for v in flagged}
     assert "lost-commit" in kinds or "restart-state" in kinds
+
+
+# ---------------------------------------------------------------------------
+# an audit checks the invariant or raises; it never passes unchecked
+# ---------------------------------------------------------------------------
+
+
+def test_twelve_commuting_transactions_are_audited(monkeypatch):
+    """Twelve concurrent counter transactions have 12! serialization
+    orders.  The enumerating checker gave up on them and the audit
+    swallowed the error, so this schedule used to pass with its
+    dynamic-atomicity invariant never evaluated."""
+    verdicts = []
+    check = torture.is_dynamic_atomic
+
+    def recording(history, specs):
+        verdicts.append("raised")
+        verdicts[-1] = check(history, specs)
+        return verdicts[-1]
+
+    monkeypatch.setattr(torture, "is_dynamic_atomic", recording)
+    config = TortureConfig("counter", transactions=12)
+    result = run_schedule(config, FaultPlan(seed=0), seed=0)
+    assert result.committed == 12 and not result.violations
+    assert verdicts and all(v is True for v in verdicts), verdicts
+
+
+def test_audit_reports_a_violation_twelve_transactions_deep():
+    """Eleven concurrent ``deposit(1)`` and a concurrent ``withdraw(4)``
+    that answered ``ok``: not dynamic atomic (T11 among the first four
+    fails), but the first failing linear extension is the 322 561st, past
+    the enumerator's old 100 000-order budget."""
+    ba = make_adt("bank")
+    txns = ["T%02d" % i for i in range(12)]
+    events = []
+    for txn in txns[:11]:
+        events.append(invoke(inv("deposit", 1), ba.name, txn))
+        events.append(respond("ok", ba.name, txn))
+    events.append(invoke(inv("withdraw", 4), ba.name, "T11"))
+    events.append(respond("ok", ba.name, "T11"))
+    events.extend(commit(ba.name, txn) for txn in txns)
+    planted = History(events)
+    system = types.SimpleNamespace(
+        objects={ba.name: types.SimpleNamespace(adt=ba)},
+        history=lambda: planted,
+    )
+    violations = audit_recovery(system, "planted", "none", names=())
+    assert [v.invariant for v in violations] == ["dynamic-atomicity"]

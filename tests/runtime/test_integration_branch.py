@@ -12,7 +12,7 @@ import pytest
 
 from repro.adts import BankAccount, SetADT
 from repro.core.events import inv
-from repro.core.fast_atomicity import fast_is_atomic, fast_is_dynamic_atomic
+from repro.core.atomicity import is_atomic, is_dynamic_atomic
 from repro.runtime import (
     CrashableSystem,
     DurableObject,
@@ -75,8 +75,8 @@ def test_branch_runs_are_dynamic_atomic(seed):
     assert metrics.committed >= 5
     h = system.history()
     specs = branch_specs()
-    assert fast_is_dynamic_atomic(h, specs)
-    assert fast_is_atomic(h, specs)
+    assert is_dynamic_atomic(h, specs)
+    assert is_atomic(h, specs)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -86,7 +86,7 @@ def test_branch_projections_locally_dynamic_atomic(seed):
     h = system.history()
     specs = branch_specs()
     for obj in h.objects():
-        assert fast_is_dynamic_atomic(h.project_objects(obj), specs[obj])
+        assert is_dynamic_atomic(h.project_objects(obj), specs[obj])
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -98,7 +98,7 @@ def test_branch_with_crashes(seed):
     )
     assert crashes >= 1
     assert metrics.committed >= 1
-    assert fast_is_dynamic_atomic(system.history(), branch_specs())
+    assert is_dynamic_atomic(system.history(), branch_specs())
 
 
 def test_transfers_conserve_money():

@@ -54,17 +54,11 @@ def _run_with_shard_crashes(system, scripts, *, seed, crashes):
 
 
 def _audit_all_shards(system, label):
-    """Per-shard audits plus exactly one global dynamic-atomicity check."""
+    """Every shard's audit (each includes the global dynamic-atomicity
+    check)."""
     violations = []
     for shard in range(system.shards):
-        violations.extend(
-            audit_shard(
-                system,
-                shard,
-                label=label,
-                check_atomicity=(shard == 0),
-            )
-        )
+        violations.extend(audit_shard(system, shard, label=label))
     return violations
 
 

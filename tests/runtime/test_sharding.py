@@ -234,7 +234,7 @@ def test_crashed_shard_recovers_committed_state():
         assert system.commit(txn) is True
     shard = system.shard_of_object("A")
     system.crash_shard(shard)
-    violations = audit_shard(system, shard, check_atomicity=False)
+    violations = audit_shard(system, shard)
     assert violations == []
     # recovered object keeps serving
     outcome = system.invoke("T9", "A", inv("deposit", 1))

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import main
@@ -75,6 +77,16 @@ class TestAuditCommand:
         assert main(["audit", path, "--adt", "bank"]) == 1
         out = capsys.readouterr().out
         assert "dynamic atomic: NO" in out
+
+    def test_ten_concurrent_deposits(self, capsys):
+        """10! linear extensions: the enumerating checker died here with a
+        ``TooManyOrdersError`` traceback (the fixture CI audits too)."""
+        path = pathlib.Path(__file__).parent / "data" / "ten_concurrent_deposits.json"
+        assert len(serde.load(str(path)).committed()) == 10
+        assert main(["audit", str(path), "--adt", "bank"]) == 0
+        out = capsys.readouterr().out
+        assert "atomic       : yes" in out
+        assert "dynamic atomic: yes" in out
 
     def test_per_object_bindings(self, tmp_path, capsys):
         path = str(tmp_path / "h.json")

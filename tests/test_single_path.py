@@ -1,8 +1,9 @@
 """One production path per job: no mode selector survives anywhere.
 
 Each fast path (compiled conflict tables, delta view cursors, jumped
-dead ticks) is chosen from the input the code is handed; the slow twins
-are reached only through ``repro.reference``, by tests and twin benches.
+dead ticks) is chosen from the input the code is handed, and the pruned
+order search is the only atomicity checker; the slow twins are reached
+only through ``repro.reference``, by tests and twin benches.
 These checks keep a selector — an environment variable, a constructor
 flag, an import of the oracle module — from coming back, and keep the
 failure-domain machinery (in-doubt resolution, the durable-object
@@ -43,12 +44,21 @@ RETIRED_PARAMETERS = {
     "pairwise",
     "vectorized",
     "on_unknown",
+    "max_orders",
+    "check_atomicity",
 }
 
 
 def _modules():
     for path in sorted(PACKAGE.rglob("*.py")):
         yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _functions():
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, node
 
 
 def test_no_module_reads_the_environment():
@@ -95,6 +105,40 @@ def test_no_constructor_takes_a_retired_selector():
     ):
         retired = RETIRED_PARAMETERS & set(inspect.signature(fn).parameters)
         assert not retired, (fn.__qualname__, retired)
+
+
+def test_no_function_takes_a_retired_parameter():
+    """Every ``def`` under ``src/repro`` outside the oracle module: the
+    enumerator's ``max_orders`` budget and the audits' ``check_atomicity``
+    opt-out went with the enumerator."""
+    offenders = []
+    for path, fn in _functions():
+        if path == PACKAGE / "reference.py":
+            continue
+        args = fn.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        if names & RETIRED_PARAMETERS:
+            offenders.append(
+                "%s:%s(%s)"
+                % (path.relative_to(SRC), fn.name, sorted(names & RETIRED_PARAMETERS))
+            )
+    assert not offenders, offenders
+
+
+def test_one_order_search():
+    """``core.atomicity`` is the pruned search; no ``fast_*`` twin beside
+    it, and the enumerator's exception type is an oracle-only name."""
+    import repro.core
+
+    assert not [n for n in repro.core.__all__ if n.startswith("fast_")]
+    assert not [n for n in vars(repro.core) if n.startswith("fast_")]
+    assert not (PACKAGE / "core" / "fast_atomicity.py").exists()
+    mentions = [
+        str(path.relative_to(SRC))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "TooManyOrdersError" in path.read_text()
+    ]
+    assert mentions == ["repro/reference.py"]
 
 
 def test_a_drive_never_imports_numpy():
@@ -163,13 +207,6 @@ def test_undeclared_hook_is_woken_every_tick():
 # ---------------------------------------------------------------------------
 # one failure-domain core
 # ---------------------------------------------------------------------------
-
-
-def _functions():
-    for path, tree in _modules():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield path, node
 
 
 def _calls(node):
