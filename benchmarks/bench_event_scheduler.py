@@ -16,10 +16,13 @@ no group-commit hold timer can expire, instead of walking them one
 3. **Crash-matrix drives still win** — a replicated drive through a
    site-crash window with group-commit holds (case ``crash_matrix``,
    the torture-style axes: crash schedule x hold timer x sites) keeps a
-   >= 1.5x floor.  (The fully-contended closed torture matrix has no
-   dead ticks at all — some transaction is always runnable — so elision
-   is a no-op there by construction; the differential suite covers it
-   for equality instead.)
+   >= 1.5x floor.  Since only the logs holding a batch are ticked, a
+   walked dead tick costs the walking oracle next to nothing, so the
+   jump has less left to save than it had (measured 1.5-1.7x, was
+   3.2x; the sparse case 4.7-5.0x, was 11.4x).  (The fully-contended
+   closed torture matrix has no dead ticks at all — some transaction is
+   always runnable — so elision is a no-op there by construction; the
+   differential suite covers it for equality instead.)
 
 Floors are asserted only on >= 2-CPU machines (shared 1-vCPU runners
 time too noisily) and ``REPRO_BENCH_EQUALITY_ONLY=1`` skips the timing
@@ -45,7 +48,7 @@ ARTIFACT = (
 )
 
 SEED = 3
-TIMING_ROUNDS = 2
+TIMING_ROUNDS = 5
 FLOOR_SPARSE = 3.0
 FLOOR_CRASH_MATRIX = 1.5
 

@@ -10,13 +10,16 @@ claims this bench pins down:
 1. **Zero locks** — in a mixed scheduler run, no read-only transaction
    ever appears in any ``LockManager``'s lifetime holder set, while the
    identically-drawn locked baseline readers do acquire locks.
-2. **Tick-space throughput** — the snapshot-mode drive finishes the same
-   offered load in no more ticks than the locked baseline, with fewer
-   blocked attempts and fewer deadlocks; every offered reader commits
-   (RO transactions cannot deadlock or starve).
-3. **Latency artifact** — commit-latency percentiles and the tick-space
-   comparison land in ``BENCH_ro_snapshot.json``; wall-clock timings
-   (``times_s``) ride along for trend context.
+2. **Tick-space throughput** — summed over ten seeds, the snapshot-mode
+   drives finish the same offered load in fewer ticks than the locked
+   baseline, with fewer blocked attempts and no more deadlocks; on
+   every seed every offered reader commits (RO transactions cannot
+   deadlock or starve).  One seed is one interleaving of a heavily
+   contended drive, on which the two modes can tie or cross (deadlock
+   counts do, on two seeds of ten); the per-seed rows are recorded.
+3. **Latency artifact** — per-seed commit-latency percentiles and the
+   tick-space comparison land in ``BENCH_ro_snapshot.json``; wall-clock
+   timings (``times_s``) ride along for trend context.
 
 Everything except ``times_s`` is deterministic per seed (equality fields
 for the trend gate).
@@ -41,7 +44,8 @@ ARTIFACT = (
 
 # Hot-spot zipfian writers (s=1.1 concentrates updates on a few keys)
 # with a 40% read-only mix — the regime where locked reads pay the most.
-SEED = 13
+SEED = 13  # the closed-loop zero-locks run
+SEEDS = tuple(range(10))  # the open-loop drives: verdict on the sums
 READ_MIX = 0.4
 
 
@@ -61,9 +65,9 @@ def drive_config(ro_mode: str) -> OpenLoopConfig:
     )
 
 
-def timed_drive(ro_mode: str):
+def timed_drive(ro_mode: str, seed: int):
     start = time.perf_counter()
-    report = drive(drive_config(ro_mode), seed=SEED)
+    report = drive(drive_config(ro_mode), seed=seed)
     return time.perf_counter() - start, report
 
 
@@ -104,27 +108,61 @@ def test_snapshot_readers_hold_zero_locks(benchmark):
     assert {n.split("~")[0] for n in ever} & reader_names
 
 
+def _mode_row(report):
+    m = report.metrics
+    return {
+        "ticks": m.ticks,
+        "committed": m.committed,
+        "ro_committed": m.ro_committed,
+        "blocked_attempts": m.blocked_attempts,
+        "deadlocks": m.deadlocks,
+        "latency_ticks": report.latency_summary(),
+    }
+
+
+def _total(rows, mode):
+    return {
+        key: sum(row[mode][key] for row in rows)
+        for key in (
+            "ticks", "committed", "ro_committed", "blocked_attempts", "deadlocks"
+        )
+    }
+
+
 @pytest.mark.experiment("EXP-C16")
 def test_ro_snapshot_beats_locked_baseline(benchmark, capsys):
-    """Snapshot drive: same offered load, fewer ticks, less contention."""
-    wall_snap, snap = benchmark.pedantic(
-        lambda: timed_drive("snapshot"), rounds=1, iterations=1
+    """Snapshot drive: same offered load, fewer ticks, less contention —
+    summed over ten seeds, because one seed of a contended drive is one
+    interleaving and the two modes can tie or cross on it."""
+    rows = []
+    wall = {"snapshot": 0.0, "locked": 0.0}
+    runs = benchmark.pedantic(
+        lambda: [
+            (seed, timed_drive("snapshot", seed), timed_drive("locked", seed))
+            for seed in SEEDS
+        ],
+        rounds=1,
+        iterations=1,
     )
-    wall_locked, locked = timed_drive("locked")
-    assert snap.ok and locked.ok
-    assert snap.offered == locked.offered == 160
+    for seed, (wall_snap, snap), (wall_locked, locked) in runs:
+        wall["snapshot"] += wall_snap
+        wall["locked"] += wall_locked
+        assert snap.ok and locked.ok
+        assert snap.offered == locked.offered == 160
+        sm, lm = snap.metrics, locked.metrics
+        # Identical draws: the same scripts are readers in both modes.
+        assert sm.ro_committed > 0
+        assert sm.committed + sm.ro_committed == lm.committed == 160
+        # Snapshot readers all commit — no deadlocks, no victims.
+        assert sm.ro_aborts == 0
+        assert sm.ro_snapshot_reads == 3 * sm.ro_committed
+        rows.append(
+            {"seed": seed, "snapshot": _mode_row(snap), "locked": _mode_row(locked)}
+        )
 
-    sm, lm = snap.metrics, locked.metrics
-    # Identical draws: reader counts agree across modes.
-    offered_ro = sm.ro_committed
-    assert offered_ro > 0
-    assert sm.committed + sm.ro_committed == 160
-    # Snapshot readers all commit — no deadlocks, no victims.
-    assert sm.ro_aborts == 0
-    assert sm.ro_snapshot_reads == 3 * offered_ro
-
-    thruput_snap = 160 / sm.ticks
-    thruput_locked = (lm.committed) / lm.ticks
+    st, lt = _total(rows, "snapshot"), _total(rows, "locked")
+    thruput_snap = 160 * len(rows) / st["ticks"]
+    thruput_locked = lt["committed"] / lt["ticks"]
     record = {
         "experiment": "EXP-C16",
         "workload": {
@@ -134,53 +172,44 @@ def test_ro_snapshot_beats_locked_baseline(benchmark, capsys):
             "arrival_rate": 4.0,
             "zipf": 1.1,
             "read_mix": READ_MIX,
-            "seed": SEED,
+            "seeds": list(SEEDS),
         },
-        "snapshot": {
-            "label": snap.label,
-            "ticks": sm.ticks,
-            "committed": sm.committed,
-            "ro_committed": sm.ro_committed,
-            "ro_snapshot_reads": sm.ro_snapshot_reads,
-            "blocked_attempts": sm.blocked_attempts,
-            "deadlocks": sm.deadlocks,
-            "latency_ticks": snap.latency_summary(),
-        },
-        "locked": {
-            "label": locked.label,
-            "ticks": lm.ticks,
-            "committed": lm.committed,
-            "blocked_attempts": lm.blocked_attempts,
-            "deadlocks": lm.deadlocks,
-            "latency_ticks": locked.latency_summary(),
-        },
+        "snapshot": st,
+        "locked": lt,
+        "per_seed": rows,
+        "snapshot_wins_ticks_on_seeds": sum(
+            row["snapshot"]["ticks"] < row["locked"]["ticks"] for row in rows
+        ),
         "thruput_per_tick": {
             "snapshot": thruput_snap,
             "locked": thruput_locked,
         },
         # "ratio" is a timing-style key for the trend gate, but the value
         # is tick-space and deterministic; the inputs above are gated.
-        "tick_ratio": lm.ticks / sm.ticks,
-        "times_s": {"snapshot": wall_snap, "locked": wall_locked},
+        "tick_ratio": lt["ticks"] / st["ticks"],
+        "times_s": wall,
     }
     ARTIFACT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     with capsys.disabled():
         print(
-            "\n-- EXP-C16 ro snapshot: snap %d ticks (%d blocked, %d dl) "
-            "vs locked %d ticks (%d blocked, %d dl), tick ratio %.2fx --"
+            "\n-- EXP-C16 ro snapshot, %d seeds: snap %d ticks (%d blocked, "
+            "%d dl) vs locked %d ticks (%d blocked, %d dl), tick ratio "
+            "%.2fx, snapshot ahead on %d seeds --"
             % (
-                sm.ticks,
-                sm.blocked_attempts,
-                sm.deadlocks,
-                lm.ticks,
-                lm.blocked_attempts,
-                lm.deadlocks,
+                len(rows),
+                st["ticks"],
+                st["blocked_attempts"],
+                st["deadlocks"],
+                lt["ticks"],
+                lt["blocked_attempts"],
+                lt["deadlocks"],
                 record["tick_ratio"],
+                record["snapshot_wins_ticks_on_seeds"],
             )
         )
     # The headline claim: lock-free readers buy throughput under a
     # write hot spot — same offered load, strictly less contention.
-    assert sm.ticks <= lm.ticks
+    assert st["ticks"] < lt["ticks"]
     assert thruput_snap > thruput_locked
-    assert sm.blocked_attempts < lm.blocked_attempts
-    assert sm.deadlocks <= lm.deadlocks
+    assert st["blocked_attempts"] < lt["blocked_attempts"]
+    assert st["deadlocks"] <= lt["deadlocks"]

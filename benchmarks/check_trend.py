@@ -13,7 +13,11 @@ the same-named file in ``FRESH_DIR``, classifying leaves by key:
   means the *semantics* moved, not the clock.
 * **timing fields** (``times_s``, ``speedup``, ``wall_s``, ``*_per_s``):
   never fail the build, but a >25% regression (slower time / lower
-  speedup) prints a GitHub ``::warning::`` annotation.
+  speedup) prints a GitHub ``::warning::`` annotation — unless the
+  baseline run is shorter than a second, where 25% is host noise: such a
+  field is reported as *too short to compare*, neither warned about nor
+  passed.  A duration is too short on its own value; a speedup, ratio or
+  rate is too short when every duration recorded beside it is.
 * **environment fields** (``cpus``, ``floor_asserted``): ignored — they
   describe the recording machine, not the reproduction.
 
@@ -27,7 +31,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 TIMING_KEYS = frozenset({"speedup", "ratio"})
 # ``*_s`` (seconds) and ``*_per_s`` (rates) cover times_s, wall_s,
@@ -37,6 +41,8 @@ ENVIRONMENT_KEYS = frozenset(
     {"cpus", "floor_asserted", "equality_only", "numpy", "workers_available"}
 )
 REGRESSION_RATIO = 1.25
+#: a baseline run shorter than this many seconds is not compared
+MIN_COMPARABLE_S = 1.0
 
 
 def classify(key: str) -> str:
@@ -91,6 +97,39 @@ def _strip(value, modes: Tuple[str, ...]):
     return value
 
 
+def _timing_key(path: str) -> Optional[str]:
+    """The timing-class key a leaf path sits under, if any."""
+    keys = (part.split("[")[0] for part in path.split("."))
+    return next((key for key in keys if classify(key) == "timing"), None)
+
+
+def _timing_leaves(artifact) -> Dict[str, float]:
+    """``path -> value`` for the numeric leaves under a timing key."""
+    return {
+        path: value
+        for path, value in _leaves(_prune(artifact, "timing"))
+        if isinstance(value, (int, float)) and _timing_key(path) is not None
+    }
+
+
+def _is_duration(path: str) -> bool:
+    key = _timing_key(path)
+    return key.endswith(("_s", "_seconds")) and not key.endswith("_per_s")
+
+
+def too_short(baseline) -> List[str]:
+    """Paths of the baseline's timing leaves that come from runs too
+    short to compare (see the module docstring)."""
+    leaves = _timing_leaves(baseline)
+    durations = {path: v for path, v in leaves.items() if _is_duration(path)}
+    all_short = bool(durations) and max(durations.values()) < MIN_COMPARABLE_S
+    return sorted(
+        path
+        for path in leaves
+        if (durations[path] < MIN_COMPARABLE_S if path in durations else all_short)
+    )
+
+
 def compare_artifact(name: str, baseline, fresh) -> Tuple[List[str], List[str]]:
     """Return (failures, warnings) for one artifact pair."""
     failures: List[str] = []
@@ -110,15 +149,11 @@ def compare_artifact(name: str, baseline, fresh) -> Tuple[List[str], List[str]]:
                     % (name, path, old, new)
                 )
 
-    base_timing = dict(_leaves(_prune(baseline, "timing")))
-    fresh_timing = dict(_leaves(_prune(fresh, "timing")))
-    for path, old in sorted(base_timing.items()):
+    fresh_timing = _timing_leaves(fresh)
+    skipped = set(too_short(baseline))
+    for path, old in sorted(_timing_leaves(baseline).items()):
         new = fresh_timing.get(path)
-        if not isinstance(old, (int, float)) or not isinstance(
-            new, (int, float)
-        ):
-            continue
-        if old <= 0:
+        if new is None or old <= 0 or path in skipped:
             continue
         # speedups and rates regress downward; times/ratios upward
         higher_is_better = "speedup" in path or "_per_s" in path
@@ -141,6 +176,7 @@ def main(argv: List[str]) -> int:
     baseline_dir, fresh_dir = map(pathlib.Path, argv)
     failures: List[str] = []
     warnings: List[str] = []
+    uncompared = 0
     baselines = sorted(baseline_dir.glob("BENCH_*.json"))
     if not baselines:
         print("check_trend: no BENCH_*.json baselines in %s" % baseline_dir)
@@ -153,13 +189,20 @@ def main(argv: List[str]) -> int:
                 % (base_path.name, fresh_dir)
             )
             continue
+        baseline = json.loads(base_path.read_text())
         fails, warns = compare_artifact(
-            base_path.name,
-            json.loads(base_path.read_text()),
-            json.loads(fresh_path.read_text()),
+            base_path.name, baseline, json.loads(fresh_path.read_text())
         )
         failures.extend(fails)
         warnings.extend(warns)
+        short = too_short(baseline)
+        if short:
+            uncompared += len(short)
+            print(
+                "check_trend: %s: %d timing field(s) too short to compare "
+                "(baseline runs under %g s)"
+                % (base_path.name, len(short), MIN_COMPARABLE_S)
+            )
     for fresh_path in sorted(fresh_dir.glob("BENCH_*.json")):
         if not (baseline_dir / fresh_path.name).exists():
             print(
@@ -171,8 +214,9 @@ def main(argv: List[str]) -> int:
     for failure in failures:
         print("check_trend FAIL: %s" % failure)
     print(
-        "check_trend: %d artifact(s), %d failure(s), %d warning(s)"
-        % (len(baselines), len(failures), len(warnings))
+        "check_trend: %d artifact(s), %d failure(s), %d warning(s), "
+        "%d timing field(s) too short to compare"
+        % (len(baselines), len(failures), len(warnings), uncompared)
     )
     return 1 if failures else 0
 

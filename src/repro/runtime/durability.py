@@ -144,6 +144,11 @@ class DurableObject(ManagedObject):
             self.wal.log.force()
         self.complete_commit(txn)
 
+    def watch_hold_timer(self, armed) -> None:
+        """The log's hold timer is this object's only timer: it starts
+        when a force request opens a held batch."""
+        self.wal.log.on_hold = armed
+
     def tick(self) -> None:
         """Scheduler tick: drive the log's group-commit hold timer."""
         self.wal.log.tick()

@@ -3,8 +3,11 @@
 Drives a set of straight-line transaction scripts against a
 :class:`~repro.runtime.system.TransactionSystem`:
 
-* each *tick*, every live transaction attempts its next operation (in a
-  seeded random order, so interleavings vary across seeds);
+* each *tick*, every transaction in the system attempts its next
+  operation (in a seeded random order, so interleavings vary across
+  seeds); a script with an open-loop arrival tick waits in an
+  *arrival queue* and joins the system on that tick, so a tick costs
+  what is in the system, not what is still to come;
 * a blocked attempt records waits-for edges; a waits-for cycle aborts a
   victim (the youngest transaction in the cycle), as does a transaction
   whose recovery view has become illegal (``stuck``);
@@ -23,25 +26,27 @@ differences in the metrics are attributable to the
 (``Conflict``, ``View``) configuration under test.
 
 The main loop is event-driven: a *wake calendar* — fed by backoff
-windows, open-loop arrivals, ``wait_for`` releases, the ``on_tick``
-hook's declared schedule and the durability layer's group-commit
-hold-timer deadlines — names the next tick at which anything can
-happen, and the stretch of provably-dead ticks before it is jumped in
-one step instead of walked.  The elision is semantically invisible:
-histories, metrics, RNG draws and JSONL traces are byte-identical to
-walking every tick, which ``tests/runtime/test_event_scheduler.py``
-pins against the walking oracle in :mod:`repro.reference`.  A hook
-that declares no schedule is assumed to act on every tick, so nothing
-is ever jumped past it.
+windows, the head of the arrival queue, ``wait_for`` releases, the
+``on_tick`` hook's declared schedule and the durability layer's
+group-commit hold-timer deadlines — names the next tick at which
+anything can happen, and the stretch of provably-dead ticks before it
+is jumped in one step instead of walked.  The elision is semantically
+invisible: histories, metrics, RNG draws and JSONL traces are
+byte-identical to walking every tick, which
+``tests/runtime/test_event_scheduler.py`` pins against the walking
+oracle in :mod:`repro.reference`.  A hook that declares no schedule is
+assumed to act on every tick, so nothing is ever jumped past it.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Deque,
     FrozenSet,
     Iterable,
     List,
@@ -179,11 +184,6 @@ class Scheduler:
         self._live: List[_LiveTxn] = [
             _LiveTxn(script=s, txn=s.name) for s in scripts
         ]
-        #: the not-yet-retired view of ``_live``, compacted lazily when
-        #: a retirement dirties it — replaces the per-tick
-        #: ``_is_retired`` re-filter (and its ``system.status`` calls).
-        self._active: List[_LiveTxn] = list(self._live)
-        self._dirty = False
         #: open-loop arrivals (script name -> arrival tick): the script
         #: enters the system at its arrival tick rather than at tick 1,
         #: independent of how many earlier transactions have finished —
@@ -200,7 +200,24 @@ class Scheduler:
                         % (tick, entry.script.name)
                     )
                 entry.born_tick = tick
-                entry.backoff_until = tick
+        #: the transactions in the system: not retired (compacted lazily
+        #: when a retirement dirties the list — no per-tick re-filter,
+        #: no ``system.status`` calls) and already arrived.  The scan,
+        #: its shuffle, the runnable test, the calendar and the
+        #: stall-breaker walk this list and nothing else.
+        self._active: List[_LiveTxn] = [
+            t for t in self._live if t.born_tick <= 0
+        ]
+        self._dirty = False
+        #: scripts still to arrive, by (arrival tick, script position);
+        #: :meth:`_admit_arrivals` moves them to ``_active`` on their
+        #: tick and the head's arrival is a wake-calendar source.
+        self._arrival_queue: Deque[_LiveTxn] = deque(
+            sorted(
+                (t for t in self._live if t.born_tick > 0),
+                key=lambda t: t.born_tick,
+            )
+        )
         self._waits = WaitsForGraph()
 
     # -- main loop -----------------------------------------------------------------
@@ -226,12 +243,12 @@ class Scheduler:
         # hook, a hold-timer flush — can possibly happen.  Ticks before
         # it are provably dead: no event, no RNG draw, no progress.
         horizon = self.max_ticks + 1  # sentinel: no wake source ahead
-        next_live = self._wake_plan(0, horizon) if self._active else 0
+        next_live = self._wake_plan(0, horizon) if self._unfinished() else 0
         converged = False
         tick = 0
         while tick < self.max_ticks:
             tick += 1
-            if not self._active:
+            if not self._unfinished():
                 converged = True
                 break
             dead = tick < next_live
@@ -244,6 +261,7 @@ class Scheduler:
                 self.trace.begin_tick(tick)
             if dead:
                 continue
+            self._admit_arrivals(tick)
             live = self._active
             if self._any_runnable(tick, live):
                 progressed = self._tick(tick, live)
@@ -260,7 +278,7 @@ class Scheduler:
             if not progressed:
                 self._break_deadlock(tick, live)
             self._compact()
-            if self._active:
+            if self._unfinished():
                 next_live = self._wake_plan(tick, horizon)
         if not converged:
             raise RuntimeError(self._nonconvergence_report())
@@ -281,6 +299,17 @@ class Scheduler:
         that walks them one ``system.tick()`` at a time.)"""
         self.system.advance_ticks(last - tick + 1)
         return last
+
+    def _unfinished(self) -> bool:
+        """Is any script still in the system or still to arrive?"""
+        return bool(self._active or self._arrival_queue)
+
+    def _admit_arrivals(self, tick: int) -> None:
+        """Move every queued script whose arrival tick has come into the
+        system, in queue order, before the tick's runnable test."""
+        queue = self._arrival_queue
+        while queue and queue[0].born_tick <= tick:
+            self._active.append(queue.popleft())
 
     def _still_waiting(self, entry: _LiveTxn) -> bool:
         """Victim-waits-for-winners: drop the finished transactions from
@@ -307,18 +336,23 @@ class Scheduler:
     def _next_wake(self, tick: int) -> Optional[int]:
         """The earliest tick after ``tick`` at which anything can happen.
 
-        Sources: a backoff window expiring (an entry is runnable *at*
-        ``backoff_until``, so that tick itself is the wake — open-loop
-        arrivals are modeled as initial backoffs and need no separate
-        entry), an entry already runnable or newly released from
-        ``wait_for`` (wakes at ``tick + 1``), the ``on_tick`` hook's
-        declared ``next_wake``, and the system's group-commit hold-timer
-        deadline.  ``None`` means no source of future work exists at
-        all.  Entries still waiting out winners contribute nothing:
-        they wake via a status change, which needs a processed tick.
+        Sources: the head of the arrival queue (a script arriving at
+        tick A is admitted and runnable *at* A, so that tick itself is
+        the wake), a backoff window expiring (likewise runnable *at*
+        ``backoff_until``), an entry already runnable or newly released
+        from ``wait_for`` (wakes at ``tick + 1``), the ``on_tick``
+        hook's declared ``next_wake``, and the system's group-commit
+        hold-timer deadline.  ``None`` means no source of future work
+        exists at all.  Entries still waiting out winners contribute
+        nothing: they wake via a status change, which needs a processed
+        tick.
         """
         floor = tick + 1
         wake: Optional[int] = None
+        if self._arrival_queue:
+            wake = max(self._arrival_queue[0].born_tick, floor)
+            if wake == floor:
+                return floor
         for entry in self._active:
             # A waited-on transaction may have finished during the tick
             # that just ran, releasing this entry for the next one.
@@ -384,13 +418,16 @@ class Scheduler:
             "scheduler did not converge within %d ticks" % self.max_ticks
         ]
         live = [t for t in self._live if not t.retired]
+        queued = {id(t) for t in self._arrival_queue}
         lines.append("live transactions (%d):" % len(live))
         for entry in live[:_DIAG_LIMIT]:
             parts = [
                 "%s[%s]" % (entry.txn, self.system.status(entry.txn)),
                 "step=%d/%d" % (entry.step, len(entry.script.steps)),
                 "restarts=%d" % entry.restarts,
-                "backoff_until=%d" % entry.backoff_until,
+                "arrives=%d" % entry.born_tick
+                if id(entry) in queued
+                else "backoff_until=%d" % entry.backoff_until,
             ]
             if entry.script.read_only:
                 parts.append("read_only")
@@ -410,10 +447,7 @@ class Scheduler:
 
     def _harvest_force_accounting(self) -> None:
         """Copy the system's cumulative log-force totals into the metrics."""
-        accounting = getattr(self.system, "force_accounting", None)
-        if accounting is None:
-            return
-        forces, requests, records = accounting()
+        forces, requests, records = self.system.force_accounting()
         self.metrics.forces = forces
         self.metrics.force_requests = requests
         self.metrics.forced_records = records

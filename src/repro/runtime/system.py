@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
@@ -236,6 +237,11 @@ class ManagedObject:
         """Acknowledge the commit: release locks and record the event."""
         self.commit(txn)
 
+    def watch_hold_timer(self, armed) -> None:
+        """Call ``armed()`` whenever a durability hold timer starts
+        running here, so the owning system ticks this object only while
+        one is.  The volatile base object has no timer and never calls."""
+
     def tick(self) -> None:
         """One scheduler tick elapsed (durability hold-timers hang off
         this; the volatile base object has none)."""
@@ -396,6 +402,17 @@ class TransactionSystem:
         #: history; lets a crash handler reconcile events an interrupted
         #: call recorded at the object but never reported.
         self._mirrored: Dict[str, int] = {name: 0 for name in self.objects}
+        #: hold timers: ``_armed`` holds the positions (in
+        #: ``self.objects`` order) of every object whose log holds a
+        #: group-commit batch, and possibly stale ones whose batch has
+        #: since flushed or died in a crash — :meth:`tick` drops those
+        #: the next time it comes by.  A log arms its
+        #: object itself, when a force request opens a held batch; every
+        #: object starts armed, whatever state it was handed over in.
+        self._timed: Tuple[ManagedObject, ...] = tuple(self.objects.values())
+        self._armed: Set[int] = set(range(len(self._timed)))
+        for position, obj in enumerate(self._timed):
+            obj.watch_hold_timer(partial(self._armed.add, position))
 
     def _sync_events(self, name: Optional[str] = None) -> None:
         """Mirror unreported object-local events into the global history.
@@ -521,30 +538,33 @@ class TransactionSystem:
         return self._csn
 
     def tick(self) -> None:
-        """One scheduler tick: advance every object's durability timers
-        (held group-commit batches flush deterministically on expiry)."""
-        for obj in self.objects.values():
-            obj.tick()
+        """One scheduler tick: advance the durability timers of every
+        object holding a group-commit batch, in ``self.objects`` order
+        so the flushes of one tick keep theirs (held batches flush
+        deterministically on expiry).  An armed object that holds no
+        batch any more is forgotten here instead of ticked."""
+        for position in sorted(self._armed):
+            obj = self._timed[position]
+            if obj.next_deadline() is None:
+                self._armed.discard(position)
+            else:
+                obj.tick()
 
     def next_deadline(self) -> Optional[int]:
         """Ticks until the earliest durability deadline across every
         object (the next held group-commit batch to flush on hold-timer
         expiry), or ``None`` when no object holds a batch.  This is the
         durability layer's feed into the scheduler's wake calendar."""
-        deadline: Optional[int] = None
-        for obj in self.objects.values():
-            d = obj.next_deadline()
-            if d is not None and (deadline is None or d < deadline):
-                deadline = d
-        return deadline
+        deadlines = (self._timed[p].next_deadline() for p in self._armed)
+        return min((d for d in deadlines if d is not None), default=None)
 
     def advance_ticks(self, ticks: int) -> None:
-        """Advance every object's durability timers ``ticks`` steps at
+        """Advance the running durability timers ``ticks`` steps at
         once — the bulk equivalent of ``ticks`` :meth:`tick` calls,
         valid only strictly short of :meth:`next_deadline` (each log
         enforces that no flush falls inside the jump)."""
-        for obj in self.objects.values():
-            obj.advance_ticks(ticks)
+        for position in self._armed:
+            self._timed[position].advance_ticks(ticks)
 
     def force_accounting(self) -> Tuple[int, int, int]:
         """Sum ``(forces, force_requests, forced_records)`` over every

@@ -190,6 +190,10 @@ class StableLog:
         #: with (set by ``TraceCollector.bind_system``).
         self.trace = None
         self.trace_name = ""
+        #: optional callable the log fires when a request opens a held
+        #: batch (the hold timer starts running): how the log tells its
+        #: owner to start ticking it.  Set by the transaction system.
+        self.on_hold = None
         self._last_batch = 0  # requests served by the in-flight flush
 
     def append(self, make_record) -> LogRecord:
@@ -222,6 +226,8 @@ class StableLog:
             )
         if self._pending_forces >= self.policy.batch_size:
             self.force()
+        elif self._pending_forces == 1 and self.on_hold is not None:
+            self.on_hold()
         return ticket
 
     def flushed(self, ticket: int) -> bool:

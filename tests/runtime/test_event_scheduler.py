@@ -256,18 +256,22 @@ class TestBackoffBoundary:
 
     def test_wake_is_backoff_until_not_one_off(self):
         scheduler = _arrival_scheduler(10)
-        entry = scheduler._active[0]
-        # one before the window opens: not runnable, wake names B exactly
+        entry = scheduler._arrival_queue[0]
+        assert not scheduler._active  # still to arrive: not in the system
+        # one before the window opens: not admitted, wake names B exactly
+        scheduler._admit_arrivals(9)
         assert not scheduler._any_runnable(9, scheduler._active)
         assert scheduler._next_wake(8) == 10
         assert scheduler._next_wake(9) == 10
-        # at the boundary: runnable, and the wake moves to the floor
+        # at the boundary: admitted and runnable, the wake moves to the floor
+        scheduler._admit_arrivals(10)
+        assert scheduler._active == [entry] and not scheduler._arrival_queue
         assert scheduler._any_runnable(10, scheduler._active)
         assert scheduler._next_wake(10) == 11
         # one after: still runnable
         assert scheduler._any_runnable(11, scheduler._active)
-        # a window already in the past behaves like no window at all
-        entry.backoff_until = 0
+        # admitted is admitted: the arrival tick is not a backoff window
+        assert entry.backoff_until == 0
         assert scheduler._any_runnable(1, scheduler._active)
         assert scheduler._next_wake(0) == 1
 
@@ -418,7 +422,7 @@ class TestNonConvergenceDiagnostics:
             "scheduler did not converge within 10 ticks"
         )
         assert "live transactions (1):" in message
-        assert "backoff_until=50" in message
+        assert "arrives=50" in message  # still in the arrival queue
         assert "step=0/1" in message
 
     def test_report_includes_waits_for_edges(self):

@@ -14,6 +14,7 @@ import ast
 import importlib.util
 import inspect
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
@@ -202,6 +203,41 @@ def test_undeclared_hook_is_woken_every_tick():
     metrics, wakes = run(declared)
     assert metrics.committed == 1
     assert metrics.dead_ticks_elided == 8 and len(wakes) == 1
+
+
+def test_arrivals_have_one_admission_path():
+    """No selector came with the arrival queue — the constructor takes
+    what it took — and the scan shuffles the transactions in the system
+    (``_active``) and nothing else: a script still to arrive costs a
+    tick nothing."""
+    assert list(inspect.signature(Scheduler.__init__).parameters) == [
+        "self", "system", "scripts", "seed", "max_restarts", "max_ticks",
+        "label", "on_tick", "trace", "arrivals",
+    ]
+    scans = []
+
+    class RecordingRandom(random.Random):
+        def shuffle(self, x):
+            assert sorted(map(id, x)) == sorted(map(id, scheduler._active))
+            scans.append((scheduler.metrics.ticks, [t.script.name for t in x]))
+            super().shuffle(x)
+
+    ba = BankAccount("BA")
+    system = TransactionSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP")])
+    arrivals = {"T0": 0, "T1": 1, "T2": 7, "T3": 7, "T4": 30}
+    scheduler = Scheduler(
+        system,
+        [TransactionScript(n, (("BA", inv("deposit", 1)),)) for n in arrivals],
+        arrivals=arrivals,
+    )
+    scheduler.rng = RecordingRandom(0)
+    assert scheduler.run().committed == 5
+    assert scans[0] == (1, ["T0", "T1"])
+    for tick, names in scans:
+        assert all(arrivals[name] <= tick for name in names)
+    assert sorted(n for _, names in scans for n in names if n > "T1") == [
+        "T2", "T2", "T3", "T3", "T4", "T4",
+    ]  # one tick for the deposit, one for the commit: then gone
 
 
 # ---------------------------------------------------------------------------
