@@ -8,7 +8,7 @@ The library makes the paper's entire formal development runnable:
   recovery views, the abstract object automaton
   ``I(X, Spec, View, Conflict)``, dynamic-atomicity checkers, and the
   constructive Theorems 9/10;
-* :mod:`repro.adts` — nine transactional abstract data types with
+* :mod:`repro.adts` — transactional abstract data types with
   hand-derived and mechanically verified NFC/NRBC conflict relations;
 * :mod:`repro.analysis` — decision procedures that regenerate the
   paper's Figures 6-1 and 6-2 from the specification alone;

@@ -42,7 +42,7 @@ from .openloop import (
     open_loop_scripts,
     zipf_weights,
 )
-from .optimistic import OptimisticObject, OptimisticSystem, run_optimistic
+from .optimistic import OptimisticObject
 from .parallel import (
     Cell,
     CellResult,
@@ -115,8 +115,6 @@ __all__ = [
     "UndoRedoLog",
     "RedoOnlyLog",
     "OptimisticObject",
-    "OptimisticSystem",
-    "run_optimistic",
     "RecoveryManager",
     "UpdateInPlaceManager",
     "DeferredUpdateManager",

@@ -3,309 +3,86 @@
 The paper (Section 3.4) notes that dynamic atomicity characterizes both
 locking protocols, which "delay or refuse conflicting operations", and
 optimistic protocols [Kung–Robinson], which "allow conflicts to occur,
-but abort conflicting transactions when they try to commit to prevent
-conflicts among committed transactions".
+but abort conflicting transactions when they try to commit".  Both
+enforce the same ``Conflict`` over the same ``View``; they differ in
+*when*.  :class:`OptimisticObject` is therefore one more
+:class:`~repro.runtime.system.ManagedObject` (deferred-update recovery:
+private workspaces touch nothing shared until commit) in the ordinary
+transaction system under the ordinary scheduler, whose enforcement is a
+two-phase-commit vote instead of a lock wait:
 
-:class:`OptimisticObject` implements the optimistic side on top of
-deferred-update recovery (private workspaces are the natural optimistic
-substrate — a transaction's operations touch nothing shared until
-commit):
-
-* **execute** — never blocks; the response is computed from the DU view
-  (base copy + own intentions) and recorded, along with the base
-  *version number* the transaction started from;
-* **commit (backward validation)** — the transaction's operations are
-  checked, under the object's conflict relation, against every
-  operation committed by others since the transaction began.  If any
-  pair conflicts, the committer aborts (first-committer-wins);
-  otherwise its intentions are applied and the version advances.
+* **execute** never blocks, and notes where the validation log stood
+  when the transaction started;
+* **prepare** is *backward validation*: vote no when an operation the
+  transaction executed conflicts with one committed by another since it
+  started (first-committer-wins).  The system then aborts it everywhere
+  and the scheduler restarts it with reason ``"validation"``;
+* **commit** appends the transaction's operations to the log.
 
 With ``Conflict ⊇ NFC`` the protocol is dynamic atomic (tested against
-the abstract checker) — the same containment Theorem 10 demands of the
-pessimistic scheduler, reached by aborting instead of waiting.  The
-EXP-C6 benchmark compares the two disciplines across contention levels:
-optimism wins when conflicts are rare (no blocking, no deadlocks) and
-loses its lead to wasted work as contention rises.
+the abstract checker) — the containment Theorem 10 demands of the
+locking scheduler, reached by aborting instead of waiting.  EXP-C6
+compares the two disciplines on the one instrument.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional
 
 from ..adts.base import ADT
-from ..core.conflict import ConflictRelation
-from ..core.events import (
-    Invocation,
-    Operation,
-    abort as abort_event,
-    commit as commit_event,
-    invoke as invoke_event,
-    respond as respond_event,
-)
-from ..core.history import History
-from .errors import InvalidTransactionState
-from .recovery import DeferredUpdateManager
-from .system import OperationOutcome
+from ..core.conflict import ConflictRelation, EmptyConflict
+from ..core.events import Invocation, Operation
+from .lock_manager import LockManager
+from .system import ManagedObject, OperationOutcome
 
 
-@dataclass
-class _TxnRecord:
-    """Per-transaction optimistic bookkeeping."""
-
-    start_version: int
-    operations: List[Operation] = field(default_factory=list)
-
-
-class OptimisticObject:
-    """One object under optimistic (commit-time-validated) control.
-
-    API-compatible with :class:`~repro.runtime.system.ManagedObject`
-    for the scheduler's purposes, except that ``try_operation`` never
-    returns ``blocked`` and ``commit`` may *fail validation*, returning
-    False after aborting the transaction.
-    """
+class OptimisticObject(ManagedObject):
+    """One object under optimistic (commit-time-validated) control."""
 
     def __init__(self, adt: ADT, conflict: ConflictRelation):
-        self.adt = adt
-        self.conflict = conflict
-        self.recovery = DeferredUpdateManager(adt)
-        #: operations committed so far, tagged with the version at which
-        #: they were installed (the validation log).
-        self._committed_ops: List[Tuple[int, Operation]] = []
-        self._version = 0
-        self._records: Dict[str, _TxnRecord] = {}
-        self._pending: Dict[str, Invocation] = {}
-        self._events: List = []
+        super().__init__(adt, conflict, "DU")
+        # Executed operations are still held (the object knows who is
+        # active here) but under the empty relation, so none ever blocks:
+        # ``conflict`` is consulted at prepare instead.
+        self.locks = LockManager(EmptyConflict())
+        #: every operation committed here, in commit order.
+        self._validation_log: List[Operation] = []
+        #: txn -> length of the log when it first executed here; what it
+        #: must validate against is the log from that point on.
+        self._started: Dict[str, int] = {}
         self.validation_failures = 0
 
-    @property
-    def name(self) -> str:
-        return self.adt.name
-
-    def history(self) -> History:
-        return History(self._events, validate=False)
-
-    # -- execution (never blocks) -------------------------------------------------
-
-    def _record(self, txn: str) -> _TxnRecord:
-        record = self._records.get(txn)
-        if record is None:
-            record = _TxnRecord(start_version=self._version)
-            self._records[txn] = record
-        return record
-
     def try_operation(
-        self, txn: str, invocation: Invocation, rng: Optional[random.Random] = None
+        self,
+        txn: str,
+        invocation: Invocation,
+        rng: Optional[random.Random] = None,
+        *,
+        extra_blockers=None,
     ) -> OperationOutcome:
-        record = self._record(txn)
-        pending = self._pending.get(txn)
-        if pending is None:
-            self._pending[txn] = invocation
-            self._events.append(invoke_event(invocation, self.name, txn))
-        elif pending != invocation:
-            raise InvalidTransactionState(
-                "transaction %s is pending %s at %s, not %s"
-                % (txn, pending, self.name, invocation)
-            )
-        responses = self.recovery.enabled_responses(txn, invocation)
-        if not responses:
-            return OperationOutcome("stuck")
-        ordered = sorted(responses, key=repr)
-        if rng is not None and len(ordered) > 1:
-            response = rng.choice(ordered)
-        else:
-            response = ordered[0]
-        operation = self.adt.operation(invocation, response)
-        self.recovery.on_execute(txn, operation)
-        record.operations.append(operation)
-        self._pending.pop(txn, None)
-        self._events.append(respond_event(response, self.name, txn))
-        return OperationOutcome("ok", operation=operation)
-
-    # -- commit-time validation -------------------------------------------------------
+        self._started.setdefault(txn, len(self._validation_log))
+        return super().try_operation(
+            txn, invocation, rng, extra_blockers=extra_blockers
+        )
 
     def prepare(self, txn: str) -> bool:
-        """2PC vote = backward validation.
-
-        Yes iff the transaction has no pending invocation and none of
-        its operations conflicts with an operation committed (by
-        another transaction) after it began.
-        """
-        if txn in self._pending:
+        """The base vote (no pending invocation) *and* backward validation."""
+        if not super().prepare(txn):
             return False
-        record = self._records.get(txn)
-        if record is None:
-            return True
-        for version, committed_op in self._committed_ops:
-            # Operations installed at version v are visible in the base
-            # copy of any transaction that started at version ≥ v.
-            if version <= record.start_version:
-                continue
-            for mine in record.operations:
-                if self.conflict.conflicts(mine, committed_op):
-                    return False
+        since = self._validation_log[self._started[txn]:]
+        conflicts = self.conflict.conflicts
+        for mine in self.recovery.executed_of(txn):
+            if any(conflicts(mine, theirs) for theirs in since):
+                self.validation_failures += 1
+                return False
         return True
 
     def commit(self, txn: str) -> None:
-        """Install the intentions (caller must have validated via prepare)."""
-        record = self._records.pop(txn, None)
-        self.recovery.on_commit(txn)
-        if record is not None:
-            self._version += 1
-            for operation in record.operations:
-                self._committed_ops.append((self._version, operation))
-        self._events.append(commit_event(self.name, txn))
+        self._validation_log.extend(self.recovery.executed_of(txn))
+        del self._started[txn]
+        super().commit(txn)
 
     def abort(self, txn: str) -> None:
-        self._pending.pop(txn, None)
-        self._records.pop(txn, None)
-        self.recovery.on_abort(txn)
-        self._events.append(abort_event(self.name, txn))
-
-    # -- drop-in pieces used by TransactionSystem --------------------------------------
-
-    @property
-    def locks(self):  # pragma: no cover - compatibility shim
-        raise AttributeError("optimistic objects have no lock manager")
-
-
-class OptimisticSystem:
-    """A transaction system over optimistic objects.
-
-    Mirrors :class:`~repro.runtime.system.TransactionSystem` with
-    commit-time validation: ``commit`` asks every touched object to
-    validate; any no-vote aborts the transaction everywhere
-    (first-committer-wins).
-    """
-
-    def __init__(self, objects: Sequence[OptimisticObject]):
-        self.objects: Dict[str, OptimisticObject] = {}
-        for obj in objects:
-            if obj.name in self.objects:
-                raise ValueError("duplicate object name %r" % obj.name)
-            self.objects[obj.name] = obj
-        self._touched: Dict[str, Set[str]] = {}
-        self._finished: Dict[str, str] = {}
-        self._events: List = []
-
-    def history(self) -> History:
-        return History(self._events, validate=False)
-
-    def status(self, txn: str) -> str:
-        return self._finished.get(txn, "active")
-
-    def invoke(self, txn: str, obj_name: str, invocation: Invocation, rng=None):
-        self._require_active(txn)
-        obj = self.objects[obj_name]
-        before = len(obj._events)
-        outcome = obj.try_operation(txn, invocation, rng)
-        self._events.extend(obj._events[before:])
-        self._touched.setdefault(txn, set()).add(obj_name)
-        return outcome
-
-    def commit(self, txn: str) -> bool:
-        self._require_active(txn)
-        touched = sorted(self._touched.get(txn, ()))
-        for name in touched:
-            if not self.objects[name].prepare(txn):
-                self.objects[name].validation_failures += 1
-                self.abort(txn)
-                return False
-        for name in touched:
-            obj = self.objects[name]
-            obj.commit(txn)
-            self._events.append(obj._events[-1])
-        self._finished[txn] = "committed"
-        return True
-
-    def abort(self, txn: str) -> None:
-        self._require_active(txn)
-        for name in sorted(self._touched.get(txn, ())):
-            obj = self.objects[name]
-            obj.abort(txn)
-            self._events.append(obj._events[-1])
-        self._finished[txn] = "aborted"
-
-    def _require_active(self, txn: str) -> None:
-        if txn in self._finished:
-            raise InvalidTransactionState(
-                "transaction %s already %s" % (txn, self._finished[txn])
-            )
-
-
-def run_optimistic(
-    system: OptimisticSystem,
-    scripts,
-    *,
-    seed: int = 0,
-    label: str = "",
-    max_restarts: int = 25,
-    max_ticks: int = 100_000,
-):
-    """A simple driver for optimistic systems (no blocking, so no deadlock).
-
-    Each tick every live transaction executes its next operation (never
-    blocked); finished transactions attempt to commit, retrying as a
-    fresh transaction when validation fails.  Returns
-    :class:`~repro.runtime.metrics.RunMetrics` with ``aborted`` counting
-    validation failures.
-    """
-    from .metrics import RunMetrics
-
-    rng = random.Random(seed)
-    metrics = RunMetrics(label=label)
-
-    class Live:
-        def __init__(self, script):
-            self.script = script
-            self.txn = script.name
-            self.step = 0
-            self.restarts = 0
-
-        @property
-        def done(self):
-            return self.step >= len(self.script.steps)
-
-    live = [Live(s) for s in scripts]
-    for tick in range(1, max_ticks + 1):
-        metrics.ticks = tick
-        todo = [
-            e
-            for e in live
-            if not (e.done and system.status(e.txn) == "committed")
-            and e.restarts <= max_restarts
-        ]
-        if not todo:
-            break
-        rng.shuffle(todo)
-        for entry in todo:
-            if entry.done:
-                if system.commit(entry.txn):
-                    metrics.committed += 1
-                else:
-                    metrics.aborted += 1
-                    entry.restarts += 1
-                    if entry.restarts <= max_restarts:
-                        metrics.restarts += 1
-                        entry.txn = "%s~r%d" % (entry.script.name, entry.restarts)
-                        entry.step = 0
-                continue
-            obj_name, invocation = entry.script.steps[entry.step]
-            outcome = system.invoke(entry.txn, obj_name, invocation, rng)
-            if outcome.ok:
-                entry.step += 1
-                metrics.operations += 1
-            else:  # stuck: poisoned private view — restart
-                system.abort(entry.txn)
-                metrics.stuck_aborts += 1
-                metrics.aborted += 1
-                entry.restarts += 1
-                if entry.restarts <= max_restarts:
-                    metrics.restarts += 1
-                    entry.txn = "%s~r%d" % (entry.script.name, entry.restarts)
-                    entry.step = 0
-    else:
-        raise RuntimeError("optimistic driver did not converge")
-    return metrics
+        self._started.pop(txn, None)
+        super().abort(txn)

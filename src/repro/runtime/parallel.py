@@ -44,10 +44,12 @@ from __future__ import annotations
 import glob
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 from .metrics import FaultCounters
 from .trace import TraceCollector
@@ -336,16 +338,7 @@ class ParallelRunner:
         self.trace_base = trace_base
         self.retries = retries
         self.persistent = persistent
-        if mp_context is None:
-            import multiprocessing
-
-            # fork inherits the executor registry and monkeypatches;
-            # fall back to the platform default elsewhere (the built-in
-            # kinds are module-level, so spawn still resolves them).
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
+        #: ``None`` until a pool is built (see :meth:`_ensure_pool`).
         self._mp = mp_context
         #: the live pool (persistent mode keeps it across runs) and the
         #: worker-id counter, shared across rebuilds so every worker —
@@ -437,6 +430,21 @@ class ParallelRunner:
         across rebuilds so replacement workers extend the id sequence
         instead of reusing shard files."""
         if self._executor is None:
+            # Imported where the pool is built, so ``import repro`` and
+            # a workers=1 run (always inline) never load multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
+            if self._mp is None:
+                import multiprocessing
+
+                # fork inherits the executor registry and monkeypatches;
+                # fall back to the platform default elsewhere (the
+                # built-in kinds are module-level, so spawn still
+                # resolves them).
+                methods = multiprocessing.get_all_start_methods()
+                self._mp = multiprocessing.get_context(
+                    "fork" if "fork" in methods else None
+                )
             if self._counter is None:
                 self._counter = self._mp.Value("i", 0)
             self._executor = ProcessPoolExecutor(
@@ -453,6 +461,8 @@ class ParallelRunner:
         collected: Dict[int, CellResult],
     ) -> List[List[Cell]]:
         """Run one pool over ``chunks``; return the chunks whose worker died."""
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+
         dead: List[List[Cell]] = []
         executor = self._ensure_pool()
         try:

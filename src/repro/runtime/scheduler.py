@@ -15,7 +15,8 @@ Drives a set of straight-line transaction scripts against a
   allow a transaction to continue after aborting), up to a restart
   budget;
 * a script whose operations have all executed commits via the system's
-  two-phase protocol;
+  two-phase protocol; when an object votes no (an optimistic object's
+  validation failed) the system has aborted it and it restarts likewise;
 * a script marked ``read_only`` bypasses all of the above: its steps are
   lock-free snapshot reads against the multiversion store, it can never
   block or deadlock, and its completion needs no two-phase commit.
@@ -566,6 +567,10 @@ class Scheduler:
                     if self.trace is not None:
                         self.trace.emit("commit-stall", txn=entry.txn)
                     progressed = True
+                else:
+                    # An object voted no: the system aborted it everywhere.
+                    self._abort_and_restart(entry, tick, reason="validation")
+                    progressed = True
                 continue
             obj_name, invocation = entry.script.steps[entry.step]
             outcome = self.system.invoke(entry.txn, obj_name, invocation, self.rng)
@@ -704,7 +709,7 @@ class Scheduler:
         try:
             self.system.abort(entry.txn)
         except InvalidTransactionState:
-            pass  # never touched any object: nothing to abort
+            pass  # already finished: a refused commit aborted it
         if entry.script.read_only:
             # Read-only deaths are accounted separately: they hold no
             # locks, appear in no object history, and never roll back

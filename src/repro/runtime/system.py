@@ -16,9 +16,11 @@ performed with a two-phase protocol: every object touched by the
 transaction is asked to *prepare* (vote), and only a unanimous yes leads
 to commit events everywhere — the paper's *atomic commitment*
 assumption (Section 2), which its model presumes rather than analyzes.
-In this failure-free simulation objects always vote yes; the protocol
-skeleton exists so the event order (all responses before any commit
-event) matches the model's well-formedness constraints.
+A locking object votes no only while an invocation is pending; an
+:class:`~repro.runtime.optimistic.OptimisticObject` also votes no when
+backward validation fails (Section 3.4's other protocol family).  Either
+way the event order (all responses before any commit event) matches the
+model's well-formedness constraints.
 """
 
 from __future__ import annotations
@@ -213,8 +215,10 @@ class ManagedObject:
 
     def prepare(self, txn: str) -> bool:
         """Two-phase commit vote.  A transaction with a pending invocation
-        cannot commit (well-formedness); otherwise this simulation always
-        votes yes."""
+        cannot commit (well-formedness); a locking object has no other
+        reason to refuse, because it enforced ``Conflict`` when each
+        operation executed.  A subclass that enforces it at commit time
+        instead votes no here."""
         return txn not in self._pending
 
     def prepare_ready(self, txn: str) -> bool:
@@ -465,9 +469,10 @@ class TransactionSystem:
     def commit(self, txn: str) -> bool:
         """Two-phase commit across every object the transaction touched.
 
-        Returns False (and aborts the transaction) if any object votes no
-        — which in this failure-free simulation only happens when the
-        transaction still has a pending invocation somewhere.
+        Returns False (and aborts the transaction everywhere) if any
+        object votes no: an invocation is still pending somewhere, or an
+        optimistic object's validation failed.  ``status(txn)`` tells
+        that refusal (``"aborted"``) from the stall below (``"active"``).
 
         Under group commit the durable work is asynchronous: prepare
         votes and commit records ride shared log flushes, so the commit

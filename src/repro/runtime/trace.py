@@ -107,7 +107,7 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
 }
 
 #: ``txn-abort`` reasons with a defined meaning.
-ABORT_REASONS = ("deadlock", "stuck", "crash")
+ABORT_REASONS = ("deadlock", "stuck", "crash", "validation")
 
 
 class TraceCollector:
@@ -493,13 +493,18 @@ def format_trace_report(events: Sequence[Dict[str, Any]]) -> str:
     # counters (from the trace itself, whole stream)
     counters = reconstruct_counters(list(events))
     lines.append(
-        "counters: committed=%d aborted=%d (crash=%d stuck=%d) restarts=%d "
-        "deadlocks=%d ops=%d blocked=%d stalls=%d"
+        "counters: committed=%d aborted=%d (crash=%d stuck=%d validation=%d) "
+        "restarts=%d deadlocks=%d ops=%d blocked=%d stalls=%d"
         % (
             counters["committed"],
             counters["aborted"],
             counters["crash_aborts"],
             counters["stuck_aborts"],
+            # no RunMetrics counter: the reason lives on the event only
+            sum(
+                e["kind"] == "txn-abort" and e.get("reason") == "validation"
+                for e in events
+            ),
             counters["restarts"],
             counters["deadlocks"],
             counters["operations"],

@@ -1,4 +1,9 @@
-"""Tests for the optimistic (commit-time-validated) protocol."""
+"""The optimistic (commit-time-validated) protocol.
+
+:class:`OptimisticObject` is a :class:`ManagedObject` in a plain
+:class:`TransactionSystem` under the plain :class:`Scheduler`; there is
+no second system or driver to test.
+"""
 
 import random
 
@@ -7,18 +12,23 @@ import pytest
 from repro.adts import BankAccount, SemiQueue, SetADT
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
-from repro.runtime.errors import InvalidTransactionState
-from repro.runtime.optimistic import (
-    OptimisticObject,
-    OptimisticSystem,
-    run_optimistic,
+from repro.reference import walk_dead_ticks
+from repro.runtime import (
+    ManagedObject,
+    TransactionSystem,
+    hotspot_banking,
+    mixed_transfers,
+    run_scripts,
 )
-from repro.runtime.scheduler import TransactionScript
+from repro.runtime.errors import InvalidTransactionState
+from repro.runtime.optimistic import OptimisticObject
+from repro.runtime.scheduler import Scheduler, TransactionScript
+from repro.runtime.trace import ABORT_REASONS, TraceCollector, reconcile
 
 
 def make_system(adt=None):
     adt = adt or BankAccount("BA", opening=10)
-    return adt, OptimisticSystem([OptimisticObject(adt, adt.nfc_conflict())])
+    return adt, TransactionSystem([OptimisticObject(adt, adt.nfc_conflict())])
 
 
 class TestExecution:
@@ -84,7 +94,7 @@ class TestDynamicAtomicity:
     @pytest.mark.parametrize("seed", range(8))
     def test_histories_dynamic_atomic(self, seed):
         ba = BankAccount("BA", opening=5)
-        system = OptimisticSystem([OptimisticObject(ba, ba.nfc_conflict())])
+        system = TransactionSystem([OptimisticObject(ba, ba.nfc_conflict())])
         rng = random.Random(seed)
         scripts = []
         for i in range(4):
@@ -96,14 +106,14 @@ class TestDynamicAtomicity:
                 else:
                     steps.append(("BA", inv(kind, rng.choice([1, 2]))))
             scripts.append(TransactionScript("T%d" % i, tuple(steps)))
-        metrics = run_optimistic(system, scripts, seed=seed)
+        metrics = run_scripts(system, scripts, seed=seed)
         assert metrics.committed >= 1
         assert is_dynamic_atomic(system.history(), ba)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_semiqueue_optimistic(self, seed):
         sq = SemiQueue("SQ", domain=("a", "b"))
-        system = OptimisticSystem([OptimisticObject(sq, sq.nfc_conflict())])
+        system = TransactionSystem([OptimisticObject(sq, sq.nfc_conflict())])
         rng = random.Random(seed)
         scripts = [
             TransactionScript(
@@ -120,14 +130,14 @@ class TestDynamicAtomicity:
             )
             for i in range(4)
         ]
-        run_optimistic(system, scripts, seed=seed)
+        run_scripts(system, scripts, seed=seed)
         assert is_dynamic_atomic(system.history(), sq)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_under_constrained_validation_unsafe(self, seed):
         """Validating with NRBC (wrong for DU) admits anomalies."""
         ba = BankAccount("BA", opening=2)
-        system = OptimisticSystem([OptimisticObject(ba, ba.nrbc_conflict())])
+        system = TransactionSystem([OptimisticObject(ba, ba.nrbc_conflict())])
         system.invoke("B", "BA", inv("withdraw", 2))
         system.invoke("C", "BA", inv("withdraw", 2))
         assert system.commit("B")
@@ -138,21 +148,101 @@ class TestDynamicAtomicity:
 class TestDriver:
     def test_all_scripts_finish(self):
         ba = BankAccount("BA", opening=50)
-        system = OptimisticSystem([OptimisticObject(ba, ba.nfc_conflict())])
+        system = TransactionSystem([OptimisticObject(ba, ba.nfc_conflict())])
         scripts = [
             TransactionScript("T%d" % i, (("BA", inv("deposit", 1)),))
             for i in range(5)
         ]
-        metrics = run_optimistic(system, scripts, seed=0)
+        metrics = run_scripts(system, scripts, seed=0)
         assert metrics.committed == 5
         assert metrics.aborted == 0
 
     def test_retries_after_validation_failure(self):
         ba = BankAccount("BA", opening=4)
-        system = OptimisticSystem([OptimisticObject(ba, ba.nfc_conflict())])
+        system = TransactionSystem([OptimisticObject(ba, ba.nfc_conflict())])
         scripts = [
             TransactionScript("T%d" % i, (("BA", inv("withdraw", 2)),))
             for i in range(2)
         ]
-        metrics = run_optimistic(system, scripts, seed=3)
+        metrics = run_scripts(system, scripts, seed=3)
         assert metrics.committed == 2  # retry succeeds (enough funds)
+
+
+def traced_run(seed):
+    ba = BankAccount("BA", opening=5)
+    system = TransactionSystem([OptimisticObject(ba, ba.nfc_conflict())])
+    trace = TraceCollector()
+    scripts = hotspot_banking(random.Random(seed), transactions=6)
+    metrics = Scheduler(system, scripts, seed=seed, trace=trace).run()
+    return metrics, system, [dict(e) for e in trace.events]
+
+
+class TestOnTheOneSystem:
+    """What only running under the shared scheduler makes expressible."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_traced_run_reconciles(self, seed):
+        metrics, system, events = traced_run(seed)
+        (result,) = reconcile(events)
+        assert result.ok, result.mismatches
+        assert result.reconstructed["committed"] == metrics.committed == 6
+        reasons = {e["reason"] for e in events if e["kind"] == "txn-abort"}
+        assert reasons <= set(ABORT_REASONS)
+        failures = system.objects["BA"].validation_failures
+        assert failures == sum(
+            e["kind"] == "txn-abort" and e["reason"] == "validation"
+            for e in events
+        )
+
+    def test_enforces_conflict_without_making_anyone_wait(self):
+        for seed in range(4):
+            metrics, _, events = traced_run(seed)
+            assert metrics.blocked_attempts == 0 and metrics.deadlocks == 0
+            assert not {"op-blocked", "lock-wait", "deadlock"} & {
+                e["kind"] for e in events
+            }
+
+    def test_no_vote_at_second_object_leaves_the_first_untouched(self):
+        a, b = BankAccount("A", opening=2), BankAccount("B", opening=2)
+        objs = [OptimisticObject(x, x.nfc_conflict()) for x in (a, b)]
+        system = TransactionSystem(objs)
+        system.invoke("T", "A", inv("deposit", 1))
+        system.invoke("T", "B", inv("withdraw", 2))
+        system.invoke("U", "B", inv("withdraw", 2))
+        assert system.commit("U")
+        versions = [obj.versions for obj in objs]
+        logs = [list(obj._validation_log) for obj in objs]
+        assert not system.commit("T")  # A validates, B refuses
+        assert system.status("T") == "aborted"
+        assert [obj.versions for obj in objs] == versions
+        assert [obj._validation_log for obj in objs] == logs
+        assert [obj.validation_failures for obj in objs] == [0, 1]
+        for obj in objs:
+            assert obj.history().aborted() >= {"T"}
+            assert "T" not in obj._started and not obj.locks.held_by("T")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_optimistic_and_locking_objects_in_one_system(self, seed):
+        a, b = BankAccount("A", opening=5), BankAccount("B", opening=5)
+        system = TransactionSystem(
+            [
+                OptimisticObject(a, a.nfc_conflict()),
+                ManagedObject(b, b.nfc_conflict(), "DU"),
+            ]
+        )
+        scripts = mixed_transfers(
+            random.Random(seed), objs=("A", "B"), transactions=6
+        )
+        assert run_scripts(system, scripts, seed=seed).committed == 6
+        assert is_dynamic_atomic(system.history(), {"A": a, "B": b})
+
+    def test_jumped_equals_walked(self):
+        jumped = traced_run(0)
+        with walk_dead_ticks():
+            walked = traced_run(0)
+        assert jumped[0].counters() == walked[0].counters()
+        # the run takes the refused-commit path and has ticks to jump
+        assert jumped[1].objects["BA"].validation_failures > 0
+        assert jumped[0].dead_ticks_elided > 0
+        assert jumped[2] == walked[2]
+        assert jumped[1].history().events == walked[1].history().events

@@ -21,6 +21,7 @@ from repro.runtime import (
     set_membership_workload,
 )
 from repro.runtime.scheduler import Scheduler, TransactionScript
+from repro.runtime.trace import TraceCollector, reconcile
 
 
 def single_object_system(adt, conflict, recovery):
@@ -113,6 +114,37 @@ class TestSchedulerBasics:
         metrics = run_scripts(system, scripts, seed=5, max_restarts=0)
         # With no restarts allowed, a deadlock victim is simply lost.
         assert metrics.committed + metrics.aborted >= 2
+
+    def test_refused_commit_is_an_abort_and_restart(self):
+        """``system.commit`` aborts a transaction some object votes no
+        on and returns False; the scheduler restarts the script (it used
+        to poll the dead transaction again and let
+        ``InvalidTransactionState`` escape ``run``)."""
+
+        class RefusesOnce(ManagedObject):
+            refused = False
+
+            def prepare(self, txn):
+                if not self.refused:
+                    self.refused = True
+                    return False
+                return super().prepare(txn)
+
+        ba = BankAccount("BA")
+        system = TransactionSystem([RefusesOnce(ba, ba.nrbc_conflict(), "UIP")])
+        trace = TraceCollector()
+        metrics = Scheduler(
+            system,
+            [TransactionScript("T0", (("BA", inv("deposit", 1)),))],
+            trace=trace,
+        ).run()
+        assert (metrics.committed, metrics.aborted, metrics.restarts) == (1, 1, 1)
+        assert system.status("T0") == "aborted"
+        assert system.status("T0~r1") == "committed"
+        aborts = [e for e in trace.events if e["kind"] == "txn-abort"]
+        assert [(e["txn"], e["reason"]) for e in aborts] == [("T0", "validation")]
+        assert all(r.ok for r in reconcile(trace.events))
+        assert system.objects["BA"].committed_tip == frozenset({1})
 
 
 WORKLOAD_CASES = [

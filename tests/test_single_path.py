@@ -47,6 +47,10 @@ RETIRED_PARAMETERS = {
     "on_unknown",
     "max_orders",
     "check_atomicity",
+    # the protocol is chosen by which object class is constructed
+    "protocol",
+    "enforce",
+    "optimistic",
 }
 
 
@@ -169,6 +173,50 @@ def test_a_drive_never_imports_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_serial_runs_never_import_the_process_pool():
+    """``import repro.runtime`` and a ``workers=1`` command load neither
+    ``multiprocessing`` nor the process pool; ``--workers 2`` loads them
+    only when it has more than one cell to fan out, and prints the same
+    bytes either way."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import repro.runtime
+        from repro.cli import main
+
+        assert main(sys.argv[1:]) == 0
+        loaded = [m for m in ("multiprocessing", "concurrent.futures.process")
+                  if m in sys.modules]
+        print("pool modules: %d" % len(loaded), file=sys.stderr)
+        """
+    )
+
+    def run(*argv):
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": "0"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        # (a pool's interpreter-exit shutdown may add stderr noise after it)
+        (loaded,) = [
+            line for line in result.stderr.splitlines()
+            if line.startswith("pool modules:")
+        ]
+        return result.stdout, loaded
+
+    one_cell = ("run", "bank")
+    many_cells = ("torture", "--adt", "counter", "--schedules", "4")
+    serial = run(*one_cell)
+    assert serial[1] == "pool modules: 0" and "committed" in serial[0]
+    assert run(*one_cell, "--workers", "2") == serial  # one cell runs inline
+    serial = run(*many_cells)
+    assert serial[1] == "pool modules: 0"
+    assert run(*many_cells, "--workers", "2") == (serial[0], "pool modules: 2")
+
+
 def test_undeclared_hook_is_woken_every_tick():
     """The hook's ``next_wake`` attribute is the whole selection: without
     it nothing is elided and no ``calendar-wake`` is emitted; with it the
@@ -238,6 +286,62 @@ def test_arrivals_have_one_admission_path():
     assert sorted(n for _, names in scans for n in names if n > "T1") == [
         "T2", "T2", "T3", "T3", "T4", "T4",
     ]  # one tick for the deposit, one for the commit: then gone
+
+
+# ---------------------------------------------------------------------------
+# one transaction system, one driver
+# ---------------------------------------------------------------------------
+
+
+def test_the_optimistic_protocol_has_no_system_or_driver_of_its_own():
+    import repro.runtime
+    import repro.runtime.optimistic
+
+    for module in (repro.runtime, repro.runtime.optimistic):
+        for name in ("OptimisticSystem", "run_optimistic"):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert issubclass(repro.runtime.OptimisticObject, ManagedObject)
+
+
+def test_one_scan_loop_names_restarts_and_shuffles():
+    """``scheduler.py`` is the only module that shuffles a scan order or
+    builds a ``T~rN`` incarnation name: a second driver would do both."""
+    homes = set()
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            shuffles = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "shuffle"
+            )
+            names_restart = (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "~r%" in node.value
+            )
+            if shuffles or names_restart:
+                homes.add(str(path.relative_to(SRC)))
+    assert homes == {"repro/runtime/scheduler.py"}
+
+
+def test_every_transaction_system_is_a_transaction_system():
+    """A class under ``repro.runtime`` with the transaction-facing API
+    (``invoke``/``commit``/``abort``) derives from the one system."""
+    systems = []
+    for path in sorted((PACKAGE / "runtime").glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module("repro.runtime.%s" % path.stem)
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == module.__name__
+                and all(callable(getattr(cls, n, None))
+                        for n in ("invoke", "commit", "abort"))
+            ):
+                systems.append(cls)
+    assert TransactionSystem in systems
+    assert all(issubclass(cls, TransactionSystem) for cls in systems), systems
 
 
 # ---------------------------------------------------------------------------
