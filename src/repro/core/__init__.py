@@ -6,6 +6,7 @@ structure:
 
 ``events`` → ``history`` → ``serial_spec``/``automaton_spec`` →
 ``equieffective`` → ``commutativity`` → ``conflict``/``views`` →
+``lock_manager``/``recovery`` (the two halves of an object) →
 ``object_automaton`` → ``atomicity`` → ``theorems``.
 """
 
@@ -77,6 +78,7 @@ from .history import (
     serial_history,
     transaction_events,
 )
+from .lock_manager import LockManager
 from .object_automaton import (
     ObjectAutomaton,
     ResponseNotEnabled,
@@ -84,13 +86,13 @@ from .object_automaton import (
     generate_trace,
 )
 from .serial_spec import LanguageSpec, SerialSpec, is_prefix_closed
-from .automaton_spec import FunctionalSpec, SpecStateCursor, StateMachineSpec
-from .view_cursors import (
-    DUCursor,
-    RecomputeViewCursor,
-    SUIPCursor,
-    UIPCursor,
-    ViewCursor,
+from .automaton_spec import FunctionalSpec, StateMachineSpec
+from .recovery import (
+    DeferredUpdateManager,
+    RecoveryManager,
+    StrictUpdateInPlaceManager,
+    UpdateInPlaceManager,
+    ViewRecoveryManager,
     cursor_for_view,
 )
 from .theorems import (
@@ -140,7 +142,6 @@ __all__ = [
     "LanguageSpec",
     "StateMachineSpec",
     "FunctionalSpec",
-    "SpecStateCursor",
     "is_prefix_closed",
     # equieffectiveness
     "LooksLikeViolation",
@@ -177,12 +178,13 @@ __all__ = [
     "UIP",
     "DU",
     "SUIP",
-    # incremental view cursors
-    "ViewCursor",
-    "UIPCursor",
-    "DUCursor",
-    "SUIPCursor",
-    "RecomputeViewCursor",
+    # the two halves of an object: Conflict (locks) and View (recovery)
+    "LockManager",
+    "RecoveryManager",
+    "UpdateInPlaceManager",
+    "DeferredUpdateManager",
+    "StrictUpdateInPlaceManager",
+    "ViewRecoveryManager",
     "cursor_for_view",
     # object automaton
     "ObjectAutomaton",

@@ -137,102 +137,6 @@ class StateMachineSpec(SerialSpec):
                     ops.add(self.operation(invocation, response))
         return frozenset(ops)
 
-    def cursor(self, opseq: Sequence[Operation] = ()) -> "SpecStateCursor":
-        """An advanceable reachable-state cursor positioned after ``opseq``."""
-        return SpecStateCursor(self, opseq)
-
-
-class SpecStateCursor:
-    """An advanceable reachable-state (macro-state) cursor for one spec.
-
-    ``states_after``/``is_legal``/``responses`` replay the whole operation
-    sequence through the NFA from ``initial_states()`` on every call —
-    O(n) per query.  The cursor keeps the macro-state of a growing
-    sequence and steps it by one operation at a time, so queries against
-    the *current* end of the sequence are O(1) in the sequence length.
-
-    The cursor is sound only while the underlying sequence is **extended**
-    (operations appended at the end).  When the sequence changes any other
-    way — an abort removes operations from the middle of a view, crash
-    recovery rewinds it — call :meth:`reset` with the new sequence; the
-    incremental view layer (:mod:`repro.core.view_cursors`) encodes
-    exactly when that is necessary.
-
-    An empty macro-state means the tracked sequence is illegal; advancing
-    it stays empty, matching ``states_after`` on every extension.
-    """
-
-    __slots__ = ("spec", "_macro", "_length")
-
-    def __init__(self, spec: "StateMachineSpec", opseq: Sequence[Operation] = ()):
-        self.spec = spec
-        self._macro: FrozenSet[State] = spec.run_macro(
-            spec.initial_macro_state(), tuple(opseq)
-        )
-        self._length = len(opseq)
-
-    def __len__(self) -> int:
-        """How many operations the cursor has consumed."""
-        return self._length
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SpecStateCursor(%s, %d ops, %d states)" % (
-            self.spec.name,
-            self._length,
-            len(self._macro),
-        )
-
-    @property
-    def macro(self) -> FrozenSet[State]:
-        """The macro-state after the consumed sequence (empty = illegal)."""
-        return self._macro
-
-    @property
-    def legal(self) -> bool:
-        """True iff the consumed sequence is legal (some run exists)."""
-        return bool(self._macro)
-
-    def advance(self, operation: Operation) -> None:
-        """Consume one more operation (O(1) in the sequence length)."""
-        self._macro = self.spec.step_macro(self._macro, operation)
-        self._length += 1
-
-    def advance_seq(self, opseq: Sequence[Operation]) -> None:
-        """Consume a batch of operations in order."""
-        for operation in opseq:
-            self._macro = self.spec.step_macro(self._macro, operation)
-        self._length += len(opseq)
-
-    def reset(self, opseq: Sequence[Operation] = ()) -> None:
-        """Reposition after ``opseq``, replaying from the initial states.
-
-        The O(n) escape hatch for non-monotonic sequence changes.
-        """
-        self._macro = self.spec.run_macro(
-            self.spec.initial_macro_state(), tuple(opseq)
-        )
-        self._length = len(opseq)
-
-    def responses(self, invocation: Invocation) -> FrozenSet[Hashable]:
-        """``spec.responses(consumed, invocation)`` without the replay."""
-        found: Set[Hashable] = set()
-        for s in self._macro:
-            for response, _s2 in self.spec.transitions(s, invocation):
-                found.add(response)
-        return frozenset(found)
-
-    def accepts(self, operation: Operation) -> bool:
-        """``spec.is_legal(consumed + (operation,))`` without the replay."""
-        return bool(self.spec.step_macro(self._macro, operation))
-
-    def copy(self) -> "SpecStateCursor":
-        """An independent cursor at the same position (O(1) — macros are immutable)."""
-        twin = SpecStateCursor.__new__(SpecStateCursor)
-        twin.spec = self.spec
-        twin._macro = self._macro
-        twin._length = self._length
-        return twin
-
 
 class FunctionalSpec(StateMachineSpec):
     """A :class:`StateMachineSpec` assembled from plain functions.

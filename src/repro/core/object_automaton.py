@@ -25,14 +25,17 @@ histories (``H ∈ L(I(X, Spec, View, Conflict))``), which is what the
 theorem machinery needs.  :func:`generate_trace` drives the automaton
 with randomized scheduling to sample its language.
 
-The automaton maintains its views **incrementally**: a
-:class:`~repro.core.view_cursors.ViewCursor` tracks each active
-transaction's ``View(H, A)`` (and the spec macro-state after it) under
-event deltas, so the legality precondition steps the spec NFA by one
-operation instead of recomputing the view from the raw history and
-replaying it from the initial states — O(Δ) amortized per event instead
-of O(n).  A view (or spec) without a delta cursor gets the
-from-scratch :class:`~repro.core.view_cursors.RecomputeViewCursor`;
+The automaton is a history plus the two halves of the paper's object,
+and owns neither: the ``Conflict`` half is a
+:class:`~repro.core.lock_manager.LockManager` (precondition 2) and the
+``View`` half the :class:`~repro.core.recovery.RecoveryManager` that
+:meth:`View.cursor <repro.core.views.View.cursor>` hands out
+(precondition 3, maintained under event deltas — O(Δ) amortized per
+event instead of recomputing the view and replaying the spec, O(n)).
+The runtime's :class:`~repro.runtime.system.ManagedObject` composes the
+same two classes with a response choice, a version chain and a log.  A
+view (or spec) without an incremental manager gets the from-scratch
+:class:`~repro.core.recovery.ViewRecoveryManager`;
 :func:`repro.reference.opaque_view` forces that path for a known view,
 which is the equality oracle of the property suite and the EXP-C13
 baseline.
@@ -40,9 +43,10 @@ baseline.
 
 from __future__ import annotations
 
+import copy
 import random
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set
 
 from .conflict import ConflictRelation
 from .events import (
@@ -59,6 +63,7 @@ from .events import (
     respond,
 )
 from .history import History, HistoryBuilder, IllFormedHistoryError
+from .lock_manager import LockManager
 from .serial_spec import SerialSpec
 from .views import View
 
@@ -79,22 +84,6 @@ class ResponseNotEnabled(RuntimeError):
         self.reason = reason
 
 
-@dataclass
-class _TxnOps:
-    """Operations executed so far by one transaction (its implicit locks).
-
-    ``mask`` is the OR of the operations' class bits under a compiled
-    conflict table, and ``idxs`` the per-operation class indices aligned
-    with ``ops`` (both empty and unused on the interpreted path).  The
-    indices let refine-carrying relations rescan a holder with plain bit
-    tests instead of re-classifying each held operation.
-    """
-
-    ops: List[Operation] = field(default_factory=list)
-    mask: int = 0
-    idxs: List[int] = field(default_factory=list)
-
-
 class ObjectAutomaton:
     """Executable ``I(X, Spec, View, Conflict)`` for the object ``Spec.name``."""
 
@@ -103,16 +92,8 @@ class ObjectAutomaton:
         self.view = view
         self.conflict = conflict
         self._builder = HistoryBuilder()
-        self._active_ops: Dict[str, _TxnOps] = {}
-        self._cursor = view.cursor(spec)
-        # The conflict precondition runs on every checker step; compile
-        # the relation into a bitmask table when it allows it, so the
-        # per-step test is one cached classification and one integer AND
-        # per active transaction.  Imported lazily: ``repro.analysis``
-        # depends on ``repro.core``, not vice versa.
-        from ..analysis.compile_tables import maybe_compile
-
-        self._compiled = maybe_compile(conflict)
+        self.locks = LockManager(conflict)
+        self.recovery = view.cursor(spec)
 
     # -- state access ----------------------------------------------------------
 
@@ -126,20 +107,14 @@ class ObjectAutomaton:
 
         Exploration tools (e.g. the view synthesizer) branch over many
         continuations of one state; cloning copies the builder's
-        validation state and forks the view cursor, so branches keep the
-        O(1)-prefix advantage instead of re-validating (or replaying the
-        spec over) the shared prefix.
+        validation state and the held locks and forks the recovery
+        manager, so branches keep the O(1)-prefix advantage instead of
+        re-validating (or replaying the spec over) the shared prefix.
         """
-        # The twin shares the parent's compiled table (one per relation):
-        # verdicts are pure, and the shared operation-class cache keeps
-        # branch exploration O(1).
-        twin = ObjectAutomaton(self.spec, self.view, self.conflict)
-        twin._active_ops = {
-            txn: _TxnOps(list(holder.ops), holder.mask, list(holder.idxs))
-            for txn, holder in self._active_ops.items()
-        }
+        twin = copy.copy(self)
         twin._builder = self._builder.copy()
-        twin._cursor = self._cursor.fork()
+        twin.locks = self.locks.copy()
+        twin.recovery = self.recovery.fork()
         return twin
 
     @property
@@ -153,51 +128,24 @@ class ObjectAutomaton:
 
     def active_transactions(self) -> FrozenSet[str]:
         """Transactions with executed operations or a pending invocation, still active."""
-        return frozenset(self._active_ops)
+        return self.history.active()
 
     def operations_of(self, txn: str) -> Sequence[Operation]:
         """The operations (implicit locks) executed by an active transaction."""
-        holder = self._active_ops.get(txn)
-        return tuple(holder.ops) if holder is not None else ()
+        return self.locks.held_by(txn)
 
     # -- preconditions -----------------------------------------------------------
-
-    def _conflicts_with_others(self, operation: Operation, txn: str) -> Optional[str]:
-        compiled = self._compiled
-        if compiled is not None:
-            row = compiled.row_mask(operation)
-            refine = compiled.refine
-            for other, holder in self._active_ops.items():
-                if other == txn or not row & holder.mask:
-                    continue
-                if refine is None:
-                    return other
-                # Class-level hit; the argument-level refinement may
-                # still clear it, so rescan this holder's operations —
-                # precomputed class indices, so each held operation costs
-                # one bit test plus (on class hits only) the refine call.
-                for old, old_idx in zip(holder.ops, holder.idxs):
-                    if (row >> old_idx) & 1 and refine(operation, old):
-                        return other
-            return None
-        for other, holder in self._active_ops.items():
-            if other == txn:
-                continue
-            for old in holder.ops:
-                if self.conflict.conflicts(operation, old):
-                    return other
-        return None
 
     def enabled_responses(self, txn: str) -> FrozenSet[Hashable]:
         """All responses ``R`` for which ``<R, X, txn>`` is enabled now."""
         pending = self._builder.pending_invocation(txn)
         if pending is None:
             return frozenset()
-        candidates = self._cursor.responses(txn, pending.invocation)
+        candidates = self.recovery.enabled_responses(txn, pending.invocation)
         enabled: Set[Hashable] = set()
         for response in candidates:
             operation = self.spec.operation(pending.invocation, response)
-            if self._conflicts_with_others(operation, txn) is None:
+            if not self.locks.blockers(txn, operation):
                 enabled.add(response)
         return frozenset(enabled)
 
@@ -210,11 +158,11 @@ class ObjectAutomaton:
         pending = self._builder.pending_invocation(txn)
         if pending is None:
             return frozenset()
-        candidates = self._cursor.responses(txn, pending.invocation)
+        candidates = self.recovery.enabled_responses(txn, pending.invocation)
         blocked: Set[Hashable] = set()
         for response in candidates:
             operation = self.spec.operation(pending.invocation, response)
-            if self._conflicts_with_others(operation, txn) is not None:
+            if self.locks.blockers(txn, operation):
                 blocked.add(response)
         return frozenset(blocked)
 
@@ -240,8 +188,11 @@ class ObjectAutomaton:
         if isinstance(event, ResponseEvent):
             completed = self._check_response(event)
         self._builder.append(event)
-        self._cursor.apply(event)
-        self._post_append(event, completed)
+        self.recovery.apply(event)
+        if completed is not None:
+            self.locks.acquire(event.txn, completed)
+        elif isinstance(event, (CommitEvent, AbortEvent)):
+            self.locks.release_all(event.txn)
         return completed
 
     def _check_response(self, event: ResponseEvent) -> Operation:
@@ -249,31 +200,20 @@ class ObjectAutomaton:
         if pending is None:
             raise ResponseNotEnabled(event, "no-pending")
         operation = self.spec.operation(pending.invocation, event.response)
-        holder = self._conflicts_with_others(operation, event.txn)
-        if holder is not None:
+        holders = self.locks.blockers(event.txn, operation)
+        if holders:
             raise ResponseNotEnabled(
-                event, "conflict", "conflicts with active transaction %s" % holder
+                event,
+                "conflict",
+                "conflicts with active transaction %s" % ", ".join(sorted(holders)),
             )
-        if not self._cursor.accepts(event.txn, operation):
+        if not self.recovery.accepts(event.txn, operation):
             raise ResponseNotEnabled(
                 event,
                 "not-legal",
                 "View(s, %s)·%s is not in Spec" % (event.txn, operation),
             )
         return operation
-
-    def _post_append(self, event: Event, completed: Optional[Operation]) -> None:
-        if isinstance(event, InvocationEvent):
-            self._active_ops.setdefault(event.txn, _TxnOps())
-        elif isinstance(event, ResponseEvent):
-            holder = self._active_ops.setdefault(event.txn, _TxnOps())
-            holder.ops.append(completed)
-            if self._compiled is not None:
-                idx = self._compiled.class_index(completed)
-                holder.mask |= 1 << idx
-                holder.idxs.append(idx)
-        elif isinstance(event, (CommitEvent, AbortEvent)):
-            self._active_ops.pop(event.txn, None)
 
     # -- convenience drivers ---------------------------------------------------
 

@@ -29,9 +29,9 @@ transactions' operations (visible under UIP, invisible under DU).  These
 subtleties are exactly what make the two methods demand different —
 incomparable — notions of commutativity (Sections 6–7).
 
-Concrete recovery managers (undo logs, intentions lists) live in
-:mod:`repro.runtime.recovery`; the test suite shows they realize these
-abstract views.
+The recovery managers that maintain these views incrementally (undo
+logs, intentions lists) live in :mod:`repro.core.recovery`; the test
+suite shows they realize the abstract views.
 """
 
 from __future__ import annotations
@@ -53,19 +53,16 @@ class View(ABC):
         """The operation sequence ``View(H, A)`` (``txn`` must be active in ``history``)."""
 
     def cursor(self, spec, history: Iterable = ()):
-        """An incremental :class:`~repro.core.view_cursors.ViewCursor` companion.
+        """The :class:`~repro.core.recovery.RecoveryManager` maintaining this view.
 
-        The cursor maintains this view's operation sequences — and a
-        spec-state cursor per tracked view — under event deltas, so the
-        object automaton answers legality/response queries in O(1)
-        amortized instead of recomputing ``View(H, A)`` and replaying it
-        through ``spec``.  ``history`` seeds the cursor with an existing
-        event sequence.
-
-        Views without a dedicated cursor fall back to a from-scratch
-        recompute cursor with the same interface.
+        The manager keeps the macro-state after ``View(H, A)`` under
+        event deltas, so the object automaton answers legality/response
+        queries in O(1) amortized instead of recomputing the view and
+        replaying it through ``spec``.  ``history`` seeds it with an
+        existing event sequence.  A view class without an incremental
+        manager gets the from-scratch one, same interface.
         """
-        from .view_cursors import cursor_for_view
+        from .recovery import cursor_for_view
 
         return cursor_for_view(self, spec, history)
 

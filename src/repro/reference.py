@@ -2,7 +2,7 @@
 
 The product has one path per job and picks it from its input: a conflict
 relation that compiles is answered from its bitmask table, a known view
-over a state-machine spec gets its delta cursor, and the scheduler jumps
+over a state-machine spec gets its incremental manager, and the scheduler jumps
 the dead ticks its wake calendar proves, and the atomicity checkers
 prune and memoize one order search.  Each fast path has a slow,
 obviously-right twin that the byte-identity suites compare it with.
@@ -15,12 +15,13 @@ its twin is the enumerator itself, kept here whole.  No other ``repro`` module i
 ==========================  =============================================
 oracle                      what the product then does
 ==========================  =============================================
-:func:`opaque_conflict`     per-pair verdict loop in ``LockManager`` and
-                            ``ObjectAutomaton`` (nothing to compile)
-:func:`opaque_view`         ``RecomputeViewCursor``: ``View(H, A)`` from
+:func:`opaque_conflict`     per-pair verdict loop in ``LockManager``
+                            (nothing to compile)
+:func:`opaque_view`         ``ViewRecoveryManager``: ``View(H, A)`` from
                             scratch and a full spec replay per query
-:func:`checked_view`        the delta cursor, every answer cross-checked
-                            against the from-scratch computation
+:func:`checked_view`        the incremental manager, every answer
+                            cross-checked against the from-scratch
+                            computation
 :func:`walk_dead_ticks`     dead ticks walked one ``system.tick()`` at a
                             time instead of jumped
 ``enumerate_find_*``        nothing: these *are* the slow twins of
@@ -57,7 +58,7 @@ from .core.atomicity import (
 from .core.conflict import ConflictRelation
 from .core.events import Event, Invocation, OpSeq, Operation
 from .core.history import History, HistoryBuilder
-from .core.view_cursors import ViewCursor, cursor_for_view
+from .core.recovery import MacroState, RecoveryManager
 from .core.views import View
 from .runtime.scheduler import Scheduler
 
@@ -87,93 +88,85 @@ class _OpaqueView(View):
 
 
 def opaque_view(view: View) -> View:
-    """``view`` as a class no delta cursor is registered for: same
+    """``view`` as a class with no incremental manager: same
     ``View(H, A)``, recomputed from the history on every query."""
     return _OpaqueView(view)
 
 
 class _CheckedView(_OpaqueView):
     def cursor(self, spec, history: Iterable[Event] = ()) -> "CheckedViewCursor":
-        return CheckedViewCursor(cursor_for_view(self._inner, spec), history)
+        return CheckedViewCursor(self._inner.cursor(spec), self._inner, history)
 
 
 def checked_view(view: View) -> View:
-    """``view`` with its own cursor wrapped in :class:`CheckedViewCursor`."""
+    """``view`` (over a state-machine spec) with its own manager wrapped
+    in :class:`CheckedViewCursor`."""
     return _CheckedView(view)
 
 
 class ViewCursorMismatch(AssertionError):
-    """A checked cursor answer diverged from the from-scratch computation."""
+    """A checked manager answer diverged from the from-scratch computation."""
 
 
-class CheckedViewCursor(ViewCursor):
-    """Every cursor answer cross-validated from scratch.
+class CheckedViewCursor:
+    """Every answer of an incremental manager cross-validated from scratch.
 
-    Wraps an incremental cursor and mirrors the event stream into a
-    history of its own; each :meth:`opseq`, :meth:`responses` and
-    :meth:`accepts` call recomputes the answer via the from-scratch
-    ``View`` (and the spec's replaying ``states_after``) and raises
-    :class:`ViewCursorMismatch` on any divergence.  O(n) per query by
-    design.
+    Wraps the manager and mirrors the event stream into a history of its
+    own; every :meth:`macro`, :meth:`enabled_responses` and
+    :meth:`accepts` call first checks the manager's macro-state against
+    ``spec.states_after(View(H, txn))``, then the answer itself against
+    the spec's replaying twin, and raises :class:`ViewCursorMismatch` on
+    any divergence.  O(n) per query by design.
     """
 
-    def __init__(self, inner: ViewCursor, events: Iterable[Event] = ()):
+    def __init__(self, inner: RecoveryManager, view: View, events: Iterable[Event] = ()):
         self._inner = inner
+        self.view = view
+        self.spec = inner.spec
         self._builder = HistoryBuilder()
-        super().__init__(inner.view, inner.spec, events)
+        for event in events:
+            self.apply(event)
 
     def apply(self, event: Event) -> None:
         self._inner.apply(event)
         self._builder.append(event)
 
-    def _on_respond(self, txn: str, operation: Operation) -> None:  # pragma: no cover
-        pass
+    def _mismatch(self, what: str, txn: str, got, want) -> ViewCursorMismatch:
+        return ViewCursorMismatch(
+            "%s manager %s for %r diverged:\n  manager: %s\n  scratch: %s"
+            % (self.view.name, what, txn, sorted(got, key=repr), sorted(want, key=repr))
+        )
 
-    def _on_commit(self, txn: str) -> None:  # pragma: no cover
-        pass
-
-    def _on_abort(self, txn: str) -> None:  # pragma: no cover
-        pass
-
-    def _scratch_opseq(self, txn: str) -> OpSeq:
-        return tuple(self.view(self._builder.snapshot(), txn))
-
-    def opseq(self, txn: str) -> OpSeq:
-        got = self._inner.opseq(txn)
-        want = self._scratch_opseq(txn)
+    def _checked_opseq(self, txn: str) -> OpSeq:
+        """The from-scratch view, after checking the manager's macro-state
+        against the one it reaches."""
+        opseq = tuple(self.view(self._builder.snapshot(), txn))
+        got, want = self._inner.macro(txn), self.spec.states_after(opseq)
         if got != want:
-            raise ViewCursorMismatch(
-                "%s cursor opseq for %r diverged:\n  cursor: %s\n  scratch: %s"
-                % (self.view.name, txn, got, want)
-            )
-        return got
+            raise self._mismatch("macro", txn, got, want)
+        return opseq
 
-    def responses(self, txn: str, invocation: Invocation) -> FrozenSet[Hashable]:
-        got = self._inner.responses(txn, invocation)
-        want = self.spec.responses(self.opseq(txn), invocation)
+    def macro(self, txn: str) -> MacroState:
+        self._checked_opseq(txn)
+        return self._inner.macro(txn)
+
+    def enabled_responses(self, txn: str, invocation: Invocation) -> FrozenSet[Hashable]:
+        got = self._inner.enabled_responses(txn, invocation)
+        want = self.spec.responses(self._checked_opseq(txn), invocation)
         if got != want:
-            raise ViewCursorMismatch(
-                "%s cursor responses(%r, %s) diverged: cursor %s, scratch %s"
-                % (self.view.name, txn, invocation, sorted(got, key=repr),
-                   sorted(want, key=repr))
-            )
+            raise self._mismatch("responses(%s)" % invocation, txn, got, want)
         return got
 
     def accepts(self, txn: str, operation: Operation) -> bool:
         got = self._inner.accepts(txn, operation)
-        want = self.spec.is_legal(self.opseq(txn) + (operation,))
+        want = self.spec.is_legal(self._checked_opseq(txn) + (operation,))
         if got != want:
-            raise ViewCursorMismatch(
-                "%s cursor accepts(%r, %s) diverged: cursor %s, scratch %s"
-                % (self.view.name, txn, operation, got, want)
-            )
+            raise self._mismatch("accepts(%s)" % operation, txn, [got], [want])
         return got
 
     def fork(self) -> "CheckedViewCursor":
-        twin = CheckedViewCursor.__new__(CheckedViewCursor)
-        self._fork_base_into(twin)
-        twin._inner = self._inner.fork()
-        twin._builder = HistoryBuilder(self._builder.snapshot())
+        twin = CheckedViewCursor(self._inner.fork(), self.view)
+        twin._builder = self._builder.copy()
         return twin
 
 

@@ -46,8 +46,8 @@ from typing import (
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
 from ..core.events import Invocation, Operation
-from .lock_manager import LockManager
-from .recovery import DeferredUpdateManager, UpdateInPlaceManager
+from ..core.lock_manager import LockManager
+from ..core.recovery import DeferredUpdateManager, UpdateInPlaceManager
 from .system import ManagedObject, TransactionSystem
 from .wal import GroupCommitPolicy, RedoOnlyLog, UndoRedoLog
 

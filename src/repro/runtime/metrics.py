@@ -114,11 +114,7 @@ class RunMetrics:
     def counters(self) -> Dict[str, int]:
         """Every integer counter, by field name (the reconciliation
         surface for :func:`repro.runtime.trace.reconcile`)."""
-        return {
-            spec.name: getattr(self, spec.name)
-            for spec in fields(self)
-            if spec.type == "int"
-        }
+        return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
     def row(self) -> Tuple:
         """Label, every counter, then throughput (kept last)."""
@@ -144,6 +140,14 @@ class RunMetrics:
             self.calendar_wakeups,
             round(self.throughput, 4),
         )
+
+
+#: Every integer counter of :class:`RunMetrics`, in declaration order —
+#: the one list the trace reconciler and the partitioned-drive merge
+#: read, so a counter added to the dataclass reaches both.
+COUNTER_FIELDS: Tuple[str, ...] = tuple(
+    spec.name for spec in fields(RunMetrics) if spec.type == "int"
+)
 
 
 @dataclass

@@ -50,7 +50,7 @@ from .durability import (
     run_with_site_crashes,
     validate_site_crashes,
 )
-from .metrics import RunMetrics
+from .metrics import COUNTER_FIELDS, RunMetrics
 from .replication import ReplicatedSystem, build_replicated_system
 from .scheduler import Scheduler, TransactionScript
 from .sharding import ShardedSystem, build_sharded_system, shard_of
@@ -772,30 +772,10 @@ def _drive_partitioned(
     )
 
 
-#: RunMetrics counters that sum across shard runs; ``ticks`` maxes
-#: (shards run concurrently in wall-clock time).
-_ADDITIVE_FIELDS = (
-    "committed",
-    "aborted",
-    "restarts",
-    "deadlocks",
-    "operations",
-    "blocked_attempts",
-    "stuck_aborts",
-    "crash_aborts",
-    "forces",
-    "force_requests",
-    "forced_records",
-    "commit_stall_ticks",
-    "ro_committed",
-    "ro_snapshot_reads",
-    "ro_aborts",
-    "dead_ticks_elided",
-    "calendar_wakeups",
-)
-
-
 def _merge_metrics(into: RunMetrics, part: RunMetrics) -> None:
-    for name in _ADDITIVE_FIELDS:
-        setattr(into, name, getattr(into, name) + getattr(part, name))
+    """Every counter sums across shard runs except ``ticks``, which
+    maxes (shards run concurrently in wall-clock time)."""
+    for name in COUNTER_FIELDS:
+        if name != "ticks":
+            setattr(into, name, getattr(into, name) + getattr(part, name))
     into.ticks = max(into.ticks, part.ticks)

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation, EmptyConflict
 from ..core.events import Invocation, Operation
-from .lock_manager import LockManager
+from ..core.lock_manager import LockManager
 from .system import ManagedObject, OperationOutcome
 
 

@@ -1,293 +1,54 @@
-"""Concrete recovery managers: undo logs and intentions lists (Section 5).
+"""The runtime's recovery managers: undo logs and intentions lists (Section 5).
 
-The core model abstracts recovery into ``View`` functions; real systems
-implement those views with concrete machinery.  This module provides
-both of the paper's families, engineered the way the paper describes
-them and *verified equivalent to the abstract views* in the test suite
-(EXP-C4):
+The managers are the ``View`` half of an object and live in
+:mod:`repro.core.recovery`, where the abstract automaton shares them —
+what the cursor-equivalence and refinement suites prove is proved of the
+classes the runtime executes.  This module re-exports them and picks one
+by recovery-method name.
 
-* :class:`UpdateInPlaceManager` — a single current state.  Executing an
-  operation updates it; commit is free; abort must undo the
-  transaction's effects.  Two undo strategies:
-
-  - ``logical`` — apply per-operation inverse operations (the ADT's
-    :meth:`~repro.adts.base.ADT.undo`) in reverse order.  Sound only
-    when inverses commute with everything NRBC admits concurrently
-    (delta arithmetic, multiset add/remove); ADTs advertise this.
-  - ``replay`` — reconstruct the state by replaying the operations of
-    all non-aborted transactions in their original execution order.
-    Always sound; costs O(log length) per abort.
-
-  ``auto`` picks ``logical`` when the ADT supports it.
-
-* :class:`DeferredUpdateManager` — a base state holding only committed
-  effects (in commit order) plus one intentions list per active
-  transaction.  Executing appends to the intentions list; abort
-  discards it; commit applies it to the base copy.
-
-States are handled as *macro-states* (sets of automaton states), so
-nondeterministic ADTs work unchanged.  An important subtlety the
-managers preserve: with an under-constrained conflict relation a
-transaction's reconstructed view can become *illegal* (empty
-macro-state).  The managers do not crash — they simply enable no further
-responses for that transaction, exactly like the abstract automaton,
-and the scheduler eventually aborts it.
+The one thing the runtime does that the automaton never does is
+``uip_strategy="auto" | "logical"``: undo by inverse operations, O(own
+operations) per abort instead of a replay.  It equals the abstract UIP
+view exactly when the object's conflict relation contains NRBC — which
+:func:`~repro.runtime.durability.recovery_conflict` guarantees for every
+object the builders construct; a hand-built object under a weaker
+relation should pass ``uip_strategy="replay"``.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, Set, Tuple
+from ..core.automaton_spec import StateMachineSpec
+from ..core.recovery import (
+    DeferredUpdateManager,
+    MacroState,
+    RecoveryManager,
+    StrictUpdateInPlaceManager,
+    UpdateInPlaceManager,
+    ViewRecoveryManager,
+)
 
-from ..adts.base import ADT
-from ..core.events import Invocation, Operation
-
-MacroState = FrozenSet
-
-
-class RecoveryManager(ABC):
-    """The state-reconstruction half of a managed object."""
-
-    name: str = "recovery"
-
-    def __init__(self, adt: ADT):
-        self.adt = adt
-
-    @abstractmethod
-    def macro(self, txn: str) -> MacroState:
-        """The macro-state the transaction's next operation runs against.
-
-        This materializes ``View(H, txn)``: an empty result means the
-        view is illegal and no response is enabled.
-        """
-
-    @abstractmethod
-    def on_execute(self, txn: str, operation: Operation) -> None:
-        """Record an executed operation (its response event just occurred)."""
-
-    @abstractmethod
-    def on_commit(self, txn: str) -> None:
-        """Install/acknowledge the transaction's effects."""
-
-    @abstractmethod
-    def on_abort(self, txn: str) -> None:
-        """Erase the transaction's effects."""
-
-    @abstractmethod
-    def executed_of(self, txn: str) -> Tuple[Operation, ...]:
-        """The operations the transaction has executed here, in order.
-
-        Read *before* :meth:`on_commit` (which discards per-transaction
-        state): the multiversion store applies exactly these operations
-        to the committed macro-state at commit, so version chains stay
-        in commit order — the serialization order dynamic atomicity
-        guarantees.
-        """
-
-    # -- conveniences ---------------------------------------------------------
-
-    def enabled_responses(self, txn: str, invocation: Invocation) -> FrozenSet:
-        """The responses legal for the transaction's current view."""
-        responses: Set = set()
-        for state in self.macro(txn):
-            for response, _nxt in self.adt.transitions(state, invocation):
-                responses.add(response)
-        return frozenset(responses)
-
-
-class UpdateInPlaceManager(RecoveryManager):
-    """A current state plus per-transaction undo information."""
-
-    def __init__(self, adt: ADT, *, strategy: str = "auto"):
-        super().__init__(adt)
-        if strategy == "auto":
-            strategy = "logical" if adt.supports_logical_undo else "replay"
-        if strategy not in ("logical", "replay"):
-            raise ValueError("unknown undo strategy %r" % strategy)
-        if strategy == "logical" and not adt.supports_logical_undo:
-            raise ValueError(
-                "%s does not support logical undo" % type(adt).__name__
-            )
-        self.strategy = strategy
-        self.name = "UIP/%s" % strategy
-        #: the replay baseline — the initial state, or, after a crash
-        #: restart, the restored committed state.
-        self._base: MacroState = adt.initial_macro_state()
-        self._current: MacroState = self._base
-        #: execution-order log of (txn, operation); aborted entries removed.
-        self._log: List[Tuple[str, Operation]] = []
-        self._undo_stacks: Dict[str, List[Operation]] = {}
-
-    def macro(self, txn: str) -> MacroState:
-        return self._current
-
-    @property
-    def current_macro(self) -> MacroState:
-        """The single current state (as a macro-state) — same for every txn."""
-        return self._current
-
-    def on_execute(self, txn: str, operation: Operation) -> None:
-        self._current = self.adt.step_macro(self._current, operation)
-        self._log.append((txn, operation))
-        self._undo_stacks.setdefault(txn, []).append(operation)
-
-    def on_commit(self, txn: str) -> None:
-        # The current state already reflects the transaction; just drop
-        # the undo information.
-        self._undo_stacks.pop(txn, None)
-
-    def executed_of(self, txn: str) -> Tuple[Operation, ...]:
-        return tuple(self._undo_stacks.get(txn, ()))
-
-    def on_abort(self, txn: str) -> None:
-        ops = self._undo_stacks.pop(txn, [])
-        self._log = [(t, o) for (t, o) in self._log if t != txn]
-        if self.strategy == "logical":
-            current: Set = set()
-            for state in self._current:
-                undone = state
-                for operation in reversed(ops):
-                    undone = self.adt.undo(undone, operation)
-                current.add(undone)
-            self._current = frozenset(current)
-        else:
-            macro = self._base
-            for _txn, operation in self._log:
-                macro = self.adt.step_macro(macro, operation)
-            self._current = macro
-
-    def rebase(self, macro: MacroState) -> None:
-        """Reset to a restored committed state (crash-restart support)."""
-        self._base = macro
-        self._current = macro
-        self._log = []
-        self._undo_stacks = {}
-
-
-class DeferredUpdateManager(RecoveryManager):
-    """A committed base state plus one intentions list per transaction."""
-
-    name = "DU/intentions"
-
-    def __init__(self, adt: ADT):
-        super().__init__(adt)
-        self._base: MacroState = adt.initial_macro_state()
-        self._intentions: Dict[str, List[Operation]] = {}
-        self._cached: Dict[str, MacroState] = {}
-
-    def macro(self, txn: str) -> MacroState:
-        cached = self._cached.get(txn)
-        if cached is not None:
-            return cached
-        macro = self._base
-        for operation in self._intentions.get(txn, ()):
-            macro = self.adt.step_macro(macro, operation)
-        self._cached[txn] = macro
-        return macro
-
-    @property
-    def base_macro(self) -> MacroState:
-        """The committed base state (commit order), as a macro-state."""
-        return self._base
-
-    def intentions_of(self, txn: str) -> Tuple[Operation, ...]:
-        return tuple(self._intentions.get(txn, ()))
-
-    def executed_of(self, txn: str) -> Tuple[Operation, ...]:
-        return self.intentions_of(txn)
-
-    def on_execute(self, txn: str, operation: Operation) -> None:
-        before = self.macro(txn)  # the private view before this operation
-        self._intentions.setdefault(txn, []).append(operation)
-        self._cached[txn] = self.adt.step_macro(before, operation)
-
-    def on_commit(self, txn: str) -> None:
-        ops = self._intentions.pop(txn, [])
-        self._cached.pop(txn, None)
-        macro = self._base
-        for operation in ops:
-            macro = self.adt.step_macro(macro, operation)
-        self._base = macro
-        # Other transactions' private views depend on the base: invalidate.
-        self._cached.clear()
-
-    def on_abort(self, txn: str) -> None:
-        self._intentions.pop(txn, None)
-        self._cached.pop(txn, None)
-
-
-class ViewRecoveryManager(RecoveryManager):
-    """A recovery manager driven directly by an abstract ``View`` function.
-
-    The reference implementation of recovery: it records the object's
-    event history and materializes ``View(H, txn)`` on demand.  Slower
-    than the specialized managers (the view is recomputed per call) but
-    works for *any* view — including novel ones like
-    :class:`~repro.core.views.StrictUpdateInPlace` — which lets the
-    concrete runtime execute recovery methods that have no specialized
-    implementation yet.  The specialized managers are tested equivalent
-    to this one.
-    """
-
-    def __init__(self, adt: ADT, view):
-        super().__init__(adt)
-        self.view = view
-        self.name = "view(%s)" % view.name
-        from ..core.history import HistoryBuilder
-
-        self._builder = HistoryBuilder()
-        self._counter = 0
-        self._executed: Dict[str, List[Operation]] = {}
-
-    def macro(self, txn: str) -> MacroState:
-        history = self._builder.snapshot()
-        return self.adt.states_after(self.view(history, txn))
-
-    def on_execute(self, txn: str, operation: Operation) -> None:
-        from ..core.events import invoke as invoke_event
-        from ..core.events import respond as respond_event
-
-        self._builder.append(
-            invoke_event(operation.invocation, self.adt.name, txn)
-        )
-        self._builder.append(
-            respond_event(operation.response, self.adt.name, txn)
-        )
-        self._executed.setdefault(txn, []).append(operation)
-
-    def on_commit(self, txn: str) -> None:
-        from ..core.events import commit as commit_event
-
-        self._builder.append(commit_event(self.adt.name, txn))
-        self._executed.pop(txn, None)
-
-    def on_abort(self, txn: str) -> None:
-        from ..core.events import abort as abort_event
-
-        self._builder.append(abort_event(self.adt.name, txn))
-        self._executed.pop(txn, None)
-
-    def executed_of(self, txn: str) -> Tuple[Operation, ...]:
-        return tuple(self._executed.get(txn, ()))
+__all__ = [
+    "DeferredUpdateManager",
+    "MacroState",
+    "RecoveryManager",
+    "StrictUpdateInPlaceManager",
+    "UpdateInPlaceManager",
+    "ViewRecoveryManager",
+    "make_recovery_manager",
+]
 
 
 def make_recovery_manager(
-    adt: ADT, method: str, *, uip_strategy: str = "auto"
+    adt: StateMachineSpec, method: str, *, uip_strategy: str = "auto"
 ) -> RecoveryManager:
-    """Factory: ``method`` is ``"UIP"``, ``"DU"`` or ``"SUIP"`` (case-insensitive).
-
-    ``SUIP`` uses the generic :class:`ViewRecoveryManager` over
-    :data:`repro.core.views.SUIP`.
-    """
+    """Factory: ``method`` is ``"UIP"``, ``"DU"`` or ``"SUIP"`` (case-insensitive)."""
     method = method.upper()
     if method == "UIP":
         return UpdateInPlaceManager(adt, strategy=uip_strategy)
     if method == "DU":
         return DeferredUpdateManager(adt)
     if method == "SUIP":
-        from ..core.views import SUIP
-
-        return ViewRecoveryManager(adt, SUIP)
+        return StrictUpdateInPlaceManager(adt)
     raise ValueError(
         "unknown recovery method %r (want 'UIP', 'DU' or 'SUIP')" % method
     )

@@ -6,7 +6,7 @@ lock-manager/log/scheduler domain.  This module hash-partitions the
 managed objects of a :class:`~repro.runtime.durability.CrashableSystem`
 into **shards**: each shard owns a disjoint subset of the objects, and
 with them its own lock state (every object's
-:class:`~repro.runtime.lock_manager.LockManager`, sharing the PR 6
+:class:`~repro.core.lock_manager.LockManager`, sharing the PR 6
 compiled bitmask tables), its own stable logs with group commit, and its
 own recovery path.  Nothing global remains on the data path — which is
 exactly what lets the open-loop driver (:mod:`repro.runtime.openloop`)

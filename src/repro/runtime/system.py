@@ -1,9 +1,10 @@
 """Managed objects and the multi-object transaction system.
 
 :class:`ManagedObject` is the concrete counterpart of the abstract
-automaton ``I(X, Spec, View, Conflict)``: an ADT instance wired to a
-:class:`~repro.runtime.lock_manager.LockManager` (the ``Conflict`` half)
-and a :class:`~repro.runtime.recovery.RecoveryManager` (the ``View``
+automaton ``I(X, Spec, View, Conflict)``: an ADT instance wired to the
+same two classes the automaton runs on — a
+:class:`~repro.core.lock_manager.LockManager` (the ``Conflict`` half)
+and a :class:`~repro.core.recovery.RecoveryManager` (the ``View``
 half).  Every event it processes is also appended to an event history,
 so a run of the concrete system can be audited post-hoc with the
 *abstract* checkers — the integration tests replay runtime histories
@@ -43,9 +44,10 @@ from ..core.events import (
     respond as respond_event,
 )
 from ..core.history import History
+from ..core.lock_manager import LockManager
+from ..core.recovery import MacroState, RecoveryManager
 from .errors import InvalidTransactionState, UnknownObjectError
-from .lock_manager import LockManager
-from .recovery import MacroState, RecoveryManager, make_recovery_manager
+from .recovery import make_recovery_manager
 
 
 @dataclass(frozen=True)

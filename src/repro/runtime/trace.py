@@ -39,6 +39,8 @@ import json
 import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .metrics import COUNTER_FIELDS
+
 #: Bumped when event kinds or required fields are added.
 SCHEMA_VERSION = 5
 
@@ -212,28 +214,6 @@ def validate_event(event: Any) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # trace <-> metrics reconciliation
 # ---------------------------------------------------------------------------
-
-#: RunMetrics counters rebuilt from a trace stream (field-for-field).
-COUNTER_FIELDS = (
-    "ticks",
-    "committed",
-    "aborted",
-    "crash_aborts",
-    "restarts",
-    "deadlocks",
-    "operations",
-    "blocked_attempts",
-    "stuck_aborts",
-    "commit_stall_ticks",
-    "forces",
-    "force_requests",
-    "forced_records",
-    "ro_committed",
-    "ro_snapshot_reads",
-    "ro_aborts",
-    "dead_ticks_elided",
-    "calendar_wakeups",
-)
 
 
 def reconstruct_counters(events: Sequence[Dict[str, Any]]) -> Dict[str, int]:

@@ -5,7 +5,7 @@ import pytest
 from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.core.object_automaton import ObjectAutomaton
-from repro.core.view_cursors import RecomputeViewCursor
+from repro.core.recovery import ViewRecoveryManager
 from repro.core.views import UIP
 from repro.reference import opaque_view
 
@@ -86,8 +86,8 @@ class TestClone:
             assert twin.blocked_responses(txn) == replay.blocked_responses(txn)
 
     def test_clone_of_recompute_automaton(self):
-        """An automaton over a view with no delta cursor forks its
-        recompute cursor like any other."""
+        """An automaton over a view with no incremental manager forks its
+        recompute manager like any other."""
         ba = BankAccount(domain=(1, 2))
         a = ObjectAutomaton(ba, opaque_view(UIP), ba.nrbc_conflict())
         a.invoke("A", inv("deposit", 1))
@@ -95,6 +95,7 @@ class TestClone:
         twin = a.clone()
         twin.commit("A")
         assert "A" in a.active_transactions()
-        assert isinstance(twin._cursor, RecomputeViewCursor)
-        assert twin._cursor is not a._cursor
+        assert isinstance(twin.recovery, ViewRecoveryManager)
+        assert twin.recovery is not a.recovery
+        assert twin.locks is not a.locks
         assert twin.history != a.history

@@ -1,24 +1,32 @@
-"""Unit tests for the incremental view cursors and the spec-state cursor."""
+"""Unit tests for the recovery managers ``View.cursor`` hands out.
+
+The invariant itself — macro-state and response sets equal to the
+from-scratch view after every event — is ``tests/view_harness.py``; the
+randomized matrix over ADT × view × strategy that drives it is
+``tests/runtime/test_recovery_equivalence.py``.
+"""
 
 import pytest
 
 from repro.adts import BankAccount
 from repro.core.events import abort, commit, inv, invoke, respond
 from repro.core.history import HistoryBuilder
-from repro.core.serial_spec import LanguageSpec
-from repro.core.view_cursors import (
-    DUCursor,
-    RecomputeViewCursor,
-    SUIPCursor,
-    UIPCursor,
+from repro.core.recovery import (
+    DeferredUpdateManager,
+    StrictUpdateInPlaceManager,
+    UpdateInPlaceManager,
+    ViewRecoveryManager,
     cursor_for_view,
 )
+from repro.core.serial_spec import LanguageSpec
 from repro.core.views import DU, SUIP, UIP, View
 from repro.reference import CheckedViewCursor, ViewCursorMismatch, checked_view
 
+from ..view_harness import PROBE, check_against_scratch, drive_and_compare
+
 BA = BankAccount(domain=(1, 2))
 X = BA.name
-PROBE = "P"  # no events: always active, sees every view's shared part
+VIEWS = pytest.mark.parametrize("view", [UIP, DU, SUIP], ids=lambda v: v.name)
 
 
 def script():
@@ -37,113 +45,119 @@ def script():
     ]
 
 
-def drive_and_compare(view):
-    """Feed the script event by event; cursor answers must match scratch."""
-    cursor = cursor_for_view(view, BA)
-    builder = HistoryBuilder()
-    for event in script():
-        cursor.apply(event)
-        builder.append(event)
-        h = builder.snapshot()
-        for txn in sorted(h.active() | {PROBE}):
-            assert cursor.opseq(txn) == tuple(view(h, txn)), (view.name, txn, h)
-            for invocation in BA.invocation_alphabet():
-                assert cursor.responses(txn, invocation) == BA.responses(
-                    view(h, txn), invocation
-                )
+def scratch_check(manager, view, events):
+    check_against_scratch(
+        manager, view, BA, HistoryBuilder(events).snapshot(), BA.invocation_alphabet()
+    )
 
 
 class TestCursorMatchesView:
     def test_uip(self):
-        drive_and_compare(UIP)
+        drive_and_compare(cursor_for_view(UIP, BA), UIP, BA, script())
 
     def test_du(self):
-        drive_and_compare(DU)
+        drive_and_compare(cursor_for_view(DU, BA), DU, BA, script())
 
     def test_suip(self):
-        drive_and_compare(SUIP)
+        drive_and_compare(cursor_for_view(SUIP, BA), SUIP, BA, script())
 
     def test_registered_classes(self):
-        assert isinstance(cursor_for_view(UIP, BA), UIPCursor)
-        assert isinstance(cursor_for_view(DU, BA), DUCursor)
-        assert isinstance(cursor_for_view(SUIP, BA), SUIPCursor)
+        """One class per view; the automaton's UIP half never undoes
+        logically.  (That the runtime's factory hands out the same
+        classes is a ``tests/test_single_path.py`` guard.)"""
+        uip = cursor_for_view(UIP, BA)
+        assert type(uip) is UpdateInPlaceManager and uip.strategy == "replay"
+        assert type(cursor_for_view(DU, BA)) is DeferredUpdateManager
+        assert type(cursor_for_view(SUIP, BA)) is StrictUpdateInPlaceManager
+        assert BA.supports_logical_undo  # "auto" would have picked logical
 
     def test_seeding_with_events(self):
         events = script()
-        seeded = cursor_for_view(DU, BA, events)
-        h = HistoryBuilder(events).snapshot()
-        for txn in sorted(h.active() | {PROBE}):
-            assert seeded.opseq(txn) == tuple(DU(h, txn))
+        scratch_check(cursor_for_view(DU, BA, events), DU, events)
 
 
-class TestSpecStateCursor:
+def every_manager():
+    return [cursor_for_view(view, BA) for view in (UIP, DU, SUIP)]
+
+
+class TestMacroStepping:
+    """What ``SpecStateCursor`` guaranteed, on the managers' macro-state."""
+
     def test_advance_tracks_states_after(self):
-        cursor = BA.cursor()
-        seq = []
-        for op in (
-            BA.deposit(2),
-            BA.withdraw_ok(1),
-            BA.withdraw_no(2),
-        ):
-            cursor.advance(op)
-            seq.append(op)
-            assert cursor.macro == BA.states_after(tuple(seq))
-        assert len(cursor) == 3
-        assert cursor.legal
+        for manager in every_manager():
+            seq = []
+            for op in (BA.deposit(2), BA.withdraw_ok(1), BA.withdraw_no(2)):
+                manager.on_execute("A", op)
+                seq.append(op)
+                assert manager.macro("A") == BA.states_after(tuple(seq))
+            assert manager.macro("A")  # legal
 
     def test_accepts_without_mutating(self):
-        cursor = BA.cursor((BA.deposit(1),))
-        assert cursor.accepts(BA.withdraw_ok(1))
-        assert not cursor.accepts(BA.withdraw_ok(2))
-        assert len(cursor) == 1  # probes do not advance
+        for manager in every_manager():
+            manager.on_execute("A", BA.deposit(1))
+            before = manager.macro("A")
+            assert manager.accepts("A", BA.withdraw_ok(1))
+            assert not manager.accepts("A", BA.withdraw_ok(2))
+            assert manager.macro("A") == before  # probes do not advance
+            assert manager.executed_of("A") == (BA.deposit(1),)
 
     def test_responses(self):
-        cursor = BA.cursor((BA.deposit(1),))
-        assert cursor.responses(inv("withdraw", 1)) == frozenset({"ok"})
-        assert cursor.responses(inv("withdraw", 2)) == frozenset({"no"})
+        for manager in every_manager():
+            manager.on_execute("A", BA.deposit(1))
+            assert manager.enabled_responses("A", inv("withdraw", 1)) == {"ok"}
+            assert manager.enabled_responses("A", inv("withdraw", 2)) == {"no"}
 
     def test_illegal_is_absorbing(self):
-        cursor = BA.cursor()
-        cursor.advance(BA.withdraw_ok(2))  # overdraft: empty macro
-        assert not cursor.legal
-        cursor.advance(BA.deposit(1))
-        assert not cursor.legal  # illegal stays illegal, like states_after
+        for manager in every_manager():
+            manager.on_execute("A", BA.withdraw_ok(2))  # overdraft: empty macro
+            assert not manager.macro("A")
+            manager.on_execute("A", BA.deposit(1))
+            assert not manager.macro("A")  # illegal stays illegal, like states_after
+            assert not manager.enabled_responses("A", inv("deposit", 1))
 
     def test_copy_is_independent(self):
-        cursor = BA.cursor((BA.deposit(2),))
-        twin = cursor.copy()
-        cursor.advance(BA.withdraw_ok(2))
-        assert twin.macro == BA.states_after((BA.deposit(2),))
-        assert len(twin) == 1
+        for manager in every_manager():
+            manager.on_execute("A", BA.deposit(2))
+            twin = manager.fork()
+            manager.on_execute("A", BA.withdraw_ok(2))
+            assert twin.macro("A") == BA.states_after((BA.deposit(2),))
+            assert twin.executed_of("A") == (BA.deposit(2),)
 
     def test_reset(self):
-        cursor = BA.cursor((BA.deposit(2), BA.withdraw_ok(1)))
-        cursor.reset((BA.deposit(1),))
-        assert cursor.macro == BA.states_after((BA.deposit(1),))
-        assert len(cursor) == 1
+        """A UIP abort removes operations from the middle of the view:
+        the survivors are replayed from the restored baseline."""
+        manager = cursor_for_view(UIP, BA)
+        manager.on_execute("A", BA.deposit(2))
+        manager.on_execute("B", BA.deposit(1))
+        manager.on_execute("A", BA.withdraw_ok(1))
+        manager.on_abort("A")
+        assert manager.macro("B") == BA.states_after((BA.deposit(1),))
+        manager.rebase(frozenset({5}))  # crash restart: a new baseline
+        manager.on_execute("A", BA.deposit(2))
+        manager.on_execute("B", BA.deposit(1))
+        manager.on_abort("A")
+        assert manager.macro("B") == frozenset({6})
 
 
 class TestForkIndependence:
-    @pytest.mark.parametrize("view", [UIP, DU, SUIP], ids=lambda v: v.name)
+    @VIEWS
     def test_mutating_original_leaves_twin(self, view):
         events = script()[:6]  # A and B both active, no commit/abort yet
         cursor = cursor_for_view(view, BA, events)
-        h = HistoryBuilder(events).snapshot()
         twin = cursor.fork()
         cursor.apply(abort(X, "A"))  # rebuild path on the original
-        for txn in sorted(h.active() | {PROBE}):
-            assert twin.opseq(txn) == tuple(view(h, txn))
+        scratch_check(twin, view, events)
 
     def test_fork_then_diverge(self):
         cursor = cursor_for_view(UIP, BA, script()[:6])
         twin = cursor.fork()
         cursor.apply(abort(X, "A"))
         twin.apply(commit(X, "A"))
-        assert cursor.opseq(PROBE) != twin.opseq(PROBE)
+        assert cursor.macro(PROBE) != twin.macro(PROBE)
 
 
 class ReversedUIP(View):
-    """An exploratory view with no registered cursor class."""
+    """An exploratory view with no incremental manager."""
 
     name = "UIP-reversed"
 
@@ -153,20 +167,20 @@ class ReversedUIP(View):
 
 class TestFallbacks:
     def test_unregistered_view_uses_recompute(self):
-        cursor = cursor_for_view(ReversedUIP(), BA, script())
-        assert isinstance(cursor, RecomputeViewCursor)
-        h = HistoryBuilder(script()).snapshot()
-        assert cursor.opseq(PROBE) == tuple(reversed(UIP(h, PROBE)))
+        view = ReversedUIP()
+        cursor = drive_and_compare(cursor_for_view(view, BA), view, BA, script())
+        assert type(cursor) is ViewRecoveryManager
 
     def test_language_spec_uses_recompute(self):
         a, b = BA.deposit(1), BA.deposit(2)
         spec = LanguageSpec(X, [(a, b)])
         cursor = cursor_for_view(UIP, spec, ())
-        assert isinstance(cursor, RecomputeViewCursor)
+        assert type(cursor) is ViewRecoveryManager
         cursor.apply(invoke(inv("deposit", 1), X, "A"))
         cursor.apply(respond("ok", X, "A"))
         assert cursor.accepts("A", b)
         assert not cursor.accepts("A", a)  # (a, a) is not in the language
+        assert cursor.enabled_responses("A", inv("deposit", 2)) == frozenset({"ok"})
 
 
 class TestCheckMode:
@@ -174,18 +188,20 @@ class TestCheckMode:
         cursor = checked_view(UIP).cursor(BA, script())
         assert isinstance(cursor, CheckedViewCursor)
         h = HistoryBuilder(script()).snapshot()
-        assert cursor.opseq(PROBE) == tuple(UIP(h, PROBE))
+        assert cursor.macro(PROBE) == BA.states_after(UIP(h, PROBE))
 
     def test_divergence_raises(self):
         cursor = checked_view(UIP).cursor(BA, script()[:6])
-        # Sabotage the inner cursor: drop an operation it should retain.
-        cursor._inner._ops.pop()
+        # Sabotage the inner manager: drop an operation its log should
+        # retain; the next replay (an abort) rebuilds the wrong state.
+        cursor._inner._log.pop()
+        cursor.apply(abort(X, "B"))
         with pytest.raises(ViewCursorMismatch):
-            cursor.opseq(PROBE)
+            cursor.macro(PROBE)
 
     def test_divergent_responses_raise(self):
         cursor = checked_view(DU).cursor(BA, script()[:6])
-        cursor._inner._tails["A"].pop()
-        cursor._inner._txn_cursors.clear()
+        cursor._inner._intentions["A"].pop()
+        cursor._inner._cached.clear()
         with pytest.raises(ViewCursorMismatch):
-            cursor.responses("A", inv("withdraw", 1))
+            cursor.enabled_responses("A", inv("withdraw", 1))

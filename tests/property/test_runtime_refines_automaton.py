@@ -1,0 +1,231 @@
+"""Refinement: every history the runtime produces is a schedule of the
+abstract automaton ``I(X, Spec, View, Conflict)`` it was configured with.
+
+The runtime is meant to *be* that automaton plus a log (ROADMAP aim 3).
+Since both compositions now run on the same ``LockManager`` and recovery
+managers, this suite checks the remaining gap — response choice, the
+scheduler, 2PC, group commit, crash restart, replication — by feeding
+runtime histories back through :meth:`ObjectAutomaton.explain_rejection`:
+
+(a) over every registered ADT and the three (view, relation) pairings,
+    volatile runs, crash-torture schedules (a crash is the mass abort of
+    the paper's §8; every restart and the final clean crash included)
+    and replicated runs under site crashes (each copy's history and each
+    logical object's merged history);
+(b) the negative control, produced *by the runtime*: drop one pair from
+    NRBC (UIP) or NFC (DU) and the object still runs inside the language
+    of the relation it was given, while some seed yields a history the
+    *full* relation's automaton rejects as a ``conflict`` and that is
+    not dynamic atomic — Theorem 9/10's counterexample;
+(c) the one edge: logical undo is the abstract UIP view only when
+    ``Conflict ⊇ NRBC``.  Under a dropped pair a logical-undo object may
+    keep answering where the abstract view is already illegal
+    (``not-legal``); with NRBC in force it never does.
+"""
+
+import random
+
+import pytest
+
+from repro.adts import BankAccount
+from repro.adts.registry import make_adt, registered_kinds
+from repro.core.atomicity import is_dynamic_atomic
+from repro.core.conflict import UnionConflict, WithoutPairs
+from repro.core.object_automaton import ObjectAutomaton
+from repro.core.recovery import (
+    DeferredUpdateManager,
+    StrictUpdateInPlaceManager,
+    UpdateInPlaceManager,
+)
+from repro.core.views import DU, SUIP, UIP
+from repro.runtime import ManagedObject, TransactionSystem, run_scripts
+from repro.runtime import torture
+from repro.runtime.torture import (
+    TortureConfig,
+    configs_for,
+    plan_campaign,
+    plan_site_campaign,
+    run_schedule,
+    workload_for,
+)
+from repro.runtime.workloads import generic_workload
+
+#: the abstract view each manager class claims to maintain
+VIEW_OF = {
+    UpdateInPlaceManager: UIP,
+    DeferredUpdateManager: DU,
+    StrictUpdateInPlaceManager: SUIP,
+}
+
+
+def relation_for(adt, method):
+    """The relation each view needs: Theorem 9, Theorem 10, and — for
+    SUIP — both (EXP-V1: execution order must agree with every possible
+    commit order)."""
+    if method == "UIP":
+        return adt.nrbc_conflict()
+    if method == "DU":
+        return adt.nfc_conflict()
+    return UnionConflict(adt.nfc_conflict(), adt.nrbc_conflict())
+
+
+def rejection(obj, conflict=None, history=None):
+    """Why the automaton ``obj`` was configured as (or the one under
+    ``conflict`` instead) rejects its history; None when it accepts."""
+    return ObjectAutomaton.explain_rejection(
+        obj.adt,
+        VIEW_OF[type(obj.recovery)],
+        obj.conflict if conflict is None else conflict,
+        obj.history() if history is None else history,
+    )
+
+
+# ---------------------------------------------------------------------------
+# (a) the runtime stays inside the automaton's language
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["DU", "SUIP", "UIP"])
+@pytest.mark.parametrize("kind", registered_kinds())
+def test_volatile_runs_refine_the_automaton(kind, method):
+    for seed in range(4):
+        adt = make_adt(kind)
+        obj = ManagedObject(adt, relation_for(adt, method), method)
+        scripts = workload_for(
+            TortureConfig(kind, transactions=5), adt, random.Random(seed)
+        )
+        metrics = run_scripts(TransactionSystem([obj]), scripts, seed=seed)
+        assert metrics.committed
+        assert rejection(obj) is None, (kind, method, seed)
+
+
+@pytest.fixture
+def refinement_audit(monkeypatch):
+    """Every ``audit_recovery`` call of a torture schedule — one per
+    crash restart, one after the final clean crash — also checks each
+    object's history against the automaton.  Returns the audit count."""
+    audits = []
+    audit_recovery = torture.audit_recovery
+
+    def audit(system, label, schedule, **kwargs):
+        for name in sorted(system.objects):
+            why = rejection(system.objects[name])
+            assert why is None, (label, schedule, name, why)
+        audits.append(label)
+        return audit_recovery(system, label, schedule, **kwargs)
+
+    monkeypatch.setattr(torture, "audit_recovery", audit)
+    return audits
+
+
+def test_crash_schedules_refine_the_automaton(refinement_audit):
+    configs = configs_for(registered_kinds(), group_commit=4, hold=4, read_mix=0.2)
+    campaign = plan_campaign(configs, schedules=3 * len(configs), seed=0)
+    crashes = 0
+    for config, plan, run_seed in campaign:
+        result = run_schedule(config, plan, seed=run_seed)
+        assert not result.violations, result.violations
+        crashes += result.crashes
+    # one audit per crash, the final clean one included
+    assert len(refinement_audit) == crashes > len(campaign)
+
+
+def test_replicated_runs_refine_the_automaton(refinement_audit, monkeypatch):
+    logical_audits = []
+    audit_replication = torture.audit_replication
+
+    def audit(system, label, schedule):
+        merged = system.logical_history()
+        for logical in system.logical_names():
+            why = rejection(
+                system.objects[logical], history=merged.project_objects([logical])
+            )
+            assert why is None, (label, schedule, logical, why)
+            logical_audits.append(logical)
+        return audit_replication(system, label, schedule)
+
+    monkeypatch.setattr(torture, "audit_replication", audit)
+    configs = [
+        config
+        for sites in (2, 3)
+        for config in configs_for(("bank", "counter", "kv", "set"), sites=sites)
+    ]
+    campaign = plan_site_campaign(configs, schedules=3 * len(configs), seed=0)
+    for config, crashes, run_seed in campaign:
+        result = run_schedule(config, crashes, seed=run_seed)
+        assert not result.violations, result.violations
+    assert len(logical_audits) == len(refinement_audit) == len(campaign)
+
+
+# ---------------------------------------------------------------------------
+# (b), (c) one pair removed
+# ---------------------------------------------------------------------------
+
+SEEDS = range(6)
+
+
+def bank():
+    return BankAccount("BA", domain=(1, 2), opening=2)
+
+
+def run_bank(conflict, recovery, seed, **options):
+    ba = bank()
+    obj = ManagedObject(ba, conflict, recovery, **options)
+    scripts = generic_workload(
+        ba, random.Random(seed), transactions=5, ops_per_txn=2
+    )
+    run_scripts(TransactionSystem([obj]), scripts, seed=seed)
+    return obj
+
+
+def conflicting_pairs(relation):
+    alphabet = bank().ground_alphabet()
+    return [(p, q) for p in alphabet for q in alphabet if relation.conflicts(p, q)]
+
+
+@pytest.mark.parametrize(
+    "recovery, options",
+    [("UIP", {"uip_strategy": "replay"}), ("DU", {})],
+    ids=["UIP-replay", "DU"],
+)
+def test_a_removed_pair_yields_the_theorem_counterexample(recovery, options):
+    full = relation_for(bank(), recovery)
+    pairs = conflicting_pairs(full)
+    assert len(pairs) == 60
+    counterexamples = 0
+    for pair in pairs:
+        weakened = WithoutPairs(full, [pair])
+        for seed in SEEDS:
+            obj = run_bank(weakened, recovery, seed, **options)
+            # still a schedule of the automaton it was configured as ...
+            assert rejection(obj) is None, (pair, seed)
+            # ... and the full relation's automaton admits only dynamic
+            # atomic histories (the "if" direction), so a runtime
+            # history that is not dynamic atomic used the missing pair.
+            why = rejection(obj, full)
+            if not is_dynamic_atomic(obj.history(), obj.adt):
+                assert why is not None and "not enabled (conflict)" in why
+                counterexamples += 1
+    assert counterexamples  # the "only if" direction, from the runtime
+
+
+def test_logical_undo_is_the_uip_view_only_above_nrbc():
+    ba = bank()
+    nrbc = ba.nrbc_conflict()
+    assert ba.supports_logical_undo
+    # Conflict ⊇ NRBC: the default (logical) object never leaves the language.
+    for relation in (nrbc, UnionConflict(nrbc, ba.nfc_conflict())):
+        for seed in SEEDS:
+            obj = run_bank(relation, "UIP", seed)
+            assert obj.recovery.strategy == "logical"
+            assert rejection(obj) is None, (relation.name, seed)
+    # One pair short: it may, and when it does it is the view that went
+    # illegal, never a conflict it failed to enforce.
+    reasons = [
+        rejection(run_bank(WithoutPairs(nrbc, [pair]), "UIP", seed))
+        for pair in conflicting_pairs(nrbc)
+        for seed in SEEDS
+    ]
+    left_the_language = [why for why in reasons if why is not None]
+    assert left_the_language
+    assert all("not enabled (not-legal)" in why for why in left_the_language)

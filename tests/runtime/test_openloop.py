@@ -253,6 +253,32 @@ def test_partitioned_drive_matches_per_shard_serial_runs():
         assert report.metrics.operations == script_ops
 
 
+def test_partitioned_merge_skips_no_counter():
+    """The merge reads the dataclass's own counter list: every key of
+    the merged ``counters()`` is the sum over the shard runs (``ticks``:
+    the max), so a counter added to ``RunMetrics`` cannot silently read
+    0 in a ``drive --workers N`` report."""
+    from repro.runtime.metrics import COUNTER_FIELDS, RunMetrics
+    from repro.runtime.openloop import _merge_metrics, run_shard_cell
+
+    config = OpenLoopConfig(
+        adt_kind="counter", objects=8, shards=2, transactions=40,
+        arrival_rate=2.0, read_mix=0.3, group_commit=2, hold=2,
+    )
+    parts = [run_shard_cell(config, k, 6)["metrics"].counters() for k in range(2)]
+    merged = drive(config, seed=6, workers=2).metrics.counters()
+    assert tuple(merged) == COUNTER_FIELDS and len(COUNTER_FIELDS) == 18
+    for name, value in merged.items():
+        combine = max if name == "ticks" else sum
+        assert value == combine(part[name] for part in parts), name
+    assert sum(1 for value in merged.values() if value) >= 10
+    # and for the counters that run left at zero
+    total = RunMetrics()
+    for _ in range(2):
+        _merge_metrics(total, RunMetrics(**{name: 3 for name in COUNTER_FIELDS}))
+    assert total.counters() == dict({name: 6 for name in COUNTER_FIELDS}, ticks=3)
+
+
 def test_partitioned_drive_rejects_cross_shard_and_shared_trace():
     config = OpenLoopConfig(objects=8, shards=2, cross_shard=0.5)
     with pytest.raises(ValueError):

@@ -91,6 +91,34 @@ class TestUpdateInPlace:
         m.on_abort("A")
         assert m.current_macro == frozenset({frozenset({"b"})})
 
+    def test_logical_undo_keeps_no_execution_log(self, ba):
+        """The execution-order log is replay's alone.  Counted: after N
+        committed operations and one abort, nothing a logical manager
+        holds has grown with N (it used to append every operation and
+        rebuild the list per abort, reading it never); replay holds
+        exactly the N survivors, and both land in the same state."""
+        n = 50
+
+        def held(manager):
+            sizes = [0]
+            for value in vars(manager).values():
+                if isinstance(value, (list, dict, set)):
+                    sizes.append(len(value))
+                    if isinstance(value, dict):
+                        sizes.extend(len(v) for v in value.values() if isinstance(v, list))
+            return max(sizes)
+
+        managers = {s: UpdateInPlaceManager(ba, strategy=s) for s in ("logical", "replay")}
+        for manager in managers.values():
+            for i in range(n):
+                manager.on_execute("T%d" % i, ba.deposit(1))
+                manager.on_commit("T%d" % i)
+            manager.on_execute("LOSER", ba.deposit(7))
+            manager.on_abort("LOSER")
+            assert manager.current_macro == frozenset({n})
+        assert held(managers["logical"]) == 0
+        assert held(managers["replay"]) == n
+
     def test_abort_unknown_txn_noop(self, ba):
         m = UpdateInPlaceManager(ba)
         m.on_abort("ghost")

@@ -1,44 +1,29 @@
-"""EXP-C4: the concrete recovery managers realize the abstract views.
+"""EXP-C4: the recovery managers realize the abstract views.
 
-Invariant: after any prefix of events, the manager's macro-state for an
-active transaction equals ``spec.states_after(View(H, txn))`` where
-``View`` is the corresponding abstract view (UIP or DU).  Checked by
-replaying randomized abstract-automaton traces into the managers,
-event by event, across ADTs and undo strategies.
+Invariant (``tests/view_harness.py``): after any prefix of events, the
+manager's macro-state for an active transaction equals
+``spec.states_after(View(H, txn))`` where ``View`` is the corresponding
+abstract view, and its response sets are the spec's.  Checked by
+replaying randomized abstract-automaton traces into the managers, event
+by event, across views, ADTs and undo strategies.
 """
 
 import random
 
 import pytest
 
-from repro.adts import BankAccount, Counter, SemiQueue, SetADT
+from repro.adts import BankAccount, SemiQueue, SetADT
+from repro.core.conflict import UnionConflict
 from repro.core.events import inv
-from repro.core.history import History
 from repro.core.object_automaton import TransactionProgram, generate_trace
-from repro.core.views import DU, UIP
-from repro.runtime.recovery import DeferredUpdateManager, UpdateInPlaceManager
+from repro.core.views import DU, SUIP, UIP
+from repro.runtime.recovery import (
+    DeferredUpdateManager,
+    StrictUpdateInPlaceManager,
+    UpdateInPlaceManager,
+)
 
-
-def replay_and_check(adt, view, manager_factory, history: History):
-    """Feed a history into a manager, checking the macro invariant."""
-    manager = manager_factory()
-    prefix = []
-    for event in history:
-        prefix.append(event)
-        h = History(prefix, validate=False)
-        if event.is_response:
-            operation = h.operations_of(event.txn)[-1]
-            manager.on_execute(event.txn, operation)
-        elif event.is_commit:
-            manager.on_commit(event.txn)
-        elif event.is_abort:
-            manager.on_abort(event.txn)
-        for txn in sorted(h.active() | {"PROBE"}):
-            expected = adt.states_after(view(h, txn))
-            assert manager.macro(txn) == expected, (
-                "divergence for %s after %d events (%s)"
-                % (txn, len(prefix), manager.name)
-            )
+from ..view_harness import drive_and_compare
 
 
 def bank_programs(rng):
@@ -112,11 +97,8 @@ def test_uip_manager_realizes_uip_view(adt_factory, program_factory, seed):
     if adt.supports_logical_undo:
         strategies.append("logical")
     for strategy in strategies:
-        replay_and_check(
-            adt,
-            UIP,
-            lambda s=strategy: UpdateInPlaceManager(adt, strategy=s),
-            trace,
+        drive_and_compare(
+            UpdateInPlaceManager(adt, strategy=strategy), UIP, adt, trace
         )
 
 
@@ -133,7 +115,23 @@ def test_du_manager_realizes_du_view(adt_factory, program_factory, seed):
         rng,
         abort_probability=0.3,
     )
-    replay_and_check(adt, DU, lambda: DeferredUpdateManager(adt), trace)
+    drive_and_compare(DeferredUpdateManager(adt), DU, adt, trace)
+
+
+@pytest.mark.parametrize("adt_factory, program_factory", CASES)
+@pytest.mark.parametrize("seed", range(6))
+def test_suip_manager_realizes_suip_view(adt_factory, program_factory, seed):
+    adt = adt_factory()
+    rng = random.Random(seed + 200)
+    trace = generate_trace(
+        adt,
+        SUIP,
+        UnionConflict(adt.nfc_conflict(), adt.nrbc_conflict()),
+        program_factory(rng),
+        rng,
+        abort_probability=0.3,
+    )
+    drive_and_compare(StrictUpdateInPlaceManager(adt), SUIP, adt, trace)
 
 
 def test_strategies_agree_with_each_other():
@@ -145,15 +143,7 @@ def test_strategies_agree_with_each_other():
     )
     logical = UpdateInPlaceManager(ba, strategy="logical")
     replay = UpdateInPlaceManager(ba, strategy="replay")
-    prefix = []
     for event in trace:
-        prefix.append(event)
-        h = History(prefix, validate=False)
-        for manager in (logical, replay):
-            if event.is_response:
-                manager.on_execute(event.txn, h.operations_of(event.txn)[-1])
-            elif event.is_commit:
-                manager.on_commit(event.txn)
-            elif event.is_abort:
-                manager.on_abort(event.txn)
+        logical.apply(event)
+        replay.apply(event)
         assert logical.current_macro == replay.current_macro

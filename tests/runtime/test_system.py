@@ -4,8 +4,6 @@ import pytest
 
 from repro.adts import BankAccount, Register
 from repro.core.events import inv
-from repro.core.object_automaton import ObjectAutomaton
-from repro.core.views import DU, UIP
 from repro.runtime.errors import InvalidTransactionState, UnknownObjectError
 from repro.runtime.system import ManagedObject, TransactionSystem
 
@@ -79,18 +77,6 @@ class TestManagedObject:
         obj.try_operation("B", inv("deposit", 1))  # retry: no new event
         invocations = [e for e in obj.history() if e.is_invocation and e.txn == "B"]
         assert len(invocations) == 1
-
-    def test_runtime_history_accepted_by_abstract_automaton(self):
-        """Every ManagedObject run is a schedule of I(X, Spec, View, Conflict)."""
-        ba, obj = make_ba_object()
-        obj.try_operation("A", inv("deposit", 5))
-        obj.try_operation("B", inv("balance"))  # blocked by A's deposit
-        obj.commit("A")
-        obj.try_operation("B", inv("balance"))
-        obj.commit("B")
-        assert ObjectAutomaton.accepts(
-            ba, UIP, ba.nrbc_conflict(), obj.history()
-        )
 
     def test_du_recovery_private_views(self):
         # EmptyConflict isolates the recovery semantics from locking:

@@ -1,4 +1,4 @@
-"""Tests for the generic view-driven recovery manager."""
+"""Tests for the generic view-driven recovery manager and SUIP in the runtime."""
 
 import random
 
@@ -7,36 +7,24 @@ import pytest
 from repro.adts import BankAccount
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
-from repro.core.history import History
 from repro.core.object_automaton import TransactionProgram, generate_trace
-from repro.core.views import DU, SUIP, UIP
+from repro.core.views import DU, UIP
 from repro.runtime import ManagedObject, TransactionSystem, run_scripts
 from repro.runtime.recovery import (
     DeferredUpdateManager,
+    StrictUpdateInPlaceManager,
     UpdateInPlaceManager,
     ViewRecoveryManager,
     make_recovery_manager,
 )
 from repro.runtime.scheduler import TransactionScript
 
+from ..view_harness import drive_and_compare
+
 
 @pytest.fixture
 def ba():
     return BankAccount("BA", domain=(1, 2))
-
-
-def replay(manager, trace: History):
-    prefix = []
-    for event in trace:
-        prefix.append(event)
-        h = History(prefix, validate=False)
-        if event.is_response:
-            manager.on_execute(event.txn, h.operations_of(event.txn)[-1])
-        elif event.is_commit:
-            manager.on_commit(event.txn)
-        elif event.is_abort:
-            manager.on_abort(event.txn)
-    return manager
 
 
 class TestEquivalenceWithSpecialized:
@@ -52,8 +40,8 @@ class TestEquivalenceWithSpecialized:
         trace = generate_trace(
             ba, UIP, ba.nrbc_conflict(), programs, rng, abort_probability=0.3
         )
-        generic = replay(ViewRecoveryManager(ba, UIP), trace)
-        specialized = replay(UpdateInPlaceManager(ba), trace)
+        generic = drive_and_compare(ViewRecoveryManager(ba, UIP), UIP, ba, trace)
+        specialized = drive_and_compare(UpdateInPlaceManager(ba), UIP, ba, trace)
         for txn in sorted(trace.active() | {"PROBE"}):
             assert generic.macro(txn) == specialized.macro(txn)
 
@@ -67,21 +55,21 @@ class TestEquivalenceWithSpecialized:
         trace = generate_trace(
             ba, DU, ba.nfc_conflict(), programs, rng, abort_probability=0.3
         )
-        generic = replay(ViewRecoveryManager(ba, DU), trace)
-        specialized = replay(DeferredUpdateManager(ba), trace)
+        generic = drive_and_compare(ViewRecoveryManager(ba, DU), DU, ba, trace)
+        specialized = drive_and_compare(DeferredUpdateManager(ba), DU, ba, trace)
         for txn in sorted(trace.active() | {"PROBE"}):
             assert generic.macro(txn) == specialized.macro(txn)
 
 
 class TestFactory:
     def test_suip_factory(self, ba):
-        manager = make_recovery_manager(ba, "SUIP")
-        assert isinstance(manager, ViewRecoveryManager)
-        assert manager.name == "view(SUIP)"
+        manager = make_recovery_manager(ba, "suip")
+        assert type(manager) is StrictUpdateInPlaceManager
+        assert manager.name == "SUIP/merge"
 
 
 class TestSUIPRuntime:
-    """The runtime executes a view with no specialized manager."""
+    """The runtime executes the paper's open-question view."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_suip_with_nfc_dynamic_atomic(self, seed):
@@ -138,3 +126,39 @@ class TestSUIPRuntime:
         outcome = obj.try_operation("B", inv("withdraw", 3))
         assert outcome.status == "blocked"
         assert outcome.blockers == {"A"}
+
+    def test_suip_answers_without_replaying_the_history(self, monkeypatch):
+        """Counted, as the tick-cost tests count RNG draws: over a
+        400-operation run with every transaction active and queried
+        before each operation, the incremental manager steps the spec
+        once per executed operation; the from-scratch manager replays
+        the view for every query."""
+        from repro.core.conflict import EmptyConflict
+        from repro.core.views import SUIP
+
+        steps = []
+        transitions = BankAccount.transitions
+
+        def counting(self, state, invocation):
+            steps.append(invocation)
+            return transitions(self, state, invocation)
+
+        monkeypatch.setattr(BankAccount, "transitions", counting)
+
+        def run(recovery):
+            ba = BankAccount("BA")
+            obj = ManagedObject(ba, EmptyConflict(), recovery)
+            del steps[:]
+            for i in range(400):
+                txn = "T%d" % (i % 4)
+                assert obj.try_operation(txn, inv("deposit", 1)).ok
+            for txn in ("T0", "T1", "T2", "T3"):
+                assert obj.recovery.enabled_responses(txn, inv("balance")) == {100}
+            return len(steps), obj.history()
+
+        incremental, history = run("SUIP")
+        recomputed, same_history = run(ViewRecoveryManager(BankAccount("BA"), SUIP))
+        assert history == same_history
+        # one response query and one step per operation, plus the probes
+        assert incremental == 2 * 400 + 4
+        assert recomputed > 20 * incremental  # ~50 replayed steps per query

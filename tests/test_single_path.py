@@ -7,7 +7,8 @@ only through ``repro.reference``, by tests and twin benches.
 These checks keep a selector — an environment variable, a constructor
 flag, an import of the oracle module — from coming back, and keep the
 failure-domain machinery (in-doubt resolution, the durable-object
-builder, the recovery/conflict pairing) at one copy each.
+builder, the recovery/conflict pairing) and the two halves of an object
+(the lock table, the recovery managers) at one copy each.
 """
 
 import ast
@@ -24,9 +25,12 @@ import repro
 from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.core.object_automaton import ObjectAutomaton
+from repro.core.views import DU, SUIP, UIP
+from repro.reference import opaque_view
 from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.durability import DurableObject
 from repro.runtime.lock_manager import LockManager
+from repro.runtime.recovery import make_recovery_manager
 from repro.runtime.replication import build_replicated_system
 from repro.runtime.scheduler import Scheduler, TransactionScript, periodic_wake
 from repro.runtime.sharding import build_sharded_system
@@ -59,6 +63,24 @@ def _modules():
         yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+def _imports():
+    """``(path, lineno, names)`` per import statement anywhere in a
+    module — function bodies included — with relative imports resolved:
+    the module named and each ``module.attribute`` it pulls."""
+    for path, tree in _modules():
+        package = path.relative_to(SRC).parts[:-1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = list(package[: len(package) - node.level + 1]) if node.level else []
+                base = ".".join(base + ([node.module] if node.module else []))
+                names = [base] + ["%s.%s" % (base, a.name) for a in node.names]
+            else:
+                continue
+            yield path, node.lineno, names
+
+
 def _functions():
     for path, tree in _modules():
         for node in ast.walk(tree):
@@ -79,20 +101,12 @@ def test_no_module_reads_the_environment():
 
 
 def test_only_tests_and_benches_import_the_oracles():
-    offenders = []
-    for path, tree in _modules():
-        if path == PACKAGE / "reference.py":
-            continue
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                names = [base] + ["%s.%s" % (base, a.name) for a in node.names]
-            else:
-                continue
-            if any(n.split(".")[-1] == "reference" for n in names):
-                offenders.append("%s:%d" % (path.relative_to(SRC), node.lineno))
+    offenders = [
+        "%s:%d" % (path.relative_to(SRC), lineno)
+        for path, lineno, names in _imports()
+        if path != PACKAGE / "reference.py"
+        and any((n + ".").startswith("repro.reference.") for n in names)
+    ]
     assert not offenders, offenders
 
 
@@ -342,6 +356,87 @@ def test_every_transaction_system_is_a_transaction_system():
                 systems.append(cls)
     assert TransactionSystem in systems
     assert all(issubclass(cls, TransactionSystem) for cls in systems), systems
+
+
+# ---------------------------------------------------------------------------
+# one Conflict half, one View half
+# ---------------------------------------------------------------------------
+
+
+def _classes():
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield "%s:%s" % (path.relative_to(SRC), node.name), node
+
+
+def test_one_class_keeps_the_lock_table():
+    """"Which active transactions' held operations conflict with this
+    one" — the held masks and the table-row lookup — has one home, and
+    the automaton and the runtime object each hold an instance of it."""
+    homes = [
+        name
+        for name, cls in _classes()
+        if "row_mask" in _calls(cls)
+        or any(
+            isinstance(n, ast.Attribute) and n.attr == "_held_masks"
+            for n in ast.walk(cls)
+        )
+    ]
+    assert homes == ["repro/core/lock_manager.py:LockManager"]
+    ba = BankAccount("BA")
+    automaton = ObjectAutomaton(ba, UIP, ba.nrbc_conflict())
+    runtime = ManagedObject(ba, ba.nrbc_conflict(), "UIP")
+    assert type(automaton.locks) is type(runtime.locks) is LockManager
+
+
+def test_one_class_maintains_each_view():
+    """A class that materializes a view (``macro``) under execute deltas
+    is one of the four in ``core/recovery.py``; ``View.cursor`` and
+    ``make_recovery_manager`` hand out the same ones, and ``View.cursor``
+    never picks logical undo."""
+    homes = sorted(
+        name
+        for name, cls in _classes()
+        if {"macro", "on_execute"}
+        <= {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    )
+    assert homes == [
+        "repro/core/recovery.py:%s" % name
+        for name in (
+            "DeferredUpdateManager",
+            "RecoveryManager",
+            "StrictUpdateInPlaceManager",
+            "UpdateInPlaceManager",
+            "ViewRecoveryManager",
+        )
+    ]
+    cursors = [
+        name for name, cls in _classes()
+        if name.startswith("repro/core/") and cls.name.endswith("Cursor")
+    ]
+    assert not cursors, cursors
+    ba = BankAccount("BA")
+    assert ba.supports_logical_undo
+    for method, view in (("UIP", UIP), ("DU", DU), ("SUIP", SUIP)):
+        assert type(view.cursor(ba)) is type(make_recovery_manager(ba, method))
+    assert UIP.cursor(ba).strategy == "replay"
+    assert type(opaque_view(UIP).cursor(ba)).__name__ == "ViewRecoveryManager"
+
+
+def test_the_theory_layers_never_import_the_runtime():
+    """``repro.core``, ``repro.analysis`` and ``repro.adts`` import
+    nothing from ``repro.runtime``, at module level or inside a function
+    (``import repro`` loads every subpackage, so ``sys.modules`` cannot
+    tell; the import statements can)."""
+    theory = {("repro", "core"), ("repro", "analysis"), ("repro", "adts")}
+    offenders = [
+        "%s:%d" % (path.relative_to(SRC), lineno)
+        for path, lineno, names in _imports()
+        if path.relative_to(SRC).parts[:2] in theory
+        and any((n + ".").startswith("repro.runtime.") for n in names)
+    ]
+    assert not offenders, offenders
 
 
 # ---------------------------------------------------------------------------
