@@ -2,34 +2,41 @@
 
 The product has one path per job and picks it from its input: a conflict
 relation that compiles is answered from its bitmask table, a known view
-over a state-machine spec gets its incremental manager, and the scheduler jumps
-the dead ticks its wake calendar proves, and the atomicity checkers
-prune and memoize one order search.  Each fast path has a slow,
+over a state-machine spec gets its incremental manager, the scheduler
+jumps the dead ticks its wake calendar proves and lets a refused
+invocation sleep until its object's epoch moves, and the atomicity
+checkers prune and memoize one order search.  Each fast path has a slow,
 obviously-right twin that the byte-identity suites compare it with.
 This module is where those twins are reached — by handing the product an
 input it cannot accelerate, or, for the scheduler, by swapping the one
-method that performs the jump; the order search has no such input, so
-its twin is the enumerator itself, kept here whole.  No other ``repro`` module imports it
-(``tests/test_single_path.py`` checks).
+method that performs the jump or decides the sleep; the order search has
+no such input, so its twin is the enumerator itself, kept here whole.
+No other ``repro`` module imports it (``tests/test_single_path.py``
+checks).
 
-==========================  =============================================
-oracle                      what the product then does
-==========================  =============================================
-:func:`opaque_conflict`     per-pair verdict loop in ``LockManager``
-                            (nothing to compile)
-:func:`opaque_view`         ``ViewRecoveryManager``: ``View(H, A)`` from
-                            scratch and a full spec replay per query
-:func:`checked_view`        the incremental manager, every answer
-                            cross-checked against the from-scratch
-                            computation
-:func:`walk_dead_ticks`     dead ticks walked one ``system.tick()`` at a
-                            time instead of jumped
-``enumerate_find_*``        nothing: these *are* the slow twins of
-                            ``core.atomicity.find_*`` — every permutation /
-                            every linear extension of ``precedes``, each
-                            re-simulated from scratch, under a
-                            ``max_orders`` guard
-==========================  =============================================
+=============================  ==========================================
+oracle                         what the product then does
+=============================  ==========================================
+:func:`opaque_conflict`        per-pair verdict loop in ``LockManager``
+                               (nothing to compile)
+:func:`opaque_view`            ``ViewRecoveryManager``: ``View(H, A)``
+                               from scratch and a full spec replay per
+                               query
+:func:`checked_view`           the incremental manager, every answer
+                               cross-checked against the from-scratch
+                               computation
+:func:`walk_dead_ticks`        dead ticks walked one ``system.tick()`` at
+                               a time instead of jumped
+:func:`reattempt_every_tick`   a parked invocation attempted on every
+                               tick anyway, and the attempt checked:
+                               refused, by exactly the blockers the
+                               waits-for graph holds
+``enumerate_find_*``           nothing: these *are* the slow twins of
+                               ``core.atomicity.find_*`` — every
+                               permutation / every linear extension of
+                               ``precedes``, each re-simulated from
+                               scratch, under a ``max_orders`` guard
+=============================  ==========================================
 """
 
 from __future__ import annotations
@@ -186,6 +193,65 @@ def walk_dead_ticks() -> Iterator[None]:
         yield
     finally:
         Scheduler._cross_dead_ticks = jump
+
+
+class ParkedRefusalOverturned(AssertionError):
+    """An attempt the scheduler would have skipped was not the refusal
+    it parked on: some mutation path forgot to move the epoch."""
+
+
+def _reattempt_parked(self: Scheduler, entry, obj_name: str) -> bool:
+    if entry.parked != self.system.epoch(obj_name):
+        return False
+    # The product skips this entry.  Say instead that the refusal fell,
+    # so the scan attempts it as it did before parking existed — and
+    # check that one ``invoke`` on its way back to the scan.
+    system, txn = self.system, entry.txn
+    held = {h for w, h in self._waits.edges() if w == txn}
+    shadowed = "invoke" in vars(system)
+    prior = vars(system).get("invoke")
+
+    def checked_invoke(*args):
+        # One shot: whatever ``system.invoke`` was comes back first.
+        if shadowed:
+            system.invoke = prior
+        else:
+            del system.invoke
+        if args[:2] != (txn, obj_name):
+            raise RuntimeError(
+                "the oracle armed a check for %s at %s, and the scan's next "
+                "invoke was %r: _tick no longer invokes straight after "
+                "_refusal_stands" % (txn, obj_name, args[:2])
+            )
+        outcome = system.invoke(*args)
+        blockers = set(outcome.blockers) - {txn}
+        if outcome.status != "blocked" or blockers != held:
+            raise ParkedRefusalOverturned(
+                "%s parked at %s@%d got %s %s; the waits-for graph holds %s"
+                % (txn, obj_name, entry.parked, outcome.status,
+                   sorted(blockers), sorted(held))
+            )
+        return outcome
+
+    system.invoke = checked_invoke
+    return False
+
+
+@contextmanager
+def reattempt_every_tick() -> Iterator[None]:
+    """Within the block no :class:`~repro.runtime.scheduler.Scheduler`
+    of this process lets a refused invocation sleep: every lock-blocked
+    step is attempted on every tick, with its ``blocked_attempts`` count,
+    waits-for refresh and ``op-blocked`` / ``lock-wait`` events, and each
+    attempt the product would have skipped raises
+    :class:`ParkedRefusalOverturned` unless it is refused by exactly the
+    blockers recorded when the entry parked."""
+    stands = Scheduler._refusal_stands
+    Scheduler._refusal_stands = _reattempt_parked
+    try:
+        yield
+    finally:
+        Scheduler._refusal_stands = stands
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,7 @@ class DurableObject(ManagedObject):
         invoking this, so the object history stays consistent.
         """
         self.crashes += 1
+        self.epoch += 1
         restored = self.wal.restart()
         if self.trace is not None:
             self.trace.emit(

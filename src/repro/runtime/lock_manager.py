@@ -32,7 +32,13 @@ class WaitsForGraph:
         Each blocked attempt reports the complete set of conflicting
         holders at that moment, so earlier edges (whose holders may have
         since released their locks) must not linger — stale edges would
-        manufacture spurious deadlock cycles.
+        manufacture spurious deadlock cycles.  The edges are not
+        refreshed every tick: the scheduler attempts a refused step
+        again only when its object's epoch has moved.  They stay exact
+        all the same, because the block set is a function of the
+        object's lock table, every change to which moves the epoch, and
+        a blocker that finishes in between leaves through
+        :meth:`remove_transaction`.
         """
         targets = {h for h in holders if h != waiter}
         if targets:

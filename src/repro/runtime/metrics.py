@@ -5,7 +5,12 @@ tick, every running transaction gets the chance to execute one
 operation.  A conflict relation that blocks more therefore stretches the
 run over more ticks; the headline number is committed transactions per
 tick (``throughput``).  Abort/restart counts capture deadlock pressure,
-and ``blocked_attempts`` the raw amount of lock contention.
+and ``blocked_attempts`` the lock contention: the attempts made and
+refused.  A refused transaction is not attempted again on every tick it
+waits — it sleeps until its object changes — so this counts refusals
+(on arrival at a step, and once more each time the object changed and
+still refused), not ticks spent waiting; the waiting itself is in
+``ticks`` and in the trace's ``op-blocked`` to ``op-ok`` distance.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ class RunMetrics:
     restarts: int = 0
     deadlocks: int = 0
     operations: int = 0
+    #: attempts made and refused (see the module docstring: one per
+    #: arrival at a step or change of its object, not one per tick).
     blocked_attempts: int = 0
     stuck_aborts: int = 0
     #: the subset of ``aborted`` caused by a whole-system crash killing

@@ -217,6 +217,10 @@ class ReplicatedSystem(CrashableSystem):
         #: operation is pending, ``(txn, logical)`` is pinned to that
         #: copy even if re-qualification would now route elsewhere.
         self._pinned: Dict[Tuple[str, str], str] = {}
+        #: moves whenever ``_current`` / ``_qualified`` /
+        #: ``_pending_catchup`` do — the routing state an ``invoke``
+        #: reads besides the copies themselves (see :meth:`epoch`).
+        self._membership_epoch = 0
         self._sync_seq = 0
         #: torture negative control: re-qualify recovered copies without
         #: replaying the committed operations they missed.
@@ -270,6 +274,18 @@ class ReplicatedSystem(CrashableSystem):
         )
 
     # -- operation routing ---------------------------------------------------------
+
+    def epoch(self, obj_name: str) -> int:
+        """A refused invocation on a logical object depends on *every*
+        copy of it — the authority's view and locks, the peers' locks
+        through ``extra_blockers``, their holders through catch-up
+        admission — and on which copies are in service and read-qualified:
+        the copies' epochs plus the membership counter, all monotone, so
+        the sum moves exactly when any of them does."""
+        objects = self.objects
+        return self._membership_epoch + sum(
+            objects[c].epoch for c in self._logical[obj_name]
+        )
 
     def invoke(
         self,
@@ -432,6 +448,7 @@ class ReplicatedSystem(CrashableSystem):
         for copy in sorted(self._txn_writes.pop(txn, ())):
             if copy in self._current and copy not in self._qualified:
                 self._qualified.add(copy)
+                self._membership_epoch += 1
                 self._qualified_since[copy] = csn
                 site = self._copy_site[copy]
                 self.requalifications[site] += 1
@@ -485,6 +502,7 @@ class ReplicatedSystem(CrashableSystem):
         if not self._site_up[site]:
             raise ReplicationError("site %d is already down" % site)
         self._site_up[site] = False
+        self._membership_epoch += 1
         self.site_failures[site] += 1
         failed = sorted(c for c, s in self._copy_site.items() if s == site)
         self._current.difference_update(failed)
@@ -506,6 +524,7 @@ class ReplicatedSystem(CrashableSystem):
         if self._site_up[site]:
             raise ReplicationError("site %d is already up" % site)
         self._site_up[site] = True
+        self._membership_epoch += 1
         names = sorted(c for c, s in self._copy_site.items() if s == site)
         for name in names:
             self.objects[name].crash_and_restart()
@@ -550,6 +569,7 @@ class ReplicatedSystem(CrashableSystem):
             self._applied_upto[name] = len(log)
             self._pending_catchup.discard(name)
             self._current.add(name)
+            self._membership_epoch += 1
             # Not read-qualified: the protocol requires a *client* write
             # to commit at this copy before it serves reads again.
 

@@ -3,14 +3,21 @@
 Drives a set of straight-line transaction scripts against a
 :class:`~repro.runtime.system.TransactionSystem`:
 
-* each *tick*, every transaction in the system attempts its next
-  operation (in a seeded random order, so interleavings vary across
-  seeds); a script with an open-loop arrival tick waits in an
-  *arrival queue* and joins the system on that tick, so a tick costs
+* each *tick*, every transaction in the system gets its turn (in a
+  seeded random order, so interleavings vary across seeds) to attempt
+  its next operation; a script with an open-loop arrival tick waits in
+  an *arrival queue* and joins the system on that tick, so a tick costs
   what is in the system, not what is still to come;
-* a blocked attempt records waits-for edges; a waits-for cycle aborts a
-  victim (the youngest transaction in the cycle), as does a transaction
-  whose recovery view has become illegal (``stuck``);
+* a blocked attempt records waits-for edges and *parks* the transaction
+  on the object's epoch (:meth:`TransactionSystem.epoch`): a refusal is
+  a function of the object's lock table and view, so its turn passes
+  without an attempt until the epoch has moved — an operation executed
+  there, a commit, an abort, a restart.  A parked transaction is
+  otherwise a blocked one: in the scan order, runnable to the wake
+  calendar, a candidate deadlock victim;
+* a waits-for cycle aborts a victim (the youngest transaction in the
+  cycle), as does a transaction whose recovery view has become illegal
+  (``stuck``);
 * aborted scripts restart as *fresh* transactions (the model does not
   allow a transaction to continue after aborting), up to a restart
   budget;
@@ -37,6 +44,10 @@ byte-identical to walking every tick, which
 ``tests/runtime/test_event_scheduler.py`` pins against the walking
 oracle in :mod:`repro.reference`.  A hook that declares no schedule is
 assumed to act on every tick, so nothing is ever jumped past it.
+Parking is invisible in the same way but for the attempts it saves
+(``blocked_attempts`` and the ``op-blocked`` / ``lock-wait`` events,
+one per attempt made): ``tests/runtime/test_park_and_wake.py`` pins it
+against the oracle that attempts every parked step on every tick.
 """
 
 from __future__ import annotations
@@ -133,6 +144,10 @@ class _LiveTxn:
     #: transactions (incarnations) that must finish before re-entry —
     #: the surviving members of the deadlock cycle this entry died in.
     wait_for: FrozenSet[str] = frozenset()
+    #: the epoch (:meth:`TransactionSystem.epoch`) of the object that
+    #: refused this entry's current step, read after the attempt; the
+    #: entry sleeps there until the epoch moves.  ``None``: not refused.
+    parked: Optional[int] = None
     #: set exactly once, at the transition that finishes the script
     #: (commit success, read-only completion, restart-budget
     #: exhaustion, or crash-time in-doubt resolution): retired entries
@@ -323,9 +338,22 @@ class Scheduler:
         )
         return bool(entry.wait_for)
 
+    def _refusal_stands(self, entry: _LiveTxn, obj_name: str) -> bool:
+        """Is ``entry`` still refused at ``obj_name``, where it parked?
+
+        A refusal — and its blocker set — is a function of the object's
+        lock table and view, and the epoch moves whenever either does,
+        so while the epoch stands another attempt would only repeat the
+        refusal and the waits-for edges the first one recorded.
+        (:func:`repro.reference.reattempt_every_tick` swaps in the
+        oracle that makes that attempt and checks it.)"""
+        return entry.parked == self.system.epoch(obj_name)
+
     def _any_runnable(self, tick: int, live: List[_LiveTxn]) -> bool:
         """Could any entry act at ``tick``?  Mirrors the skip checks at
-        the top of :meth:`_tick`."""
+        the top of :meth:`_tick`.  A parked entry counts: it costs the
+        scan one epoch comparison, and keeping it runnable keeps every
+        tick, shuffle and stall-breaker call where it was."""
         for entry in live:
             if entry.wait_for and self._still_waiting(entry):
                 continue
@@ -426,10 +454,16 @@ class Scheduler:
                 "%s[%s]" % (entry.txn, self.system.status(entry.txn)),
                 "step=%d/%d" % (entry.step, len(entry.script.steps)),
                 "restarts=%d" % entry.restarts,
-                "arrives=%d" % entry.born_tick
-                if id(entry) in queued
-                else "backoff_until=%d" % entry.backoff_until,
             ]
+            if id(entry) in queued:
+                parts.append("arrives=%d" % entry.born_tick)
+            elif entry.parked is not None:
+                parts.append(
+                    "parked=%s@%d"
+                    % (entry.script.steps[entry.step][0], entry.parked)
+                )
+            elif entry.backoff_until:
+                parts.append("backoff_until=%d" % entry.backoff_until)
             if entry.script.read_only:
                 parts.append("read_only")
             if entry.wait_for:
@@ -466,6 +500,9 @@ class Scheduler:
         """
         tick = tick if tick is not None else self.metrics.ticks
         for entry in self._live:
+            # The waits-for graph is discarded below, so every survivor
+            # re-attempts once to record its edges afresh.
+            entry.parked = None
             if entry.txn in victims:
                 if entry.script.read_only:
                     # A crash killed this reader's snapshot (its system
@@ -573,9 +610,16 @@ class Scheduler:
                     progressed = True
                 continue
             obj_name, invocation = entry.script.steps[entry.step]
+            if entry.parked is not None and self._refusal_stands(
+                entry, obj_name
+            ):
+                # Asleep on an unchanged object: no attempt, no count,
+                # no event, and the waits-for edges stand as recorded.
+                continue
             outcome = self.system.invoke(entry.txn, obj_name, invocation, self.rng)
             if outcome.ok:
                 entry.step += 1
+                entry.parked = None
                 self.metrics.operations += 1
                 self._waits.clear_waiter(entry.txn)
                 if self.trace is not None:
@@ -588,6 +632,9 @@ class Scheduler:
                 progressed = True
             elif outcome.status == "blocked":
                 self.metrics.blocked_attempts += 1
+                # Read after the attempt: an attempt on a replicated
+                # object can itself admit a recovered copy.
+                entry.parked = self.system.epoch(obj_name)
                 self._waits.wait(entry.txn, outcome.blockers)
                 if self.trace is not None:
                     self.trace.emit(
@@ -723,6 +770,7 @@ class Scheduler:
             if self.trace is not None:
                 self.trace.emit("txn-abort", txn=entry.txn, reason=reason)
         self._waits.remove_transaction(entry.txn)
+        entry.parked = None
         entry.restarts += 1
         if entry.restarts <= self.max_restarts:
             self.metrics.restarts += 1

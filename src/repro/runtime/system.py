@@ -85,6 +85,12 @@ class ManagedObject:
                 adt, recovery, uip_strategy=uip_strategy
             )
         self._response_chooser = response_chooser
+        #: moves at every change to the lock table or the view — an
+        #: operation executed, a commit, an abort, a restart — and is
+        #: never reset.  A refusal is a function of those two halves, so
+        #: it stands for as long as this number does: the scheduler parks
+        #: a refused invocation on it instead of re-attempting each tick.
+        self.epoch = 0
         self._pending: Dict[str, Invocation] = {}
         self._events: List[Event] = []
         #: multiversion committed store.  ``_committed_macro`` tracks the
@@ -182,6 +188,7 @@ class ManagedObject:
             response, operation = free[0]
         self.locks.acquire(txn, operation)
         self.recovery.on_execute(txn, operation)
+        self.epoch += 1
         self._pending.pop(txn, None)
         self._events.append(respond_event(response, self.name, txn))
         return OperationOutcome("ok", operation=operation)
@@ -268,12 +275,14 @@ class ManagedObject:
         self._advance_committed(txn)
         self.locks.release_all(txn)
         self.recovery.on_commit(txn)
+        self.epoch += 1
         self._events.append(commit_event(self.name, txn))
 
     def abort(self, txn: str) -> None:
         self._pending.pop(txn, None)
         self.locks.release_all(txn)
         self.recovery.on_abort(txn)
+        self.epoch += 1
         self._events.append(abort_event(self.name, txn))
 
     # -- multiversion committed store ---------------------------------------------
@@ -467,6 +476,12 @@ class TransactionSystem:
         outcome = obj.try_operation(txn, invocation, rng)
         self._sync_events(obj_name)
         return outcome
+
+    def epoch(self, obj_name: str) -> int:
+        """Everything a refused :meth:`invoke` on ``obj_name`` depends
+        on, as one monotone number: while it stands, the same attempt
+        gets the same refusal with the same blockers."""
+        return self.objects[obj_name].epoch
 
     def commit(self, txn: str) -> bool:
         """Two-phase commit across every object the transaction touched.

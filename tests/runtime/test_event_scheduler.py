@@ -432,6 +432,32 @@ class TestNonConvergenceDiagnostics:
         assert "waits-for edges (1):" in message
         assert "T -> U" in message
 
+    def test_report_says_what_a_parked_entry_waits_on(self):
+        """A lock-blocked entry names the object it sleeps on and the
+        epoch it is waiting to see move; ``backoff_until=`` is printed
+        only for an entry that has a backoff window."""
+        system = _one_shot_system()
+        system.invoke("HOLDER", "BA", inv("withdraw", 1))
+        scheduler = Scheduler(
+            system,
+            [
+                TransactionScript("T", (("BA", inv("deposit", 1)),)),
+                TransactionScript("U", (("BA", inv("deposit", 1)),)),
+            ],
+            seed=0,
+            arrivals={"U": 2},
+        )
+        epoch = system.epoch("BA")
+        scheduler._tick(1, scheduler._active)
+        scheduler._admit_arrivals(2)
+        message = scheduler._nonconvergence_report()
+        assert "T[active] step=0/1 restarts=0 parked=BA@%d" % epoch in message
+        assert "T -> HOLDER" in message
+        assert "U[active] step=0/1 restarts=0\n" in message + "\n"
+        assert "backoff_until" not in message
+        scheduler._active[1].backoff_until = 9
+        assert "restarts=0 backoff_until=9" in scheduler._nonconvergence_report()
+
 
 # ---------------------------------------------------------------------------
 # retire-on-transition bookkeeping (the cached live list)

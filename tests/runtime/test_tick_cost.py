@@ -7,21 +7,30 @@ walks visit the logs *holding a batch*.  So on a sparse open-loop drive
 the RNG draws of a processed tick are bounded by the in-system
 population whatever ``transactions`` is, and ``StableLog.tick`` is
 called once per (held log, live tick) pair, not once per (object, live
-tick).  The second half pins the invariant the timer walks rest on:
-``armed`` is a superset of the objects whose log holds a batch, however
-the batch came to be held or to be gone.
+tick); and a refused invocation costs an attempt when it arrives at its
+step and again when its object changes, not one per tick it waits.  The
+last part pins the invariant the timer walks rest on: ``armed`` is a
+superset of the objects whose log holds a batch, however the batch came
+to be held or to be gone.
 """
 
 import random
 
 from repro.adts import BankAccount
-from repro.runtime import TransactionSystem
+from repro.core.events import inv
+from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.durability import CrashableSystem, DurableObject
-from repro.runtime.openloop import OpenLoopConfig, open_loop_scripts
-from repro.runtime.openloop import _scheduler as drive_scheduler
+from repro.runtime.openloop import OpenLoopConfig
 from repro.runtime.replication import build_replicated_system, copy_name
+from repro.runtime.scheduler import Scheduler, TransactionScript
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.wal import GroupCommitPolicy, StableLog
+
+from ..drive_harness import (
+    count_invokes,
+    flash_crowd_scheduler,
+    scheduler_in_hand,
+)
 
 # ---------------------------------------------------------------------------
 # the scan: RNG draws per processed tick
@@ -53,21 +62,7 @@ def _sparse_scheduler(transactions, seed=5):
         group_commit=4,
         hold=4,
     )
-    system = build_sharded_system(
-        config.adt_kind,
-        config.object_names(),
-        shards=config.shards,
-        group_commit=config.group_commit,
-        hold=config.hold,
-    )
-    # the scheduler a drive builds, kept in hand to count on
-    scheduler = drive_scheduler(
-        system,
-        open_loop_scripts(config, random.Random(seed)),
-        config,
-        seed=seed,
-        trace=None,
-    )
+    scheduler = scheduler_in_hand(config, seed)
     scheduler.rng = CountingRandom(seed)
     return scheduler
 
@@ -134,6 +129,67 @@ def test_hold_timers_tick_only_where_a_batch_is_held(monkeypatch):
     assert counts["tick_calls"] <= counts["held_pairs"]
     # and that is far from every object on every live tick
     assert counts["held_pairs"] < counts["live_ticks"] * len(logs) // 4
+
+
+# ---------------------------------------------------------------------------
+# refused invocations: TransactionSystem.invoke calls
+# ---------------------------------------------------------------------------
+
+
+def test_waiters_on_a_held_commit_cost_one_attempt_each(monkeypatch):
+    """k readers refused by a depositor whose commit sits in a
+    group-commit hold of h ticks: k attempts for the stretch, not k x h."""
+    k, h = 5, 6
+    calls = count_invokes(monkeypatch)
+    system = TransactionSystem([_durable("BA", hold=h)])
+    scripts = [TransactionScript("H", (("BA", inv("deposit", 1)),))] + [
+        TransactionScript("R%d" % i, (("BA", inv("balance")),))
+        for i in range(k)
+    ]
+    arrivals = dict({"R%d" % i: 2 for i in range(k)}, H=0)
+    metrics = Scheduler(system, scripts, arrivals=arrivals).run()
+    assert metrics.committed == k + 1 and metrics.aborted == 0
+    # the holder sat through two holds: its prepare, then its commit record
+    assert metrics.ticks > 2 * h
+    assert metrics.blocked_attempts == k
+    # H's deposit, k refusals, k grants once H's commit moved the epoch
+    assert calls["invoke"] == 1 + k + k
+
+
+def test_a_flash_crowd_costs_arrivals_plus_wakes(monkeypatch):
+    """An attempt is made when an entry arrives at a step — each such
+    arrival ends in the operation executed or in an abort — and again
+    only for an entry parked at an object at the moment it changes."""
+    calls = count_invokes(monkeypatch)
+    scheduler = flash_crowd_scheduler(0)
+    woken = {"entries": 0}
+
+    def counting_wakes(method):
+        def wrapper(self, *args, **kwargs):
+            epoch = self.epoch
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                if self.epoch != epoch:
+                    woken["entries"] += sum(
+                        1
+                        for t in scheduler._active
+                        if t.parked is not None
+                        and t.script.steps[t.step][0] == self.name
+                    )
+
+        return wrapper
+
+    for name in ("try_operation", "commit", "abort"):
+        monkeypatch.setattr(
+            ManagedObject, name, counting_wakes(getattr(ManagedObject, name))
+        )
+    metrics = scheduler.run()
+    assert calls["invoke"] == metrics.operations + metrics.blocked_attempts
+    assert metrics.blocked_attempts > metrics.operations  # a crowd, refused
+    assert calls["invoke"] <= (
+        metrics.operations + metrics.aborted + woken["entries"]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ These checks keep a selector — an environment variable, a constructor
 flag, an import of the oracle module — from coming back, and keep the
 failure-domain machinery (in-doubt resolution, the durable-object
 builder, the recovery/conflict pairing) and the two halves of an object
-(the lock table, the recovery managers) at one copy each.
+(the lock table, the recovery managers) at one copy each — and every
+change to either half moving the epoch that refused invocations sleep on.
 """
 
 import ast
@@ -300,6 +301,127 @@ def test_arrivals_have_one_admission_path():
     assert sorted(n for _, names in scans for n in names if n > "T1") == [
         "T2", "T2", "T3", "T3", "T4", "T4",
     ]  # one tick for the deposit, one for the commit: then gone
+
+
+# ---------------------------------------------------------------------------
+# a refused invocation sleeps on its object's epoch
+# ---------------------------------------------------------------------------
+
+LOCK_TABLE_CHANGES = {"acquire", "release_all"}
+VIEW_CHANGES = {"on_execute", "on_commit", "on_abort"}
+
+
+def _changes_a_half(fn):
+    """Does ``fn`` change an object's lock table or view in place —
+    ``<x>.locks.acquire/release_all(...)``,
+    ``<x>.recovery.on_execute/on_commit/on_abort(...)`` — or replace
+    either half (``self.locks = ...``, ``self.recovery = ...``)?"""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            half = node.func.value
+            if isinstance(half, ast.Attribute) and (
+                (half.attr == "locks" and node.func.attr in LOCK_TABLE_CHANGES)
+                or (half.attr == "recovery" and node.func.attr in VIEW_CHANGES)
+            ):
+                return True
+        targets = (
+            node.targets if isinstance(node, ast.Assign)
+            else [node.target] if isinstance(node, ast.AnnAssign)
+            else []
+        )
+        if any(
+            isinstance(t, ast.Attribute) and t.attr in ("locks", "recovery")
+            for t in targets
+        ):
+            return True
+    return False
+
+
+def _advances(fn, counter):
+    return any(
+        isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr == counter
+        for node in ast.walk(fn)
+    )
+
+
+def test_every_change_to_an_objects_halves_advances_its_epoch():
+    """The failure mode of parking is a new mutation path that forgets
+    the epoch, and a transaction that then sleeps for ever: whoever
+    touches the lock table or the view says so in the same function.
+    Constructors are exempt (nothing can be parked on an object still
+    being built), and so is the abstract automaton, which holds the same
+    two halves but has no scheduler and no epoch."""
+    changers = [
+        ("%s:%s" % (path.relative_to(SRC), fn.name), fn)
+        for path, fn in _functions()
+        if fn.name != "__init__"
+        and path != PACKAGE / "core" / "object_automaton.py"
+        and _changes_a_half(fn)
+    ]
+    assert sorted(name for name, _ in changers) == [
+        "repro/runtime/durability.py:crash_and_restart",
+        "repro/runtime/system.py:abort",
+        "repro/runtime/system.py:commit",
+        "repro/runtime/system.py:try_operation",
+    ]
+    forgetful = [name for name, fn in changers if not _advances(fn, "epoch")]
+    assert not forgetful, forgetful
+
+
+def test_every_membership_change_advances_the_membership_counter():
+    """A replicated ``invoke`` also reads which copies are in service,
+    read-qualified and awaiting catch-up: whoever changes one of those
+    sets moves the counter ``ReplicatedSystem.epoch`` adds in."""
+    membership = {"_current", "_qualified", "_pending_catchup"}
+    changers = []
+    for path, fn in _functions():
+        if path != PACKAGE / "runtime" / "replication.py" or fn.name == "__init__":
+            continue
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr in membership
+            and node.func.attr in ("add", "discard", "difference_update", "update")
+            for node in ast.walk(fn)
+        ):
+            changers.append(fn)
+    assert sorted(fn.name for fn in changers) == [
+        "_install_versions", "_maybe_catchup", "fail_site", "recover_site",
+    ]
+    forgetful = [
+        fn.name for fn in changers if not _advances(fn, "_membership_epoch")
+    ]
+    assert not forgetful, forgetful
+
+
+def test_only_the_scheduler_compares_epochs():
+    """"Does the refusal still stand?" is one scheduler method (the seam
+    ``repro.reference.reattempt_every_tick`` swaps); everything else
+    only ever moves an epoch forward or adds epochs up."""
+
+    def mentions_an_epoch(node):
+        return any(
+            isinstance(sub, ast.Attribute) and ("epoch" in sub.attr or sub.attr == "parked")
+            for sub in ast.walk(node)
+        )
+
+    homes = {}
+    for path, fn in _functions():
+        if path == PACKAGE / "reference.py":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare) and any(
+                mentions_an_epoch(side) for side in [node.left] + node.comparators
+            ) and not all(
+                isinstance(c, ast.Constant) and c.value is None
+                for c in node.comparators
+            ):
+                homes.setdefault(str(path.relative_to(SRC)), set()).add(fn.name)
+    assert homes == {"repro/runtime/scheduler.py": {"_refusal_stands"}}
 
 
 # ---------------------------------------------------------------------------
