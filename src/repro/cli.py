@@ -21,9 +21,10 @@ Commands
 ``compare <workload>``
     Run the concurrency comparison for one workload
     (hotspot/escrow/semiqueue/fifo/set/register) and print the table.
-    ``--seed-base B`` offsets the seed range; ``--workers N`` fans the
-    (configuration, seed) cells over a process pool with byte-identical
-    output (failed cells are printed and exit 1).
+    ``--seed-base B`` offsets the seed range; the (configuration, seed)
+    cells run on the parallel engine — inline at the default
+    ``--workers 1``, over a process pool at ``--workers N``, with
+    byte-identical output (failed cells are printed and exit 1).
 ``run <adt>``
     Run one workload on a durable (crash-capable) system and print run
     metrics, including the group-commit force accounting
@@ -33,10 +34,11 @@ Commands
     fault injection (crashes at every log interaction, torn forces,
     transient IO errors), auditing the recovery invariants after every
     restart.  ``--inject-bug skip-commit-force`` runs the negative
-    control, which must be *detected* (exit 1).  ``--workers N`` fans
-    the schedules over a process pool (byte-identical report; schedules
-    lost to a worker death are retried once, then reported as failed
-    cells and exit 1).
+    control, which must be *detected* (exit 1).  Every schedule is a
+    cell of the parallel engine: ``--workers N`` fans them over a
+    process pool, and the report and the ``--trace-out`` file are
+    byte-identical at every N (schedules lost to a worker death are
+    retried once, then reported as failed cells and exit 1).
 ``drive``
     Drive the sharded runtime with open-loop traffic: Poisson or bursty
     arrivals at ``--arrival-rate`` transactions/tick, zipfian hot keys
@@ -52,9 +54,8 @@ Commands
     the serial run.
 ``trace-report <t.jsonl>``
     Validate and summarize a structured run trace written by
-    ``repro run --trace-out`` / ``repro torture --trace-out`` (with
-    ``--workers N`` the per-worker shards ``<t>.w<k>.jsonl`` are
-    stitched back into ``<t>`` automatically): schema check every line,
+    ``repro run --trace-out`` / ``repro torture --trace-out`` (the same
+    file at any ``--workers N``): schema check every line,
     reconcile the trace against the recorded ``RunMetrics`` counters,
     and print commit-latency and contention reports.  Exit 1 on any
     schema or reconciliation failure.
@@ -217,7 +218,6 @@ def cmd_audit(args) -> int:
 def cmd_compare(args) -> int:
     from .experiments.comparisons import (
         COMPARE_WORKLOADS,
-        compare,
         compare_parallel,
         comparison_case,
     )
@@ -233,39 +233,28 @@ def cmd_compare(args) -> int:
     _check_parallel_args(args)
     _check_fraction(args, "read_mix")
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
+    knobs = dict(
+        transactions=args.transactions,
+        ops_per_txn=args.ops,
+        opening=args.opening,
+        read_mix=args.read_mix,
+        ro_mode=args.ro_mode,
+    )
     try:
-        adt_factory, workload = comparison_case(
-            args.workload,
-            transactions=args.transactions,
-            ops_per_txn=args.ops,
-            opening=args.opening,
-            read_mix=args.read_mix,
-            ro_mode=args.ro_mode,
-        )
+        comparison_case(args.workload, **knobs)
     except ValueError as exc:
         # e.g. a queue workload with --read-mix: no observer invocations.
         raise SystemExit(str(exc))
-    if args.workers > 1:
-        summaries, failed = compare_parallel(
-            args.workload,
-            seeds=seeds,
-            transactions=args.transactions,
-            ops_per_txn=args.ops,
-            opening=args.opening,
-            read_mix=args.read_mix,
-            ro_mode=args.ro_mode,
-            workers=args.workers,
-        )
-        print(format_summary_table(summaries))
-        if failed:
-            print()
-            print("FAILED CELLS (%d):" % len(failed))
-            for result in failed:
-                print("  cell %d: %s" % (result.index, result.error))
-            return 1
-        return 0
-    summaries = compare(adt_factory, workload, seeds=seeds)
+    summaries, failed = compare_parallel(
+        args.workload, seeds=seeds, workers=args.workers, **knobs
+    )
     print(format_summary_table(summaries))
+    if failed:
+        print()
+        print("FAILED CELLS (%d):" % len(failed))
+        for result in failed:
+            print("  cell %d: %s" % (result.index, result.error))
+        return 1
     return 0
 
 
@@ -312,14 +301,8 @@ def _check_workload_args(args) -> None:
 
 
 def _check_parallel_args(args) -> None:
-    """Shared floors for the execution knobs of run/compare/torture."""
+    """Shared floors for the execution knobs of compare/drive/torture."""
     _check_min(args, (("workers", 1), ("seed_base", 0)))
-
-
-def _count_jsonl(path: str) -> int:
-    """Events in a stitched trace file (the parallel trace accounting)."""
-    with open(path) as fp:
-        return sum(1 for line in fp if line.strip())
 
 
 def _parse_site_crashes(specs, sites: int):
@@ -355,17 +338,11 @@ def _parse_site_crashes(specs, sites: int):
         raise SystemExit("--%s" % exc)
 
 
-def _replication_args(args, what: str):
+def _replication_args(args):
     """The ``--sites``/``--site-crash`` checks ``run`` and ``drive``
     share; returns the validated site-crash rows."""
     _check_min(args, (("sites", 1),))
-    site_crashes = _parse_site_crashes(args.site_crash, args.sites)
-    if (args.sites > 1 or site_crashes) and args.workers > 1:
-        raise SystemExit(
-            "replicated %s keep every site's copies in lockstep "
-            "under one scheduler; use --workers 1" % what
-        )
-    return site_crashes
+    return _parse_site_crashes(args.site_crash, args.sites)
 
 
 def cmd_run(args) -> int:
@@ -379,8 +356,8 @@ def cmd_run(args) -> int:
     _check_adt_kind(args.adt)
     _check_group_commit_args(args)
     _check_workload_args(args)
-    _check_parallel_args(args)
-    site_crashes = _replication_args(args, "runs")
+    _check_min(args, (("seed_base", 0),))
+    site_crashes = _replication_args(args)
     replicated = args.sites > 1 or bool(site_crashes)
     seed = args.seed_base + args.seed
     recovery = args.recovery.upper()
@@ -393,51 +370,17 @@ def cmd_run(args) -> int:
         hold=args.hold,
         sites=args.sites,
     )
-    trace_count = None
-    if args.workers > 1:
-        # Route the cell through the parallel engine: same metrics, but
-        # tracing goes through the worker-shard + stitch path.
-        from .runtime.parallel import Cell, ParallelRunner
+    trace = None
+    if args.trace_out:
+        from .runtime.trace import TraceCollector
 
-        cell = Cell(
-            index=0,
-            kind="run",
-            spec={
-                "adt": args.adt,
-                "recovery": recovery,
-                "transactions": args.transactions,
-                "ops": args.ops,
-                "group_commit": args.group_commit,
-                "hold": args.hold,
-                "label": config.label(),
-            },
-            seed=seed,
-        )
-        runner = ParallelRunner(args.workers, trace_base=args.trace_out)
-        result = runner.run([cell])[0]
-        if not result.ok:
-            print("FAILED CELLS (1):")
-            print("  cell 0: %s" % result.error)
-            return 1
-        metrics = result.value
-        if args.trace_out:
-            trace_count = _count_jsonl(args.trace_out)
+        trace = TraceCollector()
+    scheduler = fault_free_scheduler(config, seed, trace, replicated=replicated)
+    system = scheduler.system
+    if replicated:
+        metrics = run_with_site_crashes(scheduler, site_crashes)
     else:
-        trace = None
-        if args.trace_out:
-            from .runtime.trace import TraceCollector
-
-            trace = TraceCollector()
-        scheduler = fault_free_scheduler(
-            config, seed, trace, replicated=replicated
-        )
-        system = scheduler.system
-        if replicated:
-            metrics = run_with_site_crashes(scheduler, site_crashes)
-        else:
-            metrics = scheduler.run()
-        if trace is not None:
-            trace_count = trace.dump_jsonl(args.trace_out)
+        metrics = scheduler.run()
     print("workload          : %s" % config.label())
     print("group commit      : batch=%d hold=%d" % (args.group_commit, args.hold))
     print("committed         : %d (aborted %d, deadlocks %d)"
@@ -463,10 +406,9 @@ def cmd_run(args) -> int:
                     system.requalifications[site],
                 )
             )
-    if trace_count is not None:
-        print(
-            "trace             : %d events -> %s" % (trace_count, args.trace_out)
-        )
+    if trace is not None:
+        count = trace.dump_jsonl(args.trace_out)
+        print("trace             : %d events -> %s" % (count, args.trace_out))
     return 0
 
 
@@ -504,7 +446,12 @@ def cmd_drive(args) -> int:
             "--sites replicates whole objects and --shards partitions "
             "them; pick one axis (use --shards 1 with --sites)"
         )
-    site_crashes = _replication_args(args, "drives")
+    site_crashes = _replication_args(args)
+    if (args.sites > 1 or site_crashes) and args.workers > 1:
+        raise SystemExit(
+            "replicated drives keep every site's copies in lockstep "
+            "under one scheduler; use --workers 1"
+        )
     config = OpenLoopConfig(
         adt_kind=args.adt,
         objects=args.objects,
@@ -614,7 +561,7 @@ def cmd_torture(args) -> int:
     )
     seed = args.seed_base + args.seed
     trace = None
-    if args.trace_out and args.workers == 1:
+    if args.trace_out:
         from .runtime.trace import TraceCollector
 
         trace = TraceCollector()
@@ -626,14 +573,10 @@ def cmd_torture(args) -> int:
         retry=RetryPolicy(max_retries=args.max_retries),
         trace=trace,
         workers=args.workers,
-        trace_out=args.trace_out if args.workers > 1 else None,
     )
     print(report.format())
     if trace is not None:
         count = trace.dump_jsonl(args.trace_out)
-        print("trace: %d events -> %s" % (count, args.trace_out))
-    elif args.trace_out and args.workers > 1:
-        count = _count_jsonl(args.trace_out)
         print("trace: %d events -> %s" % (count, args.trace_out))
     return 0 if report.ok else 1
 
@@ -804,15 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_out_arg(
         p, "write the structured run trace as JSONL (see `repro trace-report`)"
     )
-    _add_workers_arg(
-        p,
-        "route the run through the parallel engine's worker pool "
-        "(1 = serial; metrics are identical either way)",
-    )
     _add_sites_args(
-        p,
-        "replicate every object over N sites (available-copies; "
-        "requires --workers 1 when N > 1)",
+        p, "replicate every object over N sites (available-copies)"
     )
     p.set_defaults(func=cmd_run)
 
@@ -989,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workers_arg(
         p,
         "fan the schedules over N worker processes (1 = serial; "
-        "the report is byte-identical either way)",
+        "the report and the trace are byte-identical either way)",
     )
     p.set_defaults(func=cmd_torture)
 

@@ -128,6 +128,11 @@ class RecoveryManager(ABC):
         guarantees.
         """
 
+    def rebase(self, macro: MacroState) -> None:
+        """Forget every transaction and take ``macro`` as the committed
+        state — what a crash restart hands the manager it rebuilds."""
+        raise NotImplementedError("%s has no crash restart" % self.name)
+
     def fork(self) -> "RecoveryManager":
         """An independent copy sharing no mutable state (macro-states are
         immutable and shared).  Subclasses copy their own containers."""
@@ -234,7 +239,6 @@ class UpdateInPlaceManager(RecoveryManager):
             self._current = macro
 
     def rebase(self, macro: MacroState) -> None:
-        """Reset to a restored committed state (crash-restart support)."""
         self._base = macro
         self._current = macro
         self._log = []
@@ -297,6 +301,11 @@ class DeferredUpdateManager(RecoveryManager):
     def on_abort(self, txn: str) -> None:
         self._intentions.pop(txn, None)
         self._cached.pop(txn, None)
+
+    def rebase(self, macro: MacroState) -> None:
+        self._base = macro
+        self._intentions = {}
+        self._cached = {}
 
     def fork(self) -> "DeferredUpdateManager":
         twin = super().fork()

@@ -330,10 +330,12 @@ def compare_parallel(
     max_restarts: int = 25,
     workers: int = 1,
 ) -> Tuple[List[MetricsSummary], List["CellResult"]]:
-    """:func:`compare` for a *named* workload, fanned over a process pool.
+    """:func:`compare` for a *named* workload, as cells of the parallel
+    engine: inline at ``workers=1`` (what ``repro compare`` runs by
+    default), fanned over a process pool otherwise.
 
     Returns ``(summaries, failed_cells)``.  The summaries are
-    byte-identical to the serial path whenever ``failed_cells`` is
+    byte-identical to :func:`compare`'s whenever ``failed_cells`` is
     empty; per the failed-cell contract, a configuration whose every
     cell failed is dropped from the summaries and the survivors
     aggregate only their completed seeds — callers must surface

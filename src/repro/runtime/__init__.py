@@ -49,10 +49,7 @@ from .parallel import (
     ParallelRunner,
     execute_cell,
     register_executor,
-    shard_path,
     shared_conflict_case,
-    stitch_trace_shards,
-    trace_shard_paths,
 )
 from .recovery import (
     DeferredUpdateManager,
@@ -171,10 +168,7 @@ __all__ = [
     "ParallelRunner",
     "register_executor",
     "execute_cell",
-    "shard_path",
     "shared_conflict_case",
-    "stitch_trace_shards",
-    "trace_shard_paths",
     "ShardedSystem",
     "ShardTrace",
     "shard_of",

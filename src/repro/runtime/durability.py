@@ -47,7 +47,8 @@ from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
 from ..core.events import Invocation, Operation
 from ..core.lock_manager import LockManager
-from ..core.recovery import DeferredUpdateManager, UpdateInPlaceManager
+from ..core.recovery import DeferredUpdateManager
+from .recovery import make_recovery_manager
 from .system import ManagedObject, TransactionSystem
 from .wal import GroupCommitPolicy, RedoOnlyLog, UndoRedoLog
 
@@ -66,12 +67,11 @@ class DurableObject(ManagedObject):
         log_factory=None,
     ):
         super().__init__(adt, conflict, recovery, uip_strategy=uip_strategy)
-        self._recovery_method = recovery.upper()
         log = log_factory() if log_factory is not None else None
-        if self._recovery_method == "UIP":
-            self.wal = UndoRedoLog(adt, restart_policy=restart_policy, log=log)
-        else:
+        if isinstance(self.recovery, DeferredUpdateManager):
             self.wal = RedoOnlyLog(adt, log=log)
+        else:
+            self.wal = UndoRedoLog(adt, restart_policy=restart_policy, log=log)
         self.crashes = 0
         #: per-transaction group-commit ticket of its latest durability
         #: request (prepare force, then commit-record force).
@@ -256,17 +256,13 @@ class DurableObject(ManagedObject):
         self.locks = LockManager(self.conflict)
         self._pending = {}
         self._force_tickets = {}  # group-commit tickets died with the process
-        if self._recovery_method == "UIP":
-            manager = UpdateInPlaceManager(
-                self.adt,
-                strategy=self.recovery.strategy,
-            )
-            manager.rebase(restored)
-            self.recovery = manager
+        if isinstance(self.recovery, DeferredUpdateManager):
+            self.recovery = make_recovery_manager(self.adt, "DU")
         else:
-            manager = DeferredUpdateManager(self.adt)
-            manager._base = restored
-            self.recovery = manager
+            self.recovery = make_recovery_manager(
+                self.adt, "UIP", uip_strategy=self.recovery.strategy
+            )
+        self.recovery.rebase(restored)
 
 
 class DomainTrace:

@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
+from ..core.recovery import DeferredUpdateManager
 from ..core.views import DU, UIP
 from .durability import (
     CrashableSystem,
@@ -53,6 +54,7 @@ from .durability import (
 )
 from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
 from .metrics import FaultCounters
+from .parallel import Cell, ParallelRunner
 from .replication import ReplicatedSystem, ReplicationError, build_replicated_system
 from .scheduler import Scheduler, periodic_wake
 from .wal import CommitRecord, IntentionsRecord, StableLog
@@ -251,8 +253,7 @@ def fault_free_scheduler(
     config: TortureConfig, seed: int, trace=None, *, replicated: bool = False
 ) -> Scheduler:
     """The scheduler of one fault-free run of ``config``'s workload on
-    plain stable logs: what ``repro run`` executes, in process or as a
-    ``run`` cell of the parallel engine."""
+    plain stable logs: what ``repro run`` executes."""
     system, adt = build_system(config, None, replicated=replicated)
     scripts = workload_for(config, adt, random.Random(seed))
     return Scheduler(system, scripts, seed=seed, label=config.label(), trace=trace)
@@ -308,7 +309,7 @@ def audit_recovery(
     )
     for name, obj in audited:
         history = obj.history()
-        view = UIP if obj._recovery_method == "UIP" else DU
+        view = DU if isinstance(obj.recovery, DeferredUpdateManager) else UIP
 
         # 1. restart state == abstract view of the post-crash history.
         expected = obj.adt.states_after(view(history, PROBE))
@@ -609,27 +610,20 @@ def run_torture(
     retry: Optional[RetryPolicy] = None,
     trace=None,
     workers: int = 1,
-    trace_out: Optional[str] = None,
 ) -> TortureReport:
     """Run ``schedules`` schedules round-robin over the configs.
 
     One-site configs draw log-fault plans (:func:`plan_campaign`, which
     ``max_faults`` and ``retry`` shape); ``sites > 1`` configs draw
     site-crash schedules (:func:`plan_site_campaign`).  Either way each
-    ``(config, plan, run_seed)`` runs through :func:`run_schedule`.  With
-    ``workers > 1`` the schedules fan out over a process pool (see
-    :mod:`repro.runtime.parallel`) and merge back in schedule order, so
-    the report is byte-identical to the serial campaign; tracing then
-    goes through per-worker shard files stitched into ``trace_out``
-    (pass ``trace_out``, not a shared ``trace`` collector).  Schedules
-    lost to a worker death are retried once and otherwise land in
+    ``(config, plan, run_seed)`` is one cell of the parallel engine (see
+    :mod:`repro.runtime.parallel`) running :func:`run_schedule` — inline
+    at ``workers=1``, over a process pool otherwise — merged back in
+    schedule order, so the report and the events appended to ``trace``
+    are the same bytes at every worker count.  Schedules lost to a
+    worker death are retried once and otherwise land in
     ``report.failed``.
     """
-    if workers > 1 and trace is not None:
-        raise ValueError(
-            "a shared trace collector cannot cross process boundaries; "
-            "use trace_out= with workers > 1"
-        )
     if any(config.sites > 1 for config in configs):
         assignments = plan_site_campaign(configs, schedules=schedules, seed=seed)
     else:
@@ -641,21 +635,6 @@ def run_torture(
             retry=retry,
         )
     report = TortureReport(seed=seed)
-    if workers <= 1:
-        for config, plan, run_seed in assignments:
-            result = run_schedule(
-                config,
-                plan,
-                seed=run_seed,
-                counters=report.counters,
-                trace=trace,
-            )
-            _merge_schedule(report, result)
-        return report
-
-    # Lazy import: parallel.py's executors import this module.
-    from .parallel import Cell, ParallelRunner
-
     cells = [
         Cell(
             index=i,
@@ -665,8 +644,7 @@ def run_torture(
         )
         for i, (config, plan, run_seed) in enumerate(assignments)
     ]
-    runner = ParallelRunner(workers, trace_base=trace_out)
-    for cell_result in runner.run(cells):
+    for cell_result in ParallelRunner(workers).run(cells, trace):
         if not cell_result.ok:
             config = assignments[cell_result.index][0]
             report.failed.append(

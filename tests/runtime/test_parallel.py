@@ -8,11 +8,11 @@ Covers the three contracts of ``repro.runtime.parallel``:
 * **robustness** — a crashed worker's cells are retried once on a fresh
   pool, and cells that keep killing their worker surface as failed
   cells instead of hanging the sweep;
-* **trace sharding** — per-worker shards stitch back into a stream that
-  ``repro trace-report --strict`` accepts, with one copy per cell.
+* **one trace** — a cell's events come back with its result, so a
+  campaign's event stream is equal at every worker count, reconciles,
+  and holds each completed cell exactly once.
 """
 
-import json
 import os
 
 import pytest
@@ -21,15 +21,18 @@ from repro.cli import main
 from repro.experiments.comparisons import compare, compare_parallel, comparison_case
 from repro.runtime.parallel import (
     Cell,
-    CellResult,
     ParallelRunner,
     execute_cell,
     register_executor,
-    shard_path,
-    stitch_trace_shards,
-    trace_shard_paths,
 )
-from repro.runtime.torture import configs_for, plan_campaign, run_torture
+from repro.runtime.torture import (
+    TortureConfig,
+    configs_for,
+    fault_free_scheduler,
+    plan_campaign,
+    run_torture,
+)
+from repro.runtime.trace import TraceCollector, load_jsonl, reconcile
 
 WORKER_MATRIX = (1, 2, 4)
 
@@ -71,26 +74,23 @@ class TestCompareEquality:
         assert summaries == compare(adt_factory, workload_fn, seeds=(5, 6))
 
 
+def _fault_free_run(cell, trace):
+    """What ``repro run`` executes, as a cell: RunMetrics of one durable run."""
+    return fault_free_scheduler(cell.spec["config"], cell.seed, trace).run()
+
+
 class TestRunCellEquality:
     def test_group_commit_run_cell(self):
-        """A 'run' cell (group commit on) matches in and out of the pool."""
-        cell = Cell(
-            index=0,
-            kind="run",
-            spec={
-                "adt": "bank",
-                "recovery": "DU",
-                "transactions": 6,
-                "ops": 3,
-                "group_commit": 4,
-                "hold": 2,
-            },
-            seed=3,
+        """A durable-run cell (group commit on) matches in and out of the pool."""
+        register_executor("test-run", _fault_free_run)
+        config = TortureConfig(
+            "bank", "DU", transactions=6, ops_per_txn=3, group_commit=4, hold=2
         )
+        cell = Cell(index=0, kind="test-run", spec={"config": config}, seed=3)
         direct = execute_cell(cell)
         assert direct.forces > 0 and direct.committed > 0
         # Two cells so the pooled path actually engages the pool.
-        cells = [cell, Cell(index=1, kind="run", spec=cell.spec, seed=4)]
+        cells = [cell, Cell(index=1, kind="test-run", spec=cell.spec, seed=4)]
         for workers in WORKER_MATRIX:
             results = ParallelRunner(workers).run(cells)
             assert [r.ok for r in results] == [True, True]
@@ -125,13 +125,6 @@ class TestTortureEquality:
         assert [(p.describe(), s) for _, p, s in first] == [
             (p.describe(), s) for _, p, s in again
         ]
-
-    def test_shared_trace_collector_rejected(self):
-        configs = configs_for(["bank"], ("DU",))
-        with pytest.raises(ValueError, match="trace_out"):
-            run_torture(
-                configs, schedules=2, seed=0, workers=2, trace=object()
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +192,7 @@ class TestWorkerDeath:
 
     def test_duplicate_indexes_rejected(self):
         with pytest.raises(ValueError, match="unique"):
-            ParallelRunner(1).run([Cell(0, "run"), Cell(0, "run")])
+            ParallelRunner(1).run([Cell(0, "compare"), Cell(0, "compare")])
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
@@ -211,61 +204,97 @@ class TestWorkerDeath:
 
 
 # ---------------------------------------------------------------------------
-# trace sharding and stitching
+# one trace at every worker count
 # ---------------------------------------------------------------------------
 
 
-class TestTraceSharding:
-    def test_shard_path_naming(self):
-        assert shard_path("TRACE_x.jsonl", 3) == "TRACE_x.w3.jsonl"
-        assert shard_path("plain", 0) == "plain.w0.jsonl"
+def _traced_flaky_executor(cell, trace):
+    """``_flaky_executor`` that records the cell's events before it dies
+    (first run) and again when it succeeds (the retry)."""
+    trace.begin_tick(cell.index)
+    trace.emit("schedule-start", label="cell-%d" % cell.index, plan="flaky")
+    return _flaky_executor(cell, trace)
 
-    def test_stitch_round_trip_through_trace_report(self, tmp_path):
-        trace_file = str(tmp_path / "TRACE_par.jsonl")
-        configs = configs_for(["bank"], ("DU",))
-        report = run_torture(
-            configs, schedules=6, seed=1, workers=2, trace_out=trace_file
-        )
-        assert report.ok
-        shards = trace_shard_paths(trace_file)
-        assert shards, "no worker shards were written"
-        assert all(".w" in p for p in shards)
-        assert os.path.exists(trace_file)
-        # The stitched stream is one copy per cell, in cell order, and
-        # passes full schema validation + reconciliation.
-        cells = [
-            json.loads(line)["cell"] for line in open(trace_file)
+
+def _traced_boom_executor(cell, trace):
+    trace.emit("schedule-start", label="cell-%d" % cell.index, plan="boom")
+    if cell.index == 1:
+        raise RuntimeError("cell 1 exploded")
+    return cell.index
+
+
+class TestOneTrace:
+    @pytest.mark.parametrize(
+        "overrides, schedules",
+        [({}, 12), ({"group_commit": 2}, 12), ({"sites": 2}, 8)],
+        ids=["log-faults", "group-commit", "site-crashes"],
+    )
+    def test_campaign_events_equal_at_every_worker_count(
+        self, overrides, schedules
+    ):
+        configs = configs_for(["bank"], ("DU", "UIP"), **overrides)
+        streams = {}
+        for workers in WORKER_MATRIX:
+            trace = TraceCollector()
+            report = run_torture(
+                configs, schedules=schedules, seed=3, trace=trace, workers=workers
+            )
+            assert report.ok
+            streams[workers] = trace.events
+        serial = streams[1]
+        assert all(events == serial for events in streams.values())
+        starts = [e for e in serial if e["kind"] == "schedule-start"]
+        assert len(starts) == schedules
+        # A fresh collector per cell: no schedule opens on the previous
+        # schedule's clock.
+        assert {e["tick"] for e in starts} == {0}
+        assert not any("cell" in e for e in serial)
+        results = reconcile(serial)
+        assert len(results) == schedules and all(r.ok for r in results)
+
+    def test_cli_trace_out_leaves_one_file(self, tmp_path, capsys):
+        args = ["torture", "--adt", "bank", "--recovery", "du", "--schedules", "6"]
+        files = {}
+        for workers in (1, 2):
+            path = tmp_path / ("w%d" % workers) / "TRACE.jsonl"
+            path.parent.mkdir()
+            assert main(args + ["--workers", str(workers), "--trace-out", str(path)]) == 0
+            assert os.listdir(str(path.parent)) == ["TRACE.jsonl"]  # no *.w<k>.jsonl
+            files[workers] = path.read_bytes()
+        capsys.readouterr()
+        assert files[1] == files[2]
+        events = load_jsonl(str(path))
+        assert events and not any("cell" in e for e in events)
+        assert main(["trace-report", str(path), "--strict"]) == 0
+
+    def test_retried_cells_appear_once_in_index_order(self, tmp_path):
+        """A worker that dies after emitting loses its events with it; the
+        retry's events are the cell's only copy."""
+        register_executor("test-traced-flaky", _traced_flaky_executor)
+        spec = {"dir": str(tmp_path)}
+        cells = [Cell(i, "test-traced-flaky", spec) for i in reversed(range(4))]
+        trace = TraceCollector()
+        results = ParallelRunner(2, chunk_size=1, retries=4).run(cells, trace)
+        assert [r.ok for r in results] == [True] * 4
+        assert [e["label"] for e in trace.events] == [
+            "cell-%d" % i for i in range(4)
         ]
-        assert cells == sorted(cells)
-        assert set(cells) == set(range(6))
-        assert main(["trace-report", trace_file, "--strict"]) == 0
+        assert [e["tick"] for e in trace.events] == [0, 1, 2, 3]
+        assert [r.events for r in results] == [[e] for e in trace.events]
 
-    def test_stitch_skips_torn_lines_and_duplicate_cells(self, tmp_path):
-        base = str(tmp_path / "T.jsonl")
-        with open(shard_path(base, 0), "w") as fp:
-            fp.write(json.dumps({"kind": "a", "cell": 0}) + "\n")
-            fp.write('{"kind": "torn", "cel')  # mid-write worker death
-        with open(shard_path(base, 1), "w") as fp:
-            fp.write(json.dumps({"kind": "b", "cell": 0}) + "\n")
-            fp.write(json.dumps({"kind": "c", "cell": 1}) + "\n")
-        count = stitch_trace_shards(base, winners={0: 1, 1: 1})
-        events = [json.loads(line) for line in open(base)]
-        assert count == 2
-        assert [e["kind"] for e in events] == ["b", "c"]
-        # Without winners, the lowest worker id holds cell 0.
-        stitch_trace_shards(base)
-        events = [json.loads(line) for line in open(base)]
-        assert [e["kind"] for e in events] == ["a", "c"]
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_cell_contributes_no_events(self, workers):
+        register_executor("test-traced-boom", _traced_boom_executor)
+        cells = [Cell(i, "test-traced-boom") for i in range(3)]
+        trace = TraceCollector()
+        results = ParallelRunner(workers, chunk_size=1).run(cells, trace)
+        assert [r.ok for r in results] == [True, False, True]
+        assert results[1].events == []
+        assert [e["label"] for e in trace.events] == ["cell-0", "cell-2"]
 
-    def test_stale_shards_removed_before_a_run(self, tmp_path):
-        trace_file = str(tmp_path / "TRACE_s.jsonl")
-        stale = shard_path(trace_file, 7)
-        with open(stale, "w") as fp:
-            fp.write(json.dumps({"kind": "stale", "cell": 99}) + "\n")
-        configs = configs_for(["bank"], ("DU",))
-        run_torture(
-            configs, schedules=2, seed=0, workers=2, trace_out=trace_file
+    def test_untraced_cells_get_no_collector(self):
+        register_executor("test-untraced", lambda cell, trace: trace is None)
+        results = ParallelRunner(1).run(
+            [Cell(0, "test-untraced"), Cell(1, "test-untraced")]
         )
-        assert not os.path.exists(stale)
-        cells = {json.loads(line)["cell"] for line in open(trace_file)}
-        assert 99 not in cells
+        assert [(r.value, r.events) for r in results] == [(True, [])] * 2

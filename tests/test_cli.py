@@ -232,9 +232,13 @@ class TestRunCommand:
                 "--site-crash", "1@5-20", "--site-crash", "1@10-30",
             ])
 
-    def test_run_sites_rejects_workers(self):
-        with pytest.raises(SystemExit, match="lockstep"):
+    def test_run_sites_rejects_workers(self, capsys):
+        # ``run`` has no --workers flag (only campaigns fan out): argparse
+        # refuses it before any replication check could.
+        with pytest.raises(SystemExit) as exit_info:
             main(["run", "counter", "--sites", "2", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 class TestTortureValidation:

@@ -1,4 +1,5 @@
-"""CLI tests for ``--workers`` and ``--seed-base`` on run/compare/torture."""
+"""CLI tests for ``--workers`` (compare/drive/torture: the commands that
+run campaigns of cells) and ``--seed-base`` (run/compare/torture)."""
 
 import pytest
 
@@ -14,7 +15,7 @@ class TestValidation:
         "argv",
         [
             ["compare", "hotspot", "--workers", "0"],
-            ["run", "bank", "--workers", "0"],
+            ["drive", "--workers", "0"],
             ["torture", "--adt", "bank", "--schedules", "2", "--workers", "-1"],
         ],
     )
@@ -69,11 +70,14 @@ class TestWorkersByteIdentical:
         assert _out(capsys) == serial
 
     def test_run(self, capsys):
+        """One run is one cell's body, not a campaign: nothing to fan out,
+        so ``run`` takes no ``--workers`` at all."""
         args = ["run", "bank", "--transactions", "4", "--group-commit", "2"]
         assert main(args) == 0
-        serial = _out(capsys)
-        assert main(args + ["--workers", "2"]) == 0
-        assert _out(capsys) == serial
+        with pytest.raises(SystemExit) as exit_info:
+            main(args + ["--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
     def test_torture(self, capsys):
         args = ["torture", "--adt", "bank", "--recovery", "du",

@@ -189,10 +189,9 @@ def test_a_drive_never_imports_numpy():
 
 
 def test_serial_runs_never_import_the_process_pool():
-    """``import repro.runtime`` and a ``workers=1`` command load neither
-    ``multiprocessing`` nor the process pool; ``--workers 2`` loads them
-    only when it has more than one cell to fan out, and prints the same
-    bytes either way."""
+    """``import repro.runtime``, a single run and a ``workers=1`` campaign
+    load neither ``multiprocessing`` nor the process pool; ``--workers 2``
+    loads them to fan the same cells out, and prints the same bytes."""
     code = textwrap.dedent(
         """
         import sys
@@ -226,10 +225,51 @@ def test_serial_runs_never_import_the_process_pool():
     many_cells = ("torture", "--adt", "counter", "--schedules", "4")
     serial = run(*one_cell)
     assert serial[1] == "pool modules: 0" and "committed" in serial[0]
-    assert run(*one_cell, "--workers", "2") == serial  # one cell runs inline
     serial = run(*many_cells)
     assert serial[1] == "pool modules: 0"
     assert run(*many_cells, "--workers", "2") == (serial[0], "pool modules: 2")
+
+
+def test_serial_is_the_pool_of_one():
+    """A campaign has one path at every worker count: nothing asks how
+    many workers there are but the engine itself (inline or pooled), the
+    open-loop driver's partitioned path, and ``repro drive``'s refusals
+    of what that path cannot do."""
+
+    def names_workers(node):
+        return (isinstance(node, ast.Name) and node.id == "workers") or (
+            isinstance(node, ast.Attribute) and node.attr == "workers"
+        )
+
+    forks = sorted(
+        {
+            "%s:%s" % (path.relative_to(PACKAGE), fn.name)
+            for path, fn in _functions()
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Compare)
+            and any(map(names_workers, [node.left] + node.comparators))
+        }
+    )
+    assert forks == [
+        "cli.py:cmd_drive",
+        "runtime/openloop.py:drive",
+        "runtime/parallel.py:__init__",  # ParallelRunner's
+        "runtime/parallel.py:run",
+    ]
+
+
+def test_no_module_writes_a_per_worker_file():
+    """A cell's events come back with its result; no ``<trace>.w<k>.jsonl``
+    shard protocol (or any other per-worker file) is left to come back."""
+    offenders = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ".w%d" in node.value
+    ]
+    assert not offenders, offenders
 
 
 def test_undeclared_hook_is_woken_every_tick():
