@@ -1,22 +1,24 @@
-"""EXP-C15: sharded open-loop scaling — shards shorten the run, not its meaning.
+"""EXP-C15: sharded open-loop scaling — a shard is placement, not execution.
 
 The sharded runtime (``repro.runtime.sharding``) hash-partitions the
-objects so the open-loop driver (``repro.runtime.openloop``) can fan
-single-shard traffic over one worker process per shard.  The claims
-this bench pins down:
+objects; the open-loop driver (``repro.runtime.openloop``) runs one
+scheduler over every shard.  Dynamic atomicity is a *local* property
+(every object enforces ``Conflict`` on its own), so which shard owns an
+object cannot change what executes.  The claims this bench pins down:
 
 1. **Sharding is metadata** — a sharded system executes byte-identically
    to the flat crashable system over the same objects (history reprs and
    metrics rows equal), and the shard *count* does not change execution.
-2. **Partitioning shortens the run, in ticks** — a zipfian open-loop
-   drive at 1, 2 and 4 shards (one worker per shard): the slowest
-   shard's cell finishes in strictly fewer ticks each time the shards
-   double (767 > 593 > 411).  The claim is counted, not timed: the
-   192-arrival drive runs in ~0.1 s, less than a process pool's
-   start-up, so its wall clock measures the pool and not the partition.
-3. **Latency artifact** — commit-latency percentiles (p50/p95/p99, in
+2. **The shard count moves no counter** — a zipfian open-loop drive at
+   1, 2 and 4 shards: ``metrics.counters()`` and the latency list are
+   equal (767 = 767 = 767 ticks), and per-shard ``committed`` sums to
+   the 192 offered transactions.
+3. **A shard owns a shrinking share** — the busiest shard's share of
+   the offered operations (1.000 > 0.609 > 0.328) and of the log forces
+   (1.000 > 0.618 > 0.342) falls strictly each time the shards double.
+4. **Latency artifact** — commit-latency percentiles (p50/p95/p99, in
    ticks, deterministic per seed) per shard count land in
-   ``BENCH_sharded_scaling.json`` beside the tick counts.
+   ``BENCH_sharded_scaling.json`` beside the tick counts and shares.
 
 Every recorded field is tick-space and deterministic per seed: all of
 them are equality fields for the trend gate.
@@ -29,7 +31,7 @@ import random
 import pytest
 
 from repro.runtime.durability import CrashableSystem
-from repro.runtime.openloop import OpenLoopConfig, drive, run_shard_cell
+from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.workloads import mixed_transfers
@@ -39,9 +41,8 @@ ARTIFACT = (
     / "BENCH_sharded_scaling.json"
 )
 
-# The reference drive: zipfian single-shard traffic heavy enough that a
-# shard's worker costs real time, small enough for CI.  cross_shard=0 is
-# what makes per-shard partitioning legal (see openloop.drive).
+# The reference drive: zipfian single-shard traffic, small enough for CI.
+# cross_shard=0 keeps the script list itself equal at every shard count.
 SEED = 11
 SHARD_COUNTS = (1, 2, 4)
 
@@ -85,53 +86,26 @@ def test_sharded_execution_matches_flat(benchmark):
         assert sharded == flat, "shards=%d diverged from flat" % shards
 
 
-@pytest.mark.experiment("EXP-C15")
-def test_partitioned_drive_matches_per_shard_cells(benchmark):
-    """Worker processes merge to exactly the serial per-shard cells.
-
-    (The in-process ``workers=1`` drive runs one joint scheduler over
-    every shard, so under contention its restart interleavings — not
-    its offered load — legitimately differ; the byte-identical claim
-    is against serial execution of the same per-shard cells.)
-    """
-    config = drive_config(2)
-    cells = benchmark.pedantic(
-        lambda: [
-            run_shard_cell(config, shard, SEED)
-            for shard in range(config.shards)
-        ],
-        rounds=1,
-        iterations=1,
-    )
-    parallel = drive(config, seed=SEED, workers=2)
-    assert parallel.ok
-    assert parallel.metrics.committed == sum(
-        c["metrics"].committed for c in cells
-    )
-    assert parallel.metrics.operations == sum(
-        c["metrics"].operations for c in cells
-    )
-    assert parallel.latencies == sorted(
-        t for c in cells for t in c["latencies"]
-    )
-    assert {
-        (r["shard"], r["committed"], r["operations"])
-        for r in parallel.per_shard
-    } == {(c["shard"], c["metrics"].committed, c["operations"]) for c in cells}
+def busiest_share(report, field: str) -> float:
+    """The largest shard's share of ``field`` summed over the shards."""
+    values = [row[field] for row in report.per_shard]
+    return round(max(values) / sum(values), 3)
 
 
 @pytest.mark.experiment("EXP-C15")
-def test_sharded_scaling_ticks(benchmark, capsys):
-    """Record the shard-scaling curve; the slowest shard's cell finishes
-    in strictly fewer ticks each time the shard count doubles."""
-    reports = {  # one worker process per shard; 1 = in-process
-        shards: drive(drive_config(shards), seed=SEED, workers=shards)
-        for shards in SHARD_COUNTS
+def test_sharded_scaling_shares(benchmark, capsys):
+    """Record the drive per shard count: equal execution, and a busiest
+    shard whose share of the load falls each time the count doubles."""
+    reports = {
+        shards: drive(drive_config(shards), seed=SEED) for shards in SHARD_COUNTS
     }
-    assert all(report.ok for report in reports.values())
     benchmark.pedantic(
         lambda: drive(drive_config(1), seed=SEED), rounds=1, iterations=1
     )
+    shares = {
+        field: [busiest_share(reports[s], field) for s in SHARD_COUNTS]
+        for field in ("operations", "forces")
+    }
     record = {
         "experiment": "EXP-C15",
         "workload": {
@@ -148,18 +122,28 @@ def test_sharded_scaling_ticks(benchmark, capsys):
                 "operations": report.metrics.operations,
                 "ticks": report.metrics.ticks,
                 "latency_ticks": report.latency_summary(),
+                "busiest_shard_operations_share": shares["operations"][i],
+                "busiest_shard_forces_share": shares["forces"][i],
             }
-            for shards, report in reports.items()
+            for i, (shards, report) in enumerate(reports.items())
         },
     }
     ARTIFACT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    ticks = [reports[shards].metrics.ticks for shards in SHARD_COUNTS]
+    flat = reports[SHARD_COUNTS[0]]
     with capsys.disabled():
         print(
-            "\n-- EXP-C15 sharded scaling: slowest shard finishes in "
-            "%d / %d / %d ticks at 1 / 2 / 4 shards --" % tuple(ticks)
+            "\n-- EXP-C15 sharded scaling: %d ticks at every shard count; "
+            "busiest shard's share of operations %s, of forces %s at "
+            "1 / 2 / 4 shards --"
+            % (
+                flat.metrics.ticks,
+                " / ".join("%.3f" % x for x in shares["operations"]),
+                " / ".join("%.3f" % x for x in shares["forces"]),
+            )
         )
-    assert all(
-        report.metrics.committed == 192 for report in reports.values()
-    ), record
-    assert ticks[0] > ticks[1] > ticks[2], ticks
+    for shards, report in reports.items():
+        assert report.metrics.counters() == flat.metrics.counters(), shards
+        assert report.latencies == flat.latencies, shards
+        assert sum(row["committed"] for row in report.per_shard) == 192, shards
+    for field, curve in shares.items():
+        assert curve[0] == 1.0 and curve[0] > curve[1] > curve[2], (field, curve)

@@ -48,10 +48,9 @@ Commands
     by default on the lock-free multiversion snapshot path
     (``--ro-mode locked`` runs the same scripts through the ordinary
     locked path instead — the EXP-C16 baseline).  Prints commit-latency
-    percentiles (p50/p95/p99 in ticks) and per-shard traffic.
-    ``--workers N`` fans single-shard traffic over one worker process
-    per shard (requires ``--cross-shard 0``); the merged counters match
-    the serial run.
+    percentiles (p50/p95/p99 in ticks) and per-shard traffic.  One
+    scheduler drives every shard: ``--shards`` changes what each shard
+    owns, never what executes.
 ``trace-report <t.jsonl>``
     Validate and summarize a structured run trace written by
     ``repro run --trace-out`` / ``repro torture --trace-out`` (the same
@@ -301,7 +300,7 @@ def _check_workload_args(args) -> None:
 
 
 def _check_parallel_args(args) -> None:
-    """Shared floors for the execution knobs of compare/drive/torture."""
+    """Shared floors for the execution knobs of compare/torture."""
     _check_min(args, (("workers", 1), ("seed_base", 0)))
 
 
@@ -420,8 +419,7 @@ def cmd_drive(args) -> int:
     _check_adt_kind(args.adt)
     _check_group_commit_args(args)
     _check_workload_args(args)
-    _check_parallel_args(args)
-    _check_min(args, (("shards", 1), ("objects", 1)))
+    _check_min(args, (("seed_base", 0), ("shards", 1), ("objects", 1)))
     if args.arrival_rate <= 0:
         raise SystemExit(
             "--arrival-rate must be > 0 (got %g)" % args.arrival_rate
@@ -430,28 +428,12 @@ def cmd_drive(args) -> int:
     if args.zipf < 0:
         raise SystemExit("--zipf must be >= 0 (got %g)" % args.zipf)
     _check_fraction(args, "read_mix")
-    if args.workers > 1 and args.cross_shard > 0:
-        raise SystemExit(
-            "--workers > 1 partitions traffic per shard and requires "
-            "--cross-shard 0 (cross-shard 2PC needs one scheduler over "
-            "every shard)"
-        )
-    if args.workers > 1 and args.trace_out:
-        raise SystemExit(
-            "--trace-out requires --workers 1 (partitioned drives trace "
-            "per worker shard)"
-        )
     if args.sites > 1 and args.shards != 1:
         raise SystemExit(
             "--sites replicates whole objects and --shards partitions "
             "them; pick one axis (use --shards 1 with --sites)"
         )
     site_crashes = _replication_args(args)
-    if (args.sites > 1 or site_crashes) and args.workers > 1:
-        raise SystemExit(
-            "replicated drives keep every site's copies in lockstep "
-            "under one scheduler; use --workers 1"
-        )
     config = OpenLoopConfig(
         adt_kind=args.adt,
         objects=args.objects,
@@ -478,12 +460,7 @@ def cmd_drive(args) -> int:
 
         trace = TraceCollector()
     try:
-        report = drive(
-            config,
-            seed=args.seed_base + args.seed,
-            workers=args.workers,
-            trace=trace,
-        )
+        report = drive(config, seed=args.seed_base + args.seed, trace=trace)
     except ValueError as exc:
         # e.g. an observer-less ADT (fifo/semiqueue) with --read-mix.
         raise SystemExit(str(exc))
@@ -491,8 +468,6 @@ def cmd_drive(args) -> int:
     if trace is not None:
         count = trace.dump_jsonl(args.trace_out)
         print("trace                : %d events -> %s" % (count, args.trace_out))
-    if not report.ok:
-        return 1
     return 0
 
 
@@ -836,18 +811,11 @@ def build_parser() -> argparse.ArgumentParser:
         "flush a short group-commit batch after T ticks anyway",
     )
     _add_seed_args(p, "offset added to --seed (shared with run/compare sweeps)")
-    _add_workers_arg(
-        p,
-        "fan single-shard traffic over one worker process per "
-        "shard (requires --cross-shard 0)",
-    )
-    _add_trace_out_arg(
-        p, "write the structured drive trace as JSONL (workers=1 only)"
-    )
+    _add_trace_out_arg(p, "write the structured drive trace as JSONL")
     _add_sites_args(
         p,
         "replicate every object over N sites (available-copies; "
-        "one lockstep scheduler, so --shards 1 and --workers 1)",
+        "one lockstep scheduler, so --shards 1)",
     )
     p.set_defaults(func=cmd_drive)
 

@@ -49,7 +49,6 @@ from .parallel import (
     ParallelRunner,
     execute_cell,
     register_executor,
-    shared_conflict_case,
 )
 from .recovery import (
     DeferredUpdateManager,
@@ -168,7 +167,6 @@ __all__ = [
     "ParallelRunner",
     "register_executor",
     "execute_cell",
-    "shared_conflict_case",
     "ShardedSystem",
     "ShardTrace",
     "shard_of",

@@ -509,19 +509,16 @@ def build_durable_object(
     :class:`~repro.runtime.faults.FaultyStableLog`.
 
     ``durable_options`` are :class:`DurableObject`'s own arguments
-    (``restart_policy=``); a ``conflict=`` among them replaces the
-    derived relation, which is how one process shares a single relation
-    (and its compiled table) across many objects.
+    (``restart_policy=``).
     """
     from ..adts.registry import make_adt
 
     adt = make_adt(adt_kind, name)
     recovery = recovery.upper()
-    if "conflict" not in durable_options:
-        durable_options["conflict"] = recovery_conflict(adt, recovery)
     policy = GroupCommitPolicy(group_commit, hold)
     return DurableObject(
         adt,
+        conflict=recovery_conflict(adt, recovery),
         recovery=recovery,
         log_factory=lambda: make_log(policy=policy),
         **durable_options,
@@ -529,7 +526,6 @@ def build_durable_object(
 
 
 def run_with_crashes(
-
     system: CrashableSystem,
     scripts,
     *,

@@ -26,13 +26,10 @@ an **open-loop** arrival process:
   from the PR 3 trace stream's ``txn-commit`` events), committed/ticks
   throughput, wall-clock throughput, and per-shard traffic breakdowns.
 
-Single-shard traffic fans out over one worker process per shard
-(``workers > 1``, via :mod:`repro.runtime.parallel`): each worker
-rebuilds its shard's objects and scripts deterministically from
-``(config, seed)``, so the merged counters are identical to the
-in-process run while the wall clock divides by the number of cores.
-Cross-shard traffic (``cross_shard > 0``) requires the in-process path,
-where one scheduler sees every shard.
+One scheduler drives every shard, so the shard count changes what a
+shard *owns* (its objects, its share of the operations and log forces)
+and nothing that executes: counters, ticks and latencies are equal at
+every ``shards`` when ``cross_shard`` is 0 (EXP-C15).
 
 CLI: ``repro drive --shards N --arrival-rate R --zipf S``.
 """
@@ -45,17 +42,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .durability import (
-    build_durable_object,
-    run_with_site_crashes,
-    validate_site_crashes,
-)
-from .metrics import COUNTER_FIELDS, RunMetrics
+from .durability import run_with_site_crashes, validate_site_crashes
+from .metrics import RunMetrics
 from .replication import ReplicatedSystem, build_replicated_system
 from .scheduler import Scheduler, TransactionScript
 from .sharding import ShardedSystem, build_sharded_system, shard_of
 from .trace import PERCENTILES, TraceCollector, _percentile
-from .wal import StableLog
 from .workloads import _script
 
 __all__ = [
@@ -74,8 +66,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpenLoopConfig:
-    """One open-loop scenario (picklable: plain values only, so a cell
-    can rebuild the exact scenario inside a worker process)."""
+    """One open-loop scenario (plain values only)."""
 
     adt_kind: str = "counter"
     objects: int = 16  # key-space size (one ADT object per key)
@@ -269,9 +260,7 @@ def open_loop_scripts(
 ) -> List[Tuple[TransactionScript, int]]:
     """The full offered load: ``(script, arrival_tick)`` per transaction.
 
-    Deterministic from ``(config, rng state)``; the partitioned parallel
-    path regenerates this in every worker and keeps only its shard's
-    scripts, so no script object ever crosses a process boundary.
+    Deterministic from ``(config, rng state)``.
     """
     from ..adts.registry import make_adt
 
@@ -331,28 +320,20 @@ def home_shard(script: TransactionScript, shards: int) -> int:
 
 @dataclass
 class DriveReport:
-    """Outcome of one open-loop drive (in-process or partitioned)."""
+    """Outcome of one open-loop drive."""
 
     label: str
     shards: int
-    workers: int
     offered: int
     metrics: RunMetrics
     wall_s: float
     #: commit latencies in ticks (arrival -> commit), sorted.
     latencies: List[int] = field(default_factory=list)
     per_shard: List[Dict[str, int]] = field(default_factory=list)
-    #: failed parallel cells (the failed-cell contract: reported, never
-    #: dropped; aggregates cover completed shards only).
-    failed: List[str] = field(default_factory=list)
     #: replication width (1 = the sharded runtime, no copies).
     sites: int = 1
     #: replicated drives: per-site origin traffic and fault counters.
     per_site: List[Dict[str, int]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
 
     @property
     def availability(self) -> float:
@@ -385,8 +366,8 @@ class DriveReport:
         lat = self.latency_summary()
         lines = [
             "open-loop drive      : %s" % self.label,
-            "offered              : %d transactions (%d shards, %d workers)"
-            % (self.offered, self.shards, self.workers),
+            "offered              : %d transactions (%d shards)"
+            % (self.offered, self.shards),
             "committed            : %d (aborted %d, deadlocks %d, restarts %d)"
             % (m.committed, m.aborted, m.deadlocks, m.restarts),
             "ticks                : %d (throughput %.4f committed/tick)"
@@ -431,10 +412,6 @@ class DriveReport:
                         row.get("forces", 0),
                     )
                 )
-        if self.failed:
-            lines.append("FAILED SHARDS (%d):" % len(self.failed))
-            for entry in self.failed:
-                lines.append("  " + entry)
         return "\n".join(lines)
 
 
@@ -466,44 +443,13 @@ def drive(
     config: OpenLoopConfig,
     *,
     seed: int = 0,
-    workers: int = 1,
     trace: Optional[TraceCollector] = None,
 ) -> DriveReport:
-    """Run one open-loop scenario and measure it.
-
-    ``workers <= 1``: one in-process scheduler over a
+    """Run one open-loop scenario and measure it: one scheduler over a
     :class:`ShardedSystem` holding every shard (cross-shard traffic
     allowed) — or, with ``sites > 1`` or a site-crash schedule, over a
     :class:`~repro.runtime.replication.ReplicatedSystem` whose sites
-    fail and recover from the tick schedule.  ``workers > 1``: one
-    worker process per shard via the parallel engine (single-shard
-    traffic only); counters merge to the sum of the per-shard serial
-    runs, deterministically.
-    """
-    if workers > 1:
-        if config.sites > 1 or config.site_crashes:
-            raise ValueError(
-                "replicated drives keep every site's copies in lockstep "
-                "under one scheduler; use workers=1"
-            )
-        if config.cross_shard > 0:
-            raise ValueError(
-                "cross-shard transactions need one scheduler over every "
-                "shard; use workers=1 (or cross_shard=0)"
-            )
-        if trace is not None:
-            raise ValueError(
-                "a shared trace collector cannot cross process boundaries; "
-                "partitioned drives trace per worker shard"
-            )
-        return _drive_partitioned(config, seed=seed, workers=workers)
-    return _drive_inline(config, seed=seed, trace=trace)
-
-
-def _drive_inline(
-    config: OpenLoopConfig, *, seed: int, trace: Optional[TraceCollector]
-) -> DriveReport:
-    """One scheduler over every shard, or over every site's copies.
+    fail and recover from the tick schedule.
 
     A replicated drive sees the same global arrival stream as the
     single-site drive (identical rng draws), *thinned* over the sites —
@@ -560,7 +506,6 @@ def _drive_inline(
     report = DriveReport(
         label=config.label(),
         shards=shards,
-        workers=1,
         offered=len(scripts),
         metrics=metrics,
         wall_s=wall,
@@ -651,131 +596,3 @@ def _per_site_rows(
         }
         for acc in system.force_accounting_by_site()
     ]
-
-
-# ---------------------------------------------------------------------------
-# the partitioned parallel path
-# ---------------------------------------------------------------------------
-
-
-def run_shard_cell(
-    config: OpenLoopConfig,
-    shard: int,
-    seed: int,
-    trace: Optional[TraceCollector] = None,
-) -> Dict[str, object]:
-    """Execute one shard's slice of the offered load (worker-side body).
-
-    Regenerates the full script list deterministically, keeps the
-    scripts homed on ``shard``, builds *only* that shard's objects (the
-    conflict relation and its compiled bitmask table come from the
-    per-process shared registry, so repeated cells pay for one
-    derivation per ADT kind, not one per object), and runs the normal
-    scheduler.  Returns picklable aggregates.
-    """
-    from .parallel import shared_conflict_case
-
-    scripts = [
-        (script, tick)
-        for script, tick in open_loop_scripts(config, random.Random(seed))
-        if home_shard(script, config.shards) == shard
-    ]
-    conflict = shared_conflict_case(config.adt_kind, config.recovery)
-    system = ShardedSystem(
-        [
-            build_durable_object(
-                config.adt_kind,
-                name,
-                config.recovery,
-                config.group_commit,
-                config.hold,
-                StableLog,
-                conflict=conflict,
-            )
-            for name in config.object_names()
-            if shard_of(name, config.shards) == shard
-        ],
-        shards=config.shards,
-    )
-    collector = trace if trace is not None else TraceCollector()
-    if not scripts:
-        metrics = RunMetrics(label=config.label())
-    else:
-        metrics = _scheduler(
-            system, scripts, config, seed=seed, trace=collector
-        ).run()
-    return {
-        "metrics": metrics,
-        "latencies": _latencies_from_trace(collector.events),
-        "shard": shard,
-        "offered": len(scripts),
-        "objects": len(system.objects),
-        "forces": sum(
-            row["forces"] for row in system.force_accounting_by_shard()
-        ),
-        "operations": metrics.operations,
-    }
-
-
-def _drive_partitioned(
-    config: OpenLoopConfig, *, seed: int, workers: int
-) -> DriveReport:
-    from .parallel import Cell, ParallelRunner
-
-    cells = [
-        Cell(
-            index=k,
-            kind="openloop-shard",
-            spec={"config": config, "shard": k, "label": config.label()},
-            seed=seed,
-        )
-        for k in range(config.shards)
-    ]
-    runner = ParallelRunner(workers)
-    start = time.perf_counter()
-    results = runner.run(cells)
-    wall = time.perf_counter() - start
-    merged = RunMetrics(label=config.label())
-    latencies: List[int] = []
-    per_shard: List[Dict[str, int]] = []
-    failed: List[str] = []
-    offered = 0
-    for result in results:
-        if not result.ok:
-            failed.append("shard %d: %s" % (result.index, result.error))
-            continue
-        value = result.value
-        shard_metrics: RunMetrics = value["metrics"]
-        _merge_metrics(merged, shard_metrics)
-        latencies.extend(value["latencies"])
-        offered += int(value["offered"])
-        per_shard.append(
-            {
-                "shard": int(value["shard"]),
-                "objects": int(value["objects"]),
-                "committed": shard_metrics.committed,
-                "operations": int(value["operations"]),
-                "forces": int(value["forces"]),
-            }
-        )
-    latencies.sort()
-    return DriveReport(
-        label=config.label(),
-        shards=config.shards,
-        workers=workers,
-        offered=offered,
-        metrics=merged,
-        wall_s=wall,
-        latencies=latencies,
-        per_shard=per_shard,
-        failed=failed,
-    )
-
-
-def _merge_metrics(into: RunMetrics, part: RunMetrics) -> None:
-    """Every counter sums across shard runs except ``ticks``, which
-    maxes (shards run concurrently in wall-clock time)."""
-    for name in COUNTER_FIELDS:
-        if name != "ticks":
-            setattr(into, name, getattr(into, name) + getattr(part, name))
-    into.ticks = max(into.ticks, part.ticks)

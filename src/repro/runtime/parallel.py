@@ -43,7 +43,6 @@ only serial path a campaign has.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from .metrics import FaultCounters
@@ -117,26 +116,6 @@ def execute_cell(cell: Cell, trace: Optional[TraceCollector] = None) -> Any:
 # ---------------------------------------------------------------------------
 # the worker side
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def shared_conflict_case(adt_kind: str, recovery: str) -> Any:
-    """The shared read-only conflict registry for one ``(kind, recovery)``.
-
-    Returns the recovery method's conflict relation for the ADT kind
-    (NRBC under UIP, NFC under DU); its compiled bitmask table rides on
-    it (:func:`~repro.analysis.compile_tables.maybe_compile` compiles a
-    relation once).  Cached **per process**: a pool worker
-    derives each case once and reuses it across every cell and every
-    object it ever builds, instead of re-running the commutativity
-    checker per object — the dominant per-cell setup cost for
-    many-object open-loop shards.  The relation answers pure verdict
-    queries, so sharing one instance across objects is safe.
-    """
-    from ..adts.registry import make_adt
-    from .durability import recovery_conflict
-
-    return recovery_conflict(make_adt(adt_kind), recovery)
 
 
 def _run_chunk(cells: Sequence[Cell], tracing: bool) -> List[CellResult]:
@@ -381,24 +360,5 @@ def _execute_torture(cell: Cell, trace: Optional[TraceCollector]) -> Any:
     return {"result": result, "counters": counters}
 
 
-def _execute_openloop_shard(cell: Cell, trace: Optional[TraceCollector]) -> Any:
-    """One shard's slice of an open-loop drive (see
-    :func:`repro.runtime.openloop.run_shard_cell`).
-
-    Spec keys: ``config`` (a picklable
-    :class:`~repro.runtime.openloop.OpenLoopConfig`) and ``shard``.  The
-    worker regenerates the full offered load deterministically from
-    ``(config, cell.seed)`` and keeps only its shard's scripts, so the
-    merged counters match the in-process sharded run regardless of how
-    cells land on workers.
-    """
-    from .openloop import run_shard_cell
-
-    return run_shard_cell(
-        cell.spec["config"], int(cell.spec["shard"]), cell.seed, trace
-    )
-
-
 register_executor("compare", _execute_compare)
 register_executor("torture", _execute_torture)
-register_executor("openloop-shard", _execute_openloop_shard)

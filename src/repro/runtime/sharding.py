@@ -8,17 +8,16 @@ into **shards**: each shard owns a disjoint subset of the objects, and
 with them its own lock state (every object's
 :class:`~repro.core.lock_manager.LockManager`, sharing the PR 6
 compiled bitmask tables), its own stable logs with group commit, and its
-own recovery path.  Nothing global remains on the data path — which is
-exactly what lets the open-loop driver (:mod:`repro.runtime.openloop`)
-fan single-shard traffic over one worker process per shard and measure
-a real multi-core win, leaving the NFC/NRBC conflict tables (not the
-plumbing) as the scaling bottleneck.
+own recovery path.  Nothing global remains on the data path, so under
+the open-loop driver's one scheduler (:mod:`repro.runtime.openloop`)
+the shard count moves no counter (EXP-C15): the NFC/NRBC conflict
+tables, not the placement, decide what executes.
 
 Design notes:
 
 * **Routing** is a pure function: :func:`shard_of` maps an object name
-  to a shard by CRC-32, so every process — driver, worker, auditor —
-  computes the same placement with no shared map to synchronize.
+  to a shard by CRC-32, so every process — driver, auditor — computes
+  the same placement with no shared map to synchronize.
 * **Cross-shard transactions** need no new commit protocol: the
   durable-prepare / commit-record two-phase pipeline from PRs 1-2
   already runs *per object*, and objects in different shards simply
@@ -61,8 +60,8 @@ def shard_of(name: str, shards: int) -> int:
     """The shard owning object ``name`` under CRC-32 hash partitioning.
 
     Stable across processes and Python versions (unlike ``hash``, which
-    is salted per process), so driver, workers and auditors agree on
-    placement without coordination.
+    is salted per process), so drivers and auditors agree on placement
+    without coordination.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1 (got %d)" % shards)

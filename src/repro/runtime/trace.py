@@ -101,10 +101,9 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "site-recovery": ("site", "copies"),
     "copy-requalified": ("obj", "site", "csn"),
     # wake calendar (schema v5): one event per dead-tick stretch the
-    # calendar proved empty, emitted identically by the polling and
-    # event-driven scheduler modes.  ``elided`` is the stretch length;
-    # ``wake`` the tick processing resumed at (0: the stretch ran into
-    # the tick budget and nothing ever woke).
+    # calendar proved empty.  ``elided`` is the stretch length; ``wake``
+    # the tick processing resumed at (0: the stretch ran into the tick
+    # budget and nothing ever woke).
     "calendar-wake": ("wake", "elided"),
 }
 

@@ -193,7 +193,6 @@ def test_drive_commits_the_offered_load_and_measures_latency():
     trace = TraceCollector()
     report = drive(config, seed=5, trace=trace)
     assert isinstance(report, DriveReport)
-    assert report.ok
     assert report.offered == 24
     assert report.metrics.committed == 24
     assert len(report.latencies) == 24
@@ -221,74 +220,35 @@ def test_drive_latency_counts_from_arrival_not_tick_one():
     assert report.latency_summary()["p99"] < 30
 
 
-def test_partitioned_drive_matches_per_shard_serial_runs():
-    # One scheduler over both shards and one scheduler per shard are two
-    # different interleavings, so under contention (rate 2.0) restarts
-    # differ.  What partitioning preserves is what is offered and what
-    # commits, shard by shard; with arrivals sparse enough that nothing
-    # ever blocks (rate 0.1) the remaining counters must agree too.
-    for rate in (2.0, 0.1):
+def test_shard_count_does_not_change_an_open_loop_drive():
+    # Dynamic atomicity is local: every object enforces Conflict on its
+    # own, so which shard owns an object changes the ``shard`` stamp on
+    # its events and nothing that executes.
+    runs = []
+    for shards in (1, 2, 4):
         config = OpenLoopConfig(
             adt_kind="counter",
             objects=8,
-            shards=2,
-            transactions=30,
-            arrival_rate=rate,
+            shards=shards,
+            transactions=40,
+            arrival_rate=2.0,
+            cross_shard=0.0,
+            read_mix=0.3,
+            group_commit=2,
+            hold=2,
         )
-        serial = drive(config, seed=6, workers=1)
-        parallel = drive(config, seed=6, workers=2)
-        assert parallel.ok
-        assert parallel.offered == serial.offered == 30
-        assert parallel.metrics.committed == serial.metrics.committed == 30
-        # per-shard committed counts agree exactly with the serial run
-        assert {
-            (r["shard"], r["committed"]) for r in parallel.per_shard
-        } == {(r["shard"], r["committed"]) for r in serial.per_shard}
-    # the sparse pair: no aborts on either side, so every operation
-    # executed belongs to a committed incarnation — the script lengths
-    script_ops = 30 * config.ops_per_txn
-    for report in (serial, parallel):
-        assert report.metrics.aborted == 0
-        assert report.metrics.deadlocks == 0
-        assert report.metrics.operations == script_ops
-
-
-def test_partitioned_merge_skips_no_counter():
-    """The merge reads the dataclass's own counter list: every key of
-    the merged ``counters()`` is the sum over the shard runs (``ticks``:
-    the max), so a counter added to ``RunMetrics`` cannot silently read
-    0 in a ``drive --workers N`` report."""
-    from repro.runtime.metrics import COUNTER_FIELDS, RunMetrics
-    from repro.runtime.openloop import _merge_metrics, run_shard_cell
-
-    config = OpenLoopConfig(
-        adt_kind="counter", objects=8, shards=2, transactions=40,
-        arrival_rate=2.0, read_mix=0.3, group_commit=2, hold=2,
-    )
-    parts = [run_shard_cell(config, k, 6)["metrics"].counters() for k in range(2)]
-    merged = drive(config, seed=6, workers=2).metrics.counters()
-    assert tuple(merged) == COUNTER_FIELDS and len(COUNTER_FIELDS) == 18
-    for name, value in merged.items():
-        combine = max if name == "ticks" else sum
-        assert value == combine(part[name] for part in parts), name
-    assert sum(1 for value in merged.values() if value) >= 10
-    # and for the counters that run left at zero
-    total = RunMetrics()
-    for _ in range(2):
-        _merge_metrics(total, RunMetrics(**{name: 3 for name in COUNTER_FIELDS}))
-    assert total.counters() == dict({name: 6 for name in COUNTER_FIELDS}, ticks=3)
-
-
-def test_partitioned_drive_rejects_cross_shard_and_shared_trace():
-    config = OpenLoopConfig(objects=8, shards=2, cross_shard=0.5)
-    with pytest.raises(ValueError):
-        drive(config, workers=2)
-    with pytest.raises(ValueError):
-        drive(
-            OpenLoopConfig(objects=8, shards=2),
-            workers=2,
-            trace=TraceCollector(),
+        trace = TraceCollector()
+        report = drive(config, seed=6, trace=trace)
+        assert sum(row["committed"] for row in report.per_shard) == (
+            report.metrics.committed
         )
+        events = [
+            {k: v for k, v in e.items() if k not in ("shard", "shards", "label")}
+            for e in trace.events
+        ]
+        runs.append((report.metrics.counters(), report.latencies, events))
+    assert runs[0][0]["deadlocks"] > 0  # contended: not a trivially equal run
+    assert runs[0] == runs[1] == runs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +319,6 @@ def _report_with(latencies):
     return DriveReport(
         label="pin",
         shards=1,
-        workers=1,
         offered=len(latencies),
         metrics=RunMetrics(),
         wall_s=1.0,
@@ -530,9 +489,3 @@ def test_replicated_drive_availability_beats_single_site_outage():
         OpenLoopConfig(sites=1, site_crashes=((0, 8, 0),), **base), seed=0
     )
     assert replicated.availability > alone.availability
-
-
-def test_replicated_drive_rejects_workers():
-    config = OpenLoopConfig(sites=2)
-    with pytest.raises(ValueError, match="lockstep"):
-        drive(config, seed=0, workers=2)

@@ -1,5 +1,5 @@
-"""CLI tests for ``--workers`` (compare/drive/torture: the commands that
-run campaigns of cells) and ``--seed-base`` (run/compare/torture)."""
+"""CLI tests for ``--workers`` (compare/torture: the commands that run
+campaigns of cells) and ``--seed-base`` (run/compare/torture)."""
 
 import pytest
 
@@ -15,7 +15,7 @@ class TestValidation:
         "argv",
         [
             ["compare", "hotspot", "--workers", "0"],
-            ["drive", "--workers", "0"],
+            ["torture", "--sites", "2", "--schedules", "2", "--workers", "0"],
             ["torture", "--adt", "bank", "--schedules", "2", "--workers", "-1"],
         ],
     )

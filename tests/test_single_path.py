@@ -232,9 +232,11 @@ def test_serial_runs_never_import_the_process_pool():
 
 def test_serial_is_the_pool_of_one():
     """A campaign has one path at every worker count: nothing asks how
-    many workers there are but the engine itself (inline or pooled), the
-    open-loop driver's partitioned path, and ``repro drive``'s refusals
-    of what that path cannot do."""
+    many workers there are but the engine itself (inline or pooled) —
+    the open-loop drive takes no worker count at all, and the engine
+    runs the two campaign cell kinds and nothing else."""
+    from repro.runtime import openloop
+    from repro.runtime.parallel import CELL_EXECUTORS
 
     def names_workers(node):
         return (isinstance(node, ast.Name) and node.id == "workers") or (
@@ -251,11 +253,15 @@ def test_serial_is_the_pool_of_one():
         }
     )
     assert forks == [
-        "cli.py:cmd_drive",
-        "runtime/openloop.py:drive",
         "runtime/parallel.py:__init__",  # ParallelRunner's
         "runtime/parallel.py:run",
     ]
+    assert list(inspect.signature(openloop.drive).parameters) == [
+        "config", "seed", "trace"
+    ]
+    # (tests/runtime/test_parallel.py registers ``test-*`` kinds of its own)
+    built_in = {kind for kind in CELL_EXECUTORS if not kind.startswith("test-")}
+    assert built_in == {"compare", "torture"}
 
 
 def test_no_module_writes_a_per_worker_file():
