@@ -100,7 +100,7 @@ def test_restart_cost_scaling(benchmark):
     for i in range(300):
         txn = "T%d" % i
         wal.on_execute(txn, ba.deposit(rng.choice([1, 2])))
-        wal.on_commit(txn)
+        wal.on_commit(txn, ())
     full_restart_state = wal.restart()
     result = benchmark(wal.restart)
     assert result == full_restart_state

@@ -10,7 +10,7 @@ withdrawal-leaning hot-spot mix, where the closure adds the
 import pytest
 
 from repro.adts import BankAccount
-from repro.core.conflict import SymmetricClosure, relation_difference
+from repro.core.conflict import relation_difference, symmetric_closure
 from repro.experiments.comparisons import exp_c3_symmetry
 from repro.runtime import format_summary_table
 
@@ -22,7 +22,7 @@ def test_symmetric_closure_adds_conflicts(benchmark):
     def diff():
         nrbc = ba.nrbc_conflict()
         return relation_difference(
-            SymmetricClosure(nrbc), nrbc, ba.ground_alphabet()
+            symmetric_closure(nrbc), nrbc, ba.ground_alphabet()
         )
 
     extra = benchmark(diff)

@@ -14,10 +14,17 @@ fails the build, so the documentation cannot drift ahead of or behind
 the CLI.  This is ``--help``-level validation: flags and subcommands
 must exist and typed values must convert, but nothing executes and no
 files need to exist.
+
+``docs/API.md`` gets one more check: every `` `pkg.module` `` in the
+first column of a ``| Module |`` table imports as ``repro.pkg.module``,
+and no row of such a table names an identifier the code base has
+retired (:data:`RETIRED`) — so the API table cannot keep advertising a
+function after it is gone.
 """
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -100,6 +107,39 @@ def check_file(path: pathlib.Path) -> Tuple[int, List[str]]:
     return checked, failures
 
 
+#: identifiers deleted from ``src/repro`` that a module table must not name.
+RETIRED = (
+    "CompiledConflict", "CompiledTable", "compile_classifier", "compile_table",
+    "compile_conflict_classes", "compiled_conflict", "compiled_tables",
+    "compiled_forward_table", "compiled_backward_table", "compiled_relation",
+    "held_bit", "can_acquire", "SymmetricClosure", "UnionConflict",
+)
+MODULE_ROW_RE = re.compile(r"^\| `([a-z_][a-z_.]*)` \|")
+
+
+def check_module_tables(path: pathlib.Path) -> List[str]:
+    """Failures of the ``| Module |`` tables of ``path`` (see above)."""
+    failures: List[str] = []
+    in_table = False
+    for line in path.read_text().splitlines():
+        if not line.startswith("|"):
+            in_table = False
+        elif line.startswith("| Module |"):
+            in_table = True
+        elif in_table and (row := MODULE_ROW_RE.match(line)):
+            module = row.group(1)
+            try:
+                importlib.import_module("repro." + module)
+            except ImportError as exc:
+                failures.append("%s: `%s` does not import: %s" % (path.name, module, exc))
+            for name in RETIRED:
+                if re.search(r"\b%s\b" % name, line):
+                    failures.append(
+                        "%s: `%s` row names the retired `%s`" % (path.name, module, name)
+                    )
+    return failures
+
+
 def main(argv: List[str]) -> int:
     if argv:
         paths = [pathlib.Path(a) for a in argv]
@@ -107,6 +147,9 @@ def main(argv: List[str]) -> int:
         paths = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
     total = 0
     failures: List[str] = []
+    for path in paths:
+        if path.name == "API.md":
+            failures.extend(check_module_tables(path))
     for path in paths:
         checked, fails = check_file(path)
         total += checked

@@ -98,7 +98,7 @@ class ADT(StateMachineSpec):
     ):
         """The operation classes (Figure rows/columns) over the domain.
 
-        Returns a tuple of :class:`repro.analysis.tables.OperationClass`.
+        Returns a tuple of :class:`repro.core.conflict.OperationClass`.
         """
         raise NotImplementedError
 
@@ -162,32 +162,6 @@ class ADT(StateMachineSpec):
     ) -> ClassifierConflict:
         """Package a class-level conflict matrix with this ADT's classifier."""
         return ClassifierConflict(self.classify, matrix, name=name)
-
-    def compiled_conflict(
-        self, relation: str, domain: Optional[Sequence[Hashable]] = None
-    ):
-        """The ``"nfc"`` or ``"nrbc"`` relation compiled to bitmask form.
-
-        Every ADT relation is a :class:`ClassifierConflict`, so this
-        compiles matrix-to-mask without running the checker (beyond what
-        deriving the relation itself requires).  Returns a
-        :class:`~repro.analysis.compile_tables.CompiledConflict`.
-        """
-        from ..analysis.compile_tables import compile_classifier
-
-        if relation == "nfc":
-            conflict = self.nfc_conflict(domain)
-        elif relation == "nrbc":
-            conflict = self.nrbc_conflict(domain)
-        else:
-            raise ValueError("relation must be 'nfc' or 'nrbc', not %r" % relation)
-        if not isinstance(conflict, ClassifierConflict):
-            raise TypeError(
-                "%s.%s_conflict() is not a ClassifierConflict; compile it "
-                "via repro.analysis.compile_tables explicitly"
-                % (type(self).__name__, relation)
-            )
-        return compile_classifier(conflict)
 
     def _derived_class_conflict(
         self, relation: str, domain: Optional[Sequence[Hashable]]

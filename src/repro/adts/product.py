@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ..analysis.tables import OperationClass
-from ..core.conflict import ConflictRelation, PredicateConflict
+from ..core.conflict import ConflictRelation, OperationClass, PredicateConflict
 from ..core.events import Invocation, Operation, inv
 from .base import ADT
 

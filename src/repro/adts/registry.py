@@ -52,7 +52,7 @@ DEFAULT_NAMES = {
 
 def make_adt(kind: str, name: Optional[str] = None):
     if kind not in ADT_REGISTRY:
-        raise SystemExit(
+        raise ValueError(
             "unknown ADT %r (choose from: %s)" % (kind, ", ".join(sorted(ADT_REGISTRY)))
         )
     return ADT_REGISTRY[kind](name or DEFAULT_NAMES[kind])
@@ -67,20 +67,9 @@ def analysis_instance(kind: str):
     """A fresh default-domain instance of ``kind`` for table analysis.
 
     The instance carries its own invocation alphabet, operation classes
-    and analysis depth bounds, so callers (the table compiler, the
-    property suite, the benches) need only the kind name to enumerate an
-    ADT's full conflict-table universe.
+    and analysis depth bounds, so callers (the property suite, the
+    benches) need only the kind name to enumerate an ADT's full
+    conflict-table universe.
     """
     return make_adt(kind)
 
-
-def compiled_tables(kind: str):
-    """Both conflict relations of ``kind`` compiled to bitmask tables.
-
-    Returns a :class:`~repro.analysis.compile_tables.CompiledADTTables`
-    over the ADT's default analysis domain — the registry-level entry
-    point for "give me the queryable table artifact for this type".
-    """
-    from ..analysis.compile_tables import compile_adt_tables
-
-    return compile_adt_tables(analysis_instance(kind))

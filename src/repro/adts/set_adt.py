@@ -56,8 +56,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Hashable, Optional, Sequence, Tuple
 
-from ..analysis.tables import OperationClass
-from ..core.conflict import ConflictRelation
+from ..core.conflict import ClassifierConflict, ConflictRelation, OperationClass
 from ..core.events import Invocation, Operation, inv
 from .base import ADT
 
@@ -191,8 +190,6 @@ class SetADT(ADT):
         return self._refined(SET_NRBC_MARKS, "NRBC(SET)")
 
     def _refined(self, marks, name: str) -> ConflictRelation:
-        from ..core.conflict import ClassifierConflict
-
         return ClassifierConflict(
             self.classify, marks, refine=_same_element, name=name
         )

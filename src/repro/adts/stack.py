@@ -33,8 +33,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence, Tuple
 
-from ..analysis.tables import OperationClass
-from ..core.conflict import ConflictRelation
+from ..core.conflict import ConflictRelation, OperationClass
 from ..core.events import Invocation, Operation, inv
 from .base import ADT
 

@@ -23,16 +23,7 @@ from .alphabet import (
     reachable_operations,
 )
 from .checker import CommutativityChecker
-from .compile_tables import (
-    CompiledADTTables,
-    CompiledConflict,
-    CompiledTable,
-    compile_adt_tables,
-    compile_classifier,
-    compile_conflict_classes,
-    compile_table,
-    maybe_compile,
-)
+from .compile_tables import CompiledADTTables, compile_adt_tables, maybe_compile
 from .finite import ExactChecker, is_finite_state
 from .memo import PairMemo
 from .tables import (
@@ -50,12 +41,7 @@ __all__ = [
     "reachable_operations",
     "CommutativityChecker",
     "CompiledADTTables",
-    "CompiledConflict",
-    "CompiledTable",
     "compile_adt_tables",
-    "compile_classifier",
-    "compile_conflict_classes",
-    "compile_table",
     "maybe_compile",
     "ExactChecker",
     "is_finite_state",

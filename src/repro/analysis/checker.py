@@ -25,7 +25,7 @@ output on the paper's bank account to Figures 6-1 and 6-2.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.automaton_spec import StateMachineSpec
 from ..core.commutativity import (
@@ -306,55 +306,6 @@ class CommutativityChecker:
             lambda row, col: self._class_violates(row, col, forward=False),
             memo=self._rbc_class_memo,
         )
-
-    # -- compiled tables -------------------------------------------------------
-
-    def compiled_forward_table(
-        self, classes: Sequence[OperationClass], title: str = None
-    ):
-        """The FC class table compiled to bitmasks (one int per class).
-
-        Built from :meth:`forward_table` (so verdicts reuse the class
-        memo) and compiled with
-        :func:`repro.analysis.compile_tables.compile_table`.
-        """
-        from .compile_tables import compile_table
-
-        return compile_table(self.forward_table(classes, title))
-
-    def compiled_backward_table(
-        self, classes: Sequence[OperationClass], title: str = None
-    ):
-        """The RBC class table compiled to bitmasks."""
-        from .compile_tables import compile_table
-
-        return compile_table(self.backward_table(classes, title))
-
-    def compiled_relation(
-        self,
-        classes: Sequence[OperationClass],
-        classify: Callable[[Operation], str],
-        *,
-        forward: bool,
-        name: str = None,
-    ):
-        """A queryable compiled conflict relation over ``classes``.
-
-        This is the checker's hot-path product: the class-level NFC
-        (``forward=True``) or NRBC (``forward=False``) relation packaged
-        as a :class:`~repro.analysis.compile_tables.CompiledConflict`,
-        ready for the lock manager and the object automaton to query as
-        bitmask rows.
-        """
-        from .compile_tables import CompiledConflict
-
-        table = (
-            self.compiled_forward_table(classes)
-            if forward
-            else self.compiled_backward_table(classes)
-        )
-        default = "%s(%s) compiled" % ("NFC" if forward else "NRBC", self.spec.name)
-        return CompiledConflict(classify, table, name=name or default)
 
     def _class_violates(
         self, row: OperationClass, col: OperationClass, *, forward: bool

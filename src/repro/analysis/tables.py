@@ -4,11 +4,11 @@ The paper summarizes commutativity relations as small tables over
 *operation classes* — e.g. for the bank account: ``deposit(i)/ok``,
 ``withdraw(i)/OK``, ``withdraw(i)/NO`` and ``balance/i`` — with an ``x``
 wherever the row/column pair fails to commute for *some* choice of
-arguments.  :class:`OperationClass` groups the ground operations of a
-class; :class:`ConflictTable` holds the class-level matrix and renders it
-as ASCII (matching the figures) or Markdown, and supports exact
-comparison so the test suite can pin the regenerated figures to the
-published ones.
+arguments.  :class:`~repro.core.conflict.OperationClass` (re-exported
+here) groups the ground operations of a class; :class:`ConflictTable`
+holds the class-level matrix and renders it as ASCII (matching the
+figures) or Markdown, and supports exact comparison so the test suite
+can pin the regenerated figures to the published ones.
 """
 
 from __future__ import annotations
@@ -16,29 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.events import Operation
+from ..core.conflict import OperationClass
 from .memo import PairMemo
-
-
-@dataclass(frozen=True)
-class OperationClass:
-    """A named family of ground operations (one row/column of a figure).
-
-    ``label`` is the display name (e.g. ``"withdraw(i)/OK"``);
-    ``instances`` are the ground operations of the class over some bounded
-    argument domain, used by the checker to decide class-level conflicts.
-    """
-
-    label: str
-    instances: Tuple[Operation, ...]
-
-    def __post_init__(self) -> None:
-        if not self.instances:
-            raise ValueError("operation class %r has no instances" % self.label)
-        object.__setattr__(self, "instances", tuple(self.instances))
-
-    def __str__(self) -> str:
-        return self.label
 
 
 @dataclass(frozen=True)

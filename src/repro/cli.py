@@ -77,7 +77,7 @@ def cmd_adts(_args) -> int:
 
 
 def cmd_tables(args) -> int:
-    adt = make_adt(args.adt, args.name)
+    adt = _adt(args.adt, args.name)
     checker = adt.build_checker()
     classes = adt.operation_classes()
     fc = checker.forward_table(classes)
@@ -118,7 +118,7 @@ def cmd_counterexample(args) -> int:
     from .analysis.alphabet import reachable_macro_contexts
     from .core import EmptyConflict, find_du_counterexample, find_uip_counterexample
 
-    adt = make_adt(args.adt, args.name)
+    adt = _adt(args.adt, args.name)
     invocations = adt.invocation_alphabet()
     contexts = [
         mc.context
@@ -154,7 +154,7 @@ def cmd_synthesize(args) -> int:
     view = views.get(args.view)
     if view is None:
         raise SystemExit("unknown view %r (uip, du or suip)" % args.view)
-    adt = make_adt(args.adt, args.name)
+    adt = _adt(args.adt, args.name)
     invocations = adt.invocation_alphabet()
     depth = args.depth or adt.analysis_context_depth or 3
     contexts = reachable_macro_contexts(adt, invocations, max_depth=depth)
@@ -187,7 +187,7 @@ def cmd_audit(args) -> int:
         obj_name, _, kind = binding.partition("=")
         if not kind:
             raise SystemExit("--object takes NAME=ADT bindings, got %r" % binding)
-        specs[obj_name] = make_adt(kind, obj_name)
+        specs[obj_name] = _adt(kind, obj_name)
     for obj_name in history.objects():
         if obj_name not in specs:
             if args.adt is None:
@@ -195,7 +195,7 @@ def cmd_audit(args) -> int:
                     "no specification for object %r (use --adt or --object)"
                     % obj_name
                 )
-            specs[obj_name] = make_adt(args.adt, obj_name)
+            specs[obj_name] = _adt(args.adt, obj_name)
     print("events       :", len(history))
     print("transactions :", ", ".join(sorted(history.transactions())))
     print("committed    :", ", ".join(sorted(history.committed())) or "(none)")
@@ -292,6 +292,14 @@ def _check_adt_kind(kind: str) -> None:
             "unknown ADT %r (choose from: %s)"
             % (kind, ", ".join(sorted(ADT_REGISTRY)))
         )
+
+
+def _adt(kind: str, name=None):
+    """An instance of a user-named kind: every command that builds one
+    goes through here, so an unknown kind is the one-line exit and never
+    ``make_adt``'s ``ValueError`` traceback."""
+    _check_adt_kind(kind)
+    return make_adt(kind, name)
 
 
 def _check_workload_args(args) -> None:

@@ -37,14 +37,15 @@ from .conflict import (
     ClassifierConflict,
     ConflictRelation,
     EmptyConflict,
+    OperationClass,
     PairSetConflict,
     PredicateConflict,
-    SymmetricClosure,
     TotalConflict,
-    UnionConflict,
     WithoutPairs,
     incomparable,
     relation_difference,
+    symmetric_closure,
+    union,
 )
 from .equieffective import (
     LooksLikeViolation,
@@ -165,8 +166,9 @@ __all__ = [
     "ClassifierConflict",
     "EmptyConflict",
     "TotalConflict",
-    "UnionConflict",
-    "SymmetricClosure",
+    "OperationClass",
+    "union",
+    "symmetric_closure",
     "WithoutPairs",
     "relation_difference",
     "incomparable",

@@ -19,16 +19,59 @@ update-in-place works iff the relation contains NRBC(Spec); deferred
 update works iff it contains NFC(Spec).  This module provides relation
 combinators plus the finite-alphabet comparison helpers used to exhibit
 the paper's incomparability result.
+
+The paper writes a relation down as a table over operation *classes*
+(Figures 6-1 and 6-2), and :class:`ClassifierConflict` is that table:
+a classifier plus a class matrix, held as one integer row mask per
+class so a verdict is a shift and an AND.  It is closed under what the
+experiments do to a relation — :func:`symmetric_closure` (``M ∨ Mᵀ``)
+and :func:`union` (``M₁ ∨ M₂``) of tables over one classifier are
+tables — so every relation the runtime locks with answers
+:meth:`~repro.core.lock_manager.LockManager.blockers` from masks.  The
+per-call set-lookup twin of the verdict is
+:func:`repro.reference.matrix_conflict`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, FrozenSet, Hashable, Iterable, Set, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .events import Operation
 
 ConflictPair = Tuple[Operation, Operation]
+
+
+@dataclass(frozen=True)
+class OperationClass:
+    """A named family of ground operations (one row/column of a figure).
+
+    ``label`` is the display name (e.g. ``"withdraw(i)/OK"``);
+    ``instances`` are the ground operations of the class over some bounded
+    argument domain, used by the checker to decide class-level conflicts.
+    """
+
+    label: str
+    instances: Tuple[Operation, ...]
+
+    def __post_init__(self) -> None:
+        if not self.instances:
+            raise ValueError("operation class %r has no instances" % self.label)
+        object.__setattr__(self, "instances", tuple(self.instances))
+
+    def __str__(self) -> str:
+        return self.label
 
 
 class ConflictRelation(ABC):
@@ -79,7 +122,7 @@ class ConflictRelation(ABC):
     # -- combinators ----------------------------------------------------------
 
     def __or__(self, other: "ConflictRelation") -> "ConflictRelation":
-        return UnionConflict(self, other)
+        return union(self, other)
 
 
 class PredicateConflict(ConflictRelation):
@@ -149,7 +192,7 @@ class PairSetConflict(ConflictRelation):
 
 
 class ClassifierConflict(ConflictRelation):
-    """Conflicts decided on operation *classes*.
+    """Conflicts decided on operation *classes*: the table is the relation.
 
     Real lock managers key lock modes on a small set of classes rather
     than on ground operations.  ``classify`` maps an operation to a
@@ -157,6 +200,13 @@ class ClassifierConflict(ConflictRelation):
     of conflicting ``(new_class, old_class)`` pairs.  An optional
     ``refine`` predicate can weaken a class-level conflict using the two
     ground operations (e.g. escrow-style argument arithmetic).
+
+    The matrix is kept dense: each label gets a class index, and each
+    class one integer whose bit ``j`` is set iff it conflicts, as *new*,
+    with class ``j`` as *old*.  :meth:`row_mask` against a transaction's
+    OR of held class bits is the lock manager's whole conflict test; a
+    label outside the matrix gets a fresh index and an empty row, so it
+    conflicts with nothing either way.
     """
 
     def __init__(
@@ -171,17 +221,42 @@ class ClassifierConflict(ConflictRelation):
         self._matrix: FrozenSet[Tuple[Hashable, Hashable]] = frozenset(matrix)
         self._refine = refine
         self.name = name
-        #: the bitmask form of this relation, filled in on first use by
-        #: :func:`repro.analysis.compile_tables.maybe_compile` — the
-        #: matrix is immutable, so one table serves every user.
-        self.compiled = None
+        labels = sorted({label for pair in self._matrix for label in pair}, key=repr)
+        self._index: Dict[Hashable, int] = {label: i for i, label in enumerate(labels)}
+        self._masks: List[int] = [0] * len(labels)
+        for row, col in self._matrix:
+            self._masks[self._index[row]] |= 1 << self._index[col]
+        #: operation → class index, filled on demand (operations are
+        #: frozen dataclasses, so the cache is sound): the lock manager
+        #: asks once per ``blockers`` call and once per ``acquire``.
+        self._op_index: Dict[Operation, int] = {}
 
     def classify(self, operation: Operation) -> Hashable:
         return self._classify(operation)
 
+    def class_index(self, operation: Operation) -> int:
+        """The dense class index of ``operation`` (cached)."""
+        idx = self._op_index.get(operation)
+        if idx is None:
+            label = self._classify(operation)
+            idx = self._index.get(label)
+            if idx is None:
+                idx = self._index[label] = len(self._masks)
+                self._masks.append(0)
+            self._op_index[operation] = idx
+        return idx
+
+    def row_mask(self, operation: Operation) -> int:
+        """The held-class bitmask ``operation`` conflicts with (as *new*)."""
+        return self._masks[self.class_index(operation)]
+
     def conflicts(self, new: Operation, old: Operation) -> bool:
-        pair = (self._classify(new), self._classify(old))
-        if pair not in self._matrix:
+        # By label, not through the operation cache: a one-off pair (the
+        # traced attribution walk, the theorem machinery) would hash both
+        # operations, which costs more than classifying them.
+        row = self._index.get(self._classify(new))
+        col = self._index.get(self._classify(old))
+        if row is None or col is None or not (self._masks[row] >> col) & 1:
             return False
         if self._refine is not None:
             return bool(self._refine(new, old))
@@ -193,28 +268,47 @@ class ClassifierConflict(ConflictRelation):
 
     @property
     def refine(self) -> Callable[[Operation, Operation], bool]:
-        """The argument-level refinement predicate (None when absent).
-
-        Exposed so the table compiler
-        (:mod:`repro.analysis.compile_tables`) can carry the refinement
-        into the compiled bitmask form unchanged.
-        """
+        """The argument-level refinement predicate (None when absent)."""
         return self._refine
 
 
-class UnionConflict(ConflictRelation):
-    """The union of several conflict relations (conflicts if any member does)."""
-
-    def __init__(self, *members: ConflictRelation):
-        self._members = tuple(members)
-        self.name = "union(%s)" % ", ".join(m.name for m in members)
-
-    def conflicts(self, new: Operation, old: Operation) -> bool:
-        return any(m.conflicts(new, old) for m in self._members)
+def maybe_compile(conflict: ConflictRelation) -> Optional[ClassifierConflict]:
+    """The table behind ``conflict`` — the relation itself when it is a
+    :class:`ClassifierConflict` — or None when it has none (a predicate,
+    a pair set, :class:`WithoutPairs`) and the lock manager takes the
+    per-pair loop.  The one question
+    :class:`~repro.core.lock_manager.LockManager` asks of a relation."""
+    return conflict if isinstance(conflict, ClassifierConflict) else None
 
 
-class SymmetricClosure(ConflictRelation):
-    """The symmetric closure of another relation.
+def union(*members: ConflictRelation) -> ConflictRelation:
+    """The union of several conflict relations (conflicts if any member does).
+
+    Tables over one classifier give a table, ``M₁ ∨ M₂ ∨ …`` — each
+    member's ``refine`` still applied to the pairs its own matrix marks;
+    anything else gives a predicate.
+    """
+
+    def any_member(new: Operation, old: Operation) -> bool:
+        return any(m.conflicts(new, old) for m in members)
+
+    name = "union(%s)" % ", ".join(m.name for m in members)
+    if members and all(
+        isinstance(m, ClassifierConflict) and m._classify == members[0]._classify
+        for m in members
+    ):
+        return ClassifierConflict(
+            members[0]._classify,
+            frozenset().union(*(m.matrix for m in members)),
+            refine=any_member if any(m.refine is not None for m in members) else None,
+            name=name,
+        )
+    return PredicateConflict(any_member, name=name)
+
+
+def symmetric_closure(relation: ConflictRelation) -> ConflictRelation:
+    """The symmetric closure of ``relation`` — of a table, the table
+    ``M ∨ Mᵀ``; of anything else, a predicate.
 
     Most prior work assumes conflict relations are symmetric; Theorem 9
     shows UIP needs only NRBC, which is not symmetric, so taking the
@@ -222,12 +316,18 @@ class SymmetricClosure(ConflictRelation):
     that cost.
     """
 
-    def __init__(self, inner: ConflictRelation):
-        self._inner = inner
-        self.name = "sym(%s)" % inner.name
+    def either_way(new: Operation, old: Operation) -> bool:
+        return relation.conflicts(new, old) or relation.conflicts(old, new)
 
-    def conflicts(self, new: Operation, old: Operation) -> bool:
-        return self._inner.conflicts(new, old) or self._inner.conflicts(old, new)
+    name = "sym(%s)" % relation.name
+    if isinstance(relation, ClassifierConflict):
+        return ClassifierConflict(
+            relation._classify,
+            relation.matrix | {(old, new) for new, old in relation.matrix},
+            refine=either_way if relation.refine is not None else None,
+            name=name,
+        )
+    return PredicateConflict(either_way, name=name)
 
 
 class WithoutPairs(ConflictRelation):

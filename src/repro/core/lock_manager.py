@@ -17,40 +17,33 @@ the one implementation of that precondition: the abstract
 * :meth:`acquire` — record an executed operation (a held lock);
 * :meth:`release_all` — commit/abort processing.
 
-The conflict test is the system's hottest path, so when the relation
-compiles to a bitmask table (every ADT's NFC/NRBC relation does — see
-:mod:`repro.analysis.compile_tables`) the manager maintains one integer
-*held mask* per transaction (the OR of the held operations' class bits)
-and answers :meth:`blockers` with one cached classification plus one
-integer AND per holder, instead of a Python verdict call per held
-operation.  A relation that does not compile (a predicate, a union, a
-pair set) takes the per-pair loop.  Both are verdict-identical, which
+The conflict test is the system's hottest path, so when the relation is
+a table (:class:`~repro.core.conflict.ClassifierConflict` — every ADT's
+NFC/NRBC relation, and their symmetric closures and unions) the manager
+maintains one integer *held mask* per transaction (the OR of the held
+operations' class bits) and answers :meth:`blockers` with one cached
+classification plus one integer AND per holder, instead of a Python
+verdict call per held operation.  A relation with no table (a predicate,
+a pair set, a relation with ground pairs removed) takes the per-pair
+loop.  Both are verdict-identical, which
 ``tests/runtime/test_compiled_lock_differential.py``,
-``tests/property/test_compiled_table_parity.py`` and EXP-C14 assert by
-hiding a compilable relation behind
-:func:`repro.reference.opaque_conflict`.
+``tests/property/test_compiled_table_parity.py`` and EXP-C14 assert
+against the set-lookup twin :func:`repro.reference.matrix_conflict`.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .conflict import ConflictRelation
+from .conflict import ClassifierConflict, ConflictRelation, maybe_compile
 from .events import Operation
-
-if TYPE_CHECKING:
-    from ..analysis.compile_tables import CompiledConflict
 
 
 class LockManager:
     """Operation locks for one object under a given conflict relation."""
 
     def __init__(self, conflict: ConflictRelation):
-        # Imported here: ``repro.analysis`` depends on ``repro.core``,
-        # not vice versa.
-        from ..analysis.compile_tables import maybe_compile
-
         self.conflict = conflict
         self._held: Dict[str, List[Operation]] = {}
         #: every transaction that ever acquired a lock here, across the
@@ -59,19 +52,19 @@ class LockManager:
         #: audits assert that by checking no read-only transaction ever
         #: shows up in :meth:`lifetime_holders` on any object.
         self._ever_held: Set[str] = set()
-        #: the relation's bitmask table, or None when it does not
-        #: compile and :meth:`blockers` takes the per-pair loop.
-        self.compiled: Optional[CompiledConflict] = maybe_compile(conflict)
-        #: per-transaction OR of held operations' class bits (compiled only).
+        #: the relation itself when it is a table, or None when it has
+        #: none and :meth:`blockers` takes the per-pair loop.
+        self.table: Optional[ClassifierConflict] = maybe_compile(conflict)
+        #: per-transaction OR of held operations' class bits (table only).
         self._held_masks: Dict[str, int] = {}
-        #: per-transaction class indices aligned with ``_held`` (compiled
+        #: per-transaction class indices aligned with ``_held`` (table
         #: only) — lets refine-carrying relations rescan a holder with
         #: plain bit tests instead of re-classifying held operations.
         self._held_idx: Dict[str, List[int]] = {}
 
     def copy(self) -> "LockManager":
-        """An independent manager holding the same locks.  The compiled
-        table is shared (one per relation): verdicts are pure."""
+        """An independent manager holding the same locks.  The relation
+        (and so its table) is shared: verdicts are pure."""
         twin = copy.copy(self)
         twin._held = {txn: list(ops) for txn, ops in self._held.items()}
         twin._ever_held = set(self._ever_held)
@@ -95,10 +88,10 @@ class LockManager:
 
     def blockers(self, txn: str, operation: Operation) -> FrozenSet[str]:
         """Other transactions whose held operations conflict with ``operation``."""
-        compiled = self.compiled
-        if compiled is not None:
-            row = compiled.row_mask(operation)
-            if compiled.refine is None:
+        table = self.table
+        if table is not None:
+            row = table.row_mask(operation)
+            if table.refine is None:
                 return frozenset(
                     other
                     for other, mask in self._held_masks.items()
@@ -108,7 +101,7 @@ class LockManager:
             # refinement; the mask test prunes holders with no hit at
             # all, and survivors rescan with precomputed class indices —
             # one bit test per held operation, refine only on class hits.
-            refine = compiled.refine
+            refine = table.refine
             blocking: Set[str] = set()
             for other, mask in self._held_masks.items():
                 if other == txn or not row & mask:
@@ -136,9 +129,9 @@ class LockManager:
         Unlike :meth:`blockers` this does not stop at the first
         conflicting hold per transaction: the full list attributes a
         blocked attempt to each conflict-table entry involved.  Only
-        called on the traced path (contention attribution), so it keeps
-        the per-pair walk over the relation itself — verdict-identical
-        to the table, and the extra work never touches untraced runs.
+        called on the traced path (contention attribution), so it asks
+        the relation pair by pair — for a table, two classifications, a
+        shift and an AND — and never touches untraced runs.
         """
         hits: List[Tuple[str, Operation]] = []
         for other, ops in self._held.items():
@@ -149,16 +142,12 @@ class LockManager:
                     hits.append((other, old))
         return tuple(hits)
 
-    def can_acquire(self, txn: str, operation: Operation) -> bool:
-        """True iff ``operation`` conflicts with no other transaction's locks."""
-        return not self.blockers(txn, operation)
-
     def acquire(self, txn: str, operation: Operation) -> None:
         """Record an executed operation; caller must have checked blockers."""
         self._held.setdefault(txn, []).append(operation)
         self._ever_held.add(txn)
-        if self.compiled is not None:
-            idx = self.compiled.class_index(operation)
+        if self.table is not None:
+            idx = self.table.class_index(operation)
             self._held_masks[txn] = self._held_masks.get(txn, 0) | (1 << idx)
             self._held_idx.setdefault(txn, []).append(idx)
 

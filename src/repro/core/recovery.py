@@ -82,7 +82,7 @@ from .events import (
 )
 from .history import HistoryBuilder
 from .serial_spec import SerialSpec
-from .views import DeferredUpdate, StrictUpdateInPlace, UpdateInPlace, View
+from .views import DU, SUIP, UIP, DeferredUpdate, StrictUpdateInPlace, UpdateInPlace, View
 
 MacroState = FrozenSet
 
@@ -91,6 +91,8 @@ class RecoveryManager(ABC):
     """The state-reconstruction half of an object."""
 
     name: str = "recovery"
+    #: the ``View`` this manager maintains.
+    view: View
 
     def __init__(self, spec: StateMachineSpec):
         self.spec = spec
@@ -130,8 +132,12 @@ class RecoveryManager(ABC):
 
     def rebase(self, macro: MacroState) -> None:
         """Forget every transaction and take ``macro`` as the committed
-        state — what a crash restart hands the manager it rebuilds."""
+        state — what a crash restart hands the manager."""
         raise NotImplementedError("%s has no crash restart" % self.name)
+
+    def committed_macro(self) -> MacroState:
+        """The committed state, as a checkpoint must capture it."""
+        raise NotImplementedError("%s has no checkpoint" % self.name)
 
     def fork(self) -> "RecoveryManager":
         """An independent copy sharing no mutable state (macro-states are
@@ -176,6 +182,8 @@ class RecoveryManager(ABC):
 
 class UpdateInPlaceManager(RecoveryManager):
     """A current state plus per-transaction undo information."""
+
+    view = UIP
 
     def __init__(self, spec: StateMachineSpec, *, strategy: str = "auto"):
         super().__init__(spec)
@@ -244,6 +252,16 @@ class UpdateInPlaceManager(RecoveryManager):
         self._log = []
         self._undo_stacks = {}
 
+    def committed_macro(self) -> MacroState:
+        # The one current state carries every active transaction's
+        # effects: it is the committed state only when nobody is active.
+        if self._undo_stacks:
+            raise RuntimeError(
+                "UIP checkpoint requires quiescence (active: %s)"
+                % sorted(self._undo_stacks)
+            )
+        return self._current
+
     def fork(self) -> "UpdateInPlaceManager":
         twin = super().fork()
         twin._log = list(self._log)
@@ -255,6 +273,7 @@ class DeferredUpdateManager(RecoveryManager):
     """A committed base state plus one intentions list per transaction."""
 
     name = "DU/intentions"
+    view = DU
 
     def __init__(self, spec: StateMachineSpec):
         super().__init__(spec)
@@ -307,6 +326,9 @@ class DeferredUpdateManager(RecoveryManager):
         self._intentions = {}
         self._cached = {}
 
+    def committed_macro(self) -> MacroState:
+        return self._base
+
     def fork(self) -> "DeferredUpdateManager":
         twin = super().fork()
         twin._intentions = {t: list(ops) for t, ops in self._intentions.items()}
@@ -329,6 +351,7 @@ class StrictUpdateInPlaceManager(RecoveryManager):
     """
 
     name = "SUIP/merge"
+    view = SUIP
 
     def __init__(self, spec: StateMachineSpec):
         super().__init__(spec)

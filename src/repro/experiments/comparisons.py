@@ -39,7 +39,7 @@ from ..adts import (
     SetADT,
 )
 from ..adts.base import ADT
-from ..core.conflict import ConflictRelation, SymmetricClosure
+from ..core.conflict import ConflictRelation, symmetric_closure
 from ..runtime import (
     ManagedObject,
     MetricsSummary,
@@ -79,7 +79,7 @@ def standard_configurations(extra_symmetric: bool = True) -> Tuple[Configuration
             Configuration(
                 "UIP+sym(NRBC)",
                 "UIP",
-                lambda adt: SymmetricClosure(adt.nrbc_conflict()),
+                lambda adt: symmetric_closure(adt.nrbc_conflict()),
             )
         )
     return tuple(configs)
@@ -496,7 +496,7 @@ def exp_c3_symmetry(
     configs = (
         Configuration("UIP+NRBC", "UIP", lambda adt: adt.nrbc_conflict()),
         Configuration(
-            "UIP+sym(NRBC)", "UIP", lambda adt: SymmetricClosure(adt.nrbc_conflict())
+            "UIP+sym(NRBC)", "UIP", lambda adt: symmetric_closure(adt.nrbc_conflict())
         ),
     )
 

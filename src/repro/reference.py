@@ -1,7 +1,7 @@
 """Reference oracles for the fast paths, for tests and twin benchmarks only.
 
 The product has one path per job and picks it from its input: a conflict
-relation that compiles is answered from its bitmask table, a known view
+relation that is a table is answered from its bitmasks, a known view
 over a state-machine spec gets its incremental manager, the scheduler
 jumps the dead ticks its wake calendar proves and lets a refused
 invocation sleep until its object's epoch moves, and the atomicity
@@ -18,7 +18,10 @@ checks).
 oracle                         what the product then does
 =============================  ==========================================
 :func:`opaque_conflict`        per-pair verdict loop in ``LockManager``
-                               (nothing to compile)
+                               (no table to be seen)
+:func:`matrix_conflict`        the same loop, and each verdict computed
+                               without the masks: two ``classify`` calls
+                               and a set lookup, then ``refine``
 :func:`opaque_view`            ``ViewRecoveryManager``: ``View(H, A)``
                                from scratch and a full spec replay per
                                query
@@ -62,7 +65,7 @@ from .core.atomicity import (
     commit_sets,
     serializable_in_order,
 )
-from .core.conflict import ConflictRelation
+from .core.conflict import ClassifierConflict, ConflictRelation
 from .core.events import Event, Invocation, OpSeq, Operation
 from .core.history import History, HistoryBuilder
 from .core.recovery import MacroState, RecoveryManager
@@ -80,9 +83,32 @@ class _OpaqueConflict(ConflictRelation):
 
 
 def opaque_conflict(relation: ConflictRelation) -> ConflictRelation:
-    """``relation`` behind a wrapper the table compiler cannot see
+    """``relation`` behind a wrapper the lock manager cannot see a table
     through: same verdicts, answered pair by pair."""
     return _OpaqueConflict(relation)
+
+
+class _MatrixConflict(ConflictRelation):
+    def __init__(self, table: ClassifierConflict):
+        self._classify = table.classify
+        self._matrix = table.matrix
+        self._refine = table.refine
+        self.name = table.name
+
+    def conflicts(self, new: Operation, old: Operation) -> bool:
+        if (self._classify(new), self._classify(old)) not in self._matrix:
+            return False
+        return self._refine is None or bool(self._refine(new, old))
+
+
+def matrix_conflict(table: ClassifierConflict) -> ConflictRelation:
+    """The class table ``table`` read the slow way, as a relation that is
+    not a table: ``(classify(new), classify(old)) in matrix and
+    refine(new, old)`` per call, no masks and no classification cache.
+    Closures are taken on this side (``symmetric_closure(matrix_conflict(r))``
+    is a predicate over it), so the twin of a closed table shares none
+    of its arithmetic."""
+    return _MatrixConflict(table)
 
 
 class _OpaqueView(View):

@@ -19,7 +19,7 @@ the literature actually used:
   lock depend on the *result* (Section 6); this baseline quantifies
   what that generality buys (withdraw/OK vs withdraw/NO stop being
   distinguishable, for example).
-* :class:`~repro.core.conflict.SymmetricClosure` (from core) —
+* :func:`~repro.core.conflict.symmetric_closure` (from core) —
   **symmetric NRBC**: prior work assumed symmetric conflict relations;
   Theorem 9 shows the asymmetric NRBC suffices for UIP.  EXP-C3
   measures the cost of forcing symmetry.

@@ -48,7 +48,6 @@ from ..core.conflict import ConflictRelation
 from ..core.events import Invocation, Operation
 from ..core.lock_manager import LockManager
 from ..core.recovery import DeferredUpdateManager
-from .recovery import make_recovery_manager
 from .system import ManagedObject, TransactionSystem
 from .wal import GroupCommitPolicy, RedoOnlyLog, UndoRedoLog
 
@@ -100,11 +99,9 @@ class DurableObject(ManagedObject):
         durability has actually landed."""
         vote = super().prepare(txn)
         if vote:
-            if isinstance(self.wal, RedoOnlyLog):
-                ticket = self.wal.on_prepare(txn, self.recovery.intentions_of(txn))
-            else:
-                ticket = self.wal.on_prepare(txn)
-            self._force_tickets[txn] = ticket
+            self._force_tickets[txn] = self.wal.on_prepare(
+                txn, self.recovery.executed_of(txn)
+            )
         return vote
 
     def prepare_ready(self, txn: str) -> bool:
@@ -120,11 +117,9 @@ class DurableObject(ManagedObject):
         actually reached stable storage — recovery completes, never
         retracts.
         """
-        if isinstance(self.wal, RedoOnlyLog):
-            ticket = self.wal.on_commit(txn, self.recovery.intentions_of(txn))
-        else:
-            ticket = self.wal.on_commit(txn)
-        self._force_tickets[txn] = ticket
+        self._force_tickets[txn] = self.wal.on_commit(
+            txn, self.recovery.executed_of(txn)
+        )
 
     def commit_ready(self, txn: str) -> bool:
         return self.wal.log.flushed(self._force_tickets.get(txn, 0))
@@ -172,21 +167,10 @@ class DurableObject(ManagedObject):
 
     # -- checkpointing --------------------------------------------------------------
 
-    def committed_macro(self):
-        """The committed state (what a checkpoint must capture)."""
-        if isinstance(self.recovery, DeferredUpdateManager):
-            return self.recovery.base_macro
-        # UIP: only safe to read as committed when nothing is active.
-        return self.recovery.current_macro
-
     def checkpoint(self) -> None:
-        """Write a stable snapshot; requires a quiescent object under UIP."""
-        if isinstance(self.wal, UndoRedoLog) and self.locks.holders():
-            raise RuntimeError(
-                "UIP checkpoint requires quiescence (active: %s)"
-                % sorted(self.locks.holders())
-            )
-        self.wal.checkpoint(self.committed_macro())
+        """Write a stable snapshot of the committed state; under UIP the
+        manager can only name it on a quiescent object, and raises."""
+        self.wal.checkpoint(self.recovery.committed_macro())
 
     # -- crash / restart --------------------------------------------------------------
 
@@ -256,12 +240,6 @@ class DurableObject(ManagedObject):
         self.locks = LockManager(self.conflict)
         self._pending = {}
         self._force_tickets = {}  # group-commit tickets died with the process
-        if isinstance(self.recovery, DeferredUpdateManager):
-            self.recovery = make_recovery_manager(self.adt, "DU")
-        else:
-            self.recovery = make_recovery_manager(
-                self.adt, "UIP", uip_strategy=self.recovery.strategy
-            )
         self.recovery.rebase(restored)
 
 

@@ -44,8 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
-from ..core.recovery import DeferredUpdateManager
-from ..core.views import DU, UIP
 from .durability import (
     CrashableSystem,
     SiteCrash,
@@ -309,7 +307,7 @@ def audit_recovery(
     )
     for name, obj in audited:
         history = obj.history()
-        view = DU if isinstance(obj.recovery, DeferredUpdateManager) else UIP
+        view = obj.recovery.view
 
         # 1. restart state == abstract view of the post-crash history.
         expected = obj.adt.states_after(view(history, PROBE))

@@ -374,14 +374,15 @@ class UndoRedoLog:
             lambda lsn: OperationRecord(lsn, txn=txn, operation=operation)
         )
 
-    def on_prepare(self, txn: str) -> int:
+    def on_prepare(self, txn: str, executed: Sequence[Operation]) -> int:
         """2PC vote: request durability for the transaction's operation
         records so they are on stable storage before any object writes
-        its commit record.  Returns the flush ticket; the vote is only
+        its commit record (``executed`` is already there, record by
+        record: ignored).  Returns the flush ticket; the vote is only
         *usable* once :meth:`StableLog.flushed` says so."""
         return self.log.request_force()
 
-    def on_commit(self, txn: str) -> int:
+    def on_commit(self, txn: str, executed: Sequence[Operation]) -> int:
         """Append the commit record and request its flush.  Returns the
         ticket gating the commit acknowledgment: under group commit the
         record may sit in a held batch, and the commit event must wait
@@ -527,16 +528,17 @@ class RedoOnlyLog:
     def on_execute(self, txn: str, operation: Operation) -> None:
         """Intentions are volatile until commit: no log traffic."""
 
-    def on_prepare(self, txn: str, intentions: Sequence[Operation]) -> int:
-        """2PC vote: persist the intentions list before the commit point.
-        Returns the flush ticket gating the vote's durability."""
+    def on_prepare(self, txn: str, executed: Sequence[Operation]) -> int:
+        """2PC vote: persist the intentions list — what ``txn`` executed —
+        before the commit point.  Returns the flush ticket gating the
+        vote's durability."""
         self.log.append(
-            lambda lsn: PrepareRecord(lsn, txn=txn, operations=tuple(intentions))
+            lambda lsn: PrepareRecord(lsn, txn=txn, operations=tuple(executed))
         )
         self._prepared.add(txn)
         return self.log.request_force()
 
-    def on_commit(self, txn: str, intentions: Sequence[Operation]) -> int:
+    def on_commit(self, txn: str, executed: Sequence[Operation]) -> int:
         """Append the commit-point record and request its flush; returns
         the ticket gating the commit acknowledgment."""
         if txn in self._prepared:
@@ -545,7 +547,7 @@ class RedoOnlyLog:
         else:
             self.log.append(
                 lambda lsn: IntentionsRecord(
-                    lsn, txn=txn, operations=tuple(intentions)
+                    lsn, txn=txn, operations=tuple(executed)
                 )
             )
         return self.log.request_force()

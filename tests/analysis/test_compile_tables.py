@@ -1,124 +1,125 @@
-"""Unit tests for the bitmask table compiler (:mod:`repro.analysis.compile_tables`)."""
-
-import pytest
+"""Unit tests for the table a :class:`~repro.core.conflict.ClassifierConflict`
+carries: its row masks, its closure under ``sym`` and ``∪``, and the lock
+manager's use of it — each verdict against the set-lookup twin
+:func:`repro.reference.matrix_conflict`."""
 
 from repro.adts import BankAccount, KVStore
-from repro.analysis.compile_tables import (
-    CompiledConflict,
-    CompiledTable,
-    compile_classifier,
-    compile_table,
-    maybe_compile,
+from repro.analysis.compile_tables import maybe_compile
+from repro.core.conflict import (
+    ClassifierConflict,
+    PairSetConflict,
+    PredicateConflict,
+    WithoutPairs,
+    symmetric_closure,
+    union,
 )
-from repro.analysis.tables import ConflictTable
-from repro.core.conflict import ClassifierConflict, PredicateConflict
 from repro.core.events import op
+from repro.reference import matrix_conflict, opaque_conflict
 from repro.runtime.lock_manager import LockManager
-
-
-def small_table():
-    return ConflictTable(
-        "toy",
-        ("r", "w"),
-        frozenset([("w", "w"), ("w", "r"), ("r", "w")]),
-    )
-
-
-# -- CompiledTable ---------------------------------------------------------------
-
-
-def test_compile_table_roundtrip():
-    table = small_table()
-    compiled = compile_table(table)
-    assert compiled.labels == table.labels
-    assert set(compiled.marks()) == set(table.marks)
-    assert compiled.to_conflict_table("toy") == table
-    assert compiled.marked("w", "w") and not compiled.marked("r", "r")
-    assert compiled.is_symmetric()
-
-
-def test_compiled_table_validation():
-    with pytest.raises(ValueError):
-        CompiledTable(("a", "b"), (0,))  # length mismatch
-    with pytest.raises(ValueError):
-        CompiledTable(("a", "a"), (0, 0))  # duplicate labels
-
-
-def test_asymmetric_table_detected():
-    compiled = compile_table(
-        ConflictTable("asym", ("a", "b"), frozenset([("a", "b")]))
-    )
-    assert not compiled.is_symmetric()
-    assert compiled.conflicts_idx(0, 1) and not compiled.conflicts_idx(1, 0)
-
-
-# -- CompiledConflict ------------------------------------------------------------
 
 
 def classify_kind(operation):
     return operation.invocation.name
 
 
-def test_unknown_label_grows_with_empty_row():
-    compiled = CompiledConflict(
-        classify_kind, compile_table(small_table()), name="toy"
+def toy_relation():
+    return ClassifierConflict(
+        classify_kind, [("w", "w"), ("w", "r"), ("r", "w")], name="toy"
     )
+
+
+# -- the relation's own masks -------------------------------------------------------
+
+
+def test_asymmetric_table_detected():
+    relation = ClassifierConflict(classify_kind, [("a", "b")], name="asym")
+    a, b = op("X", "a"), op("X", "b")
+    assert relation.conflicts(a, b) and not relation.conflicts(b, a)
+    assert relation.row_mask(a) == 1 << relation.class_index(b)
+    assert relation.row_mask(b) == 0
+    assert not relation.is_symmetric((a, b))
+    closed = symmetric_closure(relation)
+    assert closed.is_symmetric((a, b)) and closed.matrix == {("a", "b"), ("b", "a")}
+    assert toy_relation().is_symmetric((op("X", "r", response="v"), op("X", "w", 1)))
+
+
+def test_unknown_label_grows_with_empty_row():
+    relation = toy_relation()
     stranger = op("X", "x", response="done")
     known = op("X", "w", 1)
-    assert compiled.row_mask(stranger) == 0
-    assert not compiled.conflicts(stranger, known)
-    assert not compiled.conflicts(known, stranger)
-    # the grown label is now part of the table universe
-    assert "x" in compiled.labels
-    assert compiled.held_bit(stranger) == 1 << compiled.class_index(stranger)
+    assert relation.row_mask(stranger) == 0
+    assert not relation.conflicts(stranger, known)
+    assert not relation.conflicts(known, stranger)
+    # the grown label has an index of its own, beyond the matrix's
+    assert relation.class_index(stranger) == 2
+    assert relation.class_index(op("X", "x", response="again")) == 2
+    assert relation.matrix == toy_relation().matrix
 
 
 def test_compile_classifier_grow_matches_matrix_miss():
-    """A label outside the matrix answers False, like ClassifierConflict."""
-    relation = ClassifierConflict(
-        classify_kind, [("w", "w")], name="w-only"
-    )
-    compiled = compile_classifier(relation)
+    """A label outside the matrix answers False both ways, like the
+    set-lookup twin."""
+    relation = ClassifierConflict(classify_kind, [("w", "w")], name="w-only")
+    oracle = matrix_conflict(relation)
     w, r = op("X", "w"), op("X", "r", response="v")
     for new, old in ((w, w), (w, r), (r, w), (r, r)):
-        assert compiled.conflicts(new, old) == relation.conflicts(new, old)
+        assert relation.conflicts(new, old) == oracle.conflicts(new, old)
+    assert relation.conflicts(w, w) and not relation.conflicts(r, w)
 
 
 def test_maybe_compile_dispatch():
+    """The table of a relation is the relation itself, or None."""
     ba = BankAccount("BA")
     relation = ba.nrbc_conflict()
-    compiled = maybe_compile(relation)
-    assert isinstance(compiled, CompiledConflict)
-    assert maybe_compile(compiled) is compiled  # pass-through
-    assert maybe_compile(relation) is compiled  # once per relation instance
-    assert maybe_compile(ba.nrbc_conflict()) is not compiled
-    assert maybe_compile(PredicateConflict(lambda a, b: True)) is None
+    assert maybe_compile(relation) is relation
+    assert maybe_compile(symmetric_closure(relation)) is not None
+    assert maybe_compile(union(ba.nfc_conflict(), relation)) is not None
+    assert maybe_compile(relation | ba.nfc_conflict()) is not None
+    for loop in (
+        PredicateConflict(lambda a, b: True),
+        PairSetConflict([]),
+        WithoutPairs(relation, []),
+        opaque_conflict(relation),
+        matrix_conflict(relation),
+        symmetric_closure(opaque_conflict(relation)),
+        union(relation, PredicateConflict(lambda a, b: False)),
+        union(relation, KVStore("KV").nrbc_conflict()),  # two classifiers
+    ):
+        assert maybe_compile(loop) is None, loop.name
 
 
 def test_refine_carried_through_compilation():
+    """The refinement fires on class hits — in the relation and in both
+    closures, each side's refine on the pairs its own matrix marks."""
     kv = KVStore("KV")
     relation = kv.nrbc_conflict()
-    compiled = compile_classifier(relation)
-    assert compiled.refine is relation.refine
+    oracle = matrix_conflict(relation)
     write_a = op("KV", "put", "a", 1)
     write_b = op("KV", "put", "b", 1)
-    assert compiled.conflicts(write_a, write_a) == relation.conflicts(
-        write_a, write_a
-    )
-    assert compiled.conflicts(write_a, write_b) == relation.conflicts(
-        write_a, write_b
-    )
-    # the refinement really fires: same key conflicts, different key not
-    assert compiled.conflicts(write_a, write_a)
-    assert not compiled.conflicts(write_a, write_b)
+    assert relation.conflicts(write_a, write_a) and oracle.conflicts(write_a, write_a)
+    assert not relation.conflicts(write_a, write_b)
+    assert not oracle.conflicts(write_a, write_b)
+    alphabet = kv.ground_alphabet()
+    closed = symmetric_closure(relation)
+    assert closed.refine is not None and closed.name == "sym(NRBC(KV))"
+    assert closed.pairs(alphabet) == symmetric_closure(oracle).pairs(alphabet)
+    both = union(kv.nfc_conflict(), relation)
+    assert both.refine is not None and both.name == "union(NFC(KV), NRBC(KV))"
+    assert both.pairs(alphabet) == union(
+        matrix_conflict(kv.nfc_conflict()), oracle
+    ).pairs(alphabet)
+    # a refine-free table stays refine-free under both
+    ba = BankAccount("BA")
+    assert symmetric_closure(ba.nrbc_conflict()).refine is None
+    assert union(ba.nfc_conflict(), ba.nrbc_conflict()).refine is None
 
 
-# -- LockManager: table when the relation compiles, per-pair loop otherwise -----
+# -- LockManager: masks when the relation is a table, per-pair loop otherwise ------
 
 
 def test_uncompilable_relation_falls_back_to_interpreted():
     manager = LockManager(PredicateConflict(lambda a, b: True, name="total"))
-    assert manager.compiled is None
+    assert manager.table is None
     manager.acquire("T1", op("X", "w"))
     assert manager.blockers("T2", op("X", "w")) == frozenset(["T1"])
 
@@ -126,7 +127,7 @@ def test_uncompilable_relation_falls_back_to_interpreted():
 def test_lock_manager_release_clears_masks():
     ba = BankAccount("BA")
     manager = LockManager(ba.nrbc_conflict())
-    assert manager.compiled is not None
+    assert manager.table is manager.conflict
     deposit = op("BA", "deposit", 1)
     balance = op("BA", "balance", response=0)
     manager.acquire("T1", deposit)
@@ -137,14 +138,15 @@ def test_lock_manager_release_clears_masks():
 
 
 def test_restart_reuses_the_relations_table():
-    """One table per relation instance: a crash restart builds a fresh
-    lock manager over the same relation and does not compile again."""
+    """The table is the relation: a crash restart builds a fresh lock
+    manager over the same relation, masks and classification cache
+    included."""
     from repro.runtime.durability import DurableObject
 
     ba = BankAccount("BA")
     obj = DurableObject(ba, ba.nrbc_conflict(), "UIP")
-    table = obj.locks.compiled
+    table = obj.locks.table
     locks = obj.locks
     obj.crash_and_restart()
     assert obj.locks is not locks
-    assert obj.locks.compiled is table
+    assert obj.locks.table is table is obj.conflict

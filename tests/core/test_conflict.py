@@ -8,12 +8,12 @@ from repro.core.conflict import (
     EmptyConflict,
     PairSetConflict,
     PredicateConflict,
-    SymmetricClosure,
     TotalConflict,
-    UnionConflict,
     WithoutPairs,
     incomparable,
     relation_difference,
+    symmetric_closure,
+    union,
 )
 from repro.core.events import op
 
@@ -90,7 +90,7 @@ class TestClassifierConflict:
 
 class TestCombinators:
     def test_union(self):
-        rel = UnionConflict(
+        rel = union(
             PairSetConflict([(A, B)], alphabet=ALPHABET, strict=False),
             PairSetConflict([(B, C)], alphabet=ALPHABET, strict=False),
         )
@@ -105,7 +105,7 @@ class TestCombinators:
         assert rel.conflicts(A, B) and rel.conflicts(B, C)
 
     def test_symmetric_closure(self):
-        rel = SymmetricClosure(PairSetConflict([(A, B)], alphabet=ALPHABET, strict=False))
+        rel = symmetric_closure(PairSetConflict([(A, B)], alphabet=ALPHABET, strict=False))
         assert rel.conflicts(A, B)
         assert rel.conflicts(B, A)
         assert rel.is_symmetric(ALPHABET)
@@ -167,6 +167,6 @@ class TestBankAccountRelations:
         ba = BankAccount(domain=(1, 2))
         alphabet = ba.ground_alphabet()
         nrbc = ba.nrbc_conflict()
-        sym = SymmetricClosure(nrbc)
+        sym = symmetric_closure(nrbc)
         assert sym.contains(nrbc, alphabet)
         assert relation_difference(sym, nrbc, alphabet)

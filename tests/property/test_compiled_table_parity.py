@@ -1,120 +1,182 @@
-"""Property suite: compiled bitmask tables ≡ the interpreted relations.
+"""Property suite: the bitmask table ≡ the set-lookup reading of its matrix.
 
-For every registered ADT and both relations (NFC, NRBC), the compiled
-:class:`~repro.analysis.compile_tables.CompiledConflict` must be an
-exact, queryable replacement for the relation it compiles:
+For every registered ADT and each relation the runtime locks with — NFC,
+NRBC, ``symmetric_closure(NRBC)`` and ``union(NFC, NRBC)`` — the
+:class:`~repro.core.conflict.ClassifierConflict` must answer exactly as
+:func:`repro.reference.matrix_conflict` does (closures taken on the
+oracle's side, so they share no arithmetic):
 
-* cell-for-cell agreement with the
+* cell-for-cell agreement of the class matrix with the
   :func:`~repro.analysis.tables.table_from_verdicts`/``PairMemo`` route
   over the full operation-class cross product (symmetry included);
-* verdict-for-verdict agreement with the interpreted relation over the
-  full ground-operation cross product — the refine-carrying ADTs
-  (key-indexed KV, priority-ordered PQ) included, where a class-level
-  mask hit must still be weakened exactly as the interpreter weakens it;
-* batch equivalence: the compiled relation's
-  :meth:`~repro.core.conflict.ConflictRelation.pairs` equals those of
-  the relation hidden behind ``repro.reference.opaque_conflict``.
+* verdict-for-verdict agreement over the full ground-operation cross
+  product — the refine-carrying ADTs (key-indexed KV and set,
+  priority-ordered PQ) included, where a class-level mask hit must
+  still be weakened exactly as the oracle weakens it — and an unknown
+  label answering False both ways;
+* ``LockManager.blockers`` over seeded random lock tables returning the
+  oracle manager's sets.
 """
+
+import random
 
 import pytest
 
-from repro.adts.registry import analysis_instance, compiled_tables, registered_kinds
+from repro.adts.registry import analysis_instance, registered_kinds
 from repro.analysis import PairMemo
-from repro.analysis.compile_tables import (
-    compile_conflict_classes,
-    maybe_compile,
-)
-from repro.reference import opaque_conflict
+from repro.analysis.compile_tables import compile_adt_tables, maybe_compile
+from repro.analysis.tables import table_from_verdicts
+from repro.core.conflict import ClassifierConflict, symmetric_closure, union
+from repro.core.lock_manager import LockManager
+from repro.reference import matrix_conflict
 
 KINDS = registered_kinds()
 RELATIONS = ("nfc", "nrbc")
+CLOSED = RELATIONS + ("sym", "union")
 
 
-def _marked(compiled_conflict, row_label, col_label) -> bool:
-    """The compiled class-level verdict, treating absent labels as no-conflict.
+def twins(adt, relation):
+    """``(table, oracle)`` for one of the four relations of ``adt``."""
+    nfc, nrbc = adt.nfc_conflict(), adt.nrbc_conflict()
+    slow_nfc, slow_nrbc = matrix_conflict(nfc), matrix_conflict(nrbc)
+    return {
+        "nfc": (nfc, slow_nfc),
+        "nrbc": (nrbc, slow_nrbc),
+        "sym": (symmetric_closure(nrbc), symmetric_closure(slow_nrbc)),
+        "union": (union(nfc, nrbc), union(slow_nfc, slow_nrbc)),
+    }[relation]
 
-    ``compile_classifier`` only assigns indices to labels appearing in
-    the matrix; a label outside the table grows an all-zero row/column.
-    """
-    table = compiled_conflict.table
-    index = table.index()
-    if row_label not in index or col_label not in index:
-        return False
-    return table.conflicts_idx(index[row_label], index[col_label])
+
+def class_table(adt, oracle, memo=None):
+    """The oracle lifted to classes: a cell is marked iff some instance
+    pair conflicts."""
+    return table_from_verdicts(
+        oracle.name,
+        tuple(adt.operation_classes()),
+        lambda row, col: any(
+            oracle.conflicts(a, b) for a in row.instances for b in col.instances
+        ),
+        memo=memo,
+    )
 
 
-@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("relation", CLOSED)
 @pytest.mark.parametrize("kind", KINDS)
 def test_compiled_table_matches_table_from_verdicts(kind, relation):
-    """Bitmask cells == the table_from_verdicts route, full cross product."""
+    """Matrix cells == the table_from_verdicts route, full cross product."""
     adt = analysis_instance(kind)
-    conflict = getattr(adt, relation + "_conflict")()
-    classes = tuple(adt.operation_classes())
+    table, oracle = twins(adt, relation)
     memo = PairMemo()
-    reference = compile_conflict_classes(
-        conflict, classes, adt.classify, memo=memo
-    )
-    compiled = adt.compiled_conflict(relation)
-    labels = [cls.label for cls in classes]
-    for row in labels:
-        for col in labels:
-            assert _marked(compiled, row, col) == _marked(reference, row, col), (
+    reference = class_table(adt, oracle, memo)
+    for row in reference.labels:
+        for col in reference.labels:
+            assert ((row, col) in table.matrix) == reference.marked(row, col), (
                 kind,
                 relation,
                 row,
                 col,
             )
     # memoization actually engaged: the verdict pass touched every cell
-    assert len(memo) >= len(labels)
+    assert len(memo) >= len(reference.labels)
 
 
 @pytest.mark.parametrize("relation", RELATIONS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_compiled_symmetry_matches_interpreted(kind, relation):
-    """Symmetry agrees at both levels: bitmask table and ground relation."""
+    """Symmetry agrees at both levels: class matrix and ground relation."""
     adt = analysis_instance(kind)
-    conflict = getattr(adt, relation + "_conflict")()
-    compiled = adt.compiled_conflict(relation)
-    reference = compile_conflict_classes(
-        conflict, tuple(adt.operation_classes()), adt.classify
-    )
-    assert compiled.table.is_symmetric() == reference.table.is_symmetric()
+    table, oracle = twins(adt, relation)
+    transposed = {(col, row) for row, col in table.matrix}
+    assert (table.matrix == transposed) == class_table(adt, oracle).is_symmetric()
     alphabet = adt.ground_alphabet()
-    assert compiled.is_symmetric(alphabet) == conflict.is_symmetric(alphabet)
+    assert table.is_symmetric(alphabet) == oracle.is_symmetric(alphabet)
+    closed, slow_closed = twins(adt, "sym")
+    assert closed.is_symmetric(alphabet) and slow_closed.is_symmetric(alphabet)
 
 
-@pytest.mark.parametrize("relation", RELATIONS)
+@pytest.mark.parametrize("relation", CLOSED)
 @pytest.mark.parametrize("kind", KINDS)
 def test_compiled_verdicts_match_interpreted_ground(kind, relation):
     """conflicts(new, old) agrees pair-for-pair over the ground cross product."""
     adt = analysis_instance(kind)
-    conflict = getattr(adt, relation + "_conflict")()
-    compiled = adt.compiled_conflict(relation)
+    table, oracle = twins(adt, relation)
+    assert maybe_compile(table) is table and maybe_compile(oracle) is None
     alphabet = adt.ground_alphabet()
     for new in alphabet:
         for old in alphabet:
-            assert compiled.conflicts(new, old) == conflict.conflicts(new, old), (
+            assert table.conflicts(new, old) == oracle.conflicts(new, old), (
                 kind,
                 relation,
                 new,
                 old,
             )
-    reference = opaque_conflict(conflict)
-    assert maybe_compile(reference) is None
-    assert maybe_compile(conflict).pairs(alphabet) == reference.pairs(alphabet)
+    assert table.pairs(alphabet) == oracle.pairs(alphabet)
+
+
+@pytest.mark.parametrize("relation", CLOSED)
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_label_outside_the_matrix_conflicts_with_nothing(kind, relation):
+    """Drop one class from the matrix: its operations now carry a label
+    the table has never seen, which grows an empty row — False both
+    ways, as the set lookup says — and moves no other verdict."""
+    adt = analysis_instance(kind)
+    table, _ = twins(adt, relation)
+    alphabet = adt.ground_alphabet()
+    for dropped in sorted({label for pair in table.matrix for label in pair}):
+        narrow = ClassifierConflict(
+            table.classify,
+            {pair for pair in table.matrix if dropped not in pair},
+            refine=table.refine,
+        )
+        assert narrow.pairs(alphabet) == matrix_conflict(narrow).pairs(alphabet)
+        strangers = [o for o in alphabet if table.classify(o) == dropped]
+        assert strangers
+        for stranger in strangers:
+            assert narrow.row_mask(stranger) == 0
+            assert not any(narrow.conflicts(known, stranger) for known in alphabet)
+
+
+@pytest.mark.parametrize("relation", CLOSED)
+@pytest.mark.parametrize("kind", KINDS)
+def test_blockers_match_the_oracle_manager(kind, relation):
+    """Random lock tables: acquire without asking, so holders overlap in
+    every way, and compare the blocker set of every ground operation."""
+    adt = analysis_instance(kind)
+    table, oracle = twins(adt, relation)
+    alphabet = adt.ground_alphabet()
+    for seed in range(6):
+        rng = random.Random(seed)
+        fast, slow = LockManager(table), LockManager(oracle)
+        assert fast.table is table and slow.table is None
+        for _ in range(rng.randint(1, 12)):
+            txn = "T%d" % rng.randrange(4)
+            if rng.random() < 0.15:
+                assert fast.release_all(txn) == slow.release_all(txn)
+                continue
+            held = rng.choice(alphabet)
+            fast.acquire(txn, held)
+            slow.acquire(txn, held)
+        for txn in ("T0", "T9"):
+            for new in alphabet:
+                assert fast.blockers(txn, new) == slow.blockers(txn, new), (
+                    kind, relation, seed, txn, new,
+                )
+                assert fast.conflicting_holds(txn, new) == slow.conflicting_holds(
+                    txn, new
+                )
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_registry_compiled_tables_cover_all_classes(kind):
-    """The registry artifact exposes both relations over the class alphabet."""
-    tables = compiled_tables(kind)
+    """``compile_adt_tables`` hands out both of a registered ADT's
+    relations, as tables, over its class alphabet."""
     adt = analysis_instance(kind)
+    tables = compile_adt_tables(adt)
     assert tables.adt_name == adt.name
-    assert tables.labels == tuple(
-        str(cls.label) for cls in adt.operation_classes()
-    )
-    for compiled in (tables.nfc, tables.nrbc):
-        # every ground operation classifies into the compiled universe
-        for op in adt.ground_alphabet():
-            compiled.class_index(op)
-        assert len(compiled.labels) <= len(tables.labels)
+    assert tables.classes == tuple(adt.operation_classes())
+    labels = {cls.label for cls in tables.classes}
+    for table in (tables.nfc, tables.nrbc):
+        assert {label for pair in table.matrix for label in pair} <= labels
+        # every ground operation classifies into the class alphabet
+        for operation in adt.ground_alphabet():
+            assert table.classify(operation) in labels

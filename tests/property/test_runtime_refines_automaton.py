@@ -30,7 +30,7 @@ import pytest
 from repro.adts import BankAccount
 from repro.adts.registry import make_adt, registered_kinds
 from repro.core.atomicity import is_dynamic_atomic
-from repro.core.conflict import UnionConflict, WithoutPairs
+from repro.core.conflict import WithoutPairs, union
 from repro.core.object_automaton import ObjectAutomaton
 from repro.core.recovery import (
     DeferredUpdateManager,
@@ -66,7 +66,7 @@ def relation_for(adt, method):
         return adt.nrbc_conflict()
     if method == "DU":
         return adt.nfc_conflict()
-    return UnionConflict(adt.nfc_conflict(), adt.nrbc_conflict())
+    return union(adt.nfc_conflict(), adt.nrbc_conflict())
 
 
 def rejection(obj, conflict=None, history=None):
@@ -214,7 +214,7 @@ def test_logical_undo_is_the_uip_view_only_above_nrbc():
     nrbc = ba.nrbc_conflict()
     assert ba.supports_logical_undo
     # Conflict ⊇ NRBC: the default (logical) object never leaves the language.
-    for relation in (nrbc, UnionConflict(nrbc, ba.nfc_conflict())):
+    for relation in (nrbc, union(nrbc, ba.nfc_conflict())):
         for seed in SEEDS:
             obj = run_bank(relation, "UIP", seed)
             assert obj.recovery.strategy == "logical"

@@ -57,14 +57,14 @@ class TestUndoRedoLogRestart:
     def test_committed_survive(self, policy):
         ba, wal = self.make_ba_log(policy)
         wal.on_execute("A", ba.deposit(5))
-        wal.on_commit("A")
+        wal.on_commit("A", ())
         assert wal.restart() == frozenset({5})
 
     @pytest.mark.parametrize("policy", ["replay-winners", "redo-undo"])
     def test_in_flight_lost(self, policy):
         ba, wal = self.make_ba_log(policy)
         wal.on_execute("A", ba.deposit(5))
-        wal.on_commit("A")
+        wal.on_commit("A", ())
         wal.on_execute("B", ba.withdraw_ok(3))  # crash before B commits
         assert wal.restart() == frozenset({5})
 
@@ -74,7 +74,7 @@ class TestUndoRedoLogRestart:
         wal.on_execute("A", ba.deposit(5))
         wal.on_abort("A")
         wal.on_execute("B", ba.deposit(2))
-        wal.on_commit("B")
+        wal.on_commit("B", ())
         assert wal.restart() == frozenset({2})
 
     @pytest.mark.parametrize("policy", ["replay-winners", "redo-undo"])
@@ -82,7 +82,7 @@ class TestUndoRedoLogRestart:
         ba, wal = self.make_ba_log(policy)
         wal.on_execute("A", ba.deposit(5))
         wal.on_execute("B", ba.deposit(3))
-        wal.on_commit("A")
+        wal.on_commit("A", ())
         # B in flight at crash.
         assert wal.restart() == frozenset({5})
 
@@ -114,7 +114,7 @@ class TestUndoRedoLogRestart:
                     wal.on_execute(txn, operation)
             elif action < 0.8:
                 for wal in (a, b):
-                    wal.on_commit(txn)
+                    wal.on_commit(txn, ())
                 finished.add(txn)
             else:
                 for wal in (a, b):
@@ -126,18 +126,18 @@ class TestUndoRedoLogRestart:
         ba = BankAccount()
         wal = UndoRedoLog(ba)
         wal.on_execute("A", ba.deposit(5))
-        wal.on_commit("A")
+        wal.on_commit("A", ())
         wal.checkpoint(frozenset({5}))
         assert len(wal.log) == 1  # just the checkpoint
         wal.on_execute("B", ba.deposit(1))
-        wal.on_commit("B")
+        wal.on_commit("B", ())
         assert wal.restart() == frozenset({6})
 
     def test_restart_idempotent(self):
         ba = BankAccount()
         wal = UndoRedoLog(ba)
         wal.on_execute("A", ba.deposit(5))
-        wal.on_commit("A")
+        wal.on_commit("A", ())
         assert wal.restart() == wal.restart()
 
 

@@ -15,25 +15,24 @@ class TestLockManager:
     def test_no_conflicts_all_free(self):
         lm = LockManager(EmptyConflict())
         lm.acquire("T1", A)
-        assert lm.can_acquire("T2", A)
+        assert not lm.blockers("T2", A)
 
     def test_conflict_blocks(self):
         lm = LockManager(TotalConflict())
         lm.acquire("T1", A)
-        assert not lm.can_acquire("T2", B)
         assert lm.blockers("T2", B) == {"T1"}
 
     def test_own_locks_never_block(self):
         lm = LockManager(TotalConflict())
         lm.acquire("T1", A)
-        assert lm.can_acquire("T1", B)
+        assert not lm.blockers("T1", B)
 
     def test_release_frees(self):
         lm = LockManager(TotalConflict())
         lm.acquire("T1", A)
         released = lm.release_all("T1")
         assert released == (A,)
-        assert lm.can_acquire("T2", B)
+        assert not lm.blockers("T2", B)
 
     def test_release_unknown_is_noop(self):
         lm = LockManager(TotalConflict())

@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.comparisons import compare, compare_parallel, comparison_case
+from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import (
     Cell,
     ParallelRunner,
@@ -189,6 +190,24 @@ class TestWorkerDeath:
     def test_unknown_kind(self):
         with pytest.raises(KeyError, match="no-such-kind"):
             execute_cell(Cell(0, "no-such-kind"))
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_unknown_adt_kind_is_a_failed_cell(self, workers):
+        """``make_adt`` raises ``ValueError``, not ``SystemExit``: inside
+        a cell that is a reported failure — it neither ends an inline
+        campaign nor reads as a dead worker in a pool."""
+        from repro.adts.registry import make_adt
+
+        with pytest.raises(ValueError, match="unknown ADT 'nope'"):
+            make_adt("nope")
+        with pytest.raises(ValueError, match="unknown ADT 'nope'"):
+            run_torture(configs_for(["nope"]), schedules=2)
+        spec = {"config": TortureConfig("nope", "DU"), "plan": FaultPlan()}
+        results = ParallelRunner(workers).run(
+            [Cell(0, "torture", spec), Cell(1, "torture", spec)]
+        )
+        assert [r.ok for r in results] == [False, False]
+        assert all("ValueError: unknown ADT 'nope'" in r.error for r in results)
 
     def test_duplicate_indexes_rejected(self):
         with pytest.raises(ValueError, match="unique"):

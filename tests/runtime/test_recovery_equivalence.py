@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.adts import BankAccount, SemiQueue, SetADT
-from repro.core.conflict import UnionConflict
+from repro.core.conflict import union
 from repro.core.events import inv
 from repro.core.object_automaton import TransactionProgram, generate_trace
 from repro.core.views import DU, SUIP, UIP
@@ -126,7 +126,7 @@ def test_suip_manager_realizes_suip_view(adt_factory, program_factory, seed):
     trace = generate_trace(
         adt,
         SUIP,
-        UnionConflict(adt.nfc_conflict(), adt.nrbc_conflict()),
+        union(adt.nfc_conflict(), adt.nrbc_conflict()),
         program_factory(rng),
         rng,
         abort_probability=0.3,

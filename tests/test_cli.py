@@ -11,6 +11,8 @@ from repro.experiments.examples import (
     section_3_4_perturbed_history,
 )
 
+DATA = pathlib.Path(__file__).parent / "data"
+
 
 class TestAdtsCommand:
     def test_lists_all(self, capsys):
@@ -36,6 +38,25 @@ class TestTablesCommand:
     def test_unknown_adt(self):
         with pytest.raises(SystemExit):
             main(["tables", "btree"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["tables", "nope"],
+            ["counterexample", "uip", "--adt", "nope"],
+            ["synthesize", "du", "--adt", "nope"],
+            ["audit", str(DATA / "ten_concurrent_deposits.json"), "--adt", "nope"],
+            ["audit", str(DATA / "ten_concurrent_deposits.json"), "--object", "BA=nope"],
+        ),
+        ids=("tables", "counterexample", "synthesize", "audit-adt", "audit-object"),
+    )
+    def test_unknown_adt_is_one_line_and_exit_1(self, argv):
+        """``make_adt`` raises ``ValueError``; the commands ask first, so
+        the CLI still ends with the one-line message and status 1 (a
+        string ``SystemExit`` code), not a traceback."""
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert str(exit_.value.code).startswith("unknown ADT 'nope' (choose from: bank,")
 
     def test_custom_name(self, capsys):
         assert main(["tables", "counter", "--name", "HITS"]) == 0

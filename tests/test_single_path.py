@@ -1,6 +1,6 @@
 """One production path per job: no mode selector survives anywhere.
 
-Each fast path (compiled conflict tables, delta view cursors, jumped
+Each fast path (a relation's bitmask table, delta view cursors, jumped
 dead ticks) is chosen from the input the code is handed, and the pruned
 order search is the only atomicity checker; the slow twins are reached
 only through ``repro.reference``, by tests and twin benches.
@@ -64,13 +64,26 @@ def _modules():
         yield path, ast.parse(path.read_text(), filename=str(path))
 
 
+def _walk_in_functions(tree):
+    """``ast.walk`` with, for each node, the name of the innermost
+    function around it (None at module or class level)."""
+    stack = [(tree, None)]
+    while stack:
+        node, fn = stack.pop()
+        yield node, fn
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+
+
 def _imports():
-    """``(path, lineno, names)`` per import statement anywhere in a
-    module — function bodies included — with relative imports resolved:
-    the module named and each ``module.attribute`` it pulls."""
+    """``(path, lineno, names, fn)`` per import statement anywhere in a
+    module, with relative imports resolved: the module named and each
+    ``module.attribute`` it pulls; ``fn`` names the function whose body
+    holds a call-time import (None for a module-level one)."""
     for path, tree in _modules():
         package = path.relative_to(SRC).parts[:-1]
-        for node in ast.walk(tree):
+        for node, fn in _walk_in_functions(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -79,7 +92,7 @@ def _imports():
                 names = [base] + ["%s.%s" % (base, a.name) for a in node.names]
             else:
                 continue
-            yield path, node.lineno, names
+            yield path, node.lineno, names, fn
 
 
 def _functions():
@@ -104,7 +117,7 @@ def test_no_module_reads_the_environment():
 def test_only_tests_and_benches_import_the_oracles():
     offenders = [
         "%s:%d" % (path.relative_to(SRC), lineno)
-        for path, lineno, names in _imports()
+        for path, lineno, names, _fn in _imports()
         if path != PACKAGE / "reference.py"
         and any((n + ".").startswith("repro.reference.") for n in names)
     ]
@@ -354,13 +367,13 @@ def test_arrivals_have_one_admission_path():
 # ---------------------------------------------------------------------------
 
 LOCK_TABLE_CHANGES = {"acquire", "release_all"}
-VIEW_CHANGES = {"on_execute", "on_commit", "on_abort"}
+VIEW_CHANGES = {"on_execute", "on_commit", "on_abort", "rebase"}
 
 
 def _changes_a_half(fn):
     """Does ``fn`` change an object's lock table or view in place —
     ``<x>.locks.acquire/release_all(...)``,
-    ``<x>.recovery.on_execute/on_commit/on_abort(...)`` — or replace
+    ``<x>.recovery.on_execute/on_commit/on_abort/rebase(...)`` — or replace
     either half (``self.locks = ...``, ``self.recovery = ...``)?"""
     for node in ast.walk(fn):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
@@ -558,6 +571,82 @@ def test_one_class_keeps_the_lock_table():
     assert type(automaton.locks) is type(runtime.locks) is LockManager
 
 
+def test_the_table_is_the_relation():
+    """One class holds a class matrix as row masks, it is the relation
+    the ADTs hand out, and it lives in ``repro.core``: no second
+    "compiled" form of it, and no interpreted closure class beside the
+    two functions that keep a table a table."""
+    definers = [
+        name
+        for name, cls in _classes()
+        if any(isinstance(n, ast.FunctionDef) and n.name == "row_mask" for n in cls.body)
+    ]
+    assert definers == ["repro/core/conflict.py:ClassifierConflict"]
+    retired = {"CompiledConflict", "CompiledTable", "SymmetricClosure", "UnionConflict"}
+    assert not [name for name, cls in _classes() if cls.name in retired]
+    from repro.core.conflict import WithoutPairs, symmetric_closure, union
+    from repro.reference import matrix_conflict, opaque_conflict
+
+    ba = BankAccount("BA")
+    nfc, nrbc = ba.nfc_conflict(), ba.nrbc_conflict()
+    for table in (nfc, nrbc, symmetric_closure(nrbc), union(nfc, nrbc), nfc | nrbc):
+        assert LockManager(table).table is table
+    for loop in (WithoutPairs(nrbc, []), opaque_conflict(nrbc), matrix_conflict(nrbc)):
+        assert LockManager(loop).table is None
+
+
+def test_core_and_adts_sit_below_analysis():
+    """``repro.core`` imports ``repro.analysis`` nowhere, and
+    ``repro.adts`` only when ``ADT.build_checker`` is called: the table
+    and ``OperationClass`` live in ``repro.core``, so loading an ADT
+    does not execute the analysis package."""
+    allowed = {("repro/adts/base.py", "build_checker")}
+    offenders = [
+        "%s:%d" % (path.relative_to(SRC), lineno)
+        for path, lineno, names, fn in _imports()
+        if path.relative_to(SRC).parts[:2] in {("repro", "core"), ("repro", "adts")}
+        and any((n + ".").startswith("repro.analysis.") for n in names)
+        and (str(path.relative_to(SRC)), fn) not in allowed
+    ]
+    assert not offenders, offenders
+
+
+def test_nothing_in_compile_tables_is_there_for_tests_only():
+    """Every function ``analysis/compile_tables.py`` still defines is
+    called under ``src/repro`` or is a span of the end-to-end ledger."""
+    spans = (SRC.parent / "benchmarks" / "e2e" / "spans.py").read_text()
+    called = set().union(*(_calls(tree) for _, tree in _modules()))
+    tree = ast.parse((PACKAGE / "analysis" / "compile_tables.py").read_text())
+    idle = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name not in called
+        and '"%s"' % node.name not in spans
+    ]
+    assert not idle, idle
+
+
+def test_the_recovery_method_is_asked_once():
+    """UIP-or-DU is chosen where a durable object picks its log class;
+    after that the log and the manager answer for themselves (one
+    ``on_prepare`` / ``on_commit`` signature, ``committed_macro``,
+    ``rebase``, ``view``) and nobody tests a type again."""
+    asked = {
+        "RedoOnlyLog", "UndoRedoLog", "DeferredUpdateManager", "UpdateInPlaceManager",
+    }
+    sites = [
+        "%s:%s" % (path.relative_to(PACKAGE), fn.name)
+        for path, fn in _functions()
+        if path.parent == PACKAGE / "runtime"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and {getattr(n, "id", None) for n in ast.walk(node.args[1])} & asked
+    ]
+    assert sites == ["runtime/durability.py:__init__"]
+
+
 def test_one_class_maintains_each_view():
     """A class that materializes a view (``macro``) under execute deltas
     is one of the four in ``core/recovery.py``; ``View.cursor`` and
@@ -600,7 +689,7 @@ def test_the_theory_layers_never_import_the_runtime():
     theory = {("repro", "core"), ("repro", "analysis"), ("repro", "adts")}
     offenders = [
         "%s:%d" % (path.relative_to(SRC), lineno)
-        for path, lineno, names in _imports()
+        for path, lineno, names, _fn in _imports()
         if path.relative_to(SRC).parts[:2] in theory
         and any((n + ".").startswith("repro.runtime.") for n in names)
     ]
