@@ -61,6 +61,17 @@ class Invocation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "args", tuple(_freeze(a) for a in self.args))
+        # The value the generated ``__hash__`` would compute, computed
+        # once: invocations key every memo on the attempt path.
+        object.__setattr__(self, "_hash", hash((self.name, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Through the constructor, so the hash is this process's own:
+        # string hashing is per process.
+        return (Invocation, (self.name, self.args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -89,6 +100,15 @@ class Operation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "response", _freeze(self.response))
+        object.__setattr__(
+            self, "_hash", hash((self.obj, self.invocation, self.response))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Operation, (self.obj, self.invocation, self.response))
 
     @property
     def name(self) -> str:

@@ -29,6 +29,13 @@ loop.  Both are verdict-identical, which
 ``tests/runtime/test_compiled_lock_differential.py``,
 ``tests/property/test_compiled_table_parity.py`` and EXP-C14 assert
 against the set-lookup twin :func:`repro.reference.matrix_conflict`.
+
+Whichever way an answer is worked out, it is a function of the held
+operations, and a contended object is asked the same few questions many
+times between two changes of them: :meth:`blockers` remembers, per
+operation, every holder it conflicts with, until :meth:`acquire` or
+:meth:`release_all` (``tests/property/test_lock_answer_memo.py``;
+:func:`repro.reference.recompute_every_answer` works each one out again).
 """
 
 from __future__ import annotations
@@ -61,6 +68,11 @@ class LockManager:
         #: only) — lets refine-carrying relations rescan a holder with
         #: plain bit tests instead of re-classifying held operations.
         self._held_idx: Dict[str, List[int]] = {}
+        #: operation -> every holder it conflicts with, as last worked
+        #: out by :meth:`blockers`.  An answer is a function of the held
+        #: operations, so it stands until they change: :meth:`acquire`
+        #: and :meth:`release_all` clear it, a :meth:`copy` starts empty.
+        self._answers: Dict[Operation, FrozenSet[str]] = {}
 
     def copy(self) -> "LockManager":
         """An independent manager holding the same locks.  The relation
@@ -70,6 +82,7 @@ class LockManager:
         twin._ever_held = set(self._ever_held)
         twin._held_masks = dict(self._held_masks)
         twin._held_idx = {txn: list(idx) for txn, idx in self._held_idx.items()}
+        twin._answers = {}
         return twin
 
     def held_by(self, txn: str) -> Tuple[Operation, ...]:
@@ -88,14 +101,20 @@ class LockManager:
 
     def blockers(self, txn: str, operation: Operation) -> FrozenSet[str]:
         """Other transactions whose held operations conflict with ``operation``."""
+        answer = self._answers.get(operation)
+        if answer is None:
+            answer = self._answers[operation] = self._holders_against(operation)
+        return answer - {txn} if txn in answer else answer
+
+    def _holders_against(self, operation: Operation) -> FrozenSet[str]:
+        """Every transaction, an asker included, whose held operations
+        conflict with ``operation`` — what :meth:`blockers` remembers."""
         table = self.table
         if table is not None:
             row = table.row_mask(operation)
             if table.refine is None:
                 return frozenset(
-                    other
-                    for other, mask in self._held_masks.items()
-                    if other != txn and row & mask
+                    [other for other, mask in self._held_masks.items() if row & mask]
                 )
             # A class-level hit may be weakened by the argument-level
             # refinement; the mask test prunes holders with no hit at
@@ -104,7 +123,7 @@ class LockManager:
             refine = table.refine
             blocking: Set[str] = set()
             for other, mask in self._held_masks.items():
-                if other == txn or not row & mask:
+                if not row & mask:
                     continue
                 for old, old_idx in zip(self._held[other], self._held_idx[other]):
                     if (row >> old_idx) & 1 and refine(operation, old):
@@ -113,8 +132,6 @@ class LockManager:
             return frozenset(blocking)
         blocking = set()
         for other, ops in self._held.items():
-            if other == txn:
-                continue
             for old in ops:
                 if self.conflict.conflicts(operation, old):
                     blocking.add(other)
@@ -144,6 +161,7 @@ class LockManager:
 
     def acquire(self, txn: str, operation: Operation) -> None:
         """Record an executed operation; caller must have checked blockers."""
+        self._answers.clear()
         self._held.setdefault(txn, []).append(operation)
         self._ever_held.add(txn)
         if self.table is not None:
@@ -153,6 +171,7 @@ class LockManager:
 
     def release_all(self, txn: str) -> Tuple[Operation, ...]:
         """Drop every lock of ``txn`` (commit or abort); returns what was held."""
+        self._answers.clear()
         self._held_masks.pop(txn, None)
         self._held_idx.pop(txn, None)
         return tuple(self._held.pop(txn, ()))

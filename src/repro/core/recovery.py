@@ -98,6 +98,9 @@ class RecoveryManager(ABC):
         self.spec = spec
         #: invocations awaiting their response (:meth:`apply` only).
         self._pending: Dict[str, Invocation] = {}
+        #: (macro-state, invocation) -> enabled responses.  A function of
+        #: the spec alone, so an entry is never invalid and forks share it.
+        self._responses: Dict[Tuple[MacroState, Invocation], FrozenSet] = {}
 
     @abstractmethod
     def macro(self, txn: str) -> MacroState:
@@ -169,11 +172,17 @@ class RecoveryManager(ABC):
 
     def enabled_responses(self, txn: str, invocation: Invocation) -> FrozenSet:
         """The responses legal for the transaction's current view."""
-        responses: Set = set()
-        for state in self.macro(txn):
-            for response, _nxt in self.spec.transitions(state, invocation):
-                responses.add(response)
-        return frozenset(responses)
+        macro = self.macro(txn)
+        responses = self._responses.get((macro, invocation))
+        if responses is None:
+            responses = self._responses[macro, invocation] = frozenset(
+                [
+                    response
+                    for state in macro
+                    for response, _nxt in self.spec.transitions(state, invocation)
+                ]
+            )
+        return responses
 
     def accepts(self, txn: str, operation: Operation) -> bool:
         """``View(H, txn) · operation ∈ Spec``."""

@@ -17,7 +17,7 @@ counterexamples.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import FrozenSet, Hashable, Iterable, Sequence, Set
+from typing import Dict, FrozenSet, Hashable, Iterable, Sequence, Set, Tuple
 
 from .events import Invocation, OpSeq, Operation
 
@@ -38,6 +38,10 @@ class SerialSpec(ABC):
 
     def __init__(self, name: str):
         self._name = name
+        #: (invocation, response) -> the one :class:`Operation` for the
+        #: pair, filled as pairs are asked for.  Operations are values,
+        #: so an entry is never invalid.
+        self._operations: Dict[Tuple[Invocation, Hashable], Operation] = {}
 
     @property
     def name(self) -> str:
@@ -65,8 +69,22 @@ class SerialSpec(ABC):
     # -- conveniences ---------------------------------------------------------
 
     def operation(self, invocation: Invocation, response: Hashable) -> Operation:
-        """Build an operation on this spec's object."""
-        return Operation(self._name, invocation, response)
+        """The operation ``X:[invocation, response]`` on this spec's object.
+
+        Interned: asking twice hands back the same object, already
+        frozen and hashed, so the memos keyed on operations hit on
+        identity.  Callers may rely on equality only — an equal
+        operation built any other way is the same operation.
+        """
+        key = (invocation, response)
+        try:
+            operation = self._operations.get(key)
+        except TypeError:  # a response still to be frozen (a list, a dict)
+            return Operation(self._name, invocation, response)
+        if operation is None:
+            operation = Operation(self._name, invocation, response)
+            self._operations[key] = operation
+        return operation
 
     def extend_legal(
         self, opseq: Sequence[Operation], operation: Operation

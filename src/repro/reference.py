@@ -5,7 +5,8 @@ relation that is a table is answered from its bitmasks, a known view
 over a state-machine spec gets its incremental manager, the scheduler
 jumps the dead ticks its wake calendar proves and lets a refused
 invocation sleep until its object's epoch moves, and the atomicity
-checkers prune and memoize one order search.  Each fast path has a slow,
+checkers prune and memoize one order search, and an attempt looks up
+what an earlier one worked out.  Each fast path has a slow,
 obviously-right twin that the byte-identity suites compare it with.
 This module is where those twins are reached — by handing the product an
 input it cannot accelerate, or, for the scheduler, by swapping the one
@@ -34,6 +35,11 @@ oracle                         what the product then does
                                tick anyway, and the attempt checked:
                                refused, by exactly the blockers the
                                waits-for graph holds
+:func:`recompute_every_answer`  every remembered answer on the attempt
+                               path — an interned operation, a candidate
+                               tuple, a set of enabled responses, a lock
+                               answer — is used and also worked out
+                               afresh, and the two compared
 ``enumerate_find_*``           nothing: these *are* the slow twins of
                                ``core.atomicity.find_*`` — every
                                permutation / every linear extension of
@@ -68,9 +74,12 @@ from .core.atomicity import (
 from .core.conflict import ClassifierConflict, ConflictRelation
 from .core.events import Event, Invocation, OpSeq, Operation
 from .core.history import History, HistoryBuilder
+from .core.lock_manager import LockManager
 from .core.recovery import MacroState, RecoveryManager
+from .core.serial_spec import SerialSpec
 from .core.views import View
 from .runtime.scheduler import Scheduler
+from .runtime.system import ManagedObject
 
 
 class _OpaqueConflict(ConflictRelation):
@@ -278,6 +287,83 @@ def reattempt_every_tick() -> Iterator[None]:
         yield
     finally:
         Scheduler._refusal_stands = stands
+
+
+class StaleMemo(AssertionError):
+    """A remembered answer on the attempt path is not what working it
+    out afresh gives: a memo outlived its validity rule."""
+
+
+def _same_or_stale(what: str, got, want):
+    if got != want:
+        raise StaleMemo("%s: remembered %r, recomputed %r" % (what, got, want))
+    return want
+
+
+@contextmanager
+def recompute_every_answer() -> Iterator[None]:
+    """Within the block nothing on the attempt path is taken on trust:
+    each use of an interned operation, a candidate tuple, a remembered
+    set of enabled responses or a lock answer also works the answer out
+    from scratch and raises :class:`StaleMemo` if the two differ.  The
+    memos are still filled and read as in the product (that is what is
+    under test); what the caller gets back is the fresh value, so a run
+    in the block also shows that nothing leans on an operation's
+    identity."""
+    operation = SerialSpec.operation
+    candidates = ManagedObject._candidates
+    responses = RecoveryManager.enabled_responses
+    blockers = LockManager.blockers
+
+    def checked_operation(self, invocation, response):
+        got = operation(self, invocation, response)
+        want = Operation(self.name, invocation, response)
+        _same_or_stale(
+            "interned operation",
+            (got, hash(got), repr(got)),
+            (want, hash(want), repr(want)),
+        )
+        return want
+
+    def checked_candidates(self, invocation, enabled):
+        return _same_or_stale(
+            "candidates of %s" % invocation,
+            candidates(self, invocation, enabled),
+            tuple(
+                (response, Operation(self.name, invocation, response))
+                for response in sorted(enabled, key=repr)
+            ),
+        )
+
+    def checked_responses(self, txn, invocation):
+        return _same_or_stale(
+            "responses to %s for %s" % (invocation, txn),
+            responses(self, txn, invocation),
+            frozenset(
+                response
+                for state in self.macro(txn)
+                for response, _nxt in self.spec.transitions(state, invocation)
+            ),
+        )
+
+    def checked_blockers(self, txn, operation):
+        return _same_or_stale(
+            "blockers of %s for %s" % (operation, txn),
+            blockers(self, txn, operation),
+            self._holders_against(operation) - {txn},
+        )
+
+    SerialSpec.operation = checked_operation
+    ManagedObject._candidates = checked_candidates
+    RecoveryManager.enabled_responses = checked_responses
+    LockManager.blockers = checked_blockers
+    try:
+        yield
+    finally:
+        SerialSpec.operation = operation
+        ManagedObject._candidates = candidates
+        RecoveryManager.enabled_responses = responses
+        LockManager.blockers = blockers
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,12 @@ from ..core.conflict import ConflictRelation
 from ..core.events import Invocation, Operation
 from ..core.lock_manager import LockManager
 from ..core.recovery import DeferredUpdateManager
-from .system import ManagedObject, TransactionSystem
+from .system import (
+    ABORT_RECORDED,
+    COMMIT_RECORDED,
+    ManagedObject,
+    TransactionSystem,
+)
 from .wal import GroupCommitPolicy, RedoOnlyLog, UndoRedoLog
 
 
@@ -160,7 +165,7 @@ class DurableObject(ManagedObject):
         self.wal.log.advance(ticks)
 
     def abort(self, txn: str) -> None:
-        had_events = txn in {e.txn for e in self._events}
+        had_events = txn in self._recorded
         super().abort(txn)
         if had_events:
             self.wal.on_abort(txn)
@@ -192,8 +197,8 @@ class DurableObject(ManagedObject):
         self._pending.pop(txn, None)
         # A crash can interrupt a volatile abort after its event was
         # recorded; don't abort twice.
-        if not any(e.txn == txn and e.is_abort for e in self._events):
-            self._events.append(abort_event(self.name, txn))
+        if not self._recorded.get(txn, 0) & ABORT_RECORDED:
+            self._record_end(abort_event(self.name, txn), ABORT_RECORDED)
 
     def crash_commit(self, txn: str) -> None:
         """Complete a commit interrupted by a crash.
@@ -210,11 +215,8 @@ class DurableObject(ManagedObject):
 
         if not self.wal.has_durable_commit(txn):
             self.wal.recovery_commit(txn)
-        has_commit_event = any(
-            e.txn == txn and e.is_commit for e in self._events
-        )
-        if not has_commit_event:
-            self._events.append(commit_event(self.name, txn))
+        if not self._recorded.get(txn, 0) & COMMIT_RECORDED:
+            self._record_end(commit_event(self.name, txn), COMMIT_RECORDED)
         self._pending.pop(txn, None)
         # Fold the winner into the committed macro-state for the version
         # chain.  Idempotent across a crash that landed mid-completion:

@@ -50,6 +50,10 @@ from .errors import InvalidTransactionState, UnknownObjectError
 from .recovery import make_recovery_manager
 
 
+ABORT_RECORDED = 1
+COMMIT_RECORDED = 2
+
+
 @dataclass(frozen=True)
 class OperationOutcome:
     """Result of attempting one operation at one object."""
@@ -93,6 +97,18 @@ class ManagedObject:
         self.epoch = 0
         self._pending: Dict[str, Invocation] = {}
         self._events: List[Event] = []
+        #: txn -> which of its terminal events ``_events`` holds
+        #: (``ABORT_RECORDED | COMMIT_RECORDED``; 0 once it has any event
+        #: at all), kept as events are appended so crash resolution asks
+        #: it instead of scanning the history.
+        self._recorded: Dict[str, int] = {}
+        #: (invocation, enabled responses) -> the candidates in trial
+        #: order (see :meth:`_candidates`).  A function of the ADT alone,
+        #: so an entry is never invalid.
+        self._candidate_memo: Dict[
+            Tuple[Invocation, FrozenSet[Hashable]],
+            Tuple[Tuple[Hashable, Operation], ...],
+        ] = {}
         #: multiversion committed store.  ``_committed_macro`` tracks the
         #: committed macro-state in commit order (advanced at each commit
         #: from the recovery manager's executed operations); the parallel
@@ -150,6 +166,7 @@ class ManagedObject:
         if pending is None:
             self._pending[txn] = invocation
             self._events.append(invoke_event(invocation, self.name, txn))
+            self._recorded.setdefault(txn, 0)
             if self.trace is not None:
                 self.trace.emit(
                     "op-invoke",
@@ -157,7 +174,7 @@ class ManagedObject:
                     obj=self.name,
                     invocation=str(invocation),
                 )
-        elif pending != invocation:
+        elif pending is not invocation and pending != invocation:
             raise InvalidTransactionState(
                 "transaction %s is pending %s at %s, not %s"
                 % (txn, pending, self.name, invocation)
@@ -165,21 +182,21 @@ class ManagedObject:
         responses = self.recovery.enabled_responses(txn, invocation)
         if not responses:
             return OperationOutcome("stuck")
-        blockers: Set[str] = set()
+        blocked: FrozenSet[str] = frozenset()
         free: List[Tuple[Hashable, Operation]] = []
-        for response in sorted(responses, key=repr):
-            operation = self.adt.operation(invocation, response)
-            holders = set(self.locks.blockers(txn, operation))
+        for candidate in self._candidates(invocation, responses):
+            operation = candidate[1]
+            holders = self.locks.blockers(txn, operation)
             if extra_blockers is not None:
-                holders.update(extra_blockers(txn, operation))
+                holders = holders.union(extra_blockers(txn, operation))
             if holders:
-                blockers.update(holders)
+                blocked = blocked | holders if blocked else holders
             else:
-                free.append((response, operation))
+                free.append(candidate)
         if not free:
             if self.trace is not None:
                 self._trace_lock_wait(txn, invocation, responses)
-            return OperationOutcome("blocked", blockers=frozenset(blockers))
+            return OperationOutcome("blocked", blockers=blocked)
         if self._response_chooser is not None:
             response, operation = self._response_chooser(free)
         elif rng is not None and len(free) > 1:
@@ -192,6 +209,23 @@ class ManagedObject:
         self._pending.pop(txn, None)
         self._events.append(respond_event(response, self.name, txn))
         return OperationOutcome("ok", operation=operation)
+
+    def _candidates(
+        self, invocation: Invocation, responses: FrozenSet[Hashable]
+    ) -> Tuple[Tuple[Hashable, Operation], ...]:
+        """``(response, operation)`` per enabled response, smallest
+        response by ``repr`` first — the order :meth:`try_operation`
+        tries, breaks ties and draws in."""
+        key = (invocation, responses)
+        candidates = self._candidate_memo.get(key)
+        if candidates is None:
+            candidates = self._candidate_memo[key] = tuple(
+                [
+                    (response, self.adt.operation(invocation, response))
+                    for response in sorted(responses, key=repr)
+                ]
+            )
+        return candidates
 
     def _trace_lock_wait(self, txn, invocation, responses) -> None:
         """Attribute one blocked attempt to its conflict-table entries.
@@ -211,8 +245,7 @@ class ManagedObject:
 
         pairs: List[Tuple[str, str, str]] = []
         seen: Set[Tuple[str, str, str]] = set()
-        for response in sorted(responses, key=repr):
-            operation = self.adt.operation(invocation, response)
+        for _response, operation in self._candidates(invocation, responses):
             for holder, held in self.locks.conflicting_holds(txn, operation):
                 row = (label(operation), label(held), holder)
                 if row not in seen:
@@ -276,14 +309,19 @@ class ManagedObject:
         self.locks.release_all(txn)
         self.recovery.on_commit(txn)
         self.epoch += 1
-        self._events.append(commit_event(self.name, txn))
+        self._record_end(commit_event(self.name, txn), COMMIT_RECORDED)
 
     def abort(self, txn: str) -> None:
         self._pending.pop(txn, None)
         self.locks.release_all(txn)
         self.recovery.on_abort(txn)
         self.epoch += 1
-        self._events.append(abort_event(self.name, txn))
+        self._record_end(abort_event(self.name, txn), ABORT_RECORDED)
+
+    def _record_end(self, event: Event, kind: int) -> None:
+        """Append a commit or abort event and note it in ``_recorded``."""
+        self._events.append(event)
+        self._recorded[event.txn] = self._recorded.get(event.txn, 0) | kind
 
     # -- multiversion committed store ---------------------------------------------
 
@@ -349,18 +387,16 @@ class ManagedObject:
         Returns the completed operation with the same deterministic
         tie-break as :meth:`try_operation` (smallest response by
         ``repr``), or ``None`` when the snapshot enables no response."""
-        macro = self.version_at(csn)
-        responses = sorted(
-            {
+        responses = frozenset(
+            [
                 response
-                for state in macro
+                for state in self.version_at(csn)
                 for response, _nxt in self.adt.transitions(state, invocation)
-            },
-            key=repr,
+            ]
         )
         if not responses:
             return None
-        return self.adt.operation(invocation, responses[0])
+        return self._candidates(invocation, responses)[0][1]
 
     def prune_versions(self, watermark: int) -> int:
         """Drop versions no active snapshot reader can still need: every
@@ -472,9 +508,13 @@ class TransactionSystem:
         """Attempt one operation; records the events at both scopes."""
         self._require_active(txn)
         obj = self.object(obj_name)
-        self._touched.setdefault(txn, set()).add(obj_name)
+        touched = self._touched.get(txn)
+        if touched is None:
+            touched = self._touched[txn] = set()
+        touched.add(obj_name)
         outcome = obj.try_operation(txn, invocation, rng)
-        self._sync_events(obj_name)
+        if self._mirrored[obj_name] != len(obj._events):
+            self._sync_events(obj_name)
         return outcome
 
     def epoch(self, obj_name: str) -> int:

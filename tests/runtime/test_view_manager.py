@@ -159,6 +159,7 @@ class TestSUIPRuntime:
         incremental, history = run("SUIP")
         recomputed, same_history = run(ViewRecoveryManager(BankAccount("BA"), SUIP))
         assert history == same_history
-        # one response query and one step per operation, plus the probes
-        assert incremental == 2 * 400 + 4
+        # at most one response query and one step per operation, plus
+        # the probes (a query repeated on an unchanged view is remembered)
+        assert incremental <= 2 * 400 + 4
         assert recomputed > 20 * incremental  # ~50 replayed steps per query

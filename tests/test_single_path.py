@@ -571,6 +571,46 @@ def test_one_class_keeps_the_lock_table():
     assert type(automaton.locks) is type(runtime.locks) is LockManager
 
 
+def test_no_memo_on_the_attempt_path_has_a_size_or_a_switch():
+    """The attempt path's memos — interned operations, candidate tuples,
+    enabled responses, lock answers — are plain dicts, each with a
+    validity rule instead of a bound: nothing under ``src/repro`` builds
+    a sized cache (``lru_cache``, ``maxsize=``), no constructor or lookup
+    on the path grew a parameter to size or disable one, and nothing
+    reads the environment (``test_no_module_reads_the_environment``)."""
+    from repro.core.recovery import RecoveryManager
+    from repro.core.serial_spec import SerialSpec
+
+    sized = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, (ast.Name, ast.Attribute))
+            and getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache"))
+        or (isinstance(node, ast.alias) and node.name in ("lru_cache", "cache"))
+        or (isinstance(node, ast.keyword) and node.arg == "maxsize")
+    ]
+    assert not sized, sized
+    signatures = {
+        SerialSpec.__init__: ["self", "name"],
+        SerialSpec.operation: ["self", "invocation", "response"],
+        LockManager.__init__: ["self", "conflict"],
+        LockManager.blockers: ["self", "txn", "operation"],
+        LockManager.copy: ["self"],
+        RecoveryManager.__init__: ["self", "spec"],
+        RecoveryManager.enabled_responses: ["self", "txn", "invocation"],
+        ManagedObject.__init__: [
+            "self", "adt", "conflict", "recovery", "uip_strategy", "response_chooser",
+        ],
+        ManagedObject._candidates: ["self", "invocation", "responses"],
+        ManagedObject.try_operation: [
+            "self", "txn", "invocation", "rng", "extra_blockers",
+        ],
+    }
+    for fn, parameters in signatures.items():
+        assert list(inspect.signature(fn).parameters) == parameters, fn.__qualname__
+
+
 def test_the_table_is_the_relation():
     """One class holds a class matrix as row masks, it is the relation
     the ADTs hand out, and it lives in ``repro.core``: no second
