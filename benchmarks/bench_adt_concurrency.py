@@ -73,12 +73,15 @@ def test_escrow_mixed_credit_debit(benchmark, capsys):
     stay live under update-in-place while deferred update's symmetric
     NFC avoids the asymmetric interleavings — DU+NFC edges out
     UIP+NRBC here (the mirror image of the withdrawal-heavy win).
+    The edge is small, so it is read over 64 seeds: on 8, part of it
+    was churn from cycles found late, and it flipped once deadlocks
+    were broken at the wait that closes them.
     """
     summaries = benchmark.pedantic(
         lambda: compare(
             lambda: EscrowAccount("ESC", opening=0),
             lambda rng: escrow_workload(rng, obj="ESC", transactions=8, ops_per_txn=3),
-            seeds=tuple(range(8)),
+            seeds=tuple(range(64)),
         ),
         rounds=1,
         iterations=1,

@@ -21,9 +21,17 @@ guide's section 8 —
   further apart than the bound allows and some run of the change reads
   no better than some run of the parent.
 
+Under the verdicts, each side runs once more with ``--trace 1`` on the
+first seed, and every tick-space and counter row that differs between
+the two is printed (ticks, deadlocks, ``blocked_attempts``,
+``abort_per_commit``, ``lat_p*``, ...): a change that moves tick space
+on purpose shows what it moved beside the speed it claims, and one that
+should not shows that it did not.
+
 Exit status is non-zero when a run failed, printed a wrong output or
-failed operations.  Byte-compile both trees (or neither) first:
-``setup_s`` is mostly imports.
+failed operations, or when a tree compared with itself differs in tick
+space.  Byte-compile both trees (or neither) first: ``setup_s`` is
+mostly imports.
 """
 
 from __future__ import annotations
@@ -37,12 +45,19 @@ import sys
 from typing import Dict, List, Optional, Tuple
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> Dict[str, object]:
+#: per-layer rows of a ``--trace 1`` line that are host time, not tick
+#: space: seconds, and the ratios taken of them.
+HOST_UNITS = ("s", "us/tick")
+HOST_RATIOS = ("ledger.overhead_ratio", "ledger.coverage", "torture.audit_share")
+
+
+def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> Dict[str, object]:
     """One ``run.py`` of ``tree``; the object on its last line."""
     proc = subprocess.run(
         [sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, stdout=subprocess.PIPE, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -81,6 +96,19 @@ def verdicts(parent: List[float], change: List[float], higher_is_better: bool,
     else:
         regression = "none"
     return wins, ties, gain, regression
+
+
+def tick_rows(parent: Dict[str, object], change: Dict[str, object]
+              ) -> List[Tuple[str, object, object]]:
+    """``(name, parent value, change value)`` for every tick-space or
+    counter row of two ``--trace 1`` lines that differs, in line order."""
+    before, after = parent["metrics"], change["metrics"]
+    return [
+        (name, before[name]["value"], after.get(name, {}).get("value"))
+        for name, entry in before.items()
+        if entry["unit"] not in HOST_UNITS and name not in HOST_RATIOS
+        and entry["value"] != after.get(name, {}).get("value")
+    ]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -132,6 +160,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             % (name, p2, p1, p3, c2, c1, c3, m["unit"], c2 / p2 if p2 else float("nan"),
                p2, wins, ties, len(parent), gain, m["bound"], regression)
         )
+    traced = {side: run_once(tree, args.workload, 0, 0, trace=1) for side, tree in trees.items()}
+    wrong += sum((not line["correct"]) + line["failed"] for line in traced.values())
+    moved = tick_rows(traced["parent"], traced["change"])
+    print("tick space and counters, seed 0 (--trace 1): %s"
+          % ("%d rows differ, parent | change" % len(moved) if moved else "no row differs"))
+    for name, before, after in moved:
+        print("  %-34s %.6g | %s" % (name, before, "-" if after is None else "%.6g" % after))
+    if moved and trees["parent"] == trees["change"]:
+        print("WRONG: a tree differs from itself in tick space")
+        wrong += 1
     if wrong:
         print("WRONG: %d runs incorrect or operations failed" % wrong)
     return 1 if wrong else 0

@@ -5,15 +5,15 @@ the ``Conflict`` half of an object — live in :mod:`repro.core`, where
 the abstract automaton shares them; the name is re-exported here.
 
 :class:`WaitsForGraph` aggregates blocking edges across all objects of a
-system and detects cycles, so the scheduler can pick deadlock victims.
-It is deliberately simple and deterministic — a substrate for measuring
-what the *conflict relation* allows, not an exercise in lock-manager
-engineering.
+system and hands back the cycle a wait closes, so the scheduler can
+abort a victim on the spot.  It is deliberately simple and
+deterministic — a substrate for measuring what the *conflict relation*
+allows, not an exercise in lock-manager engineering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..core.lock_manager import LockManager
 
@@ -21,13 +21,32 @@ __all__ = ["LockManager", "WaitsForGraph"]
 
 
 class WaitsForGraph:
-    """A dynamic waits-for graph over transactions, with cycle detection."""
+    """A dynamic waits-for graph over transactions.
+
+    Edges enter only through :meth:`wait`, which reports a cycle the new
+    edges close.  A caller that breaks every such cycle on the spot (the
+    scheduler aborts a member, then asks :meth:`find_cycle` from the
+    waiter again until it answers None) keeps the graph acyclic between
+    waits, and then every cycle a wait can close runs through its waiter
+    — so searching from the waiter is the whole detector.
+    """
 
     def __init__(self) -> None:
-        self._edges: Dict[str, Set[str]] = {}
+        #: waiter -> its holders, sorted once as recorded, so the search
+        #: order never depends on string hashing.
+        self._edges: Dict[str, Tuple[str, ...]] = {}
+        #: holder -> the waiters with an edge to it (never empty): a
+        #: transaction nobody waits on closes no cycle, and leaves by
+        #: touching only its own edges.
+        self._waiters: Dict[str, Set[str]] = {}
 
-    def wait(self, waiter: str, holders: Iterable[str]) -> None:
-        """Record the *current* block set of ``waiter``, replacing stale edges.
+    def wait(self, waiter: str, holders: Iterable[str]) -> Optional[Tuple[str, ...]]:
+        """Record the *current* block set of ``waiter``, replacing stale
+        edges, and return a waits-for cycle through ``waiter`` that the
+        new edges close (``find_cycle(waiter)``), or None.  They may close
+        several, all through ``waiter``; the search finds the next one
+        once the caller has broken this one.  Unchanged edges close
+        nothing new.
 
         Each blocked attempt reports the complete set of conflicting
         holders at that moment, so earlier edges (whose holders may have
@@ -40,52 +59,59 @@ class WaitsForGraph:
         a blocker that finishes in between leaves through
         :meth:`remove_transaction`.
         """
-        targets = {h for h in holders if h != waiter}
-        if targets:
-            self._edges[waiter] = targets
-        else:
-            self._edges.pop(waiter, None)
+        targets = tuple(sorted({h for h in holders if h != waiter}))
+        if targets == self._edges.get(waiter, ()):
+            return None
+        self.clear_waiter(waiter)
+        if not targets:
+            return None
+        self._edges[waiter] = targets
+        for holder in targets:
+            self._waiters.setdefault(holder, set()).add(waiter)
+        return self.find_cycle(waiter)
 
     def clear_waiter(self, waiter: str) -> None:
         """``waiter`` is no longer blocked (it ran, committed or aborted)."""
-        self._edges.pop(waiter, None)
+        for holder in self._edges.pop(waiter, ()):
+            waiters = self._waiters[holder]
+            waiters.discard(waiter)
+            if not waiters:
+                del self._waiters[holder]
 
     def remove_transaction(self, txn: str) -> None:
         """Drop the transaction entirely (as waiter and as blocker)."""
-        self._edges.pop(txn, None)
-        for targets in self._edges.values():
-            targets.discard(txn)
+        self.clear_waiter(txn)
+        for waiter in self._waiters.pop(txn, ()):
+            kept = tuple(t for t in self._edges[waiter] if t != txn)
+            if kept:
+                self._edges[waiter] = kept
+            else:
+                del self._edges[waiter]
 
     def edges(self) -> FrozenSet[Tuple[str, str]]:
         return frozenset(
             (w, h) for w, hs in self._edges.items() for h in hs
         )
 
-    def find_cycle(self) -> Optional[Tuple[str, ...]]:
-        """Some waits-for cycle, or None.  Deterministic DFS order."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[str, int] = {}
-        stack_path: List[str] = []
-
-        def dfs(node: str) -> Optional[Tuple[str, ...]]:
-            color[node] = GRAY
-            stack_path.append(node)
-            for nxt in sorted(self._edges.get(node, ())):
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    i = stack_path.index(nxt)
-                    return tuple(stack_path[i:])
-                if c == WHITE:
-                    found = dfs(nxt)
-                    if found is not None:
-                        return found
-            stack_path.pop()
-            color[node] = BLACK
+    def find_cycle(self, start: str) -> Optional[Tuple[str, ...]]:
+        """The first waits-for path from ``start`` back to it, in sorted
+        depth-first order, as ``(start, ..., last)`` with ``last`` waiting
+        on ``start``; None when no path returns."""
+        if start not in self._waiters:
             return None
-
-        for start in sorted(self._edges):
-            if color.get(start, WHITE) == WHITE:
-                cycle = dfs(start)
-                if cycle is not None:
-                    return cycle
+        path: List[str] = [start]
+        frames: List[Iterator[str]] = [iter(self._edges.get(start, ()))]
+        seen: Set[str] = {start}
+        while frames:
+            for nxt in frames[-1]:
+                if nxt == start:
+                    return tuple(path)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    path.append(nxt)
+                    frames.append(iter(self._edges.get(nxt, ())))
+                    break
+            else:
+                frames.pop()
+                path.pop()
         return None

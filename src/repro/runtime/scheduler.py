@@ -15,9 +15,10 @@ Drives a set of straight-line transaction scripts against a
   there, a commit, an abort, a restart.  A parked transaction is
   otherwise a blocked one: in the scan order, runnable to the wake
   calendar, a candidate deadlock victim;
-* a waits-for cycle aborts a victim (the youngest transaction in the
-  cycle), as does a transaction whose recovery view has become illegal
-  (``stuck``);
+* a blocked attempt whose waits-for edges close a cycle aborts a victim
+  (the cycle member with the fewest restarts) on the spot, so the graph
+  is acyclic between waits; a transaction whose recovery view has become
+  illegal (``stuck``) aborts likewise;
 * aborted scripts restart as *fresh* transactions (the model does not
   allow a transaction to continue after aborting), up to a restart
   budget;
@@ -292,7 +293,7 @@ class Scheduler:
             # flushes deterministically once its hold window expires.
             self.system.tick()
             if not progressed:
-                self._break_deadlock(tick, live)
+                self._break_stall(tick, live)
             self._compact()
             if self._unfinished():
                 next_live = self._wake_plan(tick, horizon)
@@ -353,7 +354,7 @@ class Scheduler:
         """Could any entry act at ``tick``?  Mirrors the skip checks at
         the top of :meth:`_tick`.  A parked entry counts: it costs the
         scan one epoch comparison, and keeping it runnable keeps every
-        tick, shuffle and stall-breaker call where it was."""
+        tick, shuffle and :meth:`_break_stall` call where it was."""
         for entry in live:
             if entry.wait_for and self._still_waiting(entry):
                 continue
@@ -635,15 +636,22 @@ class Scheduler:
                 # Read after the attempt: an attempt on a replicated
                 # object can itself admit a recovered copy.
                 entry.parked = self.system.epoch(obj_name)
-                self._waits.wait(entry.txn, outcome.blockers)
+                waiter = entry.txn
+                cycle = self._waits.wait(waiter, outcome.blockers)
                 if self.trace is not None:
                     self.trace.emit(
                         "op-blocked",
-                        txn=entry.txn,
+                        txn=waiter,
                         obj=obj_name,
                         op=str(invocation),
                         blockers=sorted(outcome.blockers),
                     )
+                # One wait can close several cycles, each through the
+                # waiter: break them all before the scan moves on.
+                while cycle is not None:
+                    self._break_cycle(cycle, tick, live)
+                    progressed = True
+                    cycle = self._waits.find_cycle(waiter)
             else:  # stuck: the recovery view is illegal; abort immediately
                 self.metrics.stuck_aborts += 1
                 if self.trace is not None:
@@ -689,55 +697,55 @@ class Scheduler:
         self._abort_and_restart(entry, tick, reason="stuck")
         return True
 
-    def _break_deadlock(self, tick: int, live: List[_LiveTxn]) -> None:
-        """No transaction progressed: abort a waits-for cycle victim."""
-        cycle = self._waits.find_cycle()
-        survivors: FrozenSet[str] = frozenset()
-        if cycle is not None:
-            self.metrics.deadlocks += 1
-            victim_txn = self._pick_victim(cycle, live)
-            survivors = frozenset(cycle) - {victim_txn}
-            if self.trace is not None:
-                self.trace.emit(
-                    "deadlock", victim=victim_txn, cycle=sorted(cycle)
-                )
-        else:
-            # No cycle.  If some transactions are genuinely runnable
-            # (not napping, not waiting) but blocked, abort one with the
-            # same aging policy; if everyone is merely napping or
-            # waiting out winners, do nothing — backoffs expire with the
-            # tick counter and waits resolve when their targets finish.
-            blocked = [
-                t
-                for t in live
-                if not t.done
-                and not t.wait_for
-                and not t.script.read_only  # snapshot readers never block
-                and t.backoff_until <= tick
-            ]
-            if not blocked:
-                return
-            victim_txn = self._victim_key_min(blocked).txn
-        for entry in live:
-            if entry.txn == victim_txn:
-                self._abort_and_restart(
-                    entry, tick, reason="deadlock", wait_for=survivors
-                )
-                return
+    def _break_cycle(
+        self, cycle: Sequence[str], tick: int, live: List[_LiveTxn]
+    ) -> None:
+        """The wait just recorded closed ``cycle``: abort its victim now,
+        to re-enter only once the surviving members have finished.  With
+        every cycle broken on the wait that closes it, the waits-for
+        graph is acyclic between waits, and the only cycles a wait can
+        close run through its waiter."""
+        self.metrics.deadlocks += 1
+        victim = self._pick_victim(cycle, live)
+        survivors = frozenset(cycle) - {victim.txn}
+        if self.trace is not None:
+            self.trace.emit("deadlock", victim=victim.txn, cycle=sorted(cycle))
+        self._abort_and_restart(victim, tick, reason="deadlock", wait_for=survivors)
 
-    def _pick_victim(self, cycle: Sequence[str], live: List[_LiveTxn]) -> str:
+    def _break_stall(self, tick: int, live: List[_LiveTxn]) -> None:
+        """No transaction progressed, and no waits-for cycle stands (each
+        was broken at its wait).  If some transactions are genuinely
+        runnable (not napping, not waiting) but blocked, abort one with
+        the victim rule's aging key; if everyone is merely napping or
+        waiting out winners, do nothing — backoffs expire with the tick
+        counter and waits resolve when their targets finish."""
+        blocked = [
+            t
+            for t in live
+            if not t.done
+            and not t.wait_for
+            and not t.script.read_only  # snapshot readers never block
+            and t.backoff_until <= tick
+        ]
+        if blocked:
+            self._abort_and_restart(
+                self._victim_key_min(blocked), tick, reason="deadlock"
+            )
+
+    def _pick_victim(
+        self, cycle: Sequence[str], live: List[_LiveTxn]
+    ) -> _LiveTxn:
         """The cycle member with the fewest prior restarts.
 
         Restart count is the seniority measure (wait-die-style aging): a
         transaction that has already been sacrificed gains immunity, so
         no script can starve under repeated deadlocks.  Ties break
-        toward the youngest incarnation with the least sunk work.
+        toward the youngest incarnation with the least sunk work.  Every
+        member is a live entry: only the scan records waits, and an
+        entry leaves the graph when it commits, aborts or restarts.
         """
         by_txn = {t.txn: t for t in live}
-        members = [by_txn[t] for t in cycle if t in by_txn]
-        if not members:
-            return cycle[0]
-        return self._victim_key_min(members).txn
+        return self._victim_key_min([by_txn[t] for t in cycle])
 
     @staticmethod
     def _victim_key_min(members: List[_LiveTxn]) -> _LiveTxn:

@@ -167,7 +167,8 @@ class TestTheOracleIsNotVacuous:
         )
         attempts = counters["operations"] + counters["blocked_attempts"]
         assert len(queried) == attempts and len(asked) >= attempts
-        assert 0 < len(worked_out) < len(asked) // 2
+        # 330 of 561: cycles broken at the wait leave fewer repeated refusals to remember
+        assert 0 < len(worked_out) < len(asked) * 2 // 3
         # one spec step per response query it could not remember, and
         # one per executed operation (UIP steps the current state)
         assert len(stepped) - counters["operations"] < attempts // 2

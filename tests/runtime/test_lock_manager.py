@@ -66,37 +66,35 @@ class TestLockManager:
 class TestWaitsForGraph:
     def test_no_cycle_in_chain(self):
         g = WaitsForGraph()
-        g.wait("A", ["B"])
-        g.wait("B", ["C"])
-        assert g.find_cycle() is None
+        assert g.wait("A", ["B"]) is None
+        assert g.wait("B", ["C"]) is None
+        assert all(g.find_cycle(t) is None for t in "ABC")
 
     def test_two_cycle(self):
         g = WaitsForGraph()
-        g.wait("A", ["B"])
-        g.wait("B", ["A"])
-        cycle = g.find_cycle()
-        assert cycle is not None
-        assert set(cycle) == {"A", "B"}
+        assert g.wait("A", ["B"]) is None
+        assert g.wait("B", ["A"]) == ("B", "A")
+        assert g.find_cycle("A") == ("A", "B")
 
     def test_three_cycle(self):
         g = WaitsForGraph()
         g.wait("A", ["B"])
         g.wait("B", ["C"])
-        g.wait("C", ["A"])
-        assert set(g.find_cycle()) == {"A", "B", "C"}
+        assert g.wait("C", ["A"]) == ("C", "A", "B")
+        assert set(g.find_cycle("B")) == {"A", "B", "C"}
 
     def test_self_edges_ignored(self):
         g = WaitsForGraph()
-        g.wait("A", ["A"])
-        assert g.find_cycle() is None
+        assert g.wait("A", ["A"]) is None
+        assert g.find_cycle("A") is None
 
     def test_wait_replaces_stale_edges(self):
         g = WaitsForGraph()
         g.wait("A", ["B"])
         g.wait("A", ["C"])  # B released meanwhile; only C blocks now
         assert g.edges() == {("A", "C")}
-        g.wait("B", ["A"])
-        assert g.find_cycle() is None  # no A->B edge anymore
+        assert g.wait("B", ["A"]) is None  # no A->B edge anymore
+        assert g.find_cycle("A") is None
 
     def test_clear_waiter(self):
         g = WaitsForGraph()
@@ -109,17 +107,31 @@ class TestWaitsForGraph:
         g.wait("A", ["B"])
         g.wait("B", ["A"])
         g.remove_transaction("A")
-        assert g.find_cycle() is None
+        assert g.find_cycle("B") is None
         assert g.edges() == frozenset()
 
     def test_empty_block_set_clears(self):
         g = WaitsForGraph()
         g.wait("A", ["B"])
-        g.wait("A", [])
+        assert g.wait("A", []) is None
         assert g.edges() == frozenset()
 
     def test_deterministic_cycle(self):
+        """Targets are searched in sorted order, whatever order (and
+        whatever string hashing) the holders came in."""
         g = WaitsForGraph()
+        g.wait("B", ["D", "C"])
+        g.wait("C", ["A"])
+        g.wait("D", ["A"])
+        assert g.wait("A", {"B"}) == ("A", "B", "C")
+        assert g.find_cycle("A") == g.find_cycle("A") == ("A", "B", "C")
+
+    def test_a_cycle_off_the_start_is_not_reported(self):
+        """The search answers for cycles through ``start`` only: a graph
+        kept acyclic between waits has no other kind to find."""
+        g = WaitsForGraph()
+        g.wait("B", ["C"])
+        g.wait("C", ["B"])
         g.wait("A", ["B"])
-        g.wait("B", ["A"])
-        assert g.find_cycle() == g.find_cycle()
+        assert g.find_cycle("A") is None
+        assert g.find_cycle("B") == ("B", "C")

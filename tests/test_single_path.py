@@ -799,6 +799,73 @@ def test_recovery_method_picks_the_conflict_relation_once():
     ), choices
 
 
+def test_no_search_of_the_whole_waits_for_graph():
+    """A waits-for cycle is looked for from the waiter whose wait may
+    have closed it, and nowhere else: ``find_cycle`` takes its start,
+    reads the edges only through ``.get`` (no loop over every waiter),
+    and is asked by ``wait`` and by the one scan branch that breaks what
+    a wait closed; the no-progress hook never touches the graph.  One
+    detector and one victim rule: nothing configures the graph, and
+    only ``_break_cycle`` counts a deadlock or emits its event."""
+    from repro.runtime.lock_manager import WaitsForGraph
+
+    assert list(inspect.signature(WaitsForGraph.__init__).parameters) == ["self"]
+    assert list(inspect.signature(WaitsForGraph.wait).parameters) == [
+        "self", "waiter", "holders",
+    ]
+    assert list(inspect.signature(WaitsForGraph.find_cycle).parameters) == [
+        "self", "start",
+    ]
+    askers = sorted(
+        "%s:%s" % (path.relative_to(SRC), fn.name)
+        for path, fn in _functions()
+        if "find_cycle" in _calls(fn)
+    )
+    assert askers == [
+        "repro/runtime/lock_manager.py:wait",
+        "repro/runtime/scheduler.py:_tick",
+    ]
+    (search,) = [
+        fn for path, fn in _functions()
+        if path == PACKAGE / "runtime" / "lock_manager.py" and fn.name == "find_cycle"
+    ]
+    parent = {
+        child: node for node in ast.walk(search) for child in ast.iter_child_nodes(node)
+    }
+    edges = [
+        node for node in ast.walk(search)
+        if isinstance(node, ast.Attribute) and node.attr == "_edges"
+    ]
+    assert edges and all(
+        isinstance(parent[node], ast.Attribute) and parent[node].attr == "get"
+        for node in edges
+    )
+    (stall,) = [fn for _, fn in _functions() if fn.name == "_break_stall"]
+    assert not any(
+        isinstance(node, ast.Attribute) and node.attr == "_waits"
+        for node in ast.walk(stall)
+    )
+    breakers = sorted(
+        "%s:%s" % (path.relative_to(SRC), fn.name)
+        for path, fn in _functions()
+        if _emits(fn, "deadlock") or _advances(fn, "deadlocks")
+    )
+    assert breakers == ["repro/runtime/scheduler.py:_break_cycle"]
+
+
+def _emits(fn, kind):
+    """Does ``fn`` call ``<x>.emit(kind, ...)``?"""
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "emit"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value == kind
+        for node in ast.walk(fn)
+    )
+
+
 def test_every_benchmark_span_is_defined_on_its_owner():
     """``benchmarks/e2e/spans.py`` wraps ``vars(owner)[attr]``; a name
     that moved to a base class would drop out of the ledger silently
