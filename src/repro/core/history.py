@@ -73,82 +73,98 @@ class _TxnState:
 
     def __init__(self) -> None:
         self.pending: Optional[InvocationEvent] = None
-        self.committed_at: Set[str] = set()
-        self.aborted_at: Set[str] = set()
+        # The objects it committed / aborted at: a transaction ends at a
+        # few, and a tuple is small, shared when empty and by copies.
+        self.committed_at: Tuple[str, ...] = ()
+        self.aborted_at: Tuple[str, ...] = ()
 
     def copy(self) -> "_TxnState":
         twin = _TxnState()
         twin.pending = self.pending
-        twin.committed_at = set(self.committed_at)
-        twin.aborted_at = set(self.aborted_at)
+        twin.committed_at = self.committed_at
+        twin.aborted_at = self.aborted_at
         return twin
+
+
+#: the state of a transaction with no events yet; read, never written.
+_FRESH = _TxnState()
+
+
+def _step(txns: Dict[str, _TxnState], i: int, e: Event, write: bool = True) -> None:
+    """Raise :class:`IllFormedHistoryError` unless ``e`` may follow the
+    ``i`` events ``txns`` summarizes; then, if ``write``, record it.
+    Each branch writes only after its checks pass, so a rejected event
+    leaves ``txns`` as it was."""
+    st = txns.get(e.txn)
+    if st is None:
+        # A transaction's first event is rejected only if it is a response.
+        if write and not isinstance(e, ResponseEvent):
+            st = txns[e.txn] = _TxnState()
+        else:
+            st = _FRESH
+    if st.committed_at and not isinstance(e, CommitEvent):
+        raise IllFormedHistoryError(
+            "transaction %s already committed" % e.txn, i, e
+        )
+    if st.aborted_at and not isinstance(e, AbortEvent):
+        raise IllFormedHistoryError(
+            "transaction %s already aborted" % e.txn, i, e
+        )
+    if isinstance(e, InvocationEvent):
+        if st.pending is not None:
+            raise IllFormedHistoryError(
+                "transaction %s already has a pending invocation (%s)"
+                % (e.txn, st.pending),
+                i,
+                e,
+            )
+        if write:
+            st.pending = e
+    elif isinstance(e, ResponseEvent):
+        if st.pending is None:
+            raise IllFormedHistoryError(
+                "transaction %s has no pending invocation" % e.txn, i, e
+            )
+        if st.pending.obj != e.obj:
+            raise IllFormedHistoryError(
+                "response at %s but pending invocation is at %s"
+                % (e.obj, st.pending.obj),
+                i,
+                e,
+            )
+        if write:
+            st.pending = None
+    elif isinstance(e, CommitEvent):
+        if st.pending is not None:
+            raise IllFormedHistoryError(
+                "transaction %s cannot commit with a pending invocation"
+                % e.txn,
+                i,
+                e,
+            )
+        if e.obj in st.committed_at:
+            raise IllFormedHistoryError(
+                "duplicate commit event for %s at %s" % (e.txn, e.obj), i, e
+            )
+        if write:
+            st.committed_at += (e.obj,)
+    elif isinstance(e, AbortEvent):
+        if e.obj in st.aborted_at:
+            raise IllFormedHistoryError(
+                "duplicate abort event for %s at %s" % (e.txn, e.obj), i, e
+            )
+        if write:
+            st.aborted_at += (e.obj,)
+            st.pending = None
+    else:  # pragma: no cover - defensive
+        raise IllFormedHistoryError("unknown event kind", i, e)
 
 
 def _check_well_formed(events: Sequence[Event]) -> None:
     """Raise :class:`IllFormedHistoryError` unless ``events`` is a history."""
     txns: Dict[str, _TxnState] = {}
     for i, e in enumerate(events):
-        st = txns.setdefault(e.txn, _TxnState())
-        if st.committed_at and not isinstance(e, CommitEvent):
-            raise IllFormedHistoryError(
-                "transaction %s already committed" % e.txn, i, e
-            )
-        if st.aborted_at and not isinstance(e, AbortEvent):
-            raise IllFormedHistoryError(
-                "transaction %s already aborted" % e.txn, i, e
-            )
-        if isinstance(e, InvocationEvent):
-            if st.pending is not None:
-                raise IllFormedHistoryError(
-                    "transaction %s already has a pending invocation (%s)"
-                    % (e.txn, st.pending),
-                    i,
-                    e,
-                )
-            st.pending = e
-        elif isinstance(e, ResponseEvent):
-            if st.pending is None:
-                raise IllFormedHistoryError(
-                    "transaction %s has no pending invocation" % e.txn, i, e
-                )
-            if st.pending.obj != e.obj:
-                raise IllFormedHistoryError(
-                    "response at %s but pending invocation is at %s"
-                    % (e.obj, st.pending.obj),
-                    i,
-                    e,
-                )
-            st.pending = None
-        elif isinstance(e, CommitEvent):
-            if st.pending is not None:
-                raise IllFormedHistoryError(
-                    "transaction %s cannot commit with a pending invocation"
-                    % e.txn,
-                    i,
-                    e,
-                )
-            if st.aborted_at:
-                raise IllFormedHistoryError(
-                    "transaction %s already aborted" % e.txn, i, e
-                )
-            if e.obj in st.committed_at:
-                raise IllFormedHistoryError(
-                    "duplicate commit event for %s at %s" % (e.txn, e.obj), i, e
-                )
-            st.committed_at.add(e.obj)
-        elif isinstance(e, AbortEvent):
-            if st.committed_at:
-                raise IllFormedHistoryError(
-                    "transaction %s already committed" % e.txn, i, e
-                )
-            if e.obj in st.aborted_at:
-                raise IllFormedHistoryError(
-                    "duplicate abort event for %s at %s" % (e.txn, e.obj), i, e
-                )
-            st.aborted_at.add(e.obj)
-            st.pending = None
-        else:  # pragma: no cover - defensive
-            raise IllFormedHistoryError("unknown event kind", i, e)
+        _step(txns, i, e)
 
 
 class History:
@@ -405,65 +421,24 @@ class HistoryBuilder:
     """
 
     def __init__(self, events: Iterable[Event] = ()):
-        self._events: List[Event] = []
+        #: the events appended so far, in order (read it; grow it only
+        #: through :meth:`append`).
+        self.events: List[Event] = []
         self._txns: Dict[str, _TxnState] = {}
         self._snapshot_cache: Optional[History] = None
         for e in events:
             self.append(e)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.events)
 
     def append(self, event: Event) -> None:
-        """Append one event, raising :class:`IllFormedHistoryError` on violation."""
-        # Validate by running the single-event step of the checker.
-        probe = self._txns.get(event.txn)
-        snapshot = None
-        if probe is not None:
-            snapshot = (probe.pending, set(probe.committed_at), set(probe.aborted_at))
-        try:
-            self._step(event)
-        except IllFormedHistoryError:
-            if probe is not None and snapshot is not None:
-                probe.pending, probe.committed_at, probe.aborted_at = snapshot
-            raise
-        self._events.append(event)
+        """Append one event, raising :class:`IllFormedHistoryError` on
+        violation — checked before anything is written, so a rejected
+        event leaves the builder unchanged."""
+        _step(self._txns, len(self.events), event)
+        self.events.append(event)
         self._snapshot_cache = None
-
-    def _step(self, e: Event) -> None:
-        st = self._txns.setdefault(e.txn, _TxnState())
-        i = len(self._events)
-        if st.committed_at and not isinstance(e, CommitEvent):
-            raise IllFormedHistoryError("transaction already committed", i, e)
-        if st.aborted_at and not isinstance(e, AbortEvent):
-            raise IllFormedHistoryError("transaction already aborted", i, e)
-        if isinstance(e, InvocationEvent):
-            if st.pending is not None:
-                raise IllFormedHistoryError("pending invocation exists", i, e)
-            st.pending = e
-        elif isinstance(e, ResponseEvent):
-            if st.pending is None:
-                raise IllFormedHistoryError("no pending invocation", i, e)
-            if st.pending.obj != e.obj:
-                raise IllFormedHistoryError("response object mismatch", i, e)
-            st.pending = None
-        elif isinstance(e, CommitEvent):
-            if st.pending is not None:
-                raise IllFormedHistoryError("commit with pending invocation", i, e)
-            if st.aborted_at:
-                raise IllFormedHistoryError("transaction already aborted", i, e)
-            if e.obj in st.committed_at:
-                raise IllFormedHistoryError("duplicate commit", i, e)
-            st.committed_at.add(e.obj)
-        elif isinstance(e, AbortEvent):
-            if st.committed_at:
-                raise IllFormedHistoryError("transaction already committed", i, e)
-            if e.obj in st.aborted_at:
-                raise IllFormedHistoryError("duplicate abort", i, e)
-            st.aborted_at.add(e.obj)
-            st.pending = None
-        else:  # pragma: no cover - defensive
-            raise IllFormedHistoryError("unknown event kind", i, e)
 
     def copy(self) -> "HistoryBuilder":
         """An independent builder in the same state, without replaying.
@@ -475,7 +450,7 @@ class HistoryBuilder:
         re-validation) and the per-event work stays O(1).
         """
         twin = HistoryBuilder.__new__(HistoryBuilder)
-        twin._events = list(self._events)
+        twin.events = list(self.events)
         twin._txns = {txn: st.copy() for txn, st in self._txns.items()}
         twin._snapshot_cache = self._snapshot_cache
         return twin
@@ -483,30 +458,10 @@ class HistoryBuilder:
     def can_append(self, event: Event) -> bool:
         """True iff appending ``event`` would preserve well-formedness."""
         try:
-            self.append(event)
+            _step(self._txns, len(self.events), event, write=False)
         except IllFormedHistoryError:
             return False
-        self._events.pop()
-        # Roll back transaction state by replaying (cheap path: recompute
-        # the single transaction's state from scratch).
-        self._recompute_txn(event.txn)
         return True
-
-    def _recompute_txn(self, txn: str) -> None:
-        st = _TxnState()
-        for e in self._events:
-            if e.txn != txn:
-                continue
-            if isinstance(e, InvocationEvent):
-                st.pending = e
-            elif isinstance(e, ResponseEvent):
-                st.pending = None
-            elif isinstance(e, CommitEvent):
-                st.committed_at.add(e.obj)
-            elif isinstance(e, AbortEvent):
-                st.aborted_at.add(e.obj)
-                st.pending = None
-        self._txns[txn] = st
 
     def snapshot(self) -> History:
         """An immutable :class:`History` of the events appended so far.
@@ -517,7 +472,7 @@ class HistoryBuilder:
         list each time.
         """
         if self._snapshot_cache is None:
-            self._snapshot_cache = History(self._events, validate=False)
+            self._snapshot_cache = History(self.events, validate=False)
         return self._snapshot_cache
 
     def pending_invocation(self, txn: str) -> Optional[InvocationEvent]:
@@ -529,6 +484,18 @@ class HistoryBuilder:
         if st is None:
             return True
         return not st.committed_at and not st.aborted_at
+
+    def has_events(self, txn: str) -> bool:
+        """Has any event of ``txn`` been appended?"""
+        return txn in self._txns
+
+    def has_committed(self, txn: str) -> bool:
+        """Has a commit event of ``txn`` been appended?"""
+        return bool(self._txns.get(txn, _FRESH).committed_at)
+
+    def has_aborted(self, txn: str) -> bool:
+        """Has an abort event of ``txn`` been appended?"""
+        return bool(self._txns.get(txn, _FRESH).aborted_at)
 
 
 def transaction_events(

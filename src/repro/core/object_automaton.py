@@ -25,15 +25,19 @@ histories (``H ∈ L(I(X, Spec, View, Conflict))``), which is what the
 theorem machinery needs.  :func:`generate_trace` drives the automaton
 with randomized scheduling to sample its language.
 
-The automaton is a history plus the two halves of the paper's object,
-and owns neither: the ``Conflict`` half is a
+The automaton is a history (a :class:`~repro.core.history.HistoryBuilder`)
+plus the two halves of the paper's object: the ``Conflict`` half is a
 :class:`~repro.core.lock_manager.LockManager` (precondition 2) and the
-``View`` half the :class:`~repro.core.recovery.RecoveryManager` that
-:meth:`View.cursor <repro.core.views.View.cursor>` hands out
+``View`` half a :class:`~repro.core.recovery.RecoveryManager`
 (precondition 3, maintained under event deltas — O(Δ) amortized per
-event instead of recomputing the view and replaying the spec, O(n)).
-The runtime's :class:`~repro.runtime.system.ManagedObject` composes the
-same two classes with a response choice, a version chain and a log.  A
+event instead of recomputing the view and replaying the spec, O(n)) —
+by default the one :meth:`View.cursor <repro.core.views.View.cursor>`
+hands out.  Which responses are free is one loop,
+:meth:`ObjectAutomaton.free_candidates`, and one private execute step
+moves history and halves together.  The runtime's
+:class:`~repro.runtime.system.ManagedObject` holds an automaton over its
+own manager and calls both after choosing a response, so it adds only a
+response choice, a version chain and (``DurableObject``) a log.  A
 view (or spec) without an incremental manager gets the from-scratch
 :class:`~repro.core.recovery.ViewRecoveryManager`;
 :func:`repro.reference.opaque_view` forces that path for a known view,
@@ -46,7 +50,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from .conflict import ConflictRelation
 from .events import (
@@ -54,7 +58,6 @@ from .events import (
     CommitEvent,
     Event,
     Invocation,
-    InvocationEvent,
     Operation,
     ResponseEvent,
     abort,
@@ -64,6 +67,7 @@ from .events import (
 )
 from .history import History, HistoryBuilder, IllFormedHistoryError
 from .lock_manager import LockManager
+from .recovery import MacroState, RecoveryManager
 from .serial_spec import SerialSpec
 from .views import View
 
@@ -85,22 +89,38 @@ class ResponseNotEnabled(RuntimeError):
 
 
 class ObjectAutomaton:
-    """Executable ``I(X, Spec, View, Conflict)`` for the object ``Spec.name``."""
+    """Executable ``I(X, Spec, View, Conflict)`` for the object ``Spec.name``.
 
-    def __init__(self, spec: SerialSpec, view: View, conflict: ConflictRelation):
+    ``recovery`` is the manager maintaining ``view``; by default the one
+    :meth:`View.cursor <repro.core.views.View.cursor>` hands out.  The
+    runtime passes its own (logical undo where the spec supports it).
+    """
+
+    def __init__(
+        self,
+        spec: SerialSpec,
+        view: View,
+        conflict: ConflictRelation,
+        recovery: Optional[RecoveryManager] = None,
+    ):
         self.spec = spec
+        #: the object name ``X``.
+        self.name = spec.name
         self.view = view
         self.conflict = conflict
-        self._builder = HistoryBuilder()
+        #: the automaton state: the events so far, validated as appended.
+        self.builder = HistoryBuilder()
         self.locks = LockManager(conflict)
-        self.recovery = view.cursor(spec)
+        self.recovery = view.cursor(spec) if recovery is None else recovery
+        #: (invocation, enabled responses) -> the candidates in trial
+        #: order (see :meth:`_candidates`).  A function of the spec alone,
+        #: so an entry is never invalid and clones share it.
+        self._candidate_memo: Dict[
+            Tuple[Invocation, FrozenSet[Hashable]],
+            Tuple[Tuple[Hashable, Operation], ...],
+        ] = {}
 
     # -- state access ----------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        """The object name ``X``."""
-        return self.spec.name
 
     def clone(self) -> "ObjectAutomaton":
         """An independent copy of the automaton in its current state.
@@ -112,7 +132,7 @@ class ObjectAutomaton:
         re-validating (or replaying the spec over) the shared prefix.
         """
         twin = copy.copy(self)
-        twin._builder = self._builder.copy()
+        twin.builder = self.builder.copy()
         twin.locks = self.locks.copy()
         twin.recovery = self.recovery.fork()
         return twin
@@ -120,10 +140,10 @@ class ObjectAutomaton:
     @property
     def history(self) -> History:
         """The automaton state: the history of events so far."""
-        return self._builder.snapshot()
+        return self.builder.snapshot()
 
     def pending_invocation(self, txn: str) -> Optional[Invocation]:
-        event = self._builder.pending_invocation(txn)
+        event = self.builder.pending_invocation(txn)
         return event.invocation if event is not None else None
 
     def active_transactions(self) -> FrozenSet[str]:
@@ -136,18 +156,65 @@ class ObjectAutomaton:
 
     # -- preconditions -----------------------------------------------------------
 
-    def enabled_responses(self, txn: str) -> FrozenSet[Hashable]:
-        """All responses ``R`` for which ``<R, X, txn>`` is enabled now."""
-        pending = self._builder.pending_invocation(txn)
+    def _candidates(
+        self, invocation: Invocation, responses: FrozenSet[Hashable]
+    ) -> Tuple[Tuple[Hashable, Operation], ...]:
+        """``(response, operation)`` per response, smallest response by
+        ``repr`` first — the order responses are tried, tie-broken and
+        drawn from in."""
+        key = (invocation, responses)
+        candidates = self._candidate_memo.get(key)
+        if candidates is None:
+            candidates = self._candidate_memo[key] = tuple(
+                [
+                    (response, self.spec.operation(invocation, response))
+                    for response in sorted(responses, key=repr)
+                ]
+            )
+        return candidates
+
+    def free_candidates(
+        self,
+        txn: str,
+        invocation: Invocation,
+        responses: FrozenSet[Hashable],
+        extra_blockers=None,
+    ) -> Tuple[List[Tuple[Hashable, Operation]], FrozenSet[str]]:
+        """Precondition 2 over the view-legal ``responses`` to ``txn``'s
+        ``invocation``: the candidates no other active transaction's held
+        operation conflicts with, in trial order, and the union of the
+        holders blocking the rest.
+
+        ``extra_blockers`` is an optional callable ``(txn, operation) ->
+        holders`` consulted per candidate beside this object's own locks
+        (the replication layer's peers)."""
+        blocked: FrozenSet[str] = frozenset()
+        free: List[Tuple[Hashable, Operation]] = []
+        for candidate in self._candidates(invocation, responses):
+            operation = candidate[1]
+            holders = self.locks.blockers(txn, operation)
+            if extra_blockers is not None:
+                holders = holders.union(extra_blockers(txn, operation))
+            if holders:
+                blocked = blocked | holders if blocked else holders
+            else:
+                free.append(candidate)
+        return free, blocked
+
+    def _responses(self, txn: str, enabled: bool) -> FrozenSet[Hashable]:
+        """The view-legal responses to ``txn``'s pending invocation that
+        are free (``enabled``) or blocked by conflicts (not)."""
+        pending = self.builder.pending_invocation(txn)
         if pending is None:
             return frozenset()
-        candidates = self.recovery.enabled_responses(txn, pending.invocation)
-        enabled: Set[Hashable] = set()
-        for response in candidates:
-            operation = self.spec.operation(pending.invocation, response)
-            if not self.locks.blockers(txn, operation):
-                enabled.add(response)
-        return frozenset(enabled)
+        responses = self.recovery.enabled_responses(txn, pending.invocation)
+        free, _ = self.free_candidates(txn, pending.invocation, responses)
+        chosen = {response for response, _operation in free}
+        return frozenset({r for r in responses if (r in chosen) == enabled})
+
+    def enabled_responses(self, txn: str) -> FrozenSet[Hashable]:
+        """All responses ``R`` for which ``<R, X, txn>`` is enabled now."""
+        return self._responses(txn, True)
 
     def blocked_responses(self, txn: str) -> FrozenSet[Hashable]:
         """Responses legal for the view but blocked purely by conflicts.
@@ -155,16 +222,7 @@ class ObjectAutomaton:
         Useful to distinguish "waiting for a lock" from "the operation is
         not enabled by the specification" when driving the automaton.
         """
-        pending = self._builder.pending_invocation(txn)
-        if pending is None:
-            return frozenset()
-        candidates = self.recovery.enabled_responses(txn, pending.invocation)
-        blocked: Set[Hashable] = set()
-        for response in candidates:
-            operation = self.spec.operation(pending.invocation, response)
-            if self.locks.blockers(txn, operation):
-                blocked.add(response)
-        return frozenset(blocked)
+        return self._responses(txn, False)
 
     # -- stepping ---------------------------------------------------------------
 
@@ -187,16 +245,29 @@ class ObjectAutomaton:
         completed: Optional[Operation] = None
         if isinstance(event, ResponseEvent):
             completed = self._check_response(event)
-        self._builder.append(event)
-        self.recovery.apply(event)
-        if completed is not None:
-            self.locks.acquire(event.txn, completed)
-        elif isinstance(event, (CommitEvent, AbortEvent)):
-            self.locks.release_all(event.txn)
+        self._execute(event, completed)
         return completed
 
+    def _execute(self, event: Event, operation: Optional[Operation] = None) -> None:
+        """The transition itself, preconditions already established: append
+        ``event`` (well-formedness is checked first), then move the two
+        halves — a response (completing ``operation``) takes its lock and
+        steps the view; a commit or abort releases the transaction's locks
+        and installs or erases its effects."""
+        self.builder.append(event)
+        txn = event.txn
+        if operation is not None:
+            self.locks.acquire(txn, operation)
+            self.recovery.on_execute(txn, operation)
+        elif isinstance(event, CommitEvent):
+            self.locks.release_all(txn)
+            self.recovery.on_commit(txn)
+        elif isinstance(event, AbortEvent):
+            self.locks.release_all(txn)
+            self.recovery.on_abort(txn)
+
     def _check_response(self, event: ResponseEvent) -> Operation:
-        pending = self._builder.pending_invocation(event.txn)
+        pending = self.builder.pending_invocation(event.txn)
         if pending is None:
             raise ResponseNotEnabled(event, "no-pending")
         operation = self.spec.operation(pending.invocation, event.response)
@@ -215,11 +286,19 @@ class ObjectAutomaton:
             )
         return operation
 
+    def restart(self, committed: MacroState) -> None:
+        """A crash lost the volatile halves: forget every lock and rebase
+        the view on the ``committed`` state restored from stable storage.
+        The history is kept."""
+        self.locks = LockManager(self.conflict)
+        self.recovery.rebase(committed)
+
     # -- convenience drivers ---------------------------------------------------
 
     def invoke(self, txn: str, invocation: Invocation) -> None:
-        """Deliver an invocation event for ``txn``."""
-        self.step(invoke_event(invocation, self.name, txn))
+        """Deliver an invocation event for ``txn`` (an input: only
+        well-formedness constrains it)."""
+        self._execute(invoke(invocation, self.name, txn))
 
     def respond(self, txn: str, response: Hashable) -> Operation:
         """Deliver a response event; returns the completed operation."""
@@ -236,12 +315,12 @@ class ObjectAutomaton:
         return self.respond(txn, response)
 
     def commit(self, txn: str) -> None:
-        """Deliver a commit event for ``txn``."""
-        self.step(commit(self.name, txn))
+        """Deliver a commit event for ``txn`` (an input)."""
+        self._execute(commit(self.name, txn))
 
     def abort(self, txn: str) -> None:
-        """Deliver an abort event for ``txn``."""
-        self.step(abort(self.name, txn))
+        """Deliver an abort event for ``txn`` (an input)."""
+        self._execute(abort(self.name, txn))
 
     # -- language membership -------------------------------------------------------
 
@@ -274,11 +353,6 @@ class ObjectAutomaton:
             except IllFormedHistoryError as exc:
                 return "event %d: ill-formed (%s)" % (i, exc)
         return None
-
-
-def invoke_event(invocation: Invocation, obj: str, txn: str) -> InvocationEvent:
-    """Alias of :func:`repro.core.events.invoke` kept local to avoid shadowing."""
-    return invoke(invocation, obj, txn)
 
 
 @dataclass

@@ -5,12 +5,12 @@
 (set of automaton states, so nondeterministic specs work unchanged) the
 transaction's next operation runs against — under ``execute / commit /
 abort`` deltas, so a legality or response query steps the spec by one
-operation instead of replaying the view.  The same classes serve both
-compositions of an object: the abstract
-:class:`~repro.core.object_automaton.ObjectAutomaton` feeds them its
-event stream through :meth:`RecoveryManager.apply`, and the runtime's
-:class:`~repro.runtime.system.ManagedObject` calls ``on_execute`` /
-``on_commit`` / ``on_abort`` directly.
+operation instead of replaying the view.  They serve the one
+composition of an object: the execute step of
+:class:`~repro.core.object_automaton.ObjectAutomaton` — which the
+runtime's :class:`~repro.runtime.system.ManagedObject` holds — calls
+``on_execute`` / ``on_commit`` / ``on_abort``, and
+:meth:`RecoveryManager.apply` does the same from a raw event stream.
 
 ========  =======================  ==========================  =================
 event     UIP                      DU                          SUIP

@@ -73,13 +73,14 @@ from .core.atomicity import (
 )
 from .core.conflict import ClassifierConflict, ConflictRelation
 from .core.events import Event, Invocation, OpSeq, Operation
+from .core.events import abort, commit, invoke, respond
 from .core.history import History, HistoryBuilder
 from .core.lock_manager import LockManager
+from .core.object_automaton import ObjectAutomaton
 from .core.recovery import MacroState, RecoveryManager
 from .core.serial_spec import SerialSpec
 from .core.views import View
 from .runtime.scheduler import Scheduler
-from .runtime.system import ManagedObject
 
 
 class _OpaqueConflict(ConflictRelation):
@@ -172,6 +173,22 @@ class CheckedViewCursor:
     def apply(self, event: Event) -> None:
         self._inner.apply(event)
         self._builder.append(event)
+
+    # The automaton's execute step calls these; the mirror records each
+    # operation as its invocation and response, as views read ``Opseq``.
+
+    def on_execute(self, txn: str, operation: Operation) -> None:
+        self._inner.on_execute(txn, operation)
+        self._builder.append(invoke(operation.invocation, self.spec.name, txn))
+        self._builder.append(respond(operation.response, self.spec.name, txn))
+
+    def on_commit(self, txn: str) -> None:
+        self._inner.on_commit(txn)
+        self._builder.append(commit(self.spec.name, txn))
+
+    def on_abort(self, txn: str) -> None:
+        self._inner.on_abort(txn)
+        self._builder.append(abort(self.spec.name, txn))
 
     def _mismatch(self, what: str, txn: str, got, want) -> ViewCursorMismatch:
         return ViewCursorMismatch(
@@ -311,7 +328,7 @@ def recompute_every_answer() -> Iterator[None]:
     in the block also shows that nothing leans on an operation's
     identity."""
     operation = SerialSpec.operation
-    candidates = ManagedObject._candidates
+    candidates = ObjectAutomaton._candidates
     responses = RecoveryManager.enabled_responses
     blockers = LockManager.blockers
 
@@ -354,14 +371,14 @@ def recompute_every_answer() -> Iterator[None]:
         )
 
     SerialSpec.operation = checked_operation
-    ManagedObject._candidates = checked_candidates
+    ObjectAutomaton._candidates = checked_candidates
     RecoveryManager.enabled_responses = checked_responses
     LockManager.blockers = checked_blockers
     try:
         yield
     finally:
         SerialSpec.operation = operation
-        ManagedObject._candidates = candidates
+        ObjectAutomaton._candidates = candidates
         RecoveryManager.enabled_responses = responses
         LockManager.blockers = blockers
 

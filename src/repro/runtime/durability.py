@@ -45,15 +45,9 @@ from typing import (
 
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
-from ..core.events import Invocation, Operation
-from ..core.lock_manager import LockManager
+from ..core.events import abort, commit
 from ..core.recovery import DeferredUpdateManager
-from .system import (
-    ABORT_RECORDED,
-    COMMIT_RECORDED,
-    ManagedObject,
-    TransactionSystem,
-)
+from .system import ManagedObject, TransactionSystem
 from .wal import GroupCommitPolicy, RedoOnlyLog, UndoRedoLog
 
 
@@ -165,7 +159,7 @@ class DurableObject(ManagedObject):
         self.wal.log.advance(ticks)
 
     def abort(self, txn: str) -> None:
-        had_events = txn in self._recorded
+        had_events = self.automaton.builder.has_events(txn)
         super().abort(txn)
         if had_events:
             self.wal.on_abort(txn)
@@ -179,10 +173,6 @@ class DurableObject(ManagedObject):
 
     # -- crash / restart --------------------------------------------------------------
 
-    def in_flight(self) -> Set[str]:
-        """Transactions with volatile effects or pending invocations here."""
-        return set(self.locks.holders()) | set(self._pending)
-
     def crash_kill(self, txn: str) -> None:
         """Record that ``txn`` died in a crash.
 
@@ -190,15 +180,15 @@ class DurableObject(ManagedObject):
         takes effect nowhere) but writes **no** log record and performs
         no volatile undo — a real crash gives the system no chance to do
         either.  Restart must therefore treat the transaction as a
-        loser purely from the absence of its commit record.
+        loser purely from the absence of its commit record: the event
+        goes into the history alone, and :meth:`crash_and_restart`
+        rebuilds both halves.
         """
-        from ..core.events import abort as abort_event
-
-        self._pending.pop(txn, None)
+        events = self.automaton.builder
         # A crash can interrupt a volatile abort after its event was
         # recorded; don't abort twice.
-        if not self._recorded.get(txn, 0) & ABORT_RECORDED:
-            self._record_end(abort_event(self.name, txn), ABORT_RECORDED)
+        if not events.has_aborted(txn):
+            events.append(abort(self.name, txn))
 
     def crash_commit(self, txn: str) -> None:
         """Complete a commit interrupted by a crash.
@@ -209,15 +199,14 @@ class DurableObject(ManagedObject):
         commit record and the commit event, so restart replays the
         transaction as a winner everywhere.  The prepare phase forced
         this object's operation records / intentions, so the replay has
-        everything it needs.
+        everything it needs.  Like :meth:`crash_kill`, the commit event
+        goes into the history alone.
         """
-        from ..core.events import commit as commit_event
-
         if not self.wal.has_durable_commit(txn):
             self.wal.recovery_commit(txn)
-        if not self._recorded.get(txn, 0) & COMMIT_RECORDED:
-            self._record_end(commit_event(self.name, txn), COMMIT_RECORDED)
-        self._pending.pop(txn, None)
+        events = self.automaton.builder
+        if not events.has_committed(txn):
+            events.append(commit(self.name, txn))
         # Fold the winner into the committed macro-state for the version
         # chain.  Idempotent across a crash that landed mid-completion:
         # if the volatile commit already ran here, the recovery manager
@@ -239,10 +228,8 @@ class DurableObject(ManagedObject):
             self.trace.emit(
                 "recovery", obj=self.name, records=len(self.wal.log)
             )
-        self.locks = LockManager(self.conflict)
-        self._pending = {}
         self._force_tickets = {}  # group-commit tickets died with the process
-        self.recovery.rebase(restored)
+        self.automaton.restart(restored)
 
 
 class DomainTrace:

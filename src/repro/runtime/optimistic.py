@@ -33,7 +33,6 @@ from typing import Dict, List, Optional
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation, EmptyConflict
 from ..core.events import Invocation, Operation
-from ..core.lock_manager import LockManager
 from .system import ManagedObject, OperationOutcome
 
 
@@ -41,11 +40,10 @@ class OptimisticObject(ManagedObject):
     """One object under optimistic (commit-time-validated) control."""
 
     def __init__(self, adt: ADT, conflict: ConflictRelation):
-        super().__init__(adt, conflict, "DU")
-        # Executed operations are still held (the object knows who is
-        # active here) but under the empty relation, so none ever blocks:
-        # ``conflict`` is consulted at prepare instead.
-        self.locks = LockManager(EmptyConflict())
+        # The automaton runs under the empty relation, so no execution
+        # ever blocks; ``conflict`` is the relation checked at prepare.
+        super().__init__(adt, EmptyConflict(), "DU")
+        self.conflict = conflict
         #: every operation committed here, in commit order.
         self._validation_log: List[Operation] = []
         #: txn -> length of the log when it first executed here; what it

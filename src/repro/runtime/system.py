@@ -1,15 +1,15 @@
 """Managed objects and the multi-object transaction system.
 
-:class:`ManagedObject` is the concrete counterpart of the abstract
-automaton ``I(X, Spec, View, Conflict)``: an ADT instance wired to the
-same two classes the automaton runs on — a
-:class:`~repro.core.lock_manager.LockManager` (the ``Conflict`` half)
-and a :class:`~repro.core.recovery.RecoveryManager` (the ``View``
-half).  Every event it processes is also appended to an event history,
-so a run of the concrete system can be audited post-hoc with the
-*abstract* checkers — the integration tests replay runtime histories
-through :func:`repro.core.atomicity.is_dynamic_atomic` and through the
-abstract automaton's acceptance test.
+:class:`ManagedObject` holds the abstract automaton
+``I(X, Spec, View, Conflict)`` — an
+:class:`~repro.core.object_automaton.ObjectAutomaton` over the runtime's
+recovery manager — and adds only what the paper leaves out: the choice
+among the responses the automaton finds free (an rng, a chooser, the
+replication layer's ``extra_blockers``), the epoch refused invocations
+sleep on, the committed version chain and the trace hook.  Every event
+goes through the automaton, so its history is a schedule of the
+automaton by construction, and can still be audited post-hoc with the
+*abstract* checkers (:func:`repro.core.atomicity.is_dynamic_atomic`).
 
 :class:`TransactionSystem` manages several objects and provides the
 transaction-facing API (``invoke`` / ``commit`` / ``abort``).  Commit is
@@ -30,28 +30,17 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
-from ..core.events import (
-    Event,
-    Invocation,
-    Operation,
-    abort as abort_event,
-    commit as commit_event,
-    invoke as invoke_event,
-    respond as respond_event,
-)
+from ..core.events import Event, Invocation, Operation, respond
 from ..core.history import History
 from ..core.lock_manager import LockManager
+from ..core.object_automaton import ObjectAutomaton
 from ..core.recovery import MacroState, RecoveryManager
 from .errors import InvalidTransactionState, UnknownObjectError
 from .recovery import make_recovery_manager
-
-
-ABORT_RECORDED = 1
-COMMIT_RECORDED = 2
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,8 @@ class OperationOutcome:
 
 
 class ManagedObject:
-    """One object: ADT + conflict-based locks + a recovery manager."""
+    """One object: the automaton ``I(X, Spec, View, Conflict)`` plus a
+    response choice and a version chain."""
 
     def __init__(
         self,
@@ -81,13 +71,8 @@ class ManagedObject:
     ):
         self.adt = adt
         self.conflict = conflict
-        self.locks = LockManager(conflict)
-        if isinstance(recovery, RecoveryManager):
-            self.recovery: RecoveryManager = recovery
-        else:
-            self.recovery = make_recovery_manager(
-                adt, recovery, uip_strategy=uip_strategy
-            )
+        manager = make_recovery_manager(adt, recovery, uip_strategy=uip_strategy)
+        self.automaton = ObjectAutomaton(adt, manager.view, conflict, manager)
         self._response_chooser = response_chooser
         #: moves at every change to the lock table or the view — an
         #: operation executed, a commit, an abort, a restart — and is
@@ -95,20 +80,6 @@ class ManagedObject:
         #: it stands for as long as this number does: the scheduler parks
         #: a refused invocation on it instead of re-attempting each tick.
         self.epoch = 0
-        self._pending: Dict[str, Invocation] = {}
-        self._events: List[Event] = []
-        #: txn -> which of its terminal events ``_events`` holds
-        #: (``ABORT_RECORDED | COMMIT_RECORDED``; 0 once it has any event
-        #: at all), kept as events are appended so crash resolution asks
-        #: it instead of scanning the history.
-        self._recorded: Dict[str, int] = {}
-        #: (invocation, enabled responses) -> the candidates in trial
-        #: order (see :meth:`_candidates`).  A function of the ADT alone,
-        #: so an entry is never invalid.
-        self._candidate_memo: Dict[
-            Tuple[Invocation, FrozenSet[Hashable]],
-            Tuple[Tuple[Hashable, Operation], ...],
-        ] = {}
         #: multiversion committed store.  ``_committed_macro`` tracks the
         #: committed macro-state in commit order (advanced at each commit
         #: from the recovery manager's executed operations); the parallel
@@ -128,9 +99,19 @@ class ManagedObject:
     def name(self) -> str:
         return self.adt.name
 
+    @property
+    def locks(self) -> LockManager:
+        """The automaton's ``Conflict`` half."""
+        return self.automaton.locks
+
+    @property
+    def recovery(self) -> RecoveryManager:
+        """The automaton's ``View`` half."""
+        return self.automaton.recovery
+
     def history(self) -> History:
         """The object-local event history (``H|X``)."""
-        return History(self._events, validate=False)
+        return self.automaton.history
 
     # -- operation execution -------------------------------------------------------
 
@@ -148,8 +129,8 @@ class ManagedObject:
         is now *pending* here); re-attempts of a blocked invocation do
         not re-record it.  Returns
 
-        * ``ok`` with the completed operation — response computed from
-          the recovery view, locks acquired, effects recorded;
+        * ``ok`` with the completed operation — a response chosen among
+          the automaton's enabled ones and executed;
         * ``blocked`` with the conflicting holders — every legal
           response conflicts with another active transaction's held
           operation;
@@ -162,11 +143,10 @@ class ManagedObject:
         write is only chosen when it is free at *every* available copy,
         not just the one computing the response.
         """
-        pending = self._pending.get(txn)
+        automaton = self.automaton
+        pending = automaton.builder.pending_invocation(txn)
         if pending is None:
-            self._pending[txn] = invocation
-            self._events.append(invoke_event(invocation, self.name, txn))
-            self._recorded.setdefault(txn, 0)
+            automaton.invoke(txn, invocation)
             if self.trace is not None:
                 self.trace.emit(
                     "op-invoke",
@@ -174,25 +154,17 @@ class ManagedObject:
                     obj=self.name,
                     invocation=str(invocation),
                 )
-        elif pending is not invocation and pending != invocation:
+        elif pending.invocation is not invocation and pending.invocation != invocation:
             raise InvalidTransactionState(
                 "transaction %s is pending %s at %s, not %s"
-                % (txn, pending, self.name, invocation)
+                % (txn, pending.invocation, self.name, invocation)
             )
-        responses = self.recovery.enabled_responses(txn, invocation)
+        responses = automaton.recovery.enabled_responses(txn, invocation)
         if not responses:
             return OperationOutcome("stuck")
-        blocked: FrozenSet[str] = frozenset()
-        free: List[Tuple[Hashable, Operation]] = []
-        for candidate in self._candidates(invocation, responses):
-            operation = candidate[1]
-            holders = self.locks.blockers(txn, operation)
-            if extra_blockers is not None:
-                holders = holders.union(extra_blockers(txn, operation))
-            if holders:
-                blocked = blocked | holders if blocked else holders
-            else:
-                free.append(candidate)
+        free, blocked = automaton.free_candidates(
+            txn, invocation, responses, extra_blockers
+        )
         if not free:
             if self.trace is not None:
                 self._trace_lock_wait(txn, invocation, responses)
@@ -203,29 +175,9 @@ class ManagedObject:
             response, operation = rng.choice(free)
         else:
             response, operation = free[0]
-        self.locks.acquire(txn, operation)
-        self.recovery.on_execute(txn, operation)
+        automaton._execute(respond(response, self.name, txn), operation)
         self.epoch += 1
-        self._pending.pop(txn, None)
-        self._events.append(respond_event(response, self.name, txn))
         return OperationOutcome("ok", operation=operation)
-
-    def _candidates(
-        self, invocation: Invocation, responses: FrozenSet[Hashable]
-    ) -> Tuple[Tuple[Hashable, Operation], ...]:
-        """``(response, operation)`` per enabled response, smallest
-        response by ``repr`` first — the order :meth:`try_operation`
-        tries, breaks ties and draws in."""
-        key = (invocation, responses)
-        candidates = self._candidate_memo.get(key)
-        if candidates is None:
-            candidates = self._candidate_memo[key] = tuple(
-                [
-                    (response, self.adt.operation(invocation, response))
-                    for response in sorted(responses, key=repr)
-                ]
-            )
-        return candidates
 
     def _trace_lock_wait(self, txn, invocation, responses) -> None:
         """Attribute one blocked attempt to its conflict-table entries.
@@ -245,7 +197,7 @@ class ManagedObject:
 
         pairs: List[Tuple[str, str, str]] = []
         seen: Set[Tuple[str, str, str]] = set()
-        for _response, operation in self._candidates(invocation, responses):
+        for _response, operation in self.automaton._candidates(invocation, responses):
             for holder, held in self.locks.conflicting_holds(txn, operation):
                 row = (label(operation), label(held), holder)
                 if row not in seen:
@@ -261,7 +213,7 @@ class ManagedObject:
         reason to refuse, because it enforced ``Conflict`` when each
         operation executed.  A subclass that enforces it at commit time
         instead votes no here."""
-        return txn not in self._pending
+        return self.automaton.pending_invocation(txn) is None
 
     def prepare_ready(self, txn: str) -> bool:
         """Has the prepare vote's durability work completed?  The volatile
@@ -306,22 +258,12 @@ class ManagedObject:
         # Advance the committed macro-state *before* the recovery manager
         # discards the transaction's executed-operation record.
         self._advance_committed(txn)
-        self.locks.release_all(txn)
-        self.recovery.on_commit(txn)
+        self.automaton.commit(txn)
         self.epoch += 1
-        self._record_end(commit_event(self.name, txn), COMMIT_RECORDED)
 
     def abort(self, txn: str) -> None:
-        self._pending.pop(txn, None)
-        self.locks.release_all(txn)
-        self.recovery.on_abort(txn)
+        self.automaton.abort(txn)
         self.epoch += 1
-        self._record_end(abort_event(self.name, txn), ABORT_RECORDED)
-
-    def _record_end(self, event: Event, kind: int) -> None:
-        """Append a commit or abort event and note it in ``_recorded``."""
-        self._events.append(event)
-        self._recorded[event.txn] = self._recorded.get(event.txn, 0) | kind
 
     # -- multiversion committed store ---------------------------------------------
 
@@ -396,7 +338,7 @@ class ManagedObject:
         )
         if not responses:
             return None
-        return self._candidates(invocation, responses)[0][1]
+        return self.automaton._candidates(invocation, responses)[0][1]
 
     def prune_versions(self, watermark: int) -> int:
         """Drop versions no active snapshot reader can still need: every
@@ -475,11 +417,11 @@ class TransactionSystem:
         """
         names = (name,) if name is not None else tuple(self.objects)
         for n in names:
-            obj = self.objects[n]
+            events = self.objects[n].automaton.builder.events
             start = self._mirrored[n]
-            if start < len(obj._events):
-                self._events.extend(obj._events[start:])
-                self._mirrored[n] = len(obj._events)
+            if start < len(events):
+                self._events.extend(events[start:])
+                self._mirrored[n] = len(events)
 
     # -- introspection ------------------------------------------------------------
 
@@ -513,7 +455,7 @@ class TransactionSystem:
             touched = self._touched[txn] = set()
         touched.add(obj_name)
         outcome = obj.try_operation(txn, invocation, rng)
-        if self._mirrored[obj_name] != len(obj._events):
+        if self._mirrored[obj_name] != len(obj.automaton.builder.events):
             self._sync_events(obj_name)
         return outcome
 

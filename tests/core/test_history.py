@@ -309,6 +309,36 @@ class TestHistoryBuilder:
             b.append(invoke(inv("b"), "X", "A"))
         b.append(respond("ok", "X", "A"))  # original pending still there
 
+    @pytest.mark.parametrize(
+        "rejected",
+        [
+            invoke(inv("b"), "X", "A"),  # a second pending invocation
+            respond("ok", "Y", "A"),  # at the wrong object
+            commit("X", "A"),  # with an invocation pending
+        ],
+    )
+    def test_a_rejected_append_changes_nothing(self, rejected):
+        b = HistoryBuilder()
+        b.append(invoke(inv("a"), "X", "A"))
+        before = (b.pending_invocation("A"), b.is_active("A"), len(b))
+        assert not b.can_append(rejected)
+        with pytest.raises(IllFormedHistoryError):
+            b.append(rejected)
+        assert (b.pending_invocation("A"), b.is_active("A"), len(b)) == before
+        b.append(respond("ok", "X", "A"))
+        assert b.pending_invocation("A") is None and b.is_active("A")
+        b.append(commit("X", "A"))
+        assert not b.is_active("A") and b.has_committed("A")
+        assert not b.has_aborted("A")
+
+    def test_a_rejected_first_event_records_no_transaction(self):
+        b = HistoryBuilder()
+        with pytest.raises(IllFormedHistoryError):
+            b.append(respond("ok", "X", "A"))
+        assert not b.has_events("A")
+        b.append(abort("X", "A"))
+        assert b.has_events("A") and b.has_aborted("A")
+
     def test_can_append(self):
         b = HistoryBuilder()
         assert b.can_append(invoke(inv("a"), "X", "A"))

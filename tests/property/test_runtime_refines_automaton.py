@@ -1,17 +1,18 @@
 """Refinement: every history the runtime produces is a schedule of the
 abstract automaton ``I(X, Spec, View, Conflict)`` it was configured with.
 
-The runtime is meant to *be* that automaton plus a log (ROADMAP aim 3).
-Since both compositions now run on the same ``LockManager`` and recovery
-managers, this suite checks the remaining gap — response choice, the
-scheduler, 2PC, group commit, crash restart, replication — by feeding
-runtime histories back through :meth:`ObjectAutomaton.explain_rejection`:
+A :class:`~repro.runtime.system.ManagedObject` *holds* that automaton:
+every event goes through its ``HistoryBuilder`` and its execute step, so
+well-formedness and the lock and view updates hold by construction.
+What is left to check here:
 
-(a) over every registered ADT and the three (view, relation) pairings,
-    volatile runs, crash-torture schedules (a crash is the mass abort of
-    the paper's §8; every restart and the final clean crash included)
-    and replicated runs under site crashes (each copy's history and each
-    logical object's merged history);
+(a) the runtime never steps the automaton around its precondition:
+    every response it appends is one the shared candidate loop
+    (``ObjectAutomaton.free_candidates``) returned as free, on the
+    automaton's current state — over every registered ADT and the three
+    (view, relation) pairings; one crash-torture and one replicated
+    site-crash schedule are replayed through
+    :meth:`ObjectAutomaton.explain_rejection` end to end;
 (b) the negative control, produced *by the runtime*: drop one pair from
     NRBC (UIP) or NFC (DU) and the object still runs inside the language
     of the relation it was given, while some seed yields a history the
@@ -40,11 +41,11 @@ from repro.core.recovery import (
 from repro.core.views import DU, SUIP, UIP
 from repro.runtime import ManagedObject, TransactionSystem, run_scripts
 from repro.runtime import torture
+from repro.runtime.durability import SiteCrash
 from repro.runtime.torture import (
     TortureConfig,
     configs_for,
     plan_campaign,
-    plan_site_campaign,
     run_schedule,
     workload_for,
 )
@@ -85,9 +86,49 @@ def rejection(obj, conflict=None, history=None):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def candidate_guard(monkeypatch):
+    """Every response the runtime executes must be one the candidate
+    loop returned as free for that transaction, with no event appended
+    at the object since.  (``step`` checks its own responses: the
+    audits' replays through ``explain_rejection`` go that way.)  Returns
+    the responses checked."""
+    free_candidates = ObjectAutomaton.free_candidates
+    execute = ObjectAutomaton._execute
+    step = ObjectAutomaton.step
+    offered = {}
+    checked = []
+    stepping = []
+
+    def stepped(self, event):
+        stepping.append(event)
+        try:
+            return step(self, event)
+        finally:
+            stepping.pop()
+
+    def recording(self, txn, invocation, responses, extra_blockers=None):
+        free, blocked = free_candidates(self, txn, invocation, responses, extra_blockers)
+        offered[id(self), txn] = (len(self.builder.events), list(free))
+        return free, blocked
+
+    def guarded(self, event, operation=None):
+        if operation is not None and not stepping:
+            at, free = offered.pop((id(self), event.txn))
+            assert at == len(self.builder.events), (event, "stale candidates")
+            assert (event.response, operation) in free, (event, free)
+            checked.append(event)
+        return execute(self, event, operation)
+
+    monkeypatch.setattr(ObjectAutomaton, "free_candidates", recording)
+    monkeypatch.setattr(ObjectAutomaton, "_execute", guarded)
+    monkeypatch.setattr(ObjectAutomaton, "step", stepped)
+    return checked
+
+
 @pytest.mark.parametrize("method", ["DU", "SUIP", "UIP"])
 @pytest.mark.parametrize("kind", registered_kinds())
-def test_volatile_runs_refine_the_automaton(kind, method):
+def test_volatile_runs_refine_the_automaton(kind, method, candidate_guard):
     for seed in range(4):
         adt = make_adt(kind)
         obj = ManagedObject(adt, relation_for(adt, method), method)
@@ -96,7 +137,9 @@ def test_volatile_runs_refine_the_automaton(kind, method):
         )
         metrics = run_scripts(TransactionSystem([obj]), scripts, seed=seed)
         assert metrics.committed
-        assert rejection(obj) is None, (kind, method, seed)
+        responses = sum(e.is_response for e in obj.history())
+        assert responses == len(candidate_guard), (kind, method, seed)
+        del candidate_guard[:]
 
 
 @pytest.fixture
@@ -118,19 +161,26 @@ def refinement_audit(monkeypatch):
     return audits
 
 
-def test_crash_schedules_refine_the_automaton(refinement_audit):
-    configs = configs_for(registered_kinds(), group_commit=4, hold=4, read_mix=0.2)
-    campaign = plan_campaign(configs, schedules=3 * len(configs), seed=0)
-    crashes = 0
-    for config, plan, run_seed in campaign:
-        result = run_schedule(config, plan, seed=run_seed)
-        assert not result.violations, result.violations
-        crashes += result.crashes
+def test_crash_schedules_refine_the_automaton(refinement_audit, candidate_guard):
+    """One crash-torture schedule, end to end: logical-undo UIP under
+    group commit, snapshot readers and a mid-run crash."""
+    (config,) = [
+        c for c in configs_for(("bank",), group_commit=4, hold=4, read_mix=0.2)
+        if c.recovery == "UIP" and c.restart_policy == "replay-winners"
+    ]
+    ((config, plan, run_seed),) = plan_campaign([config], schedules=1, seed=0)
+    result = run_schedule(config, plan, seed=run_seed)
+    assert not result.violations, result.violations
     # one audit per crash, the final clean one included
-    assert len(refinement_audit) == crashes > len(campaign)
+    assert len(refinement_audit) == result.crashes > 1
+    assert candidate_guard
 
 
-def test_replicated_runs_refine_the_automaton(refinement_audit, monkeypatch):
+def test_replicated_runs_refine_the_automaton(
+    refinement_audit, candidate_guard, monkeypatch
+):
+    """One replicated schedule, end to end: a site fails, recovers and
+    catches up; each copy's history and the logical history refine."""
     logical_audits = []
     audit_replication = torture.audit_replication
 
@@ -145,16 +195,14 @@ def test_replicated_runs_refine_the_automaton(refinement_audit, monkeypatch):
         return audit_replication(system, label, schedule)
 
     monkeypatch.setattr(torture, "audit_replication", audit)
-    configs = [
-        config
-        for sites in (2, 3)
-        for config in configs_for(("bank", "counter", "kv", "set"), sites=sites)
+    (config,) = [
+        c for c in configs_for(("bank",), sites=2)
+        if c.recovery == "UIP" and c.restart_policy == "replay-winners"
     ]
-    campaign = plan_site_campaign(configs, schedules=3 * len(configs), seed=0)
-    for config, crashes, run_seed in campaign:
-        result = run_schedule(config, crashes, seed=run_seed)
-        assert not result.violations, result.violations
-    assert len(logical_audits) == len(refinement_audit) == len(campaign)
+    result = run_schedule(config, (SiteCrash(1, 3, 12),), seed=0)
+    assert not result.violations, result.violations
+    assert len(logical_audits) == len(refinement_audit) == 1
+    assert candidate_guard
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.core.lock_manager import LockManager
+from repro.core.object_automaton import ObjectAutomaton
 from repro.core.recovery import RecoveryManager
 from repro.core.serial_spec import SerialSpec
 from repro.experiments.comparisons import comparison_case, standard_configurations
@@ -187,7 +188,7 @@ class TestTheOracleIsNotVacuous:
 
     def test_it_puts_the_methods_back(self):
         before = (
-            SerialSpec.operation, ManagedObject._candidates,
+            SerialSpec.operation, ObjectAutomaton._candidates,
             RecoveryManager.enabled_responses, LockManager.blockers,
         )
         with pytest.raises(RuntimeError):
@@ -195,7 +196,7 @@ class TestTheOracleIsNotVacuous:
                 assert LockManager.blockers is not before[3]
                 raise RuntimeError
         assert before == (
-            SerialSpec.operation, ManagedObject._candidates,
+            SerialSpec.operation, ObjectAutomaton._candidates,
             RecoveryManager.enabled_responses, LockManager.blockers,
         )
 
@@ -232,9 +233,9 @@ class TestTheOracleIsNotVacuous:
             obj.commit("T" + item)
         responses = obj.recovery.enabled_responses("D", inv("deq"))
         assert len(responses) == 2
-        candidates = obj._candidates(inv("deq"), responses)
+        candidates = obj.automaton._candidates(inv("deq"), responses)
         assert [r for r, _ in candidates] == sorted(responses, key=repr)
-        obj._candidate_memo[inv("deq"), responses] = candidates[::-1]
+        obj.automaton._candidate_memo[inv("deq"), responses] = candidates[::-1]
         with pytest.raises(StaleMemo):
             with recompute_every_answer():
                 obj.try_operation("D", inv("deq"))

@@ -46,7 +46,12 @@ class TestExecution:
     def test_pending_invocation_protocol(self):
         ba, system = make_system()
         obj = system.objects["BA"]
-        obj._pending["A"] = inv("deposit", 1)
+        # An optimistic object never blocks on its own locks: a peer's
+        # holder keeps the first attempt pending, invocation recorded.
+        refused = obj.try_operation(
+            "A", inv("deposit", 1), extra_blockers=lambda txn, operation: {"Z"}
+        )
+        assert (refused.status, refused.blockers) == ("blocked", {"Z"})
         with pytest.raises(InvalidTransactionState):
             obj.try_operation("A", inv("deposit", 2))
 

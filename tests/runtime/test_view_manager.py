@@ -7,7 +7,11 @@ import pytest
 from repro.adts import BankAccount
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
-from repro.core.object_automaton import TransactionProgram, generate_trace
+from repro.core.object_automaton import (
+    ObjectAutomaton,
+    TransactionProgram,
+    generate_trace,
+)
 from repro.core.views import DU, UIP
 from repro.runtime import ManagedObject, TransactionSystem, run_scripts
 from repro.runtime.recovery import (
@@ -145,9 +149,13 @@ class TestSUIPRuntime:
 
         monkeypatch.setattr(BankAccount, "transitions", counting)
 
-        def run(recovery):
+        def run(scratch):
             ba = BankAccount("BA")
-            obj = ManagedObject(ba, EmptyConflict(), recovery)
+            obj = ManagedObject(ba, EmptyConflict(), "SUIP")
+            if scratch:
+                obj.automaton = ObjectAutomaton(
+                    ba, SUIP, EmptyConflict(), ViewRecoveryManager(ba, SUIP)
+                )
             del steps[:]
             for i in range(400):
                 txn = "T%d" % (i % 4)
@@ -156,8 +164,8 @@ class TestSUIPRuntime:
                 assert obj.recovery.enabled_responses(txn, inv("balance")) == {100}
             return len(steps), obj.history()
 
-        incremental, history = run("SUIP")
-        recomputed, same_history = run(ViewRecoveryManager(BankAccount("BA"), SUIP))
+        incremental, history = run(scratch=False)
+        recomputed, same_history = run(scratch=True)
         assert history == same_history
         # at most one response query and one step per operation, plus
         # the probes (a query repeated on an unchanged view is remembered)

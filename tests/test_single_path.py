@@ -368,19 +368,29 @@ def test_arrivals_have_one_admission_path():
 
 LOCK_TABLE_CHANGES = {"acquire", "release_all"}
 VIEW_CHANGES = {"on_execute", "on_commit", "on_abort", "rebase"}
+#: the automaton's steps that move its halves (an invocation moves neither)
+AUTOMATON_CHANGES = {"step", "_execute", "commit", "abort", "restart"}
+
+
+def _receiver(call):
+    """``x`` in ``<...>.x.method(...)`` or ``x.method(...)``."""
+    value = call.func.value
+    return getattr(value, "attr", getattr(value, "id", None))
 
 
 def _changes_a_half(fn):
     """Does ``fn`` change an object's lock table or view in place —
     ``<x>.locks.acquire/release_all(...)``,
-    ``<x>.recovery.on_execute/on_commit/on_abort/rebase(...)`` — or replace
-    either half (``self.locks = ...``, ``self.recovery = ...``)?"""
+    ``<x>.recovery.on_execute/on_commit/on_abort/rebase(...)``, or an
+    automaton step that does (``<x>.automaton.commit(...)`` ...) — or
+    replace either half or the automaton holding them?"""
     for node in ast.walk(fn):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            half = node.func.value
-            if isinstance(half, ast.Attribute) and (
-                (half.attr == "locks" and node.func.attr in LOCK_TABLE_CHANGES)
-                or (half.attr == "recovery" and node.func.attr in VIEW_CHANGES)
+            half, method = _receiver(node), node.func.attr
+            if (
+                (half == "locks" and method in LOCK_TABLE_CHANGES)
+                or (half == "recovery" and method in VIEW_CHANGES)
+                or (half == "automaton" and method in AUTOMATON_CHANGES)
             ):
                 return True
         targets = (
@@ -389,7 +399,7 @@ def _changes_a_half(fn):
             else []
         )
         if any(
-            isinstance(t, ast.Attribute) and t.attr in ("locks", "recovery")
+            isinstance(t, ast.Attribute) and t.attr in ("locks", "recovery", "automaton")
             for t in targets
         ):
             return True
@@ -411,13 +421,14 @@ def test_every_change_to_an_objects_halves_advances_its_epoch():
     the epoch, and a transaction that then sleeps for ever: whoever
     touches the lock table or the view says so in the same function.
     Constructors are exempt (nothing can be parked on an object still
-    being built), and so is the abstract automaton, which holds the same
-    two halves but has no scheduler and no epoch."""
+    being built), and so is everything outside ``repro.runtime``: the
+    abstract automaton and the analyses that drive it hold the same two
+    halves but have no scheduler and no epoch."""
     changers = [
         ("%s:%s" % (path.relative_to(SRC), fn.name), fn)
         for path, fn in _functions()
         if fn.name != "__init__"
-        and path != PACKAGE / "core" / "object_automaton.py"
+        and path.parent == PACKAGE / "runtime"
         and _changes_a_half(fn)
     ]
     assert sorted(name for name, _ in changers) == [
@@ -571,6 +582,72 @@ def test_one_class_keeps_the_lock_table():
     assert type(automaton.locks) is type(runtime.locks) is LockManager
 
 
+def test_the_runtime_object_holds_the_automaton():
+    """Pending invocations, the event history and which terminal events
+    it holds are the automaton's ``HistoryBuilder``; no runtime object
+    keeps a second copy of any of them, and none moves a half itself."""
+    from repro.runtime.optimistic import OptimisticObject
+
+    ba = BankAccount("BA")
+    for obj in (
+        ManagedObject(ba, ba.nrbc_conflict(), "UIP"),
+        DurableObject(ba, ba.nrbc_conflict(), "UIP"),
+        OptimisticObject(ba, ba.nfc_conflict()),
+    ):
+        assert isinstance(obj.automaton, ObjectAutomaton)
+        assert obj.locks is obj.automaton.locks
+        assert obj.recovery is obj.automaton.recovery
+    mirrors = [
+        "%s.%s" % (cls.name, node.attr)
+        for _name, cls in _classes()
+        if cls.name in ("ManagedObject", "DurableObject", "OptimisticObject")
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("_pending", "_events", "_recorded", "_record_end")
+    ]
+    assert not mirrors, mirrors
+    runtime = (PACKAGE / "runtime" / "system.py", PACKAGE / "runtime" / "durability.py")
+    steps_around = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        if path in runtime
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (
+            (_receiver(node) == "locks" and node.func.attr in LOCK_TABLE_CHANGES)
+            or (_receiver(node) == "recovery" and node.func.attr in VIEW_CHANGES)
+        )
+    ]
+    assert not steps_around, steps_around
+
+
+def test_the_automaton_has_one_candidate_loop():
+    """"Which responses are free, and who blocks the rest" is one loop,
+    ``ObjectAutomaton.free_candidates``: ``enabled_responses``,
+    ``blocked_responses`` and ``ManagedObject.try_operation`` all ask it."""
+    objects = ("ObjectAutomaton", "ManagedObject", "DurableObject", "OptimisticObject")
+    loops = sorted(
+        "%s:%s" % (name, fn.name)
+        for name, cls in _classes()
+        if cls.name in objects
+        for fn in ast.walk(cls)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.For) and "blockers" in _calls(node)
+    )
+    assert loops == ["repro/core/object_automaton.py:ObjectAutomaton:free_candidates"]
+    askers = sorted(
+        "%s:%s" % (path.relative_to(SRC), fn.name)
+        for path, fn in _functions()
+        if "free_candidates" in _calls(fn)
+    )
+    assert askers == [
+        "repro/core/object_automaton.py:_responses",
+        "repro/runtime/system.py:try_operation",
+    ]
+
+
 def test_no_memo_on_the_attempt_path_has_a_size_or_a_switch():
     """The attempt path's memos — interned operations, candidate tuples,
     enabled responses, lock answers — are plain dicts, each with a
@@ -602,7 +679,11 @@ def test_no_memo_on_the_attempt_path_has_a_size_or_a_switch():
         ManagedObject.__init__: [
             "self", "adt", "conflict", "recovery", "uip_strategy", "response_chooser",
         ],
-        ManagedObject._candidates: ["self", "invocation", "responses"],
+        ObjectAutomaton.__init__: ["self", "spec", "view", "conflict", "recovery"],
+        ObjectAutomaton._candidates: ["self", "invocation", "responses"],
+        ObjectAutomaton.free_candidates: [
+            "self", "txn", "invocation", "responses", "extra_blockers",
+        ],
         ManagedObject.try_operation: [
             "self", "txn", "invocation", "rng", "extra_blockers",
         ],
@@ -697,6 +778,7 @@ def test_one_class_maintains_each_view():
         for name, cls in _classes()
         if {"macro", "on_execute"}
         <= {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        and not name.startswith("repro/reference.py:")  # the checked wrapper
     )
     assert homes == [
         "repro/core/recovery.py:%s" % name
