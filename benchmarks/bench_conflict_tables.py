@@ -1,4 +1,4 @@
-"""EXP-C14: conflict tables — bitmask lock-manager fast path.
+"""EXP-C14: conflict tables — the lock manager's ``(class, key)`` index.
 
 Conflict checks sit on every lock acquisition and every dynamic-atomicity
 checker step.  The per-pair loop (what a relation with no table gets —
@@ -7,21 +7,19 @@ here the same class matrix read through
 each query by classifying both operations and probing a pair set per
 held operation per holder; a table
 (:class:`~repro.core.conflict.ClassifierConflict`) answers with one
-cached classification plus one integer AND per holder against a
-precomputed *held mask*.  This bench pins down two claims:
+cached slot ``(class, key)`` and one dictionary lookup per class of the
+operation's row, in the manager's index of holds by slot.  This bench
+pins down two claims:
 
 1. **Exact equivalence** — for every probe over a contended lock table
    the table's and the set lookup's :meth:`LockManager.blockers` return
-   identical blocker sets (refine-carrying ADTs included).
+   identical blocker sets (the keyed KV and set relations included).
 2. **Measured speedup** — blockers/sec on both paths with ``HOLDERS``
-   active transactions each holding ``OPS_PER_HOLDER`` operations, the
-   table changed before every timed question (:func:`probe_changing`):
-   a manager remembers its answers while its table stands, and the
-   claim is about working one out — mask test against set lookup.  The
-   >= 10x floor, on the plain-matrix case, is asserted only on real
-   timing runs (``REPRO_BENCH_EQUALITY_ONLY=1`` — the CI smoke job —
-   records equality without holding a shared runner to a wall-clock
-   bar).
+   active transactions each holding ``OPS_PER_HOLDER`` operations.  The
+   >= 10x floor, on the unkeyed bank case and on both keyed cases, is
+   asserted only on real timing runs (``REPRO_BENCH_EQUALITY_ONLY=1`` —
+   the CI smoke job — records equality without holding a shared runner
+   to a wall-clock bar).
 
 ``BENCH_conflict_tables.json`` records the cases, their query counts and
 the floor; the timings themselves are 15–300 ms runs that
@@ -36,7 +34,7 @@ import time
 
 import pytest
 
-from repro.adts import BankAccount, KVStore, PriorityQueue
+from repro.adts import BankAccount, KVStore, SetADT
 from repro.reference import matrix_conflict
 from repro.runtime.lock_manager import LockManager
 
@@ -52,15 +50,15 @@ TIMING_ROUNDS = 3
 SPEEDUP_FLOOR = 10.0
 EQUALITY_ONLY = os.environ.get("REPRO_BENCH_EQUALITY_ONLY") == "1"
 
-#: the contended-table ADTs: the plain-matrix hot path plus both
-#: refine-carrying relations (argument-level weakening of a class hit).
+#: the contended-table ADTs: the unkeyed hot path plus both keyed
+#: relations (KV by key, set by element).
 LOCK_CASES = (
     ("bank-nrbc", lambda: BankAccount("BA"), "nrbc_conflict"),
     ("bank-nfc", lambda: BankAccount("BA"), "nfc_conflict"),
     ("kv-nrbc", lambda: KVStore("KV"), "nrbc_conflict"),
-    ("pqueue-nfc", lambda: PriorityQueue("PQ"), "nfc_conflict"),
+    ("set-nrbc", lambda: SetADT("SET"), "nrbc_conflict"),
 )
-FLOOR_CASE = "bank-nrbc"
+FLOOR_CASES = ("bank-nrbc", "kv-nrbc", "set-nrbc")
 
 
 def twin_managers(adt, relation):
@@ -95,7 +93,7 @@ def loaded_manager(adt, conflict):
     Holdings cycle the ground alphabet with per-holder offsets, so each
     holder's list mixes conflicting and non-conflicting classes — the
     set-lookup path pays a verdict walk per holder while the table
-    answers from the held mask.
+    answers from the slots of the operation's row.
     """
     ops = adt.ground_alphabet()
     manager = LockManager(conflict)
@@ -114,19 +112,6 @@ def probe_all(manager, probes):
         out.append(manager.blockers("P", op))
         out.append(manager.blockers("T0", op))  # self-exclusion path
     return out
-
-
-def probe_changing(manager, probes):
-    """The questions of :func:`probe_all`, each against a table that has
-    just changed.  A manager remembers an answer until ``acquire`` or
-    ``release_all`` changes its held operations, so the same question
-    asked twice of a static table times a dictionary hit on both sides;
-    a release by a transaction holding nothing is the cheapest change
-    there is, and both sides pay it."""
-    for op in probes:
-        for txn in ("P", "T0"):
-            manager.release_all("nobody")
-            manager.blockers(txn, op)
 
 
 @pytest.mark.experiment("EXP-C14")
@@ -160,7 +145,7 @@ def test_conflict_table_speedup(benchmark, capsys):
 
         def drive(manager):
             for _ in range(TIMING_REPEATS):
-                probe_changing(manager, probes)
+                probe_all(manager, probes)
 
         fast_s = timed(lambda: drive(fast))
         slow_s = timed(lambda: drive(slow))
@@ -187,7 +172,7 @@ def test_conflict_table_speedup(benchmark, capsys):
         "equality_only": EQUALITY_ONLY,
         "floor": SPEEDUP_FLOOR,
         "floor_asserted": not EQUALITY_ONLY,
-        "floor_cases": [FLOOR_CASE],
+        "floor_cases": list(FLOOR_CASES),
         "curve": curve,
     }
     ARTIFACT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -204,7 +189,7 @@ def test_conflict_table_speedup(benchmark, capsys):
             )
         )
     # Equality-only runs (CI smoke) hold a shared runner to no wall-clock
-    # bar; real runs assert the floor on the plain-matrix case (refine
-    # cases keep a per-op verdict tail, and claim nothing).
+    # bar; real runs assert the floor on the unkeyed and the keyed cases.
     if not EQUALITY_ONLY:
-        assert timings[FLOOR_CASE][0] >= SPEEDUP_FLOOR, (FLOOR_CASE, timings[FLOOR_CASE])
+        for case_id in FLOOR_CASES:
+            assert timings[case_id][0] >= SPEEDUP_FLOOR, (case_id, timings[case_id])

@@ -20,16 +20,23 @@ first column of a ``| Module |`` table imports as ``repro.pkg.module``,
 and no row of such a table names an identifier the code base has
 retired (:data:`RETIRED`) — so the API table cannot keep advertising a
 function after it is gone.
+
+A count quoted in ``README.md``, ``docs/API.md`` or ``EXPERIMENTS.md``
+— "four event kinds", "10 ADTs", "1600+ tests" — must be one the code
+base derives (:func:`derived_counts`) and must match it; a count of
+something it cannot derive (tests, benchmarks) fails, so the prose
+states no count that every change would have to re-sync by hand.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import pathlib
 import re
 import shlex
 import sys
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -113,6 +120,7 @@ RETIRED = (
     "compile_conflict_classes", "compiled_conflict", "compiled_tables",
     "compiled_forward_table", "compiled_backward_table", "compiled_relation",
     "held_bit", "can_acquire", "SymmetricClosure", "UnionConflict",
+    "refine", "row_mask", "class_index",
 )
 MODULE_ROW_RE = re.compile(r"^\| `([a-z_][a-z_.]*)` \|")
 
@@ -140,6 +148,55 @@ def check_module_tables(path: pathlib.Path) -> List[str]:
     return failures
 
 
+#: the documents whose quoted counts are checked
+COUNTED_DOCS = ("README.md", "docs/API.md", "EXPERIMENTS.md")
+NUMBER_WORDS = (
+    "zero one two three four five six seven eight nine ten eleven twelve".split()
+)
+COUNT_RE = re.compile(
+    r"\b(\d[\d,]*\+?|%s)\s+(?:[\w/-]+\s+)?"
+    r"(tests|benchmarks|ADTs|event kinds|trace kinds|commands)\b"
+    % "|".join(NUMBER_WORDS)
+)
+
+
+def derived_counts() -> Dict[str, int]:
+    """The counts a document may quote, each taken from the code."""
+    from repro.adts.registry import registered_kinds
+    from repro.core.events import Event
+    from repro.runtime.trace import EVENT_SCHEMA
+
+    (commands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return {
+        "ADTs": len(registered_kinds()),
+        "event kinds": len(Event.__subclasses__()),
+        "trace kinds": len(EVENT_SCHEMA),
+        "commands": len(commands),
+    }
+
+
+def check_counts(path: pathlib.Path, counts: Dict[str, int]) -> List[str]:
+    """Failures of the counts quoted in ``path`` (see above)."""
+    failures: List[str] = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        for match in COUNT_RE.finditer(line):
+            quoted, noun = match.groups()
+            where = "%s:%d: %r" % (path.name, lineno, match.group(0))
+            if noun not in counts:
+                failures.append("%s counts %s, which no code derives: delete the count"
+                                % (where, noun))
+                continue
+            number = (NUMBER_WORDS.index(quoted) if quoted in NUMBER_WORDS
+                      else int(quoted.rstrip("+").replace(",", "")))
+            if counts[noun] < number or (counts[noun] > number and not quoted.endswith("+")):
+                failures.append("%s, but the code has %d %s" % (where, counts[noun], noun))
+    return failures
+
+
 def main(argv: List[str]) -> int:
     if argv:
         paths = [pathlib.Path(a) for a in argv]
@@ -147,6 +204,9 @@ def main(argv: List[str]) -> int:
         paths = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
     total = 0
     failures: List[str] = []
+    counts = derived_counts()
+    for name in COUNTED_DOCS:
+        failures.extend(check_counts(REPO / name, counts))
     for path in paths:
         if path.name == "API.md":
             failures.extend(check_module_tables(path))

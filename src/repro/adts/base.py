@@ -40,6 +40,12 @@ from ..core.conflict import ClassifierConflict, ConflictRelation
 from ..core.events import Invocation, Operation
 
 
+def first_argument(operation: Operation) -> Hashable:
+    """The component a keyed ADT's operation touches (a key-value
+    store's key, a set's element): the ``key`` of its conflict tables."""
+    return operation.args[0]
+
+
 class UndoNotSupported(NotImplementedError):
     """The ADT does not provide sound logical undo; use replay-based recovery."""
 

@@ -40,7 +40,7 @@ from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from ..core.conflict import ClassifierConflict, ConflictRelation, OperationClass
 from ..core.events import Invocation, Operation, inv
-from .base import ADT
+from .base import ADT, first_argument
 
 PUT = "put(k,v)/ok"
 GET_HIT = "get(k)/v"
@@ -69,10 +69,6 @@ KV_NRBC_MARKS: Tuple[Tuple[str, str], ...] = (
     (REMOVE, GET_HIT),
     (GET_MISS, REMOVE),
 )
-
-
-def _same_key(new: Operation, old: Operation) -> bool:
-    return new.args[:1] == old.args[:1]
 
 
 class KVStore(ADT):
@@ -191,14 +187,14 @@ class KVStore(ADT):
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> ConflictRelation:
         return ClassifierConflict(
-            self.classify, KV_NFC_MARKS, refine=_same_key, name="NFC(KV)"
+            self.classify, KV_NFC_MARKS, key=first_argument, name="NFC(KV)"
         )
 
     def nrbc_conflict(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> ConflictRelation:
         return ClassifierConflict(
-            self.classify, KV_NRBC_MARKS, refine=_same_key, name="NRBC(KV)"
+            self.classify, KV_NRBC_MARKS, key=first_argument, name="NRBC(KV)"
         )
 
     # -- conveniences ------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""A priority queue: min-extraction over a multiset, with refined conflicts.
+"""A priority queue: min-extraction over a multiset, with ordered conflicts.
 
 State: a finite multiset over an ordered item domain, initially empty.
 Operations::
@@ -13,7 +13,10 @@ semantics — inserts commute in both senses, like the semiqueue), but
 extraction observes the *value* ordering, so an insert conflicts with a
 min-extraction exactly when the inserted element is small enough to
 change the minimum.  That makes the priority queue the library's
-showcase for **argument-refined** conflict relations:
+showcase for conflicts **weakened by comparing arguments** — finer than
+class and key, so its relations are predicates
+(:class:`~repro.core.conflict.PredicateConflict`, the lock manager's
+per-pair loop):
 
 Forward commutativity (same-element analysis is vacuous; comparisons
 are what matter):
@@ -41,7 +44,7 @@ Right backward commutativity:
 * ``(extract_min/empty, extract_min/y)`` marked; the mirror is vacuous.
 
 Both analytic relations are cross-checked against the mechanical
-checker in the tests, including the argument refinements.  Logical undo
+checker in the tests, including the argument orderings.  Logical undo
 is sound (multiset add/remove), as for the semiqueue.
 """
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
-from ..core.conflict import ClassifierConflict, ConflictRelation, OperationClass
+from ..core.conflict import ConflictRelation, OperationClass, PredicateConflict
 from ..core.events import Invocation, Operation, inv
 from .base import ADT
 
@@ -74,13 +77,18 @@ PQ_NRBC_MARKS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _value_of(operation: Operation):
-    if operation.name == "insert":
-        return operation.args[0]
-    return operation.response  # extract_min's removed element
+def _ordered(classify, marks, order, name: str) -> ConflictRelation:
+    """The class marks, each hit weakened by comparing the two items: an
+    ordering, not a key equality, so a predicate (the per-pair loop)."""
+    marked = frozenset(marks)
+
+    def conflicts(new: Operation, old: Operation) -> bool:
+        return (classify(new), classify(old)) in marked and order(new, old)
+
+    return PredicateConflict(conflicts, name=name)
 
 
-def _nfc_refine(new: Operation, old: Operation) -> bool:
+def _nfc_order(new: Operation, old: Operation) -> bool:
     """Weaken class-level NFC marks using the argument ordering."""
     pair = (new.name, old.name, new.response == "empty", old.response == "empty")
     if new.name == "insert" and old.name == "extract_min" and not pair[3]:
@@ -90,7 +98,7 @@ def _nfc_refine(new: Operation, old: Operation) -> bool:
     return True  # other marked pairs conflict class-wide
 
 
-def _nrbc_refine(new: Operation, old: Operation) -> bool:
+def _nrbc_order(new: Operation, old: Operation) -> bool:
     if new.name == "insert" and old.name == "extract_min":
         if old.response == "empty":
             return True
@@ -183,14 +191,10 @@ class PriorityQueue(ADT):
     # -- analytic conflict relations ------------------------------------------------------
 
     def nfc_conflict(self, domain: Optional[Sequence] = None) -> ConflictRelation:
-        return ClassifierConflict(
-            self.classify, PQ_NFC_MARKS, refine=_nfc_refine, name="NFC(PQ)"
-        )
+        return _ordered(self.classify, PQ_NFC_MARKS, _nfc_order, "NFC(PQ)")
 
     def nrbc_conflict(self, domain: Optional[Sequence] = None) -> ConflictRelation:
-        return ClassifierConflict(
-            self.classify, PQ_NRBC_MARKS, refine=_nrbc_refine, name="NRBC(PQ)"
-        )
+        return _ordered(self.classify, PQ_NRBC_MARKS, _nrbc_order, "NRBC(PQ)")
 
     # -- runtime hooks ----------------------------------------------------------------------
 

@@ -58,7 +58,7 @@ from typing import FrozenSet, Hashable, Optional, Sequence, Tuple
 
 from ..core.conflict import ClassifierConflict, ConflictRelation, OperationClass
 from ..core.events import Invocation, Operation, inv
-from .base import ADT
+from .base import ADT, first_argument
 
 INSERT = "insert(x)/ok"
 DELETE = "delete(x)/ok"
@@ -84,10 +84,6 @@ SET_NRBC_MARKS: Tuple[Tuple[str, str], ...] = (
     (DELETE, MEMBER_TRUE),
     (MEMBER_FALSE, DELETE),
 )
-
-
-def _same_element(new: Operation, old: Operation) -> bool:
-    return new.args[:1] == old.args[:1]
 
 
 class SetADT(ADT):
@@ -180,19 +176,17 @@ class SetADT(ADT):
     def nfc_conflict(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> ConflictRelation:
-        """NFC(SET): class matrix refined to same-element pairs."""
-        return self._refined(SET_NFC_MARKS, "NFC(SET)")
+        """NFC(SET): the class matrix, keyed by element."""
+        return self._keyed(SET_NFC_MARKS, "NFC(SET)")
 
     def nrbc_conflict(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> ConflictRelation:
-        """NRBC(SET): class matrix refined to same-element pairs."""
-        return self._refined(SET_NRBC_MARKS, "NRBC(SET)")
+        """NRBC(SET): the class matrix, keyed by element."""
+        return self._keyed(SET_NRBC_MARKS, "NRBC(SET)")
 
-    def _refined(self, marks, name: str) -> ConflictRelation:
-        return ClassifierConflict(
-            self.classify, marks, refine=_same_element, name=name
-        )
+    def _keyed(self, marks, name: str) -> ConflictRelation:
+        return ClassifierConflict(self.classify, marks, key=first_argument, name=name)
 
     # -- conveniences ------------------------------------------------------------------------
 

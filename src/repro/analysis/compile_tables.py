@@ -20,7 +20,8 @@ from ..core.conflict import ClassifierConflict, OperationClass, maybe_compile
 @dataclass(frozen=True)
 class CompiledADTTables:
     """Both table relations of one ADT, plus the alphabet they cover
-    (a relation that is not a table — a product's — reads None)."""
+    (a relation that is not a table — a product's, the priority
+    queue's — reads None)."""
 
     adt_name: str
     classes: Tuple[OperationClass, ...]

@@ -22,14 +22,17 @@ the paper's incomparability result.
 
 The paper writes a relation down as a table over operation *classes*
 (Figures 6-1 and 6-2), and :class:`ClassifierConflict` is that table:
-a classifier plus a class matrix, held as one integer row mask per
-class so a verdict is a shift and an AND.  It is closed under what the
-experiments do to a relation — :func:`symmetric_closure` (``M ∨ Mᵀ``)
-and :func:`union` (``M₁ ∨ M₂``) of tables over one classifier are
-tables — so every relation the runtime locks with answers
-:meth:`~repro.core.lock_manager.LockManager.blockers` from masks.  The
-per-call set-lookup twin of the verdict is
-:func:`repro.reference.matrix_conflict`.
+a classifier plus a class matrix and, for an ADT whose operations each
+touch one component (a key-value store's key, a set's element), a
+``key``: two operations conflict iff their classes are marked and their
+keys are equal.  It is closed under what the experiments do to a
+relation — :func:`symmetric_closure` (``M ∨ Mᵀ``) and :func:`union`
+(``M₁ ∨ M₂``) of tables with one classifier and one key are tables — so
+:class:`~repro.core.lock_manager.LockManager` indexes its holds by
+:meth:`ClassifierConflict.slot`, ``(class, key)``.  A relation finer
+than class and key (the priority queue's item ordering) is a
+:class:`PredicateConflict`, answered pair by pair.  The lock manager's
+per-pair twin of a table is :func:`repro.reference.matrix_conflict`.
 """
 
 from __future__ import annotations
@@ -192,19 +195,22 @@ class PairSetConflict(ConflictRelation):
 
 
 class ClassifierConflict(ConflictRelation):
-    """Conflicts decided on operation *classes*: the table is the relation.
+    """Conflicts decided on operation *classes* and keys: the table is the
+    relation.
 
     Real lock managers key lock modes on a small set of classes rather
     than on ground operations.  ``classify`` maps an operation to a
     hashable class label (e.g. ``"withdraw_ok"``); ``matrix`` is the set
-    of conflicting ``(new_class, old_class)`` pairs.  An optional
-    ``refine`` predicate can weaken a class-level conflict using the two
-    ground operations (e.g. escrow-style argument arithmetic).
+    of conflicting ``(new_class, old_class)`` pairs.  ``key`` maps an
+    operation to the component it touches (a key-value store's key, a
+    set's element); without one the whole object is one key.  Two
+    operations conflict iff their classes are marked and their keys are
+    equal.
 
-    The matrix is kept dense: each label gets a class index, and each
-    class one integer whose bit ``j`` is set iff it conflicts, as *new*,
-    with class ``j`` as *old*.  :meth:`row_mask` against a transaction's
-    OR of held class bits is the lock manager's whole conflict test; a
+    Each label gets a dense class index, and each class its row in
+    :attr:`rows`: the indices of the classes it conflicts with as *new*.
+    :meth:`slot` is an operation's ``(class index, key)`` — what the lock
+    manager files a hold under, and looks up at every class of a row.  A
     label outside the matrix gets a fresh index and an empty row, so it
     conflicts with nothing either way.
     """
@@ -214,62 +220,49 @@ class ClassifierConflict(ConflictRelation):
         classify: Callable[[Operation], Hashable],
         matrix: Iterable[Tuple[Hashable, Hashable]],
         *,
-        refine: Callable[[Operation, Operation], bool] = None,
+        key: Optional[Callable[[Operation], Hashable]] = None,
         name: str = "classifier",
     ):
         self._classify = classify
         self._matrix: FrozenSet[Tuple[Hashable, Hashable]] = frozenset(matrix)
-        self._refine = refine
+        self.key = key
         self.name = name
         labels = sorted({label for pair in self._matrix for label in pair}, key=repr)
         self._index: Dict[Hashable, int] = {label: i for i, label in enumerate(labels)}
-        self._masks: List[int] = [0] * len(labels)
-        for row, col in self._matrix:
-            self._masks[self._index[row]] |= 1 << self._index[col]
-        #: operation → class index, filled on demand (operations are
-        #: frozen dataclasses, so the cache is sound): the lock manager
-        #: asks once per ``blockers`` call and once per ``acquire``.
-        self._op_index: Dict[Operation, int] = {}
+        #: class index → the class indices it conflicts with as *new*.
+        self.rows: List[Tuple[int, ...]] = [
+            tuple(sorted(self._index[old] for new, old in self._matrix if new == label))
+            for label in labels
+        ]
+        #: operation → slot, filled on demand (operations are frozen
+        #: values, so the cache is sound): the lock manager asks once per
+        #: ``blockers`` call and once per ``acquire`` / released hold.
+        self._slots: Dict[Operation, Tuple[int, Hashable]] = {}
 
     def classify(self, operation: Operation) -> Hashable:
         return self._classify(operation)
 
-    def class_index(self, operation: Operation) -> int:
-        """The dense class index of ``operation`` (cached)."""
-        idx = self._op_index.get(operation)
-        if idx is None:
+    def slot(self, operation: Operation) -> Tuple[int, Hashable]:
+        """``operation``'s ``(class index, key)`` (cached)."""
+        slot = self._slots.get(operation)
+        if slot is None:
             label = self._classify(operation)
             idx = self._index.get(label)
             if idx is None:
-                idx = self._index[label] = len(self._masks)
-                self._masks.append(0)
-            self._op_index[operation] = idx
-        return idx
-
-    def row_mask(self, operation: Operation) -> int:
-        """The held-class bitmask ``operation`` conflicts with (as *new*)."""
-        return self._masks[self.class_index(operation)]
+                idx = self._index[label] = len(self.rows)
+                self.rows.append(())
+            key = None if self.key is None else self.key(operation)
+            slot = self._slots[operation] = (idx, key)
+        return slot
 
     def conflicts(self, new: Operation, old: Operation) -> bool:
-        # By label, not through the operation cache: a one-off pair (the
-        # traced attribution walk, the theorem machinery) would hash both
-        # operations, which costs more than classifying them.
-        row = self._index.get(self._classify(new))
-        col = self._index.get(self._classify(old))
-        if row is None or col is None or not (self._masks[row] >> col) & 1:
+        if (self._classify(new), self._classify(old)) not in self._matrix:
             return False
-        if self._refine is not None:
-            return bool(self._refine(new, old))
-        return True
+        return self.key is None or self.key(new) == self.key(old)
 
     @property
     def matrix(self) -> FrozenSet[Tuple[Hashable, Hashable]]:
         return self._matrix
-
-    @property
-    def refine(self) -> Callable[[Operation, Operation], bool]:
-        """The argument-level refinement predicate (None when absent)."""
-        return self._refine
 
 
 def maybe_compile(conflict: ConflictRelation) -> Optional[ClassifierConflict]:
@@ -284,25 +277,26 @@ def maybe_compile(conflict: ConflictRelation) -> Optional[ClassifierConflict]:
 def union(*members: ConflictRelation) -> ConflictRelation:
     """The union of several conflict relations (conflicts if any member does).
 
-    Tables over one classifier give a table, ``M₁ ∨ M₂ ∨ …`` — each
-    member's ``refine`` still applied to the pairs its own matrix marks;
-    anything else gives a predicate.
+    Tables with one classifier and one key give a table, ``M₁ ∨ M₂ ∨
+    …``; anything else gives a predicate.
     """
-
-    def any_member(new: Operation, old: Operation) -> bool:
-        return any(m.conflicts(new, old) for m in members)
-
     name = "union(%s)" % ", ".join(m.name for m in members)
     if members and all(
-        isinstance(m, ClassifierConflict) and m._classify == members[0]._classify
+        isinstance(m, ClassifierConflict)
+        and m._classify == members[0]._classify
+        and m.key == members[0].key
         for m in members
     ):
         return ClassifierConflict(
             members[0]._classify,
             frozenset().union(*(m.matrix for m in members)),
-            refine=any_member if any(m.refine is not None for m in members) else None,
+            key=members[0].key,
             name=name,
         )
+
+    def any_member(new: Operation, old: Operation) -> bool:
+        return any(m.conflicts(new, old) for m in members)
+
     return PredicateConflict(any_member, name=name)
 
 
@@ -316,17 +310,18 @@ def symmetric_closure(relation: ConflictRelation) -> ConflictRelation:
     that cost.
     """
 
-    def either_way(new: Operation, old: Operation) -> bool:
-        return relation.conflicts(new, old) or relation.conflicts(old, new)
-
     name = "sym(%s)" % relation.name
     if isinstance(relation, ClassifierConflict):
         return ClassifierConflict(
             relation._classify,
             relation.matrix | {(old, new) for new, old in relation.matrix},
-            refine=either_way if relation.refine is not None else None,
+            key=relation.key,
             name=name,
         )
+
+    def either_way(new: Operation, old: Operation) -> bool:
+        return relation.conflicts(new, old) or relation.conflicts(old, new)
+
     return PredicateConflict(either_way, name=name)
 
 

@@ -21,8 +21,8 @@ oracle                         what the product then does
 :func:`opaque_conflict`        per-pair verdict loop in ``LockManager``
                                (no table to be seen)
 :func:`matrix_conflict`        the same loop, and each verdict computed
-                               without the masks: two ``classify`` calls
-                               and a set lookup, then ``refine``
+                               without the slots: two ``classify`` calls
+                               and a set lookup, then the two keys
 :func:`opaque_view`            ``ViewRecoveryManager``: ``View(H, A)``
                                from scratch and a full spec replay per
                                query
@@ -37,9 +37,9 @@ oracle                         what the product then does
                                waits-for graph holds
 :func:`recompute_every_answer`  every remembered answer on the attempt
                                path — an interned operation, a candidate
-                               tuple, a set of enabled responses, a lock
-                               answer — is used and also worked out
-                               afresh, and the two compared
+                               tuple, a set of enabled responses — is
+                               used and also worked out afresh, and the
+                               two compared
 ``enumerate_find_*``           nothing: these *are* the slow twins of
                                ``core.atomicity.find_*`` — every
                                permutation / every linear extension of
@@ -75,7 +75,6 @@ from .core.conflict import ClassifierConflict, ConflictRelation
 from .core.events import Event, Invocation, OpSeq, Operation
 from .core.events import abort, commit, invoke, respond
 from .core.history import History, HistoryBuilder
-from .core.lock_manager import LockManager
 from .core.object_automaton import ObjectAutomaton
 from .core.recovery import MacroState, RecoveryManager
 from .core.serial_spec import SerialSpec
@@ -102,19 +101,19 @@ class _MatrixConflict(ConflictRelation):
     def __init__(self, table: ClassifierConflict):
         self._classify = table.classify
         self._matrix = table.matrix
-        self._refine = table.refine
+        self._key = table.key
         self.name = table.name
 
     def conflicts(self, new: Operation, old: Operation) -> bool:
         if (self._classify(new), self._classify(old)) not in self._matrix:
             return False
-        return self._refine is None or bool(self._refine(new, old))
+        return self._key is None or self._key(new) == self._key(old)
 
 
 def matrix_conflict(table: ClassifierConflict) -> ConflictRelation:
     """The class table ``table`` read the slow way, as a relation that is
-    not a table: ``(classify(new), classify(old)) in matrix and
-    refine(new, old)`` per call, no masks and no classification cache.
+    not a table: ``(classify(new), classify(old)) in matrix and key(new)
+    == key(old)`` per call, no slots and no classification cache.
     Closures are taken on this side (``symmetric_closure(matrix_conflict(r))``
     is a predicate over it), so the twin of a closed table shares none
     of its arithmetic."""
@@ -320,9 +319,9 @@ def _same_or_stale(what: str, got, want):
 @contextmanager
 def recompute_every_answer() -> Iterator[None]:
     """Within the block nothing on the attempt path is taken on trust:
-    each use of an interned operation, a candidate tuple, a remembered
-    set of enabled responses or a lock answer also works the answer out
-    from scratch and raises :class:`StaleMemo` if the two differ.  The
+    each use of an interned operation, a candidate tuple or a remembered
+    set of enabled responses also works the answer out from scratch and
+    raises :class:`StaleMemo` if the two differ.  The
     memos are still filled and read as in the product (that is what is
     under test); what the caller gets back is the fresh value, so a run
     in the block also shows that nothing leans on an operation's
@@ -330,7 +329,6 @@ def recompute_every_answer() -> Iterator[None]:
     operation = SerialSpec.operation
     candidates = ObjectAutomaton._candidates
     responses = RecoveryManager.enabled_responses
-    blockers = LockManager.blockers
 
     def checked_operation(self, invocation, response):
         got = operation(self, invocation, response)
@@ -363,24 +361,15 @@ def recompute_every_answer() -> Iterator[None]:
             ),
         )
 
-    def checked_blockers(self, txn, operation):
-        return _same_or_stale(
-            "blockers of %s for %s" % (operation, txn),
-            blockers(self, txn, operation),
-            self._holders_against(operation) - {txn},
-        )
-
     SerialSpec.operation = checked_operation
     ObjectAutomaton._candidates = checked_candidates
     RecoveryManager.enabled_responses = checked_responses
-    LockManager.blockers = checked_blockers
     try:
         yield
     finally:
         SerialSpec.operation = operation
         ObjectAutomaton._candidates = candidates
         RecoveryManager.enabled_responses = responses
-        LockManager.blockers = blockers
 
 
 # ---------------------------------------------------------------------------

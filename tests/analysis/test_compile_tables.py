@@ -1,9 +1,10 @@
 """Unit tests for the table a :class:`~repro.core.conflict.ClassifierConflict`
-carries: its row masks, its closure under ``sym`` and ``∪``, and the lock
-manager's use of it — each verdict against the set-lookup twin
-:func:`repro.reference.matrix_conflict`."""
+carries: its rows and slots, its closure under ``sym`` and ``∪``, and the
+lock manager's ``(class, key)`` index over it — each verdict against the
+set-lookup twin :func:`repro.reference.matrix_conflict`."""
 
-from repro.adts import BankAccount, KVStore
+from repro.adts import BankAccount, KVStore, PriorityQueue
+from repro.adts.base import first_argument
 from repro.analysis.compile_tables import maybe_compile
 from repro.core.conflict import (
     ClassifierConflict,
@@ -28,15 +29,16 @@ def toy_relation():
     )
 
 
-# -- the relation's own masks -------------------------------------------------------
+# -- the relation's own rows -----------------------------------------------------------
 
 
 def test_asymmetric_table_detected():
     relation = ClassifierConflict(classify_kind, [("a", "b")], name="asym")
     a, b = op("X", "a"), op("X", "b")
     assert relation.conflicts(a, b) and not relation.conflicts(b, a)
-    assert relation.row_mask(a) == 1 << relation.class_index(b)
-    assert relation.row_mask(b) == 0
+    (a_idx, a_key), (b_idx, b_key) = relation.slot(a), relation.slot(b)
+    assert relation.rows[a_idx] == (b_idx,) and relation.rows[b_idx] == ()
+    assert a_key is b_key is None  # no key: the whole object is one
     assert not relation.is_symmetric((a, b))
     closed = symmetric_closure(relation)
     assert closed.is_symmetric((a, b)) and closed.matrix == {("a", "b"), ("b", "a")}
@@ -47,12 +49,14 @@ def test_unknown_label_grows_with_empty_row():
     relation = toy_relation()
     stranger = op("X", "x", response="done")
     known = op("X", "w", 1)
-    assert relation.row_mask(stranger) == 0
+    idx, _key = relation.slot(stranger)
+    assert relation.rows[idx] == ()
+    assert idx not in relation.rows[relation.slot(known)[0]]
     assert not relation.conflicts(stranger, known)
     assert not relation.conflicts(known, stranger)
     # the grown label has an index of its own, beyond the matrix's
-    assert relation.class_index(stranger) == 2
-    assert relation.class_index(op("X", "x", response="again")) == 2
+    assert idx == 2
+    assert relation.slot(op("X", "x", response="again")) == (2, None)
     assert relation.matrix == toy_relation().matrix
 
 
@@ -84,13 +88,14 @@ def test_maybe_compile_dispatch():
         symmetric_closure(opaque_conflict(relation)),
         union(relation, PredicateConflict(lambda a, b: False)),
         union(relation, KVStore("KV").nrbc_conflict()),  # two classifiers
+        PriorityQueue("PQ").nfc_conflict(),  # an ordering, not a key
     ):
         assert maybe_compile(loop) is None, loop.name
 
 
-def test_refine_carried_through_compilation():
-    """The refinement fires on class hits — in the relation and in both
-    closures, each side's refine on the pairs its own matrix marks."""
+def test_key_carried_through_closures():
+    """Same classes, other keys: no conflict — in the relation and in both
+    closures, which stay tables while every member has the same key."""
     kv = KVStore("KV")
     relation = kv.nrbc_conflict()
     oracle = matrix_conflict(relation)
@@ -99,22 +104,28 @@ def test_refine_carried_through_compilation():
     assert relation.conflicts(write_a, write_a) and oracle.conflicts(write_a, write_a)
     assert not relation.conflicts(write_a, write_b)
     assert not oracle.conflicts(write_a, write_b)
+    assert relation.slot(write_a) == (relation.slot(write_b)[0], "a")
     alphabet = kv.ground_alphabet()
     closed = symmetric_closure(relation)
-    assert closed.refine is not None and closed.name == "sym(NRBC(KV))"
+    assert closed.key is first_argument and closed.name == "sym(NRBC(KV))"
     assert closed.pairs(alphabet) == symmetric_closure(oracle).pairs(alphabet)
     both = union(kv.nfc_conflict(), relation)
-    assert both.refine is not None and both.name == "union(NFC(KV), NRBC(KV))"
+    assert both.key is first_argument and both.name == "union(NFC(KV), NRBC(KV))"
     assert both.pairs(alphabet) == union(
         matrix_conflict(kv.nfc_conflict()), oracle
     ).pairs(alphabet)
-    # a refine-free table stays refine-free under both
+    # one classifier, two keys: a predicate, still the union of the two
+    whole = ClassifierConflict(kv.classify, relation.matrix)
+    mixed = union(relation, whole)
+    assert maybe_compile(mixed) is None
+    assert mixed.pairs(alphabet) == whole.pairs(alphabet) > relation.pairs(alphabet)
+    # an unkeyed table stays unkeyed under both
     ba = BankAccount("BA")
-    assert symmetric_closure(ba.nrbc_conflict()).refine is None
-    assert union(ba.nfc_conflict(), ba.nrbc_conflict()).refine is None
+    assert symmetric_closure(ba.nrbc_conflict()).key is None
+    assert union(ba.nfc_conflict(), ba.nrbc_conflict()).key is None
 
 
-# -- LockManager: masks when the relation is a table, per-pair loop otherwise ------
+# -- LockManager: the (class, key) index on a table, per-pair loop otherwise ------------
 
 
 def test_uncompilable_relation_falls_back_to_interpreted():
@@ -125,22 +136,27 @@ def test_uncompilable_relation_falls_back_to_interpreted():
 
 
 def test_lock_manager_release_clears_masks():
+    """``release_all`` takes the holder out of every slot it held, and a
+    slot nobody holds leaves the index."""
     ba = BankAccount("BA")
     manager = LockManager(ba.nrbc_conflict())
     assert manager.table is manager.conflict
     deposit = op("BA", "deposit", 1)
     balance = op("BA", "balance", response=0)
     manager.acquire("T1", deposit)
-    assert manager.blockers("T2", balance) == frozenset(["T1"])
+    manager.acquire("T1", deposit)
+    manager.acquire("T3", deposit)
+    assert manager.blockers("T2", balance) == frozenset(["T1", "T3"])
     manager.release_all("T1")
+    assert manager.blockers("T2", balance) == frozenset(["T3"])
+    manager.release_all("T3")
     assert not manager.blockers("T2", balance)
-    assert manager.held_by("T1") == ()
+    assert manager.held_by("T1") == () and manager._index == {}
 
 
 def test_restart_reuses_the_relations_table():
     """The table is the relation: a crash restart builds a fresh lock
-    manager over the same relation, masks and classification cache
-    included."""
+    manager over the same relation, rows and slot cache included."""
     from repro.runtime.durability import DurableObject
 
     ba = BankAccount("BA")

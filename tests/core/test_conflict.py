@@ -74,13 +74,15 @@ class TestClassifierConflict:
         assert not rel.conflicts(A, C)
 
     def test_refinement(self):
+        """A key narrows a class hit to operations on the same key."""
         rel = ClassifierConflict(
             self.classify,
             [("a", "a")],
-            refine=lambda new, old: new.args == old.args,
+            key=lambda operation: operation.args,
         )
         assert rel.conflicts(op("X", "a", 1), op("X", "a", 1))
         assert not rel.conflicts(op("X", "a", 1), op("X", "a", 2))
+        assert rel.slot(op("X", "a", 1)) == (0, (1,))
 
     def test_classify_accessor(self):
         rel = ClassifierConflict(self.classify, [("a", "b")])

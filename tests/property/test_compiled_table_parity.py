@@ -1,4 +1,4 @@
-"""Property suite: the bitmask table ≡ the set-lookup reading of its matrix.
+"""Property suite: the ``(class, key)`` table ≡ the set-lookup reading of its matrix.
 
 For every registered ADT and each relation the runtime locks with — NFC,
 NRBC, ``symmetric_closure(NRBC)`` and ``union(NFC, NRBC)`` — the
@@ -10,40 +10,69 @@ oracle's side, so they share no arithmetic):
   :func:`~repro.analysis.tables.table_from_verdicts`/``PairMemo`` route
   over the full operation-class cross product (symmetry included);
 * verdict-for-verdict agreement over the full ground-operation cross
-  product — the refine-carrying ADTs (key-indexed KV and set,
-  priority-ordered PQ) included, where a class-level mask hit must
-  still be weakened exactly as the oracle weakens it — and an unknown
-  label answering False both ways;
+  product — the keyed ADTs (KV by key, set by element) included, where a
+  class hit still needs equal keys — and an unknown label answering
+  False both ways;
 * ``LockManager.blockers`` over seeded random lock tables returning the
   oracle manager's sets.
+
+The priority queue weakens its class hits by comparing items, which is
+not key equality, so its relations are predicates and its rows check the
+loop side: no table anywhere (closures included), the class lift of the
+predicate equal to the declared marks, and every verdict and blocker set
+equal to those of the same predicate behind
+:func:`repro.reference.opaque_conflict`.
 """
 
 import random
 
 import pytest
 
+from repro.adts.priority_queue import PQ_NFC_MARKS, PQ_NRBC_MARKS
 from repro.adts.registry import analysis_instance, registered_kinds
 from repro.analysis import PairMemo
 from repro.analysis.compile_tables import compile_adt_tables, maybe_compile
 from repro.analysis.tables import table_from_verdicts
 from repro.core.conflict import ClassifierConflict, symmetric_closure, union
 from repro.core.lock_manager import LockManager
-from repro.reference import matrix_conflict
+from repro.reference import matrix_conflict, opaque_conflict
 
 KINDS = registered_kinds()
 RELATIONS = ("nfc", "nrbc")
 CLOSED = RELATIONS + ("sym", "union")
+#: the kinds whose relations are predicates (the per-pair loop), with
+#: the (NFC, NRBC) class marks their item ordering weakens
+LOOP_MARKS = {"pqueue": (frozenset(PQ_NFC_MARKS), frozenset(PQ_NRBC_MARKS))}
 
 
-def twins(adt, relation):
-    """``(table, oracle)`` for one of the four relations of ``adt``."""
-    nfc, nrbc = adt.nfc_conflict(), adt.nrbc_conflict()
-    slow_nfc, slow_nrbc = matrix_conflict(nfc), matrix_conflict(nrbc)
+def closed(nfc, nrbc, relation):
     return {
-        "nfc": (nfc, slow_nfc),
-        "nrbc": (nrbc, slow_nrbc),
-        "sym": (symmetric_closure(nrbc), symmetric_closure(slow_nrbc)),
-        "union": (union(nfc, nrbc), union(slow_nfc, slow_nrbc)),
+        "nfc": nfc,
+        "nrbc": nrbc,
+        "sym": symmetric_closure(nrbc),
+        "union": union(nfc, nrbc),
+    }[relation]
+
+
+def twins(kind, relation):
+    """``(relation, oracle)`` for one of the four relations of ``kind``: a
+    table and its set-lookup reading, or a predicate and itself unseen."""
+    adt = analysis_instance(kind)
+    nfc, nrbc = adt.nfc_conflict(), adt.nrbc_conflict()
+    leaf = opaque_conflict if kind in LOOP_MARKS else matrix_conflict
+    return closed(nfc, nrbc, relation), closed(leaf(nfc), leaf(nrbc), relation)
+
+
+def class_matrix(kind, table, relation):
+    """The table's own matrix, or the loop side's marks closed alike."""
+    if kind not in LOOP_MARKS:
+        return table.matrix
+    nfc, nrbc = LOOP_MARKS[kind]
+    return {
+        "nfc": nfc,
+        "nrbc": nrbc,
+        "sym": nrbc | {(col, row) for row, col in nrbc},
+        "union": nfc | nrbc,
     }[relation]
 
 
@@ -65,12 +94,13 @@ def class_table(adt, oracle, memo=None):
 def test_compiled_table_matches_table_from_verdicts(kind, relation):
     """Matrix cells == the table_from_verdicts route, full cross product."""
     adt = analysis_instance(kind)
-    table, oracle = twins(adt, relation)
+    table, oracle = twins(kind, relation)
+    matrix = class_matrix(kind, table, relation)
     memo = PairMemo()
     reference = class_table(adt, oracle, memo)
     for row in reference.labels:
         for col in reference.labels:
-            assert ((row, col) in table.matrix) == reference.marked(row, col), (
+            assert ((row, col) in matrix) == reference.marked(row, col), (
                 kind,
                 relation,
                 row,
@@ -85,13 +115,14 @@ def test_compiled_table_matches_table_from_verdicts(kind, relation):
 def test_compiled_symmetry_matches_interpreted(kind, relation):
     """Symmetry agrees at both levels: class matrix and ground relation."""
     adt = analysis_instance(kind)
-    table, oracle = twins(adt, relation)
-    transposed = {(col, row) for row, col in table.matrix}
-    assert (table.matrix == transposed) == class_table(adt, oracle).is_symmetric()
+    table, oracle = twins(kind, relation)
+    matrix = class_matrix(kind, table, relation)
+    transposed = {(col, row) for row, col in matrix}
+    assert (matrix == transposed) == class_table(adt, oracle).is_symmetric()
     alphabet = adt.ground_alphabet()
     assert table.is_symmetric(alphabet) == oracle.is_symmetric(alphabet)
-    closed, slow_closed = twins(adt, "sym")
-    assert closed.is_symmetric(alphabet) and slow_closed.is_symmetric(alphabet)
+    sym, slow_sym = twins(kind, "sym")
+    assert sym.is_symmetric(alphabet) and slow_sym.is_symmetric(alphabet)
 
 
 @pytest.mark.parametrize("relation", CLOSED)
@@ -99,8 +130,9 @@ def test_compiled_symmetry_matches_interpreted(kind, relation):
 def test_compiled_verdicts_match_interpreted_ground(kind, relation):
     """conflicts(new, old) agrees pair-for-pair over the ground cross product."""
     adt = analysis_instance(kind)
-    table, oracle = twins(adt, relation)
-    assert maybe_compile(table) is table and maybe_compile(oracle) is None
+    table, oracle = twins(kind, relation)
+    expected = None if kind in LOOP_MARKS else table
+    assert maybe_compile(table) is expected and maybe_compile(oracle) is None
     alphabet = adt.ground_alphabet()
     for new in alphabet:
         for old in alphabet:
@@ -118,21 +150,22 @@ def test_compiled_verdicts_match_interpreted_ground(kind, relation):
 def test_a_label_outside_the_matrix_conflicts_with_nothing(kind, relation):
     """Drop one class from the matrix: its operations now carry a label
     the table has never seen, which grows an empty row — False both
-    ways, as the set lookup says — and moves no other verdict."""
+    ways, as the set lookup says — and moves no other verdict.  (On the
+    loop side the table is the one over the declared marks.)"""
     adt = analysis_instance(kind)
-    table, _ = twins(adt, relation)
+    table, _ = twins(kind, relation)
+    matrix = class_matrix(kind, table, relation)
+    key = table.key if kind not in LOOP_MARKS else None
     alphabet = adt.ground_alphabet()
-    for dropped in sorted({label for pair in table.matrix for label in pair}):
+    for dropped in sorted({label for pair in matrix for label in pair}):
         narrow = ClassifierConflict(
-            table.classify,
-            {pair for pair in table.matrix if dropped not in pair},
-            refine=table.refine,
+            adt.classify, {pair for pair in matrix if dropped not in pair}, key=key
         )
         assert narrow.pairs(alphabet) == matrix_conflict(narrow).pairs(alphabet)
-        strangers = [o for o in alphabet if table.classify(o) == dropped]
+        strangers = [o for o in alphabet if adt.classify(o) == dropped]
         assert strangers
         for stranger in strangers:
-            assert narrow.row_mask(stranger) == 0
+            assert narrow.rows[narrow.slot(stranger)[0]] == ()
             assert not any(narrow.conflicts(known, stranger) for known in alphabet)
 
 
@@ -142,12 +175,12 @@ def test_blockers_match_the_oracle_manager(kind, relation):
     """Random lock tables: acquire without asking, so holders overlap in
     every way, and compare the blocker set of every ground operation."""
     adt = analysis_instance(kind)
-    table, oracle = twins(adt, relation)
+    table, oracle = twins(kind, relation)
     alphabet = adt.ground_alphabet()
     for seed in range(6):
         rng = random.Random(seed)
         fast, slow = LockManager(table), LockManager(oracle)
-        assert fast.table is table and slow.table is None
+        assert fast.table is maybe_compile(table) and slow.table is None
         for _ in range(rng.randint(1, 12)):
             txn = "T%d" % rng.randrange(4)
             if rng.random() < 0.15:
@@ -169,11 +202,15 @@ def test_blockers_match_the_oracle_manager(kind, relation):
 @pytest.mark.parametrize("kind", KINDS)
 def test_registry_compiled_tables_cover_all_classes(kind):
     """``compile_adt_tables`` hands out both of a registered ADT's
-    relations, as tables, over its class alphabet."""
+    relations, as tables, over its class alphabet — or, on the loop
+    side, no table at all."""
     adt = analysis_instance(kind)
     tables = compile_adt_tables(adt)
     assert tables.adt_name == adt.name
     assert tables.classes == tuple(adt.operation_classes())
+    if kind in LOOP_MARKS:
+        assert tables.nfc is tables.nrbc is None
+        return
     labels = {cls.label for cls in tables.classes}
     for table in (tables.nfc, tables.nrbc):
         assert {label for pair in table.matrix for label in pair} <= labels

@@ -2,19 +2,21 @@
 
 Seeded random workloads run through the full runtime (scheduler, lock
 manager, waits-for deadlock detection, recovery) twice — once on the
-relation's bitmask table, once with every ADT relation read through
-``repro.reference.matrix_conflict`` so the lock manager sees no table
-and answers with per-pair set lookups — and every observable must be
-identical: the event-for-event object histories (so every
-grant/wait/abort/deadlock decision matched) and the complete
-:class:`~repro.runtime.metrics.RunMetrics` counters.
+relation's table (the manager's ``(class, key)`` index), once with every
+ADT relation read through ``repro.reference.matrix_conflict`` so the
+lock manager sees no table and answers with per-pair set lookups — and
+every observable must be identical: the event-for-event object
+histories (so every grant/wait/abort/deadlock decision matched) and the
+complete :class:`~repro.runtime.metrics.RunMetrics` counters.
 
-The sweep covers refine-free matrices (bank, escrow, fifo) and the
-refine-carrying relations (key-indexed KV and set, priority-ordered
-PQ), both recovery pairings (UIP+NRBC, DU+NFC), the two closures the
-experiments lock with (``sym(NRBC)`` under UIP, ``NFC ∪ NRBC`` under
-either), and the multi-object two-phase commit path; a guard asserts the
-workloads actually contend, so the comparison is not vacuous.
+The sweep covers unkeyed matrices (bank, escrow, fifo) and the keyed
+relations (KV by key, set by element), both recovery pairings (UIP+NRBC,
+DU+NFC), the two closures the experiments lock with (``sym(NRBC)`` under
+UIP, ``NFC ∪ NRBC`` under either), and the multi-object two-phase commit
+path; a guard asserts the workloads actually contend, so the comparison
+is not vacuous.  (The priority queue's relations are predicates, on the
+per-pair loop either way; ``tests/property/test_compiled_table_parity.py``
+holds its rows.)
 """
 
 import random
@@ -26,7 +28,6 @@ from repro.adts import (
     EscrowAccount,
     FifoQueue,
     KVStore,
-    PriorityQueue,
     SetADT,
 )
 from repro.core.conflict import symmetric_closure, union
@@ -107,13 +108,6 @@ CASES = [
         id="kv-refine-uip",
     ),
     pytest.param(
-        lambda: PriorityQueue("PQ"),
-        nfc,
-        "DU",
-        lambda rng: generic_workload(PriorityQueue("PQ"), rng, obj="PQ"),
-        id="pqueue-refine-du",
-    ),
-    pytest.param(
         lambda: BankAccount("BA", opening=6),
         sym_nrbc,
         "UIP",
@@ -140,20 +134,6 @@ CASES = [
         "UIP",
         lambda rng: set_membership_workload(rng, obj="SET"),
         id="set-refine-union-uip",
-    ),
-    pytest.param(
-        lambda: PriorityQueue("PQ"),
-        sym_nrbc,
-        "UIP",
-        lambda rng: generic_workload(PriorityQueue("PQ"), rng, obj="PQ"),
-        id="pqueue-refine-sym-uip",
-    ),
-    pytest.param(
-        lambda: PriorityQueue("PQ"),
-        nfc_or_nrbc,
-        "DU",
-        lambda rng: generic_workload(PriorityQueue("PQ"), rng, obj="PQ"),
-        id="pqueue-refine-union-du",
     ),
 ]
 

@@ -17,6 +17,7 @@ import importlib.util
 import inspect
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -56,6 +57,8 @@ RETIRED_PARAMETERS = {
     "protocol",
     "enforce",
     "optimistic",
+    # a table is classes and a key; anything finer is a predicate
+    "refine",
 }
 
 
@@ -564,22 +567,25 @@ def _classes():
 
 def test_one_class_keeps_the_lock_table():
     """"Which active transactions' held operations conflict with this
-    one" — the held masks and the table-row lookup — has one home, and
-    the automaton and the runtime object each hold an instance of it."""
-    homes = [
-        name
-        for name, cls in _classes()
-        if "row_mask" in _calls(cls)
-        or any(
-            isinstance(n, ast.Attribute) and n.attr == "_held_masks"
-            for n in ast.walk(cls)
-        )
-    ]
+    one" — the ``(class, key)`` index and the slot lookup — has one home,
+    which keeps nothing beside the index (no held masks, no remembered
+    answers), and the automaton and the runtime object each hold an
+    instance of it."""
+    homes = [name for name, cls in _classes() if "slot" in _calls(cls)]
     assert homes == ["repro/core/lock_manager.py:LockManager"]
+    retired = {"_answers", "_held_masks", "_held_idx", "_holders_against"}
+    kept = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in retired
+    ]
+    assert not kept, kept
     ba = BankAccount("BA")
     automaton = ObjectAutomaton(ba, UIP, ba.nrbc_conflict())
     runtime = ManagedObject(ba, ba.nrbc_conflict(), "UIP")
     assert type(automaton.locks) is type(runtime.locks) is LockManager
+    assert not retired & (set(vars(runtime.locks)) | set(vars(LockManager)))
 
 
 def test_the_runtime_object_holds_the_automaton():
@@ -693,27 +699,50 @@ def test_no_memo_on_the_attempt_path_has_a_size_or_a_switch():
 
 
 def test_the_table_is_the_relation():
-    """One class holds a class matrix as row masks, it is the relation
-    the ADTs hand out, and it lives in ``repro.core``: no second
-    "compiled" form of it, and no interpreted closure class beside the
-    two functions that keep a table a table."""
+    """One class holds a class matrix and a key, and hands out slots; it
+    is the relation the ADTs hand out, and it lives in ``repro.core``: no
+    second "compiled" form of it, and no interpreted closure class beside
+    the two functions that keep a table a table — while every member
+    has one classifier and one key."""
     definers = [
         name
         for name, cls in _classes()
-        if any(isinstance(n, ast.FunctionDef) and n.name == "row_mask" for n in cls.body)
+        if any(isinstance(n, ast.FunctionDef) and n.name == "slot" for n in cls.body)
     ]
     assert definers == ["repro/core/conflict.py:ClassifierConflict"]
     retired = {"CompiledConflict", "CompiledTable", "SymmetricClosure", "UnionConflict"}
     assert not [name for name, cls in _classes() if cls.name in retired]
-    from repro.core.conflict import WithoutPairs, symmetric_closure, union
+    from repro.adts import KVStore, PriorityQueue
+    from repro.core.conflict import ClassifierConflict, WithoutPairs, symmetric_closure, union
     from repro.reference import matrix_conflict, opaque_conflict
 
-    ba = BankAccount("BA")
+    ba, kv = BankAccount("BA"), KVStore("KV")
     nfc, nrbc = ba.nfc_conflict(), ba.nrbc_conflict()
-    for table in (nfc, nrbc, symmetric_closure(nrbc), union(nfc, nrbc), nfc | nrbc):
+    keyed = kv.nrbc_conflict()
+    for table in (
+        nfc, nrbc, symmetric_closure(nrbc), union(nfc, nrbc), nfc | nrbc,
+        keyed, symmetric_closure(keyed), union(kv.nfc_conflict(), keyed),
+    ):
         assert LockManager(table).table is table
-    for loop in (WithoutPairs(nrbc, []), opaque_conflict(nrbc), matrix_conflict(nrbc)):
+    for loop in (
+        WithoutPairs(nrbc, []), opaque_conflict(nrbc), matrix_conflict(nrbc),
+        union(keyed, ClassifierConflict(kv.classify, keyed.matrix)),  # two keys
+        PriorityQueue("PQ").nrbc_conflict(),  # an ordering
+    ):
         assert LockManager(loop).table is None
+
+
+def test_nothing_refines_a_class_hit():
+    """A table is classes and a key; anything finer is a predicate.  No
+    ``refine`` hook — parameter, attribute, function or the word — is
+    left under ``src/repro``."""
+    hooks = [
+        "%s:%d" % (path.relative_to(SRC), lineno)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\brefine\b|_refine\b|\brefine_", line)
+    ]
+    assert not hooks, hooks
 
 
 def test_core_and_adts_sit_below_analysis():
