@@ -26,6 +26,11 @@ A count quoted in ``README.md``, ``docs/API.md`` or ``EXPERIMENTS.md``
 base derives (:func:`derived_counts`) and must match it; a count of
 something it cannot derive (tests, benchmarks) fails, so the prose
 states no count that every change would have to re-sync by hand.
+
+Every ``CHANGES.md`` entry (a top-level ``- `` bullet and its
+continuation lines) is at most :data:`CHANGES_ENTRY_CAP` characters:
+what moved, what was declared, the ``--numstat`` and the claim.  The
+rest belongs in the commit.
 """
 
 from __future__ import annotations
@@ -120,7 +125,8 @@ RETIRED = (
     "compile_conflict_classes", "compiled_conflict", "compiled_tables",
     "compiled_forward_table", "compiled_backward_table", "compiled_relation",
     "held_bit", "can_acquire", "SymmetricClosure", "UnionConflict",
-    "refine", "row_mask", "class_index",
+    "refine", "row_mask", "class_index", "prepare_ready", "commit_ready",
+    "DeadlockDetected", "TransactionAborted",
 )
 MODULE_ROW_RE = re.compile(r"^\| `([a-z_][a-z_.]*)` \|")
 
@@ -197,13 +203,33 @@ def check_counts(path: pathlib.Path, counts: Dict[str, int]) -> List[str]:
     return failures
 
 
+CHANGES_ENTRY_CAP = 3000
+
+
+def check_changes(path: pathlib.Path) -> List[str]:
+    """Failures of ``CHANGES.md``: entries over the cap (see above)."""
+    entries: List[Tuple[int, str]] = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if line.startswith("- "):
+            entries.append((lineno, line))
+        elif line.strip() and entries:
+            entries[-1] = (entries[-1][0], entries[-1][1] + "\n" + line)
+    return [
+        "%s:%d: entry has %d characters, over the cap of %d: keep what moved, "
+        "what was declared, the numstat and the claim"
+        % (path.name, lineno, len(text), CHANGES_ENTRY_CAP)
+        for lineno, text in entries
+        if len(text) > CHANGES_ENTRY_CAP
+    ]
+
+
 def main(argv: List[str]) -> int:
     if argv:
         paths = [pathlib.Path(a) for a in argv]
     else:
         paths = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
     total = 0
-    failures: List[str] = []
+    failures: List[str] = check_changes(REPO / "CHANGES.md")
     counts = derived_counts()
     for name in COUNTED_DOCS:
         failures.extend(check_counts(REPO / name, counts))

@@ -10,13 +10,7 @@ integration tests tie the concrete implementation back to the theory.
 
 from .baselines import invocation_conflict, read_write_conflict
 from .durability import CrashableSystem, DurableObject, run_with_crashes
-from .errors import (
-    DeadlockDetected,
-    InvalidTransactionState,
-    RuntimeModelError,
-    TransactionAborted,
-    UnknownObjectError,
-)
+from .errors import InvalidTransactionState, RuntimeModelError, UnknownObjectError
 from .faults import (
     CrashPoint,
     FaultEvent,
@@ -179,8 +173,6 @@ __all__ = [
     "arrival_ticks",
     "zipf_weights",
     "RuntimeModelError",
-    "TransactionAborted",
-    "DeadlockDetected",
     "UnknownObjectError",
     "InvalidTransactionState",
 ]

@@ -94,7 +94,7 @@ class DurableObject(ManagedObject):
         as a :class:`~repro.runtime.wal.PrepareRecord`) so the commit
         point can be completed at recovery no matter where a crash
         lands.  Under group commit the flush may be deferred into a
-        shared batch; :meth:`prepare_ready` reports when the vote's
+        shared batch; :meth:`flushed` reports when the vote's
         durability has actually landed."""
         vote = super().prepare(txn)
         if vote:
@@ -103,7 +103,9 @@ class DurableObject(ManagedObject):
             )
         return vote
 
-    def prepare_ready(self, txn: str) -> bool:
+    def flushed(self, txn: str) -> bool:
+        """Has the flush of ``txn``'s latest durability request — the
+        prepare force, then the commit record's — completed?"""
         return self.wal.log.flushed(self._force_tickets.get(txn, 0))
 
     def submit_commit(self, txn: str) -> None:
@@ -120,9 +122,6 @@ class DurableObject(ManagedObject):
             txn, self.recovery.executed_of(txn)
         )
 
-    def commit_ready(self, txn: str) -> bool:
-        return self.wal.log.flushed(self._force_tickets.get(txn, 0))
-
     def complete_commit(self, txn: str) -> None:
         """Acknowledge a commit whose record's batch has flushed: release
         locks, apply the volatile completion, record the commit event."""
@@ -130,11 +129,14 @@ class DurableObject(ManagedObject):
         ManagedObject.commit(self, txn)
 
     def commit(self, txn: str) -> None:
-        """Synchronous commit for direct object-level use: submit the
-        durable commit point and, if its batch is still held, force the
-        log so the acknowledgment-before-durability rule is preserved."""
-        self.submit_commit(txn)
-        if not self.commit_ready(txn):
+        """Commit now — the one path for a commit that may not wait on
+        the hold timer (direct object-level use, catch-up replay, an
+        in-doubt commit finished at a healthy object): write the commit
+        record unless the log already has one, force the log while the
+        record's batch is held, then acknowledge."""
+        if not self.wal.has_durable_commit(txn):
+            self.submit_commit(txn)
+        if not self.flushed(txn):
             self.wal.log.force()
         self.complete_commit(txn)
 
@@ -316,8 +318,9 @@ class CrashableSystem(TransactionSystem):
            held (volatile or durable) at a healthy one.  Resolution
            completes, never retracts: a resolved commit finishes
            everywhere (failed objects through the recovery path,
-           healthy ones through the normal pipeline, forcing held
-           batches) and installs its version under a fresh CSN.
+           healthy ones through their commit-now path, which forces a
+           held batch before acknowledging) and installs its version
+           under a fresh CSN.
            Everything else is killed everywhere: failed objects just
            record the abort event (no undo, no log record — a crash
            gives no chance for either), healthy objects perform a clean
@@ -396,21 +399,12 @@ class CrashableSystem(TransactionSystem):
     def _complete_surviving_commit(self, name: str, txn: str) -> None:
         """Finish an in-doubt commit at a healthy (non-crashed) object.
 
-        The object's volatile state is intact, so the commit completes
-        through the normal pipeline rather than the recovery path: make
-        the commit record durable (forcing the log if a held batch was
-        still parking it), then acknowledge — release locks, apply the
-        recovery manager's completion, record the commit event.
+        Its volatile state is intact, so the commit completes through
+        the object's commit-now path rather than the recovery path: a
+        commit record still in a held batch is forced before the commit
+        is acknowledged, since a later crash of this object must find it.
         """
-        obj = self.objects[name]
-        if not obj.wal.has_durable_commit(txn):
-            # Either the commit record is sitting in a held batch, or it
-            # was never submitted; a force after (re)submission covers
-            # both, and duplicate commit records are harmless to replay.
-            obj.submit_commit(txn)
-            if not obj.commit_ready(txn):
-                obj.wal.log.force()
-        obj.complete_commit(txn)
+        self.objects[name].commit(txn)
         self._sync_events(name)
 
     def _drop_txn(self, txn: str) -> None:

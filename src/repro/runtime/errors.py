@@ -7,25 +7,6 @@ class RuntimeModelError(RuntimeError):
     """Base class for runtime errors."""
 
 
-class TransactionAborted(RuntimeModelError):
-    """The transaction was aborted (deadlock victim, explicit abort, ...)."""
-
-    def __init__(self, txn: str, reason: str):
-        super().__init__("transaction %s aborted: %s" % (txn, reason))
-        self.txn = txn
-        self.reason = reason
-
-
-class DeadlockDetected(RuntimeModelError):
-    """A waits-for cycle was found; carries the cycle for victim selection."""
-
-    def __init__(self, cycle):
-        super().__init__(
-            "deadlock: %s" % " -> ".join(str(t) for t in cycle)
-        )
-        self.cycle = tuple(cycle)
-
-
 class UnknownObjectError(RuntimeModelError):
     """An invocation named an object the system does not manage."""
 

@@ -269,10 +269,8 @@ class FaultyStableLog(StableLog):
         self.plan = plan
         self.counters = counters if counters is not None else FaultCounters()
         self.skip_commit_force = skip_commit_force
-        self._durable = 0  # records[:_durable] are on stable storage
         self._fates: Dict[int, str] = {}  # lsn -> volatile | durable | lost
         self._archive: List[LogRecord] = []  # every record ever appended
-        self._in_recovery = False
 
     # -- fault machinery -------------------------------------------------------
 
@@ -285,8 +283,6 @@ class FaultyStableLog(StableLog):
         (e.g. ``crash-during-force`` landing on an append interaction
         simply crashes after the append).
         """
-        if self._in_recovery:
-            return None, None  # recovery-time writes are not fault-injectable
         event = self.plan.draw(op)
         if event is None:
             return None, None
@@ -350,26 +346,19 @@ class FaultyStableLog(StableLog):
         them from whichever records the tear actually persisted.
         """
         if self.skip_commit_force:
-            # Negative control: acknowledge without flushing anything.
-            self.forces += 1
-            if self.trace is not None:
-                self.trace.emit(
-                    "force",
-                    obj=self.trace_name,
-                    served=self._last_batch,
-                    records=0,
-                )
-            return
+            # Negative control: no plan interaction, and _persist
+            # covers nothing.
+            return super()._physical_force()
         action, event = self._interact("force")
         if action == "before":
             raise CrashPoint("crash-during-force", self.plan.clock - 1, "force")
         if action == "tear":
-            tail = self._records[self._durable :]
+            tail = len(self._records) - self._flushed
             keep = event.keep
             if keep is None:
-                keep = self.plan.rng.randint(0, len(tail))
-            keep = max(0, min(keep, len(tail)))
-            self._flush(self._durable + keep)
+                keep = self.plan.rng.randint(0, tail)
+            keep = max(0, min(keep, tail))
+            self._persist(self._flushed + keep)
             self.counters.torn_forces += 1
             # A torn flush persisted ``keep`` records but counts as no
             # completed force — a distinct event kind, so trace-derived
@@ -379,36 +368,24 @@ class FaultyStableLog(StableLog):
                     "force-torn", obj=self.trace_name, records=keep
                 )
             raise CrashPoint("crash-during-force", self.plan.clock - 1, "force")
-        before = self.forced_records
-        self._flush(len(self._records))
-        self.forces += 1
-        if self.trace is not None:
-            self.trace.emit(
-                "force",
-                obj=self.trace_name,
-                served=self._last_batch,
-                records=self.forced_records - before,
-            )
+        super()._physical_force()
         if action == "after":
             raise CrashPoint("crash-during-force", self.plan.clock - 1, "force")
+
+    def _persist(self, upto: int) -> int:
+        """Mark the newly covered records durable and move the cursor —
+        or, under the negative control, cover nothing at all."""
+        if self.skip_commit_force:
+            return 0
+        for record in self._records[self._flushed : upto]:
+            self._fates[record.lsn] = "durable"
+        return super()._persist(upto)
 
     def truncate_before(self, lsn: int) -> int:
         action, _event = self._interact("truncate")
         if action is not None:
             raise CrashPoint("crash-before-truncate", self.plan.clock - 1, "truncate")
-        dropped = super().truncate_before(lsn)
-        self._durable = sum(
-            1 for r in self._records if self._fates[r.lsn] == "durable"
-        )
-        self._flushed = self._durable
-        return dropped
-
-    def _flush(self, durable_count: int) -> None:
-        for record in self._records[self._durable : durable_count]:
-            self._fates[record.lsn] = "durable"
-        self.forced_records += max(0, durable_count - self._durable)
-        self._durable = durable_count
-        self._flushed = durable_count
+        return super().truncate_before(lsn)
 
     # -- crash / recovery ------------------------------------------------------
 
@@ -420,10 +397,10 @@ class FaultyStableLog(StableLog):
         here along with any pending force requests."""
         self._pending_forces = 0
         self._hold_ticks = 0
-        lost = self._records[self._durable :]
+        lost = self._records[self._flushed :]
         for record in lost:
             self._fates[record.lsn] = "lost"
-        self._records = self._records[: self._durable]
+        self._records = self._records[: self._flushed]
         self.counters.records_lost += len(lost)
         if self.trace is not None:
             self.trace.emit("log-crash", obj=self.trace_name, lost=len(lost))
@@ -432,16 +409,11 @@ class FaultyStableLog(StableLog):
     def recovery_append(self, make_record) -> LogRecord:
         """Append durably during recovery (not plan-injectable: recovery
         runs in a fresh process whose writes the schedule does not cover)."""
-        self._in_recovery = True
-        try:
-            record = StableLog.append(self, make_record)
-            self._fates[record.lsn] = "durable"
-            self._archive.append(record)
-            self._durable = len(self._records)
-            self._flushed = self._durable
-            return record
-        finally:
-            self._in_recovery = False
+        record = StableLog.append(self, make_record)
+        self._fates[record.lsn] = "durable"
+        self._archive.append(record)
+        self._flushed = len(self._records)
+        return record
 
     # -- audit surface ---------------------------------------------------------
 
@@ -450,4 +422,4 @@ class FaultyStableLog(StableLog):
         return tuple((r, self._fates[r.lsn]) for r in self._archive)
 
     def durable_tail_length(self) -> int:
-        return self._durable
+        return self._flushed

@@ -67,13 +67,14 @@ class ManagedObject:
         recovery: str = "UIP",
         *,
         uip_strategy: str = "auto",
-        response_chooser=None,
     ):
         self.adt = adt
         self.conflict = conflict
         manager = make_recovery_manager(adt, recovery, uip_strategy=uip_strategy)
         self.automaton = ObjectAutomaton(adt, manager.view, conflict, manager)
-        self._response_chooser = response_chooser
+        #: a forced response choice, set for one call by replication's
+        #: mirror and catch-up replay; ``None`` lets the rng choose.
+        self._response_chooser = None
         #: moves at every change to the lock table or the view — an
         #: operation executed, a commit, an abort, a restart — and is
         #: never reset.  A refusal is a function of those two halves, so
@@ -215,21 +216,17 @@ class ManagedObject:
         instead votes no here."""
         return self.automaton.pending_invocation(txn) is None
 
-    def prepare_ready(self, txn: str) -> bool:
-        """Has the prepare vote's durability work completed?  The volatile
-        base object performs none, so a yes vote is usable immediately;
-        :class:`~repro.runtime.durability.DurableObject` gates this on
-        the prepare-force ticket of its group-commit batch."""
+    def flushed(self, txn: str) -> bool:
+        """Has ``txn``'s latest durability work — the prepare vote's, then
+        the commit point's — reached stable storage?  The volatile base
+        object performs none, so trivially yes;
+        :class:`~repro.runtime.durability.DurableObject` asks the
+        ticket of its group-commit batch."""
         return True
 
     def submit_commit(self, txn: str) -> None:
         """Begin the commit: write the durable commit point.  The base
         object has no stable storage, so there is nothing to write."""
-
-    def commit_ready(self, txn: str) -> bool:
-        """Is the durable commit point on stable storage (so the commit
-        may be acknowledged)?  Trivially yes without a log."""
-        return True
 
     def complete_commit(self, txn: str) -> None:
         """Acknowledge the commit: release locks and record the event."""
@@ -499,9 +496,7 @@ class TransactionSystem:
     def _advance_commit(self, txn: str, pending: _PendingCommit) -> bool:
         """Drive the commit pipeline as far as durability allows."""
         if pending.phase == "prepared":
-            if not all(
-                self.object(n).prepare_ready(txn) for n in pending.touched
-            ):
+            if not all(self.object(n).flushed(txn) for n in pending.touched):
                 return False
             # Commit point first: the durable commit records are written
             # (and their flushes requested) at every object before any
@@ -511,7 +506,7 @@ class TransactionSystem:
             pending.phase = "committing"
             if self.trace is not None:
                 self.trace.emit("2pc-submit", txn=txn)
-        if not all(self.object(n).commit_ready(txn) for n in pending.touched):
+        if not all(self.object(n).flushed(txn) for n in pending.touched):
             return False
         for name in pending.touched:
             obj = self.object(name)

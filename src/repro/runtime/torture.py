@@ -55,7 +55,7 @@ from .metrics import FaultCounters
 from .parallel import Cell, ParallelRunner
 from .replication import ReplicatedSystem, ReplicationError, build_replicated_system
 from .scheduler import Scheduler, periodic_wake
-from .wal import CommitRecord, IntentionsRecord, StableLog
+from .wal import COMMIT_MARKERS, StableLog
 from .workloads import (
     escrow_workload,
     generic_workload,
@@ -67,9 +67,6 @@ from .workloads import (
 
 #: The fresh-transaction name used to take the abstract view at audit time.
 PROBE = "__probe__"
-
-#: Stable-log record types that mark a commit point.
-COMMIT_MARKERS = (CommitRecord, IntentionsRecord)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,11 @@ class IntentionsRecord(LogRecord):
     operations: Tuple[Operation, ...] = ()
 
 
+#: The record types that mark a commit point, in either logging
+#: discipline (:class:`UndoRedoLog` never writes an intentions record).
+COMMIT_MARKERS = (CommitRecord, IntentionsRecord)
+
+
 @dataclass(frozen=True)
 class PrepareRecord(LogRecord):
     """DU prepare record: the intentions list, forced at prepare time.
@@ -288,9 +293,7 @@ class StableLog:
 
     def _physical_force(self) -> None:
         """One device flush (the base log is in-memory; we only count)."""
-        newly = len(self._records) - self._flushed
-        self.forced_records += newly
-        self._flushed = len(self._records)
+        newly = self._persist(len(self._records))
         self.forces += 1
         if self.trace is not None:
             self.trace.emit(
@@ -299,6 +302,14 @@ class StableLog:
                 served=self._last_batch,
                 records=newly,
             )
+
+    def _persist(self, upto: int) -> int:
+        """Move the flush cursor to ``records[:upto]``; returns how many
+        records it newly covers."""
+        newly = upto - self._flushed
+        self.forced_records += newly
+        self._flushed = upto
+        return newly
 
     # -- storage --------------------------------------------------------------
 
@@ -345,7 +356,49 @@ class StableLog:
         return len(self._records)
 
 
-class UndoRedoLog:
+class LogDiscipline:
+    """What both logging disciplines share: the commit-point rule
+    (:data:`COMMIT_MARKERS`) and the checkpoint.  Restart is each
+    discipline's own: a DU prepare may straddle a checkpoint, so
+    redo-only restart reads the whole log, while undo/redo restart
+    replays only the tail after the last checkpoint."""
+
+    def __init__(self, adt: ADT, log: Optional[StableLog]):
+        self.adt = adt
+        self.log = log if log is not None else StableLog()
+
+    def commit_lsn(self, txn: str) -> Optional[int]:
+        """The LSN of the transaction's commit-point record, or None.
+        The multiversion store's visibility rule anchors here: a version
+        is installed only once this record is flushed, so the
+        snapshot-visibility audits cross-check every installed version
+        against it."""
+        for record in reversed(self.log.records()):
+            if isinstance(record, COMMIT_MARKERS) and record.txn == txn:
+                return record.lsn
+        return None
+
+    def has_durable_commit(self, txn: str) -> bool:
+        """Is a commit-point record for ``txn`` in the log?  After
+        :meth:`StableLog.crash` that means on stable storage; on a live
+        log the record may still sit in a held group-commit batch."""
+        return self.commit_lsn(txn) is not None
+
+    def recovery_commit(self, txn: str) -> None:
+        """Complete a commit whose commit point was reached elsewhere
+        (under DU, seal the durable prepare)."""
+        self.log.recovery_append(lambda lsn: CommitRecord(lsn, txn=txn))
+
+    def checkpoint(self, committed_macro: MacroState) -> None:
+        """Write a snapshot of committed state and truncate the log."""
+        record = self.log.append(
+            lambda lsn: CheckpointRecord(lsn, macro=committed_macro)
+        )
+        self.log.force()
+        self.log.truncate_before(record.lsn)
+
+
+class UndoRedoLog(LogDiscipline):
     """Write-ahead logging for update-in-place recovery."""
 
     def __init__(
@@ -362,9 +415,8 @@ class UndoRedoLog:
                 "%s does not support logical undo; use replay-winners"
                 % type(adt).__name__
             )
-        self.adt = adt
+        super().__init__(adt, log)
         self.restart_policy = restart_policy
-        self.log = log if log is not None else StableLog()
 
     # -- normal operation ----------------------------------------------------
 
@@ -392,39 +444,6 @@ class UndoRedoLog:
 
     def on_abort(self, txn: str) -> None:
         self.log.append(lambda lsn: AbortRecord(lsn, txn=txn))
-
-    # -- crash-recovery support ----------------------------------------------
-
-    def has_durable_commit(self, txn: str) -> bool:
-        """True iff the transaction's commit record survives on stable
-        storage (call after :meth:`StableLog.crash`)."""
-        return any(
-            isinstance(r, CommitRecord) and r.txn == txn
-            for r in self.log.records()
-        )
-
-    def commit_lsn(self, txn: str) -> Optional[int]:
-        """The LSN of the transaction's durable commit record (None if
-        absent).  The multiversion store's visibility rule anchors here:
-        a version is installed only once this record exists on stable
-        storage, so the snapshot-visibility audits cross-check every
-        installed version against it."""
-        for record in reversed(self.log.records()):
-            if isinstance(record, CommitRecord) and record.txn == txn:
-                return record.lsn
-        return None
-
-    def recovery_commit(self, txn: str) -> None:
-        """Complete a commit whose commit point was reached elsewhere."""
-        self.log.recovery_append(lambda lsn: CommitRecord(lsn, txn=txn))
-
-    def checkpoint(self, committed_macro: MacroState) -> None:
-        """Write a snapshot of committed state and truncate the log."""
-        record = self.log.append(
-            lambda lsn: CheckpointRecord(lsn, macro=committed_macro)
-        )
-        self.log.force()
-        self.log.truncate_before(record.lsn)
 
     # -- restart ----------------------------------------------------------------
 
@@ -505,7 +524,7 @@ class UndoRedoLog:
         return frozenset(self.adt.undo(state, operation) for state in macro)
 
 
-class RedoOnlyLog:
+class RedoOnlyLog(LogDiscipline):
     """Redo-only logging for deferred-update recovery.
 
     Two commit shapes coexist:
@@ -521,8 +540,7 @@ class RedoOnlyLog:
     """
 
     def __init__(self, adt: ADT, *, log: StableLog = None):
-        self.adt = adt
-        self.log = log if log is not None else StableLog()
+        super().__init__(adt, log)
         self._prepared: Set[str] = set()
 
     def on_execute(self, txn: str, operation: Operation) -> None:
@@ -555,39 +573,6 @@ class RedoOnlyLog:
     def on_abort(self, txn: str) -> None:
         """Nothing: the volatile intentions list simply disappears."""
         self._prepared.discard(txn)
-
-    def checkpoint(self, committed_macro: MacroState) -> None:
-        record = self.log.append(
-            lambda lsn: CheckpointRecord(lsn, macro=committed_macro)
-        )
-        self.log.force()
-        self.log.truncate_before(record.lsn)
-
-    # -- crash-recovery support ----------------------------------------------
-
-    def has_durable_commit(self, txn: str) -> bool:
-        """True iff a commit point record for ``txn`` survives on stable
-        storage (either commit shape; call after :meth:`StableLog.crash`)."""
-        return any(
-            isinstance(r, (CommitRecord, IntentionsRecord)) and r.txn == txn
-            for r in self.log.records()
-        )
-
-    def commit_lsn(self, txn: str) -> Optional[int]:
-        """The LSN of the transaction's durable commit-point record —
-        either commit shape — or None.  See
-        :meth:`UndoRedoLog.commit_lsn` for the visibility-rule role."""
-        for record in reversed(self.log.records()):
-            if (
-                isinstance(record, (CommitRecord, IntentionsRecord))
-                and record.txn == txn
-            ):
-                return record.lsn
-        return None
-
-    def recovery_commit(self, txn: str) -> None:
-        """Seal a durable prepare whose commit point was reached elsewhere."""
-        self.log.recovery_append(lambda lsn: CommitRecord(lsn, txn=txn))
 
     def restart(self) -> MacroState:
         self._prepared.clear()  # volatile bookkeeping died with the process

@@ -23,7 +23,12 @@ from repro.runtime.replication import (
     copy_name,
 )
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.torture import TortureConfig, workload_for
+from repro.runtime.torture import (
+    TortureConfig,
+    audit_recovery,
+    audit_replication,
+    workload_for,
+)
 from repro.runtime.trace import TraceCollector
 from repro.runtime.wal import GroupCommitPolicy, StableLog
 from repro.adts.registry import make_adt
@@ -203,6 +208,35 @@ def test_fail_site_completes_commit_past_the_commit_point():
     assert victims == set()
     assert system.status("T1") == "committed"
     assert "T1" in system.objects["X@s1"].history().committed()
+
+
+@pytest.mark.parametrize("recovery", ["DU", "UIP"])
+def test_resolution_forces_a_healthy_copys_held_commit_record(recovery):
+    # group_commit=4, hold=4: T1's commit records sit in held batches at
+    # both copies when site 0 fails.  The commit point is reached (the
+    # healthy copy's record is in its log), so resolution commits T1 —
+    # and must flush that record before acknowledging, or a crash of
+    # site 1 inside the hold window loses an acknowledged commit.
+    system = _build(recovery=recovery, group_commit=4, hold=4)
+    assert system.invoke("T1", "X", inv("increment", 1), random.Random(0)).ok
+    assert system.commit("T1") is False  # prepare requests held
+    for name in system.copies_of("X"):
+        system.objects[name].wal.log.force()
+    assert system.commit("T1") is False  # commit records held
+    survivor = system.objects["X@s1"]
+    ticket = survivor._force_tickets["T1"]
+    assert not survivor.wal.log.flushed(ticket)
+    assert system.fail_site(0) == set()
+    assert system.status("T1") == "committed"
+    assert survivor.wal.log.flushed(ticket)
+    assert survivor.wal.log.held_batch_size() == 0
+    system.fail_site(1)  # before the hold timer would have fired
+    for site in range(system.sites):
+        system.recover_site(site)
+    system.poll_catchup()
+    assert audit_replication(system, "gc4", "site0,site1") == []
+    system.crash()
+    assert audit_recovery(system, "gc4", "site0,site1") == []
 
 
 def test_fail_site_spares_read_only_traffic_elsewhere():

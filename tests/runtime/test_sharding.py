@@ -209,6 +209,30 @@ def test_crash_shard_completes_commit_past_the_commit_point():
     assert system.commit("T2") in (True, False)
 
 
+def test_crash_shard_forces_a_healthy_shards_held_commit_record():
+    # The cross-shard transaction's commit records sit in held batches
+    # on both shards when A's shard crashes.  D's record is in its log,
+    # so T1 commits, and D's batch must be flushed before the commit is
+    # acknowledged: a crash of D's shard inside the hold window must
+    # still find the record.
+    system = _build(TWO_SHARD_NAMES, shards=2, group_commit=4, hold=4)
+    assert system.invoke("T1", "A", inv("deposit", 1)).ok
+    assert system.invoke("T1", "D", inv("deposit", 1)).ok
+    assert system.commit("T1") is False  # prepare requests held
+    for obj in system.objects.values():
+        obj.wal.log.force()
+    assert system.commit("T1") is False  # commit records held
+    survivor = system.objects["D"]
+    ticket = survivor._force_tickets["T1"]
+    assert not survivor.wal.log.flushed(ticket)
+    assert system.crash_shard(system.shard_of_object("A")) == set()
+    assert system.status("T1") == "committed"
+    assert survivor.wal.log.flushed(ticket)
+    shard = system.shard_of_object("D")
+    system.crash_shard(shard)  # before the hold timer would have fired
+    assert audit_shard(system, shard) == []
+
+
 def test_crash_shard_spares_transactions_on_healthy_shards():
     system = _build(TWO_SHARD_NAMES, shards=2, group_commit=8, hold=100)
     assert system.invoke("T1", "A", inv("deposit", 1)).ok  # dies with its shard

@@ -683,7 +683,7 @@ def test_no_memo_on_the_attempt_path_has_a_size_or_a_switch():
         RecoveryManager.__init__: ["self", "spec"],
         RecoveryManager.enabled_responses: ["self", "txn", "invocation"],
         ManagedObject.__init__: [
-            "self", "adt", "conflict", "recovery", "uip_strategy", "response_chooser",
+            "self", "adt", "conflict", "recovery", "uip_strategy",
         ],
         ObjectAutomaton.__init__: ["self", "spec", "view", "conflict", "recovery"],
         ObjectAutomaton._candidates: ["self", "invocation", "responses"],
@@ -880,6 +880,41 @@ def test_one_surviving_commit_completion():
         if fn.name == "_complete_surviving_commit"
     ]
     assert homes == ["repro/runtime/durability.py"]
+
+
+def test_each_durability_fact_has_one_home():
+    """The commit-point rule (``COMMIT_MARKERS`` and what a log answers
+    from it) and the log checkpoint are written once, on the base of both
+    logging disciplines; no object keeps a second ticket hook per 2PC
+    phase; and the faulty log keeps no flush cursor or recovery flag
+    beside the stable log's."""
+    markers = [
+        str(path.relative_to(SRC))
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "COMMIT_MARKERS" for t in node.targets)
+    ]
+    assert markers == ["repro/runtime/wal.py"]
+    logs = [
+        (name, cls) for name, cls in _classes()
+        if name.startswith(("repro/runtime/wal.py:", "repro/runtime/faults.py:"))
+    ]
+    for method in ("commit_lsn", "has_durable_commit", "recovery_commit", "checkpoint"):
+        homes = [
+            name for name, cls in logs
+            if any(isinstance(n, ast.FunctionDef) and n.name == method for n in cls.body)
+        ]
+        assert homes == ["repro/runtime/wal.py:LogDiscipline"], (method, homes)
+    retired = {"prepare_ready", "commit_ready", "_durable", "_in_recovery"}
+    offenders = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.FunctionDef) and node.name in retired)
+        or (isinstance(node, ast.Attribute) and node.attr in retired)
+    ]
+    assert not offenders, offenders
 
 
 def test_durable_objects_are_built_in_one_place():
