@@ -210,9 +210,10 @@ class ClassifierConflict(ConflictRelation):
     Each label gets a dense class index, and each class its row in
     :attr:`rows`: the indices of the classes it conflicts with as *new*.
     :meth:`slot` is an operation's ``(class index, key)`` — what the lock
-    manager files a hold under, and looks up at every class of a row.  A
-    label outside the matrix gets a fresh index and an empty row, so it
-    conflicts with nothing either way.
+    manager files a hold under — and :meth:`probe` its row's slots, the
+    ``(col, key)`` pairs the lock manager looks up when the operation
+    asks as *new*.  A label outside the matrix gets a fresh index and an
+    empty row, so it conflicts with nothing either way.
     """
 
     def __init__(
@@ -234,10 +235,14 @@ class ClassifierConflict(ConflictRelation):
             tuple(sorted(self._index[old] for new, old in self._matrix if new == label))
             for label in labels
         ]
-        #: operation → slot, filled on demand (operations are frozen
-        #: values, so the cache is sound): the lock manager asks once per
-        #: ``blockers`` call and once per ``acquire`` / released hold.
+        #: operation → slot and operation → probe row, filled together
+        #: on demand (operations are frozen values and a row never
+        #: changes once its class has an index, so the caches are
+        #: sound): the lock manager asks :meth:`probe` once per
+        #: ``blockers`` call and :meth:`slot` once per ``acquire`` /
+        #: released hold.
         self._slots: Dict[Operation, Tuple[int, Hashable]] = {}
+        self._probes: Dict[Operation, Tuple[Tuple[int, Hashable], ...]] = {}
 
     def classify(self, operation: Operation) -> Hashable:
         return self._classify(operation)
@@ -246,14 +251,32 @@ class ClassifierConflict(ConflictRelation):
         """``operation``'s ``(class index, key)`` (cached)."""
         slot = self._slots.get(operation)
         if slot is None:
-            label = self._classify(operation)
-            idx = self._index.get(label)
-            if idx is None:
-                idx = self._index[label] = len(self.rows)
-                self.rows.append(())
-            key = None if self.key is None else self.key(operation)
-            slot = self._slots[operation] = (idx, key)
+            slot = self._learn(operation)[0]
         return slot
+
+    def probe(self, operation: Operation) -> Tuple[Tuple[int, Hashable], ...]:
+        """The slots ``operation``'s row asks, as *new*: ``(col, key)``
+        for each class ``col`` in the row, with ``operation``'s key
+        (cached).  Empty for a class outside the matrix."""
+        probe = self._probes.get(operation)
+        if probe is None:
+            probe = self._learn(operation)[1]
+        return probe
+
+    def _learn(
+        self, operation: Operation
+    ) -> Tuple[Tuple[int, Hashable], Tuple[Tuple[int, Hashable], ...]]:
+        """Fill both caches for ``operation``; returns ``(slot, probe)``."""
+        label = self._classify(operation)
+        idx = self._index.get(label)
+        if idx is None:
+            idx = self._index[label] = len(self.rows)
+            self.rows.append(())
+        key = None if self.key is None else self.key(operation)
+        slot = self._slots[operation] = (idx, key)
+        probe = tuple([(col, key) for col in self.rows[idx]])
+        self._probes[operation] = probe
+        return slot, probe
 
     def conflicts(self, new: Operation, old: Operation) -> bool:
         if (self._classify(new), self._classify(old)) not in self._matrix:

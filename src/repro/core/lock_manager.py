@@ -21,17 +21,27 @@ The conflict test is the system's hottest path.  When the relation is a
 table (:class:`~repro.core.conflict.ClassifierConflict` — every ADT's
 NFC/NRBC relation but the priority queue's, and their symmetric closures
 and unions) the manager indexes its holds by slot, ``(class index, key)
-→ holders``, and :meth:`blockers` is the union of the holders at ``(c,
-key(op))`` over the classes ``c`` in ``op``'s row, minus the asker: a
-few dictionary lookups, however many operations are held.
+→ holders``, and :meth:`blockers` is the union of the holders at the
+slots of ``op``'s probe row — ``(c, key(op))`` for each class ``c`` its
+row marks, cached per operation by the table — minus the asker: a few
+dictionary lookups, however many operations are held, and no tuple
+built.  It answers with a new set, which the automaton's candidate loop
+extends into the one blocker set of a refused attempt.
 :meth:`acquire` adds a holder to one slot and :meth:`release_all` takes
 it out of the slots of what it held, so nothing is remembered that
 could go stale.  A relation with no table (a predicate, a pair set, a
-relation with ground pairs removed) takes the per-pair loop.  Both are
-verdict-identical, which ``tests/runtime/test_compiled_lock_differential.py``,
-``tests/property/test_compiled_table_parity.py``,
-``tests/property/test_lock_answer_memo.py`` and EXP-C14 assert against
-the set-lookup twin :func:`repro.reference.matrix_conflict`.
+relation with ground pairs removed) takes the per-pair loop.  The
+checks (the *twin* is :func:`repro.reference.matrix_conflict`, the
+set-lookup reading of the same matrix, which has no table):
+
+* the table's verdicts, class by class and ground pair by ground pair,
+  and ``blockers`` over random lock tables, equal the twin's;
+* the index a manager keeps up equals one rebuilt from its holds, over
+  random ``acquire`` / ``release_all`` / ``copy`` sequences;
+* whole scheduled runs give the same histories and counters on the
+  table as on the twin (EXP-C14 times the two);
+* a probe row is the row worked out afresh
+  (:func:`repro.reference.recompute_every_answer`).
 """
 
 from __future__ import annotations
@@ -85,15 +95,15 @@ class LockManager:
         snapshot transactions)."""
         return frozenset(self._ever_held)
 
-    def blockers(self, txn: str, operation: Operation) -> FrozenSet[str]:
-        """Other transactions whose held operations conflict with ``operation``."""
+    def blockers(self, txn: str, operation: Operation) -> Set[str]:
+        """Other transactions whose held operations conflict with
+        ``operation``: a new set, the caller's to keep or extend."""
         table = self.table
         blocking: Set[str] = set()
         if table is not None:
-            idx, key = table.slot(operation)
             index = self._index
-            for col in table.rows[idx]:
-                holders = index.get((col, key))
+            for slot in table.probe(operation):
+                holders = index.get(slot)
                 if holders:
                     blocking.update(holders)
             blocking.discard(txn)
@@ -102,7 +112,7 @@ class LockManager:
             for other, ops in self._held.items():
                 if other != txn and any(conflicts(operation, old) for old in ops):
                     blocking.add(other)
-        return frozenset(blocking)
+        return blocking
 
     def conflicting_holds(
         self, txn: str, operation: Operation

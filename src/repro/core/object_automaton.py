@@ -72,6 +72,9 @@ from .serial_spec import SerialSpec
 from .views import View
 
 
+_NO_BLOCKERS: FrozenSet[str] = frozenset()
+
+
 class ResponseNotEnabled(RuntimeError):
     """A response event's precondition failed.
 
@@ -183,23 +186,26 @@ class ObjectAutomaton:
         """Precondition 2 over the view-legal ``responses`` to ``txn``'s
         ``invocation``: the candidates no other active transaction's held
         operation conflicts with, in trial order, and the union of the
-        holders blocking the rest.
+        holders blocking the rest — one set, extended candidate by
+        candidate, handed back frozen.
 
         ``extra_blockers`` is an optional callable ``(txn, operation) ->
         holders`` consulted per candidate beside this object's own locks
         (the replication layer's peers)."""
-        blocked: FrozenSet[str] = frozenset()
+        blocked: Optional[Set[str]] = None
         free: List[Tuple[Hashable, Operation]] = []
         for candidate in self._candidates(invocation, responses):
             operation = candidate[1]
             holders = self.locks.blockers(txn, operation)
             if extra_blockers is not None:
-                holders = holders.union(extra_blockers(txn, operation))
-            if holders:
-                blocked = blocked | holders if blocked else holders
-            else:
+                holders.update(extra_blockers(txn, operation))
+            if not holders:
                 free.append(candidate)
-        return free, blocked
+            elif blocked is None:
+                blocked = holders
+            else:
+                blocked.update(holders)
+        return free, _NO_BLOCKERS if blocked is None else frozenset(blocked)
 
     def _responses(self, txn: str, enabled: bool) -> FrozenSet[Hashable]:
         """The view-legal responses to ``txn``'s pending invocation that

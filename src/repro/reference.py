@@ -37,9 +37,9 @@ oracle                         what the product then does
                                waits-for graph holds
 :func:`recompute_every_answer`  every remembered answer on the attempt
                                path — an interned operation, a candidate
-                               tuple, a set of enabled responses — is
-                               used and also worked out afresh, and the
-                               two compared
+                               tuple, a set of enabled responses, a
+                               table's probe row — is used and also
+                               worked out afresh, and the two compared
 ``enumerate_find_*``           nothing: these *are* the slow twins of
                                ``core.atomicity.find_*`` — every
                                permutation / every linear extension of
@@ -319,16 +319,17 @@ def _same_or_stale(what: str, got, want):
 @contextmanager
 def recompute_every_answer() -> Iterator[None]:
     """Within the block nothing on the attempt path is taken on trust:
-    each use of an interned operation, a candidate tuple or a remembered
-    set of enabled responses also works the answer out from scratch and
-    raises :class:`StaleMemo` if the two differ.  The
-    memos are still filled and read as in the product (that is what is
-    under test); what the caller gets back is the fresh value, so a run
-    in the block also shows that nothing leans on an operation's
-    identity."""
+    each use of an interned operation, a candidate tuple, a remembered
+    set of enabled responses or a table's probe row (the slots
+    ``LockManager.blockers`` looks up) also works the answer out from
+    scratch and raises :class:`StaleMemo` if the two differ.  The memos
+    are still filled and read as in the product (that is what is under
+    test); what the caller gets back is the fresh value, so a run in the
+    block also shows that nothing leans on an operation's identity."""
     operation = SerialSpec.operation
     candidates = ObjectAutomaton._candidates
     responses = RecoveryManager.enabled_responses
+    probe = ClassifierConflict.probe
 
     def checked_operation(self, invocation, response):
         got = operation(self, invocation, response)
@@ -361,15 +362,26 @@ def recompute_every_answer() -> Iterator[None]:
             ),
         )
 
+    def checked_probe(self, op):
+        got = probe(self, op)
+        idx = self._index.get(self._classify(op))
+        key = None if self.key is None else self.key(op)
+        row = () if idx is None else self.rows[idx]
+        return _same_or_stale(
+            "probe row of %s" % (op,), got, tuple((col, key) for col in row)
+        )
+
     SerialSpec.operation = checked_operation
     ObjectAutomaton._candidates = checked_candidates
     RecoveryManager.enabled_responses = checked_responses
+    ClassifierConflict.probe = checked_probe
     try:
         yield
     finally:
         SerialSpec.operation = operation
         ObjectAutomaton._candidates = candidates
         RecoveryManager.enabled_responses = responses
+        ClassifierConflict.probe = probe
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from ..core.lock_manager import LockManager
 
 __all__ = ["LockManager", "WaitsForGraph"]
 
+_NO_EDGES: FrozenSet[str] = frozenset()
+
 
 class WaitsForGraph:
     """A dynamic waits-for graph over transactions.
@@ -32,9 +34,10 @@ class WaitsForGraph:
     """
 
     def __init__(self) -> None:
-        #: waiter -> its holders, sorted once as recorded, so the search
-        #: order never depends on string hashing.
-        self._edges: Dict[str, Tuple[str, ...]] = {}
+        #: waiter -> the holders it waits on (never empty), kept as the
+        #: frozenset its refused attempt reported: unsorted, so the
+        #: search sorts a node's holders when it visits the node.
+        self._edges: Dict[str, FrozenSet[str]] = {}
         #: holder -> the waiters with an edge to it (never empty): a
         #: transaction nobody waits on closes no cycle, and leaves by
         #: touching only its own edges.
@@ -46,7 +49,7 @@ class WaitsForGraph:
         new edges close (``find_cycle(waiter)``), or None.  They may close
         several, all through ``waiter``; the search finds the next one
         once the caller has broken this one.  Unchanged edges close
-        nothing new.
+        nothing new, and cost one set comparison.
 
         Each blocked attempt reports the complete set of conflicting
         holders at that moment, so earlier edges (whose holders may have
@@ -59,34 +62,48 @@ class WaitsForGraph:
         a blocker that finishes in between leaves through
         :meth:`remove_transaction`.
         """
-        targets = tuple(sorted({h for h in holders if h != waiter}))
-        if targets == self._edges.get(waiter, ()):
+        if not isinstance(holders, frozenset):
+            holders = frozenset(holders)
+        if waiter in holders:
+            holders = holders - {waiter}
+        old = self._edges.get(waiter, _NO_EDGES)
+        if holders == old:
             return None
-        self.clear_waiter(waiter)
-        if not targets:
+        waiters = self._waiters
+        for holder in old:
+            if holder not in holders:
+                self._unlink(holder, waiter)
+        for holder in holders:
+            if holder not in old:
+                waiters.setdefault(holder, set()).add(waiter)
+        if not holders:
+            del self._edges[waiter]
             return None
-        self._edges[waiter] = targets
-        for holder in targets:
-            self._waiters.setdefault(holder, set()).add(waiter)
+        self._edges[waiter] = holders
         return self.find_cycle(waiter)
+
+    def _unlink(self, holder: str, waiter: str) -> None:
+        waiters = self._waiters[holder]
+        waiters.discard(waiter)
+        if not waiters:
+            del self._waiters[holder]
 
     def clear_waiter(self, waiter: str) -> None:
         """``waiter`` is no longer blocked (it ran, committed or aborted)."""
         for holder in self._edges.pop(waiter, ()):
-            waiters = self._waiters[holder]
-            waiters.discard(waiter)
-            if not waiters:
-                del self._waiters[holder]
+            self._unlink(holder, waiter)
 
     def remove_transaction(self, txn: str) -> None:
         """Drop the transaction entirely (as waiter and as blocker)."""
         self.clear_waiter(txn)
+        gone = {txn}
+        edges = self._edges
         for waiter in self._waiters.pop(txn, ()):
-            kept = tuple(t for t in self._edges[waiter] if t != txn)
+            kept = edges[waiter] - gone
             if kept:
-                self._edges[waiter] = kept
+                edges[waiter] = kept
             else:
-                del self._edges[waiter]
+                del edges[waiter]
 
     def edges(self) -> FrozenSet[Tuple[str, str]]:
         return frozenset(
@@ -95,12 +112,13 @@ class WaitsForGraph:
 
     def find_cycle(self, start: str) -> Optional[Tuple[str, ...]]:
         """The first waits-for path from ``start`` back to it, in sorted
-        depth-first order, as ``(start, ..., last)`` with ``last`` waiting
-        on ``start``; None when no path returns."""
+        depth-first order (each node's holders sorted when the search
+        visits it), as ``(start, ..., last)`` with ``last`` waiting on
+        ``start``; None when no path returns."""
         if start not in self._waiters:
             return None
         path: List[str] = [start]
-        frames: List[Iterator[str]] = [iter(self._edges.get(start, ()))]
+        frames: List[Iterator[str]] = [iter(sorted(self._edges.get(start, ())))]
         seen: Set[str] = {start}
         while frames:
             for nxt in frames[-1]:
@@ -109,7 +127,7 @@ class WaitsForGraph:
                 if nxt not in seen:
                     seen.add(nxt)
                     path.append(nxt)
-                    frames.append(iter(self._edges.get(nxt, ())))
+                    frames.append(iter(sorted(self._edges.get(nxt, ()))))
                     break
             else:
                 frames.pop()

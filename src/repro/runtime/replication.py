@@ -104,7 +104,7 @@ from .durability import (
     build_durable_object,
 )
 from .errors import UnknownObjectError
-from .system import OperationOutcome
+from .system import STUCK, OperationOutcome
 from .wal import StableLog
 
 
@@ -625,11 +625,11 @@ class ReplicatedSystem(CrashableSystem):
             None,
         )
         if target is None:
-            return OperationOutcome("stuck")
+            return STUCK
         obj = self.objects[target]
         operation = obj.read_at(csn, invocation)
         if operation is None:
-            return OperationOutcome("stuck")
+            return STUCK
         self._ro_touched.setdefault(txn, set()).add(target)
         self._ro_observations.setdefault(txn, []).append((target, operation))
         if self.trace is not None:

@@ -333,11 +333,15 @@ class Scheduler:
         ``entry.wait_for``; True while any is left.  Idempotent —
         statuses are final once set and incarnation names never reuse —
         so the scan, the runnable test and the calendar may all apply
-        it and reach the same answer."""
-        entry.wait_for = frozenset(
-            t for t in entry.wait_for if self.system.status(t) == "active"
-        )
-        return bool(entry.wait_for)
+        it and reach the same answer.  The set is rebuilt only when a
+        member has finished."""
+        status = self.system.status
+        waited = entry.wait_for
+        if any(status(t) != "active" for t in waited):
+            waited = entry.wait_for = frozenset(
+                t for t in waited if status(t) == "active"
+            )
+        return bool(waited)
 
     def _refusal_stands(self, entry: _LiveTxn, obj_name: str) -> bool:
         """Is ``entry`` still refused at ``obj_name``, where it parked?
@@ -742,10 +746,11 @@ class Scheduler:
         no script can starve under repeated deadlocks.  Ties break
         toward the youngest incarnation with the least sunk work.  Every
         member is a live entry: only the scan records waits, and an
-        entry leaves the graph when it commits, aborts or restarts.
+        entry leaves the graph when it commits, aborts or restarts.  (The
+        key is unique by script name, so the members' order is moot.)
         """
-        by_txn = {t.txn: t for t in live}
-        return self._victim_key_min([by_txn[t] for t in cycle])
+        members = set(cycle)
+        return self._victim_key_min([t for t in live if t.txn in members])
 
     @staticmethod
     def _victim_key_min(members: List[_LiveTxn]) -> _LiveTxn:

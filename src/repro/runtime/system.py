@@ -43,17 +43,35 @@ from .errors import InvalidTransactionState, UnknownObjectError
 from .recovery import make_recovery_manager
 
 
-@dataclass(frozen=True)
 class OperationOutcome:
-    """Result of attempting one operation at one object."""
+    """Result of attempting one operation at one object: ``status`` is
+    ``"ok"`` (with the completed ``operation``), ``"blocked"`` (with the
+    conflicting holders, ``blockers``) or ``"stuck"``; ``ok`` is
+    ``status == "ok"``, stored at construction.  One is built on every
+    attempt, so it is a slotted class rather than a frozen dataclass;
+    treat it as a value.  Every ``"stuck"`` result is :data:`STUCK`."""
 
-    status: str  # "ok" | "blocked" | "stuck"
-    operation: Optional[Operation] = None
-    blockers: FrozenSet[str] = frozenset()
+    __slots__ = ("status", "operation", "blockers", "ok")
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
+    def __init__(
+        self,
+        status: str,
+        operation: Optional[Operation] = None,
+        blockers: FrozenSet[str] = frozenset(),
+    ):
+        self.status = status
+        self.operation = operation
+        self.blockers = blockers
+        self.ok = status == "ok"
+
+    def __repr__(self) -> str:
+        return "OperationOutcome(status=%r, operation=%r, blockers=%r)" % (
+            self.status, self.operation, self.blockers,
+        )
+
+
+#: the outcome of every attempt the recovery view enables no response to.
+STUCK = OperationOutcome("stuck")
 
 
 class ManagedObject:
@@ -162,7 +180,7 @@ class ManagedObject:
             )
         responses = automaton.recovery.enabled_responses(txn, invocation)
         if not responses:
-            return OperationOutcome("stuck")
+            return STUCK
         free, blocked = automaton.free_candidates(
             txn, invocation, responses, extra_blockers
         )
@@ -633,7 +651,7 @@ class TransactionSystem:
         obj = self.object(obj_name)
         operation = obj.read_at(csn, invocation)
         if operation is None:
-            return OperationOutcome("stuck")
+            return STUCK
         self._ro_touched.setdefault(txn, set()).add(obj_name)
         self._ro_observations.setdefault(txn, []).append(
             (obj_name, operation)

@@ -329,8 +329,11 @@ def audit_recovery(
                 if isinstance(record, COMMIT_MARKERS):
                     marker_fates.setdefault(record.txn, set()).add(fate)
             committed = history.committed()
+            # a transaction executed an operation here iff it has a
+            # response event here (``operations_of`` non-empty)
+            responded = {e.txn for e in history if e.is_response}
             for txn in sorted(committed):
-                if not history.operations_of(txn):
+                if txn not in responded:
                     continue  # read-free and write-free here: nothing to lose
                 if "durable" not in marker_fates.get(txn, set()):
                     violations.append(

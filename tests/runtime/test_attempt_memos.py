@@ -4,10 +4,12 @@
 answer: the interned ground operations (``SerialSpec.operation``) and
 the ordered candidates per ``(invocation, enabled responses)``;
 ``RecoveryManager.enabled_responses`` remembers ``(macro-state,
-invocation) -> responses`` besides.  (``LockManager.blockers``
-remembers nothing: it reads its ``(class, key)`` index, which
-``tests/property/test_lock_answer_memo.py`` checks against one rebuilt
-from the holds.)  These tests run seeded closed-loop,
+invocation) -> responses`` besides, and ``LockManager.blockers`` reads
+the table's probe row per operation (``ClassifierConflict.probe``: the
+``(class, key)`` slots the operation's row asks).  (The manager's
+``(class, key)`` index itself is no memo:
+``tests/property/test_lock_answer_memo.py`` checks it against one
+rebuilt from the holds.)  These tests run seeded closed-loop,
 open-loop and crash schedules twice, plainly and under
 ``repro.reference.recompute_every_answer`` (every remembered answer also
 worked out from scratch, ``StaleMemo`` on a difference, the fresh value
@@ -20,7 +22,8 @@ import random
 
 import pytest
 
-from repro.adts import BankAccount
+from repro.adts import BankAccount, KVStore
+from repro.core.conflict import ClassifierConflict
 from repro.core.events import inv
 from repro.core.lock_manager import LockManager
 from repro.core.object_automaton import ObjectAutomaton
@@ -186,16 +189,46 @@ class TestTheOracleIsNotVacuous:
     def test_it_puts_the_methods_back(self):
         before = (
             SerialSpec.operation, ObjectAutomaton._candidates,
-            RecoveryManager.enabled_responses,
+            RecoveryManager.enabled_responses, ClassifierConflict.probe,
         )
         with pytest.raises(RuntimeError):
             with recompute_every_answer():
                 assert RecoveryManager.enabled_responses is not before[2]
+                assert ClassifierConflict.probe is not before[3]
                 raise RuntimeError
         assert before == (
             SerialSpec.operation, ObjectAutomaton._candidates,
-            RecoveryManager.enabled_responses,
+            RecoveryManager.enabled_responses, ClassifierConflict.probe,
         )
+
+    @pytest.mark.parametrize("keyed", [False, True], ids=["bank", "kv"])
+    def test_a_stale_probe_row_is_caught(self, keyed):
+        """A probe row is the slots an operation's row asks; one that
+        forgot a slot would grant a conflicting operation."""
+        adt = KVStore("KV") if keyed else BankAccount("BA")
+        held, asked = (
+            (inv("put", "k1", "u"), inv("put", "k1", "v"))
+            if keyed
+            else (inv("deposit", 2), inv("withdraw", 1))
+        )
+
+        def attempt(stale):
+            obj = ManagedObject(adt, adt.nrbc_conflict(), "UIP")
+            assert obj.try_operation("A", held).ok
+            table = obj.locks.table
+            responses = obj.recovery.enabled_responses("B", asked)
+            for _response, operation in obj.automaton._candidates(asked, responses):
+                assert table.probe(operation)
+                if stale:
+                    table._probes[operation] = ()
+            return obj.try_operation("B", asked)
+
+        assert attempt(stale=False).blockers == {"A"}
+        assert attempt(stale=True).ok  # what the stale row would do
+        with recompute_every_answer():
+            assert attempt(stale=False).blockers == {"A"}
+            with pytest.raises(StaleMemo, match="probe row"):
+                attempt(stale=True)
 
     def test_a_candidate_tuple_out_of_order_is_caught(self):
         """Candidates are tried, tie-broken and drawn from in ``repr``

@@ -1,5 +1,7 @@
 """Unit tests for the lock manager and the waits-for graph."""
 
+import random
+
 import pytest
 
 from repro.adts import BankAccount
@@ -135,3 +137,75 @@ class TestWaitsForGraph:
         g.wait("A", ["B"])
         assert g.find_cycle("A") is None
         assert g.find_cycle("B") == ("B", "C")
+
+
+def _scratch_cycle(edges, start):
+    """The first path from ``start`` back to it, every node's holders
+    tried in sorted order, worked out from the bare edge sets."""
+    seen = {start}
+
+    def search(node, path):
+        for nxt in sorted(edges.get(node, ())):
+            if nxt == start:
+                return tuple(path)
+            if nxt not in seen:
+                seen.add(nxt)
+                found = search(nxt, path + [nxt])
+                if found is not None:
+                    return found
+        return None
+
+    return search(start, [start])
+
+
+class TestWaitsForGraphAgainstAFromScratchSearch:
+    """Seeded ``wait`` / ``clear_waiter`` / ``remove_transaction``
+    sequences on the graph and on a plain ``waiter -> set(holders)``
+    model: after every step the edges are equal, and so is every
+    ``find_cycle`` answer (and ``wait``'s own) to a recursive sorted
+    depth-first search over the model.  The graph is not kept acyclic
+    here, so cycles off the start are in play too."""
+
+    TXNS = "ABCDEFG"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_sequences(self, seed):
+        rng = random.Random(seed)
+        graph, model = WaitsForGraph(), {}
+        for _step in range(80):
+            txn = rng.choice(self.TXNS)
+            roll = rng.random()
+            if roll < 0.7:
+                picked = rng.sample(self.TXNS, rng.randint(0, 3))
+                holders = rng.choice([list, set, frozenset])(picked)
+                new = set(picked) - {txn}
+                changed = new != model.get(txn, set())
+                if new:
+                    model[txn] = new
+                else:
+                    model.pop(txn, None)
+                expected = _scratch_cycle(model, txn) if changed else None
+                assert graph.wait(txn, holders) == expected
+            elif roll < 0.85:
+                graph.clear_waiter(txn)
+                model.pop(txn, None)
+            else:
+                graph.remove_transaction(txn)
+                model.pop(txn, None)
+                for waiter in list(model):
+                    model[waiter].discard(txn)
+                    if not model[waiter]:
+                        del model[waiter]
+            assert graph.edges() == {(w, h) for w, hs in model.items() for h in hs}
+            for start in self.TXNS:
+                assert graph.find_cycle(start) == _scratch_cycle(model, start)
+
+    def test_an_unchanged_wait_keeps_the_edge_set_it_was_given(self):
+        """The edges a refused attempt reports are stored as given, and
+        the next report of the same set is one comparison."""
+        graph = WaitsForGraph()
+        holders = frozenset({"B", "C"})
+        assert graph.wait("A", holders) is None
+        assert graph._edges["A"] is holders
+        assert graph.wait("A", frozenset({"C", "B"})) is None
+        assert graph._edges["A"] is holders
