@@ -21,6 +21,14 @@ and no row of such a table names an identifier the code base has
 retired (:data:`RETIRED`) — so the API table cannot keep advertising a
 function after it is gone.
 
+In ``docs/API.md``, ``docs/ARCHITECTURE.md`` and ``docs/REPLICATION.md``
+every backticked `` `repro.pkg.name` `` must import or be an attribute
+of what imports, and every backticked `` `Class.attr` `` (a call's
+arguments aside) must name a ``repro`` class that defines ``attr`` or
+assigns ``self.attr`` in its body or a base's — so prose cannot keep
+pointing at a method after it is gone.  Globs (`` `repro.adts.*` ``) and
+file names (`` `CHANGES.md` ``) are skipped.
+
 A count quoted in ``README.md``, ``docs/API.md`` or ``EXPERIMENTS.md``
 — "four event kinds", "10 ADTs", "1600+ tests" — must be one the code
 base derives (:func:`derived_counts`) and must match it; a count of
@@ -36,12 +44,16 @@ rest belongs in the commit.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
+import inspect
 import pathlib
+import pkgutil
 import re
 import shlex
 import sys
-from typing import Dict, Iterator, List, Tuple
+import textwrap
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -154,6 +166,84 @@ def check_module_tables(path: pathlib.Path) -> List[str]:
     return failures
 
 
+#: the documents whose backticked names are checked
+NAMED_DOCS = ("docs/API.md", "docs/ARCHITECTURE.md", "docs/REPLICATION.md")
+DOTTED_RE = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
+CLASS_ATTR_RE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)(?:\(.*?\))?`")
+FILE_SUFFIXES = frozenset({"md", "json", "jsonl", "py", "txt", "toml", "yml"})
+
+
+def repro_classes() -> Dict[str, List[type]]:
+    """Every class defined in a ``repro`` module, by its bare name."""
+    import repro
+
+    classes: Dict[str, List[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # importing it runs the CLI
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            if inspect.isclass(value) and value.__module__ == info.name:
+                classes.setdefault(name, []).append(value)
+    return classes
+
+
+def class_attributes(cls: type) -> Set[str]:
+    """What ``cls`` defines or inherits, and every ``self.attr`` its
+    body (or a ``repro`` base's) assigns."""
+    names = set(dir(cls))
+    for klass in cls.__mro__:
+        if not klass.__module__.startswith("repro"):
+            continue
+        names.update(getattr(klass, "__annotations__", {}))
+        tree = ast.parse(textwrap.dedent(inspect.getsource(klass)))
+        names.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        )
+    return names
+
+
+def resolves(dotted: str) -> bool:
+    """Does ``repro.a.b.c`` import, or is its tail an attribute of the
+    longest prefix that does?"""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            value = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(value, attr):
+                return False
+            value = getattr(value, attr)
+        return True
+    return False
+
+
+def check_names(path: pathlib.Path, classes: Dict[str, List[type]]) -> List[str]:
+    """Failures of the backticked names in ``path`` (see above)."""
+    failures: List[str] = []
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        where = "%s:%d" % (path.name, lineno)
+        for match in DOTTED_RE.finditer(line):
+            if not resolves(match.group(1)):
+                failures.append("%s: `%s` does not resolve" % (where, match.group(1)))
+        for match in CLASS_ATTR_RE.finditer(line):
+            owner, attr = match.groups()
+            if attr in FILE_SUFFIXES:
+                continue
+            if owner not in classes:
+                failures.append("%s: `%s.%s` names no repro class" % (where, owner, attr))
+            elif not any(attr in class_attributes(c) for c in classes[owner]):
+                failures.append("%s: `%s.%s`: %s has no %s" % (where, owner, attr, owner, attr))
+    return failures
+
+
 #: the documents whose quoted counts are checked
 COUNTED_DOCS = ("README.md", "docs/API.md", "EXPERIMENTS.md")
 NUMBER_WORDS = (
@@ -233,6 +323,9 @@ def main(argv: List[str]) -> int:
     counts = derived_counts()
     for name in COUNTED_DOCS:
         failures.extend(check_counts(REPO / name, counts))
+    classes = repro_classes()
+    for name in NAMED_DOCS:
+        failures.extend(check_names(REPO / name, classes))
     for path in paths:
         if path.name == "API.md":
             failures.extend(check_module_tables(path))

@@ -22,9 +22,11 @@ an **open-loop** arrival process:
   :func:`~repro.runtime.sharding.shard_of`); a ``cross_shard`` fraction
   of transactions touch a second object in a different shard and commit
   through the durable-prepare/commit-record 2PC pipeline;
-* **measurement** — commit latency percentiles (p50/p95/p99, in ticks,
-  from the PR 3 trace stream's ``txn-commit`` events), committed/ticks
-  throughput, wall-clock throughput, and per-shard traffic breakdowns.
+* **measurement** — commit latency percentiles (p50/p95/p99, in ticks
+  from the offered arrival to the commit the scheduler reports, across
+  every restart), committed/ticks throughput, wall-clock throughput,
+  and per-shard traffic breakdowns.  Nothing is read back from a
+  trace: an untraced drive builds no collector and emits nothing.
 
 One scheduler drives every shard, so the shard count changes what a
 shard *owns* (its objects, its share of the operations and log forces)
@@ -39,6 +41,7 @@ from __future__ import annotations
 import bisect
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -415,25 +418,6 @@ class DriveReport:
         return "\n".join(lines)
 
 
-def _latencies_from_trace(events: Sequence[dict]) -> List[int]:
-    return sorted(
-        int(e["latency"])
-        for e in events
-        if e.get("kind") in ("txn-commit", "ro-commit")
-    )
-
-
-def _committed_by_shard(
-    events: Sequence[dict], scripts_home: Dict[str, int]
-) -> Dict[int, int]:
-    out: Dict[int, int] = {}
-    for e in events:
-        if e.get("kind") == "txn-commit":
-            shard = scripts_home.get(str(e.get("script")), 0)
-            out[shard] = out.get(shard, 0) + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # driving
 # ---------------------------------------------------------------------------
@@ -458,7 +442,6 @@ def drive(
     report's ``availability`` is the committed fraction of the offered
     load through the site-crash schedule.
     """
-    collector = trace if trace is not None else TraceCollector()
     rng = random.Random(seed)
     scripts = open_loop_scripts(config, rng)
     knobs = dict(
@@ -468,61 +451,63 @@ def drive(
     )
     replicated = config.sites > 1 or bool(config.site_crashes)
     if replicated:
-        origin = split_arrivals([tick for _, tick in scripts], config.sites, rng)
-        home = {script.name: origin[i] for i, (script, _) in enumerate(scripts)}
+        homes = split_arrivals([tick for _, tick in scripts], config.sites, rng)
         system = build_replicated_system(
             config.adt_kind, config.object_names(), sites=config.sites, **knobs
         )
     else:
-        home = {s.name: home_shard(s, config.shards) for s, _ in scripts}
+        homes = [home_shard(s, config.shards) for s, _ in scripts]
         system = build_sharded_system(
             config.adt_kind, config.object_names(), shards=config.shards, **knobs
         )
     shards = 1 if replicated else config.shards
-    collector.emit(
-        "drive-start",
-        label=config.label(),
-        shards=shards,
-        arrival_rate=config.arrival_rate,
-    )
-    first_event = len(collector.events)
+    if trace is not None:
+        trace.emit(
+            "drive-start",
+            label=config.label(),
+            shards=shards,
+            arrival_rate=config.arrival_rate,
+        )
     start = time.perf_counter()
-    scheduler = _scheduler(system, scripts, config, seed=seed, trace=collector)
+    scheduler = _scheduler(system, scripts, config, seed=seed, trace=trace)
     if replicated:
         metrics = run_with_site_crashes(scheduler, config.site_crashes)
     else:
         metrics = scheduler.run()
     wall = time.perf_counter() - start
-    # Only this drive's segment of the stream: a caller-owned collector
-    # may already carry events from earlier runs.
-    segment = collector.events[first_event:]
-    committed = _committed_by_shard(segment, home)
-    per_shard: List[Dict[str, int]] = []
-    per_site: List[Dict[str, int]] = []
-    if replicated:
-        per_site = _per_site_rows(system, origin, committed)
-    else:
-        per_shard = _per_shard_rows(system, config, scripts, committed)
+    # Latency counts from the offered arrival, across every restart;
+    # ``committed`` counts update scripts by their home shard or site.
+    commit_ticks = scheduler.commit_ticks()
+    done = [
+        (script, arrival, home)
+        for (script, arrival), home in zip(scripts, homes)
+        if script.name in commit_ticks
+    ]
+    latencies = sorted(commit_ticks[s.name] - arrival for s, arrival, _ in done)
+    committed = Counter(home for s, _, home in done if not s.read_only)
     report = DriveReport(
         label=config.label(),
         shards=shards,
         offered=len(scripts),
         metrics=metrics,
         wall_s=wall,
-        latencies=_latencies_from_trace(segment),
-        per_shard=per_shard,
+        latencies=latencies,
+        per_shard=[] if replicated else _per_shard_rows(
+            system, config, scripts, committed
+        ),
         sites=config.sites,
-        per_site=per_site,
+        per_site=_per_site_rows(system, homes, committed) if replicated else [],
     )
-    lat = report.latency_summary()
-    collector.emit(
-        "drive-end",
-        label=config.label(),
-        committed=metrics.committed,
-        p50=lat["p50"],
-        p95=lat["p95"],
-        p99=lat["p99"],
-    )
+    if trace is not None:
+        lat = report.latency_summary()
+        trace.emit(
+            "drive-end",
+            label=config.label(),
+            committed=metrics.committed,
+            p50=lat["p50"],
+            p95=lat["p95"],
+            p99=lat["p99"],
+        )
     return report
 
 

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Deque,
+    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -139,7 +140,7 @@ class _LiveTxn:
     txn: str  # current transaction name (changes across restarts)
     step: int = 0
     restarts: int = 0
-    born_tick: int = 0
+    born_tick: int = 0  # this incarnation's start: the arrival, or a restart
     backoff_until: int = 0  # restarted victims wait before re-entering
     stall_ticks: int = 0  # ticks this incarnation waited on a held commit batch
     #: transactions (incarnations) that must finish before re-entry —
@@ -154,6 +155,8 @@ class _LiveTxn:
     #: exhaustion, or crash-time in-doubt resolution): retired entries
     #: leave the scheduler's active list and are never scanned again.
     retired: bool = False
+    #: the tick the scan committed this script (update or read-only).
+    commit_tick: Optional[int] = None
 
     @property
     def done(self) -> bool:
@@ -206,8 +209,8 @@ class Scheduler:
         #: independent of how many earlier transactions have finished —
         #: the open-loop property the traffic driver
         #: (:mod:`repro.runtime.openloop`) relies on.  ``born_tick``
-        #: starts at the arrival, so commit latency measures time *in*
-        #: the system (queueing + contention + durability stalls).
+        #: starts at the arrival, but each restart moves it: latency
+        #: from the arrival is measured by the caller that set it.
         if arrivals:
             for entry in self._live:
                 tick = int(arrivals.get(entry.script.name, 0))
@@ -509,55 +512,32 @@ class Scheduler:
             # re-attempts once to record its edges afresh.
             entry.parked = None
             if entry.txn in victims:
-                if entry.script.read_only:
-                    # A crash killed this reader's snapshot (its system
-                    # died, or a shard it had read from did).  No locks
-                    # or undo work existed; account it as a read-only
-                    # abort, not an update-path crash abort.
-                    self.metrics.ro_aborts += 1
-                    if self.trace is not None:
-                        self.trace.emit(
-                            "ro-abort", txn=entry.txn, reason="crash"
-                        )
-                else:
-                    self.metrics.aborted += 1
+                # A read-only victim (its snapshot died with its system
+                # or shard) is a read-only abort, not a crash abort.  No
+                # backoff: the crash already scrambled the interleaving
+                # a window would avoid, and lock state is gone.
+                if not entry.script.read_only:
                     self.metrics.crash_aborts += 1
-                    if self.trace is not None:
-                        self.trace.emit(
-                            "txn-abort", txn=entry.txn, reason="crash"
-                        )
-                entry.restarts += 1
-                if entry.restarts <= self.max_restarts:
-                    self.metrics.restarts += 1
-                    entry.txn = "%s~r%d" % (entry.script.name, entry.restarts)
-                    entry.step = 0
-                    entry.born_tick = tick
-                    entry.stall_ticks = 0
-                    entry.wait_for = frozenset()
-                    # The pre-crash backoff window is stale state: the
-                    # crash already scrambled the interleaving that the
-                    # backoff was avoiding, and volatile lock state is
-                    # gone, so the restarted incarnation re-enters
-                    # immediately instead of silently sitting out a
-                    # window scheduled before the crash.
-                    entry.backoff_until = 0
-                    if self.trace is not None:
-                        self.trace.emit(
-                            "txn-restart",
-                            txn=entry.txn,
-                            incarnation=entry.restarts,
-                            backoff_until=0,
-                            reason="crash",
-                        )
-        # Crash-time retirements happen outside a scan transition: a
-        # victim may have exhausted its restart budget just now, and
-        # in-doubt resolution can have committed a done entry.  Sweep so
-        # the active list stays in step with the system's statuses.
+                self._restart(entry, tick, "crash", backoff=False)
+        # In-doubt resolution can have committed a done entry outside a
+        # scan transition.  Sweep so the active list stays in step with
+        # the system's statuses.
         for entry in self._active:
             if not entry.retired and self._is_retired(entry):
                 self._retire(entry)
         self._compact()
         self._waits = WaitsForGraph()
+
+    def commit_ticks(self) -> Dict[str, int]:
+        """Script name -> the tick at which the scan committed it, over
+        update and read-only scripts alike.  A commit that crash-time
+        in-doubt resolution completed has no tick here, as it has no
+        ``txn-commit`` event."""
+        return {
+            entry.script.name: entry.commit_tick
+            for entry in self._live
+            if entry.commit_tick is not None
+        }
 
     def _is_retired(self, live: _LiveTxn) -> bool:
         """Finished successfully, or out of restart budget."""
@@ -587,6 +567,7 @@ class Scheduler:
             if entry.done:
                 if self.system.commit(entry.txn):
                     self.metrics.committed += 1
+                    entry.commit_tick = tick
                     self._retire(entry)
                     self._waits.remove_transaction(entry.txn)
                     if self.trace is not None:
@@ -681,6 +662,7 @@ class Scheduler:
         if entry.done:
             self.system.finish_readonly(entry.txn)
             self.metrics.ro_committed += 1
+            entry.commit_tick = tick
             self._retire(entry)
             self._waits.remove_transaction(entry.txn)
             if self.trace is not None:
@@ -770,28 +752,45 @@ class Scheduler:
             self.system.abort(entry.txn)
         except InvalidTransactionState:
             pass  # already finished: a refused commit aborted it
+        self._waits.remove_transaction(entry.txn)
+        self._restart(entry, tick, reason, wait_for)
+
+    def _restart(
+        self,
+        entry: _LiveTxn,
+        tick: int,
+        reason: str,
+        wait_for: FrozenSet[str] = frozenset(),
+        backoff: bool = True,
+    ) -> None:
+        """Account ``entry``'s dead incarnation (already aborted in the
+        system) and start the next at ``tick``, after a randomized
+        window if ``backoff`` — or retire the script, its budget spent."""
         if entry.script.read_only:
             # Read-only deaths are accounted separately: they hold no
             # locks, appear in no object history, and never roll back
             # updates, so folding them into ``aborted`` would distort
             # the update-path contention metrics.
             self.metrics.ro_aborts += 1
-            if self.trace is not None:
-                self.trace.emit("ro-abort", txn=entry.txn, reason=reason)
+            kind = "ro-abort"
         else:
             self.metrics.aborted += 1
-            if self.trace is not None:
-                self.trace.emit("txn-abort", txn=entry.txn, reason=reason)
-        self._waits.remove_transaction(entry.txn)
+            kind = "txn-abort"
+        if self.trace is not None:
+            self.trace.emit(kind, txn=entry.txn, reason=reason)
         entry.parked = None
         entry.restarts += 1
-        if entry.restarts <= self.max_restarts:
-            self.metrics.restarts += 1
-            entry.txn = "%s~r%d" % (entry.script.name, entry.restarts)
-            entry.step = 0
-            entry.born_tick = tick
-            entry.stall_ticks = 0
-            entry.wait_for = wait_for
+        if entry.restarts > self.max_restarts:
+            self._retire(entry)
+            return
+        self.metrics.restarts += 1
+        entry.txn = "%s~r%d" % (entry.script.name, entry.restarts)
+        entry.step = 0
+        entry.born_tick = tick
+        entry.stall_ticks = 0
+        entry.wait_for = wait_for
+        entry.backoff_until = 0
+        if backoff:
             # Randomized exponential backoff breaks repeat-collision
             # livelock: the window grows with the restart count until a
             # conflicting peer can finish a whole transaction inside it.
@@ -799,16 +798,14 @@ class Scheduler:
                 1 + entry.restarts, 32
             )
             entry.backoff_until = tick + self.rng.randint(1, horizon)
-            if self.trace is not None:
-                self.trace.emit(
-                    "txn-restart",
-                    txn=entry.txn,
-                    incarnation=entry.restarts,
-                    backoff_until=entry.backoff_until,
-                    reason=reason,
-                )
-        else:
-            self._retire(entry)  # restart budget exhausted
+        if self.trace is not None:
+            self.trace.emit(
+                "txn-restart",
+                txn=entry.txn,
+                incarnation=entry.restarts,
+                backoff_until=entry.backoff_until,
+                reason=reason,
+            )
 
 
 def run_scripts(

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.runtime.openloop import (
     drive,
     home_shard,
     open_loop_scripts,
+    split_arrivals,
     zipf_weights,
 )
 from repro.runtime.sharding import shard_of
@@ -206,18 +208,79 @@ def test_drive_commits_the_offered_load_and_measures_latency():
     assert "open-loop drive" in report.format()
 
 
+def _commits(trace):
+    return [e for e in trace.events if e["kind"] in ("txn-commit", "ro-commit")]
+
+
 def test_drive_latency_counts_from_arrival_not_tick_one():
-    # A tiny rate spreads arrivals out; if born_tick ignored arrivals,
-    # late transactions would show huge latencies.
+    # Latency runs from the offered arrival: not from tick one, and not
+    # from the restart that began a script's last incarnation (the
+    # trace's per-incarnation ``latency`` field).
     config = OpenLoopConfig(
-        adt_kind="counter", objects=4, transactions=10, arrival_rate=0.05
+        adt_kind="counter", objects=4, transactions=40, arrival_rate=1.0
     )
-    report = drive(config, seed=1)
-    assert report.metrics.committed == 10
-    # with ~20 ticks between arrivals and no contention, commit latency
-    # stays small even though the run spans hundreds of ticks
-    assert report.metrics.ticks > 50
-    assert report.latency_summary()["p99"] < 30
+    trace = TraceCollector()
+    report = drive(config, seed=1, trace=trace)
+    arrivals = {s.name: t for s, t in open_loop_scripts(config, random.Random(1))}
+    commits = _commits(trace)
+    assert len(commits) == report.offered == 40
+    restarted = [e for e in commits if e["txn"] != e["script"]]
+    assert restarted  # contended: some commits are a later incarnation's
+    assert all(e["tick"] - arrivals[e["script"]] > e["latency"] for e in restarted)
+    assert report.latencies == sorted(
+        e["tick"] - arrivals[e["script"]] for e in commits
+    )
+
+
+def test_untraced_drive_builds_and_emits_no_trace(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("an untraced drive touched a TraceCollector")
+
+    monkeypatch.setattr(TraceCollector, "__init__", boom)
+    monkeypatch.setattr(TraceCollector, "emit", boom)
+    for config in (
+        OpenLoopConfig(adt_kind="counter", objects=8, shards=2,
+                       transactions=40, read_mix=0.3),
+        OpenLoopConfig(adt_kind="counter", objects=6, transactions=40,
+                       sites=3, site_crashes=((1, 8, 20),)),
+    ):
+        report = drive(config, seed=0, trace=None)
+        assert report.latencies and report.metrics.committed > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        OpenLoopConfig(adt_kind="counter", objects=8, shards=2,
+                       transactions=60, read_mix=0.3, cross_shard=0.2),
+        OpenLoopConfig(adt_kind="counter", objects=6, transactions=60,
+                       read_mix=0.2, sites=3, site_crashes=((1, 8, 20),)),
+    ],
+    ids=["shards2", "sites3-crash"],
+)
+def test_drive_report_agrees_with_its_trace(config):
+    trace = TraceCollector()
+    report = drive(config, seed=2, trace=trace)
+    rng = random.Random(2)
+    scripts = open_loop_scripts(config, rng)
+    arrivals = {s.name: t for s, t in scripts}
+    if config.sites > 1:
+        origin = split_arrivals([t for _, t in scripts], config.sites, rng)
+        home = {s.name: site for (s, _), site in zip(scripts, origin)}
+        rows, key = report.per_site, "site"
+    else:
+        home = {s.name: home_shard(s, config.shards) for s, _ in scripts}
+        rows, key = report.per_shard, "shard"
+    commits = _commits(trace)
+    assert report.metrics.restarts > 0
+    assert report.latencies == sorted(
+        e["tick"] - arrivals[e["script"]] for e in commits
+    )
+    by_home = Counter(home[e["script"]] for e in commits if e["kind"] == "txn-commit")
+    assert {row[key]: row["committed"] for row in rows} == {
+        row[key]: by_home[row[key]] for row in rows
+    }
+    assert sum(by_home.values()) == report.metrics.committed
 
 
 def test_shard_count_does_not_change_an_open_loop_drive():
