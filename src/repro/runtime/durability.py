@@ -140,26 +140,6 @@ class DurableObject(ManagedObject):
             self.wal.log.force()
         self.complete_commit(txn)
 
-    def watch_hold_timer(self, armed) -> None:
-        """The log's hold timer is this object's only timer: it starts
-        when a force request opens a held batch."""
-        self.wal.log.on_hold = armed
-
-    def tick(self) -> None:
-        """Scheduler tick: drive the log's group-commit hold timer."""
-        self.wal.log.tick()
-
-    def next_deadline(self) -> Optional[int]:
-        """Ticks until this object's held batch flushes (``None`` when
-        the log holds no batch) — the log's hold timer is this object's
-        only tick-driven deadline."""
-        return self.wal.log.next_deadline()
-
-    def advance_ticks(self, ticks: int) -> None:
-        """Advance the log's hold timer ``ticks`` steps at once (valid
-        only strictly short of :meth:`next_deadline`)."""
-        self.wal.log.advance(ticks)
-
     def abort(self, txn: str) -> None:
         had_events = self.automaton.builder.has_events(txn)
         super().abort(txn)

@@ -396,7 +396,7 @@ class FaultyStableLog(StableLog):
         records were appended but never physically flushed, so they die
         here along with any pending force requests."""
         self._pending_forces = 0
-        self._hold_ticks = 0
+        self.due = None
         lost = self._records[self._flushed :]
         for record in lost:
             self._fates[record.lsn] = "lost"

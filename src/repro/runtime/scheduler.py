@@ -36,8 +36,8 @@ differences in the metrics are attributable to the
 
 The main loop is event-driven: a *wake calendar* — fed by backoff
 windows, the head of the arrival queue, ``wait_for`` releases, the
-``on_tick`` hook's declared schedule and the durability layer's
-group-commit hold-timer deadlines — names the next tick at which
+``on_tick`` hook's declared schedule and the tick the earliest held
+group-commit batch is due — names the next tick at which
 anything can happen, and the stretch of provably-dead ticks before it
 is jumped in one step instead of walked.  The elision is semantically
 invisible: histories, metrics, RNG draws and JSONL traces are
@@ -292,8 +292,8 @@ class Scheduler:
                 progressed = False
             if self.on_tick is not None:
                 progressed = bool(self.on_tick(tick)) or progressed
-            # Drive durability hold-timers: a held group-commit batch
-            # flushes deterministically once its hold window expires.
+            # The end-of-tick phase: the system clock moves and every
+            # held group-commit batch now due is forced.
             self.system.tick()
             if not progressed:
                 self._break_stall(tick, live)
@@ -313,11 +313,11 @@ class Scheduler:
 
     def _cross_dead_ticks(self, tick: int, last: int) -> int:
         """Consume the dead ticks ``tick..last`` in one step and return
-        the last tick consumed.  Only the hold timers move — the
-        calendar guarantees no flush deadline falls inside the stretch.
+        the last tick consumed.  Only the system clock moves — the
+        calendar guarantees no held batch falls due inside the stretch.
         (:func:`repro.reference.walk_dead_ticks` swaps in the oracle
         that walks them one ``system.tick()`` at a time.)"""
-        self.system.advance_ticks(last - tick + 1)
+        self.system.tick(last - tick + 1)
         return last
 
     def _unfinished(self) -> bool:
@@ -583,7 +583,7 @@ class Scheduler:
                 elif self.system.status(entry.txn) == "active":
                     # Group commit: the transaction's durable work sits
                     # in a held batch.  That is a durability stall, not
-                    # a lock wait — the hold timer bounds it, so it
+                    # a lock wait — the batch's due tick bounds it, so it
                     # counts as progress (no deadlock victim needed).
                     self.metrics.commit_stall_ticks += 1
                     entry.stall_ticks += 1

@@ -30,6 +30,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
@@ -77,6 +78,11 @@ STUCK = OperationOutcome("stuck")
 class ManagedObject:
     """One object: the automaton ``I(X, Spec, View, Conflict)`` plus a
     response choice and a version chain."""
+
+    #: the logging discipline over the object's stable log
+    #: (:class:`~repro.runtime.wal.LogDiscipline`); ``None`` on a
+    #: volatile object.
+    wal = None
 
     def __init__(
         self,
@@ -250,25 +256,6 @@ class ManagedObject:
         """Acknowledge the commit: release locks and record the event."""
         self.commit(txn)
 
-    def watch_hold_timer(self, armed) -> None:
-        """Call ``armed()`` whenever a durability hold timer starts
-        running here, so the owning system ticks this object only while
-        one is.  The volatile base object has no timer and never calls."""
-
-    def tick(self) -> None:
-        """One scheduler tick elapsed (durability hold-timers hang off
-        this; the volatile base object has none)."""
-
-    def next_deadline(self) -> Optional[int]:
-        """Ticks until this object's next durability deadline (a held
-        group-commit batch flushing), or ``None`` — the volatile base
-        object never schedules one."""
-        return None
-
-    def advance_ticks(self, ticks: int) -> None:
-        """Advance durability timers ``ticks`` steps at once; valid only
-        strictly short of :meth:`next_deadline`.  No-op without a log."""
-
     def commit(self, txn: str) -> None:
         # Advance the committed macro-state *before* the recovery manager
         # discards the transaction's executed-operation record.
@@ -368,6 +355,30 @@ class ManagedObject:
         return len(self._version_csns)
 
 
+class SystemClock:
+    """A transaction system's one clock — end-of-tick phases elapsed,
+    over every run on the system (a scheduler's own tick restarts at
+    each run) — and the heap of ``(due, log position)`` its held
+    group-commit batches book into.  An entry is live while that log's
+    ``due`` is still that tick; one whose batch filled, was forced or
+    died in a crash is stale and is popped when it reaches the head.
+    The clock holds no log and no system, so a log's booking hook
+    closes no reference cycle: a finished system is freed at once."""
+
+    __slots__ = ("now", "dues")
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.dues: List[Tuple[int, int]] = []
+
+    def book(self, position: int, max_hold: int) -> int:
+        """Book a batch opened now at log ``position``: it is due once
+        ``max_hold + 1`` more end-of-tick phases have elapsed."""
+        due = self.now + max_hold + 1
+        heappush(self.dues, (due, position))
+        return due
+
+
 @dataclass
 class _PendingCommit:
     """Commit-pipeline state for one transaction (group commit makes the
@@ -410,17 +421,15 @@ class TransactionSystem:
         #: history; lets a crash handler reconcile events an interrupted
         #: call recorded at the object but never reported.
         self._mirrored: Dict[str, int] = {name: 0 for name in self.objects}
-        #: hold timers: ``_armed`` holds the positions (in
-        #: ``self.objects`` order) of every object whose log holds a
-        #: group-commit batch, and possibly stale ones whose batch has
-        #: since flushed or died in a crash — :meth:`tick` drops those
-        #: the next time it comes by.  A log arms its
-        #: object itself, when a force request opens a held batch; every
-        #: object starts armed, whatever state it was handed over in.
-        self._timed: Tuple[ManagedObject, ...] = tuple(self.objects.values())
-        self._armed: Set[int] = set(range(len(self._timed)))
-        for position, obj in enumerate(self._timed):
-            obj.watch_hold_timer(partial(self._armed.add, position))
+        #: every stable log, in ``self.objects`` order.
+        self._logs = tuple(
+            obj.wal.log for obj in self.objects.values() if obj.wal is not None
+        )
+        self._clock = SystemClock()
+        for position, log in enumerate(self._logs):
+            log.book_batch = partial(self._clock.book, position, log.policy.max_hold)
+            if log.held_batch_size():  # handed over holding a batch
+                log.due = log.book_batch()
 
     def _sync_events(self, name: Optional[str] = None) -> None:
         """Mirror unreported object-local events into the global history.
@@ -554,43 +563,42 @@ class TransactionSystem:
             obj.prune_versions(watermark)
         return self._csn
 
-    def tick(self) -> None:
-        """One scheduler tick: advance the durability timers of every
-        object holding a group-commit batch, in ``self.objects`` order
-        so the flushes of one tick keep theirs (held batches flush
-        deterministically on expiry).  An armed object that holds no
-        batch any more is forgotten here instead of ticked."""
-        for position in sorted(self._armed):
-            obj = self._timed[position]
-            if obj.next_deadline() is None:
-                self._armed.discard(position)
-            else:
-                obj.tick()
+    def _next_due(self) -> Optional[int]:
+        """The earliest tick a held batch is due at (stale heads popped)."""
+        dues, logs = self._clock.dues, self._logs
+        while dues:
+            due, position = dues[0]
+            if logs[position].due == due:
+                return due
+            heappop(dues)
+        return None
+
+    def tick(self, n: int = 1) -> None:
+        """``n`` end-of-tick phases elapse: advance the clock and force
+        every held batch now due, in ``self.objects`` order.  ``n > 1``
+        jumps dead ticks, so no batch may fall due inside the jump."""
+        clock = self._clock
+        due = self._next_due()
+        if n > 1 and due is not None and due <= clock.now + n:
+            raise ValueError(
+                "tick(%d) would jump a batch due in %d" % (n, due - clock.now)
+            )
+        clock.now += n
+        while due is not None and due <= clock.now:
+            self._logs[heappop(clock.dues)[1]].force()
+            due = self._next_due()
 
     def next_deadline(self) -> Optional[int]:
-        """Ticks until the earliest durability deadline across every
-        object (the next held group-commit batch to flush on hold-timer
-        expiry), or ``None`` when no object holds a batch.  This is the
-        durability layer's feed into the scheduler's wake calendar."""
-        deadlines = (self._timed[p].next_deadline() for p in self._armed)
-        return min((d for d in deadlines if d is not None), default=None)
-
-    def advance_ticks(self, ticks: int) -> None:
-        """Advance the running durability timers ``ticks`` steps at
-        once — the bulk equivalent of ``ticks`` :meth:`tick` calls,
-        valid only strictly short of :meth:`next_deadline` (each log
-        enforces that no flush falls inside the jump)."""
-        for position in self._armed:
-            self._timed[position].advance_ticks(ticks)
+        """Ticks until the earliest held batch is due, or ``None`` when
+        no log holds one — the durability feed of the wake calendar."""
+        due = self._next_due()
+        return None if due is None else due - self._clock.now
 
     def force_accounting(self) -> Tuple[int, int, int]:
         """Sum ``(forces, force_requests, forced_records)`` over every
         stable log in the system (zero for volatile-only objects)."""
         forces = requests = records = 0
-        for obj in self.objects.values():
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is None:
-                continue
+        for log in self._logs:
             forces += log.forces
             requests += log.force_requests
             records += log.forced_records

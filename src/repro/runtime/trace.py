@@ -155,10 +155,9 @@ class TraceCollector:
         system.trace = self
         for obj in system.objects.values():
             obj.trace = self
-            log = getattr(getattr(obj, "wal", None), "log", None)
-            if log is not None:
-                log.trace = self
-                log.trace_name = obj.name
+            if obj.wal is not None:
+                obj.wal.log.trace = self
+                obj.wal.log.trace_name = obj.name
 
     # -- serialization ---------------------------------------------------------
 

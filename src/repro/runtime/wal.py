@@ -172,8 +172,10 @@ class StableLog:
     that need the buffered tail on stable storage call
     :meth:`request_force` and receive a *ticket*; the physical flush
     happens when the held batch reaches ``policy.batch_size`` requests
-    or when the hold timer (driven by the scheduler via :meth:`tick`)
-    expires, whichever comes first.  :meth:`flushed` answers whether a
+    or when it falls due, whichever comes first: a batch opened while
+    the owning system's clock reads ``c`` records in :attr:`due` that
+    it is due at tick ``c + max_hold + 1``, and the system forces it
+    then.  :meth:`flushed` answers whether a
     ticket's batch has completed — only then may the requester
     acknowledge whatever the flush was protecting.  With the default
     policy every request flushes immediately, which is exactly the old
@@ -189,16 +191,17 @@ class StableLog:
         self.forced_records = 0  # records newly covered by a physical flush
         self._flushed = 0  # records[:_flushed] covered by a physical flush
         self._pending_forces = 0  # requests waiting in the held batch
-        self._hold_ticks = 0  # ticks the held batch has been waiting
         self._flush_seq = 0  # completed physical flushes (the ticket clock)
         #: optional trace collector + the object name to stamp events
         #: with (set by ``TraceCollector.bind_system``).
         self.trace = None
         self.trace_name = ""
-        #: optional callable the log fires when a request opens a held
-        #: batch (the hold timer starts running): how the log tells its
-        #: owner to start ticking it.  Set by the transaction system.
-        self.on_hold = None
+        #: the tick, on the owning system's clock, the held batch is
+        #: due at; ``None`` while no batch is held or no system owns it.
+        self.due: Optional[int] = None
+        #: set by the owning transaction system: ``book_batch()`` books a
+        #: batch opened now and returns the tick it is due at.
+        self.book_batch = None
         self._last_batch = 0  # requests served by the in-flight flush
 
     def append(self, make_record) -> LogRecord:
@@ -215,8 +218,8 @@ class StableLog:
 
         The ticket is satisfied (:meth:`flushed`) once the batch's
         physical flush completes — which may be immediately (the batch
-        filled), on a later :meth:`tick` (hold timer expiry), or via an
-        explicit :meth:`force`.  Callers must not acknowledge a commit
+        filled), at the tick it is due, or via an explicit
+        :meth:`force`.  Callers must not acknowledge a commit
         whose ticket is still unsatisfied.
         """
         self.force_requests += 1
@@ -231,51 +234,17 @@ class StableLog:
             )
         if self._pending_forces >= self.policy.batch_size:
             self.force()
-        elif self._pending_forces == 1 and self.on_hold is not None:
-            self.on_hold()
+        elif self._pending_forces == 1 and self.book_batch is not None:
+            self.due = self.book_batch()
         return ticket
 
     def flushed(self, ticket: int) -> bool:
         """Has the physical flush satisfying ``ticket`` completed?"""
         return ticket <= self._flush_seq
 
-    def tick(self) -> None:
-        """Advance the hold timer one scheduler tick; flush expired batches."""
-        if self._pending_forces == 0:
-            return
-        self._hold_ticks += 1
-        if self._hold_ticks > self.policy.max_hold:
-            self.force()
-
     def held_batch_size(self) -> int:
         """Force requests currently waiting in the held batch."""
         return self._pending_forces
-
-    def next_deadline(self) -> Optional[int]:
-        """Ticks until the held batch's hold timer would flush it.
-
-        ``None`` when no batch is held (no timer is running).  The wake
-        calendar uses this to skip dead ticks without ever jumping over
-        a hold-timer expiry: with ``h`` hold ticks accrued, the flush
-        fires on the ``max_hold - h + 1``-th future :meth:`tick`.
-        """
-        if self._pending_forces == 0:
-            return None
-        return self.policy.max_hold - self._hold_ticks + 1
-
-    def advance(self, ticks: int) -> None:
-        """Advance the hold timer ``ticks`` steps at once, equivalent to
-        that many :meth:`tick` calls on the condition — enforced here —
-        that none of them would have flushed the held batch."""
-        if ticks <= 0 or self._pending_forces == 0:
-            return
-        deadline = self.policy.max_hold - self._hold_ticks + 1
-        if ticks >= deadline:
-            raise ValueError(
-                "advance(%d) would jump the hold-timer deadline in %d"
-                % (ticks, deadline)
-            )
-        self._hold_ticks += ticks
 
     def force(self) -> None:
         """A synchronous physical flush, absorbing any held batch.
@@ -287,7 +256,7 @@ class StableLog:
         """
         self._last_batch = self._pending_forces
         self._pending_forces = 0
-        self._hold_ticks = 0
+        self.due = None
         self._physical_force()
         self._flush_seq += 1
 
@@ -336,7 +305,7 @@ class StableLog:
         the full volatile tail and overrides this.
         """
         self._pending_forces = 0
-        self._hold_ticks = 0
+        self.due = None
         if not self.policy.is_batching:
             lost = 0
         else:

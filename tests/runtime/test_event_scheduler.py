@@ -8,12 +8,16 @@ across the axes the runtime supports: crash schedules, group-commit
 holds, shards, sites, read mixes and open-loop arrivals.  Alongside the
 differential matrix: boundary pins for ``backoff_until`` (a restarted
 transaction is runnable *at* its wake tick, never one off), a lockstep
-per-tick trace comparison on a crash-heavy case, the hold-timer
-``next_deadline``/``advance`` contract, and the non-convergence
-diagnostic snapshot.
+per-tick trace comparison on a crash-heavy case, the system clock's
+heap of due ticks (its live head against the logs computed the slow
+way, a jump refused where a batch would fall due inside it, and the
+flush tick of a batch opened in each phase of a tick), and the
+non-convergence diagnostic snapshot.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -21,13 +25,16 @@ from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.reference import walk_dead_ticks
 from repro.runtime import ManagedObject, TransactionSystem
+from repro.runtime.durability import CrashableSystem, DurableObject
 from repro.runtime.openloop import OpenLoopConfig, drive
+from repro.runtime.replication import build_replicated_system, copy_name
 from repro.runtime.scheduler import (
     Scheduler,
     TransactionScript,
     periodic_wake,
     schedule_wake,
 )
+from repro.runtime.sharding import build_sharded_system
 from repro.runtime.torture import (
     SiteCrash,
     TortureConfig,
@@ -308,18 +315,21 @@ class TestModeResolution:
 
     def test_walked_oracle_never_jumps(self, monkeypatch):
         """The differential matrix is not vacuous: under the oracle the
-        hold timers only ever move one tick at a time, and the calendar
-        accounting still runs."""
+        system clock only ever moves one tick at a time, and the
+        calendar accounting still runs."""
+        tick = TransactionSystem.tick
 
-        def no_jump(self, ticks):
-            raise AssertionError("advance_ticks(%d) under the oracle" % ticks)
+        def no_jump(self, n=1):
+            if n > 1:
+                raise AssertionError("tick(%d) under the oracle" % n)
+            tick(self, n)
 
-        monkeypatch.setattr(TransactionSystem, "advance_ticks", no_jump)
+        monkeypatch.setattr(TransactionSystem, "tick", no_jump)
         with walk_dead_ticks():
             metrics = _arrival_scheduler(4).run()
         assert metrics.committed == 1
         assert metrics.dead_ticks_elided == 3
-        with pytest.raises(AssertionError, match="advance_ticks"):
+        with pytest.raises(AssertionError, match=r"tick\(3\)"):
             _arrival_scheduler(4).run()
 
     def test_periodic_wake(self):
@@ -337,73 +347,350 @@ class TestModeResolution:
 
 
 # ---------------------------------------------------------------------------
-# hold-timer deadlines (wal / system plumbing)
+# hold-timer deadlines: the system's heap of due ticks
 # ---------------------------------------------------------------------------
 
 
-class TestHoldTimerDeadline:
-    def make_log(self, batch=4, hold=3):
-        return StableLog(
+def _durable(name, hold, batch=8):
+    account = BankAccount(name)
+    return DurableObject(
+        account,
+        account.nfc_conflict(),
+        "DU",
+        log_factory=lambda: StableLog(
             policy=GroupCommitPolicy(batch_size=batch, max_hold=hold)
-        )
+        ),
+    )
+
+
+def _check_heap(system):
+    """The heap's live head is the earliest due tick over the logs that
+    hold a batch, computed the slow way, and a log records a due tick
+    exactly while it holds one.  Returns the ticks until that head."""
+    logs = [obj.wal.log for obj in system.objects.values()]
+    for log in logs:
+        assert (log.due is not None) == bool(log.held_batch_size())
+    slow = min((log.due for log in logs if log.held_batch_size()), default=None)
+    assert system._next_due() == slow
+    deadline = None if slow is None else slow - system._clock.now
+    assert system.next_deadline() == deadline
+    return deadline
+
+
+class _Crash(Exception):
+    """Unwinds ``Scheduler.run`` the way a torture crash point does."""
+
+
+def _flush_ticks(phase, hold):
+    """``[(tick, kind)]`` of one run's force requests and forces (and
+    ``(0, "run")`` at each run start) when its only batch not opened by
+    the transaction's own commit opens in ``phase``: before the run, in
+    the scan, in ``on_tick``, in ``_break_stall``, or before a run
+    re-entered after a crash unwound the first (the scheduler's tick
+    starts again at 0; the system clock does not)."""
+    ba = _durable("BA", hold)
+    system = CrashableSystem([ba])
+    log = ba.wal.log
+    trace = TraceCollector()
+    scripts = [TransactionScript("T", (("BA", inv("deposit", 1)),))]
+    arrivals = {"T": 12}
+    on_tick = None
+    if phase == "scan":
+        arrivals = {"T": 2}
+    elif phase == "on_tick":
+
+        def on_tick(tick):
+            if tick == 3:
+                log.request_force()
+            return False
+
+        on_tick.next_wake = schedule_wake([3])
+    elif phase == "break_stall":
+
+        def on_tick(tick):  # undeclared: every tick is processed
+            return False
+
+    elif phase == "re_entry":
+        arrivals = {"T": 1}
+
+        def on_tick(tick):
+            if tick == 2 and not system.crash_count:
+                raise _Crash()
+            return False
+
+        on_tick.next_wake = schedule_wake([2])
+    scheduler = Scheduler(
+        system, scripts, arrivals=arrivals, on_tick=on_tick, trace=trace
+    )
+    if phase == "break_stall":
+        breaker = scheduler._break_stall
+
+        def break_stall(tick, live):
+            if tick == 3:
+                log.request_force()
+            breaker(tick, live)
+
+        scheduler._break_stall = break_stall
+    if phase == "before_run":
+        log.request_force()
+    if phase == "re_entry":
+        with pytest.raises(_Crash):
+            scheduler.run()
+        scheduler.handle_crash(system.crash())
+        log.request_force()
+    scheduler.run()
+    kinds = {"force-request": "request", "force": "force", "run-start": "run"}
+    return [(e["tick"], kinds[e["kind"]]) for e in trace.events if e["kind"] in kinds]
+
+
+#: ``_flush_ticks`` per (phase, max_hold), recorded when each log still
+#: counted its own hold down tick by tick: the due tick must land every
+#: flush exactly where that countdown did.
+FLUSH_TICKS = {
+    ("before_run", 0): [(0, "request"), (0, "run"), (1, "force"), (13, "request"),
+                        (13, "force"), (14, "request"), (14, "force")],
+    ("before_run", 2): [(0, "request"), (0, "run"), (3, "force"), (13, "request"),
+                        (15, "force"), (16, "request"), (18, "force")],
+    ("scan", 0): [(0, "run"), (3, "request"), (3, "force"), (4, "request"),
+                  (4, "force")],
+    ("scan", 2): [(0, "run"), (3, "request"), (5, "force"), (6, "request"),
+                  (8, "force")],
+    ("on_tick", 0): [(0, "run"), (3, "request"), (3, "force"), (13, "request"),
+                     (13, "force"), (14, "request"), (14, "force")],
+    ("on_tick", 2): [(0, "run"), (3, "request"), (5, "force"), (13, "request"),
+                     (15, "force"), (16, "request"), (18, "force")],
+    ("break_stall", 0): [(0, "run"), (3, "request"), (4, "force"), (13, "request"),
+                         (13, "force"), (14, "request"), (14, "force")],
+    ("break_stall", 2): [(0, "run"), (3, "request"), (6, "force"), (13, "request"),
+                         (15, "force"), (16, "request"), (18, "force")],
+    ("re_entry", 0): [(0, "run"), (2, "request"), (2, "request"), (0, "run"),
+                      (1, "force"), (2, "request"), (2, "force"), (3, "request"),
+                      (3, "force")],
+    ("re_entry", 2): [(0, "run"), (2, "request"), (2, "request"), (0, "run"),
+                      (2, "request"), (3, "force"), (4, "request"), (6, "force")],
+}
+
+
+class TestHoldTimerDeadline:
+    """One system clock, one heap of ``(due, log position)``: checked
+    against the logs after every request, fill, force, checkpoint,
+    crash, shard crash, site failure and site recovery."""
 
     def test_idle_log_has_no_deadline(self):
-        assert self.make_log().next_deadline() is None
+        system = TransactionSystem([_durable("A", 3), _durable("B", 0)])
+        assert _check_heap(system) is None
+        system.tick(100)  # nothing held: any jump is dead
+        assert _check_heap(system) is None
 
     def test_deadline_counts_down_with_ticks(self):
-        log = self.make_log(hold=3)
-        log.request_force()
-        assert log.next_deadline() == 4  # fires on the 4th tick (hold > 3)
-        log.tick()
-        assert log.next_deadline() == 3
-        log.tick()
-        log.tick()
-        assert log.next_deadline() == 1
-        assert log.forces == 0
-        log.tick()  # hold expired: flush
-        assert log.forces == 1
-        assert log.next_deadline() is None
+        a = _durable("A", 3)
+        system = TransactionSystem([a])
+        system.tick(5)
+        a.wal.log.request_force()
+        assert a.wal.log.due == 5 + 3 + 1
+        assert _check_heap(system) == 4  # forced by the 4th tick (hold > 3)
+        system.tick()
+        assert _check_heap(system) == 3
+        system.tick()
+        system.tick()
+        assert _check_heap(system) == 1
+        assert a.wal.log.forces == 0
+        system.tick()  # due: forced
+        assert a.wal.log.forces == 1
+        assert _check_heap(system) is None
+
+    def test_due_tick_is_max_hold_plus_one_ahead(self):
+        """Off-by-one pins: with ``max_hold = h`` a batch is still held
+        after ``h`` end-of-tick phases and forced by the next one."""
+        for hold in (0, 1, 4):
+            a = _durable("A", hold)
+            system = TransactionSystem([a])
+            system.tick(7)
+            a.wal.log.request_force()
+            assert a.wal.log.due == 7 + hold + 1
+            for _ in range(hold):
+                system.tick()
+            assert a.wal.log.forces == 0 and _check_heap(system) == 1
+            system.tick()
+            assert a.wal.log.forces == 1 and _check_heap(system) is None
+
+    @pytest.mark.parametrize("hold", [0, 2])
+    @pytest.mark.parametrize(
+        "phase", ["before_run", "scan", "on_tick", "break_stall", "re_entry"]
+    )
+    def test_flush_tick_of_a_batch_opened_in_each_phase(self, phase, hold):
+        assert _flush_ticks(phase, hold) == FLUSH_TICKS[phase, hold]
 
     def test_advance_equals_that_many_ticks(self):
-        ticked, jumped = self.make_log(), self.make_log()
-        ticked.request_force()
-        jumped.request_force()
+        """A jump of ``n`` dead ticks, ``tick(n)``, leaves what ``n``
+        single ticks leave."""
+        ticked, jumped = _durable("A", 3), _durable("A", 3)
+        walking = TransactionSystem([ticked])
+        jumping = TransactionSystem([jumped])
+        ticked.wal.log.request_force()
+        jumped.wal.log.request_force()
         for _ in range(3):
-            ticked.tick()
-        jumped.advance(3)
-        assert jumped.next_deadline() == ticked.next_deadline() == 1
-        assert jumped.forces == ticked.forces == 0
+            walking.tick()
+        jumping.tick(3)
+        assert _check_heap(jumping) == _check_heap(walking) == 1
+        assert jumped.wal.log.forces == ticked.wal.log.forces == 0
 
     def test_advance_refuses_to_jump_the_deadline(self):
-        log = self.make_log(hold=3)
-        log.request_force()
-        with pytest.raises(ValueError, match="deadline"):
-            log.advance(4)
-        log.advance(0)  # no-op
-        idle = self.make_log()
-        idle.advance(100)  # no pending batch: nothing to time out
+        a = _durable("A", 3)
+        system = TransactionSystem([a])
+        a.wal.log.request_force()
+        with pytest.raises(ValueError, match="would jump"):
+            system.tick(4)
+        assert system._clock.now == 0 and a.wal.log.forces == 0
+        system.tick(0)  # no-op
+        system.tick(3)
+        assert _check_heap(system) == 1
+        system.tick()  # a single tick never refuses: it forces
+        assert a.wal.log.forces == 1
 
     def test_system_deadline_is_min_over_objects(self):
-        from repro.runtime.durability import DurableObject
-
-        objs = [
-            DurableObject(
-                acct,
-                acct.nrbc_conflict(),
-                "DU",
-                log_factory=lambda h=h: StableLog(
-                    policy=GroupCommitPolicy(batch_size=8, max_hold=h)
-                ),
-            )
-            for acct, h in ((BankAccount("A"), 5), (BankAccount("B"), 2))
-        ]
-        system = TransactionSystem(objs)
-        assert system.next_deadline() is None
-        for obj, txn in zip(objs, ("T1", "T2")):
+        a, b = _durable("A", 5), _durable("B", 2)
+        system = TransactionSystem([a, b])
+        assert _check_heap(system) is None
+        for obj in (a, b):
             obj.wal.log.request_force()
-        assert system.next_deadline() == 3  # min(6, 3)
-        system.advance_ticks(2)
-        assert system.next_deadline() == 1
+        assert _check_heap(system) == 3  # min(6, 3)
+        system.tick(2)
+        assert _check_heap(system) == 1
+
+    def test_force_requested_on_a_log_directly(self):
+        a, b, c = _durable("A", 5), _durable("B", 2), _durable("C", 9)
+        system = TransactionSystem([a, b, c])
+        assert _check_heap(system) is None
+        a.wal.log.request_force()
+        assert _check_heap(system) == 6
+        b.wal.log.request_force()
+        b.wal.log.request_force()  # joins the held batch: no new entry
+        assert _check_heap(system) == 3
+        assert len(system._clock.dues) == 2
+
+    def test_batch_flushed_by_force_then_held_again(self):
+        a, b = _durable("A", 5), _durable("B", 2)
+        system = TransactionSystem([a, b])
+        b.wal.log.request_force()
+        assert _check_heap(system) == 3
+        b.wal.log.force()  # flushed behind the system's back
+        assert _check_heap(system) is None
+        system.tick()
+        b.wal.log.request_force()  # a new batch, due from the new clock
+        a.wal.log.request_force()
+        assert _check_heap(system) == 3
+        assert b.wal.log.due == 1 + 2 + 1
+
+    def test_batch_flushed_by_filling(self):
+        a = _durable("A", 5, batch=2)
+        system = TransactionSystem([a])
+        a.wal.log.request_force()
+        assert _check_heap(system) == 6
+        a.wal.log.request_force()  # batch full: flushes in the request
+        assert a.wal.log.forces == 1
+        assert _check_heap(system) is None
+        system.tick(10)  # the stale entry forces nothing
+        assert a.wal.log.forces == 1
+
+    def test_tick_and_advance_move_exactly_the_held_timers(self):
+        a, b, c = _durable("A", 5), _durable("B", 2), _durable("C", 9)
+        system = TransactionSystem([a, b, c])
+        a.wal.log.request_force()
+        b.wal.log.request_force()
+        system.tick(2)
+        assert _check_heap(system) == 1
+        assert (a.wal.log.due, c.wal.log.due) == (6, None)
+        system.tick()  # B is due: its batch is forced
+        assert (b.wal.log.forces, a.wal.log.forces) == (1, 0)
+        assert _check_heap(system) == 3
+        c.wal.log.request_force()
+        system.tick()
+        assert _check_heap(system) == 2
+        assert (a.wal.log.due, c.wal.log.due) == (6, 3 + 9 + 1)
+
+    def test_batches_due_together_are_forced_in_object_order(self):
+        a, b = _durable("A", 2), _durable("B", 2)
+        system = TransactionSystem([a, b])
+        trace = TraceCollector()
+        trace.bind_system(system)
+        b.wal.log.request_force()
+        a.wal.log.request_force()
+        system.tick(2)
+        system.tick()
+        forced = [e["obj"] for e in trace.events if e["kind"] == "force"]
+        assert forced == ["A", "B"]
+
+    def test_a_finished_system_is_freed_without_the_cycle_collector(self):
+        """A log's booking hook must not reach back to its system: a
+        campaign builds a system per schedule, and one left to the cycle
+        collector holds its objects, histories and logs meanwhile."""
+        gc.disable()
+        try:
+            a, b = _durable("A", 2), _durable("B", 2)
+            system = CrashableSystem([a, b])
+            a.wal.log.request_force()
+            scripts = [TransactionScript("T", (("B", inv("deposit", 1)),))]
+            Scheduler(system, scripts).run()
+            freed = weakref.ref(system), weakref.ref(a.wal.log)
+            del system, a, b
+            assert [ref() for ref in freed] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_objects_handed_over_with_a_batch_already_held(self):
+        a, b = _durable("A", 5), _durable("B", 2)
+        b.wal.log.request_force()  # before any system exists
+        assert b.wal.log.due is None
+        system = TransactionSystem([a, b])
+        assert _check_heap(system) == 3  # it opens when the system does
+
+    def test_crash_with_a_batch_held(self):
+        a, b = _durable("A", 5), _durable("B", 2)
+        system = CrashableSystem([a, b])
+        a.wal.log.request_force()
+        b.wal.log.request_force()
+        assert _check_heap(system) == 3
+        system.crash()  # held batches die with the process
+        assert _check_heap(system) is None
+        a.wal.log.request_force()
+        assert _check_heap(system) == 6
+
+    def test_checkpoint_flushes_the_held_batch(self):
+        a, b = _durable("A", 5), _durable("B", 2)
+        system = CrashableSystem([a, b])
+        b.wal.log.request_force()
+        b.checkpoint()
+        assert _check_heap(system) is None
+        b.wal.log.request_force()
+        assert _check_heap(system) == 3
+
+    def test_shard_crash_and_site_failure_and_recovery(self):
+        sharded = build_sharded_system(
+            "counter", ["X", "Y", "Z", "W"], shards=2, group_commit=4, hold=3
+        )
+        for obj in sharded.objects.values():
+            obj.wal.log.request_force()
+        assert _check_heap(sharded) == 4
+        sharded.crash_shard(0)
+        assert _check_heap(sharded) == 4
+        sharded.crash_shard(1)
+        assert _check_heap(sharded) is None
+
+        replicated = build_replicated_system(
+            "counter", ["X", "Y"], sites=2, group_commit=4, hold=3
+        )
+        remote = replicated.objects[copy_name("X", 1)]
+        remote.wal.log.request_force()
+        assert _check_heap(replicated) == 4
+        replicated.fail_site(1)
+        assert _check_heap(replicated) is None
+        replicated.recover_site(1)
+        assert _check_heap(replicated) is None
+        remote.wal.log.request_force()
+        replicated.objects[copy_name("Y", 0)].wal.log.request_force()
+        replicated.tick()
+        assert _check_heap(replicated) == 3
 
 
 # ---------------------------------------------------------------------------

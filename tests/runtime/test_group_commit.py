@@ -78,18 +78,19 @@ def test_ticket_unsatisfied_until_flush():
 
 
 def test_hold_timer_flushes_short_batch():
-    log = StableLog(policy=GroupCommitPolicy(batch_size=4, max_hold=2))
+    obj, system = durable_bank(GroupCommitPolicy(batch_size=4, max_hold=2))
+    log = obj.wal.log
     log.append(record_maker("T0"))
     ticket = log.request_force()
-    log.tick()  # hold tick 1
-    log.tick()  # hold tick 2 (== max_hold: still held)
+    assert log.due == 3  # opened at clock 0: due after max_hold + 1 ticks
+    system.tick()  # hold tick 1
+    system.tick()  # hold tick 2 (== max_hold: still held)
     assert not log.flushed(ticket)
-    log.tick()  # hold expired: flush fires
+    system.tick()  # due: the system forces it
     assert log.flushed(ticket)
-    assert log.forces == 1
-    # An idle log's timer does not run.
-    for _ in range(5):
-        log.tick()
+    assert log.forces == 1 and log.due is None
+    # An idle log has nothing due.
+    system.tick(5)
     assert log.forces == 1
 
 

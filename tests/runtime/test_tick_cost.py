@@ -2,16 +2,13 @@
 
 Counting tests, not timing tests.  The scheduler's scan, its shuffle
 and the wake calendar walk the transactions *in the system* — scripts
-still to arrive wait in the arrival queue — and the system's hold-timer
-walks visit the logs *holding a batch*.  So on a sparse open-loop drive
-the RNG draws of a processed tick are bounded by the in-system
-population whatever ``transactions`` is, and ``StableLog.tick`` is
-called once per (held log, live tick) pair, not once per (object, live
-tick); and a refused invocation costs an attempt when it arrives at its
-step and again when its object changes, not one per tick it waits.  The
-last part pins the invariant the timer walks rest on: ``armed`` is a
-superset of the objects whose log holds a batch, however the batch came
-to be held or to be gone.
+still to arrive wait in the arrival queue — and the end-of-tick phase
+touches a stable log only to force a batch that is due.  So on a sparse
+open-loop drive the RNG draws of a processed tick are bounded by the
+in-system population whatever ``transactions`` is, a tick with nothing
+due forces nothing, and a refused invocation costs an attempt when it
+arrives at its step and again when its object changes, not one per
+tick it waits.
 """
 
 import random
@@ -19,11 +16,9 @@ import random
 from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.runtime import ManagedObject, TransactionSystem
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import DurableObject
 from repro.runtime.openloop import OpenLoopConfig
-from repro.runtime.replication import build_replicated_system, copy_name
 from repro.runtime.scheduler import Scheduler, TransactionScript
-from repro.runtime.sharding import build_sharded_system
 from repro.runtime.wal import GroupCommitPolicy, StableLog
 
 from ..drive_harness import (
@@ -102,38 +97,61 @@ def test_draws_per_tick_follow_the_in_system_population():
 
 
 # ---------------------------------------------------------------------------
-# the hold timers: StableLog.tick calls
+# the end-of-tick phase: StableLog.force calls
 # ---------------------------------------------------------------------------
 
 
 def test_hold_timers_tick_only_where_a_batch_is_held(monkeypatch):
+    """The end-of-tick phase touches a log only to force a due batch:
+    its ``StableLog.force`` calls are exactly the batches due by the
+    clock it moves to, counted the slow way over every log, so a tick
+    with nothing due forces nothing."""
     scheduler = _sparse_scheduler(400)
     system = scheduler.system
     logs = [obj.wal.log for obj in system.objects.values()]
-    counts = {"tick_calls": 0, "held_pairs": 0, "live_ticks": 0}
-    log_tick, system_tick = StableLog.tick, system.tick
+    counts = {"forces": 0, "timer_forces": 0, "due": 0, "ticks": 0, "idle": 0}
+    log_force, system_tick = StableLog.force, system.tick
 
-    def counted_log_tick(self):
-        counts["tick_calls"] += 1
-        log_tick(self)
+    def counted_force(self):
+        counts["forces"] += 1
+        log_force(self)
 
-    def counted_system_tick():
-        counts["live_ticks"] += 1
-        counts["held_pairs"] += sum(1 for log in logs if log.held_batch_size())
-        system_tick()
+    def counted_system_tick(n=1):
+        clock = system._clock.now + n
+        due = sum(1 for log in logs if log.due is not None and log.due <= clock)
+        before = counts["forces"]
+        system_tick(n)
+        forced = counts["forces"] - before
+        assert forced == due
+        counts["timer_forces"] += forced
+        counts["due"] += due
+        counts["ticks"] += 1
+        counts["idle"] += not due
 
-    monkeypatch.setattr(StableLog, "tick", counted_log_tick)
+    monkeypatch.setattr(StableLog, "force", counted_force)
     system.tick = counted_system_tick
     metrics = scheduler.run()
-    assert metrics.forces > 0 and counts["held_pairs"] > 0
-    assert counts["tick_calls"] <= counts["held_pairs"]
-    # and that is far from every object on every live tick
-    assert counts["held_pairs"] < counts["live_ticks"] * len(logs) // 4
+    assert metrics.forces > 0 and counts["due"] > 0
+    assert counts["timer_forces"] == counts["due"]
+    # most end-of-tick phases have nothing due and touch no log
+    assert counts["idle"] > counts["ticks"] // 2
 
 
 # ---------------------------------------------------------------------------
 # refused invocations: TransactionSystem.invoke calls
 # ---------------------------------------------------------------------------
+
+
+def _durable(name, hold, batch=8):
+    account = BankAccount(name)
+    return DurableObject(
+        account,
+        account.nfc_conflict(),
+        "DU",
+        log_factory=lambda: StableLog(
+            policy=GroupCommitPolicy(batch_size=batch, max_hold=hold)
+        ),
+    )
 
 
 def test_waiters_on_a_held_commit_cost_one_attempt_each(monkeypatch):
@@ -191,135 +209,3 @@ def test_a_flash_crowd_costs_arrivals_plus_wakes(monkeypatch):
         metrics.operations + metrics.aborted + woken["entries"]
     )
 
-
-# ---------------------------------------------------------------------------
-# the arm invariant
-# ---------------------------------------------------------------------------
-
-
-def _check_timers(system):
-    """``armed`` covers every held log, and the system's deadline is the
-    minimum over *all* objects, computed the slow way."""
-    objects = list(system.objects.values())
-    held = {
-        position
-        for position, obj in enumerate(objects)
-        if obj.wal.log.held_batch_size()
-    }
-    assert held <= system._armed
-    deadlines = [obj.next_deadline() for obj in objects]
-    slow = min((d for d in deadlines if d is not None), default=None)
-    assert system.next_deadline() == slow
-    return slow
-
-
-def _durable(name, hold, batch=8):
-    account = BankAccount(name)
-    return DurableObject(
-        account,
-        account.nfc_conflict(),
-        "DU",
-        log_factory=lambda: StableLog(
-            policy=GroupCommitPolicy(batch_size=batch, max_hold=hold)
-        ),
-    )
-
-
-class TestArmInvariant:
-    def test_force_requested_on_a_log_directly(self):
-        a, b, c = _durable("A", 5), _durable("B", 2), _durable("C", 9)
-        system = TransactionSystem([a, b, c])
-        assert _check_timers(system) is None
-        a.wal.log.request_force()
-        assert _check_timers(system) == 6
-        b.wal.log.request_force()
-        b.wal.log.request_force()  # joins the held batch: no second arm
-        assert _check_timers(system) == 3
-
-    def test_batch_flushed_by_force_then_held_again(self):
-        a, b = _durable("A", 5), _durable("B", 2)
-        system = TransactionSystem([a, b])
-        b.wal.log.request_force()
-        assert _check_timers(system) == 3
-        b.wal.log.force()  # flushed behind the system's back
-        assert _check_timers(system) is None
-        b.wal.log.request_force()  # the next 0 -> 1 arms it again
-        a.wal.log.request_force()
-        assert _check_timers(system) == 3
-
-    def test_batch_flushed_by_filling(self):
-        a = _durable("A", 5, batch=2)
-        system = TransactionSystem([a])
-        a.wal.log.request_force()
-        assert _check_timers(system) == 6
-        a.wal.log.request_force()  # batch full: flushes in the request
-        assert a.wal.log.forces == 1
-        assert _check_timers(system) is None
-
-    def test_tick_and_advance_move_exactly_the_held_timers(self):
-        a, b, c = _durable("A", 5), _durable("B", 2), _durable("C", 9)
-        system = TransactionSystem([a, b, c])
-        a.wal.log.request_force()
-        b.wal.log.request_force()
-        system.advance_ticks(2)
-        assert _check_timers(system) == 1
-        assert (a.next_deadline(), c.next_deadline()) == (4, None)
-        system.tick()  # B's hold expires: its batch flushes
-        assert (b.wal.log.forces, a.wal.log.forces) == (1, 0)
-        assert _check_timers(system) == 3
-        c.wal.log.request_force()
-        system.tick()
-        assert (a.next_deadline(), c.next_deadline()) == (2, 9)
-
-    def test_objects_handed_over_with_a_batch_already_held(self):
-        a, b = _durable("A", 5), _durable("B", 2)
-        b.wal.log.request_force()  # before any system exists
-        system = TransactionSystem([a, b])
-        assert _check_timers(system) == 3
-
-    def test_crash_with_a_batch_held(self):
-        a, b = _durable("A", 5), _durable("B", 2)
-        system = CrashableSystem([a, b])
-        a.wal.log.request_force()
-        b.wal.log.request_force()
-        assert _check_timers(system) == 3
-        system.crash()  # held batches die with the process
-        assert _check_timers(system) is None
-        a.wal.log.request_force()
-        assert _check_timers(system) == 6
-
-    def test_checkpoint_flushes_the_held_batch(self):
-        a, b = _durable("A", 5), _durable("B", 2)
-        system = CrashableSystem([a, b])
-        b.wal.log.request_force()
-        b.checkpoint()
-        assert _check_timers(system) is None
-        b.wal.log.request_force()
-        assert _check_timers(system) == 3
-
-    def test_shard_crash_and_site_failure_and_recovery(self):
-        sharded = build_sharded_system(
-            "counter", ["X", "Y", "Z", "W"], shards=2, group_commit=4, hold=3
-        )
-        for obj in sharded.objects.values():
-            obj.wal.log.request_force()
-        assert _check_timers(sharded) == 4
-        sharded.crash_shard(0)
-        _check_timers(sharded)
-        sharded.crash_shard(1)
-        assert _check_timers(sharded) is None
-
-        replicated = build_replicated_system(
-            "counter", ["X", "Y"], sites=2, group_commit=4, hold=3
-        )
-        remote = replicated.objects[copy_name("X", 1)]
-        remote.wal.log.request_force()
-        assert _check_timers(replicated) == 4
-        replicated.fail_site(1)
-        assert _check_timers(replicated) is None
-        replicated.recover_site(1)
-        assert _check_timers(replicated) is None
-        remote.wal.log.request_force()
-        replicated.objects[copy_name("Y", 0)].wal.log.request_force()
-        replicated.advance_ticks(1)
-        assert _check_timers(replicated) == 3

@@ -1012,10 +1012,24 @@ def _emits(fn, kind):
     )
 
 
+#: spans the benchmark still names whose functions the product deleted
+#: on purpose: the hold-timer countdown, replaced by the system clock's
+#: heap of due ticks (``TransactionSystem.tick``).  They read as
+#: ``ledger.spans_missing`` until the benchmark's span table is
+#: retargeted; nothing else may go missing.
+RETIRED_SPANS = [
+    "repro.runtime.wal:StableLog.tick",
+    "repro.runtime.wal:StableLog.advance",
+    "repro.runtime.durability:DurableObject.tick",
+]
+
+
 def test_every_benchmark_span_is_defined_on_its_owner():
     """``benchmarks/e2e/spans.py`` wraps ``vars(owner)[attr]``; a name
     that moved to a base class would drop out of the ledger silently
-    here and fail ``pytest benchmarks/e2e`` in CI."""
+    here and fail ``pytest benchmarks/e2e`` in CI.  The only names
+    allowed missing are :data:`RETIRED_SPANS`, and each of them must
+    be."""
     path = SRC.parent / "benchmarks" / "e2e" / "spans.py"
     spec = importlib.util.spec_from_file_location("_e2e_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -1028,4 +1042,31 @@ def test_every_benchmark_span_is_defined_on_its_owner():
             owner = getattr(module, owner_name) if owner_name else module
             if not isinstance(vars(owner).get(attr), types.FunctionType):
                 missing.append("%s:%s" % (module_name, qualname))
-    assert not missing, missing
+    assert missing == RETIRED_SPANS, missing
+
+
+def test_a_held_batch_is_timed_by_the_system_clock_alone():
+    """A held group-commit batch records the tick it is due at and the
+    system's one heap forces it then: no log or object counts a hold
+    down, and the system has one entry for a tick and a jump alike."""
+    from repro.runtime.durability import DurableObject
+    from repro.runtime.faults import FaultyStableLog
+    from repro.runtime.system import ManagedObject, TransactionSystem
+    from repro.runtime.wal import StableLog
+
+    retired = (
+        "tick", "advance", "advance_ticks", "next_deadline",
+        "watch_hold_timer", "_hold_ticks",
+    )
+    for cls in (StableLog, FaultyStableLog, DurableObject, ManagedObject):
+        kept = [name for name in retired if hasattr(cls, name)]
+        assert not kept, (cls.__name__, kept)
+    assert not hasattr(TransactionSystem, "advance_ticks")
+    offenders = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("_hold_ticks", "on_hold", "_armed", "_timed")
+    ]
+    assert not offenders, offenders
