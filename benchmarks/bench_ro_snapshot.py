@@ -91,7 +91,7 @@ def test_snapshot_readers_hold_zero_locks(benchmark):
     assert metrics.ro_committed == len(readers)
     reader_names = {s.name for s in readers}
     for obj in system.objects.values():
-        ever = obj.locks.lifetime_holders()
+        ever = {e.txn for e in obj.history() if e.is_response}
         assert not {n.split("~")[0] for n in ever} & reader_names
         assert ever  # the writers did lock
 
@@ -104,7 +104,7 @@ def test_snapshot_readers_hold_zero_locks(benchmark):
     )
     system = TransactionSystem([ManagedObject(adt, adt.nfc_conflict(), "DU")])
     Scheduler(system, locked, seed=SEED, label="ro-locked").run()
-    ever = system.object(adt.name).locks.lifetime_holders()
+    ever = {e.txn for e in system.object(adt.name).history() if e.is_response}
     assert {n.split("~")[0] for n in ever} & reader_names
 
 

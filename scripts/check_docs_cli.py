@@ -15,11 +15,15 @@ the CLI.  This is ``--help``-level validation: flags and subcommands
 must exist and typed values must convert, but nothing executes and no
 files need to exist.
 
-``docs/API.md`` gets one more check: every `` `pkg.module` `` in the
-first column of a ``| Module |`` table imports as ``repro.pkg.module``,
-and no row of such a table names an identifier the code base has
-retired (:data:`RETIRED`) — so the API table cannot keep advertising a
-function after it is gone.
+``docs/API.md`` gets two more checks.  Its ``| Module | Purpose |``
+tables hold one row per ``repro`` module (``__main__`` excluded): the
+dotted name and the first line of the module's docstring, nothing else
+(:func:`module_row`).  A module with no row, a row naming no module,
+and a purpose cell that is not the docstring's first line each fail,
+printing the expected row — so no row is ever re-synced by hand.  Its
+``| Kind | Required fields |`` table holds one row per trace event kind
+of ``repro.runtime.trace.EVENT_SCHEMA`` whose fields are exactly the
+schema's, in order.
 
 In ``docs/API.md``, ``docs/ARCHITECTURE.md`` and ``docs/REPLICATION.md``
 every backticked `` `repro.pkg.name` `` must import or be an attribute
@@ -131,38 +135,82 @@ def check_file(path: pathlib.Path) -> Tuple[int, List[str]]:
     return checked, failures
 
 
-#: identifiers deleted from ``src/repro`` that a module table must not name.
-RETIRED = (
-    "CompiledConflict", "CompiledTable", "compile_classifier", "compile_table",
-    "compile_conflict_classes", "compiled_conflict", "compiled_tables",
-    "compiled_forward_table", "compiled_backward_table", "compiled_relation",
-    "held_bit", "can_acquire", "SymmetricClosure", "UnionConflict",
-    "refine", "row_mask", "class_index", "prepare_ready", "commit_ready",
-    "DeadlockDetected", "TransactionAborted",
-)
-MODULE_ROW_RE = re.compile(r"^\| `([a-z_][a-z_.]*)` \|")
+def repro_modules() -> Dict[str, str]:
+    """Every ``repro`` module but the root and ``__main__``, by dotted
+    name -> the first line of its docstring."""
+    import repro
+
+    modules: Dict[str, str] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):
+            continue  # importing it runs the CLI
+        doc = (importlib.import_module(info.name).__doc__ or "").strip()
+        modules[info.name] = doc.splitlines()[0] if doc else ""
+    return modules
 
 
-def check_module_tables(path: pathlib.Path) -> List[str]:
-    """Failures of the ``| Module |`` tables of ``path`` (see above)."""
-    failures: List[str] = []
+def module_row(name: str, purpose: str) -> str:
+    return "| `%s` | %s |" % (name, purpose)
+
+
+MODULE_ROW_RE = re.compile(r"^\| `([\w.]+)` \| (.*) \|$")
+KIND_ROW_RE = re.compile(r"^\| `([\w-]+)` \| ([^|]*) \|")
+
+
+def table_rows(text: str, header: str) -> Iterator[str]:
+    """The body rows of every table of ``text`` whose header line starts
+    with ``header``."""
     in_table = False
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         if not line.startswith("|"):
             in_table = False
-        elif line.startswith("| Module |"):
+        elif line.startswith(header):
             in_table = True
-        elif in_table and (row := MODULE_ROW_RE.match(line)):
-            module = row.group(1)
-            try:
-                importlib.import_module("repro." + module)
-            except ImportError as exc:
-                failures.append("%s: `%s` does not import: %s" % (path.name, module, exc))
-            for name in RETIRED:
-                if re.search(r"\b%s\b" % name, line):
-                    failures.append(
-                        "%s: `%s` row names the retired `%s`" % (path.name, module, name)
-                    )
+        elif in_table and not line.startswith("|---"):
+            yield line
+
+
+def check_module_tables(path: pathlib.Path, modules: Dict[str, str]) -> List[str]:
+    """Failures of the ``| Module | Purpose |`` tables of ``path`` (see above)."""
+    failures: List[str] = []
+    rows: Set[str] = set()
+    for line in table_rows(path.read_text(), "| Module | Purpose |"):
+        row = MODULE_ROW_RE.match(line)
+        name = row.group(1) if row else line
+        if name not in modules:
+            failures.append("%s: `%s` does not import as a repro module" % (path.name, name))
+            continue
+        rows.add(name)
+        if row.group(2) != modules[name]:
+            failures.append("%s: `%s` purpose is not its docstring's first line; expected:\n%s"
+                            % (path.name, name, module_row(name, modules[name])))
+    for name in sorted(set(modules) - rows):
+        failures.append("%s: `%s` has no row; expected:\n%s"
+                        % (path.name, name, module_row(name, modules[name])))
+    return failures
+
+
+def check_event_table(path: pathlib.Path) -> List[str]:
+    """Failures of the ``| Kind | Required fields |`` table of ``path``
+    against ``EVENT_SCHEMA`` (see above)."""
+    from repro.runtime.trace import EVENT_SCHEMA
+
+    failures: List[str] = []
+    kinds: Set[str] = set()
+    for line in table_rows(path.read_text(), "| Kind | Required fields |"):
+        row = KIND_ROW_RE.match(line)
+        kind = row.group(1) if row else line
+        if kind not in EVENT_SCHEMA:
+            failures.append("%s: event row `%s` names no kind of EVENT_SCHEMA" % (path.name, kind))
+            continue
+        kinds.add(kind)
+        fields = tuple(re.findall(r"`(\w+)`", row.group(2)))
+        if fields != EVENT_SCHEMA[kind]:
+            failures.append("%s: event `%s` lists fields %s; EVENT_SCHEMA has %s"
+                            % (path.name, kind, fields, EVENT_SCHEMA[kind]))
+    for kind in sorted(set(EVENT_SCHEMA) - kinds):
+        failures.append("%s: event kind `%s` has no row; its fields: %s"
+                        % (path.name, kind, ", ".join("`%s`" % f for f in EVENT_SCHEMA[kind])))
     return failures
 
 
@@ -175,15 +223,10 @@ FILE_SUFFIXES = frozenset({"md", "json", "jsonl", "py", "txt", "toml", "yml"})
 
 def repro_classes() -> Dict[str, List[type]]:
     """Every class defined in a ``repro`` module, by its bare name."""
-    import repro
-
     classes: Dict[str, List[type]] = {}
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.endswith(".__main__"):
-            continue  # importing it runs the CLI
-        module = importlib.import_module(info.name)
-        for name, value in vars(module).items():
-            if inspect.isclass(value) and value.__module__ == info.name:
+    for module_name in repro_modules():
+        for name, value in vars(importlib.import_module(module_name)).items():
+            if inspect.isclass(value) and value.__module__ == module_name:
                 classes.setdefault(name, []).append(value)
     return classes
 
@@ -328,7 +371,8 @@ def main(argv: List[str]) -> int:
         failures.extend(check_names(REPO / name, classes))
     for path in paths:
         if path.name == "API.md":
-            failures.extend(check_module_tables(path))
+            failures.extend(check_module_tables(path, repro_modules()))
+            failures.extend(check_event_table(path))
     for path in paths:
         checked, fails = check_file(path)
         total += checked

@@ -22,6 +22,9 @@ extended with the hooks the analysis layer and the runtime need:
   Figures 6-1 and 6-2 and cross-checked against the mechanical checker
   in the test suite.  ADTs without a hand derivation inherit a
   mechanically-derived relation over the default domain.
+
+The module imports nothing from :mod:`repro.analysis` until
+:meth:`ADT.build_checker` is called.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """An ADT's two conflict tables, side by side.
 
 The class matrix is :class:`~repro.core.conflict.ClassifierConflict`'s
-own representation (one integer row mask per class; see
+own representation (one row of class indices per class; see
 :mod:`repro.core.conflict`), so there is nothing to compile:
 :func:`~repro.core.conflict.maybe_compile` — re-exported here, where the
 end-to-end ledger looks it up — only says whether a relation is a table,

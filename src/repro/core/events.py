@@ -21,6 +21,10 @@ events) are the alphabet of the commutativity theory.
 Everything in this module is immutable and hashable: events appear inside
 histories, operations inside operation sequences, and both are used as
 dictionary keys and set members throughout the library.
+:class:`Invocation` and :class:`Operation` compute their hash once, at
+construction — the value the generated ``__hash__`` would give — and
+pickle through their constructors, so a hash is never carried into
+another process (string hashing is per process).
 """
 
 from __future__ import annotations

@@ -59,12 +59,6 @@ class LockManager:
     def __init__(self, conflict: ConflictRelation):
         self.conflict = conflict
         self._held: Dict[str, List[Operation]] = {}
-        #: every transaction that ever acquired a lock here, across the
-        #: manager's lifetime (releases don't erase it).  The read-only
-        #: snapshot path bypasses the lock manager entirely, and the
-        #: audits assert that by checking no read-only transaction ever
-        #: shows up in :meth:`lifetime_holders` on any object.
-        self._ever_held: Set[str] = set()
         #: the relation itself when it is a table, or None when it has
         #: none and :meth:`blockers` takes the per-pair loop.
         self.table: Optional[ClassifierConflict] = maybe_compile(conflict)
@@ -77,7 +71,6 @@ class LockManager:
         (and so its table) is shared: verdicts are pure."""
         twin = copy.copy(self)
         twin._held = {txn: list(ops) for txn, ops in self._held.items()}
-        twin._ever_held = set(self._ever_held)
         twin._index = {slot: set(holders) for slot, holders in self._index.items()}
         return twin
 
@@ -88,12 +81,6 @@ class LockManager:
     def holders(self) -> FrozenSet[str]:
         """Transactions currently holding at least one operation."""
         return frozenset(self._held)
-
-    def lifetime_holders(self) -> FrozenSet[str]:
-        """Every transaction that ever acquired a lock here (cumulative,
-        survives releases — the zero-locks audit surface for read-only
-        snapshot transactions)."""
-        return frozenset(self._ever_held)
 
     def blockers(self, txn: str, operation: Operation) -> Set[str]:
         """Other transactions whose held operations conflict with
@@ -137,7 +124,6 @@ class LockManager:
     def acquire(self, txn: str, operation: Operation) -> None:
         """Record an executed operation; caller must have checked blockers."""
         self._held.setdefault(txn, []).append(operation)
-        self._ever_held.add(txn)
         if self.table is not None:
             self._index.setdefault(self.table.slot(operation), set()).add(txn)
 

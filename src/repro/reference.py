@@ -1,13 +1,14 @@
 """Reference oracles for the fast paths, for tests and twin benchmarks only.
 
-The product has one path per job and picks it from its input: a conflict
-relation that is a table is answered from its bitmasks, a known view
-over a state-machine spec gets its incremental manager, the scheduler
-jumps the dead ticks its wake calendar proves and lets a refused
-invocation sleep until its object's epoch moves, and the atomicity
-checkers prune and memoize one order search, and an attempt looks up
-what an earlier one worked out.  Each fast path has a slow,
-obviously-right twin that the byte-identity suites compare it with.
+The product has one path per job and picks it from its input: a
+conflict relation that is a table is answered from the lock manager's
+``(class, key)`` index, a known view over a state-machine spec gets its
+incremental manager, the scheduler jumps the dead ticks its wake
+calendar proves and lets a refused invocation sleep until its object's
+epoch moves, and the atomicity checkers prune and memoize one order
+search, and an attempt looks up what an earlier one worked out.  Each
+fast path has a slow, obviously-right twin that the byte-identity
+suites compare it with.
 This module is where those twins are reached — by handing the product an
 input it cannot accelerate, or, for the scheduler, by swapping the one
 method that performs the jump or decides the sleep; the order search has

@@ -441,6 +441,13 @@ def drive(
     keeps the offered process Poisson at the target rate — and its
     report's ``availability`` is the committed fraction of the offered
     load through the site-crash schedule.
+
+    The report comes from :meth:`Scheduler.commit_ticks` and the
+    arrivals, never from a trace: a latency is commit tick − offered
+    arrival, across restarts, and a shard's ``committed`` counts update
+    scripts by home shard.  ``trace=None`` builds no collector and emits
+    nothing; a passed collector also gets ``drive-start`` /
+    ``drive-end``.
     """
     rng = random.Random(seed)
     scripts = open_loop_scripts(config, rng)

@@ -655,8 +655,8 @@ def build_replicated_system(
     """A replicated system of ``adt_kind`` objects, ``sites`` copies each.
 
     Every copy gets its own fresh :class:`~repro.runtime.wal.StableLog`
-    under the group-commit policy; its conflict relation compiles to a
-    bitmask table once, which restarts after a crash reuse.
+    under the group-commit policy; its conflict relation is its table,
+    which restarts after a crash reuse.
     """
     return ReplicatedSystem(
         [

@@ -6,8 +6,8 @@ lock-manager/log/scheduler domain.  This module hash-partitions the
 managed objects of a :class:`~repro.runtime.durability.CrashableSystem`
 into **shards**: each shard owns a disjoint subset of the objects, and
 with them its own lock state (every object's
-:class:`~repro.core.lock_manager.LockManager`, sharing the PR 6
-compiled bitmask tables), its own stable logs with group commit, and its
+:class:`~repro.core.lock_manager.LockManager`, whose index reads the
+relation's table), its own stable logs with group commit, and its
 own recovery path.  Nothing global remains on the data path, so under
 the open-loop driver's one scheduler (:mod:`repro.runtime.openloop`)
 the shard count moves no counter (EXP-C15): the NFC/NRBC conflict
@@ -113,12 +113,6 @@ class ShardedSystem(CrashableSystem):
         """The object names owned by ``shard``, sorted."""
         return sorted(n for n, s in self._placement.items() if s == shard)
 
-    def shards_touched(self, txn: str) -> Set[int]:
-        """The shards a transaction has touched so far."""
-        return {
-            self._placement[name] for name in self._touched.get(txn, ())
-        }
-
     # -- tracing -----------------------------------------------------------------
 
     def bind_trace(self, collector) -> None:
@@ -179,8 +173,8 @@ def build_sharded_system(
     """A sharded system of ``adt_kind`` objects, one per name.
 
     Every object gets its own fresh :class:`~repro.runtime.wal.StableLog`
-    under the group-commit policy; its conflict relation compiles to a
-    bitmask table once, which restarts after a crash reuse.
+    under the group-commit policy; its conflict relation is its table,
+    which restarts after a crash reuse.
     """
     return ShardedSystem(
         [

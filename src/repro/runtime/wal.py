@@ -53,7 +53,7 @@ riding a shared flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
 from ..core.events import Operation
@@ -328,9 +328,16 @@ class StableLog:
 class LogDiscipline:
     """What both logging disciplines share: the commit-point rule
     (:data:`COMMIT_MARKERS`) and the checkpoint.  Restart is each
-    discipline's own: a DU prepare may straddle a checkpoint, so
-    redo-only restart reads the whole log, while undo/redo restart
-    replays only the tail after the last checkpoint."""
+    discipline's own: redo-only restart reads the whole log, while
+    undo/redo restart replays only the tail after the last checkpoint.
+    A checkpoint truncates the log before itself, so neither discipline
+    takes one that would cut a record a later commit still needs: UIP
+    refuses while a transaction is active, DU while a prepare is
+    unsealed."""
+
+    #: transactions whose prepare record no commit record has sealed
+    #: yet (DU only: a UIP prepare writes no record a commit seals)
+    _prepared: AbstractSet[str] = frozenset()
 
     def __init__(self, adt: ADT, log: Optional[StableLog]):
         self.adt = adt
@@ -359,7 +366,15 @@ class LogDiscipline:
         self.log.recovery_append(lambda lsn: CommitRecord(lsn, txn=txn))
 
     def checkpoint(self, committed_macro: MacroState) -> None:
-        """Write a snapshot of committed state and truncate the log."""
+        """Write a snapshot of committed state and truncate the log.
+        Refused while a prepare is unsealed: truncating its
+        :class:`PrepareRecord` would leave the later
+        :class:`CommitRecord` nothing to seal at restart."""
+        if self._prepared:
+            raise RuntimeError(
+                "DU checkpoint requires no unsealed prepare (prepared: %s)"
+                % sorted(self._prepared)
+            )
         record = self.log.append(
             lambda lsn: CheckpointRecord(lsn, macro=committed_macro)
         )

@@ -12,7 +12,12 @@ from repro.adts import BankAccount, SemiQueue, SetADT
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
 from repro.core.views import DU, UIP
-from repro.runtime.durability import CrashableSystem, DurableObject, run_with_crashes
+from repro.runtime.durability import (
+    CrashableSystem,
+    DurableObject,
+    build_durable_object,
+    run_with_crashes,
+)
 from repro.runtime.scheduler import TransactionScript
 from repro.runtime.wal import (
     CheckpointRecord,
@@ -224,13 +229,28 @@ class TestDurableObject:
         obj.crash_and_restart()
         assert obj.recovery.macro("PROBE") == frozenset({5})
 
-    def test_du_checkpoint_any_time(self):
+    def test_du_checkpoint_with_active_intentions(self):
         ba = BankAccount("BA")
         obj = DurableObject(ba, ba.nfc_conflict(), "DU")
         obj.try_operation("A", inv("deposit", 5))  # active intentions
         obj.checkpoint()  # base is committed-only: fine
         obj.crash_and_restart()
         assert obj.recovery.macro("PROBE") == frozenset({0})
+
+    def test_du_checkpoint_refused_while_a_prepare_is_unsealed(self):
+        """A checkpoint between prepare and commit would truncate the
+        prepare record the commit record seals: the commit would be
+        lost at restart.  It is refused until the prepare is sealed."""
+        obj = build_durable_object("bank", None, "DU", 1, 0, StableLog)
+        assert obj.try_operation("A", inv("deposit", 5)).ok
+        assert obj.prepare("A")
+        with pytest.raises(RuntimeError, match="unsealed prepare"):
+            obj.checkpoint()
+        obj.submit_commit("A")
+        obj.complete_commit("A")
+        obj.checkpoint()
+        obj.crash_and_restart()
+        assert obj.recovery.macro("PROBE") == frozenset({5})
 
 
 class TestCrashableSystem:

@@ -3,7 +3,8 @@
 The load-bearing properties:
 
 * read-only transactions acquire **zero locks** — no entry in any
-  :class:`LockManager`, ever (``lifetime_holders`` is the audit surface);
+  :class:`LockManager`, ever (every lock is taken by a response event,
+  so the response events of each object's history are the audit surface);
 * snapshot reads observe the committed state as of the transaction's
   start CSN, unmoved by later commits;
 * version chains only ever hold **durably committed** states: every
@@ -185,7 +186,7 @@ class TestZeroLocks:
             len(s.steps) for s in readers
         )
         for obj in system.objects.values():
-            held_ever = obj.locks.lifetime_holders()
+            held_ever = {e.txn for e in obj.history() if e.is_response}
             assert not any(
                 name.split("~")[0] in reader_names for name in held_ever
             )
@@ -213,7 +214,8 @@ class TestZeroLocks:
         metrics = Scheduler(system, readers, seed=3, label="ro-locked").run()
         assert metrics.ro_committed == 0
         assert metrics.committed == 2
-        held_ever = system.object(adt.name).locks.lifetime_holders()
+        obj = system.object(adt.name)
+        held_ever = {e.txn for e in obj.history() if e.is_response}
         assert held_ever
 
 
