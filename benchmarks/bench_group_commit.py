@@ -23,7 +23,8 @@ import pytest
 
 from repro.adts.registry import make_adt
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
+from repro.runtime.system import ManagedObject
 from repro.runtime.scheduler import Scheduler, TransactionScript
 from repro.runtime.wal import GroupCommitPolicy, StableLog
 from repro.runtime.workloads import hotspot_banking
@@ -73,8 +74,8 @@ def run_config(adt_kind: str, recovery: str, batch: int, seed: int = 1):
     adt = make_adt(adt_kind)
     conflict = adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
     policy = GroupCommitPolicy(batch_size=batch, max_hold=HOLD if batch > 1 else 0)
-    obj = DurableObject(
-        adt, conflict, recovery, log_factory=lambda: StableLog(policy=policy)
+    obj = ManagedObject(
+        adt, conflict, recovery, log=StableLog(policy=policy)
     )
     system = CrashableSystem([obj])
     scripts = WORKLOADS[adt_kind](adt, random.Random(seed))
@@ -181,11 +182,8 @@ def test_batch_one_is_noop(benchmark):
         adt = make_adt("bank")
         conflict = adt.nfc_conflict()
         runs = []
-        for factory in (
-            lambda: StableLog(),
-            lambda: StableLog(policy=GroupCommitPolicy(1, 0)),
-        ):
-            obj = DurableObject(adt, conflict, "DU", log_factory=factory)
+        for log in (StableLog(), StableLog(policy=GroupCommitPolicy(1, 0))):
+            obj = ManagedObject(adt, conflict, "DU", log=log)
             system = CrashableSystem([obj])
             scripts = bank_scripts(adt, random.Random(3))
             metrics = Scheduler(system, scripts, seed=3).run()

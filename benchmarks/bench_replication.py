@@ -27,7 +27,8 @@ import time
 import pytest
 
 from repro.adts.registry import make_adt
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
+from repro.runtime.system import ManagedObject
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.replication import build_replicated_system
@@ -95,11 +96,11 @@ def sites1_identity():
     policy = GroupCommitPolicy(2, 3)
     flat = CrashableSystem(
         [
-            DurableObject(
+            ManagedObject(
                 adt,
                 adt.nfc_conflict(),
                 "DU",
-                log_factory=lambda: StableLog(policy=policy),
+                log=StableLog(policy=policy),
             )
         ]
     )

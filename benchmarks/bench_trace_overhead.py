@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.adts.registry import make_adt
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.trace import TraceCollector, reconcile
@@ -55,8 +55,8 @@ def build_run(trace=None, group_commit=1):
     )
     if group_commit > 1:
         policy = GroupCommitPolicy(batch_size=group_commit, max_hold=3)
-        obj = DurableObject(
-            adt, conflict, "DU", log_factory=lambda: StableLog(policy=policy)
+        obj = ManagedObject(
+            adt, conflict, "DU", log=StableLog(policy=policy)
         )
         system = CrashableSystem([obj])
     else:

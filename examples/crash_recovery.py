@@ -15,14 +15,16 @@ write-ahead (UIP) and redo-only (DU) logging.
 from repro.adts import BankAccount
 from repro.core import inv, is_dynamic_atomic
 from repro.core.views import DU, UIP
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
+from repro.runtime.system import ManagedObject
+from repro.runtime.wal import StableLog
 
 
 def demo(recovery: str) -> None:
     ba = BankAccount("BA")
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
     view = UIP if recovery == "UIP" else DU
-    system = CrashableSystem([DurableObject(ba, conflict, recovery)])
+    system = CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
     obj = system.objects["BA"]
 
     print("== %s ==" % recovery)

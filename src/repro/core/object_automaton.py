@@ -37,7 +37,7 @@ hands out.  Which responses are free is one loop,
 moves history and halves together.  The runtime's
 :class:`~repro.runtime.system.ManagedObject` holds an automaton over its
 own manager and calls both after choosing a response, so it adds only a
-response choice, a version chain and (``DurableObject``) a log.  A
+response choice, a version chain and, optionally, a log.  A
 view (or spec) without an incremental manager gets the from-scratch
 :class:`~repro.core.recovery.ViewRecoveryManager`;
 :func:`repro.reference.opaque_view` forces that path for a known view,

@@ -138,10 +138,6 @@ class RecoveryManager(ABC):
         state — what a crash restart hands the manager."""
         raise NotImplementedError("%s has no crash restart" % self.name)
 
-    def committed_macro(self) -> MacroState:
-        """The committed state, as a checkpoint must capture it."""
-        raise NotImplementedError("%s has no checkpoint" % self.name)
-
     def fork(self) -> "RecoveryManager":
         """An independent copy sharing no mutable state (macro-states are
         immutable and shared).  Subclasses copy their own containers."""
@@ -261,16 +257,6 @@ class UpdateInPlaceManager(RecoveryManager):
         self._log = []
         self._undo_stacks = {}
 
-    def committed_macro(self) -> MacroState:
-        # The one current state carries every active transaction's
-        # effects: it is the committed state only when nobody is active.
-        if self._undo_stacks:
-            raise RuntimeError(
-                "UIP checkpoint requires quiescence (active: %s)"
-                % sorted(self._undo_stacks)
-            )
-        return self._current
-
     def fork(self) -> "UpdateInPlaceManager":
         twin = super().fork()
         twin._log = list(self._log)
@@ -334,9 +320,6 @@ class DeferredUpdateManager(RecoveryManager):
         self._base = macro
         self._intentions = {}
         self._cached = {}
-
-    def committed_macro(self) -> MacroState:
-        return self._base
 
     def fork(self) -> "DeferredUpdateManager":
         twin = super().fork()

@@ -1,11 +1,12 @@
-"""Durable objects and crash-capable systems.
+"""Crash-capable systems: a crash, in-doubt resolution and restart.
 
-:class:`DurableObject` is a :class:`~repro.runtime.system.ManagedObject`
-whose recovery manager is shadowed by a stable log
-(:mod:`repro.runtime.wal`): operations, commits and aborts reach the log
-under the discipline matching the recovery method, so the object can be
-*crashed* (volatile state and lock tables lost, in-flight transactions
-killed) and *restarted* from stable storage.
+An object is crashable when it holds a stable log: a
+:class:`~repro.runtime.system.ManagedObject` built with ``log=`` writes
+its operations, prepares, commits and aborts to that log under the
+discipline its recovery method implies (:mod:`repro.runtime.wal`), so it
+can be *crashed* (volatile state and lock tables lost, in-flight
+transactions killed) and *restarted* from stable storage.
+:func:`build_durable_object` is the one place the runtime builds one.
 
 :class:`CrashableSystem` lifts crashing to a multi-object
 :class:`~repro.runtime.system.TransactionSystem`: a crash aborts every
@@ -45,173 +46,8 @@ from typing import (
 
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
-from ..core.events import abort, commit
-from ..core.recovery import DeferredUpdateManager
 from .system import ManagedObject, TransactionSystem
-from .wal import GroupCommitPolicy, RedoOnlyLog, UndoRedoLog
-
-
-class DurableObject(ManagedObject):
-    """A managed object with a stable log, crash() and restart()."""
-
-    def __init__(
-        self,
-        adt: ADT,
-        conflict: ConflictRelation,
-        recovery: str = "UIP",
-        *,
-        uip_strategy: str = "auto",
-        restart_policy: str = "replay-winners",
-        log_factory=None,
-    ):
-        super().__init__(adt, conflict, recovery, uip_strategy=uip_strategy)
-        log = log_factory() if log_factory is not None else None
-        if isinstance(self.recovery, DeferredUpdateManager):
-            self.wal = RedoOnlyLog(adt, log=log)
-        else:
-            self.wal = UndoRedoLog(adt, restart_policy=restart_policy, log=log)
-        self.crashes = 0
-        #: per-transaction group-commit ticket of its latest durability
-        #: request (prepare force, then commit-record force).
-        self._force_tickets: Dict[str, int] = {}
-
-    # -- logging hooks wrapped around the volatile path --------------------------
-
-    def try_operation(self, txn, invocation, rng=None, *, extra_blockers=None):
-        outcome = super().try_operation(
-            txn, invocation, rng, extra_blockers=extra_blockers
-        )
-        if outcome.ok:
-            # Write-ahead in spirit: the paper-level automaton applies
-            # state and log in one atomic step; the log record is what
-            # survives.
-            self.wal.on_execute(txn, outcome.operation)
-        return outcome
-
-    def prepare(self, txn: str) -> bool:
-        """2PC vote, made durable: a yes vote requests a flush of the
-        transaction's log traffic (UIP operation records; DU intentions
-        as a :class:`~repro.runtime.wal.PrepareRecord`) so the commit
-        point can be completed at recovery no matter where a crash
-        lands.  Under group commit the flush may be deferred into a
-        shared batch; :meth:`flushed` reports when the vote's
-        durability has actually landed."""
-        vote = super().prepare(txn)
-        if vote:
-            self._force_tickets[txn] = self.wal.on_prepare(
-                txn, self.recovery.executed_of(txn)
-            )
-        return vote
-
-    def flushed(self, txn: str) -> bool:
-        """Has the flush of ``txn``'s latest durability request — the
-        prepare force, then the commit record's — completed?"""
-        return self.wal.log.flushed(self._force_tickets.get(txn, 0))
-
-    def submit_commit(self, txn: str) -> None:
-        """Write the durable commit point; acknowledgment is deferred.
-
-        The commit record (or intentions record) is appended and its
-        flush requested, but no commit *event* exists yet: if the batch
-        is torn off by a crash, the transaction simply never committed
-        here, and the crash protocol resolves it from whatever record
-        actually reached stable storage — recovery completes, never
-        retracts.
-        """
-        self._force_tickets[txn] = self.wal.on_commit(
-            txn, self.recovery.executed_of(txn)
-        )
-
-    def complete_commit(self, txn: str) -> None:
-        """Acknowledge a commit whose record's batch has flushed: release
-        locks, apply the volatile completion, record the commit event."""
-        self._force_tickets.pop(txn, None)
-        ManagedObject.commit(self, txn)
-
-    def commit(self, txn: str) -> None:
-        """Commit now — the one path for a commit that may not wait on
-        the hold timer (direct object-level use, catch-up replay, an
-        in-doubt commit finished at a healthy object): write the commit
-        record unless the log already has one, force the log while the
-        record's batch is held, then acknowledge."""
-        if not self.wal.has_durable_commit(txn):
-            self.submit_commit(txn)
-        if not self.flushed(txn):
-            self.wal.log.force()
-        self.complete_commit(txn)
-
-    def abort(self, txn: str) -> None:
-        had_events = self.automaton.builder.has_events(txn)
-        super().abort(txn)
-        if had_events:
-            self.wal.on_abort(txn)
-
-    # -- checkpointing --------------------------------------------------------------
-
-    def checkpoint(self) -> None:
-        """Write a stable snapshot of the committed state; under UIP the
-        manager can only name it on a quiescent object, and raises."""
-        self.wal.checkpoint(self.recovery.committed_macro())
-
-    # -- crash / restart --------------------------------------------------------------
-
-    def crash_kill(self, txn: str) -> None:
-        """Record that ``txn`` died in a crash.
-
-        Appends the abort *event* (the semantic outcome: the transaction
-        takes effect nowhere) but writes **no** log record and performs
-        no volatile undo — a real crash gives the system no chance to do
-        either.  Restart must therefore treat the transaction as a
-        loser purely from the absence of its commit record: the event
-        goes into the history alone, and :meth:`crash_and_restart`
-        rebuilds both halves.
-        """
-        events = self.automaton.builder
-        # A crash can interrupt a volatile abort after its event was
-        # recorded; don't abort twice.
-        if not events.has_aborted(txn):
-            events.append(abort(self.name, txn))
-
-    def crash_commit(self, txn: str) -> None:
-        """Complete a commit interrupted by a crash.
-
-        Called at recovery when the transaction's commit point (a
-        durable commit record at *some* object it touched) was reached
-        before the crash: ensure this object also carries a durable
-        commit record and the commit event, so restart replays the
-        transaction as a winner everywhere.  The prepare phase forced
-        this object's operation records / intentions, so the replay has
-        everything it needs.  Like :meth:`crash_kill`, the commit event
-        goes into the history alone.
-        """
-        if not self.wal.has_durable_commit(txn):
-            self.wal.recovery_commit(txn)
-        events = self.automaton.builder
-        if not events.has_committed(txn):
-            events.append(commit(self.name, txn))
-        # Fold the winner into the committed macro-state for the version
-        # chain.  Idempotent across a crash that landed mid-completion:
-        # if the volatile commit already ran here, the recovery manager
-        # has dropped the transaction's executed record and this is a
-        # no-op.
-        self._advance_committed(txn)
-
-    def crash_and_restart(self) -> None:
-        """Lose all volatile state; rebuild from the stable log.
-
-        The caller (normally :class:`CrashableSystem`) is responsible
-        for appending abort events for in-flight transactions *before*
-        invoking this, so the object history stays consistent.
-        """
-        self.crashes += 1
-        self.epoch += 1
-        restored = self.wal.restart()
-        if self.trace is not None:
-            self.trace.emit(
-                "recovery", obj=self.name, records=len(self.wal.log)
-            )
-        self._force_tickets = {}  # group-commit tickets died with the process
-        self.automaton.restart(restored)
+from .wal import GroupCommitPolicy
 
 
 class DomainTrace:
@@ -241,7 +77,13 @@ class CrashableSystem(TransactionSystem):
     at a time (``crash_shard`` / ``fail_site``).  Every form runs the
     same in-doubt resolution, :meth:`_resolve_failure`."""
 
-    def __init__(self, objects: Sequence[DurableObject]):
+    def __init__(self, objects: Sequence[ManagedObject]):
+        volatile = [obj.name for obj in objects if obj.wal is None]
+        if volatile:
+            raise ValueError(
+                "a crashable system needs a stable log at every object; "
+                "none at %s" % ", ".join(volatile)
+            )
         super().__init__(objects)
         self.crash_count = 0
 
@@ -441,27 +283,26 @@ def build_durable_object(
     hold: int,
     make_log,
     **durable_options,
-) -> DurableObject:
-    """One :class:`DurableObject` of ``adt_kind`` (``name=None`` takes
-    the kind's default name) under the recovery method's required
-    conflict relation, on its own stable log ``make_log(policy=...)``
-    with the ``(group_commit, hold)`` group-commit policy —
-    :class:`~repro.runtime.wal.StableLog` itself, or a partial
-    :class:`~repro.runtime.faults.FaultyStableLog`.
+) -> ManagedObject:
+    """One logged :class:`~repro.runtime.system.ManagedObject` of
+    ``adt_kind`` (``name=None`` takes the kind's default name) under the
+    recovery method's required conflict relation, on its own stable log
+    ``make_log(policy=...)`` with the ``(group_commit, hold)``
+    group-commit policy — :class:`~repro.runtime.wal.StableLog` itself,
+    or a partial :class:`~repro.runtime.faults.FaultyStableLog`.
 
-    ``durable_options`` are :class:`DurableObject`'s own arguments
+    ``durable_options`` are the object's other keyword arguments
     (``restart_policy=``).
     """
     from ..adts.registry import make_adt
 
     adt = make_adt(adt_kind, name)
     recovery = recovery.upper()
-    policy = GroupCommitPolicy(group_commit, hold)
-    return DurableObject(
+    return ManagedObject(
         adt,
         conflict=recovery_conflict(adt, recovery),
         recovery=recovery,
-        log_factory=lambda: make_log(policy=policy),
+        log=make_log(policy=GroupCommitPolicy(group_commit, hold)),
         **durable_options,
     )
 

@@ -76,10 +76,10 @@ class OptimisticObject(ManagedObject):
                 return False
         return True
 
-    def commit(self, txn: str) -> None:
+    def complete_commit(self, txn: str) -> None:
         self._validation_log.extend(self.recovery.executed_of(txn))
         del self._started[txn]
-        super().commit(txn)
+        super().complete_commit(txn)
 
     def abort(self, txn: str) -> None:
         self._started.pop(txn, None)

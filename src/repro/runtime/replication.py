@@ -9,7 +9,7 @@ Snippet 3), adapted from read/write registers to the paper's abstract
 data types:
 
 * Every logical object has one full copy per site, and every copy is an
-  ordinary :class:`~repro.runtime.durability.DurableObject` — its own
+  ordinary logged :class:`~repro.runtime.system.ManagedObject` — its own
   stable log with group commit, its own lock manager sharing the
   compiled conflict tables, its own recovery manager.  Site 0's copy
   keeps the logical name, so a one-site replicated system is *the same
@@ -64,7 +64,7 @@ data types:
 **Byte-identity at one site.**  With ``sites=1`` there are no mirrors,
 no re-qualification and no routing choice: ``invoke`` / ``commit`` /
 ``snapshot_read`` reduce to exactly the inherited code paths over the
-same :class:`DurableObject`, so the event history *and* the
+same logged objects, so the event history *and* the
 RunMetrics are byte-identical to the flat
 :class:`~repro.runtime.durability.CrashableSystem` — replication, like
 sharding before it, adds metadata, not behavior, until a second site
@@ -100,11 +100,10 @@ from ..core.history import History
 from .durability import (
     CrashableSystem,
     DomainTrace,
-    DurableObject,
     build_durable_object,
 )
 from .errors import UnknownObjectError
-from .system import STUCK, OperationOutcome
+from .system import STUCK, ManagedObject, OperationOutcome
 from .wal import StableLog
 
 
@@ -138,7 +137,7 @@ class ReplicatedSystem(CrashableSystem):
 
     def __init__(
         self,
-        logical_objects: Sequence[Sequence[DurableObject]],
+        logical_objects: Sequence[Sequence[ManagedObject]],
         *,
         sites: int = 1,
     ):
@@ -148,7 +147,7 @@ class ReplicatedSystem(CrashableSystem):
         :func:`build_replicated_system`)."""
         if sites < 1:
             raise ValueError("sites must be >= 1 (got %d)" % sites)
-        flat: List[DurableObject] = []
+        flat: List[ManagedObject] = []
         self._logical: Dict[str, Tuple[str, ...]] = {}
         self._copy_site: Dict[str, int] = {}
         self._copy_logical: Dict[str, str] = {}

@@ -50,9 +50,9 @@ from typing import Dict, List, Optional, Sequence, Set
 from .durability import (
     CrashableSystem,
     DomainTrace,
-    DurableObject,
     build_durable_object,
 )
+from .system import ManagedObject
 from .wal import StableLog
 
 
@@ -92,7 +92,7 @@ class ShardedSystem(CrashableSystem):
       single-shard traffic across worker processes.
     """
 
-    def __init__(self, objects: Sequence[DurableObject], *, shards: int = 1):
+    def __init__(self, objects: Sequence[ManagedObject], *, shards: int = 1):
         super().__init__(objects)
         if shards < 1:
             raise ValueError("shards must be >= 1 (got %d)" % shards)

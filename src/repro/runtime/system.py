@@ -6,10 +6,20 @@
 recovery manager — and adds only what the paper leaves out: the choice
 among the responses the automaton finds free (an rng, a chooser, the
 replication layer's ``extra_blockers``), the epoch refused invocations
-sleep on, the committed version chain and the trace hook.  Every event
-goes through the automaton, so its history is a schedule of the
-automaton by construction, and can still be audited post-hoc with the
-*abstract* checkers (:func:`repro.core.atomicity.is_dynamic_atomic`).
+sleep on, the committed version chain and the trace hook — and,
+optionally, a stable log.  Every event goes through the automaton, so
+its history is a schedule of the automaton by construction, and can
+still be audited post-hoc with the *abstract* checkers
+(:func:`repro.core.atomicity.is_dynamic_atomic`).
+
+The log is a part of the object, not a second kind of object: built
+with ``log=``, a :class:`ManagedObject` takes the logging discipline
+its recovery method implies (:mod:`repro.runtime.wal`: undo/redo
+records under update-in-place, forced intentions under deferred
+update), does each step's log work in the same method that does the
+volatile work — execute, prepare, commit, abort — and can checkpoint,
+crash and restart from that log.  Without one it is volatile and those
+steps write nothing.
 
 :class:`TransactionSystem` manages several objects and provides the
 transaction-facing API (``invoke`` / ``commit`` / ``abort``).  Commit is
@@ -35,13 +45,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
-from ..core.events import Event, Invocation, Operation, respond
+from ..core.events import Event, Invocation, Operation, abort, commit, respond
 from ..core.history import History
 from ..core.lock_manager import LockManager
 from ..core.object_automaton import ObjectAutomaton
 from ..core.recovery import MacroState, RecoveryManager
 from .errors import InvalidTransactionState, UnknownObjectError
 from .recovery import make_recovery_manager
+from .wal import LogDiscipline, RedoOnlyLog, StableLog, UndoRedoLog
 
 
 class OperationOutcome:
@@ -77,12 +88,9 @@ STUCK = OperationOutcome("stuck")
 
 class ManagedObject:
     """One object: the automaton ``I(X, Spec, View, Conflict)`` plus a
-    response choice and a version chain."""
-
-    #: the logging discipline over the object's stable log
-    #: (:class:`~repro.runtime.wal.LogDiscipline`); ``None`` on a
-    #: volatile object.
-    wal = None
+    response choice, a version chain and, given a stable ``log``, the
+    logging discipline its recovery method implies — which makes it
+    crashable."""
 
     def __init__(
         self,
@@ -91,11 +99,21 @@ class ManagedObject:
         recovery: str = "UIP",
         *,
         uip_strategy: str = "auto",
+        restart_policy: str = "replay-winners",
+        log: Optional[StableLog] = None,
     ):
         self.adt = adt
         self.conflict = conflict
         manager = make_recovery_manager(adt, recovery, uip_strategy=uip_strategy)
         self.automaton = ObjectAutomaton(adt, manager.view, conflict, manager)
+        #: the logging discipline over ``log``: forced intentions under
+        #: deferred update, undo/redo records otherwise; ``None`` on a
+        #: volatile object.
+        self.wal: Optional[LogDiscipline] = None
+        if log is not None and recovery.upper() == "DU":
+            self.wal = RedoOnlyLog(adt, log=log)
+        elif log is not None:
+            self.wal = UndoRedoLog(adt, restart_policy=restart_policy, log=log)
         #: a forced response choice, set for one call by replication's
         #: mirror and catch-up replay; ``None`` lets the rng choose.
         self._response_chooser = None
@@ -202,6 +220,11 @@ class ManagedObject:
             response, operation = free[0]
         automaton._execute(respond(response, self.name, txn), operation)
         self.epoch += 1
+        if self.wal is not None:
+            # Write-ahead in spirit: the paper-level automaton applies
+            # state and log in one atomic step; the log record is what
+            # survives.
+            self.wal.on_execute(txn, operation)
         return OperationOutcome("ok", operation=operation)
 
     def _trace_lock_wait(self, txn, invocation, responses) -> None:
@@ -237,35 +260,135 @@ class ManagedObject:
         cannot commit (well-formedness); a locking object has no other
         reason to refuse, because it enforced ``Conflict`` when each
         operation executed.  A subclass that enforces it at commit time
-        instead votes no here."""
-        return self.automaton.pending_invocation(txn) is None
+        instead votes no here.
+
+        With a log, a yes vote requests a flush of the transaction's log
+        traffic (UIP operation records; DU intentions as a
+        :class:`~repro.runtime.wal.PrepareRecord`) so the commit point
+        can be completed at recovery no matter where a crash lands.
+        Under group commit the flush may be deferred into a shared
+        batch; :meth:`flushed` reports when it has landed."""
+        vote = self.automaton.pending_invocation(txn) is None
+        if vote and self.wal is not None:
+            self.wal.on_prepare(txn, self.recovery.executed_of(txn))
+        return vote
 
     def flushed(self, txn: str) -> bool:
-        """Has ``txn``'s latest durability work — the prepare vote's, then
-        the commit point's — reached stable storage?  The volatile base
-        object performs none, so trivially yes;
-        :class:`~repro.runtime.durability.DurableObject` asks the
-        ticket of its group-commit batch."""
-        return True
+        """Has ``txn``'s latest durability request — the prepare force,
+        then the commit record's — reached stable storage?  Trivially
+        yes on a volatile object."""
+        return self.wal is None or self.wal.flushed(txn)
 
     def submit_commit(self, txn: str) -> None:
-        """Begin the commit: write the durable commit point.  The base
-        object has no stable storage, so there is nothing to write."""
+        """Write the durable commit point; acknowledgment is deferred.
+
+        The commit record (or intentions record) is appended and its
+        flush requested, but no commit *event* exists yet: if the batch
+        is torn off by a crash, the transaction simply never committed
+        here, and the crash protocol resolves it from whatever record
+        actually reached stable storage — recovery completes, never
+        retracts.  A volatile object has nothing to write.
+        """
+        if self.wal is not None:
+            self.wal.on_commit(txn, self.recovery.executed_of(txn))
 
     def complete_commit(self, txn: str) -> None:
-        """Acknowledge the commit: release locks and record the event."""
-        self.commit(txn)
-
-    def commit(self, txn: str) -> None:
+        """Acknowledge a commit whose durability has landed: release
+        locks, apply the volatile completion, record the commit event."""
+        if self.wal is not None:
+            self.wal.on_complete(txn)
         # Advance the committed macro-state *before* the recovery manager
         # discards the transaction's executed-operation record.
         self._advance_committed(txn)
         self.automaton.commit(txn)
         self.epoch += 1
 
+    def commit(self, txn: str) -> None:
+        """Commit now — the one path for a commit that may not wait on
+        the hold timer (direct object-level use, catch-up replay, an
+        in-doubt commit finished at a healthy object): write the commit
+        record unless the log already has one, force the log while the
+        record's batch is held, then acknowledge."""
+        wal = self.wal
+        if wal is not None:
+            if not wal.has_durable_commit(txn):
+                self.submit_commit(txn)
+            if not wal.flushed(txn):
+                wal.log.force()
+        self.complete_commit(txn)
+
     def abort(self, txn: str) -> None:
+        logged = self.wal is not None and self.automaton.builder.has_events(txn)
         self.automaton.abort(txn)
         self.epoch += 1
+        if logged:
+            self.wal.on_abort(txn)
+
+    # -- checkpoint, crash and restart (objects with a log) --------------------------
+
+    def checkpoint(self) -> None:
+        """Write a stable snapshot of the committed state and truncate the
+        log before it; the log refuses (``RuntimeError``) while a record
+        it holds may still be needed."""
+        self.wal.checkpoint(self.committed_tip)
+
+    def crash_kill(self, txn: str) -> None:
+        """Record that ``txn`` died in a crash.
+
+        Appends the abort *event* (the semantic outcome: the transaction
+        takes effect nowhere) but writes **no** log record and performs
+        no volatile undo — a real crash gives the system no chance to do
+        either.  Restart must therefore treat the transaction as a
+        loser purely from the absence of its commit record: the event
+        goes into the history alone, and :meth:`crash_and_restart`
+        rebuilds both halves.
+        """
+        events = self.automaton.builder
+        # A crash can interrupt a volatile abort after its event was
+        # recorded; don't abort twice.
+        if not events.has_aborted(txn):
+            events.append(abort(self.name, txn))
+
+    def crash_commit(self, txn: str) -> None:
+        """Complete a commit interrupted by a crash.
+
+        Called at recovery when the transaction's commit point (a
+        durable commit record at *some* object it touched) was reached
+        before the crash: ensure this object also carries a durable
+        commit record and the commit event, so restart replays the
+        transaction as a winner everywhere.  The prepare phase forced
+        this object's operation records / intentions, so the replay has
+        everything it needs.  Like :meth:`crash_kill`, the commit event
+        goes into the history alone.
+        """
+        if not self.wal.has_durable_commit(txn):
+            self.wal.recovery_commit(txn)
+        events = self.automaton.builder
+        if not events.has_committed(txn):
+            events.append(commit(self.name, txn))
+        # Fold the winner into the committed macro-state for the version
+        # chain.  Idempotent across a crash that landed mid-completion:
+        # if the volatile commit already ran here, the recovery manager
+        # has dropped the transaction's executed record and this is a
+        # no-op.
+        self._advance_committed(txn)
+
+    def crash_and_restart(self) -> None:
+        """Lose all volatile state; rebuild from the stable log.
+
+        The caller (normally
+        :class:`~repro.runtime.durability.CrashableSystem`) is
+        responsible for appending abort events for in-flight
+        transactions *before* invoking this, so the object history stays
+        consistent.
+        """
+        self.epoch += 1
+        restored = self.wal.restart()
+        if self.trace is not None:
+            self.trace.emit(
+                "recovery", obj=self.name, records=len(self.wal.log)
+            )
+        self.automaton.restart(restored)
 
     # -- multiversion committed store ---------------------------------------------
 

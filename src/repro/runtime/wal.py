@@ -32,9 +32,10 @@ Logging disciplines, one per recovery method:
   log I/O at all, which is the classic DU trade: cheap aborts and
   crashes, more expensive commits.
 
-Crashing is modeled at the object level by
-:class:`~repro.runtime.durability.DurableObject` and at the system
-level by :class:`~repro.runtime.durability.CrashableSystem`; a crash
+Crashing is modeled at the object level by a
+:class:`~repro.runtime.system.ManagedObject` built with a stable log
+(which builds the discipline its recovery method implies) and at the
+system level by :class:`~repro.runtime.durability.CrashableSystem`; a crash
 aborts every in-flight transaction (their abort events make the
 post-crash history well formed and auditable by the core checkers).
 
@@ -53,7 +54,7 @@ riding a shared flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
 from ..core.events import Operation
@@ -327,21 +328,31 @@ class StableLog:
 
 class LogDiscipline:
     """What both logging disciplines share: the commit-point rule
-    (:data:`COMMIT_MARKERS`) and the checkpoint.  Restart is each
-    discipline's own: redo-only restart reads the whole log, while
-    undo/redo restart replays only the tail after the last checkpoint.
-    A checkpoint truncates the log before itself, so neither discipline
-    takes one that would cut a record a later commit still needs: UIP
-    refuses while a transaction is active, DU while a prepare is
-    unsealed."""
+    (:data:`COMMIT_MARKERS`), the per-transaction group-commit tickets
+    and the checkpoint.  Restart is each discipline's own: redo-only
+    restart reads the whole log, while undo/redo restart replays only
+    the tail after the last checkpoint.  A checkpoint truncates the log
+    before itself, so it is refused while a record there may still be
+    needed: while any transaction that wrote to this log has not yet
+    completed."""
 
-    #: transactions whose prepare record no commit record has sealed
-    #: yet (DU only: a UIP prepare writes no record a commit seals)
-    _prepared: AbstractSet[str] = frozenset()
-
-    def __init__(self, adt: ADT, log: Optional[StableLog]):
+    def __init__(self, adt: ADT, *, log: Optional[StableLog] = None):
         self.adt = adt
         self.log = log if log is not None else StableLog()
+        #: every transaction that has written a record to this log and
+        #: not yet completed (acknowledged commit, abort or restart) ->
+        #: the group-commit ticket of its latest durability request —
+        #: the prepare force, then the commit record's (0 before either).
+        self._tickets: Dict[str, int] = {}
+
+    def flushed(self, txn: str) -> bool:
+        """Has the flush of ``txn``'s latest durability request
+        completed?"""
+        return self.log.flushed(self._tickets.get(txn, 0))
+
+    def on_complete(self, txn: str) -> None:
+        """The commit is acknowledged: ``txn`` needs nothing more here."""
+        self._tickets.pop(txn, None)
 
     def commit_lsn(self, txn: str) -> Optional[int]:
         """The LSN of the transaction's commit-point record, or None.
@@ -365,18 +376,20 @@ class LogDiscipline:
         (under DU, seal the durable prepare)."""
         self.log.recovery_append(lambda lsn: CommitRecord(lsn, txn=txn))
 
-    def checkpoint(self, committed_macro: MacroState) -> None:
+    def checkpoint(self, committed: MacroState) -> None:
         """Write a snapshot of committed state and truncate the log.
-        Refused while a prepare is unsealed: truncating its
-        :class:`PrepareRecord` would leave the later
-        :class:`CommitRecord` nothing to seal at restart."""
-        if self._prepared:
+        Refused while a transaction that wrote here has not completed:
+        its records — UIP operation records, a DU prepare or a commit
+        record still in a held batch — would be cut from under a later
+        commit or abort, and the snapshot would miss its effects."""
+        if self._tickets:
             raise RuntimeError(
-                "DU checkpoint requires no unsealed prepare (prepared: %s)"
-                % sorted(self._prepared)
+                "checkpoint refused while transactions that wrote to the "
+                "log are unfinished (operation records, an unsealed prepare "
+                "or a held commit): %s" % sorted(self._tickets)
             )
         record = self.log.append(
-            lambda lsn: CheckpointRecord(lsn, macro=committed_macro)
+            lambda lsn: CheckpointRecord(lsn, macro=committed)
         )
         self.log.force()
         self.log.truncate_before(record.lsn)
@@ -399,7 +412,7 @@ class UndoRedoLog(LogDiscipline):
                 "%s does not support logical undo; use replay-winners"
                 % type(adt).__name__
             )
-        super().__init__(adt, log)
+        super().__init__(adt, log=log)
         self.restart_policy = restart_policy
 
     # -- normal operation ----------------------------------------------------
@@ -409,25 +422,27 @@ class UndoRedoLog(LogDiscipline):
         self.log.append(
             lambda lsn: OperationRecord(lsn, txn=txn, operation=operation)
         )
+        self._tickets.setdefault(txn, 0)
 
-    def on_prepare(self, txn: str, executed: Sequence[Operation]) -> int:
+    def on_prepare(self, txn: str, executed: Sequence[Operation]) -> None:
         """2PC vote: request durability for the transaction's operation
         records so they are on stable storage before any object writes
         its commit record (``executed`` is already there, record by
-        record: ignored).  Returns the flush ticket; the vote is only
-        *usable* once :meth:`StableLog.flushed` says so."""
-        return self.log.request_force()
+        record: ignored).  The vote is only *usable* once
+        :meth:`flushed` says so."""
+        self._tickets[txn] = self.log.request_force()
 
-    def on_commit(self, txn: str, executed: Sequence[Operation]) -> int:
-        """Append the commit record and request its flush.  Returns the
-        ticket gating the commit acknowledgment: under group commit the
-        record may sit in a held batch, and the commit event must wait
-        for the batch's physical flush."""
+    def on_commit(self, txn: str, executed: Sequence[Operation]) -> None:
+        """Append the commit record and request its flush.  Its ticket
+        gates the commit acknowledgment: under group commit the record
+        may sit in a held batch, and the commit event must wait for the
+        batch's physical flush."""
         self.log.append(lambda lsn: CommitRecord(lsn, txn=txn))
-        return self.log.request_force()
+        self._tickets[txn] = self.log.request_force()
 
     def on_abort(self, txn: str) -> None:
         self.log.append(lambda lsn: AbortRecord(lsn, txn=txn))
+        self._tickets.pop(txn, None)
 
     # -- restart ----------------------------------------------------------------
 
@@ -442,6 +457,7 @@ class UndoRedoLog(LogDiscipline):
         the recovery checkpoint seals them off, playing the role of
         ARIES compensation records.
         """
+        self._tickets.clear()  # volatile bookkeeping died with the process
         macro = self._replay()
         if self._tail_length():
             self.log.recovery_append(
@@ -523,28 +539,24 @@ class RedoOnlyLog(LogDiscipline):
       aborted.
     """
 
-    def __init__(self, adt: ADT, *, log: StableLog = None):
-        super().__init__(adt, log)
-        self._prepared: Set[str] = set()
-
     def on_execute(self, txn: str, operation: Operation) -> None:
         """Intentions are volatile until commit: no log traffic."""
 
-    def on_prepare(self, txn: str, executed: Sequence[Operation]) -> int:
+    def on_prepare(self, txn: str, executed: Sequence[Operation]) -> None:
         """2PC vote: persist the intentions list — what ``txn`` executed —
-        before the commit point.  Returns the flush ticket gating the
-        vote's durability."""
+        before the commit point; its flush ticket gates the vote's
+        durability."""
         self.log.append(
             lambda lsn: PrepareRecord(lsn, txn=txn, operations=tuple(executed))
         )
-        self._prepared.add(txn)
-        return self.log.request_force()
+        self._tickets[txn] = self.log.request_force()
 
-    def on_commit(self, txn: str, executed: Sequence[Operation]) -> int:
-        """Append the commit-point record and request its flush; returns
-        the ticket gating the commit acknowledgment."""
-        if txn in self._prepared:
-            self._prepared.discard(txn)
+    def on_commit(self, txn: str, executed: Sequence[Operation]) -> None:
+        """Append the commit-point record and request its flush; its
+        ticket gates the commit acknowledgment.  A transaction holding a
+        ticket here has a prepare record (nothing else writes one before
+        the commit), which a small commit record seals."""
+        if txn in self._tickets:
             self.log.append(lambda lsn: CommitRecord(lsn, txn=txn))
         else:
             self.log.append(
@@ -552,14 +564,15 @@ class RedoOnlyLog(LogDiscipline):
                     lsn, txn=txn, operations=tuple(executed)
                 )
             )
-        return self.log.request_force()
+        self._tickets[txn] = self.log.request_force()
 
     def on_abort(self, txn: str) -> None:
-        """Nothing: the volatile intentions list simply disappears."""
-        self._prepared.discard(txn)
+        """Nothing written: the volatile intentions list simply
+        disappears, and a dangling prepare is presumed aborted."""
+        self._tickets.pop(txn, None)
 
     def restart(self) -> MacroState:
-        self._prepared.clear()  # volatile bookkeeping died with the process
+        self._tickets.clear()  # volatile bookkeeping died with the process
         macro = self.adt.initial_macro_state()
         prepared: dict = {}
         for record in self.log.records():

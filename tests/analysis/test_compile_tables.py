@@ -157,10 +157,11 @@ def test_lock_manager_release_clears_masks():
 def test_restart_reuses_the_relations_table():
     """The table is the relation: a crash restart builds a fresh lock
     manager over the same relation, rows and slot cache included."""
-    from repro.runtime.durability import DurableObject
+    from repro.runtime.system import ManagedObject
+    from repro.runtime.wal import StableLog
 
     ba = BankAccount("BA")
-    obj = DurableObject(ba, ba.nrbc_conflict(), "UIP")
+    obj = ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog())
     table = obj.locks.table
     locks = obj.locks
     obj.crash_and_restart()

@@ -17,7 +17,9 @@ from repro.adts import BankAccount, SemiQueue
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
 from repro.core.views import DU, UIP
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
+from repro.runtime.system import ManagedObject
+from repro.runtime.wal import StableLog
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -72,7 +74,7 @@ def test_restart_state_matches_abstract_view(schedule, recovery):
     ba = BankAccount("BA")
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
     view = UIP if recovery == "UIP" else DU
-    system = CrashableSystem([DurableObject(ba, conflict, recovery)])
+    system = CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
     _apply_calls(system, calls, crash_at, lambda i: (i % 2) + 1)
     system.crash()  # final crash: all volatile state gone
     obj = system.objects["BA"]
@@ -86,7 +88,7 @@ def test_history_across_crashes_dynamic_atomic(schedule, recovery):
     calls, crash_at = schedule
     ba = BankAccount("BA")
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
-    system = CrashableSystem([DurableObject(ba, conflict, recovery)])
+    system = CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
     _apply_calls(system, calls, crash_at, lambda i: (i % 2) + 1)
     assert is_dynamic_atomic(system.history(), ba)
 
@@ -96,7 +98,7 @@ def test_history_across_crashes_dynamic_atomic(schedule, recovery):
 def test_double_crash_idempotent(schedule):
     calls, crash_at = schedule
     ba = BankAccount("BA")
-    system = CrashableSystem([DurableObject(ba, ba.nrbc_conflict(), "UIP")])
+    system = CrashableSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog())])
     _apply_calls(system, calls, crash_at, lambda i: (i % 2) + 1)
     system.crash()
     obj = system.objects["BA"]
@@ -110,7 +112,7 @@ def test_double_crash_idempotent(schedule):
 def test_semiqueue_survives_crash(crash_at, recovery):
     sq = SemiQueue("SQ", domain=("a", "b"))
     conflict = sq.nrbc_conflict() if recovery == "UIP" else sq.nfc_conflict()
-    system = CrashableSystem([DurableObject(sq, conflict, recovery)])
+    system = CrashableSystem([ManagedObject(sq, conflict, recovery, log=StableLog())])
     steps = [("A", "a"), ("A", "b"), ("B", "a")]
     for i, (txn, item) in enumerate(steps):
         if i == crash_at:

@@ -42,7 +42,8 @@ from repro.core.conflict import (
 from repro.core.events import Invocation, Operation, inv, op
 from repro.core.lock_manager import LockManager
 from repro.reference import matrix_conflict, opaque_conflict
-from repro.runtime.durability import DurableObject
+from repro.runtime.system import ManagedObject
+from repro.runtime.wal import StableLog
 
 KINDS = registered_kinds()
 RELATIONS = ("nfc", "nrbc", "sym", "union", "without", "predicate", "pairs")
@@ -152,7 +153,7 @@ def test_a_copy_starts_with_no_answers_and_shares_none():
 
 def test_no_answer_survives_a_crash_restart():
     ba = BankAccount("BA")
-    obj = DurableObject(ba, ba.nrbc_conflict(), "UIP")
+    obj = ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog())
     assert obj.try_operation("HOLDER", inv("deposit", 1)).ok
     refused = obj.try_operation("WAITER", inv("withdraw", 1))
     assert (refused.status, refused.blockers) == ("blocked", {"HOLDER"})

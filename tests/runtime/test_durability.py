@@ -14,11 +14,11 @@ from repro.core.events import inv
 from repro.core.views import DU, UIP
 from repro.runtime.durability import (
     CrashableSystem,
-    DurableObject,
     build_durable_object,
     run_with_crashes,
 )
 from repro.runtime.scheduler import TransactionScript
+from repro.runtime.system import ManagedObject
 from repro.runtime.wal import (
     CheckpointRecord,
     CommitRecord,
@@ -132,6 +132,7 @@ class TestUndoRedoLogRestart:
         wal = UndoRedoLog(ba)
         wal.on_execute("A", ba.deposit(5))
         wal.on_commit("A", ())
+        wal.on_complete("A")  # acknowledged: the log no longer needs A's records
         wal.checkpoint(frozenset({5}))
         assert len(wal.log) == 1  # just the checkpoint
         wal.on_execute("B", ba.deposit(1))
@@ -173,6 +174,7 @@ class TestRedoOnlyLogRestart:
         ba = BankAccount()
         wal = RedoOnlyLog(ba)
         wal.on_commit("A", (ba.deposit(5),))
+        wal.on_complete("A")
         wal.checkpoint(frozenset({5}))
         wal.on_commit("B", (ba.deposit(2),))
         assert wal.restart() == frozenset({7})
@@ -181,7 +183,7 @@ class TestRedoOnlyLogRestart:
 class TestDurableObject:
     def test_crash_restores_committed_state(self):
         ba = BankAccount("BA")
-        obj = DurableObject(ba, ba.nrbc_conflict(), "UIP")
+        obj = ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog())
         obj.try_operation("A", inv("deposit", 5))
         obj.commit("A")
         obj.try_operation("B", inv("deposit", 3))  # in flight
@@ -193,10 +195,11 @@ class TestDurableObject:
         """restart() == states_after(View(H_post_crash, fresh))."""
         ba = BankAccount("BA")
         for recovery, view in (("UIP", UIP), ("DU", DU)):
-            obj = DurableObject(
+            obj = ManagedObject(
                 ba,
                 ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict(),
                 recovery,
+                log=StableLog(),
             )
             obj.try_operation("A", inv("deposit", 5))
             obj.commit("A")
@@ -210,7 +213,7 @@ class TestDurableObject:
     def test_uip_replay_after_restart_handles_aborts(self):
         """The post-restart manager must replay from the restored base."""
         ba = BankAccount("BA")
-        obj = DurableObject(ba, ba.nrbc_conflict(), "UIP", uip_strategy="replay")
+        obj = ManagedObject(ba, ba.nrbc_conflict(), "UIP", uip_strategy="replay", log=StableLog())
         obj.try_operation("A", inv("deposit", 5))
         obj.commit("A")
         obj.crash_and_restart()
@@ -220,7 +223,7 @@ class TestDurableObject:
 
     def test_checkpoint_requires_quiescence_under_uip(self):
         ba = BankAccount("BA")
-        obj = DurableObject(ba, ba.nrbc_conflict(), "UIP")
+        obj = ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog())
         obj.try_operation("A", inv("deposit", 5))
         with pytest.raises(RuntimeError):
             obj.checkpoint()
@@ -231,7 +234,7 @@ class TestDurableObject:
 
     def test_du_checkpoint_with_active_intentions(self):
         ba = BankAccount("BA")
-        obj = DurableObject(ba, ba.nfc_conflict(), "DU")
+        obj = ManagedObject(ba, ba.nfc_conflict(), "DU", log=StableLog())
         obj.try_operation("A", inv("deposit", 5))  # active intentions
         obj.checkpoint()  # base is committed-only: fine
         obj.crash_and_restart()
@@ -252,12 +255,44 @@ class TestDurableObject:
         obj.crash_and_restart()
         assert obj.recovery.macro("PROBE") == frozenset({5})
 
+    def test_du_checkpoint_refused_while_a_commit_is_held(self):
+        """A commit record waiting in a held group-commit batch is still
+        needed: a checkpoint then would truncate the prepare and commit
+        records and snapshot a base without the commit, and a crash after
+        the acknowledgment would restore the state before it."""
+        obj = build_durable_object("bank", None, "DU", 4, 2, StableLog)
+        assert obj.try_operation("A", inv("deposit", 5)).ok
+        assert obj.prepare("A")
+        obj.wal.log.force()
+        obj.submit_commit("A")
+        assert not obj.flushed("A")
+        with pytest.raises(RuntimeError):
+            obj.checkpoint()
+        obj.wal.log.force()
+        obj.complete_commit("A")
+        obj.checkpoint()
+        obj.crash_and_restart()
+        assert obj.recovery.macro("PROBE") == frozenset({5})
+
 
 class TestCrashableSystem:
     def make_system(self, recovery="UIP"):
         ba = BankAccount("BA", opening=10)
         conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
-        return ba, CrashableSystem([DurableObject(ba, conflict, recovery)])
+        return ba, CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
+
+    def test_an_object_without_a_log_is_refused(self):
+        """Restart rebuilds an object from its log: a crashable system
+        names every object it could not restart when it is built, not at
+        its first crash."""
+        logged, volatile = BankAccount("LOGGED"), BankAccount("VOLATILE")
+        objects = [
+            ManagedObject(logged, logged.nrbc_conflict(), "UIP", log=StableLog()),
+            ManagedObject(volatile, volatile.nrbc_conflict(), "UIP"),
+        ]
+        with pytest.raises(ValueError, match="VOLATILE") as refused:
+            CrashableSystem(objects)
+        assert "LOGGED" not in str(refused.value)
 
     def test_crash_kills_active(self):
         ba, system = self.make_system()

@@ -25,7 +25,7 @@ from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.reference import walk_dead_ticks
 from repro.runtime import ManagedObject, TransactionSystem
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.replication import build_replicated_system, copy_name
 from repro.runtime.scheduler import (
@@ -353,11 +353,11 @@ class TestModeResolution:
 
 def _durable(name, hold, batch=8):
     account = BankAccount(name)
-    return DurableObject(
+    return ManagedObject(
         account,
         account.nfc_conflict(),
         "DU",
-        log_factory=lambda: StableLog(
+        log=StableLog(
             policy=GroupCommitPolicy(batch_size=batch, max_hold=hold)
         ),
     )

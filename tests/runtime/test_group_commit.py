@@ -26,7 +26,8 @@ import pytest
 
 from repro.adts.registry import make_adt
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
+from repro.runtime.system import ManagedObject
 from repro.runtime.faults import CrashPoint, FaultPlan, FaultyStableLog
 from repro.runtime.metrics import FaultCounters
 from repro.runtime.scheduler import Scheduler, TransactionScript
@@ -127,8 +128,8 @@ def test_crash_drops_held_batch():
 def durable_bank(policy, recovery="DU"):
     adt = make_adt("bank")
     conflict = adt.nrbc_conflict() if recovery == "UIP" else adt.nfc_conflict()
-    obj = DurableObject(
-        adt, conflict, recovery, log_factory=lambda: StableLog(policy=policy)
+    obj = ManagedObject(
+        adt, conflict, recovery, log=StableLog(policy=policy)
     )
     return obj, CrashableSystem([obj])
 
@@ -190,9 +191,9 @@ def test_scheduler_counts_commit_stalls():
     the run converges and the stall ticks are accounted."""
     adt = make_adt("bank")
     policy = GroupCommitPolicy(8, max_hold=3)
-    obj = DurableObject(
+    obj = ManagedObject(
         adt, adt.nfc_conflict(), "DU",
-        log_factory=lambda: StableLog(policy=policy),
+        log=StableLog(policy=policy),
     )
     system = CrashableSystem([obj])
     scripts = [
@@ -209,11 +210,9 @@ def test_scheduler_counts_commit_stalls():
 def test_batch_size_one_system_parity():
     """The regression gate: a batch-1 policy is byte-for-byte the
     unbatched engine — same records, forces, events and metrics."""
-    def run(factory):
+    def run(log):
         adt = make_adt("bank")
-        obj = DurableObject(
-            adt, adt.nfc_conflict(), "DU", log_factory=factory
-        )
+        obj = ManagedObject(adt, adt.nfc_conflict(), "DU", log=log)
         system = CrashableSystem([obj])
         rng = random.Random(5)
         scripts = [
@@ -228,8 +227,8 @@ def test_batch_size_one_system_parity():
         ]
         return Scheduler(system, scripts, seed=5).run(), obj
 
-    m_plain, o_plain = run(None)  # DurableObject's default StableLog
-    m_gc1, o_gc1 = run(lambda: StableLog(policy=GroupCommitPolicy(1, 0)))
+    m_plain, o_plain = run(StableLog())  # the default policy
+    m_gc1, o_gc1 = run(StableLog(policy=GroupCommitPolicy(1, 0)))
     assert o_plain.wal.log.records() == o_gc1.wal.log.records()
     assert o_plain.history().events == o_gc1.history().events
     assert m_gc1.forces == m_plain.forces
@@ -245,9 +244,9 @@ def test_batched_run_coalesces_forces():
     than force requests, and the metrics expose the amortization."""
     adt = make_adt("escrow")
     policy = GroupCommitPolicy(4, max_hold=3)
-    obj = DurableObject(
+    obj = ManagedObject(
         adt, adt.nfc_conflict(), "DU",
-        log_factory=lambda: StableLog(policy=policy),
+        log=StableLog(policy=policy),
     )
     system = CrashableSystem([obj])
     rng = random.Random(2)
@@ -312,11 +311,11 @@ def test_torn_batch_never_acknowledges_lost_commit():
     # Interactions: prepare-batch flush is interaction 2 (two appends
     # first under DU); tear it keeping nothing.
     plan = FaultPlan.crash_at(2, "crash-during-force", keep=0)
-    obj = DurableObject(
+    obj = ManagedObject(
         adt,
         adt.nfc_conflict(),
         "DU",
-        log_factory=lambda: FaultyStableLog(
+        log=FaultyStableLog(
             plan,
             counters=counters,
             policy=GroupCommitPolicy(batch_size=2, max_hold=10),

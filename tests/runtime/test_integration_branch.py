@@ -6,6 +6,7 @@ one system, crashes injected — every global history audited with the
 fast dynamic-atomicity checker.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -15,8 +16,8 @@ from repro.core.events import inv
 from repro.core.atomicity import is_atomic, is_dynamic_atomic
 from repro.runtime import (
     CrashableSystem,
-    DurableObject,
     ManagedObject,
+    StableLog,
     TransactionSystem,
     run_scripts,
 )
@@ -36,11 +37,11 @@ def branch_system(durable: bool = False):
     objects = []
     for name in ACCOUNTS:
         ba = BankAccount(name, opening=20)
-        cls = DurableObject if durable else ManagedObject
-        objects.append(cls(ba, ba.nrbc_conflict(), "UIP"))
+        log = StableLog() if durable else None
+        objects.append(ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=log))
     audit = SetADT("AUDITLOG", domain=("t1", "t2", "t3", "t4"))
-    cls = DurableObject if durable else ManagedObject
-    objects.append(cls(audit, audit.nfc_conflict(), "DU"))
+    log = StableLog() if durable else None
+    objects.append(ManagedObject(audit, audit.nfc_conflict(), "DU", log=log))
     return CrashableSystem(objects) if durable else TransactionSystem(objects)
 
 
@@ -87,6 +88,23 @@ def test_branch_projections_locally_dynamic_atomic(seed):
     specs = branch_specs()
     for obj in h.objects():
         assert is_dynamic_atomic(h.project_objects(obj), specs[obj])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_log_adds_records_not_behaviour(seed):
+    """The same scripts over the volatile and the log-backed branch give
+    the same history and the same metrics, less the force accounting
+    only a log has."""
+    runs = []
+    for durable in (False, True):
+        system = branch_system(durable)
+        metrics = run_scripts(system, branch_scripts(random.Random(seed), n=20), seed=seed)
+        runs.append((system.history().events, dataclasses.asdict(metrics)))
+    (volatile_events, volatile), (logged_events, logged) = runs
+    assert logged_events == volatile_events
+    for field in ("forces", "force_requests", "forced_records"):
+        del volatile[field], logged[field]
+    assert logged == volatile
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -24,11 +24,12 @@ from repro.core.events import inv
 from repro.experiments.comparisons import comparison_case, standard_configurations
 from repro.reference import ParkedRefusalOverturned, reattempt_every_tick
 from repro.runtime import ManagedObject, TransactionSystem
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
 from repro.runtime.replication import build_replicated_system, copy_name
 from repro.runtime.scheduler import Scheduler, TransactionScript
 from repro.runtime.torture import TortureConfig
 from repro.runtime.trace import TraceCollector, reconcile
+from repro.runtime.wal import StableLog
 
 from ..drive_harness import FLASH_CROWD, count_invokes, flash_crowd_scheduler
 from .test_event_scheduler import (
@@ -222,7 +223,7 @@ class TestTheOracleIsNotVacuous:
         assert len(seen) == metrics.operations + metrics.blocked_attempts
 
     @pytest.mark.parametrize(
-        "forgets", ["try_operation", "commit", "abort"]
+        "forgets", ["try_operation", "complete_commit", "abort"]
     )
     def test_a_mutation_that_forgets_the_epoch_is_caught(
         self, monkeypatch, forgets
@@ -252,7 +253,7 @@ class TestTheOracleIsNotVacuous:
         restart at the object alone shows this move: the holder's locks
         are gone, and the sleeper must find out without being told."""
         account = BankAccount("BA")
-        obj = DurableObject(account, account.nrbc_conflict(), "UIP")
+        obj = ManagedObject(account, account.nrbc_conflict(), "UIP", log=StableLog())
         system = CrashableSystem([obj])
         assert system.invoke("HOLDER", "BA", inv("withdraw", 1)).ok
 

@@ -15,7 +15,8 @@ import random
 import pytest
 
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
+from repro.runtime.system import ManagedObject
 from repro.runtime.replication import (
     ReplicatedSystem,
     ReplicationError,
@@ -105,11 +106,11 @@ def test_sites1_is_byte_identical_to_flat_system(seed):
     policy = GroupCommitPolicy(2, 3)
     flat = CrashableSystem(
         [
-            DurableObject(
+            ManagedObject(
                 adt,
                 adt.nfc_conflict(),
                 "DU",
-                log_factory=lambda: StableLog(policy=policy),
+                log=StableLog(policy=policy),
             )
         ]
     )
@@ -224,7 +225,7 @@ def test_resolution_forces_a_healthy_copys_held_commit_record(recovery):
         system.objects[name].wal.log.force()
     assert system.commit("T1") is False  # commit records held
     survivor = system.objects["X@s1"]
-    ticket = survivor._force_tickets["T1"]
+    ticket = survivor.wal._tickets["T1"]
     assert not survivor.wal.log.flushed(ticket)
     assert system.fail_site(0) == set()
     assert system.status("T1") == "committed"

@@ -23,7 +23,7 @@ import pytest
 from repro.adts.registry import make_adt
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem, DurableObject
+from repro.runtime.durability import CrashableSystem
 from repro.runtime.errors import InvalidTransactionState
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.scheduler import Scheduler, TransactionScript
@@ -226,10 +226,7 @@ class TestZeroLocks:
 
 def durable_counter_system(policy=None):
     adt = make_adt("counter")
-    factory = (
-        (lambda: StableLog(policy=policy)) if policy is not None else StableLog
-    )
-    obj = DurableObject(adt, adt.nfc_conflict(), "DU", log_factory=factory)
+    obj = ManagedObject(adt, adt.nfc_conflict(), "DU", log=StableLog(policy=policy))
     return CrashableSystem([obj]), adt, obj
 
 
@@ -308,7 +305,7 @@ def sharded_counter_system():
     objs = []
     for name in names:
         adt = make_adt("counter", name)
-        objs.append(DurableObject(adt, adt.nfc_conflict(), "DU"))
+        objs.append(ManagedObject(adt, adt.nfc_conflict(), "DU", log=StableLog()))
     return ShardedSystem(objs, shards=2), names
 
 

@@ -223,7 +223,7 @@ def test_crash_shard_forces_a_healthy_shards_held_commit_record():
         obj.wal.log.force()
     assert system.commit("T1") is False  # commit records held
     survivor = system.objects["D"]
-    ticket = survivor._force_tickets["T1"]
+    ticket = survivor.wal._tickets["T1"]
     assert not survivor.wal.log.flushed(ticket)
     assert system.crash_shard(system.shard_of_object("A")) == set()
     assert system.status("T1") == "committed"

@@ -16,7 +16,6 @@ import random
 from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.runtime import ManagedObject, TransactionSystem
-from repro.runtime.durability import DurableObject
 from repro.runtime.openloop import OpenLoopConfig
 from repro.runtime.scheduler import Scheduler, TransactionScript
 from repro.runtime.wal import GroupCommitPolicy, StableLog
@@ -144,11 +143,11 @@ def test_hold_timers_tick_only_where_a_batch_is_held(monkeypatch):
 
 def _durable(name, hold, batch=8):
     account = BankAccount(name)
-    return DurableObject(
+    return ManagedObject(
         account,
         account.nfc_conflict(),
         "DU",
-        log_factory=lambda: StableLog(
+        log=StableLog(
             policy=GroupCommitPolicy(batch_size=batch, max_hold=hold)
         ),
     )

@@ -16,7 +16,6 @@ from repro.adts.registry import make_adt
 from repro.runtime import (
     EVENT_SCHEMA,
     CrashableSystem,
-    DurableObject,
     FaultPlan,
     GroupCommitPolicy,
     ManagedObject,
@@ -62,8 +61,8 @@ def build_traced_run(workload, seed, group_commit=1, hold=3):
     conflict = adt.nfc_conflict()
     if group_commit > 1:
         policy = GroupCommitPolicy(group_commit, hold)
-        obj = DurableObject(
-            adt, conflict, "DU", log_factory=lambda: StableLog(policy=policy)
+        obj = ManagedObject(
+            adt, conflict, "DU", log=StableLog(policy=policy)
         )
         system = CrashableSystem([obj])
     else:

@@ -30,13 +30,14 @@ from repro.core.object_automaton import ObjectAutomaton
 from repro.core.views import DU, SUIP, UIP
 from repro.reference import opaque_view
 from repro.runtime import ManagedObject, TransactionSystem
-from repro.runtime.durability import DurableObject
+from repro.runtime.durability import build_durable_object
 from repro.runtime.lock_manager import LockManager
 from repro.runtime.recovery import make_recovery_manager
 from repro.runtime.replication import build_replicated_system
 from repro.runtime.scheduler import Scheduler, TransactionScript, periodic_wake
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.trace import TraceCollector
+from repro.runtime.wal import RedoOnlyLog, StableLog, UndoRedoLog
 
 PACKAGE = pathlib.Path(repro.__file__).parent
 SRC = PACKAGE.parent
@@ -132,7 +133,7 @@ def test_no_constructor_takes_a_retired_selector():
         Scheduler,
         LockManager,
         ManagedObject,
-        DurableObject,
+        build_durable_object,
         ObjectAutomaton,
         ObjectAutomaton.accepts,
         ObjectAutomaton.explain_rejection,
@@ -435,9 +436,9 @@ def test_every_change_to_an_objects_halves_advances_its_epoch():
         and _changes_a_half(fn)
     ]
     assert sorted(name for name, _ in changers) == [
-        "repro/runtime/durability.py:crash_and_restart",
         "repro/runtime/system.py:abort",
-        "repro/runtime/system.py:commit",
+        "repro/runtime/system.py:complete_commit",
+        "repro/runtime/system.py:crash_and_restart",
         "repro/runtime/system.py:try_operation",
     ]
     forgetful = [name for name, fn in changers if not _advances(fn, "epoch")]
@@ -597,7 +598,7 @@ def test_the_runtime_object_holds_the_automaton():
     ba = BankAccount("BA")
     for obj in (
         ManagedObject(ba, ba.nrbc_conflict(), "UIP"),
-        DurableObject(ba, ba.nrbc_conflict(), "UIP"),
+        ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog()),
         OptimisticObject(ba, ba.nfc_conflict()),
     ):
         assert isinstance(obj.automaton, ObjectAutomaton)
@@ -606,7 +607,7 @@ def test_the_runtime_object_holds_the_automaton():
     mirrors = [
         "%s.%s" % (cls.name, node.attr)
         for _name, cls in _classes()
-        if cls.name in ("ManagedObject", "DurableObject", "OptimisticObject")
+        if cls.name in ("ManagedObject", "OptimisticObject")
         for node in ast.walk(cls)
         if isinstance(node, ast.Attribute)
         and node.attr in ("_pending", "_events", "_recorded", "_record_end")
@@ -632,7 +633,7 @@ def test_the_automaton_has_one_candidate_loop():
     """"Which responses are free, and who blocks the rest" is one loop,
     ``ObjectAutomaton.free_candidates``: ``enabled_responses``,
     ``blocked_responses`` and ``ManagedObject.try_operation`` all ask it."""
-    objects = ("ObjectAutomaton", "ManagedObject", "DurableObject", "OptimisticObject")
+    objects = ("ObjectAutomaton", "ManagedObject", "OptimisticObject")
     loops = sorted(
         "%s:%s" % (name, fn.name)
         for name, cls in _classes()
@@ -683,7 +684,7 @@ def test_no_memo_on_the_attempt_path_has_a_size_or_a_switch():
         RecoveryManager.__init__: ["self", "spec"],
         RecoveryManager.enabled_responses: ["self", "txn", "invocation"],
         ManagedObject.__init__: [
-            "self", "adt", "conflict", "recovery", "uip_strategy",
+            "self", "adt", "conflict", "recovery", "uip_strategy", "restart_policy", "log",
         ],
         ObjectAutomaton.__init__: ["self", "spec", "view", "conflict", "recovery"],
         ObjectAutomaton._candidates: ["self", "invocation", "responses"],
@@ -778,12 +779,15 @@ def test_nothing_in_compile_tables_is_there_for_tests_only():
 
 
 def test_the_recovery_method_is_asked_once():
-    """UIP-or-DU is chosen where a durable object picks its log class;
-    after that the log and the manager answer for themselves (one
-    ``on_prepare`` / ``on_commit`` signature, ``committed_macro``,
-    ``rebase``, ``view``) and nobody tests a type again."""
+    """UIP-or-DU is chosen by the recovery method's name where an object
+    given a log builds its logging discipline; after that the log and
+    the manager answer for themselves (one ``on_prepare`` / ``on_commit``
+    signature, ``rebase``, ``view``) and nothing under ``runtime/``
+    tests the type of a log or a manager."""
     asked = {
-        "RedoOnlyLog", "UndoRedoLog", "DeferredUpdateManager", "UpdateInPlaceManager",
+        "LogDiscipline", "RedoOnlyLog", "UndoRedoLog", "RecoveryManager",
+        "DeferredUpdateManager", "UpdateInPlaceManager", "StrictUpdateInPlaceManager",
+        "ViewRecoveryManager",
     }
     sites = [
         "%s:%s" % (path.relative_to(PACKAGE), fn.name)
@@ -792,9 +796,15 @@ def test_the_recovery_method_is_asked_once():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", None) == "isinstance"
-        and {getattr(n, "id", None) for n in ast.walk(node.args[1])} & asked
+        and {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.args[1])}
+        & asked
     ]
-    assert sites == ["runtime/durability.py:__init__"]
+    assert sites == []
+    ba = BankAccount("BA")
+    for recovery, discipline in (("UIP", UndoRedoLog), ("DU", RedoOnlyLog)):
+        obj = ManagedObject(ba, ba.nrbc_conflict(), recovery, log=StableLog())
+        assert type(obj.wal) is discipline, recovery
+        assert ManagedObject(ba, ba.nrbc_conflict(), recovery).wal is None
 
 
 def test_one_class_maintains_each_view():
@@ -918,12 +928,43 @@ def test_each_durability_fact_has_one_home():
 
 
 def test_durable_objects_are_built_in_one_place():
-    sites = [
-        "%s:%s" % (path.relative_to(SRC), fn.name)
-        for path, fn in _functions()
-        if "DurableObject" in _calls(fn)
-    ]
+    """Only ``build_durable_object`` hands an object a stable log: no
+    other call under ``src/repro`` passes ``log=``, except an object
+    handing its log on to the logging discipline it builds."""
+    disciplines = {"RedoOnlyLog", "UndoRedoLog", "__init__"}
+    sites = sorted(
+        {
+            "%s:%s" % (path.relative_to(SRC), fn.name)
+            for path, fn in _functions()
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and any(keyword.arg == "log" for keyword in node.keywords)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) not in disciplines
+        }
+    )
     assert sites == ["repro/runtime/durability.py:build_durable_object"]
+
+
+def test_the_log_is_a_part_of_the_object():
+    """One runtime object class, with an optional log: nothing under
+    ``src/repro`` defines a second copy of the committed state
+    (``committed_macro``; the object's ``committed_tip`` is the one a
+    checkpoint snapshots), and no class but the optimistic one — which
+    changes when ``Conflict`` is enforced, not what is logged —
+    subclasses ``ManagedObject``."""
+    twins = [
+        "%s:%d" % (path.relative_to(SRC), fn.lineno)
+        for path, fn in _functions()
+        if fn.name == "committed_macro"
+    ]
+    assert not twins, twins
+    subclasses = sorted(
+        name
+        for name, cls in _classes()
+        if any(getattr(base, "id", getattr(base, "attr", None)) == "ManagedObject"
+               for base in cls.bases)
+    )
+    assert subclasses == ["repro/runtime/optimistic.py:OptimisticObject"]
 
 
 def test_recovery_method_picks_the_conflict_relation_once():
@@ -1014,13 +1055,19 @@ def _emits(fn, kind):
 
 #: spans the benchmark still names whose functions the product deleted
 #: on purpose: the hold-timer countdown, replaced by the system clock's
-#: heap of due ticks (``TransactionSystem.tick``).  They read as
-#: ``ledger.spans_missing`` until the benchmark's span table is
+#: heap of due ticks (``TransactionSystem.tick``), and the durable
+#: object class, whose log steps are now ``ManagedObject``'s own.  They
+#: read as ``ledger.spans_missing`` until the benchmark's span table is
 #: retargeted; nothing else may go missing.
 RETIRED_SPANS = [
     "repro.runtime.wal:StableLog.tick",
     "repro.runtime.wal:StableLog.advance",
+    "repro.runtime.durability:DurableObject.prepare",
+    "repro.runtime.durability:DurableObject.submit_commit",
+    "repro.runtime.durability:DurableObject.complete_commit",
     "repro.runtime.durability:DurableObject.tick",
+    "repro.runtime.durability:DurableObject.checkpoint",
+    "repro.runtime.durability:DurableObject.crash_and_restart",
 ]
 
 
@@ -1039,8 +1086,8 @@ def test_every_benchmark_span_is_defined_on_its_owner():
         for module_name, qualname in targets:
             module = importlib.import_module(module_name)
             owner_name, _, attr = qualname.rpartition(".")
-            owner = getattr(module, owner_name) if owner_name else module
-            if not isinstance(vars(owner).get(attr), types.FunctionType):
+            owner = getattr(module, owner_name, None) if owner_name else module
+            if owner is None or not isinstance(vars(owner).get(attr), types.FunctionType):
                 missing.append("%s:%s" % (module_name, qualname))
     assert missing == RETIRED_SPANS, missing
 
@@ -1049,16 +1096,14 @@ def test_a_held_batch_is_timed_by_the_system_clock_alone():
     """A held group-commit batch records the tick it is due at and the
     system's one heap forces it then: no log or object counts a hold
     down, and the system has one entry for a tick and a jump alike."""
-    from repro.runtime.durability import DurableObject
     from repro.runtime.faults import FaultyStableLog
     from repro.runtime.system import ManagedObject, TransactionSystem
-    from repro.runtime.wal import StableLog
 
     retired = (
         "tick", "advance", "advance_ticks", "next_deadline",
         "watch_hold_timer", "_hold_ticks",
     )
-    for cls in (StableLog, FaultyStableLog, DurableObject, ManagedObject):
+    for cls in (StableLog, FaultyStableLog, ManagedObject):
         kept = [name for name in retired if hasattr(cls, name)]
         assert not kept, (cls.__name__, kept)
     assert not hasattr(TransactionSystem, "advance_ticks")
