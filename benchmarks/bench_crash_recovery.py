@@ -17,9 +17,9 @@ import pytest
 from repro.adts import BankAccount
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem, run_with_crashes
+from repro.runtime.durability import run_with_crashes
 from repro.runtime.scheduler import TransactionScript
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.wal import StableLog, UndoRedoLog
 
 
@@ -40,7 +40,7 @@ def make_scripts(seed: int, n: int = 8):
 def run_crashing(recovery: str, seed: int = 0, crash_every: int = 6):
     ba = BankAccount("BA", opening=50)
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
-    system = CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
+    system = TransactionSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
     metrics, crashes = run_with_crashes(
         system, make_scripts(seed), seed=seed, crash_every=crash_every
     )

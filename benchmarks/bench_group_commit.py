@@ -23,8 +23,7 @@ import pytest
 
 from repro.adts.registry import make_adt
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.scheduler import Scheduler, TransactionScript
 from repro.runtime.wal import GroupCommitPolicy, StableLog
 from repro.runtime.workloads import hotspot_banking
@@ -77,7 +76,7 @@ def run_config(adt_kind: str, recovery: str, batch: int, seed: int = 1):
     obj = ManagedObject(
         adt, conflict, recovery, log=StableLog(policy=policy)
     )
-    system = CrashableSystem([obj])
+    system = TransactionSystem([obj])
     scripts = WORKLOADS[adt_kind](adt, random.Random(seed))
     label = "%s/%s/gc%d" % (adt_kind, recovery, batch)
     return Scheduler(system, scripts, seed=seed, label=label).run()
@@ -184,7 +183,7 @@ def test_batch_one_is_noop(benchmark):
         runs = []
         for log in (StableLog(), StableLog(policy=GroupCommitPolicy(1, 0))):
             obj = ManagedObject(adt, conflict, "DU", log=log)
-            system = CrashableSystem([obj])
+            system = TransactionSystem([obj])
             scripts = bank_scripts(adt, random.Random(3))
             metrics = Scheduler(system, scripts, seed=3).run()
             runs.append((metrics, obj))

@@ -27,8 +27,7 @@ import time
 import pytest
 
 from repro.adts.registry import make_adt
-from repro.runtime.durability import CrashableSystem
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.replication import build_replicated_system
@@ -94,7 +93,7 @@ def sites1_identity():
 
     adt = make_adt("bank", "X")
     policy = GroupCommitPolicy(2, 3)
-    flat = CrashableSystem(
+    flat = TransactionSystem(
         [
             ManagedObject(
                 adt,

@@ -30,10 +30,10 @@ import random
 
 import pytest
 
-from repro.runtime.durability import CrashableSystem
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sharding import build_sharded_system
+from repro.runtime.system import TransactionSystem
 from repro.runtime.workloads import mixed_transfers
 
 ARTIFACT = (
@@ -74,7 +74,7 @@ def test_sharded_execution_matches_flat(benchmark):
 
     flat = benchmark.pedantic(
         lambda: run(
-            CrashableSystem(
+            TransactionSystem(
                 list(build_sharded_system("bank", names).objects.values())
             )
         ),

@@ -28,7 +28,6 @@ import time
 import pytest
 
 from repro.adts.registry import make_adt
-from repro.runtime.durability import CrashableSystem
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.trace import TraceCollector, reconcile
@@ -58,7 +57,7 @@ def build_run(trace=None, group_commit=1):
         obj = ManagedObject(
             adt, conflict, "DU", log=StableLog(policy=policy)
         )
-        system = CrashableSystem([obj])
+        system = TransactionSystem([obj])
     else:
         system = TransactionSystem([ManagedObject(adt, conflict, "DU")])
     return Scheduler(

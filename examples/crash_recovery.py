@@ -15,8 +15,7 @@ write-ahead (UIP) and redo-only (DU) logging.
 from repro.adts import BankAccount
 from repro.core import inv, is_dynamic_atomic
 from repro.core.views import DU, UIP
-from repro.runtime.durability import CrashableSystem
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.wal import StableLog
 
 
@@ -24,7 +23,7 @@ def demo(recovery: str) -> None:
     ba = BankAccount("BA")
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
     view = UIP if recovery == "UIP" else DU
-    system = CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
+    system = TransactionSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
     obj = system.objects["BA"]
 
     print("== %s ==" % recovery)

@@ -7,9 +7,10 @@
 flow of :data:`FLOWS` runs as ``python -m repro ...`` once in each tree
 (``PYTHONPATH=<tree>/src``, ``PYTHONHASHSEED=0``), in its own directory
 under ``--out``, with ``--trace-out trace.jsonl`` where the command
-takes one.  The two exit codes must be equal, the two stdouts must be
-equal once a drive's ``wall clock`` line (host time) is dropped, and the
-two traces must be equal byte for byte.  A flow's stderr is kept beside
+takes one.  Both exit codes must be 0 — a flow that fails in both trees
+shows nothing about its behaviour — the two stdouts must be equal once
+a drive's ``wall clock`` line (host time) is dropped, and the two traces
+must be equal byte for byte.  A flow's stderr is kept beside
 its stdout but not compared.
 
 Exit status 0 when every flow matches; 1 at the first flow that
@@ -77,7 +78,7 @@ def differences(parent: pathlib.Path, change: pathlib.Path,
                 codes: Tuple[int, int], traced: bool) -> List[str]:
     """What differs between one flow's two run directories."""
     found = []
-    if codes[0] != codes[1]:
+    if any(codes):
         found.append("exit code %d | %d" % codes)
     if behaviour(parent / "stdout") != behaviour(change / "stdout"):
         found.append("stdout")

@@ -400,7 +400,7 @@ def cmd_run(args) -> int:
     print("forces/commit     : %.2f" % metrics.forces_per_commit)
     print("commit stall ticks: %d" % metrics.commit_stall_ticks)
     if replicated:
-        for row in system.force_accounting_by_site():
+        for row in system.force_accounting_by_domain():
             site = row["site"]
             print(
                 "  site %-2d         : %d forces (%d requests), %d failures, "
@@ -409,7 +409,7 @@ def cmd_run(args) -> int:
                     site,
                     row["forces"],
                     row["force_requests"],
-                    system.site_failures[site],
+                    system.domain_failures[site],
                     system.requalifications[site],
                 )
             )

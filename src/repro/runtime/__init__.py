@@ -9,7 +9,7 @@ integration tests tie the concrete implementation back to the theory.
 """
 
 from .baselines import invocation_conflict, read_write_conflict
-from .durability import CrashableSystem, run_with_crashes
+from .durability import run_with_crashes
 from .errors import InvalidTransactionState, RuntimeModelError, UnknownObjectError
 from .faults import (
     CrashPoint,
@@ -97,7 +97,6 @@ from .workloads import (
 __all__ = [
     "LockManager",
     "WaitsForGraph",
-    "CrashableSystem",
     "run_with_crashes",
     "StableLog",
     "GroupCommitPolicy",

@@ -560,7 +560,7 @@ def _per_shard_rows(
         rows.append(
             {
                 "shard": k,
-                "objects": len(system.shard_objects(k)),
+                "objects": len(system.domain_objects(k)),
                 "committed": committed_by_shard.get(k, 0),
                 "operations": ops_by_shard.get(k, 0),
                 "forces": acc["forces"],
@@ -582,9 +582,9 @@ def _per_site_rows(
             "site": acc["site"],
             "arrivals": arrivals_by_site.get(acc["site"], 0),
             "committed": committed_by_site.get(acc["site"], 0),
-            "failures": system.site_failures[acc["site"]],
+            "failures": system.domain_failures[acc["site"]],
             "requalified": system.requalifications[acc["site"]],
             "forces": acc["forces"],
         }
-        for acc in system.force_accounting_by_site()
+        for acc in system.force_accounting_by_domain()
     ]

@@ -1,7 +1,7 @@
 """Multi-site replication with site failure and recovery.
 
 The paper analyzes how recovery constrains concurrency *inside one
-node*; this module lifts :class:`~repro.runtime.durability.CrashableSystem`
+node*; this module lifts :class:`~repro.runtime.system.TransactionSystem`
 to **N sites** holding replicated ADT objects, so site failure and
 recovery interact with the existing WAL / 2PC / group-commit machinery.
 The protocol is RepCRec-style **available copies** (SNIPPETS.md
@@ -29,7 +29,8 @@ data types:
   own logs.  The commit point is a durable commit record at any touched
   copy, exactly as before.
 * **Site failure** (:meth:`ReplicatedSystem.fail_site`) is the
-  ``crash_shard`` protocol generalized across sites: the site's logs
+  ``crash_shard`` protocol generalized across sites — each site is one
+  failure domain of the system's ``domain_of`` map: the site's logs
   lose their volatile tails, and every unfinished transaction that
   touched the site is resolved by the *surviving-commit-record* rule —
   committed iff a commit record survives at any touched copy (durable
@@ -66,7 +67,7 @@ no re-qualification and no routing choice: ``invoke`` / ``commit`` /
 ``snapshot_read`` reduce to exactly the inherited code paths over the
 same logged objects, so the event history *and* the
 RunMetrics are byte-identical to the flat
-:class:`~repro.runtime.durability.CrashableSystem` — replication, like
+:class:`~repro.runtime.system.TransactionSystem` — replication, like
 sharding before it, adds metadata, not behavior, until a second site
 exists.
 
@@ -97,13 +98,10 @@ from ..core.events import (
     respond as respond_event,
 )
 from ..core.history import History
-from .durability import (
-    CrashableSystem,
-    DomainTrace,
-    build_durable_object,
-)
+from .durability import build_durable_object
 from .errors import UnknownObjectError
-from .system import STUCK, ManagedObject, OperationOutcome
+from .system import STUCK, ManagedObject, OperationOutcome, TransactionSystem
+from .trace import DomainTrace
 from .wal import StableLog
 
 
@@ -132,8 +130,11 @@ class SiteTrace(DomainTrace):
     emit = DomainTrace.emit
 
 
-class ReplicatedSystem(CrashableSystem):
-    """A crashable system whose objects are replicated across N sites."""
+class ReplicatedSystem(TransactionSystem):
+    """A transaction system whose objects are replicated across N sites:
+    each site is one failure domain (``domain_of``)."""
+
+    domain_trace = SiteTrace
 
     def __init__(
         self,
@@ -149,7 +150,7 @@ class ReplicatedSystem(CrashableSystem):
             raise ValueError("sites must be >= 1 (got %d)" % sites)
         flat: List[ManagedObject] = []
         self._logical: Dict[str, Tuple[str, ...]] = {}
-        self._copy_site: Dict[str, int] = {}
+        domain_of: Dict[str, int] = {}
         self._copy_logical: Dict[str, str] = {}
         for copies in logical_objects:
             if len(copies) != sites:
@@ -166,26 +167,26 @@ class ReplicatedSystem(CrashableSystem):
                         % (site, logical, expected, obj.name)
                     )
                 names.append(obj.name)
-                self._copy_site[obj.name] = site
+                domain_of[obj.name] = site
                 self._copy_logical[obj.name] = logical
                 flat.append(obj)
             self._logical[logical] = tuple(names)
         super().__init__(flat)
         self.sites = sites
+        self.domain_of = domain_of
+        self.domain_failures = [0] * sites
         self._site_up: List[bool] = [True] * sites
-        #: per-site failure counter (as ``shard_crashes`` for shards).
-        self.site_failures: List[int] = [0] * sites
         #: per-site count of copies re-qualified for reads.
         self.requalifications: List[int] = [0] * sites
         #: copies in service and in lockstep (receive every write).
-        self._current: Set[str] = set(self._copy_site)
+        self._current: Set[str] = set(self.objects)
         #: copies allowed to serve reads (current and re-qualified).
-        self._qualified: Set[str] = set(self._copy_site)
+        self._qualified: Set[str] = set(self.objects)
         #: recovered copies awaiting their catch-up replay.
         self._pending_catchup: Set[str] = set()
         #: CSN from which a copy's version chain is gap-free (serves
         #: snapshot reads at or above it); 0 for never-failed copies.
-        self._qualified_since: Dict[str, int] = {c: 0 for c in self._copy_site}
+        self._qualified_since: Dict[str, int] = dict.fromkeys(self.objects, 0)
         #: committed mutator operations per logical object, commit order
         #: — the replay source for catch-up.
         self._committed_ops: Dict[str, List[Operation]] = {
@@ -193,7 +194,7 @@ class ReplicatedSystem(CrashableSystem):
         }
         #: per copy: length of the committed-op prefix reflected in its
         #: durably committed state.
-        self._applied_upto: Dict[str, int] = {c: 0 for c in self._copy_site}
+        self._applied_upto: Dict[str, int] = dict.fromkeys(self.objects, 0)
         #: active transactions' executed mutators per logical object.
         self._txn_ops: Dict[str, Dict[str, List[Operation]]] = {}
         #: logical objects each active transaction touched (for the
@@ -227,9 +228,6 @@ class ReplicatedSystem(CrashableSystem):
 
     # -- introspection -----------------------------------------------------------
 
-    def site_of_copy(self, name: str) -> int:
-        return self._copy_site[name]
-
     def copies_of(self, logical: str) -> Tuple[str, ...]:
         return self._logical[logical]
 
@@ -257,20 +255,6 @@ class ReplicatedSystem(CrashableSystem):
     def logical_specs(self) -> Dict[str, object]:
         """Logical name -> ADT spec, for the global audit."""
         return {name: self.objects[name].adt for name in self._logical}
-
-    # -- tracing -----------------------------------------------------------------
-
-    def bind_trace(self, collector) -> None:
-        """Bind a trace collector, stamping object/log events per site."""
-        self._bind_domain_trace(collector, SiteTrace, self._copy_site)
-
-    # -- per-site accounting -------------------------------------------------------
-
-    def force_accounting_by_site(self) -> List[Dict[str, int]]:
-        """``(forces, force_requests, forced_records)`` per site."""
-        return self._force_accounting_by_domain(
-            "site", self.sites, self._copy_site
-        )
 
     # -- operation routing ---------------------------------------------------------
 
@@ -449,7 +433,7 @@ class ReplicatedSystem(CrashableSystem):
                 self._qualified.add(copy)
                 self._membership_epoch += 1
                 self._qualified_since[copy] = csn
-                site = self._copy_site[copy]
+                site = self.domain_of[copy]
                 self.requalifications[site] += 1
                 if self.trace is not None:
                     self.trace.emit(
@@ -483,7 +467,7 @@ class ReplicatedSystem(CrashableSystem):
     def fail_site(self, site: int) -> Set[str]:
         """Crash one site and keep it down until :meth:`recover_site`.
 
-        :meth:`~repro.runtime.durability.CrashableSystem._resolve_failure`
+        :meth:`~repro.runtime.system.TransactionSystem._resolve_failure`
         scoped to the site's copies: their stable logs lose their
         volatile tails (held group-commit batches die unflushed), every
         unfinished transaction that touched the site is resolved by the
@@ -502,8 +486,8 @@ class ReplicatedSystem(CrashableSystem):
             raise ReplicationError("site %d is already down" % site)
         self._site_up[site] = False
         self._membership_epoch += 1
-        self.site_failures[site] += 1
-        failed = sorted(c for c, s in self._copy_site.items() if s == site)
+        self.domain_failures[site] += 1
+        failed = self.domain_objects(site)
         self._current.difference_update(failed)
         self._qualified.difference_update(failed)
         self._pending_catchup.difference_update(failed)
@@ -524,7 +508,7 @@ class ReplicatedSystem(CrashableSystem):
             raise ReplicationError("site %d is already up" % site)
         self._site_up[site] = True
         self._membership_epoch += 1
-        names = sorted(c for c, s in self._copy_site.items() if s == site)
+        names = self.domain_objects(site)
         for name in names:
             self.objects[name].crash_and_restart()
             self._pending_catchup.add(name)

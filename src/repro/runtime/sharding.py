@@ -3,7 +3,7 @@
 The paper's argument is about how recovery constrains *concurrency*, and
 until now the runtime could only demonstrate that constraint inside one
 lock-manager/log/scheduler domain.  This module hash-partitions the
-managed objects of a :class:`~repro.runtime.durability.CrashableSystem`
+managed objects of a :class:`~repro.runtime.system.TransactionSystem`
 into **shards**: each shard owns a disjoint subset of the objects, and
 with them its own lock state (every object's
 :class:`~repro.core.lock_manager.LockManager`, whose index reads the
@@ -24,7 +24,8 @@ Design notes:
   vote and force on their own shard's logs.  The commit point is a
   durable commit record at any touched object, same as before.
 * **Partial failure** is the new capability: :meth:`ShardedSystem.crash_shard`
-  crashes one shard while the others keep running.  In-doubt
+  crashes one shard — one failure domain of the system's ``domain_of``
+  map — while the others keep running.  In-doubt
   transactions touching the dead shard are resolved by the commit-point
   rule — completed at every shard (healthy ones finish the commit
   normally, the crashed one completes at recovery), or killed
@@ -45,14 +46,11 @@ shard.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Sequence, Set
 
-from .durability import (
-    CrashableSystem,
-    DomainTrace,
-    build_durable_object,
-)
-from .system import ManagedObject
+from .durability import build_durable_object
+from .system import ManagedObject, TransactionSystem
+from .trace import DomainTrace
 from .wal import StableLog
 
 
@@ -78,66 +76,42 @@ class ShardTrace(DomainTrace):
     emit = DomainTrace.emit
 
 
-class ShardedSystem(CrashableSystem):
-    """A crashable system whose objects are hash-partitioned into shards.
+class ShardedSystem(TransactionSystem):
+    """A transaction system whose objects are hash-partitioned into
+    shards: each shard is one failure domain (``domain_of``).
 
     Execution semantics are *identical* to the flat
-    :class:`CrashableSystem` over the same objects — routing adds
-    metadata, not behavior — which is what makes the sharded-vs-flat
-    differential audits in EXP-C15 byte-identical.  What sharding adds:
-
-    * :meth:`crash_shard` — partial failure with per-shard recovery;
-    * per-shard force accounting and trace stamping;
-    * the placement function the open-loop driver uses to partition
-      single-shard traffic across worker processes.
+    :class:`~repro.runtime.system.TransactionSystem` over the same
+    objects — routing adds metadata, not behavior — which is what makes
+    the sharded-vs-flat differential audits in EXP-C15 byte-identical.
+    What sharding adds: :meth:`crash_shard` (partial failure with
+    per-shard recovery), and through the domain map per-shard force
+    accounting and ``shard``-stamped trace events.
     """
+
+    domain_trace = ShardTrace
 
     def __init__(self, objects: Sequence[ManagedObject], *, shards: int = 1):
         super().__init__(objects)
         if shards < 1:
             raise ValueError("shards must be >= 1 (got %d)" % shards)
         self.shards = shards
-        self._placement: Dict[str, int] = {
-            name: shard_of(name, shards) for name in self.objects
-        }
-        #: per-shard crash counter (``crash_count`` still counts
-        #: whole-system crashes, which touch every shard at once).
-        self.shard_crashes: List[int] = [0] * shards
+        self.domain_of = {name: shard_of(name, shards) for name in self.objects}
+        self.domain_failures = [0] * shards
 
-    # -- placement ---------------------------------------------------------------
-
-    def shard_of_object(self, name: str) -> int:
-        return self._placement[name]
-
-    def shard_objects(self, shard: int) -> List[str]:
-        """The object names owned by ``shard``, sorted."""
-        return sorted(n for n, s in self._placement.items() if s == shard)
-
-    # -- tracing -----------------------------------------------------------------
-
-    def bind_trace(self, collector) -> None:
-        """Bind a trace collector, stamping object/log events per shard.
-
-        Called by :meth:`TraceCollector.bind_system` in place of its
-        flat-system wiring.  System-level events (2PC phases, crashes)
-        stay unstamped — they span shards.
-        """
-        self._bind_domain_trace(collector, ShardTrace, self._placement)
-
-    # -- per-shard accounting ------------------------------------------------------
-
-    def force_accounting_by_shard(self) -> List[Dict[str, int]]:
-        """``(forces, force_requests, forced_records)`` per shard."""
-        return self._force_accounting_by_domain(
-            "shard", self.shards, self._placement
-        )
+    # Defined here, not only inherited: the end-to-end benchmark's
+    # ledger times this class's own ``bind_trace``.
+    bind_trace = TransactionSystem.bind_trace
+    # Defined here, not only inherited: the end-to-end benchmark's
+    # ledger times this class's own ``force_accounting_by_shard``.
+    force_accounting_by_shard = TransactionSystem.force_accounting_by_domain
 
     # -- partial failure -----------------------------------------------------------
 
     def crash_shard(self, shard: int) -> Set[str]:
         """Crash one shard; the others keep their volatile state.
 
-        :meth:`~repro.runtime.durability.CrashableSystem._resolve_failure`
+        :meth:`~repro.runtime.system.TransactionSystem._resolve_failure`
         scoped to the shard's objects: in-doubt transactions touching
         the shard are completed everywhere (healthy shards finish the
         commit normally, forcing held batches) or killed everywhere
@@ -153,9 +127,9 @@ class ShardedSystem(CrashableSystem):
             raise ValueError(
                 "shard must be in 0..%d (got %d)" % (self.shards - 1, shard)
             )
-        failed = self.shard_objects(shard)
-        self.shard_crashes[shard] += 1
+        failed = self.domain_objects(shard)
         victims = self._resolve_failure(failed, "shard-crash", shard=shard)
+        self.domain_failures[shard] += 1
         for name in failed:
             self.objects[name].crash_and_restart()
         return victims
@@ -209,5 +183,5 @@ def audit_shard(
         system,
         label or "shard%d" % shard,
         schedule,
-        names=system.shard_objects(shard),
+        names=system.domain_objects(shard),
     )

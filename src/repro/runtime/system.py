@@ -32,6 +32,19 @@ A locking object votes no only while an invocation is pending; an
 backward validation fails (Section 3.4's other protocol family).  Either
 way the event order (all responses before any commit event) matches the
 model's well-formedness constraints.
+
+A crash is an operation of the system, not a kind of system: the paper
+treats it as the mass abort of every transaction short of its commit
+point.  :meth:`TransactionSystem.crash` fails every object at once, and
+the placement subclasses (:mod:`~repro.runtime.sharding`,
+:mod:`~repro.runtime.replication`) fail one *failure domain* at a time —
+a shard, a site — read off the one map ``domain_of``.  Every form runs
+the same in-doubt resolution, ``_resolve_failure``, which refuses to
+fail an object that has no stable log to restart from.  A crash aborts
+every active transaction (appending their abort events keeps the global
+history well formed, so the core checkers can audit executions that
+span crashes) and restarts every object, after which new transactions
+see exactly the committed state.
 """
 
 from __future__ import annotations
@@ -377,10 +390,9 @@ class ManagedObject:
         """Lose all volatile state; rebuild from the stable log.
 
         The caller (normally
-        :class:`~repro.runtime.durability.CrashableSystem`) is
-        responsible for appending abort events for in-flight
-        transactions *before* invoking this, so the object history stays
-        consistent.
+        :meth:`TransactionSystem._resolve_failure`) is responsible for
+        appending abort events for in-flight transactions *before*
+        invoking this, so the object history stays consistent.
         """
         self.epoch += 1
         restored = self.wal.restart()
@@ -512,7 +524,14 @@ class _PendingCommit:
 
 
 class TransactionSystem:
-    """Several managed objects plus transaction bookkeeping and 2PC commit."""
+    """Several managed objects plus transaction bookkeeping, 2PC commit
+    and failure (:meth:`crash`; one failure domain at a time in the
+    placement subclasses), every form through :meth:`_resolve_failure`."""
+
+    #: the :class:`~repro.runtime.trace.DomainTrace` that stamps object
+    #: and log events with their failure domain; ``None`` leaves a flat
+    #: system's events unstamped.
+    domain_trace = None
 
     def __init__(self, objects: Sequence[ManagedObject]):
         self.objects: Dict[str, ManagedObject] = {}
@@ -553,6 +572,14 @@ class TransactionSystem:
             log.book_batch = partial(self._clock.book, position, log.policy.max_hold)
             if log.held_batch_size():  # handed over holding a batch
                 log.due = log.book_batch()
+        #: object name -> failure domain, the objects that fail together.
+        #: A flat system is the one domain 0; the placement subclasses
+        #: fill it from ``shards=`` / ``sites=``.
+        self.domain_of: Dict[str, int] = dict.fromkeys(self.objects, 0)
+        #: failures of one domain alone, one counter per domain.
+        self.domain_failures: List[int] = [0]
+        #: whole-system crashes, which are no one domain's failure.
+        self.crash_count = 0
 
     def _sync_events(self, name: Optional[str] = None) -> None:
         """Mirror unreported object-local events into the global history.
@@ -584,6 +611,29 @@ class TransactionSystem:
         if obj is None:
             raise UnknownObjectError(name)
         return obj
+
+    def domain_objects(self, domain: int) -> List[str]:
+        """The names of the objects in failure domain ``domain``, sorted."""
+        return sorted(name for name, k in self.domain_of.items() if k == domain)
+
+    # -- tracing -----------------------------------------------------------------
+
+    def bind_trace(self, collector) -> None:
+        """Attach ``collector`` to every emit site: the system itself
+        (2PC phases, crashes — unstamped, they span domains), every
+        managed object (lock-wait attribution) and every stable log
+        (force engine).  With a :attr:`domain_trace`, each object and
+        its log emit through one proxy stamping the object's domain."""
+        self.trace = collector
+        stamper = self.domain_trace
+        for name, obj in self.objects.items():
+            sink = collector
+            if stamper is not None:
+                sink = stamper(collector, self.domain_of[name])
+            obj.trace = sink
+            if obj.wal is not None:
+                obj.wal.log.trace = sink
+                obj.wal.log.trace_name = name
 
     # -- transaction API ---------------------------------------------------------
 
@@ -727,6 +777,25 @@ class TransactionSystem:
             records += log.forced_records
         return forces, requests, records
 
+    def force_accounting_by_domain(self) -> List[Dict[str, int]]:
+        """``(forces, force_requests, forced_records)`` per failure
+        domain, one row per domain keyed by the :attr:`domain_trace`
+        field (``shard`` / ``site``; ``domain`` on a flat system)."""
+        field = "domain" if self.domain_trace is None else self.domain_trace.field
+        rows = [
+            {field: k, "forces": 0, "force_requests": 0, "forced_records": 0}
+            for k in range(len(self.domain_failures))
+        ]
+        for name, obj in self.objects.items():
+            if obj.wal is None:
+                continue
+            log = obj.wal.log
+            row = rows[self.domain_of[name]]
+            row["forces"] += log.forces
+            row["force_requests"] += log.force_requests
+            row["forced_records"] += log.forced_records
+        return rows
+
     def abort(self, txn: str) -> None:
         self._require_active(txn)
         if txn in self._ro_active:
@@ -741,6 +810,163 @@ class TransactionSystem:
             obj.abort(txn)
             self._sync_events(name)
         self._finished[txn] = "aborted"
+
+    # -- failure -------------------------------------------------------------------
+
+    def crash(self) -> Set[str]:
+        """Whole-system crash: lose storage tails, resolve in-doubt
+        commits, kill the rest, restart every object.
+
+        :meth:`_resolve_failure` with every object failed — no healthy
+        object is left to finish a commit, every commit pipeline dies
+        and every active read-only reader with it — after which every
+        object loses its volatile state and restarts from its stable
+        log.
+
+        Returns the set of transactions killed by the crash (resolved
+        commits are *not* victims — their scripts finished).
+        """
+        failed = list(self.objects)
+        victims = self._resolve_failure(failed, "crash")
+        self.crash_count += 1
+        for name in failed:
+            self.objects[name].crash_and_restart()
+        return victims
+
+    def _resolve_failure(
+        self, failed: Sequence[str], event: str, **domain
+    ) -> Set[str]:
+        """The objects ``failed`` crashed; decide every transaction they
+        left in doubt.  Objects not named are healthy: their volatile
+        state and their processes are intact.
+
+        Each failed object restarts from its stable log, so one without
+        a log is refused first: ``ValueError`` names every such object
+        before any log crashes or any transaction is resolved.  Then,
+        in order:
+
+        1. mirror any object-local events the interrupted call never
+           reported into the global history (the failure may have
+           unwound ``invoke``/``commit`` mid-flight);
+        2. commit pipelines that depend on a failed object's log cannot
+           proceed: drop them, their transactions are resolved below
+           purely from whatever records actually reached storage;
+        3. every failed object's stable log loses its volatile tail, in
+           the order given (a :class:`~repro.runtime.faults.FaultyStableLog`
+           draws per crash, so the order is the caller's to keep) —
+           including any *held group-commit batch*, whose records were
+           appended but never physically flushed;
+        4. read-only snapshot readers that observed a failed object are
+           killed (their registration is volatile; no locks, no events);
+           when nothing survived, every active reader is.  Readers
+           confined to healthy objects continue — version chains only
+           hold durably committed versions and are never retracted, so
+           their snapshots remain valid;
+        5. **in-doubt resolution** for every unfinished transaction that
+           touched a failed object: committed iff its commit point was
+           reached — a commit record *survives* at any object it
+           touched, durable on a failed object's stable log or still
+           held (volatile or durable) at a healthy one.  Resolution
+           completes, never retracts: a resolved commit finishes
+           everywhere (failed objects through the recovery path,
+           healthy ones through their commit-now path, which forces a
+           held batch before acknowledging) and installs its version
+           under a fresh CSN.
+           Everything else is killed everywhere: failed objects just
+           record the abort event (no undo, no log record — a crash
+           gives no chance for either), healthy objects perform a clean
+           volatile abort;
+        6. the ``event`` trace record (stamped with ``domain``) lists the
+           victims and the resolved commits.
+
+        Transactions that never touched a failed object are untouched.
+        The failed objects are *not* restarted here — the caller
+        restarts them now or leaves them down.
+        Returns the transactions killed.
+        """
+        volatile = [name for name in failed if self.objects[name].wal is None]
+        if volatile:
+            raise ValueError(
+                "a failed object restarts from its stable log; none at %s"
+                % ", ".join(volatile)
+            )
+        names = set(failed)
+        self._sync_events()
+        doomed = [
+            txn
+            for txn, pending in self._committing.items()
+            if names.intersection(pending.touched)
+        ]
+        for txn in doomed:
+            del self._committing[txn]
+        for name in failed:
+            self.objects[name].wal.log.crash()
+        candidates = [
+            txn
+            for txn, touched in self._touched.items()
+            if txn not in self._finished and touched & names
+        ]
+        victims: Set[str] = set()
+        if len(names) == len(self.objects):
+            readers = list(self._ro_active)
+        else:
+            readers = [
+                txn
+                for txn, observed in self._ro_touched.items()
+                if txn in self._ro_active and observed & names
+            ]
+        for txn in sorted(readers):
+            del self._ro_active[txn]
+            self._finished[txn] = "aborted"
+            victims.add(txn)
+        resolved: List[str] = []
+        for txn in sorted(candidates):
+            touched = sorted(self._touched[txn])
+            reached_commit_point = any(
+                self.objects[name].wal.has_durable_commit(txn)
+                for name in touched
+            )
+            if reached_commit_point:
+                for name in touched:
+                    if name in names:
+                        self.objects[name].crash_commit(txn)
+                    else:
+                        self._complete_surviving_commit(name, txn)
+                self._finished[txn] = "committed"
+                resolved.append(txn)
+                # Durable everywhere it touched: stamp the version under
+                # a fresh CSN, as the normal completion would have.
+                self._install_versions(txn, touched)
+            else:
+                for name in touched:
+                    if name in names:
+                        self.objects[name].crash_kill(txn)
+                    else:
+                        self.objects[name].abort(txn)
+                self._finished[txn] = "aborted"
+                victims.add(txn)
+                self._drop_txn(txn)
+        self._sync_events()
+        if self.trace is not None:
+            self.trace.emit(
+                event, **domain, victims=sorted(victims), resolved=resolved
+            )
+        return victims
+
+    def _complete_surviving_commit(self, name: str, txn: str) -> None:
+        """Finish an in-doubt commit at a healthy (non-crashed) object.
+
+        Its volatile state is intact, so the commit completes through
+        the object's commit-now path rather than the recovery path: a
+        commit record still in a held batch is forced before the commit
+        is acknowledged, since a later crash of this object must find it.
+        """
+        self.objects[name].commit(txn)
+        self._sync_events(name)
+
+    def _drop_txn(self, txn: str) -> None:
+        """Placement bookkeeping for a transaction a failure killed
+        (nothing to forget in a flat system)."""
 
     # -- read-only snapshot transactions ------------------------------------------
     #

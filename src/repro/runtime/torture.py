@@ -1,7 +1,7 @@
 """The crash-schedule torture harness.
 
 Runs the existing workload generators (:mod:`repro.runtime.workloads`)
-under the scheduler against :class:`~repro.runtime.durability.CrashableSystem`
+under the scheduler against :class:`~repro.runtime.system.TransactionSystem`
 instances whose stable logs are :class:`~repro.runtime.faults.FaultyStableLog`
 wrappers, enumerating or seed-sampling crash schedules.  After every
 crash — and once more at the end of each schedule, via a final clean
@@ -44,17 +44,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
-from .durability import (
-    CrashableSystem,
-    SiteCrash,
-    build_durable_object,
-    run_with_site_crashes,
-)
+from .durability import SiteCrash, build_durable_object, run_with_site_crashes
 from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
 from .metrics import FaultCounters
 from .parallel import Cell, ParallelRunner
 from .replication import ReplicatedSystem, ReplicationError, build_replicated_system
 from .scheduler import Scheduler, periodic_wake
+from .system import TransactionSystem
 from .wal import COMMIT_MARKERS, StableLog
 from .workloads import (
     escrow_workload,
@@ -200,10 +196,10 @@ def build_system(
     counters: Optional[FaultCounters] = None,
     *,
     replicated: bool = False,
-) -> Tuple[CrashableSystem, object]:
+) -> Tuple[TransactionSystem, object]:
     """The system one schedule of ``config`` runs on, and its ADT.
 
-    One site: a single-object crashable system whose stable log injects
+    One site: a single-object system whose stable log injects
     ``plan``'s faults (``plan=None``: a plain, fault-free
     :class:`~repro.runtime.wal.StableLog`).  ``sites > 1`` (or
     ``replicated``, for a one-site replicated system): one logical
@@ -241,7 +237,7 @@ def build_system(
         make_log,
         restart_policy=config.restart_policy,
     )
-    return CrashableSystem([obj]), obj.adt
+    return TransactionSystem([obj]), obj.adt
 
 
 def fault_free_scheduler(
@@ -278,7 +274,7 @@ class Violation:
 
 
 def audit_recovery(
-    system: CrashableSystem,
+    system: TransactionSystem,
     label: str,
     schedule: str,
     *,
@@ -792,7 +788,7 @@ def run_site_schedule(
         config=config.label(),
         schedule=schedule,
         violations=violations,
-        crashes=sum(system.site_failures) + system.crash_count,
+        crashes=sum(system.domain_failures) + system.crash_count,
         committed=scheduler.metrics.committed,
         faults_fired=len(crashes),
     )

@@ -111,6 +111,27 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
 ABORT_REASONS = ("deadlock", "stuck", "crash", "validation")
 
 
+class DomainTrace:
+    """A per-failure-domain emit proxy: stamps every event with the
+    domain id under the subclass's ``field`` (``shard`` / ``site``).
+
+    Bound in place of the raw collector on a domain's objects and logs,
+    so ``op-invoke``/``lock-wait``/``force``/``recovery`` events carry
+    their domain without the emit sites knowing about placement at all.
+    """
+
+    __slots__ = ("_inner", "domain")
+    field = ""
+
+    def __init__(self, inner, domain: int) -> None:
+        self._inner = inner
+        self.domain = domain
+
+    def emit(self, kind: str, **fields) -> None:
+        fields.setdefault(self.field, self.domain)
+        self._inner.emit(kind, **fields)
+
+
 class TraceCollector:
     """Collects tick-stamped runtime events for one (or more) runs.
 
@@ -140,24 +161,9 @@ class TraceCollector:
     # -- binding ---------------------------------------------------------------
 
     def bind_system(self, system: Any) -> None:
-        """Attach this collector to a transaction system's emit sites:
-        the system itself (2PC/crash events), every managed object
-        (lock-wait attribution) and every stable log (force engine).
-
-        A system that needs custom wiring — the sharded runtime stamps
-        object/log events with their shard id — exposes ``bind_trace``
-        and takes over from here.
-        """
-        binder = getattr(system, "bind_trace", None)
-        if binder is not None:
-            binder(self)
-            return
-        system.trace = self
-        for obj in system.objects.values():
-            obj.trace = self
-            if obj.wal is not None:
-                obj.wal.log.trace = self
-                obj.wal.log.trace_name = obj.name
+        """Attach this collector to a transaction system's emit sites
+        (:meth:`~repro.runtime.system.TransactionSystem.bind_trace`)."""
+        system.bind_trace(self)
 
     # -- serialization ---------------------------------------------------------
 

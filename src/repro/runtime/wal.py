@@ -35,8 +35,8 @@ Logging disciplines, one per recovery method:
 Crashing is modeled at the object level by a
 :class:`~repro.runtime.system.ManagedObject` built with a stable log
 (which builds the discipline its recovery method implies) and at the
-system level by :class:`~repro.runtime.durability.CrashableSystem`; a crash
-aborts every in-flight transaction (their abort events make the
+system level by :meth:`~repro.runtime.system.TransactionSystem.crash`; a
+crash aborts every in-flight transaction (their abort events make the
 post-crash history well formed and auditable by the core checkers).
 
 **Group commit** (:class:`GroupCommitPolicy`): the FORCE discipline

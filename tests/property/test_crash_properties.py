@@ -17,8 +17,7 @@ from repro.adts import BankAccount, SemiQueue
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
 from repro.core.views import DU, UIP
-from repro.runtime.durability import CrashableSystem
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.wal import StableLog
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -74,7 +73,7 @@ def test_restart_state_matches_abstract_view(schedule, recovery):
     ba = BankAccount("BA")
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
     view = UIP if recovery == "UIP" else DU
-    system = CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
+    system = TransactionSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
     _apply_calls(system, calls, crash_at, lambda i: (i % 2) + 1)
     system.crash()  # final crash: all volatile state gone
     obj = system.objects["BA"]
@@ -88,7 +87,7 @@ def test_history_across_crashes_dynamic_atomic(schedule, recovery):
     calls, crash_at = schedule
     ba = BankAccount("BA")
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
-    system = CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
+    system = TransactionSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
     _apply_calls(system, calls, crash_at, lambda i: (i % 2) + 1)
     assert is_dynamic_atomic(system.history(), ba)
 
@@ -98,7 +97,7 @@ def test_history_across_crashes_dynamic_atomic(schedule, recovery):
 def test_double_crash_idempotent(schedule):
     calls, crash_at = schedule
     ba = BankAccount("BA")
-    system = CrashableSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog())])
+    system = TransactionSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog())])
     _apply_calls(system, calls, crash_at, lambda i: (i % 2) + 1)
     system.crash()
     obj = system.objects["BA"]
@@ -112,7 +111,7 @@ def test_double_crash_idempotent(schedule):
 def test_semiqueue_survives_crash(crash_at, recovery):
     sq = SemiQueue("SQ", domain=("a", "b"))
     conflict = sq.nrbc_conflict() if recovery == "UIP" else sq.nfc_conflict()
-    system = CrashableSystem([ManagedObject(sq, conflict, recovery, log=StableLog())])
+    system = TransactionSystem([ManagedObject(sq, conflict, recovery, log=StableLog())])
     steps = [("A", "a"), ("A", "b"), ("B", "a")]
     for i, (txn, item) in enumerate(steps):
         if i == crash_at:

@@ -4,6 +4,7 @@ Central invariant: restart reproduces the abstract view of the
 post-crash history (all in-flight transactions aborted).
 """
 
+import functools
 import random
 
 import pytest
@@ -13,16 +14,19 @@ from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
 from repro.core.views import DU, UIP
 from repro.runtime.durability import (
-    CrashableSystem,
     build_durable_object,
     run_with_crashes,
 )
+from repro.runtime.faults import FaultPlan, FaultyStableLog
 from repro.runtime.scheduler import TransactionScript
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
+from repro.runtime.trace import TraceCollector
 from repro.runtime.wal import (
     CheckpointRecord,
     CommitRecord,
+    GroupCommitPolicy,
     IntentionsRecord,
+    LogDiscipline,
     OperationRecord,
     RedoOnlyLog,
     StableLog,
@@ -50,6 +54,25 @@ class TestStableLog:
         log.force()
         log.force()
         assert log.forces == 2
+
+    @pytest.mark.parametrize(
+        "make_log",
+        [StableLog, functools.partial(FaultyStableLog, FaultPlan())],
+        ids=["StableLog", "FaultyStableLog"],
+    )
+    def test_a_checkpoint_moves_the_flush_cursor_with_the_records(self, make_log):
+        """Truncation drops flushed records, so the flush cursor moves
+        back by as many: a record held after the checkpoint is the one
+        volatile record a crash loses."""
+        log = make_log(policy=GroupCommitPolicy(4, 2))
+        for t in "ABCDE":
+            log.append(lambda lsn, t=t: CommitRecord(lsn, txn=t))
+        LogDiscipline(BankAccount("BA"), log=log).checkpoint(frozenset({0}))
+        log.append(lambda lsn: CommitRecord(lsn, txn="F"))
+        log.request_force()
+        assert log.held_batch_size() == 1
+        assert log.crash() == 1
+        assert [type(r) for r in log.records()] == [CheckpointRecord]
 
 
 class TestUndoRedoLogRestart:
@@ -279,20 +302,28 @@ class TestCrashableSystem:
     def make_system(self, recovery="UIP"):
         ba = BankAccount("BA", opening=10)
         conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
-        return ba, CrashableSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
+        return ba, TransactionSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
 
     def test_an_object_without_a_log_is_refused(self):
-        """Restart rebuilds an object from its log: a crashable system
-        names every object it could not restart when it is built, not at
-        its first crash."""
+        """Restart rebuilds an object from its log: a system with a
+        volatile object builds and runs, and a crash names every object
+        it could not restart before any log crashes or any transaction
+        is resolved."""
         logged, volatile = BankAccount("LOGGED"), BankAccount("VOLATILE")
-        objects = [
+        system = TransactionSystem([
             ManagedObject(logged, logged.nrbc_conflict(), "UIP", log=StableLog()),
             ManagedObject(volatile, volatile.nrbc_conflict(), "UIP"),
-        ]
+        ])
+        trace = TraceCollector()
+        trace.bind_system(system)
+        assert system.invoke("T1", "LOGGED", inv("deposit", 5)).ok
         with pytest.raises(ValueError, match="VOLATILE") as refused:
-            CrashableSystem(objects)
+            system.crash()
         assert "LOGGED" not in str(refused.value)
+        assert system.status("T1") == "active"
+        assert system.commit("T1")
+        assert system.status("T1") == "committed"
+        assert not [e for e in trace.events if e["kind"] == "log-crash"]
 
     def test_crash_kills_active(self):
         ba, system = self.make_system()

@@ -25,7 +25,6 @@ from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.reference import walk_dead_ticks
 from repro.runtime import ManagedObject, TransactionSystem
-from repro.runtime.durability import CrashableSystem
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.replication import build_replicated_system, copy_name
 from repro.runtime.scheduler import (
@@ -389,7 +388,7 @@ def _flush_ticks(phase, hold):
     re-entered after a crash unwound the first (the scheduler's tick
     starts again at 0; the system clock does not)."""
     ba = _durable("BA", hold)
-    system = CrashableSystem([ba])
+    system = TransactionSystem([ba])
     log = ba.wal.log
     trace = TraceCollector()
     scripts = [TransactionScript("T", (("BA", inv("deposit", 1)),))]
@@ -628,7 +627,7 @@ class TestHoldTimerDeadline:
         gc.disable()
         try:
             a, b = _durable("A", 2), _durable("B", 2)
-            system = CrashableSystem([a, b])
+            system = TransactionSystem([a, b])
             a.wal.log.request_force()
             scripts = [TransactionScript("T", (("B", inv("deposit", 1)),))]
             Scheduler(system, scripts).run()
@@ -647,7 +646,7 @@ class TestHoldTimerDeadline:
 
     def test_crash_with_a_batch_held(self):
         a, b = _durable("A", 5), _durable("B", 2)
-        system = CrashableSystem([a, b])
+        system = TransactionSystem([a, b])
         a.wal.log.request_force()
         b.wal.log.request_force()
         assert _check_heap(system) == 3
@@ -658,7 +657,7 @@ class TestHoldTimerDeadline:
 
     def test_checkpoint_flushes_the_held_batch(self):
         a, b = _durable("A", 5), _durable("B", 2)
-        system = CrashableSystem([a, b])
+        system = TransactionSystem([a, b])
         b.wal.log.request_force()
         b.checkpoint()
         assert _check_heap(system) is None

@@ -26,8 +26,7 @@ import pytest
 
 from repro.adts.registry import make_adt
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.faults import CrashPoint, FaultPlan, FaultyStableLog
 from repro.runtime.metrics import FaultCounters
 from repro.runtime.scheduler import Scheduler, TransactionScript
@@ -131,7 +130,7 @@ def durable_bank(policy, recovery="DU"):
     obj = ManagedObject(
         adt, conflict, recovery, log=StableLog(policy=policy)
     )
-    return obj, CrashableSystem([obj])
+    return obj, TransactionSystem([obj])
 
 
 @pytest.mark.parametrize("recovery", ["DU", "UIP"])
@@ -195,7 +194,7 @@ def test_scheduler_counts_commit_stalls():
         adt, adt.nfc_conflict(), "DU",
         log=StableLog(policy=policy),
     )
-    system = CrashableSystem([obj])
+    system = TransactionSystem([obj])
     scripts = [
         TransactionScript("T0", ((obj.name, inv("deposit", 1)),)),
     ]
@@ -213,7 +212,7 @@ def test_batch_size_one_system_parity():
     def run(log):
         adt = make_adt("bank")
         obj = ManagedObject(adt, adt.nfc_conflict(), "DU", log=log)
-        system = CrashableSystem([obj])
+        system = TransactionSystem([obj])
         rng = random.Random(5)
         scripts = [
             TransactionScript(
@@ -248,7 +247,7 @@ def test_batched_run_coalesces_forces():
         adt, adt.nfc_conflict(), "DU",
         log=StableLog(policy=policy),
     )
-    system = CrashableSystem([obj])
+    system = TransactionSystem([obj])
     rng = random.Random(2)
     scripts = [
         TransactionScript(
@@ -321,7 +320,7 @@ def test_torn_batch_never_acknowledges_lost_commit():
             policy=GroupCommitPolicy(batch_size=2, max_hold=10),
         ),
     )
-    system = CrashableSystem([obj])
+    system = TransactionSystem([obj])
     rng = random.Random(0)
     assert system.invoke("T1", obj.name, inv("credit", 3), rng).ok
     assert system.invoke("T2", obj.name, inv("credit", 4), rng).ok

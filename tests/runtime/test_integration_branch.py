@@ -15,7 +15,6 @@ from repro.adts import BankAccount, SetADT
 from repro.core.events import inv
 from repro.core.atomicity import is_atomic, is_dynamic_atomic
 from repro.runtime import (
-    CrashableSystem,
     ManagedObject,
     StableLog,
     TransactionSystem,
@@ -42,7 +41,7 @@ def branch_system(durable: bool = False):
     audit = SetADT("AUDITLOG", domain=("t1", "t2", "t3", "t4"))
     log = StableLog() if durable else None
     objects.append(ManagedObject(audit, audit.nfc_conflict(), "DU", log=log))
-    return CrashableSystem(objects) if durable else TransactionSystem(objects)
+    return TransactionSystem(objects) if durable else TransactionSystem(objects)
 
 
 def branch_scripts(rng: random.Random, n: int = 10):

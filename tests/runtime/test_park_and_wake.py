@@ -24,7 +24,6 @@ from repro.core.events import inv
 from repro.experiments.comparisons import comparison_case, standard_configurations
 from repro.reference import ParkedRefusalOverturned, reattempt_every_tick
 from repro.runtime import ManagedObject, TransactionSystem
-from repro.runtime.durability import CrashableSystem
 from repro.runtime.replication import build_replicated_system, copy_name
 from repro.runtime.scheduler import Scheduler, TransactionScript
 from repro.runtime.torture import TortureConfig
@@ -254,7 +253,7 @@ class TestTheOracleIsNotVacuous:
         are gone, and the sleeper must find out without being told."""
         account = BankAccount("BA")
         obj = ManagedObject(account, account.nrbc_conflict(), "UIP", log=StableLog())
-        system = CrashableSystem([obj])
+        system = TransactionSystem([obj])
         assert system.invoke("HOLDER", "BA", inv("withdraw", 1)).ok
 
         def restart_at_3(tick):

@@ -15,8 +15,7 @@ import random
 import pytest
 
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem
-from repro.runtime.system import ManagedObject
+from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.replication import (
     ReplicatedSystem,
     ReplicationError,
@@ -71,7 +70,7 @@ def test_copies_partition_over_sites():
     system = _build(["X", "Y"], sites=3)
     assert system.copies_of("X") == ("X", "X@s1", "X@s2")
     assert system.logical_names() == ("X", "Y")
-    assert system.site_of_copy("Y@s2") == 2
+    assert system.domain_of["Y@s2"] == 2
     for site in range(3):
         assert system.site_up(site)
 
@@ -104,7 +103,7 @@ def test_sites1_is_byte_identical_to_flat_system(seed):
 
     adt = make_adt("bank", "X")
     policy = GroupCommitPolicy(2, 3)
-    flat = CrashableSystem(
+    flat = TransactionSystem(
         [
             ManagedObject(
                 adt,
@@ -163,7 +162,7 @@ def test_fail_site_kills_unprepared_transaction_everywhere():
     assert victims == {"T1"}
     assert system.status("T1") == "aborted"
     assert not system.objects["X"].locks.holders()
-    assert system.site_failures[1] == 1
+    assert system.domain_failures[1] == 1
 
 
 def test_fail_site_during_prepare_held_batch_kills():
@@ -247,7 +246,7 @@ def test_fail_site_spares_read_only_traffic_elsewhere():
     system.begin_readonly(reader)
     out = system.snapshot_read(reader, "X", inv("read"))
     assert out.ok
-    observed_site = system.site_of_copy(system._ro_observations[reader][0][0])
+    observed_site = system.domain_of[system._ro_observations[reader][0][0]]
     other = 1 - observed_site
     victims = system.fail_site(other)
     assert reader not in victims
@@ -260,7 +259,7 @@ def test_fail_site_kills_readers_that_observed_it():
     _commit_writes(system, "W", "X", 1)
     system.begin_readonly("R1")
     assert system.snapshot_read("R1", "X", inv("read")).ok
-    observed_site = system.site_of_copy(system._ro_observations["R1"][0][0])
+    observed_site = system.domain_of[system._ro_observations["R1"][0][0]]
     victims = system.fail_site(observed_site)
     assert "R1" in victims
 

@@ -23,7 +23,6 @@ import pytest
 from repro.adts.registry import make_adt
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem
 from repro.runtime.errors import InvalidTransactionState
 from repro.runtime.metrics import RunMetrics
 from repro.runtime.scheduler import Scheduler, TransactionScript
@@ -227,7 +226,7 @@ class TestZeroLocks:
 def durable_counter_system(policy=None):
     adt = make_adt("counter")
     obj = ManagedObject(adt, adt.nfc_conflict(), "DU", log=StableLog(policy=policy))
-    return CrashableSystem([obj]), adt, obj
+    return TransactionSystem([obj]), adt, obj
 
 
 class TestCrashVisibility:

@@ -17,9 +17,9 @@ import random
 
 import pytest
 
-from repro.runtime.durability import CrashableSystem
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sharding import audit_shard, build_sharded_system
+from repro.runtime.system import TransactionSystem
 from repro.runtime.torture import audit_recovery
 from repro.runtime.workloads import mixed_transfers
 
@@ -100,7 +100,7 @@ def test_consecutive_crashes_of_both_shards():
         system, scripts, seed=3, crashes={3: 0, 7: 1}
     )
     assert metrics.committed > 0
-    assert system.shard_crashes == [1, 1]
+    assert system.domain_failures == [1, 1]
     assert _audit_all_shards(system, "both-shards") == []
 
 
@@ -156,7 +156,7 @@ def test_whole_system_crash_verdicts_match_flat_system():
         )
 
     sharded_template = _build()
-    flat = outcome(CrashableSystem(list(_build().objects.values())))
+    flat = outcome(TransactionSystem(list(_build().objects.values())))
     sharded = outcome(sharded_template)
     assert sharded == flat
     assert sharded[2] == []  # and the verdict is: clean

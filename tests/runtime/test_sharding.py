@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.core.events import inv
-from repro.runtime.durability import CrashableSystem
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sharding import (
     ShardedSystem,
@@ -20,6 +19,7 @@ from repro.runtime.sharding import (
     build_sharded_system,
     shard_of,
 )
+from repro.runtime.system import TransactionSystem
 from repro.runtime.trace import TraceCollector
 from repro.runtime.workloads import mixed_transfers
 
@@ -64,9 +64,9 @@ def test_shard_objects_partition_the_system():
     system = _build(names, shards=4)
     seen = []
     for k in range(4):
-        owned = system.shard_objects(k)
+        owned = system.domain_objects(k)
         assert owned == sorted(owned)
-        assert all(system.shard_of_object(n) == k for n in owned)
+        assert all(system.domain_of[n] == k for n in owned)
         seen.extend(owned)
     assert sorted(seen) == sorted(names)
 
@@ -96,7 +96,7 @@ def test_sharded_execution_is_byte_identical_to_flat(shards):
         return metrics.row(), [repr(e) for e in system.history()]
 
     flat_system = _build(names, shards=1)
-    flat = run(CrashableSystem(list(flat_system.objects.values())))
+    flat = run(TransactionSystem(list(flat_system.objects.values())))
     sharded = run(_build(names, shards=shards))
     assert sharded == flat
 
@@ -118,15 +118,15 @@ def test_shard_count_does_not_change_execution():
 
 def test_crash_shard_kills_unprepared_transaction_everywhere():
     system = _build(TWO_SHARD_NAMES, shards=2, group_commit=8, hold=100)
-    assert system.shard_of_object("A") != system.shard_of_object("D")
+    assert system.domain_of["A"] != system.domain_of["D"]
     assert system.invoke("T1", "A", inv("deposit", 1)).ok
     assert system.invoke("T1", "D", inv("deposit", 1)).ok
-    victims = system.crash_shard(system.shard_of_object("A"))
+    victims = system.crash_shard(system.domain_of["A"])
     assert victims == {"T1"}
     assert system.status("T1") == "aborted"
     # the healthy object performed a clean abort: locks released
     assert not system.objects["D"].locks.holders()
-    assert system.shard_crashes[system.shard_of_object("A")] == 1
+    assert system.domain_failures[system.domain_of["A"]] == 1
 
 
 def test_crash_shard_mid_prepare_kills_transaction():
@@ -136,7 +136,7 @@ def test_crash_shard_mid_prepare_kills_transaction():
     assert system.invoke("T1", "A", inv("deposit", 1)).ok
     assert system.invoke("T1", "D", inv("deposit", 1)).ok
     assert system.commit("T1") is False  # parked on the prepare flush
-    victims = system.crash_shard(system.shard_of_object("A"))
+    victims = system.crash_shard(system.domain_of["A"])
     assert victims == {"T1"}
     assert system.status("T1") == "aborted"
     for name in TWO_SHARD_NAMES:
@@ -151,7 +151,7 @@ def test_crash_shard_mid_commit_record_kills_without_surviving_record():
     # but parked in a fresh batch — then the shard dies.  No commit
     # record survives anywhere, so the transaction dies everywhere.
     system = _build(["A", "B", "D"], shards=2, group_commit=8, hold=2)
-    assert system.shard_of_object("A") == system.shard_of_object("B")
+    assert system.domain_of["A"] == system.domain_of["B"]
     assert system.invoke("T1", "A", inv("deposit", 1)).ok
     assert system.invoke("T1", "B", inv("deposit", 1)).ok
     assert system.commit("T1") is False
@@ -160,7 +160,7 @@ def test_crash_shard_mid_commit_record_kills_without_surviving_record():
     assert system.commit("T1") is False  # submit: commit records parked
     assert "T1" in system._committing
     assert system._committing["T1"].phase == "committing"
-    victims = system.crash_shard(system.shard_of_object("A"))
+    victims = system.crash_shard(system.domain_of["A"])
     assert victims == {"T1"}
     assert system.status("T1") == "aborted"
 
@@ -177,7 +177,7 @@ def test_crash_shard_mid_commit_completes_from_surviving_record():
     for _ in range(3):
         system.tick()
     assert system.commit("T1") is False  # submit: commit records parked
-    victims = system.crash_shard(system.shard_of_object("A"))
+    victims = system.crash_shard(system.domain_of["A"])
     assert victims == set()
     assert system.status("T1") == "committed"
     for name in TWO_SHARD_NAMES:
@@ -196,7 +196,7 @@ def test_crash_shard_completes_commit_past_the_commit_point():
     assert system.commit("T1") is False  # submit: commit records parked
     # the commit point: A's commit record reaches stable storage
     system.objects["A"].wal.log.force()
-    victims = system.crash_shard(system.shard_of_object("D"))
+    victims = system.crash_shard(system.domain_of["D"])
     assert victims == set()
     assert system.status("T1") == "committed"
     for name in TWO_SHARD_NAMES:
@@ -225,10 +225,10 @@ def test_crash_shard_forces_a_healthy_shards_held_commit_record():
     survivor = system.objects["D"]
     ticket = survivor.wal._tickets["T1"]
     assert not survivor.wal.log.flushed(ticket)
-    assert system.crash_shard(system.shard_of_object("A")) == set()
+    assert system.crash_shard(system.domain_of["A"]) == set()
     assert system.status("T1") == "committed"
     assert survivor.wal.log.flushed(ticket)
-    shard = system.shard_of_object("D")
+    shard = system.domain_of["D"]
     system.crash_shard(shard)  # before the hold timer would have fired
     assert audit_shard(system, shard) == []
 
@@ -237,7 +237,7 @@ def test_crash_shard_spares_transactions_on_healthy_shards():
     system = _build(TWO_SHARD_NAMES, shards=2, group_commit=8, hold=100)
     assert system.invoke("T1", "A", inv("deposit", 1)).ok  # dies with its shard
     assert system.invoke("T2", "D", inv("deposit", 1)).ok  # untouched
-    victims = system.crash_shard(system.shard_of_object("A"))
+    victims = system.crash_shard(system.domain_of["A"])
     assert victims == {"T1"}
     assert system.status("T2") == "active"
     assert "T2" in system.objects["D"].locks.holders()
@@ -256,7 +256,7 @@ def test_crashed_shard_recovers_committed_state():
         txn = "T%d" % t
         assert system.invoke(txn, "A", inv("deposit", 1)).ok
         assert system.commit(txn) is True
-    shard = system.shard_of_object("A")
+    shard = system.domain_of["A"]
     system.crash_shard(shard)
     violations = audit_shard(system, shard)
     assert violations == []
@@ -283,9 +283,12 @@ def test_force_accounting_by_shard_sums_to_global():
     assert sum(r["forced_records"] for r in rows) == records
 
 
-def test_trace_events_are_stamped_with_shard_ids():
+@pytest.mark.parametrize("shards", [1, 2])
+def test_trace_events_are_stamped_with_shard_ids(shards):
+    """Even one shard stamps ``shard: 0``: the stamp comes from the
+    system's kind, not from its shard count."""
     names = ["K%02d" % i for i in range(6)]
-    system = _build(names, shards=2, group_commit=2, hold=2)
+    system = _build(names, shards=shards, group_commit=2, hold=2)
     trace = TraceCollector()
     scripts = mixed_transfers(random.Random(2), objs=names, transactions=4)
     Scheduler(system, scripts, seed=2, trace=trace).run()
@@ -294,11 +297,22 @@ def test_trace_events_are_stamped_with_shard_ids():
     for event in stamped:
         obj = event.get("obj")
         if obj in system.objects:
-            assert event["shard"] == system.shard_of_object(obj)
+            assert event["shard"] == system.domain_of[obj]
     # system-level 2PC events span shards and stay unstamped
     for event in trace.events:
         if event["kind"].startswith("2pc-"):
             assert "shard" not in event
+
+
+def test_a_flat_system_stamps_no_domain():
+    names = ["K%02d" % i for i in range(6)]
+    system = TransactionSystem(list(_build(names, shards=2).objects.values()))
+    trace = TraceCollector()
+    trace.bind_system(system)
+    scripts = mixed_transfers(random.Random(2), objs=names, transactions=4)
+    Scheduler(system, scripts, seed=2).run()
+    assert {e["kind"] for e in trace.events} >= {"op-invoke", "force"}
+    assert not [e for e in trace.events if "shard" in e or "site" in e]
 
 
 def test_shard_crash_emits_trace_event():
@@ -306,7 +320,7 @@ def test_shard_crash_emits_trace_event():
     trace = TraceCollector()
     trace.bind_system(system)
     assert system.invoke("T1", "A", inv("deposit", 1)).ok
-    shard = system.shard_of_object("A")
+    shard = system.domain_of["A"]
     system.crash_shard(shard)
     crashes = [e for e in trace.events if e["kind"] == "shard-crash"]
     assert len(crashes) == 1

@@ -15,7 +15,6 @@ import pytest
 from repro.adts.registry import make_adt
 from repro.runtime import (
     EVENT_SCHEMA,
-    CrashableSystem,
     FaultPlan,
     GroupCommitPolicy,
     ManagedObject,
@@ -64,7 +63,7 @@ def build_traced_run(workload, seed, group_commit=1, hold=3):
         obj = ManagedObject(
             adt, conflict, "DU", log=StableLog(policy=policy)
         )
-        system = CrashableSystem([obj])
+        system = TransactionSystem([obj])
     else:
         system = TransactionSystem([ManagedObject(adt, conflict, "DU")])
     trace = TraceCollector()

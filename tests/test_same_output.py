@@ -24,14 +24,16 @@ if "--trace-out" in args:
 print(" ".join(args))
 print(%(extra)s)
 print("wall clock           : %%.9fs" %% time.perf_counter())
+sys.exit(%(exit)s)
 '''
 
 
-def _tree(root, name, trace='"{}\\n"', extra='""'):
+def _tree(root, name, trace='"{}\\n"', extra='""', exit="0"):
     package = root / name / "src" / "repro"
     package.mkdir(parents=True)
     (package / "__init__.py").write_text("")
-    (package / "__main__.py").write_text(STAND_IN % {"trace": trace, "extra": extra})
+    (package / "__main__.py").write_text(
+        STAND_IN % {"trace": trace, "extra": extra, "exit": exit})
     return root / name
 
 
@@ -52,10 +54,12 @@ def test_a_tree_against_itself_is_the_same_but_for_host_time(tmp_path, capsys):
     [
         ({"trace": '"{}\\n" if "kv" not in args else "{\\"x\\": 1}\\n"'}, "trace.jsonl"),
         ({"extra": '"kv" in args and "planted" or ""'}, "stdout"),
+        # planted in both trees: a flow that fails alike is no evidence
+        ({"exit": '1 if "kv" in args else 0'}, "exit code 1 | 1"),
     ],
 )
 def test_a_planted_difference_names_the_first_flow_that_differs(tmp_path, capsys, plant, what):
-    parent = _tree(tmp_path, "parent")
+    parent = _tree(tmp_path, "parent", **{k: v for k, v in plant.items() if k == "exit"})
     change = _tree(tmp_path, "change", **plant)
     assert same_output.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out

@@ -880,7 +880,7 @@ def test_commit_or_kill_is_decided_in_one_function():
         for path, fn in _functions()
         if {"has_durable_commit", "crash_kill"} <= _calls(fn)
     ]
-    assert deciders == ["repro/runtime/durability.py:_resolve_failure"]
+    assert deciders == ["repro/runtime/system.py:_resolve_failure"]
 
 
 def test_one_surviving_commit_completion():
@@ -889,7 +889,46 @@ def test_one_surviving_commit_completion():
         for path, fn in _functions()
         if fn.name == "_complete_surviving_commit"
     ]
-    assert homes == ["repro/runtime/durability.py"]
+    assert homes == ["repro/runtime/system.py"]
+
+
+def test_a_crash_is_an_operation_of_the_system():
+    """Failing is something the one transaction system does, not a kind
+    of system: no crash-capable subclass, only the two placements below
+    the base, one trace binding with no duck-typed fork, and the failure
+    domain written once as ``domain_of`` / ``domain_failures``."""
+    crashable = [name for name, _cls in _classes() if name.endswith(":CrashableSystem")]
+    assert not crashable, crashable
+    parents = {
+        name.rpartition(":")[2]: {getattr(b, "id", getattr(b, "attr", None)) for b in cls.bases}
+        for name, cls in _classes()
+    }
+    below = {"TransactionSystem"}
+    while True:
+        more = {name for name, bases in parents.items() if bases & below} - below
+        if not more:
+            break
+        below |= more
+    assert below - {"TransactionSystem"} == {"ShardedSystem", "ReplicatedSystem"}
+    trace = ast.parse((PACKAGE / "runtime" / "trace.py").read_text())
+    forks = [
+        node.lineno
+        for node in ast.walk(trace)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "getattr"
+        and any(isinstance(a, ast.Constant) and a.value == "bind_trace" for a in node.args)
+    ]
+    assert not forks, forks
+    retired = {"_placement", "_copy_site", "shard_crashes", "site_failures"}
+    spelled = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in retired)
+        or (isinstance(node, ast.FunctionDef) and node.name in retired)
+        or (isinstance(node, ast.Name) and node.id in retired)
+    ]
+    assert not spelled, spelled
 
 
 def test_each_durability_fact_has_one_home():
@@ -1068,6 +1107,7 @@ RETIRED_SPANS = [
     "repro.runtime.durability:DurableObject.tick",
     "repro.runtime.durability:DurableObject.checkpoint",
     "repro.runtime.durability:DurableObject.crash_and_restart",
+    "repro.runtime.durability:CrashableSystem.crash",
 ]
 
 
