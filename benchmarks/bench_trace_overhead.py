@@ -15,19 +15,26 @@ loop behind a nullable hook: every emit site guards with
    ``bench_hotspot_concurrency.py``); the traced/untraced wall-time
    ratio is recorded in the artifact and sanity-bounded to catch a
    pathological emit path (an accidentally quadratic collector).
+4. **Bounded memory** — a traced open-loop drive keeps at most
+   ``MAX_BYTES_PER_EVENT`` bytes per event once its system is freed
+   (``tracemalloc``): a positional record keeps about 100, and a dict per
+   event kept about 250, so a return to dicts fails here.
 
 Results land in ``BENCH_trace_overhead.json`` for the CI artifact
 trail.
 """
 
+import gc
 import json
 import pathlib
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from repro.adts.registry import make_adt
+from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.trace import TraceCollector, reconcile
@@ -40,6 +47,13 @@ TRANSACTIONS = 24
 OPS_PER_TXN = 3
 SEED = 11
 TIMING_ROUNDS = 5
+MAX_BYTES_PER_EVENT = 120
+#: the ``steady_hotspot`` shape of the end-to-end benchmark, smaller
+DRIVE = OpenLoopConfig(
+    adt_kind="bank", recovery="DU", objects=64, shards=2, zipf_s=1.1,
+    group_commit=4, hold=4, read_mix=0.2, cross_shard=0.1,
+    transactions=400, arrival_rate=0.12,
+)
 
 
 def build_run(trace=None, group_commit=1):
@@ -73,6 +87,23 @@ def timed(thunk):
         thunk()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def trace_bytes_per_event() -> float:
+    """What one traced drive leaves allocated per event once the drive
+    returns and its system is freed: the trace."""
+    drive(DRIVE, seed=0)  # warm: lazy imports, interned operations
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = TraceCollector()
+        before = tracemalloc.get_traced_memory()[0]
+        drive(DRIVE, seed=0, trace=trace)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / len(trace.events)
 
 
 @pytest.mark.experiment("EXP-C11")
@@ -109,7 +140,10 @@ def test_tracing_observes_without_perturbing(benchmark):
         "counters": baseline.counters(),
     }
     overhead["ratio"] = overhead["traced_s"] / overhead["untraced_s"]
-    # Emitting is a dict append per event; anything past this bound means
-    # the collector went super-linear, not that the constant grew.
+    # Emitting appends one record per event; anything past this bound
+    # means the collector went super-linear, not that the constant grew.
     assert overhead["ratio"] < 25.0, overhead
+    per_event = trace_bytes_per_event()
+    overhead["bytes_per_event"] = round(per_event, 1)
+    assert per_event <= MAX_BYTES_PER_EVENT, overhead
     ARTIFACT.write_text(json.dumps(overhead, indent=2, sort_keys=True) + "\n")

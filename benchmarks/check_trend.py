@@ -18,8 +18,10 @@ the same-named file in ``FRESH_DIR``, classifying leaves by key:
   field is reported as *too short to compare*, neither warned about nor
   passed.  A duration is too short on its own value; a speedup, ratio or
   rate is too short when every duration recorded beside it is.
-* **environment fields** (``cpus``, ``floor_asserted``): ignored — they
-  describe the recording machine, not the reproduction.
+* **environment fields** (``cpus``, ``floor_asserted``,
+  ``bytes_per_event``): ignored — they describe the recording machine
+  or interpreter, not the reproduction (a bench that records bytes
+  asserts its own bound).
 
 A baseline artifact missing from ``FRESH_DIR`` is a hard failure (the
 bench stopped recording it); a fresh artifact with no baseline is
@@ -38,7 +40,14 @@ TIMING_KEYS = frozenset({"speedup", "ratio"})
 # traced_s, compiled_ops_per_s, steps_per_s, ... across every artifact.
 TIMING_SUFFIXES = ("_s", "_per_s", "_seconds")
 ENVIRONMENT_KEYS = frozenset(
-    {"cpus", "floor_asserted", "equality_only", "numpy", "workers_available"}
+    {
+        "cpus",
+        "floor_asserted",
+        "equality_only",
+        "numpy",
+        "workers_available",
+        "bytes_per_event",
+    }
 )
 REGRESSION_RATIO = 1.25
 #: a baseline run shorter than this many seconds is not compared

@@ -364,9 +364,7 @@ class FaultyStableLog(StableLog):
             # completed force — a distinct event kind, so trace-derived
             # ``forced_records`` still reconciles.
             if self.trace is not None:
-                self.trace.emit(
-                    "force-torn", obj=self.trace_name, records=keep
-                )
+                self.trace.emit("force-torn", self.trace_name, keep)
             raise CrashPoint("crash-during-force", self.plan.clock - 1, "force")
         super()._physical_force()
         if action == "after":
@@ -403,7 +401,7 @@ class FaultyStableLog(StableLog):
         self._records = self._records[: self._flushed]
         self.counters.records_lost += len(lost)
         if self.trace is not None:
-            self.trace.emit("log-crash", obj=self.trace_name, lost=len(lost))
+            self.trace.emit("log-crash", self.trace_name, len(lost))
         return len(lost)
 
     def recovery_append(self, make_record) -> LogRecord:

@@ -469,12 +469,7 @@ def drive(
         )
     shards = 1 if replicated else config.shards
     if trace is not None:
-        trace.emit(
-            "drive-start",
-            label=config.label(),
-            shards=shards,
-            arrival_rate=config.arrival_rate,
-        )
+        trace.emit("drive-start", config.label(), shards, config.arrival_rate)
     start = time.perf_counter()
     scheduler = _scheduler(system, scripts, config, seed=seed, trace=trace)
     if replicated:
@@ -509,11 +504,11 @@ def drive(
         lat = report.latency_summary()
         trace.emit(
             "drive-end",
-            label=config.label(),
-            committed=metrics.committed,
-            p50=lat["p50"],
-            p95=lat["p95"],
-            p99=lat["p99"],
+            config.label(),
+            metrics.committed,
+            lat["p50"],
+            lat["p95"],
+            lat["p99"],
         )
     return report
 

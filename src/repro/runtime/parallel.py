@@ -82,8 +82,9 @@ class CellResult:
     ok: bool
     value: Any = None
     error: str = ""
-    #: the cell's trace events (traced runs only; a failed cell has none).
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    #: the cell's trace events: its own collector's records, decoded on
+    #: read (traced runs only; a failed cell has none).
+    events: Sequence[Dict[str, Any]] = field(default_factory=list)
 
 
 #: kind -> executor called as ``fn(cell, trace)`` inside the worker.
@@ -211,7 +212,8 @@ class ParallelRunner:
         results.sort(key=lambda r: r.index)
         if tracing:
             for result in results:
-                trace.events.extend(result.events)
+                if result.ok:
+                    trace.merge(result.events)
         return results
 
     @staticmethod

@@ -437,10 +437,7 @@ class ReplicatedSystem(TransactionSystem):
                 self.requalifications[site] += 1
                 if self.trace is not None:
                     self.trace.emit(
-                        "copy-requalified",
-                        obj=self._copy_logical[copy],
-                        site=site,
-                        csn=csn,
+                        "copy-requalified", self._copy_logical[copy], site, csn
                     )
         for logical in sorted(self._txn_logical.pop(txn, ())):
             self._logical_events.append(commit_event(logical, txn))
@@ -491,7 +488,7 @@ class ReplicatedSystem(TransactionSystem):
         self._current.difference_update(failed)
         self._qualified.difference_update(failed)
         self._pending_catchup.difference_update(failed)
-        return self._resolve_failure(failed, "site-failure", site=site)
+        return self._resolve_failure(failed, "site-failure", site)
 
     # -- site recovery ---------------------------------------------------------------
 
@@ -513,7 +510,7 @@ class ReplicatedSystem(TransactionSystem):
             self.objects[name].crash_and_restart()
             self._pending_catchup.add(name)
         if self.trace is not None:
-            self.trace.emit("site-recovery", site=site, copies=names)
+            self.trace.emit("site-recovery", site, names)
         for logical in sorted(self._logical):
             self._maybe_catchup(logical)
 
@@ -616,13 +613,7 @@ class ReplicatedSystem(TransactionSystem):
         self._ro_touched.setdefault(txn, set()).add(target)
         self._ro_observations.setdefault(txn, []).append((target, operation))
         if self.trace is not None:
-            self.trace.emit(
-                "snapshot-read",
-                txn=txn,
-                obj=target,
-                op=str(invocation),
-                csn=csn,
-            )
+            self.trace.emit("snapshot-read", txn, target, invocation, csn)
         return OperationOutcome("ok", operation=operation)
 
 

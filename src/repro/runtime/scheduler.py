@@ -250,7 +250,7 @@ class Scheduler:
             # crashed run's last tick, and the loop below restarts its
             # tick counter — exactly as ``metrics.ticks`` does.
             self.trace.begin_tick(0)
-            self.trace.emit("run-start", label=self.metrics.label)
+            self.trace.emit("run-start", self.metrics.label)
         # A script can retire outside a scan transition (crash-time
         # in-doubt resolution commits a done entry); sweep before the
         # loop so re-entry after a crash starts from a clean view.
@@ -304,11 +304,7 @@ class Scheduler:
             raise RuntimeError(self._nonconvergence_report())
         self._harvest_force_accounting()
         if self.trace is not None:
-            self.trace.emit(
-                "run-end",
-                label=self.metrics.label,
-                metrics=self.metrics.counters(),
-            )
+            self.trace.emit("run-end", self.metrics.label, self.metrics.counters())
         return self.metrics
 
     def _cross_dead_ticks(self, tick: int, last: int) -> int:
@@ -436,7 +432,7 @@ class Scheduler:
             if woke:
                 self.metrics.calendar_wakeups += 1
             if self.trace is not None:
-                self.trace.emit("calendar-wake", wake=woke, elided=elided)
+                self.trace.emit("calendar-wake", woke, elided)
         return next_live
 
     def _retire(self, entry: _LiveTxn) -> None:
@@ -573,11 +569,11 @@ class Scheduler:
                     if self.trace is not None:
                         self.trace.emit(
                             "txn-commit",
-                            txn=entry.txn,
-                            script=entry.script.name,
-                            born=entry.born_tick,
-                            latency=tick - entry.born_tick,
-                            stall_ticks=entry.stall_ticks,
+                            entry.txn,
+                            entry.script.name,
+                            entry.born_tick,
+                            tick - entry.born_tick,
+                            entry.stall_ticks,
                         )
                     progressed = True
                 elif self.system.status(entry.txn) == "active":
@@ -588,7 +584,7 @@ class Scheduler:
                     self.metrics.commit_stall_ticks += 1
                     entry.stall_ticks += 1
                     if self.trace is not None:
-                        self.trace.emit("commit-stall", txn=entry.txn)
+                        self.trace.emit("commit-stall", entry.txn)
                     progressed = True
                 else:
                     # An object voted no: the system aborted it everywhere.
@@ -609,12 +605,7 @@ class Scheduler:
                 self.metrics.operations += 1
                 self._waits.clear_waiter(entry.txn)
                 if self.trace is not None:
-                    self.trace.emit(
-                        "op-ok",
-                        txn=entry.txn,
-                        obj=obj_name,
-                        op=str(invocation),
-                    )
+                    self.trace.emit("op-ok", entry.txn, obj_name, invocation)
                 progressed = True
             elif outcome.status == "blocked":
                 self.metrics.blocked_attempts += 1
@@ -626,10 +617,10 @@ class Scheduler:
                 if self.trace is not None:
                     self.trace.emit(
                         "op-blocked",
-                        txn=waiter,
-                        obj=obj_name,
-                        op=str(invocation),
-                        blockers=sorted(outcome.blockers),
+                        waiter,
+                        obj_name,
+                        invocation,
+                        tuple(outcome.blockers),
                     )
                 # One wait can close several cycles, each through the
                 # waiter: break them all before the scan moves on.
@@ -640,12 +631,7 @@ class Scheduler:
             else:  # stuck: the recovery view is illegal; abort immediately
                 self.metrics.stuck_aborts += 1
                 if self.trace is not None:
-                    self.trace.emit(
-                        "op-stuck",
-                        txn=entry.txn,
-                        obj=obj_name,
-                        op=str(invocation),
-                    )
+                    self.trace.emit("op-stuck", entry.txn, obj_name, invocation)
                 self._abort_and_restart(entry, tick, reason="stuck")
                 progressed = True
         return progressed
@@ -668,10 +654,10 @@ class Scheduler:
             if self.trace is not None:
                 self.trace.emit(
                     "ro-commit",
-                    txn=entry.txn,
-                    script=entry.script.name,
-                    born=entry.born_tick,
-                    latency=tick - entry.born_tick,
+                    entry.txn,
+                    entry.script.name,
+                    entry.born_tick,
+                    tick - entry.born_tick,
                 )
             return True
         obj_name, invocation = entry.script.steps[entry.step]
@@ -695,7 +681,7 @@ class Scheduler:
         victim = self._pick_victim(cycle, live)
         survivors = frozenset(cycle) - {victim.txn}
         if self.trace is not None:
-            self.trace.emit("deadlock", victim=victim.txn, cycle=sorted(cycle))
+            self.trace.emit("deadlock", victim.txn, cycle)
         self._abort_and_restart(victim, tick, reason="deadlock", wait_for=survivors)
 
     def _break_stall(self, tick: int, live: List[_LiveTxn]) -> None:
@@ -777,7 +763,7 @@ class Scheduler:
             self.metrics.aborted += 1
             kind = "txn-abort"
         if self.trace is not None:
-            self.trace.emit(kind, txn=entry.txn, reason=reason)
+            self.trace.emit(kind, entry.txn, reason)
         entry.parked = None
         entry.restarts += 1
         if entry.restarts > self.max_restarts:
@@ -801,10 +787,10 @@ class Scheduler:
         if self.trace is not None:
             self.trace.emit(
                 "txn-restart",
-                txn=entry.txn,
-                incarnation=entry.restarts,
-                backoff_until=entry.backoff_until,
-                reason=reason,
+                entry.txn,
+                entry.restarts,
+                entry.backoff_until,
+                reason,
             )
 
 

@@ -128,7 +128,7 @@ class ShardedSystem(TransactionSystem):
                 "shard must be in 0..%d (got %d)" % (self.shards - 1, shard)
             )
         failed = self.domain_objects(shard)
-        victims = self._resolve_failure(failed, "shard-crash", shard=shard)
+        victims = self._resolve_failure(failed, "shard-crash", shard)
         self.domain_failures[shard] += 1
         for name in failed:
             self.objects[name].crash_and_restart()

@@ -204,12 +204,7 @@ class ManagedObject:
         if pending is None:
             automaton.invoke(txn, invocation)
             if self.trace is not None:
-                self.trace.emit(
-                    "op-invoke",
-                    txn=txn,
-                    obj=self.name,
-                    invocation=str(invocation),
-                )
+                self.trace.emit("op-invoke", txn, self.name, invocation)
         elif pending.invocation is not invocation and pending.invocation != invocation:
             raise InvalidTransactionState(
                 "transaction %s is pending %s at %s, not %s"
@@ -264,7 +259,7 @@ class ManagedObject:
                 if row not in seen:
                     seen.add(row)
                     pairs.append(row)
-        self.trace.emit("lock-wait", txn=txn, obj=self.name, pairs=pairs)
+        self.trace.emit("lock-wait", txn, self.name, tuple(pairs))
 
     # -- transaction completion -------------------------------------------------------
 
@@ -397,9 +392,7 @@ class ManagedObject:
         self.epoch += 1
         restored = self.wal.restart()
         if self.trace is not None:
-            self.trace.emit(
-                "recovery", obj=self.name, records=len(self.wal.log)
-            )
+            self.trace.emit("recovery", self.name, len(self.wal.log))
         self.automaton.restart(restored)
 
     # -- multiversion committed store ---------------------------------------------
@@ -690,7 +683,7 @@ class TransactionSystem:
             pending = _PendingCommit(touched, "prepared")
             self._committing[txn] = pending
             if self.trace is not None:
-                self.trace.emit("2pc-prepare", txn=txn, objects=list(touched))
+                self.trace.emit("2pc-prepare", txn, touched)
         return self._advance_commit(txn, pending)
 
     def _advance_commit(self, txn: str, pending: _PendingCommit) -> bool:
@@ -705,7 +698,7 @@ class TransactionSystem:
                 self.object(name).submit_commit(txn)
             pending.phase = "committing"
             if self.trace is not None:
-                self.trace.emit("2pc-submit", txn=txn)
+                self.trace.emit("2pc-submit", txn)
         if not all(self.object(n).flushed(txn) for n in pending.touched):
             return False
         for name in pending.touched:
@@ -720,7 +713,7 @@ class TransactionSystem:
         # partially installed cross-shard version).
         self._install_versions(txn, pending.touched)
         if self.trace is not None:
-            self.trace.emit("2pc-complete", txn=txn)
+            self.trace.emit("2pc-complete", txn)
         return True
 
     def _install_versions(self, txn: str, names: Sequence[str]) -> int:
@@ -834,7 +827,7 @@ class TransactionSystem:
         return victims
 
     def _resolve_failure(
-        self, failed: Sequence[str], event: str, **domain
+        self, failed: Sequence[str], event: str, *domain: int
     ) -> Set[str]:
         """The objects ``failed`` crashed; decide every transaction they
         left in doubt.  Objects not named are healthy: their volatile
@@ -876,7 +869,8 @@ class TransactionSystem:
            record the abort event (no undo, no log record — a crash
            gives no chance for either), healthy objects perform a clean
            volatile abort;
-        6. the ``event`` trace record (stamped with ``domain``) lists the
+        6. the ``event`` trace record lists the failed domain's id (the
+           ``domain`` values, none for a whole-system crash), the
            victims and the resolved commits.
 
         Transactions that never touched a failed object are untouched.
@@ -948,9 +942,7 @@ class TransactionSystem:
                 self._drop_txn(txn)
         self._sync_events()
         if self.trace is not None:
-            self.trace.emit(
-                event, **domain, victims=sorted(victims), resolved=resolved
-            )
+            self.trace.emit(event, *domain, sorted(victims), resolved)
         return victims
 
     def _complete_surviving_commit(self, name: str, txn: str) -> None:
@@ -1014,13 +1006,7 @@ class TransactionSystem:
             (obj_name, operation)
         )
         if self.trace is not None:
-            self.trace.emit(
-                "snapshot-read",
-                txn=txn,
-                obj=obj_name,
-                op=str(invocation),
-                csn=csn,
-            )
+            self.trace.emit("snapshot-read", txn, obj_name, invocation, csn)
         return OperationOutcome("ok", operation=operation)
 
     def finish_readonly(self, txn: str) -> None:

@@ -414,7 +414,7 @@ def run_schedule(
     schedule = plan.describe()
     violations: List[Violation] = []
     if trace is not None:
-        trace.emit("schedule-start", label=config.label(), plan=schedule)
+        trace.emit("schedule-start", config.label(), schedule)
 
     def maybe_checkpoint(tick: int) -> bool:
         if config.checkpoint_every and tick % config.checkpoint_every == 0:
@@ -757,7 +757,7 @@ def run_site_schedule(
     schedule = describe_site_schedule(crashes)
     violations: List[Violation] = []
     if trace is not None:
-        trace.emit("schedule-start", label=config.label(), plan=schedule)
+        trace.emit("schedule-start", config.label(), schedule)
     scheduler = Scheduler(
         system,
         scripts,

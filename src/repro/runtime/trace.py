@@ -1,4 +1,4 @@
-"""Structured run tracing: typed, tick-stamped events from the runtime.
+"""Structured run tracing: tick-stamped positional event records, decoded on read.
 
 The EXP-C* experiments report end-of-run scalar counters
 (:class:`~repro.runtime.metrics.RunMetrics`), which say *how much*
@@ -10,8 +10,15 @@ trace layer records the event stream those counters summarize:
 * a :class:`TraceCollector` is bound to a scheduler run (nullable hook:
   the untraced hot path pays one ``is None`` test per emit site);
 * every emitter — the scheduler, the transaction system, managed
-  objects, the stable logs, the crash protocol — appends plain-dict
-  events stamped with the current scheduler tick;
+  objects, the stable logs, the crash protocol — calls
+  ``emit(kind, *values)``, and the collector stores a positional record:
+  the current scheduler tick, the kind, and the values as the site
+  passed them (raw and immutable: an ``Invocation``, not its string),
+  in the kind's :data:`EVENT_FIELDS` order;
+* records are decoded into event dicts only when read —
+  :attr:`TraceCollector.events` is a lazy view, and
+  :meth:`~TraceCollector.dump_jsonl` decodes as it writes — so a traced
+  run keeps about 100 bytes an event instead of a dict's 250;
 * the stream exports as JSONL (one event per line) and reloads for
   offline analysis;
 * derived reports turn the stream into per-transaction commit-latency
@@ -27,7 +34,8 @@ Every event is a flat JSON object with at least ``tick`` (int, the
 scheduler tick current when the event was emitted; 0 before the first
 tick) and ``kind`` (one of :data:`EVENT_SCHEMA`).  Additional required
 fields per kind are listed in :data:`EVENT_SCHEMA`; emitters may add
-informational fields, and consumers must ignore fields they do not
+informational fields (:data:`EVENT_FIELDS` lists every field a kind's
+sites pass, in order), and consumers must ignore fields they do not
 know (the schema is append-only: existing kinds and fields are stable,
 new ones may appear in later versions — :data:`SCHEMA_VERSION` bumps
 when they do).
@@ -35,9 +43,10 @@ when they do).
 
 from __future__ import annotations
 
+import collections.abc
 import json
 import math
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .metrics import COUNTER_FIELDS
 
@@ -111,6 +120,80 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
 ABORT_REASONS = ("deadlock", "stuck", "crash", "validation")
 
 
+def _rows(pairs: Tuple[Tuple[str, ...], ...]) -> List[List[str]]:
+    """``lock-wait`` pairs in their JSON form: a list of lists."""
+    return [list(pair) for pair in pairs]
+
+
+#: kind -> the values its emit sites pass, in order.  A field is a name,
+#: or ``(name, render)`` when the site passes a raw immutable value that
+#: ``render`` turns into the field's JSON form on read: an
+#: ``Invocation`` by ``str``, the blockers by ``sorted`` (a tuple of the
+#: attempt's frozenset, which would keep 200 bytes more), a tuple by
+#: ``list`` (``lock-wait``'s tuple of pairs by :func:`_rows`).  Each kind
+#: lists its :data:`EVENT_SCHEMA` fields and the informational ones its
+#: sites add; a :class:`DomainTrace` appends one more value, its
+#: ``(field, domain)`` stamp.
+EVENT_FIELDS: Dict[str, Tuple[Any, ...]] = {
+    "run-start": ("label",),
+    "run-end": ("label", "metrics"),
+    "schedule-start": ("label", "plan"),
+    "op-ok": ("txn", "obj", ("op", str)),
+    "op-blocked": ("txn", "obj", ("op", str), ("blockers", sorted)),
+    "op-stuck": ("txn", "obj", ("op", str)),
+    "op-invoke": ("txn", "obj", ("invocation", str)),
+    "lock-wait": ("txn", "obj", ("pairs", _rows)),
+    "txn-commit": ("txn", "script", "born", "latency", "stall_ticks"),
+    "commit-stall": ("txn",),
+    "deadlock": ("victim", ("cycle", sorted)),
+    "txn-abort": ("txn", "reason"),
+    "txn-restart": ("txn", "incarnation", "backoff_until", "reason"),
+    "2pc-prepare": ("txn", ("objects", list)),
+    "2pc-submit": ("txn",),
+    "2pc-complete": ("txn",),
+    "force-request": ("obj", "ticket"),
+    "force": ("obj", "served", "records"),
+    "force-torn": ("obj", "records"),
+    "crash": ("victims", "resolved"),
+    "log-crash": ("obj", "lost"),
+    "recovery": ("obj", "records"),
+    "shard-crash": ("shard", "victims", "resolved"),
+    "drive-start": ("label", "shards", "arrival_rate"),
+    "drive-end": ("label", "committed", "p50", "p95", "p99"),
+    "snapshot-read": ("txn", "obj", ("op", str), "csn"),
+    "ro-commit": ("txn", "script", "born", "latency"),
+    "ro-abort": ("txn", "reason"),
+    "site-failure": ("site", "victims", "resolved"),
+    "site-recovery": ("site", "copies"),
+    "copy-requalified": ("obj", "site", "csn"),
+    "calendar-wake": ("wake", "elided"),
+}
+
+#: kind -> (field names, renders): :data:`EVENT_FIELDS` as decoding reads it.
+_LAYOUT: Dict[str, Tuple[Tuple[str, ...], Tuple[Any, ...]]] = {
+    kind: (
+        tuple(f if isinstance(f, str) else f[0] for f in fields),
+        tuple(None if isinstance(f, str) else f[1] for f in fields),
+    )
+    for kind, fields in EVENT_FIELDS.items()
+}
+
+
+def _decode(tick: int, kind: str, values: Tuple[Any, ...]) -> Dict[str, Any]:
+    """One record as its event dict: the fields in emit order, a domain
+    stamp if one was appended, then ``tick`` and ``kind``."""
+    names, renders = _LAYOUT[kind]
+    event: Dict[str, Any] = {}
+    for name, render, value in zip(names, renders, values):
+        event[name] = value if render is None else render(value)
+    if len(values) > len(names):
+        field, domain = values[-1]
+        event[field] = domain
+    event["tick"] = tick
+    event["kind"] = kind
+    return event
+
+
 class DomainTrace:
     """A per-failure-domain emit proxy: stamps every event with the
     domain id under the subclass's ``field`` (``shard`` / ``site``).
@@ -118,18 +201,54 @@ class DomainTrace:
     Bound in place of the raw collector on a domain's objects and logs,
     so ``op-invoke``/``lock-wait``/``force``/``recovery`` events carry
     their domain without the emit sites knowing about placement at all.
+    The stamp is one ``(field, domain)`` tuple, built once and appended
+    to every record.
     """
 
-    __slots__ = ("_inner", "domain")
+    __slots__ = ("_inner", "domain", "_stamp")
     field = ""
 
     def __init__(self, inner, domain: int) -> None:
         self._inner = inner
         self.domain = domain
+        self._stamp = (self.field, domain)
 
-    def emit(self, kind: str, **fields) -> None:
-        fields.setdefault(self.field, self.domain)
-        self._inner.emit(kind, **fields)
+    def emit(self, kind: str, *values: Any) -> None:
+        self._inner.emit(kind, *values, self._stamp)
+
+
+class TraceEvents(collections.abc.Sequence):
+    """``TraceCollector.events``: a read-only view that decodes each
+    record into its event dict when read — by ``len``, iteration,
+    indexing and ``==`` (against another view or a list of dicts)."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "TraceCollector") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace._kinds)
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        trace = self._trace
+        return map(_decode, trace._ticks, trace._kinds, trace._values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        trace = self._trace
+        return _decode(trace._ticks[index], trace._kinds[index], trace._values[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (TraceEvents, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "<TraceEvents: %d events>" % len(self)
 
 
 class TraceCollector:
@@ -137,26 +256,46 @@ class TraceCollector:
 
     Bound to a :class:`~repro.runtime.scheduler.Scheduler` via its
     ``trace=`` argument, which propagates the collector to the system,
-    its managed objects and their stable logs.  Emitting is cheap
-    (a dict append); *not* emitting is nearly free (each site guards
-    with ``if trace is not None``).
+    its managed objects and their stable logs.  Emitting stores a
+    positional record — the tick, the kind and the values the site
+    passed, in :data:`EVENT_FIELDS` order — in three columns, with no
+    dict and no rendering (about 100 bytes an event, against 250 for a
+    dict); :attr:`events` and :meth:`dump_jsonl` decode on read.
+    *Not* emitting is nearly free (each site guards with
+    ``if trace is not None``).
     """
 
-    __slots__ = ("events", "tick")
+    __slots__ = ("tick", "_ticks", "_kinds", "_values")
 
     def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
         self.tick = 0
+        self._ticks: List[int] = []
+        self._kinds: List[str] = []
+        self._values: List[Tuple[Any, ...]] = []
 
     def begin_tick(self, tick: int) -> None:
         """Stamp subsequent events with ``tick`` (scheduler loop hook)."""
         self.tick = tick
 
-    def emit(self, kind: str, **fields: Any) -> None:
-        """Append one event; payload values must be JSON-serializable."""
-        fields["tick"] = self.tick
-        fields["kind"] = kind
-        self.events.append(fields)
+    def emit(self, kind: str, *values: Any) -> None:
+        """Record one event: ``values`` in the kind's :data:`EVENT_FIELDS`
+        order; they must be JSON-serializable once rendered."""
+        self._ticks.append(self.tick)
+        self._kinds.append(kind)
+        self._values.append(values)
+
+    @property
+    def events(self) -> TraceEvents:
+        """Every event so far, decoded on read."""
+        return TraceEvents(self)
+
+    def merge(self, events: TraceEvents) -> None:
+        """Append another collector's records (a parallel cell's), as
+        they are: no event is decoded or emitted again."""
+        other = events._trace
+        self._ticks.extend(other._ticks)
+        self._kinds.extend(other._kinds)
+        self._values.extend(other._values)
 
     # -- binding ---------------------------------------------------------------
 
@@ -168,12 +307,13 @@ class TraceCollector:
     # -- serialization ---------------------------------------------------------
 
     def dump_jsonl(self, path: str) -> int:
-        """Write one JSON object per line; returns the event count."""
+        """Write one JSON object per line, decoding as it goes; returns
+        the event count."""
         with open(path, "w") as fp:
             for event in self.events:
                 fp.write(json.dumps(event, sort_keys=True))
                 fp.write("\n")
-        return len(self.events)
+        return len(self._kinds)
 
 
 def load_jsonl(path: str) -> List[Dict[str, Any]]:
@@ -220,7 +360,61 @@ def validate_event(event: Any) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def reconstruct_counters(events: Sequence[Dict[str, Any]]) -> Dict[str, int]:
+#: kind -> the :class:`RunMetrics` counter one event of it adds 1 to.
+_COUNTED = {
+    "txn-commit": "committed",
+    "txn-abort": "aborted",
+    "txn-restart": "restarts",
+    "deadlock": "deadlocks",
+    "op-ok": "operations",
+    "op-blocked": "blocked_attempts",
+    "op-stuck": "stuck_aborts",
+    "commit-stall": "commit_stall_ticks",
+    "force": "forces",
+    "force-request": "force_requests",
+    "ro-commit": "ro_committed",
+    "snapshot-read": "ro_snapshot_reads",
+    "ro-abort": "ro_aborts",
+}
+
+
+class _Tally:
+    """The counters of one run segment, rebuilt one event at a time."""
+
+    __slots__ = ("counters", "max_tick")
+
+    def __init__(self) -> None:
+        self.counters = {name: 0 for name in COUNTER_FIELDS}
+        #: the largest tick stamp since the last ``run-start``
+        self.max_tick = 0
+
+    def add(self, event: Dict[str, Any]) -> None:
+        kind = event["kind"]
+        tick = event.get("tick", 0)
+        if kind == "run-start":
+            self.max_tick = tick
+        elif tick > self.max_tick:
+            self.max_tick = tick
+        counters = self.counters
+        name = _COUNTED.get(kind)
+        if name is not None:
+            counters[name] += 1
+        if kind == "txn-abort":
+            if event.get("reason") == "crash":
+                counters["crash_aborts"] += 1
+        elif kind == "force" or kind == "force-torn":
+            counters["forced_records"] += int(event.get("records", 0))
+        elif kind == "calendar-wake":
+            counters["dead_ticks_elided"] += int(event.get("elided", 0))
+            if int(event.get("wake", 0)):
+                counters["calendar_wakeups"] += 1
+
+    def result(self) -> Dict[str, int]:
+        self.counters["ticks"] = self.max_tick
+        return self.counters
+
+
+def reconstruct_counters(events: Iterable[Dict[str, Any]]) -> Dict[str, int]:
     """Rebuild the :class:`RunMetrics` counters from one run's events.
 
     ``events`` must cover exactly one run segment (everything between a
@@ -230,53 +424,10 @@ def reconstruct_counters(events: Sequence[Dict[str, Any]]) -> Dict[str, int]:
     unwinds the scheduler loop, and the resumed run restarts its tick
     counter — mirroring how ``RunMetrics.ticks`` is maintained).
     """
-    counters = {name: 0 for name in COUNTER_FIELDS}
-    last_run_start = 0
-    for i, event in enumerate(events):
-        if event.get("kind") == "run-start":
-            last_run_start = i
-    max_tick = 0
-    for event in events[last_run_start:]:
-        max_tick = max(max_tick, event.get("tick", 0))
-    counters["ticks"] = max_tick
+    tally = _Tally()
     for event in events:
-        kind = event["kind"]
-        if kind == "txn-commit":
-            counters["committed"] += 1
-        elif kind == "txn-abort":
-            counters["aborted"] += 1
-            if event.get("reason") == "crash":
-                counters["crash_aborts"] += 1
-        elif kind == "txn-restart":
-            counters["restarts"] += 1
-        elif kind == "deadlock":
-            counters["deadlocks"] += 1
-        elif kind == "op-ok":
-            counters["operations"] += 1
-        elif kind == "op-blocked":
-            counters["blocked_attempts"] += 1
-        elif kind == "op-stuck":
-            counters["stuck_aborts"] += 1
-        elif kind == "commit-stall":
-            counters["commit_stall_ticks"] += 1
-        elif kind == "force":
-            counters["forces"] += 1
-            counters["forced_records"] += int(event.get("records", 0))
-        elif kind == "force-torn":
-            counters["forced_records"] += int(event.get("records", 0))
-        elif kind == "force-request":
-            counters["force_requests"] += 1
-        elif kind == "ro-commit":
-            counters["ro_committed"] += 1
-        elif kind == "snapshot-read":
-            counters["ro_snapshot_reads"] += 1
-        elif kind == "ro-abort":
-            counters["ro_aborts"] += 1
-        elif kind == "calendar-wake":
-            counters["dead_ticks_elided"] += int(event.get("elided", 0))
-            if int(event.get("wake", 0)):
-                counters["calendar_wakeups"] += 1
-    return counters
+        tally.add(event)
+    return tally.result()
 
 
 class ReconcileResult:
@@ -308,7 +459,7 @@ class ReconcileResult:
         return not self.mismatches
 
 
-def reconcile(events: Sequence[Dict[str, Any]]) -> List[ReconcileResult]:
+def reconcile(events: Iterable[Dict[str, Any]]) -> List[ReconcileResult]:
     """Cross-check every run segment of a trace stream.
 
     A segment opens at stream start or at a ``schedule-start`` event and
@@ -316,27 +467,27 @@ def reconcile(events: Sequence[Dict[str, Any]]) -> List[ReconcileResult]:
     ``RunMetrics`` counters); events between a ``run-end`` and the next
     ``schedule-start`` — e.g. the torture harness's final clean crash —
     belong to no segment and are ignored.  Segments without a
-    ``run-end`` (a run that never converged) are skipped.
+    ``run-end`` (a run that never converged) are skipped.  The stream is
+    read once, and no segment's events are held.
     """
     results: List[ReconcileResult] = []
-    segment: Optional[List[Dict[str, Any]]] = []
+    tally: Optional[_Tally] = _Tally()
     for event in events:
         kind = event["kind"]
         if kind == "schedule-start":
-            segment = [event]
+            tally = _Tally()
+        elif tally is None:
             continue
-        if segment is None:
-            continue
-        segment.append(event)
+        tally.add(event)
         if kind == "run-end":
             results.append(
                 ReconcileResult(
                     label=str(event.get("label", "")),
-                    reconstructed=reconstruct_counters(segment),
+                    reconstructed=tally.result(),
                     reported=dict(event["metrics"]),
                 )
             )
-            segment = None
+            tally = None
     return results
 
 
@@ -376,16 +527,14 @@ def latency_histogram(
     if not latencies:
         return []
     buckets: List[Tuple[int, int, int]] = []
-    lo, hi = 0, 1
-    remaining = sorted(latencies)
-    while remaining:
-        count = 0
-        while remaining and remaining[0] <= hi:
-            remaining.pop(0)
-            count += 1
-        if count:
-            buckets.append((lo, hi, count))
-        lo, hi = hi + 1, hi * 2
+    lo, hi, count = 0, 1, 0
+    for latency in sorted(latencies):
+        while latency > hi:
+            if count:
+                buckets.append((lo, hi, count))
+            lo, hi, count = hi + 1, hi * 2, 0
+        count += 1
+    buckets.append((lo, hi, count))
     return buckets
 
 
@@ -475,7 +624,7 @@ def format_trace_report(events: Sequence[Dict[str, Any]]) -> str:
         lines.append("reconcile: no completed run segment in this trace")
 
     # counters (from the trace itself, whole stream)
-    counters = reconstruct_counters(list(events))
+    counters = reconstruct_counters(events)
     lines.append(
         "counters: committed=%d aborted=%d (crash=%d stuck=%d validation=%d) "
         "restarts=%d deadlocks=%d ops=%d blocked=%d stalls=%d"

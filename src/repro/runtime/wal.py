@@ -230,9 +230,7 @@ class StableLog:
         # under fault injection that flush may crash the process — the
         # request still happened and must reconcile.
         if self.trace is not None:
-            self.trace.emit(
-                "force-request", obj=self.trace_name, ticket=ticket
-            )
+            self.trace.emit("force-request", self.trace_name, ticket)
         if self._pending_forces >= self.policy.batch_size:
             self.force()
         elif self._pending_forces == 1 and self.book_batch is not None:
@@ -266,12 +264,7 @@ class StableLog:
         newly = self._persist(len(self._records))
         self.forces += 1
         if self.trace is not None:
-            self.trace.emit(
-                "force",
-                obj=self.trace_name,
-                served=self._last_batch,
-                records=newly,
-            )
+            self.trace.emit("force", self.trace_name, self._last_batch, newly)
 
     def _persist(self, upto: int) -> int:
         """Move the flush cursor to ``records[:upto]``; returns how many
@@ -313,7 +306,7 @@ class StableLog:
             lost = len(self._records) - self._flushed
             self._records = self._records[: self._flushed]
         if self.trace is not None:
-            self.trace.emit("log-crash", obj=self.trace_name, lost=lost)
+            self.trace.emit("log-crash", self.trace_name, lost)
         return lost
 
     def recovery_append(self, make_record) -> LogRecord:

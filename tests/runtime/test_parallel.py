@@ -231,12 +231,12 @@ def _traced_flaky_executor(cell, trace):
     """``_flaky_executor`` that records the cell's events before it dies
     (first run) and again when it succeeds (the retry)."""
     trace.begin_tick(cell.index)
-    trace.emit("schedule-start", label="cell-%d" % cell.index, plan="flaky")
+    trace.emit("schedule-start", "cell-%d" % cell.index, "flaky")
     return _flaky_executor(cell, trace)
 
 
 def _traced_boom_executor(cell, trace):
-    trace.emit("schedule-start", label="cell-%d" % cell.index, plan="boom")
+    trace.emit("schedule-start", "cell-%d" % cell.index, "boom")
     if cell.index == 1:
         raise RuntimeError("cell 1 exploded")
     return cell.index

@@ -8,6 +8,8 @@ on the scheduler; a mismatch means an emit site and a counter increment
 have drifted apart.
 """
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -33,6 +35,9 @@ from repro.runtime import (
     run_schedule,
     validate_event,
 )
+from repro.runtime.openloop import OpenLoopConfig, drive
+from repro.runtime.torture import configs_for, run_torture
+from repro.runtime.trace import EVENT_FIELDS
 from repro.runtime.workloads import (
     escrow_workload,
     hotspot_banking,
@@ -311,3 +316,152 @@ class TestPercentiles:
         _, trace = build_traced_run("hotspot", 0)
         text = format_trace_report(trace.events)
         assert "p50" in text and "p95" in text and "p99" in text
+
+
+# ---------------------------------------------------------------------------
+# positional records, decoded on read
+# ---------------------------------------------------------------------------
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+STAMP_FIELDS = ("shard", "site")
+
+
+def _emit_calls():
+    """``(where, call)`` for every ``<x>.emit(...)`` call under ``src/``."""
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+            ):
+                yield "%s:%d" % (path.relative_to(SRC), node.lineno), node
+
+
+def _two_segment_torture_trace():
+    trace = TraceCollector()
+    run_torture(configs_for(["bank"], ("DU",)), schedules=2, seed=3, trace=trace)
+    return trace
+
+
+class TestPositionalRecords:
+    def test_every_emit_site_passes_the_kind_tables_arity(self):
+        """No emit site passes a keyword; one that names its kind passes
+        exactly that kind's :data:`EVENT_FIELDS` values, so the table and
+        the sites cannot drift apart.  (A domain proxy appends its stamp
+        itself; ``test_recorded_arity_matches_the_kind_table`` checks
+        what lands in the collector.)"""
+        literal = 0
+        for where, call in _emit_calls():
+            assert not call.keywords, "%s passes keywords to emit" % where
+            kind = call.args[0]
+            if not isinstance(kind, ast.Constant):
+                continue
+            literal += 1
+            assert kind.value in EVENT_FIELDS, "%s: unknown kind %r" % (where, kind.value)
+            values = call.args[1:]
+            assert not any(isinstance(v, ast.Starred) for v in values), where
+            assert len(values) == len(EVENT_FIELDS[kind.value]), (
+                "%s: %s takes %d values, the call passes %d"
+                % (where, kind.value, len(EVENT_FIELDS[kind.value]), len(values))
+            )
+        assert literal >= 25, "the walk found too few emit sites"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            OpenLoopConfig(objects=6, shards=2, transactions=40, group_commit=2,
+                           cross_shard=0.3, read_mix=0.2),
+            OpenLoopConfig(objects=6, transactions=40, group_commit=2, read_mix=0.2,
+                           sites=3, site_crashes=((1, 5, 15),)),
+        ],
+        ids=["shards", "sites"],
+    )
+    def test_recorded_arity_matches_the_kind_table(self, config):
+        """Each record holds its kind's values, plus one ``(field,
+        domain)`` stamp where a domain proxy emitted it."""
+        trace = TraceCollector()
+        drive(config, seed=1, trace=trace)
+        stamped = 0
+        for kind, values in zip(trace._kinds, trace._values):
+            arity = len(EVENT_FIELDS[kind])
+            if len(values) == arity + 1:
+                field, domain = values[-1]
+                assert field in STAMP_FIELDS and isinstance(domain, int), kind
+                stamped += 1
+            else:
+                assert len(values) == arity, (kind, values)
+        assert stamped
+
+    def test_event_fields_cover_the_schema(self):
+        assert set(EVENT_FIELDS) == set(EVENT_SCHEMA)
+        for kind, fields in EVENT_FIELDS.items():
+            names = [f if isinstance(f, str) else f[0] for f in fields]
+            assert len(set(names)) == len(names), kind
+            assert set(EVENT_SCHEMA[kind]) <= set(names), kind
+
+    def test_events_is_a_read_only_view(self):
+        _, trace = build_traced_run("hotspot", 0)
+        events = trace.events
+        decoded = list(events)
+        assert len(events) == len(decoded) > 0
+        assert events[0] == decoded[0] and events[-1] == decoded[-1]
+        assert events[1:3] == decoded[1:3]
+        assert events == decoded and decoded == events
+        assert events == trace.events
+        assert not hasattr(events, "append") and not hasattr(events, "extend")
+        # a decoded dict is the reader's own: changing it changes no record
+        events[0]["kind"] = "edited"
+        assert trace.events[0]["kind"] != "edited"
+
+    def test_merge_appends_records_without_emitting(self):
+        _, trace = build_traced_run("hotspot", 0)
+        merged = TraceCollector()
+        merged.merge(trace.events)
+        merged.merge(trace.events)
+        assert list(merged.events) == list(trace.events) * 2
+
+
+class TestStreaming:
+    """``reconcile`` reads its stream once; the dump decodes as it
+    writes.  Both are checked on a torture trace of two segments."""
+
+    def test_reconcile_of_an_iterator_equals_reconcile_of_a_list(self):
+        trace = _two_segment_torture_trace()
+
+        def rows(results):
+            return [(r.label, r.reconstructed, r.reported, r.ok) for r in results]
+
+        streamed = reconcile(iter(trace.events))
+        assert len(streamed) == 2
+        assert rows(streamed) == rows(reconcile(list(trace.events)))
+        assert all(r.ok for r in streamed)
+
+    def test_load_of_the_dump_equals_the_decoded_events(self, tmp_path):
+        trace = _two_segment_torture_trace()
+        path = str(tmp_path / "t.jsonl")
+        assert trace.dump_jsonl(path) == len(trace.events)
+        assert load_jsonl(path) == list(trace.events)
+
+
+def _bucket_of(latency):
+    """The power-of-two bucket ``(lo, hi)`` holding ``latency``."""
+    if latency <= 1:
+        return (0, 1)
+    hi = 2
+    while hi < latency:
+        hi *= 2
+    return (hi // 2 + 1, hi)
+
+
+def test_latency_histogram_buckets_twenty_thousand_latencies_in_one_pass():
+    rng = random.Random(0)
+    latencies = [int(rng.paretovariate(0.8)) for _ in range(20_000)]
+    buckets = latency_histogram(latencies)
+    counts = {}
+    for latency in latencies:
+        key = _bucket_of(latency)
+        counts[key] = counts.get(key, 0) + 1
+    assert buckets == [(lo, hi, counts[(lo, hi)]) for lo, hi in sorted(counts)]
+    assert sum(count for _, _, count in buckets) == 20_000

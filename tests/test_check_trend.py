@@ -51,6 +51,7 @@ class TestClassify:
             ("compiled_ops_per_s", "timing"),
             ("cpus", "environment"),
             ("floor_asserted", "environment"),
+            ("bytes_per_event", "environment"),  # interpreter-dependent
         ],
     )
     def test_field_classes(self, key, expected):
