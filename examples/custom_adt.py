@@ -78,9 +78,6 @@ class SeatMap(ADT):
 
     # -- analysis hooks -------------------------------------------------------
 
-    def default_domain(self) -> Tuple[str, ...]:
-        return self._seats
-
     def invocation_alphabet(self, domain: Optional[Sequence[str]] = None):
         seats = tuple(domain) if domain is not None else self._seats
         out = []

@@ -133,9 +133,6 @@ class BankAccount(ADT):
 
     # -- analysis hooks ------------------------------------------------------------
 
-    def default_domain(self) -> Tuple[int, ...]:
-        return self._domain
-
     def invocation_alphabet(
         self, domain: Optional[Sequence[int]] = None
     ) -> Tuple[Invocation, ...]:

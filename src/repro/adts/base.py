@@ -80,10 +80,6 @@ class ADT(StateMachineSpec):
 
     # -- bounded-domain analysis hooks -------------------------------------------
 
-    def default_domain(self) -> Tuple[Hashable, ...]:
-        """The default bounded argument domain used for analysis."""
-        raise NotImplementedError
-
     def invocation_alphabet(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> Tuple[Invocation, ...]:

@@ -95,9 +95,6 @@ class EscrowAccount(ADT):
 
     # -- analysis hooks ---------------------------------------------------------------
 
-    def default_domain(self) -> Tuple[int, ...]:
-        return self._domain
-
     def invocation_alphabet(
         self, domain: Optional[Sequence[int]] = None
     ) -> Tuple[Invocation, ...]:

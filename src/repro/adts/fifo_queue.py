@@ -105,9 +105,6 @@ class FifoQueue(ADT):
 
     # -- analysis hooks ---------------------------------------------------------------
 
-    def default_domain(self) -> Tuple[Hashable, ...]:
-        return self._domain
-
     def invocation_alphabet(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> Tuple[Invocation, ...]:

@@ -153,9 +153,6 @@ class PriorityQueue(ADT):
 
     # -- analysis hooks ---------------------------------------------------------------
 
-    def default_domain(self) -> Tuple:
-        return self._domain
-
     def invocation_alphabet(
         self, domain: Optional[Sequence] = None
     ) -> Tuple[Invocation, ...]:

@@ -116,9 +116,6 @@ class ProductADT(ADT):
 
     # -- analysis hooks ---------------------------------------------------------------
 
-    def default_domain(self):
-        return tuple(self._order)
-
     def invocation_alphabet(
         self, domain: Optional[Sequence] = None
     ) -> Tuple[Invocation, ...]:

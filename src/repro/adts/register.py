@@ -83,9 +83,6 @@ class Register(ADT):
 
     # -- analysis hooks ------------------------------------------------------------
 
-    def default_domain(self) -> Tuple[Hashable, ...]:
-        return self._domain
-
     def invocation_alphabet(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> Tuple[Invocation, ...]:

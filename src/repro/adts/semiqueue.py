@@ -110,9 +110,6 @@ class SemiQueue(ADT):
 
     # -- analysis hooks ---------------------------------------------------------------
 
-    def default_domain(self) -> Tuple[Hashable, ...]:
-        return self._domain
-
     def invocation_alphabet(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> Tuple[Invocation, ...]:

@@ -119,9 +119,6 @@ class SetADT(ADT):
 
     # -- analysis hooks ---------------------------------------------------------------
 
-    def default_domain(self) -> Tuple[Hashable, ...]:
-        return self._domain
-
     def invocation_alphabet(
         self, domain: Optional[Sequence[Hashable]] = None
     ) -> Tuple[Invocation, ...]:

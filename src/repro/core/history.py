@@ -417,20 +417,22 @@ class HistoryBuilder:
     time; rebuilding and re-validating an immutable :class:`History` per
     event would be quadratic.  The builder validates each appended event
     against per-transaction state in O(1) and can snapshot an immutable
-    history at any point.
+    history at any point — of its own list, or, after :meth:`append_to`,
+    ``H|X`` of a system's one list ``H``.
     """
 
     def __init__(self, events: Iterable[Event] = ()):
-        #: the events appended so far, in order (read it; grow it only
-        #: through :meth:`append`).
+        #: the list appended to, in order (read it; grow it only through
+        #: :meth:`append`): this builder's own, or a shared ``H``.
         self.events: List[Event] = []
+        self._obj: Optional[str] = None  # ``X`` once ``events`` is shared
         self._txns: Dict[str, _TxnState] = {}
         self._snapshot_cache: Optional[History] = None
         for e in events:
             self.append(e)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.snapshot())
 
     def append(self, event: Event) -> None:
         """Append one event, raising :class:`IllFormedHistoryError` on
@@ -440,17 +442,26 @@ class HistoryBuilder:
         self.events.append(event)
         self._snapshot_cache = None
 
+    def append_to(self, events: List[Event], obj: str) -> None:
+        """Append to the shared list ``events`` from now on, as object
+        ``obj``, moving this builder's ``H|obj`` onto its end first."""
+        mine = self.snapshot().project_objects(obj)
+        events.extend(mine)
+        self.events = events
+        self._obj = obj
+        self._snapshot_cache = mine
+
     def copy(self) -> "HistoryBuilder":
         """An independent builder in the same state, without replaying.
 
         Rebuilding a builder from a snapshot re-validates every event —
-        O(n) per copy.  ``copy`` duplicates the event list and the
-        per-transaction validation state directly, so cloning an
-        automaton mid-exploration is O(n) in list copying alone (no
-        re-validation) and the per-event work stays O(1).
+        O(n) per copy.  ``copy`` duplicates the event list (``H|X`` of a
+        shared one) and the per-transaction validation state directly, so
+        cloning an automaton mid-exploration is O(n) in list copying
+        alone (no re-validation) and the per-event work stays O(1).
         """
-        twin = HistoryBuilder.__new__(HistoryBuilder)
-        twin.events = list(self.events)
+        twin = HistoryBuilder()
+        twin.events = list(self.events if self._obj is None else self.snapshot())
         twin._txns = {txn: st.copy() for txn, st in self._txns.items()}
         twin._snapshot_cache = self._snapshot_cache
         return twin
@@ -464,15 +475,19 @@ class HistoryBuilder:
         return True
 
     def snapshot(self) -> History:
-        """An immutable :class:`History` of the events appended so far.
+        """An immutable :class:`History` of the events appended so far
+        (``H|X`` of a shared list).
 
         The snapshot is cached until the next append, so repeated reads
         of an unchanged builder (the automaton's ``history`` property in
         inspection-heavy code) cost O(1) instead of copying the event
-        list each time.
+        list each time.  Other objects' appends leave ``H|X`` as it is.
         """
         if self._snapshot_cache is None:
-            self._snapshot_cache = History(self.events, validate=False)
+            history = History(self.events, validate=False)
+            if self._obj is not None:
+                history = history.project_objects(self._obj)
+            self._snapshot_cache = history
         return self._snapshot_cache
 
     def pending_invocation(self, txn: str) -> Optional[InvocationEvent]:

@@ -142,7 +142,8 @@ class ObjectAutomaton:
 
     @property
     def history(self) -> History:
-        """The automaton state: the history of events so far."""
+        """The automaton state: the events so far at ``X`` — of a
+        system's one history, its projection ``H|X``."""
         return self.builder.snapshot()
 
     def pending_invocation(self, txn: str) -> Optional[Invocation]:

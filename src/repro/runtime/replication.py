@@ -312,7 +312,6 @@ class ReplicatedSystem(TransactionSystem):
             return OperationOutcome("blocked")
         self._touched.setdefault(txn, set()).add(target)
         outcome = self.objects[target].try_operation(txn, invocation, rng)
-        self._sync_events(target)
         if outcome.ok:
             self._pinned.pop((txn, logical), None)
             self._record_logical(txn, logical, outcome.operation)
@@ -344,15 +343,15 @@ class ReplicatedSystem(TransactionSystem):
             )
         else:
             outcome = self.objects[authority].try_operation(txn, invocation, rng)
-        self._sync_events(authority)
         if not outcome.ok:
             self._pinned[(txn, logical)] = authority
             return outcome
         self._pinned.pop((txn, logical), None)
         for c in others:
-            self._mirror(c, txn, outcome.operation)
+            # A lockstep copy, and the response was checked lock-free
+            # there: the forced choice must succeed.
+            self._force_response(c, txn, outcome.operation, "mirror")
             self._touched[txn].add(c)
-            self._sync_events(c)
         self._record_logical(txn, logical, outcome.operation)
         self._txn_ops.setdefault(txn, {}).setdefault(logical, []).append(
             outcome.operation
@@ -370,14 +369,6 @@ class ReplicatedSystem(TransactionSystem):
         self._logical_events.append(
             respond_event(operation.response, logical, txn)
         )
-
-    def _mirror(self, name: str, txn: str, operation: Operation) -> None:
-        """Apply an already-chosen operation at a lockstep copy.
-
-        The copy's state equals the authority's (lockstep invariant) and
-        the response was pre-checked lock-free there, so the forced
-        choice must succeed; anything else is divergence and raises."""
-        self._force_response(name, txn, operation, "mirror")
 
     def _force_response(
         self, name: str, txn: str, operation: Operation, what: str
@@ -473,7 +464,8 @@ class ReplicatedSystem(TransactionSystem):
         read-only snapshot readers that observed the site die with
         their registrations.  Unlike a shard crash the copies are not
         restarted: they leave the available set and restart from their
-        logs at recovery time.  Returns the transactions killed.
+        logs at recovery time (a copy with no log is refused first,
+        ``ValueError``).  Returns the transactions killed.
         """
         if not 0 <= site < self.sites:
             raise ValueError(
@@ -481,10 +473,11 @@ class ReplicatedSystem(TransactionSystem):
             )
         if not self._site_up[site]:
             raise ReplicationError("site %d is already down" % site)
+        failed = self.domain_objects(site)
+        self._require_logs(failed)
         self._site_up[site] = False
         self._membership_epoch += 1
         self.domain_failures[site] += 1
-        failed = self.domain_objects(site)
         self._current.difference_update(failed)
         self._qualified.difference_update(failed)
         self._pending_catchup.difference_update(failed)
@@ -563,7 +556,6 @@ class ReplicatedSystem(TransactionSystem):
         # after catch-up must not lose the replay.
         obj.commit(txn)
         self._finished[txn] = "committed"
-        self._sync_events(name)
 
     # -- whole-system crash ----------------------------------------------------------
 

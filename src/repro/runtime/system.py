@@ -22,7 +22,9 @@ crash and restart from that log.  Without one it is volatile and those
 steps write nothing.
 
 :class:`TransactionSystem` manages several objects and provides the
-transaction-facing API (``invoke`` / ``commit`` / ``abort``).  Commit is
+transaction-facing API (``invoke`` / ``commit`` / ``abort``).  Its
+objects append their events to its one history ``H``, in execution
+order, and an object's history is the projection ``H|X``.  Commit is
 performed with a two-phase protocol: every object touched by the
 transaction is asked to *prepare* (vote), and only a unanimous yes leads
 to commit events everywhere — the paper's *atomic commitment*
@@ -166,7 +168,7 @@ class ManagedObject:
         return self.automaton.recovery
 
     def history(self) -> History:
-        """The object-local event history (``H|X``)."""
+        """The object-local event history: ``H|X`` of its system's ``H``."""
         return self.automaton.history
 
     # -- operation execution -------------------------------------------------------
@@ -535,7 +537,11 @@ class TransactionSystem:
         self._touched: Dict[str, Set[str]] = {}
         self._finished: Dict[str, str] = {}  # txn -> "committed" | "aborted"
         self._committing: Dict[str, _PendingCommit] = {}
+        #: the one history ``H``, which every object's builder appends to
+        #: (an object handed over with events brings its ``H|X``).
         self._events: List[Event] = []
+        for name, obj in self.objects.items():
+            obj.automaton.builder.append_to(self._events, name)
         #: global commit sequence number.  Bumped once per durably
         #: completed commit and stamped across every touched object in
         #: the same synchronous step, so a snapshot CSN cuts the commit
@@ -552,10 +558,6 @@ class TransactionSystem:
         self._ro_observations: Dict[str, List[Tuple[str, Operation]]] = {}
         #: optional trace collector (see :class:`ManagedObject.trace`).
         self.trace = None
-        #: per-object count of events already mirrored into the global
-        #: history; lets a crash handler reconcile events an interrupted
-        #: call recorded at the object but never reported.
-        self._mirrored: Dict[str, int] = {name: 0 for name in self.objects}
         #: every stable log, in ``self.objects`` order.
         self._logs = tuple(
             obj.wal.log for obj in self.objects.values() if obj.wal is not None
@@ -574,26 +576,11 @@ class TransactionSystem:
         #: whole-system crashes, which are no one domain's failure.
         self.crash_count = 0
 
-    def _sync_events(self, name: Optional[str] = None) -> None:
-        """Mirror unreported object-local events into the global history.
-
-        During normal operation only one object records events between
-        syncs, so true execution order is preserved; after a crash
-        unwinds a call mid-flight, this picks up the stragglers before
-        the crash protocol appends its own events.
-        """
-        names = (name,) if name is not None else tuple(self.objects)
-        for n in names:
-            events = self.objects[n].automaton.builder.events
-            start = self._mirrored[n]
-            if start < len(events):
-                self._events.extend(events[start:])
-                self._mirrored[n] = len(events)
-
     # -- introspection ------------------------------------------------------------
 
     def history(self) -> History:
-        """The global event history, in true execution order."""
+        """The global event history ``H``, in true execution order; an
+        object's ``history()`` is its projection ``H|X``."""
         return History(self._events, validate=False)
 
     def status(self, txn: str) -> str:
@@ -637,17 +624,14 @@ class TransactionSystem:
         invocation: Invocation,
         rng: Optional[random.Random] = None,
     ) -> OperationOutcome:
-        """Attempt one operation; records the events at both scopes."""
+        """Attempt one operation at ``obj_name``; its events land in ``H``."""
         self._require_active(txn)
         obj = self.object(obj_name)
         touched = self._touched.get(txn)
         if touched is None:
             touched = self._touched[txn] = set()
         touched.add(obj_name)
-        outcome = obj.try_operation(txn, invocation, rng)
-        if self._mirrored[obj_name] != len(obj.automaton.builder.events):
-            self._sync_events(obj_name)
-        return outcome
+        return obj.try_operation(txn, invocation, rng)
 
     def epoch(self, obj_name: str) -> int:
         """Everything a refused :meth:`invoke` on ``obj_name`` depends
@@ -702,9 +686,7 @@ class TransactionSystem:
         if not all(self.object(n).flushed(txn) for n in pending.touched):
             return False
         for name in pending.touched:
-            obj = self.object(name)
-            obj.complete_commit(txn)
-            self._sync_events(name)
+            self.object(name).complete_commit(txn)
         del self._committing[txn]
         self._finished[txn] = "committed"
         # The commit records are durable and every object acknowledged:
@@ -799,9 +781,7 @@ class TransactionSystem:
             return
         self._committing.pop(txn, None)
         for name in sorted(self._touched.get(txn, ())):
-            obj = self.object(name)
-            obj.abort(txn)
-            self._sync_events(name)
+            self.object(name).abort(txn)
         self._finished[txn] = "aborted"
 
     # -- failure -------------------------------------------------------------------
@@ -838,24 +818,21 @@ class TransactionSystem:
         before any log crashes or any transaction is resolved.  Then,
         in order:
 
-        1. mirror any object-local events the interrupted call never
-           reported into the global history (the failure may have
-           unwound ``invoke``/``commit`` mid-flight);
-        2. commit pipelines that depend on a failed object's log cannot
+        1. commit pipelines that depend on a failed object's log cannot
            proceed: drop them, their transactions are resolved below
            purely from whatever records actually reached storage;
-        3. every failed object's stable log loses its volatile tail, in
+        2. every failed object's stable log loses its volatile tail, in
            the order given (a :class:`~repro.runtime.faults.FaultyStableLog`
            draws per crash, so the order is the caller's to keep) —
            including any *held group-commit batch*, whose records were
            appended but never physically flushed;
-        4. read-only snapshot readers that observed a failed object are
+        3. read-only snapshot readers that observed a failed object are
            killed (their registration is volatile; no locks, no events);
            when nothing survived, every active reader is.  Readers
            confined to healthy objects continue — version chains only
            hold durably committed versions and are never retracted, so
            their snapshots remain valid;
-        5. **in-doubt resolution** for every unfinished transaction that
+        4. **in-doubt resolution** for every unfinished transaction that
            touched a failed object: committed iff its commit point was
            reached — a commit record *survives* at any object it
            touched, durable on a failed object's stable log or still
@@ -868,8 +845,9 @@ class TransactionSystem:
            Everything else is killed everywhere: failed objects just
            record the abort event (no undo, no log record — a crash
            gives no chance for either), healthy objects perform a clean
-           volatile abort;
-        6. the ``event`` trace record lists the failed domain's id (the
+           volatile abort.  One transaction is resolved at every object
+           it touched before the next, so ``H`` shows its events together;
+        5. the ``event`` trace record lists the failed domain's id (the
            ``domain`` values, none for a whole-system crash), the
            victims and the resolved commits.
 
@@ -878,14 +856,8 @@ class TransactionSystem:
         restarts them now or leaves them down.
         Returns the transactions killed.
         """
-        volatile = [name for name in failed if self.objects[name].wal is None]
-        if volatile:
-            raise ValueError(
-                "a failed object restarts from its stable log; none at %s"
-                % ", ".join(volatile)
-            )
+        self._require_logs(failed)
         names = set(failed)
-        self._sync_events()
         doomed = [
             txn
             for txn, pending in self._committing.items()
@@ -925,7 +897,7 @@ class TransactionSystem:
                     if name in names:
                         self.objects[name].crash_commit(txn)
                     else:
-                        self._complete_surviving_commit(name, txn)
+                        self.objects[name].commit(txn)
                 self._finished[txn] = "committed"
                 resolved.append(txn)
                 # Durable everywhere it touched: stamp the version under
@@ -940,21 +912,19 @@ class TransactionSystem:
                 self._finished[txn] = "aborted"
                 victims.add(txn)
                 self._drop_txn(txn)
-        self._sync_events()
         if self.trace is not None:
             self.trace.emit(event, *domain, sorted(victims), resolved)
         return victims
 
-    def _complete_surviving_commit(self, name: str, txn: str) -> None:
-        """Finish an in-doubt commit at a healthy (non-crashed) object.
-
-        Its volatile state is intact, so the commit completes through
-        the object's commit-now path rather than the recovery path: a
-        commit record still in a held batch is forced before the commit
-        is acknowledged, since a later crash of this object must find it.
-        """
-        self.objects[name].commit(txn)
-        self._sync_events(name)
+    def _require_logs(self, failed: Sequence[str]) -> None:
+        """``ValueError`` naming every object of ``failed`` with no stable
+        log to restart from."""
+        volatile = [name for name in failed if self.objects[name].wal is None]
+        if volatile:
+            raise ValueError(
+                "a failed object restarts from its stable log; none at %s"
+                % ", ".join(volatile)
+            )
 
     def _drop_txn(self, txn: str) -> None:
         """Placement bookkeeping for a transaction a failure killed

@@ -32,10 +32,10 @@ Event schema
 
 Every event is a flat JSON object with at least ``tick`` (int, the
 scheduler tick current when the event was emitted; 0 before the first
-tick) and ``kind`` (one of :data:`EVENT_SCHEMA`).  Additional required
-fields per kind are listed in :data:`EVENT_SCHEMA`; emitters may add
-informational fields (:data:`EVENT_FIELDS` lists every field a kind's
-sites pass, in order), and consumers must ignore fields they do not
+tick) and ``kind`` (one of :data:`EVENT_SCHEMA`).  One table,
+:data:`EVENT_FIELDS`, lists every field a kind's sites pass, in order;
+the required ones, computed from it, are :data:`EVENT_SCHEMA`, and the
+rest are informational.  Consumers must ignore fields they do not
 know (the schema is append-only: existing kinds and fields are stable,
 new ones may appear in later versions — :data:`SCHEMA_VERSION` bumps
 when they do).
@@ -57,28 +57,51 @@ SCHEMA_VERSION = 5
 #: open-loop driver share this constant so trend-gate fields line up).
 PERCENTILES = (0.50, 0.95, 0.99)
 
-#: kind -> required fields beyond ``tick`` and ``kind``.  See the module
-#: docstring for stability guarantees; docs/API.md documents semantics.
-EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
+#: ``txn-abort`` reasons with a defined meaning.
+ABORT_REASONS = ("deadlock", "stuck", "crash", "validation")
+
+
+def _rows(pairs: Tuple[Tuple[str, ...], ...]) -> List[List[str]]:
+    """``lock-wait`` pairs in their JSON form: a list of lists."""
+    return [list(pair) for pair in pairs]
+
+
+class _Info(tuple):
+    """An informational field ``(name, render)``: an event may lack it."""
+
+    def __new__(cls, name: str, render: Any = None) -> "_Info":
+        return super().__new__(cls, (name, render))
+
+
+#: The one kind table: kind -> the values its emit sites pass, in order.
+#: A field is a name, or ``(name, render)`` when the site passes a raw
+#: immutable value that ``render`` turns into the field's JSON form on
+#: read: an ``Invocation`` by ``str``, the blockers by ``sorted`` (a
+#: tuple of the attempt's frozenset, which would keep 200 bytes more),
+#: a tuple by ``list`` (``lock-wait``'s tuple of pairs by :func:`_rows`).
+#: Every field is required (:data:`EVENT_SCHEMA`) unless written
+#: :class:`_Info`.  A :class:`DomainTrace` appends one more value, its
+#: ``(field, domain)`` stamp.
+EVENT_FIELDS: Dict[str, Tuple[Any, ...]] = {
     # scheduler: run lifecycle
     "run-start": ("label",),
     "run-end": ("label", "metrics"),
     "schedule-start": ("label", "plan"),
     # scheduler: operation attempts (one event per attempt)
-    "op-ok": ("txn", "obj", "op"),
-    "op-blocked": ("txn", "obj", "blockers"),
-    "op-stuck": ("txn", "obj"),
+    "op-ok": ("txn", "obj", ("op", str)),
+    "op-blocked": ("txn", "obj", _Info("op", str), ("blockers", sorted)),
+    "op-stuck": ("txn", "obj", _Info("op", str)),
     # managed object: invocation recording and contention attribution
-    "op-invoke": ("txn", "obj", "invocation"),
-    "lock-wait": ("txn", "obj", "pairs"),
+    "op-invoke": ("txn", "obj", ("invocation", str)),
+    "lock-wait": ("txn", "obj", ("pairs", _rows)),
     # scheduler: transaction outcomes
     "txn-commit": ("txn", "script", "born", "latency", "stall_ticks"),
     "commit-stall": ("txn",),
-    "deadlock": ("victim", "cycle"),
+    "deadlock": ("victim", ("cycle", sorted)),
     "txn-abort": ("txn", "reason"),
-    "txn-restart": ("txn", "incarnation", "backoff_until"),
+    "txn-restart": ("txn", "incarnation", "backoff_until", _Info("reason")),
     # transaction system: 2PC phase transitions
-    "2pc-prepare": ("txn", "objects"),
+    "2pc-prepare": ("txn", ("objects", list)),
     "2pc-submit": ("txn",),
     "2pc-complete": ("txn",),
     # stable log: group-commit force engine
@@ -98,7 +121,7 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     # multiversion read path (schema v3): read-only transactions read
     # committed versions without locks; they never appear in op-ok /
     # txn-commit streams, so they get their own kinds.
-    "snapshot-read": ("txn", "obj", "op"),
+    "snapshot-read": ("txn", "obj", ("op", str), _Info("csn")),
     "ro-commit": ("txn", "script", "born", "latency"),
     "ro-abort": ("txn", "reason"),
     # replicated runtime (schema v4): events from a replicated system's
@@ -116,57 +139,13 @@ EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
     "calendar-wake": ("wake", "elided"),
 }
 
-#: ``txn-abort`` reasons with a defined meaning.
-ABORT_REASONS = ("deadlock", "stuck", "crash", "validation")
-
-
-def _rows(pairs: Tuple[Tuple[str, ...], ...]) -> List[List[str]]:
-    """``lock-wait`` pairs in their JSON form: a list of lists."""
-    return [list(pair) for pair in pairs]
-
-
-#: kind -> the values its emit sites pass, in order.  A field is a name,
-#: or ``(name, render)`` when the site passes a raw immutable value that
-#: ``render`` turns into the field's JSON form on read: an
-#: ``Invocation`` by ``str``, the blockers by ``sorted`` (a tuple of the
-#: attempt's frozenset, which would keep 200 bytes more), a tuple by
-#: ``list`` (``lock-wait``'s tuple of pairs by :func:`_rows`).  Each kind
-#: lists its :data:`EVENT_SCHEMA` fields and the informational ones its
-#: sites add; a :class:`DomainTrace` appends one more value, its
-#: ``(field, domain)`` stamp.
-EVENT_FIELDS: Dict[str, Tuple[Any, ...]] = {
-    "run-start": ("label",),
-    "run-end": ("label", "metrics"),
-    "schedule-start": ("label", "plan"),
-    "op-ok": ("txn", "obj", ("op", str)),
-    "op-blocked": ("txn", "obj", ("op", str), ("blockers", sorted)),
-    "op-stuck": ("txn", "obj", ("op", str)),
-    "op-invoke": ("txn", "obj", ("invocation", str)),
-    "lock-wait": ("txn", "obj", ("pairs", _rows)),
-    "txn-commit": ("txn", "script", "born", "latency", "stall_ticks"),
-    "commit-stall": ("txn",),
-    "deadlock": ("victim", ("cycle", sorted)),
-    "txn-abort": ("txn", "reason"),
-    "txn-restart": ("txn", "incarnation", "backoff_until", "reason"),
-    "2pc-prepare": ("txn", ("objects", list)),
-    "2pc-submit": ("txn",),
-    "2pc-complete": ("txn",),
-    "force-request": ("obj", "ticket"),
-    "force": ("obj", "served", "records"),
-    "force-torn": ("obj", "records"),
-    "crash": ("victims", "resolved"),
-    "log-crash": ("obj", "lost"),
-    "recovery": ("obj", "records"),
-    "shard-crash": ("shard", "victims", "resolved"),
-    "drive-start": ("label", "shards", "arrival_rate"),
-    "drive-end": ("label", "committed", "p50", "p95", "p99"),
-    "snapshot-read": ("txn", "obj", ("op", str), "csn"),
-    "ro-commit": ("txn", "script", "born", "latency"),
-    "ro-abort": ("txn", "reason"),
-    "site-failure": ("site", "victims", "resolved"),
-    "site-recovery": ("site", "copies"),
-    "copy-requalified": ("obj", "site", "csn"),
-    "calendar-wake": ("wake", "elided"),
+#: kind -> required fields beyond ``tick`` and ``kind``.  See the module
+#: docstring for stability guarantees; docs/API.md documents semantics.
+EVENT_SCHEMA: Dict[str, Tuple[str, ...]] = {
+    kind: tuple(
+        f if isinstance(f, str) else f[0] for f in fields if not isinstance(f, _Info)
+    )
+    for kind, fields in EVENT_FIELDS.items()
 }
 
 #: kind -> (field names, renders): :data:`EVENT_FIELDS` as decoding reads it.

@@ -239,6 +239,40 @@ def test_resolution_forces_a_healthy_copys_held_commit_record(recovery):
     assert audit_recovery(system, "gc4", "site0,site1") == []
 
 
+def test_fail_site_refuses_a_copy_without_a_log_before_any_state_moves():
+    """A copy with no stable log cannot restart, so failing its site is
+    refused — and the site, its failure count and every membership set
+    are as they were: the site can still serve and fail later."""
+    logged, volatile = make_adt("counter", "X"), make_adt("counter", "X@s1")
+    system = ReplicatedSystem(
+        [[
+            ManagedObject(logged, logged.nfc_conflict(), "DU", log=StableLog()),
+            ManagedObject(volatile, volatile.nfc_conflict(), "DU"),
+        ]],
+        sites=2,
+    )
+    assert system.invoke("T1", "X", inv("increment", 1)).ok
+
+    def state():
+        return (
+            [system.site_up(k) for k in range(system.sites)],
+            list(system.domain_failures),
+            set(system._current),
+            set(system._qualified),
+            set(system._pending_catchup),
+            system._membership_epoch,
+        )
+
+    before = state()
+    with pytest.raises(ValueError, match="X@s1"):
+        system.fail_site(1)
+    assert state() == before
+    assert system.status("T1") == "active"
+    with pytest.raises(ReplicationError, match="already up"):
+        system.recover_site(1)
+    assert system.commit("T1")
+
+
 def test_fail_site_spares_read_only_traffic_elsewhere():
     system = _build()
     _commit_writes(system, "W", "X", 1)

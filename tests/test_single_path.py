@@ -884,12 +884,19 @@ def test_commit_or_kill_is_decided_in_one_function():
 
 
 def test_one_surviving_commit_completion():
+    """An in-doubt commit that reached its commit point is finished in
+    one place: ``_resolve_failure`` completes it at each failed object
+    through ``crash_commit`` and, in the same loop, at each healthy one
+    through the object's commit-now path — no helper does either
+    elsewhere."""
     homes = [
-        str(path.relative_to(SRC))
+        "%s:%s" % (path.relative_to(SRC), fn.name)
         for path, fn in _functions()
-        if fn.name == "_complete_surviving_commit"
+        if "crash_commit" in _calls(fn)
     ]
-    assert homes == ["repro/runtime/system.py"]
+    assert homes == ["repro/runtime/system.py:_resolve_failure"]
+    (resolve,) = [fn for _path, fn in _functions() if fn.name == "_resolve_failure"]
+    assert "commit" in _calls(resolve)
 
 
 def test_a_crash_is_an_operation_of_the_system():
