@@ -34,6 +34,8 @@ FLOWS: Sequence[Tuple[str, Tuple[str, ...], bool]] = (
     ("compare-hotspot", ("compare", "hotspot"), False),
     ("torture", ("torture", "--seed", "0", "--schedules", "50"), True),
     ("torture-sites", ("torture", "--seed", "0", "--schedules", "50", "--sites", "2"), True),
+    ("torture-sites3-ro", ("torture", "--seed", "0", "--sites", "3", "--read-mix", "0.5",
+                           "--schedules", "60"), True),
     ("torture-gc-checkpoint", ("torture", "--group-commit", "4", "--hold", "2",
                                "--checkpoint-every", "5"), True),
     ("torture-sites-gc", ("torture", "--sites", "2", "--group-commit", "4", "--hold", "4",

@@ -55,7 +55,6 @@ from .scheduler import Scheduler, TransactionScript, run_scripts
 from .sharding import (
     ShardedSystem,
     ShardTrace,
-    audit_shard,
     build_sharded_system,
     shard_of,
 )
@@ -163,7 +162,6 @@ __all__ = [
     "ShardTrace",
     "shard_of",
     "build_sharded_system",
-    "audit_shard",
     "OpenLoopConfig",
     "DriveReport",
     "drive",

@@ -31,11 +31,12 @@ Design notes:
   normally, the crashed one completes at recovery), or killed
   everywhere (healthy shards perform a clean volatile abort, the
   crashed shard simply loses them).
-* **Audit** stays the torture harness's: :func:`audit_shard` runs the
-  three recovery invariants over one shard's objects, and the global
-  history (all shards, true execution order) is still checked for
-  dynamic atomicity — crashes at shard granularity must not be able to
-  hide a global anomaly.
+* **Audit** stays the torture harness's:
+  :func:`~repro.runtime.torture.audit_recovery` with
+  ``names=system.domain_objects(shard)`` runs the three recovery
+  invariants over one shard's objects, and the global history (all
+  shards, true execution order) is still checked for dynamic atomicity —
+  crashes at shard granularity must not be able to hide a global anomaly.
 
 Trace events emitted by a sharded system are stamped with the owning
 ``shard`` id (see :class:`ShardTrace`), so ``repro trace-report`` and
@@ -158,30 +159,4 @@ def build_sharded_system(
             for name in object_names
         ],
         shards=shards,
-    )
-
-
-def audit_shard(
-    system: ShardedSystem,
-    shard: int,
-    *,
-    label: str = "",
-    schedule: str = "",
-):
-    """Run the torture harness's recovery audit over one shard's objects.
-
-    Returns the harness's :class:`~repro.runtime.torture.Violation`
-    list: restart-state equivalence for each of the shard's objects plus
-    the durability accounting, and — because shard-level crashes must
-    not hide global anomalies — dynamic atomicity of the *global*
-    history.
-    """
-    # Lazy: torture imports the runtime stack; this module is below it.
-    from .torture import audit_recovery
-
-    return audit_recovery(
-        system,
-        label or "shard%d" % shard,
-        schedule,
-        names=system.domain_objects(shard),
     )

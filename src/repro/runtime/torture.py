@@ -23,16 +23,24 @@ crash — the harness restarts the system and audits three invariants:
    and no durable commit marker belongs to a transaction that did not
    commit (aborted or in-flight effects never resurface).
 
-The harness carries its own **negative control**: constructing the
+A ``sites > 1`` config runs the same loop on a replicated system, with
+a schedule of :class:`~repro.runtime.durability.SiteCrash` rows over
+scheduler ticks in place of the fault plan: sites fail and recover
+while the workload runs, and the end of the schedule adds the
+replication audit (catch-up completeness, copy convergence, dynamic
+atomicity of the merged logical history) before the final crash.
+
+The harness carries its own **negative controls**: constructing the
 system with ``bug="skip-commit-force"`` makes every log acknowledge
 ``force()`` without flushing — silently breaking the write-ahead commit
-rule — and the same audit must then report violations.  A torture run
-that cannot flag the planted bug proves nothing about the absence of
-real ones.
+rule — and the same audit must then report violations;
+``bug="skip-catchup"`` lets a recovered copy rejoin without replaying
+the commits it missed.  A torture run that cannot flag the planted bug
+proves nothing about the absence of real ones.
 
 Everything is deterministic: a report is reproducible from
 ``(seed, schedules, config)`` alone, and each violation prints the
-``FaultPlan`` description needed to replay just that schedule.
+schedule description needed to replay just that schedule.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
@@ -63,6 +71,10 @@ from .workloads import (
 
 #: The fresh-transaction name used to take the abstract view at audit time.
 PROBE = "__probe__"
+
+#: One schedule: a fault plan over log interactions (one site) or the
+#: site-crash rows over scheduler ticks (``sites > 1``).
+Schedule = Union[FaultPlan, Sequence[SiteCrash]]
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +103,32 @@ class TortureConfig:
     read_mix: float = 0.0
     #: replication width: >1 runs the workload on a
     #: :class:`~repro.runtime.replication.ReplicatedSystem` under
-    #: site-crash schedules (see :func:`run_site_schedule`) instead of
-    #: log-fault plans.
+    #: site-crash schedules instead of log-fault plans.
     sites: int = 1
     #: negative controls: "skip-commit-force" (log-fault schedules) or
     #: "skip-catchup" (site-crash schedules: recovered copies rejoin
     #: without replaying the commits they missed).
     bug: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        # Refuse what the config's runner would silently ignore: a
+        # planted bug on the other kind of system never fires, and the
+        # site runner's tick hook leaves no room for checkpoints.
+        if self.checkpoint_every > 0 and self.sites > 1:
+            raise ValueError(
+                "checkpoint_every shapes log-fault schedules; a sites > 1 "
+                "config crashes sites instead (got %d)" % self.checkpoint_every
+            )
+        if self.bug == "skip-catchup" and self.sites < 2:
+            raise ValueError(
+                "bug 'skip-catchup' plants a replication bug; it needs sites >= 2"
+            )
+        if self.bug == "skip-commit-force" and self.sites > 1:
+            raise ValueError(
+                "bug 'skip-commit-force' is a log-fault control; it needs sites == 1"
+            )
+        if self.bug not in (None, "skip-catchup", "skip-commit-force"):
+            raise ValueError("unknown bug %r" % (self.bug,))
 
     def label(self) -> str:
         base = (
@@ -387,7 +418,7 @@ class ScheduleResult:
 
 def run_schedule(
     config: TortureConfig,
-    plan: FaultPlan,
+    plan: Schedule,
     *,
     seed: int = 0,
     counters: Optional[FaultCounters] = None,
@@ -395,29 +426,33 @@ def run_schedule(
 ) -> ScheduleResult:
     """Drive one workload under one schedule, auditing every recovery.
 
-    ``plan`` is a :class:`~repro.runtime.faults.FaultPlan`, or — for a
-    ``sites > 1`` config — the :class:`SiteCrash` rows handed to
-    :func:`run_site_schedule`.
+    ``plan`` is a :class:`~repro.runtime.faults.FaultPlan` for a
+    one-site config, the :class:`SiteCrash` rows of a site-crash
+    schedule for a ``sites > 1`` one (see :func:`plan_campaign`).
 
-    The scheduler runs until every script commits or retires; each
-    :class:`~repro.runtime.faults.CrashPoint` the plan raises triggers
-    the whole-system crash protocol, an audit, and scheduler-side
-    restart of the killed scripts.  A final clean crash re-audits the
-    end state so schedules whose faults never fired (or were absorbed as
-    IO errors) still exercise restart.
+    The scheduler runs until every script commits or retires.  Under a
+    fault plan, each :class:`~repro.runtime.faults.CrashPoint` it raises
+    triggers the whole-system crash protocol, an audit, and
+    scheduler-side restart of the killed scripts.  Under a site-crash
+    schedule, sites fail and recover at their ticks (victims restart as
+    fresh incarnations), every site is back in service at the end, and
+    the replication invariants are audited.  A final clean crash
+    re-audits the end state (per copy, for a replicated system) so
+    schedules whose faults never fired (or were absorbed as IO errors)
+    still exercise restart.
     """
-    if config.sites > 1:
-        return run_site_schedule(config, plan, seed=seed, trace=trace)
+    sited = config.sites > 1
     counters = counters if counters is not None else FaultCounters()
-    system, adt = build_system(config, plan, counters)
+    system, adt = build_system(config, None if sited else plan, counters)
     scripts = workload_for(config, adt, random.Random(seed))
-    schedule = plan.describe()
+    label = config.label()
+    schedule = describe_site_schedule(plan) if sited else plan.describe()
     violations: List[Violation] = []
     if trace is not None:
-        trace.emit("schedule-start", config.label(), schedule)
+        trace.emit("schedule-start", label, schedule)
 
     def maybe_checkpoint(tick: int) -> bool:
-        if config.checkpoint_every and tick % config.checkpoint_every == 0:
+        if tick % config.checkpoint_every == 0:
             for obj in system.objects.values():
                 # UIP checkpoints need quiescence; skip busy objects.
                 if not obj.locks.holders() and len(obj.wal.log):
@@ -432,29 +467,41 @@ def run_schedule(
         seed=seed,
         max_restarts=config.max_restarts,
         max_ticks=config.max_ticks,
-        label=config.label(),
+        label=label,
         on_tick=maybe_checkpoint if config.checkpoint_every else None,
         trace=trace,
     )
-    while True:
-        try:
-            scheduler.run()
-            break
-        except CrashPoint:
-            victims = system.crash()
-            violations.extend(audit_recovery(system, config.label(), schedule))
-            scheduler.handle_crash(victims)
-    # Final clean crash: even a fault-free schedule must restart cleanly.
-    system.crash()
-    violations.extend(audit_recovery(system, config.label(), schedule))
-    scheduler.metrics.faults = counters
+    try:
+        if sited:
+            run_with_site_crashes(scheduler, plan)
+            violations.extend(audit_replication(system, label, schedule))
+        else:
+            while True:
+                try:
+                    scheduler.run()
+                    break
+                except CrashPoint:
+                    victims = system.crash()
+                    violations.extend(audit_recovery(system, label, schedule))
+                    scheduler.handle_crash(victims)
+        # Final clean crash: even a fault-free schedule must restart cleanly.
+        system.crash()
+        violations.extend(audit_recovery(system, label, schedule))
+    except ReplicationError as exc:
+        # Lockstep divergence (a mirrored or replayed operation was not
+        # legal at its copy) is itself a reportable invariant breach —
+        # the skip-catchup negative control trips this on state-coupled
+        # ADTs before any read can even go stale.
+        violations.append(
+            Violation(label, schedule, "replication-divergence", str(exc))
+        )
     return ScheduleResult(
-        config=config.label(),
+        config=label,
         schedule=schedule,
         violations=violations,
-        crashes=system.crash_count,
+        crashes=sum(system.domain_failures) + system.crash_count,
         committed=scheduler.metrics.committed,
-        faults_fired=len(plan.fired),
+        faults_fired=len(plan) if sited else len(plan.fired),
     )
 
 
@@ -549,17 +596,24 @@ def plan_campaign(
     seed: int = 0,
     max_faults: int = 2,
     retry: Optional[RetryPolicy] = None,
-) -> List[Tuple[TortureConfig, FaultPlan, int]]:
+) -> List[Tuple[TortureConfig, Schedule, int]]:
     """The deterministic ``(config, plan, run_seed)`` assignment list.
 
     Schedule *i* goes to ``configs[i % len(configs)]``; per-schedule
-    fault plans are drawn from a single master RNG seeded with ``seed``,
-    so the whole campaign replays from ``(configs, schedules, seed)``.
-    Two out of three schedules per config advance a *systematic sweep* —
-    single crashes placed at each interaction index in turn, alternating
-    before/after-append placement — and the third is a *sampled*
-    multi-fault plan over the config's profiled interaction horizon
-    (torn forces, IO-error bursts, fault combinations).
+    plans are drawn from a single master RNG seeded with ``seed``, so
+    the whole campaign replays from ``(configs, schedules, seed)``.  Two
+    out of three schedules per config advance a *systematic sweep* over
+    the config's profiled horizon, and the third is *sampled*.  A
+    one-site config draws a :class:`~repro.runtime.faults.FaultPlan`
+    over log interactions: the sweep places single crashes at each
+    interaction index in turn, alternating before/after-append
+    placement, and the sample is a multi-fault plan (torn forces,
+    IO-error bursts, fault combinations) that ``max_faults`` and
+    ``retry`` shape.  A ``sites > 1`` config draws :class:`SiteCrash`
+    rows over scheduler ticks: the sweep moves one site crash along the
+    horizon, alternating crash-only and crash-then-recover, and the
+    sample crashes several sites — including windows where *every* site
+    is down at once, the double-failure edge.
 
     Planning is separated from execution so the schedules can run in
     any order (or on any worker): the RNG draws happen here, serially,
@@ -570,23 +624,29 @@ def plan_campaign(
     master = random.Random(seed)
     horizons = {c.label(): profile_horizon(c, seed=seed) for c in configs}
     sweep_pos: Dict[str, int] = {c.label(): 0 for c in configs}
-    assignments: List[Tuple[TortureConfig, FaultPlan, int]] = []
+    assignments: List[Tuple[TortureConfig, Schedule, int]] = []
     for i in range(schedules):
         config = configs[i % len(configs)]
         label = config.label()
         horizon = horizons[label]
         round_number = i // len(configs)
         pos = sweep_pos[label]
+        plan: Schedule
         if round_number % 3 != 2 and pos < 2 * horizon:
-            kind = (
-                "crash-after-append" if pos % 2 == 0 else "crash-before-append"
-            )
-            plan = FaultPlan.crash_at(
-                pos // 2, kind, seed=master.randrange(2**31)
-            )
-            if retry is not None:
-                plan.retry = retry
+            if config.sites > 1:
+                plan = _site_sweep(master, config.sites, horizon, pos)
+            else:
+                kind = (
+                    "crash-after-append" if pos % 2 == 0 else "crash-before-append"
+                )
+                plan = FaultPlan.crash_at(
+                    pos // 2, kind, seed=master.randrange(2**31)
+                )
+                if retry is not None:
+                    plan.retry = retry
             sweep_pos[label] = pos + 1
+        elif config.sites > 1:
+            plan = _site_sample(master, config.sites, horizon)
         else:
             plan = FaultPlan.sample(
                 master, horizon, max_faults=max_faults, retry=retry
@@ -607,9 +667,8 @@ def run_torture(
 ) -> TortureReport:
     """Run ``schedules`` schedules round-robin over the configs.
 
-    One-site configs draw log-fault plans (:func:`plan_campaign`, which
-    ``max_faults`` and ``retry`` shape); ``sites > 1`` configs draw
-    site-crash schedules (:func:`plan_site_campaign`).  Either way each
+    :func:`plan_campaign` draws each config's own kind of schedule (log
+    faults for one site, site crashes for ``sites > 1``); each
     ``(config, plan, run_seed)`` is one cell of the parallel engine (see
     :mod:`repro.runtime.parallel`) running :func:`run_schedule` — inline
     at ``workers=1``, over a process pool otherwise — merged back in
@@ -618,16 +677,13 @@ def run_torture(
     worker death are retried once and otherwise land in
     ``report.failed``.
     """
-    if any(config.sites > 1 for config in configs):
-        assignments = plan_site_campaign(configs, schedules=schedules, seed=seed)
-    else:
-        assignments = plan_campaign(
-            configs,
-            schedules=schedules,
-            seed=seed,
-            max_faults=max_faults,
-            retry=retry,
-        )
+    assignments = plan_campaign(
+        configs,
+        schedules=schedules,
+        seed=seed,
+        max_faults=max_faults,
+        retry=retry,
+    )
     report = TortureReport(seed=seed)
     cells = [
         Cell(
@@ -734,128 +790,35 @@ def audit_replication(
     return violations
 
 
-def run_site_schedule(
-    config: TortureConfig,
-    crashes: Sequence[SiteCrash],
-    *,
-    seed: int = 0,
-    trace=None,
-) -> ScheduleResult:
-    """Drive one workload on a replicated system under a site-crash
-    schedule, auditing the merged multi-site history at the end.
+def _site_sweep(
+    master: random.Random, sites: int, horizon: int, pos: int
+) -> Tuple[SiteCrash, ...]:
+    """Sweep step ``pos``: one site crash at tick ``1 + pos // 2`` (mod
+    the horizon), crash-only on even steps, crash-then-recover on odd."""
+    fail_tick = 1 + (pos // 2) % horizon
+    site = master.randrange(sites)
+    if pos % 2 == 0:
+        return (SiteCrash(site, fail_tick),)
+    gap = 1 + master.randrange(horizon)
+    return (SiteCrash(site, fail_tick, fail_tick + gap),)
 
-    Sites fail and recover at their scheduled ticks while the workload
-    runs; the scheduler treats site-crash victims like any crash victims
-    (restart as fresh incarnations).  After the run every still-down
-    site is recovered, the replication invariants are audited, and a
-    final whole-system crash re-runs the single-site recovery audit over
-    every copy — restart state per copy plus global dynamic atomicity of
-    the merged copy-level history.
-    """
-    system, adt = build_system(config, None)
-    scripts = workload_for(config, adt, random.Random(seed))
-    schedule = describe_site_schedule(crashes)
-    violations: List[Violation] = []
-    if trace is not None:
-        trace.emit("schedule-start", config.label(), schedule)
-    scheduler = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-        label=config.label(),
-        trace=trace,
-    )
-    try:
-        run_with_site_crashes(scheduler, crashes)
-        violations.extend(audit_replication(system, config.label(), schedule))
-        # Final clean whole-system crash: every copy restarts from its
-        # log and the single-site invariants must hold per copy.
-        system.crash()
-        violations.extend(audit_recovery(system, config.label(), schedule))
-    except ReplicationError as exc:
-        # Lockstep divergence (a mirrored or replayed operation was not
-        # legal at its copy) is itself a reportable invariant breach —
-        # the skip-catchup negative control trips this on state-coupled
-        # ADTs before any read can even go stale.
-        violations.append(
-            Violation(
-                config.label(), schedule, "replication-divergence", str(exc)
-            )
+
+def _site_sample(
+    master: random.Random, sites: int, horizon: int
+) -> Tuple[SiteCrash, ...]:
+    """A sampled schedule: up to three distinct sites crash at random
+    ticks, a quarter of them down until the end of the run; a recovery
+    drawn at or before its failure drops the row."""
+    count = 1 + master.randrange(min(3, sites))
+    picks = master.sample(range(sites), count)
+    crashes = tuple(
+        SiteCrash(
+            site,
+            1 + master.randrange(horizon),
+            0 if master.random() < 0.25 else 2 + master.randrange(2 * horizon),
         )
-    return ScheduleResult(
-        config=config.label(),
-        schedule=schedule,
-        violations=violations,
-        crashes=sum(system.domain_failures) + system.crash_count,
-        committed=scheduler.metrics.committed,
-        faults_fired=len(crashes),
+        for site in sorted(picks)
     )
-
-
-def plan_site_campaign(
-    configs: Sequence[TortureConfig],
-    *,
-    schedules: int,
-    seed: int = 0,
-) -> List[Tuple[TortureConfig, Tuple[SiteCrash, ...], int]]:
-    """Deterministic ``(config, site-crash schedule, run_seed)`` cells.
-
-    Mirrors :func:`plan_campaign`'s shape: schedule *i* goes to
-    ``configs[i % len(configs)]``; two out of three rounds advance a
-    systematic sweep of a single site crash across the config's profiled
-    tick horizon (alternating crash-only and crash-then-recover), and
-    the third samples multi-site schedules — including windows where
-    *every* site is down at once, the double-failure edge.  All RNG
-    draws happen here, serially, from one master seed.
-    """
-    if not configs:
-        raise ValueError("no torture configs")
-    for config in configs:
-        if config.sites < 2:
-            raise ValueError(
-                "site-crash campaigns need sites >= 2 (got %d for %s)"
-                % (config.sites, config.label())
-            )
-    master = random.Random(seed)
-    horizons = {c.label(): profile_horizon(c, seed=seed) for c in configs}
-    sweep_pos: Dict[str, int] = {c.label(): 0 for c in configs}
-    cells: List[Tuple[TortureConfig, Tuple[SiteCrash, ...], int]] = []
-    for i in range(schedules):
-        config = configs[i % len(configs)]
-        label = config.label()
-        horizon = horizons[label]
-        round_number = i // len(configs)
-        pos = sweep_pos[label]
-        if round_number % 3 != 2 and pos < 2 * horizon:
-            fail_tick = 1 + (pos // 2) % horizon
-            site = master.randrange(config.sites)
-            if pos % 2 == 0:
-                crashes = (SiteCrash(site, fail_tick),)
-            else:
-                gap = 1 + master.randrange(horizon)
-                crashes = (SiteCrash(site, fail_tick, fail_tick + gap),)
-            sweep_pos[label] = pos + 1
-        else:
-            count = 1 + master.randrange(min(3, config.sites))
-            picks = master.sample(range(config.sites), count)
-            crashes = tuple(
-                SiteCrash(
-                    site,
-                    1 + master.randrange(horizon),
-                    (
-                        0
-                        if master.random() < 0.25
-                        else 2 + master.randrange(2 * horizon)
-                    ),
-                )
-                for site in sorted(picks)
-            )
-            crashes = tuple(
-                c
-                for c in crashes
-                if not c.recover_tick or c.recover_tick > c.fail_tick
-            )
-        cells.append((config, crashes, master.randrange(2**31)))
-    return cells
+    return tuple(
+        c for c in crashes if not c.recover_tick or c.recover_tick > c.fail_tick
+    )

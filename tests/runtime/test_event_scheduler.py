@@ -39,7 +39,6 @@ from repro.runtime.torture import (
     TortureConfig,
     plan_campaign,
     run_schedule,
-    run_site_schedule,
 )
 from repro.runtime.trace import TraceCollector, reconstruct_counters
 from repro.runtime.wal import GroupCommitPolicy, StableLog
@@ -65,7 +64,7 @@ def _torture_cells(config, schedules, seed):
 def _site_cells(config, seed):
     crashes = [SiteCrash(1, 6, 30), SiteCrash(0, 45, 0)]
     trace = TraceCollector()
-    r = run_site_schedule(config, crashes, seed=seed, trace=trace)
+    r = run_schedule(config, crashes, seed=seed, trace=trace)
     return (
         (r.schedule, r.committed, r.crashes, sorted(r.violations)),
         [dict(e) for e in trace.events],

@@ -9,12 +9,13 @@ negative control plants exactly that bug and must be detected.
 
 import pytest
 
+from repro.runtime.faults import FaultPlan
 from repro.runtime.torture import (
     SiteCrash,
     TortureConfig,
     describe_site_schedule,
-    plan_site_campaign,
-    run_site_schedule,
+    plan_campaign,
+    run_schedule,
     run_torture,
 )
 from repro.runtime.trace import TraceCollector
@@ -40,15 +41,10 @@ def test_site_crash_describes_like_torture_schedules():
     assert plan == "site0@3-9,site1@5-end"
 
 
-def test_plan_site_campaign_rejects_single_site_configs():
-    with pytest.raises(ValueError, match="sites >= 2"):
-        plan_site_campaign([_config(sites=1)], schedules=4)
-
-
 def test_plan_site_campaign_is_deterministic():
     configs = [_config(), _config(adt_kind="bank")]
-    a = plan_site_campaign(configs, schedules=10, seed=5)
-    b = plan_site_campaign(configs, schedules=10, seed=5)
+    a = plan_campaign(configs, schedules=10, seed=5)
+    b = plan_campaign(configs, schedules=10, seed=5)
     assert [(c.label(), s, r) for c, s, r in a] == [
         (c.label(), s, r) for c, s, r in b
     ]
@@ -56,6 +52,60 @@ def test_plan_site_campaign_is_deterministic():
     # round-robin: both configs get schedules
     labels = {c.label() for c, _, _ in a}
     assert len(labels) == 2
+
+
+#: ``(label, schedule, run_seed)`` of the site-crash campaign over
+#: counter/DU/x2 and bank/DU/x2 at seed 5, as the dedicated site planner
+#: drew them before it folded into ``plan_campaign``.
+PINNED_SITE_DRAWS = [
+    ("counter/DU/x2", "site1@1-end", 1539898300),
+    ("bank/DU/x2", "site0@1-end", 1999834075),
+    ("counter/DU/x2", "site0@1-2", 673671309),
+    ("bank/DU/x2", "site0@1-7", 2014636194),
+    ("counter/DU/x2", "no-crashes", 930847394),
+    ("bank/DU/x2", "site0@7-end,site1@2-end", 1910554750),
+    ("counter/DU/x2", "site0@2-end", 567970168),
+    ("bank/DU/x2", "site0@2-end", 22819762),
+    ("counter/DU/x2", "site0@2-6", 712347993),
+    ("bank/DU/x2", "site0@2-7", 1347122362),
+]
+
+
+def test_plan_campaign_keeps_the_site_draw_order():
+    configs = [_config(), _config(adt_kind="bank")]
+    cells = plan_campaign(configs, schedules=10, seed=5)
+    assert [
+        (c.label(), describe_site_schedule(s), r) for c, s, r in cells
+    ] == PINNED_SITE_DRAWS
+
+
+def test_mixed_campaign_draws_each_config_its_own_kind_of_plan():
+    one_site, two_sites = _config(sites=1), _config()
+    cells = plan_campaign([one_site, two_sites], schedules=9, seed=3)
+    for i, (config, plan, _) in enumerate(cells):
+        assert config == (one_site, two_sites)[i % 2]
+        if config.sites == 1:
+            assert isinstance(plan, FaultPlan)
+        else:
+            assert all(isinstance(row, SiteCrash) for row in plan)
+    report = run_torture([one_site, two_sites], schedules=6, seed=3)
+    assert report.ok, "\n".join(v.format() for v in report.violations)
+    assert report.per_config == {"counter/DU": 3, "counter/DU/x2": 3}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(bug="skip-catchup", sites=1),
+        dict(bug="skip-commit-force", sites=2),
+        dict(checkpoint_every=5, sites=2),
+        dict(bug="skip-everything", sites=2),
+    ],
+    ids=["catchup-bug-one-site", "force-bug-sites", "checkpoint-sites", "unknown-bug"],
+)
+def test_config_refuses_what_its_runner_would_ignore(overrides):
+    with pytest.raises(ValueError):
+        _config(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +138,7 @@ def test_three_site_campaign_with_group_commit():
 def test_crash_without_recovery_still_audits_clean():
     # the site stays down for the whole run; the post-run recovery and
     # catch-up poll must still converge the copies
-    result = run_site_schedule(
+    result = run_schedule(
         _config(), [SiteCrash(site=1, fail_tick=3)], seed=4
     )
     assert result.violations == []
@@ -98,13 +148,13 @@ def test_all_sites_down_window_aborts_cleanly():
     # both sites down at once: arrivals block with no holders and the
     # aging victim path aborts them; no invariant may break
     crashes = [SiteCrash(0, 4, 10), SiteCrash(1, 5, 11)]
-    result = run_site_schedule(_config(), crashes, seed=1)
+    result = run_schedule(_config(), crashes, seed=1)
     assert result.violations == []
 
 
 def test_site_schedule_emits_reconcilable_trace():
     trace = TraceCollector()
-    result = run_site_schedule(
+    result = run_schedule(
         _config(), [SiteCrash(site=1, fail_tick=3, recover_tick=9)],
         seed=0,
         trace=trace,
@@ -124,7 +174,7 @@ def test_skip_catchup_bug_is_detected():
     config = _config(bug="skip-catchup")
     hits = 0
     for seed in range(6):
-        result = run_site_schedule(
+        result = run_schedule(
             config, [SiteCrash(site=1, fail_tick=3, recover_tick=12)],
             seed=seed,
         )

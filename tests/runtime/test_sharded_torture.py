@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.sharding import audit_shard, build_sharded_system
+from repro.runtime.sharding import build_sharded_system
 from repro.runtime.system import TransactionSystem
 from repro.runtime.torture import audit_recovery
 from repro.runtime.workloads import mixed_transfers
@@ -58,7 +58,9 @@ def _audit_all_shards(system, label):
     check)."""
     violations = []
     for shard in range(system.shards):
-        violations.extend(audit_shard(system, shard, label=label))
+        violations.extend(
+            audit_recovery(system, label, "", names=system.domain_objects(shard))
+        )
     return violations
 
 

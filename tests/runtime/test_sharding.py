@@ -15,11 +15,11 @@ from repro.core.events import inv
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.sharding import (
     ShardedSystem,
-    audit_shard,
     build_sharded_system,
     shard_of,
 )
 from repro.runtime.system import TransactionSystem
+from repro.runtime.torture import audit_recovery
 from repro.runtime.trace import TraceCollector
 from repro.runtime.workloads import mixed_transfers
 
@@ -230,7 +230,7 @@ def test_crash_shard_forces_a_healthy_shards_held_commit_record():
     assert survivor.wal.log.flushed(ticket)
     shard = system.domain_of["D"]
     system.crash_shard(shard)  # before the hold timer would have fired
-    assert audit_shard(system, shard) == []
+    assert audit_recovery(system, "", "", names=system.domain_objects(shard)) == []
 
 
 def test_crash_shard_spares_transactions_on_healthy_shards():
@@ -258,7 +258,7 @@ def test_crashed_shard_recovers_committed_state():
         assert system.commit(txn) is True
     shard = system.domain_of["A"]
     system.crash_shard(shard)
-    violations = audit_shard(system, shard)
+    violations = audit_recovery(system, "", "", names=system.domain_objects(shard))
     assert violations == []
     # recovered object keeps serving
     outcome = system.invoke("T9", "A", inv("deposit", 1))
