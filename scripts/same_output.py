@@ -46,6 +46,8 @@ FLOWS: Sequence[Tuple[str, Tuple[str, ...], bool]] = (
     ("run-kv-uip", ("run", "kv", "--recovery", "uip"), True),
     ("drive-shards", ("drive", "--shards", "2"), True),
     ("drive-sites", ("drive", "--sites", "3", "--site-crash", "1@50-200"), True),
+    ("drive-sites-ro", ("drive", "--sites", "3", "--read-mix", "0.5",
+                        "--site-crash", "1@50-200"), True),
     ("drive-sites-overlap", ("drive", "--sites", "3", "--group-commit", "4", "--hold", "4",
                              "--site-crash", "0@40-150", "--site-crash", "1@60-220"), True),
     ("drive-kv", ("drive", "--adt", "kv", "--transactions", "300"), True),

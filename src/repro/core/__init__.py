@@ -74,6 +74,7 @@ from .events import (
 from .history import (
     History,
     HistoryBuilder,
+    HistoryNotKept,
     IllFormedHistoryError,
     equivalent,
     serial_history,
@@ -134,6 +135,7 @@ __all__ = [
     # history
     "History",
     "HistoryBuilder",
+    "HistoryNotKept",
     "IllFormedHistoryError",
     "equivalent",
     "serial_history",

@@ -58,12 +58,22 @@ from .events import (
 
 
 class IllFormedHistoryError(ValueError):
-    """Raised when an event sequence violates the well-formedness constraints."""
+    """Raised when an event sequence violates the well-formedness
+    constraints.  ``index`` is the event's position in the history, or
+    ``None`` where no history is kept."""
 
-    def __init__(self, message: str, index: int, event: Event):
-        super().__init__("event %d (%s): %s" % (index, event, message))
+    def __init__(self, message: str, index: Optional[int], event: Event):
+        where = "event" if index is None else "event %d" % index
+        super().__init__("%s (%s): %s" % (where, event, message))
         self.index = index
         self.event = event
+
+
+class HistoryNotKept(RuntimeError):
+    """A history was asked of a builder (or system) that keeps none.
+
+    Raised instead of answering with an empty history, so that an audit
+    of a run recorded without one fails rather than passes."""
 
 
 class _TxnState:
@@ -90,7 +100,9 @@ class _TxnState:
 _FRESH = _TxnState()
 
 
-def _step(txns: Dict[str, _TxnState], i: int, e: Event, write: bool = True) -> None:
+def _step(
+    txns: Dict[str, _TxnState], i: Optional[int], e: Event, write: bool = True
+) -> None:
     """Raise :class:`IllFormedHistoryError` unless ``e`` may follow the
     ``i`` events ``txns`` summarizes; then, if ``write``, record it.
     Each branch writes only after its checks pass, so a rejected event
@@ -419,12 +431,18 @@ class HistoryBuilder:
     against per-transaction state in O(1) and can snapshot an immutable
     history at any point — of its own list, or, after :meth:`append_to`,
     ``H|X`` of a system's one list ``H``.
+
+    Handed no list (``append_to(None, X)``, a system built with
+    ``history=False``) it keeps the per-transaction state alone: every
+    event is still checked, none is stored, and :meth:`snapshot` raises
+    :class:`HistoryNotKept`.
     """
 
     def __init__(self, events: Iterable[Event] = ()):
         #: the list appended to, in order (read it; grow it only through
-        #: :meth:`append`): this builder's own, or a shared ``H``.
-        self.events: List[Event] = []
+        #: :meth:`append`): this builder's own, a shared ``H``, or
+        #: ``None`` when no event is kept.
+        self.events: Optional[List[Event]] = []
         self._obj: Optional[str] = None  # ``X`` once ``events`` is shared
         self._txns: Dict[str, _TxnState] = {}
         self._snapshot_cache: Optional[History] = None
@@ -438,15 +456,22 @@ class HistoryBuilder:
         """Append one event, raising :class:`IllFormedHistoryError` on
         violation — checked before anything is written, so a rejected
         event leaves the builder unchanged."""
-        _step(self._txns, len(self.events), event)
-        self.events.append(event)
+        events = self.events
+        if events is None:
+            _step(self._txns, None, event)
+            return
+        _step(self._txns, len(events), event)
+        events.append(event)
         self._snapshot_cache = None
 
-    def append_to(self, events: List[Event], obj: str) -> None:
+    def append_to(self, events: Optional[List[Event]], obj: str) -> None:
         """Append to the shared list ``events`` from now on, as object
-        ``obj``, moving this builder's ``H|obj`` onto its end first."""
-        mine = self.snapshot().project_objects(obj)
-        events.extend(mine)
+        ``obj``, moving this builder's ``H|obj`` onto its end first; with
+        ``events=None``, keep no event from now on."""
+        mine = None
+        if events is not None:
+            mine = self.snapshot().project_objects(obj)
+            events.extend(mine)
         self.events = events
         self._obj = obj
         self._snapshot_cache = mine
@@ -456,12 +481,16 @@ class HistoryBuilder:
 
         Rebuilding a builder from a snapshot re-validates every event —
         O(n) per copy.  ``copy`` duplicates the event list (``H|X`` of a
-        shared one) and the per-transaction validation state directly, so
-        cloning an automaton mid-exploration is O(n) in list copying
-        alone (no re-validation) and the per-event work stays O(1).
+        shared one; none where none is kept) and the per-transaction
+        validation state directly, so cloning an automaton
+        mid-exploration is O(n) in list copying alone (no re-validation)
+        and the per-event work stays O(1).
         """
         twin = HistoryBuilder()
-        twin.events = list(self.events if self._obj is None else self.snapshot())
+        if self.events is None:
+            twin.events = None
+        else:
+            twin.events = list(self.events if self._obj is None else self.snapshot())
         twin._txns = {txn: st.copy() for txn, st in self._txns.items()}
         twin._snapshot_cache = self._snapshot_cache
         return twin
@@ -469,7 +498,7 @@ class HistoryBuilder:
     def can_append(self, event: Event) -> bool:
         """True iff appending ``event`` would preserve well-formedness."""
         try:
-            _step(self._txns, len(self.events), event, write=False)
+            _step(self._txns, None, event, write=False)
         except IllFormedHistoryError:
             return False
         return True
@@ -482,8 +511,14 @@ class HistoryBuilder:
         of an unchanged builder (the automaton's ``history`` property in
         inspection-heavy code) cost O(1) instead of copying the event
         list each time.  Other objects' appends leave ``H|X`` as it is.
+        :class:`HistoryNotKept` where no event is kept.
         """
         if self._snapshot_cache is None:
+            if self.events is None:
+                raise HistoryNotKept(
+                    "%s keeps no history: its system was built with "
+                    "history=False" % self._obj
+                )
             history = History(self.events, validate=False)
             if self._obj is not None:
                 history = history.project_objects(self._obj)

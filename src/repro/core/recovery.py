@@ -93,13 +93,22 @@ class RecoveryManager(ABC):
     name: str = "recovery"
     #: the ``View`` this manager maintains.
     view: View
+    #: drop ``_responses`` at quiescence; a system that keeps no history
+    #: sets it on its objects' managers.
+    drop_memo_at_quiescence = False
 
     def __init__(self, spec: StateMachineSpec):
         self.spec = spec
         #: invocations awaiting their response (:meth:`apply` only).
         self._pending: Dict[str, Invocation] = {}
         #: (macro-state, invocation) -> enabled responses.  A function of
-        #: the spec alone, so an entry is never invalid and forks share it.
+        #: the spec alone, so an entry is never invalid and forks share
+        #: it.  Under :attr:`drop_memo_at_quiescence` the UIP and DU
+        #: managers drop it whenever they hold no live transaction, so it
+        #: keeps the states of the current burst of work, not every state
+        #: a run passed through.  Only a run that keeps nothing else
+        #: gains by that: one that keeps its history holds more than the
+        #: memo, and each dropped entry is worked out again.
         self._responses: Dict[Tuple[MacroState, Invocation], FrozenSet] = {}
 
     @abstractmethod
@@ -137,6 +146,11 @@ class RecoveryManager(ABC):
         """Forget every transaction and take ``macro`` as the committed
         state — what a crash restart hands the manager."""
         raise NotImplementedError("%s has no crash restart" % self.name)
+
+    def _quiesce(self) -> None:
+        """No live transaction is left here: drop the memo if asked to."""
+        if self.drop_memo_at_quiescence:
+            self._responses.clear()
 
     def fork(self) -> "RecoveryManager":
         """An independent copy sharing no mutable state (macro-states are
@@ -230,6 +244,8 @@ class UpdateInPlaceManager(RecoveryManager):
         # The current state already reflects the transaction; just drop
         # the undo information.
         self._undo_stacks.pop(txn, None)
+        if not self._undo_stacks:
+            self._quiesce()
 
     def executed_of(self, txn: str) -> Tuple[Operation, ...]:
         return tuple(self._undo_stacks.get(txn, ()))
@@ -250,12 +266,15 @@ class UpdateInPlaceManager(RecoveryManager):
             for _txn, operation in self._log:
                 macro = self.spec.step_macro(macro, operation)
             self._current = macro
+        if not self._undo_stacks:
+            self._quiesce()
 
     def rebase(self, macro: MacroState) -> None:
         self._base = macro
         self._current = macro
         self._log = []
         self._undo_stacks = {}
+        self._quiesce()
 
     def fork(self) -> "UpdateInPlaceManager":
         twin = super().fork()
@@ -311,15 +330,20 @@ class DeferredUpdateManager(RecoveryManager):
         self._base = macro
         # Other transactions' private views depend on the base: invalidate.
         self._cached.clear()
+        if not self._intentions:
+            self._quiesce()
 
     def on_abort(self, txn: str) -> None:
         self._intentions.pop(txn, None)
         self._cached.pop(txn, None)
+        if not self._intentions:
+            self._quiesce()
 
     def rebase(self, macro: MacroState) -> None:
         self._base = macro
         self._intentions = {}
         self._cached = {}
+        self._quiesce()
 
     def fork(self) -> "DeferredUpdateManager":
         twin = super().fork()

@@ -5,7 +5,9 @@ multi-object transaction processor whose two knobs are exactly the
 paper's two parameters — the conflict relation (``Conflict``) and the
 recovery method (``View``).  Every run records an event history that the
 abstract checkers in :mod:`repro.core` can audit, which is how the
-integration tests tie the concrete implementation back to the theory.
+integration tests tie the concrete implementation back to the theory —
+every run but an open-loop ``drive``, which nothing audits and which
+builds its system with ``history=False``.
 """
 
 from .baselines import invocation_conflict, read_write_conflict

@@ -448,6 +448,11 @@ def drive(
     scripts by home shard.  ``trace=None`` builds no collector and emits
     nothing; a passed collector also gets ``drive-start`` /
     ``drive-end``.
+
+    Nothing audits a drive, so its system is built with
+    ``history=False``: it keeps the live transactions' state and the
+    committed state, not the event history, and the same scripts run
+    the same either way.
     """
     rng = random.Random(seed)
     scripts = open_loop_scripts(config, rng)
@@ -455,6 +460,7 @@ def drive(
         recovery=config.recovery,
         group_commit=config.group_commit,
         hold=config.hold,
+        history=False,
     )
     replicated = config.sites > 1 or bool(config.site_crashes)
     if replicated:

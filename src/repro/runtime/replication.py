@@ -80,7 +80,10 @@ commit/abort events in true execution order.  Dynamic atomicity of that
 history is the cross-site correctness claim — a stale read served by a
 badly re-qualified copy shows up there as a serialization anomaly (the
 ``skip-catchup`` negative control in :mod:`repro.runtime.torture`
-demonstrates the audit catches exactly that).
+demonstrates the audit catches exactly that).  A system built with
+``history=False`` keeps no merged history either, and
+:meth:`ReplicatedSystem.logical_history` raises
+:class:`~repro.core.history.HistoryNotKept`.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ from ..core.events import (
     invoke as invoke_event,
     respond as respond_event,
 )
-from ..core.history import History
+from ..core.history import History, HistoryNotKept
 from .durability import build_durable_object
 from .errors import UnknownObjectError
 from .system import STUCK, ManagedObject, OperationOutcome, TransactionSystem
@@ -141,11 +144,14 @@ class ReplicatedSystem(TransactionSystem):
         logical_objects: Sequence[Sequence[ManagedObject]],
         *,
         sites: int = 1,
+        history: bool = True,
     ):
         """``logical_objects`` is one sequence of copies per logical
         object, ``sites`` copies each, site order; copy *i* must be
         named ``copy_name(logical, i)`` (use
-        :func:`build_replicated_system`)."""
+        :func:`build_replicated_system`).  ``history`` is
+        :class:`~repro.runtime.system.TransactionSystem`'s, and covers
+        the merged logical history too."""
         if sites < 1:
             raise ValueError("sites must be >= 1 (got %d)" % sites)
         flat: List[ManagedObject] = []
@@ -171,7 +177,7 @@ class ReplicatedSystem(TransactionSystem):
                 self._copy_logical[obj.name] = logical
                 flat.append(obj)
             self._logical[logical] = tuple(names)
-        super().__init__(flat)
+        super().__init__(flat, history=history)
         self.sites = sites
         self.domain_of = domain_of
         self.domain_failures = [0] * sites
@@ -198,14 +204,16 @@ class ReplicatedSystem(TransactionSystem):
         #: active transactions' executed mutators per logical object.
         self._txn_ops: Dict[str, Dict[str, List[Operation]]] = {}
         #: logical objects each active transaction touched (for the
-        #: merged logical history's commit/abort events).
+        #: merged logical history's commit/abort events; empty while no
+        #: history is kept).
         self._txn_logical: Dict[str, Set[str]] = {}
         #: unqualified copies each active transaction wrote: its commit
         #: re-qualifies them.
         self._txn_writes: Dict[str, Set[str]] = {}
         #: the merged logical history: one event stream over logical
-        #: names, mirrors deduplicated, sync transactions excluded.
-        self._logical_events: List[Event] = []
+        #: names, mirrors deduplicated, sync transactions excluded;
+        #: ``None`` under ``history=False``.
+        self._logical_events: Optional[List[Event]] = [] if history else None
         #: observer invocations per logical object (route read-one).
         self._observers: Dict[str, frozenset] = {
             name: frozenset(self.objects[name].adt.readonly_invocations())
@@ -249,7 +257,11 @@ class ReplicatedSystem(TransactionSystem):
         """The merged multi-site history over *logical* object names:
         each client operation once, commit/abort events in true
         execution order, sync transactions excluded.  This is the
-        history the global dynamic-atomicity audit checks."""
+        history the global dynamic-atomicity audit checks.
+        :class:`~repro.core.history.HistoryNotKept` under
+        ``history=False``."""
+        if self._logical_events is None:
+            raise HistoryNotKept("this system was built with history=False")
         return History(self._logical_events, validate=False)
 
     def logical_specs(self) -> Dict[str, object]:
@@ -362,13 +374,12 @@ class ReplicatedSystem(TransactionSystem):
         return outcome
 
     def _record_logical(self, txn: str, logical: str, operation: Operation):
+        events = self._logical_events
+        if events is None:
+            return
         self._txn_logical.setdefault(txn, set()).add(logical)
-        self._logical_events.append(
-            invoke_event(operation.invocation, logical, txn)
-        )
-        self._logical_events.append(
-            respond_event(operation.response, logical, txn)
-        )
+        events.append(invoke_event(operation.invocation, logical, txn))
+        events.append(respond_event(operation.response, logical, txn))
 
     def _force_response(
         self, name: str, txn: str, operation: Operation, what: str
@@ -602,8 +613,7 @@ class ReplicatedSystem(TransactionSystem):
         operation = obj.read_at(csn, invocation)
         if operation is None:
             return STUCK
-        self._ro_touched.setdefault(txn, set()).add(target)
-        self._ro_observations.setdefault(txn, []).append((target, operation))
+        self._observe(txn, target, operation)
         if self.trace is not None:
             self.trace.emit("snapshot-read", txn, target, invocation, csn)
         return OperationOutcome("ok", operation=operation)
@@ -617,12 +627,14 @@ def build_replicated_system(
     recovery: str = "DU",
     group_commit: int = 1,
     hold: int = 4,
+    history: bool = True,
 ) -> ReplicatedSystem:
     """A replicated system of ``adt_kind`` objects, ``sites`` copies each.
 
     Every copy gets its own fresh :class:`~repro.runtime.wal.StableLog`
     under the group-commit policy; its conflict relation is its table,
-    which restarts after a crash reuse.
+    which restarts after a crash reuse.  ``history=False`` keeps no
+    audit record (see :class:`ReplicatedSystem`).
     """
     return ReplicatedSystem(
         [
@@ -640,4 +652,5 @@ def build_replicated_system(
             for name in object_names
         ],
         sites=sites,
+        history=history,
     )

@@ -92,8 +92,14 @@ class ShardedSystem(TransactionSystem):
 
     domain_trace = ShardTrace
 
-    def __init__(self, objects: Sequence[ManagedObject], *, shards: int = 1):
-        super().__init__(objects)
+    def __init__(
+        self,
+        objects: Sequence[ManagedObject],
+        *,
+        shards: int = 1,
+        history: bool = True,
+    ):
+        super().__init__(objects, history=history)
         if shards < 1:
             raise ValueError("shards must be >= 1 (got %d)" % shards)
         self.shards = shards
@@ -144,12 +150,14 @@ def build_sharded_system(
     recovery: str = "DU",
     group_commit: int = 1,
     hold: int = 4,
+    history: bool = True,
 ) -> ShardedSystem:
     """A sharded system of ``adt_kind`` objects, one per name.
 
     Every object gets its own fresh :class:`~repro.runtime.wal.StableLog`
     under the group-commit policy; its conflict relation is its table,
-    which restarts after a crash reuse.
+    which restarts after a crash reuse.  ``history=False`` keeps no
+    audit record (see :class:`~repro.runtime.system.TransactionSystem`).
     """
     return ShardedSystem(
         [
@@ -159,4 +167,5 @@ def build_sharded_system(
             for name in object_names
         ],
         shards=shards,
+        history=history,
     )

@@ -35,6 +35,15 @@ backward validation fails (Section 3.4's other protocol family).  Either
 way the event order (all responses before any commit event) matches the
 model's well-formedness constraints.
 
+The history is the audit record, and only the audits read it: a system
+built with ``history=False`` (the open-loop ``drive``) stores no event,
+no read-only observation and no snapshot, still checks every event's
+well-formedness, and refuses every history query with
+:class:`~repro.core.history.HistoryNotKept`; its recovery managers drop
+their response memo whenever they hold no live transaction.  Either way
+a transaction's failure bookkeeping (the objects it touched) is dropped
+when it finishes, so what a plain run keeps grows with what is live.
+
 A crash is an operation of the system, not a kind of system: the paper
 treats it as the mass abort of every transaction short of its commit
 point.  :meth:`TransactionSystem.crash` fails every object at once, and
@@ -61,7 +70,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
 from ..core.events import Event, Invocation, Operation, abort, commit, respond
-from ..core.history import History
+from ..core.history import History, HistoryNotKept
 from ..core.lock_manager import LockManager
 from ..core.object_automaton import ObjectAutomaton
 from ..core.recovery import MacroState, RecoveryManager
@@ -168,7 +177,8 @@ class ManagedObject:
         return self.automaton.recovery
 
     def history(self) -> History:
-        """The object-local event history: ``H|X`` of its system's ``H``."""
+        """The object-local event history: ``H|X`` of its system's ``H``
+        (:class:`~repro.core.history.HistoryNotKept` if it keeps none)."""
         return self.automaton.history
 
     # -- operation execution -------------------------------------------------------
@@ -521,27 +531,43 @@ class _PendingCommit:
 class TransactionSystem:
     """Several managed objects plus transaction bookkeeping, 2PC commit
     and failure (:meth:`crash`; one failure domain at a time in the
-    placement subclasses), every form through :meth:`_resolve_failure`."""
+    placement subclasses), every form through :meth:`_resolve_failure`.
+
+    ``history=False`` keeps no audit record — no ``H``, no read-only
+    observations or snapshots — and makes :meth:`history`,
+    :meth:`readonly_snapshot` and :meth:`readonly_observations` (and
+    every object's ``history()``) raise
+    :class:`~repro.core.history.HistoryNotKept`; its objects' recovery
+    managers drop their response memo at quiescence.  What runs is the
+    same.  The per-transaction bookkeeping of touched objects holds only
+    unfinished transactions either way."""
 
     #: the :class:`~repro.runtime.trace.DomainTrace` that stamps object
     #: and log events with their failure domain; ``None`` leaves a flat
     #: system's events unstamped.
     domain_trace = None
 
-    def __init__(self, objects: Sequence[ManagedObject]):
+    def __init__(self, objects: Sequence[ManagedObject], *, history: bool = True):
         self.objects: Dict[str, ManagedObject] = {}
         for obj in objects:
             if obj.name in self.objects:
                 raise ValueError("duplicate object name %r" % obj.name)
             self.objects[obj.name] = obj
+        #: unfinished transaction -> the objects it invoked at; dropped
+        #: when the transaction finishes.
         self._touched: Dict[str, Set[str]] = {}
-        self._finished: Dict[str, str] = {}  # txn -> "committed" | "aborted"
+        #: txn -> "committed" | "aborted"; the double-finish guard.
+        self._finished: Dict[str, str] = {}
         self._committing: Dict[str, _PendingCommit] = {}
         #: the one history ``H``, which every object's builder appends to
-        #: (an object handed over with events brings its ``H|X``).
-        self._events: List[Event] = []
+        #: (an object handed over with events brings its ``H|X``);
+        #: ``None`` under ``history=False``.
+        self._events: Optional[List[Event]] = [] if history else None
         for name, obj in self.objects.items():
             obj.automaton.builder.append_to(self._events, name)
+            # Kept nothing else, the memo is what would grow: drop it
+            # whenever the object quiesces.
+            obj.recovery.drop_memo_at_quiescence = not history
         #: global commit sequence number.  Bumped once per durably
         #: completed commit and stamped across every touched object in
         #: the same synchronous step, so a snapshot CSN cuts the commit
@@ -552,10 +578,15 @@ class TransactionSystem:
         #: hold no locks and appear in no object history; their reads
         #: resolve against the version chains only.
         self._ro_active: Dict[str, int] = {}
-        #: snapshot CSN per read-only txn, kept after finish for audits.
-        self._ro_snapshots: Dict[str, int] = {}
+        #: snapshot CSN and observations per read-only txn, kept after
+        #: finish for audits; ``None`` under ``history=False``.
+        self._ro_snapshots: Optional[Dict[str, int]] = {} if history else None
+        self._ro_observations: Optional[
+            Dict[str, List[Tuple[str, Operation]]]
+        ] = {} if history else None
+        #: active read-only txn -> the objects it read; dropped when the
+        #: reader finishes.
         self._ro_touched: Dict[str, Set[str]] = {}
-        self._ro_observations: Dict[str, List[Tuple[str, Operation]]] = {}
         #: optional trace collector (see :class:`ManagedObject.trace`).
         self.trace = None
         #: every stable log, in ``self.objects`` order.
@@ -580,7 +611,11 @@ class TransactionSystem:
 
     def history(self) -> History:
         """The global event history ``H``, in true execution order; an
-        object's ``history()`` is its projection ``H|X``."""
+        object's ``history()`` is its projection ``H|X``.
+        :class:`~repro.core.history.HistoryNotKept` under
+        ``history=False``."""
+        if self._events is None:
+            raise HistoryNotKept("this system was built with history=False")
         return History(self._events, validate=False)
 
     def status(self, txn: str) -> str:
@@ -694,6 +729,8 @@ class TransactionSystem:
         # one CSN (this loop is synchronous, so no reader can observe a
         # partially installed cross-shard version).
         self._install_versions(txn, pending.touched)
+        # Only now: ``ReplicatedSystem._install_versions`` reads it.
+        self._touched.pop(txn, None)
         if self.trace is not None:
             self.trace.emit("2pc-complete", txn)
         return True
@@ -777,12 +814,16 @@ class TransactionSystem:
             # Read-only transactions hold no locks and recorded no object
             # events: dropping the snapshot registration is the whole abort.
             del self._ro_active[txn]
+            self._ro_touched.pop(txn, None)
             self._finished[txn] = "aborted"
             return
         self._committing.pop(txn, None)
+        # Dropped only once every object aborted: a crash in between
+        # must still find the transaction unfinished and touching them.
         for name in sorted(self._touched.get(txn, ())):
             self.object(name).abort(txn)
         self._finished[txn] = "aborted"
+        self._touched.pop(txn, None)
 
     # -- failure -------------------------------------------------------------------
 
@@ -867,10 +908,9 @@ class TransactionSystem:
             del self._committing[txn]
         for name in failed:
             self.objects[name].wal.log.crash()
+        # Both maps hold unfinished transactions only: O(live) scans.
         candidates = [
-            txn
-            for txn, touched in self._touched.items()
-            if txn not in self._finished and touched & names
+            txn for txn, touched in self._touched.items() if touched & names
         ]
         victims: Set[str] = set()
         if len(names) == len(self.objects):
@@ -879,10 +919,11 @@ class TransactionSystem:
             readers = [
                 txn
                 for txn, observed in self._ro_touched.items()
-                if txn in self._ro_active and observed & names
+                if observed & names
             ]
         for txn in sorted(readers):
             del self._ro_active[txn]
+            self._ro_touched.pop(txn, None)
             self._finished[txn] = "aborted"
             victims.add(txn)
         resolved: List[str] = []
@@ -903,6 +944,7 @@ class TransactionSystem:
                 # Durable everywhere it touched: stamp the version under
                 # a fresh CSN, as the normal completion would have.
                 self._install_versions(txn, touched)
+                del self._touched[txn]
             else:
                 for name in touched:
                     if name in names:
@@ -911,6 +953,7 @@ class TransactionSystem:
                         self.objects[name].abort(txn)
                 self._finished[txn] = "aborted"
                 victims.add(txn)
+                del self._touched[txn]
                 self._drop_txn(txn)
         if self.trace is not None:
             self.trace.emit(event, *domain, sorted(victims), resolved)
@@ -953,7 +996,8 @@ class TransactionSystem:
         if csn is None:
             csn = self._csn
             self._ro_active[txn] = csn
-            self._ro_snapshots[txn] = csn
+            if self._ro_snapshots is not None:
+                self._ro_snapshots[txn] = csn
         return csn
 
     def snapshot_read(
@@ -971,10 +1015,7 @@ class TransactionSystem:
         operation = obj.read_at(csn, invocation)
         if operation is None:
             return STUCK
-        self._ro_touched.setdefault(txn, set()).add(obj_name)
-        self._ro_observations.setdefault(txn, []).append(
-            (obj_name, operation)
-        )
+        self._observe(txn, obj_name, operation)
         if self.trace is not None:
             self.trace.emit("snapshot-read", txn, obj_name, invocation, csn)
         return OperationOutcome("ok", operation=operation)
@@ -985,10 +1026,21 @@ class TransactionSystem:
         the prune watermark) and is recorded committed."""
         self._require_active(txn)
         self._ro_active.pop(txn, None)
+        self._ro_touched.pop(txn, None)
         self._finished[txn] = "committed"
 
+    def _observe(self, txn: str, name: str, operation: Operation) -> None:
+        """Record that reader ``txn`` read ``operation`` at object ``name``."""
+        self._ro_touched.setdefault(txn, set()).add(name)
+        if self._ro_observations is not None:
+            self._ro_observations.setdefault(txn, []).append((name, operation))
+
     def readonly_snapshot(self, txn: str) -> Optional[int]:
-        """The snapshot CSN a read-only txn started at (None if unknown)."""
+        """The snapshot CSN a read-only txn started at (None if unknown);
+        :class:`~repro.core.history.HistoryNotKept` under
+        ``history=False``."""
+        if self._ro_snapshots is None:
+            raise HistoryNotKept("this system was built with history=False")
         return self._ro_snapshots.get(txn)
 
     def readonly_observations(
@@ -996,7 +1048,11 @@ class TransactionSystem:
     ) -> Tuple[Tuple[str, Operation], ...]:
         """Every ``(object, operation)`` the read-only txn observed, in
         order — kept after finish so audits can check snapshot
-        consistency against the version chains."""
+        consistency against the version chains;
+        :class:`~repro.core.history.HistoryNotKept` under
+        ``history=False``."""
+        if self._ro_observations is None:
+            raise HistoryNotKept("this system was built with history=False")
         return tuple(self._ro_observations.get(txn, ()))
 
     def _require_active(self, txn: str) -> None:
