@@ -17,8 +17,7 @@ import pytest
 from repro.adts import BankAccount
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
-from repro.runtime.durability import run_with_crashes
-from repro.runtime.scheduler import TransactionScript
+from repro.runtime.scheduler import CRASH, Fault, Scheduler, TransactionScript
 from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.wal import StableLog, UndoRedoLog
 
@@ -41,10 +40,11 @@ def run_crashing(recovery: str, seed: int = 0, crash_every: int = 6):
     ba = BankAccount("BA", opening=50)
     conflict = ba.nrbc_conflict() if recovery == "UIP" else ba.nfc_conflict()
     system = TransactionSystem([ManagedObject(ba, conflict, recovery, log=StableLog())])
-    metrics, crashes = run_with_crashes(
-        system, make_scripts(seed), seed=seed, crash_every=crash_every
-    )
-    return system, metrics, crashes
+    metrics = Scheduler(
+        system, make_scripts(seed), seed=seed, max_restarts=50,
+        faults=[Fault(CRASH, every=crash_every)],
+    ).run()
+    return system, metrics, system.crash_count
 
 
 @pytest.mark.experiment("EXP-C5")

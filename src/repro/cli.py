@@ -357,7 +357,7 @@ def cmd_run(args) -> int:
     run metrics including the group-commit force accounting; with
     ``--sites``/``--site-crash`` the system is replicated, its sites
     fail and recover from the tick clock, and per-site rows follow."""
-    from .runtime.durability import run_with_site_crashes
+    from .runtime.durability import site_faults
     from .runtime.torture import TortureConfig, fault_free_scheduler
 
     _check_adt_kind(args.adt)
@@ -382,12 +382,11 @@ def cmd_run(args) -> int:
         from .runtime.trace import TraceCollector
 
         trace = TraceCollector()
-    scheduler = fault_free_scheduler(config, seed, trace, replicated=replicated)
+    scheduler = fault_free_scheduler(
+        config, seed, trace, replicated=replicated, faults=site_faults(site_crashes)
+    )
     system = scheduler.system
-    if replicated:
-        metrics = run_with_site_crashes(scheduler, site_crashes)
-    else:
-        metrics = scheduler.run()
+    metrics = scheduler.run()
     print("workload          : %s" % config.label())
     print("group commit      : batch=%d hold=%d" % (args.group_commit, args.hold))
     print("committed         : %d (aborted %d, deadlocks %d)"
@@ -481,7 +480,7 @@ def cmd_drive(args) -> int:
 
 #: ``repro torture`` knobs that shape log-fault schedules only, with
 #: their defaults (a ``--sites`` campaign refuses any other value).
-LOG_FAULT_KNOBS = {"checkpoint_every": 0, "max_faults": 2, "max_retries": 3}
+LOG_FAULT_KNOBS = {"max_faults": 2, "max_retries": 3}
 
 
 def cmd_torture(args) -> int:
@@ -502,17 +501,7 @@ def cmd_torture(args) -> int:
     )
     _check_fraction(args, "read_mix")
     _check_min(args, (("sites", 1),))
-    if args.inject_bug == "skip-catchup" and args.sites < 2:
-        raise SystemExit(
-            "--inject-bug skip-catchup plants a replication bug; it "
-            "needs --sites >= 2"
-        )
     if args.sites > 1:
-        if args.inject_bug == "skip-commit-force":
-            raise SystemExit(
-                "--inject-bug skip-commit-force is a log-fault control; "
-                "with --sites use skip-catchup"
-            )
         # The site-crash campaign draws tick schedules, not log faults.
         for attr, default in LOG_FAULT_KNOBS.items():
             if getattr(args, attr) != default:
@@ -530,18 +519,21 @@ def cmd_torture(args) -> int:
     methods = {"both": ("DU", "UIP"), "du": ("DU",), "uip": ("UIP",)}[
         args.recovery
     ]
-    configs = configs_for(
-        adt_kinds,
-        methods,
-        transactions=args.transactions,
-        ops_per_txn=args.ops,
-        checkpoint_every=args.checkpoint_every,
-        group_commit=args.group_commit,
-        hold=args.hold,
-        bug=args.inject_bug,
-        read_mix=args.read_mix,
-        sites=args.sites,
-    )
+    try:
+        configs = configs_for(
+            adt_kinds,
+            methods,
+            transactions=args.transactions,
+            ops_per_txn=args.ops,
+            checkpoint_every=args.checkpoint_every,
+            group_commit=args.group_commit,
+            hold=args.hold,
+            bug=args.inject_bug,
+            read_mix=args.read_mix,
+            sites=args.sites,
+        )
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     seed = args.seed_base + args.seed
     trace = None
     if args.trace_out:
@@ -870,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--checkpoint-every",
         type=int,
-        default=LOG_FAULT_KNOBS["checkpoint_every"],
+        default=0,
         metavar="TICKS",
         help="attempt quiescent checkpoints every TICKS scheduler ticks",
     )

@@ -195,34 +195,47 @@ def _search(problem: _Problem, *, every_order: bool) -> Optional[Tuple[str, ...]
     None when every linear extension serializes — specs are prefix-closed,
     so the first illegal prefix, completed with the first order that
     continues it, is that witness.
+
+    The walk keeps its own stack of ``(done, states, candidates)``
+    frames, one per prefix length, so no history is too long for it.
     """
+    txns, before = problem.txns, problem.before
     visited: Set = set()
     prefix: List[str] = []
-
-    def dfs(done: FrozenSet[str], states) -> Optional[Tuple[str, ...]]:
-        if len(done) == len(problem.txns):
-            return None if every_order else tuple(prefix)
-        key = (done, tuple(sorted(states.items())))
-        if key in visited:
+    stack: List[Tuple[FrozenSet[str], Dict, Iterator[str]]] = []
+    done: FrozenSet[str] = frozenset()
+    states = {obj: sim.initial() for obj, sim in problem.simulators.items()}
+    while True:
+        # Enter the configuration (done, states).
+        if len(done) == len(txns):
+            if not every_order:
+                return tuple(prefix)
+        else:
+            key = (done, tuple(sorted(states.items())))
+            if key not in visited:
+                visited.add(key)
+                stack.append((done, states, iter(txns)))
+        # Step to the next child of the deepest frame with one left.
+        while stack:
+            done, states, candidates = stack[-1]
+            del prefix[len(stack) - 1:]
+            for txn in candidates:
+                if txn in done or not before[txn] <= done:
+                    continue
+                nxt = problem.apply(states, txn)
+                if nxt is None:
+                    if every_order:
+                        return problem.complete(prefix + [txn])
+                    continue
+                prefix.append(txn)
+                done, states = done | {txn}, nxt
+                break
+            else:
+                stack.pop()
+                continue
+            break
+        else:
             return None
-        visited.add(key)
-        for txn in problem.txns:
-            if txn in done or not problem.before[txn] <= done:
-                continue
-            nxt = problem.apply(states, txn)
-            if nxt is None:
-                if every_order:
-                    return problem.complete(prefix + [txn])
-                continue
-            prefix.append(txn)
-            found = dfs(done | {txn}, nxt)
-            if found is not None:
-                return found
-            prefix.pop()
-        return None
-
-    initial = {obj: sim.initial() for obj, sim in problem.simulators.items()}
-    return dfs(frozenset(), initial)
 
 
 def find_serialization_order(

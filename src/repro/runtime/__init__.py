@@ -11,7 +11,6 @@ builds its system with ``history=False``.
 """
 
 from .baselines import invocation_conflict, read_write_conflict
-from .durability import run_with_crashes
 from .errors import InvalidTransactionState, RuntimeModelError, UnknownObjectError
 from .faults import (
     CrashPoint,
@@ -53,7 +52,7 @@ from .recovery import (
     ViewRecoveryManager,
     make_recovery_manager,
 )
-from .scheduler import Scheduler, TransactionScript, run_scripts
+from .scheduler import Fault, FaultCalendar, Scheduler, TransactionScript, run_scripts
 from .sharding import (
     ShardedSystem,
     ShardTrace,
@@ -98,7 +97,6 @@ from .workloads import (
 __all__ = [
     "LockManager",
     "WaitsForGraph",
-    "run_with_crashes",
     "StableLog",
     "GroupCommitPolicy",
     "UndoRedoLog",
@@ -113,6 +111,8 @@ __all__ = [
     "TransactionSystem",
     "OperationOutcome",
     "Scheduler",
+    "Fault",
+    "FaultCalendar",
     "TransactionScript",
     "run_scripts",
     "RunMetrics",

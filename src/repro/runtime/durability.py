@@ -1,4 +1,4 @@
-"""Durable objects and crash schedules: the one builder and the drivers.
+"""Durable objects and crash schedules: the one builder and the site schedule.
 
 An object is crashable when it holds a stable log: a
 :class:`~repro.runtime.system.ManagedObject` built with ``log=`` writes
@@ -12,10 +12,11 @@ with the paper's recovery/conflict pairing (:func:`recovery_conflict`).
 Crashing is an operation of the one
 :class:`~repro.runtime.system.TransactionSystem` — ``crash()`` for the
 whole system, ``crash_shard`` / ``fail_site`` for one failure domain —
-so this module holds only what drives crashes over a run:
-:func:`run_with_crashes` (periodic whole-system crashes) and the
-site-crash schedule (:class:`SiteCrash`, :func:`validate_site_crashes`,
-:func:`run_with_site_crashes`).
+and the scheduler's fault calendar
+(:class:`~repro.runtime.scheduler.FaultCalendar`) fires them over a run;
+this module holds the site-crash schedule (:class:`SiteCrash`,
+:func:`validate_site_crashes`) and its calendar entries
+(:func:`site_faults`).
 
 The central invariant, tested across ADTs, crash points and logging
 policies: *restart reproduces the abstract view of the post-crash
@@ -29,11 +30,12 @@ transaction aborted.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..adts.base import ADT
 from ..core.conflict import ConflictRelation
-from .system import ManagedObject, TransactionSystem
+from .scheduler import FAIL_SITE, RECOVER_SITE, Fault
+from .system import ManagedObject
 from .wal import GroupCommitPolicy
 
 
@@ -75,51 +77,6 @@ def build_durable_object(
         log=make_log(policy=GroupCommitPolicy(group_commit, hold)),
         **durable_options,
     )
-
-
-def run_with_crashes(
-    system: TransactionSystem,
-    scripts,
-    *,
-    seed: int = 0,
-    crash_every: int = 10,
-    label: str = "",
-    max_restarts: int = 50,
-    max_ticks: int = 100_000,
-):
-    """Drive scripts through a scheduler, crashing the system periodically.
-
-    A thin specialization of :class:`~repro.runtime.scheduler.Scheduler`:
-    after every ``crash_every`` ticks the whole system crashes; script
-    instances whose transaction died restart as fresh transactions, like
-    deadlock victims.  Returns ``(metrics, crashes)``.
-    """
-    from .scheduler import Scheduler, periodic_wake
-
-    crashes = 0
-
-    def crash_on_schedule(tick: int) -> bool:
-        nonlocal crashes
-        if crash_every and tick % crash_every == 0:
-            victims = system.crash()
-            crashes += 1
-            scheduler.handle_crash(victims, tick)
-            return True
-        return False
-
-    crash_on_schedule.next_wake = periodic_wake(crash_every)
-
-    scheduler = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        label=label,
-        max_restarts=max_restarts,
-        max_ticks=max_ticks,
-        on_tick=crash_on_schedule,
-    )
-    metrics = scheduler.run()
-    return metrics, crashes
 
 
 class SiteCrash(NamedTuple):
@@ -171,39 +128,13 @@ def validate_site_crashes(rows, sites: int) -> Tuple[SiteCrash, ...]:
     return crashes
 
 
-def run_with_site_crashes(scheduler, site_crashes: Sequence[SiteCrash]):
-    """Run ``scheduler`` over its replicated system, failing and
-    recovering sites at their scheduled ticks.
-
-    The schedule hangs off the scheduler's ``on_tick`` hook (declaring
-    its ticks to the wake calendar); site-failure victims restart as
-    fresh incarnations, like any crash victims.  Once the scripts drain,
-    every site still down is recovered and catch-up is polled, so the
-    run ends with every copy back in service.  Returns the metrics.
-    """
-    from .scheduler import schedule_wake
-
-    system = scheduler.system
-
-    def fire(tick: int) -> bool:
-        progressed = False
-        for site, fail_tick, recover_tick in site_crashes:
-            if fail_tick == tick and system.site_up(site):
-                scheduler.handle_crash(system.fail_site(site), tick)
-                progressed = True
-            if recover_tick and recover_tick == tick and not system.site_up(site):
-                system.recover_site(site)
-                progressed = True
-        return progressed
-
-    fire.next_wake = schedule_wake(
-        t for _, fail_tick, recover_tick in site_crashes
-        for t in (fail_tick, recover_tick)
-    )
-    scheduler.on_tick = fire
-    metrics = scheduler.run()
-    for site in range(system.sites):
-        if not system.site_up(site):
-            system.recover_site(site)
-    system.poll_catchup()
-    return metrics
+def site_faults(rows) -> List[Fault]:
+    """The fault calendar entries of the site-crash schedule ``rows``:
+    each row's failure, then its recovery (none for a 0 recovery tick),
+    in row order."""
+    faults = []
+    for site, fail_tick, recover_tick in (SiteCrash(*row) for row in rows):
+        faults.append(Fault(FAIL_SITE, fail_tick, domain=site))
+        if recover_tick:
+            faults.append(Fault(RECOVER_SITE, recover_tick, domain=site))
+    return faults

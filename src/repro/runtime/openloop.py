@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .durability import run_with_site_crashes, validate_site_crashes
+from .durability import site_faults, validate_site_crashes
 from .metrics import RunMetrics
 from .replication import ReplicatedSystem, build_replicated_system
 from .scheduler import Scheduler, TransactionScript
@@ -478,10 +478,7 @@ def drive(
         trace.emit("drive-start", config.label(), shards, config.arrival_rate)
     start = time.perf_counter()
     scheduler = _scheduler(system, scripts, config, seed=seed, trace=trace)
-    if replicated:
-        metrics = run_with_site_crashes(scheduler, config.site_crashes)
-    else:
-        metrics = scheduler.run()
+    metrics = scheduler.run()
     wall = time.perf_counter() - start
     # Latency counts from the offered arrival, across every restart;
     # ``committed`` counts update scripts by their home shard or site.
@@ -527,7 +524,7 @@ def _scheduler(
     seed: int,
     trace: Optional[TraceCollector],
 ) -> Scheduler:
-    """A scheduler over ``scripts`` with open-loop arrivals."""
+    """A scheduler over ``scripts``: open-loop arrivals, site crashes."""
     arrivals = {script.name: tick for script, tick in scripts}
     last = max(arrivals.values(), default=0)
     return Scheduler(
@@ -541,6 +538,7 @@ def _scheduler(
         max_ticks=max(config.max_ticks, last + 10_000),
         trace=trace,
         arrivals=arrivals,
+        faults=site_faults(config.site_crashes),
     )
 
 

@@ -568,6 +568,11 @@ class ReplicatedSystem(TransactionSystem):
         obj.commit(txn)
         self._finished[txn] = "committed"
 
+    def checkpoint(self, names: Optional[Sequence[str]] = None) -> None:
+        """Skips the copies of a down site: it runs nothing."""
+        names = self.objects if names is None else names
+        super().checkpoint([n for n in names if self._site_up[self.domain_of[n]]])
+
     # -- whole-system crash ----------------------------------------------------------
 
     def crash(self) -> Set[str]:

@@ -34,17 +34,20 @@ it never inspects the conflict relation or recovery method itself, so
 differences in the metrics are attributable to the
 (``Conflict``, ``View``) configuration under test.
 
+Failures are events of the run: :meth:`Scheduler.inject` fires the
+entries of the *fault calendar* (:class:`FaultCalendar`) due after each
+tick's scan, before the system clock moves.
+
 The main loop is event-driven: a *wake calendar* — fed by backoff
 windows, the head of the arrival queue, ``wait_for`` releases, the
-``on_tick`` hook's declared schedule and the tick the earliest held
+fault calendar and the tick the earliest held
 group-commit batch is due — names the next tick at which
 anything can happen, and the stretch of provably-dead ticks before it
 is jumped in one step instead of walked.  The elision is semantically
 invisible: histories, metrics, RNG draws and JSONL traces are
 byte-identical to walking every tick, which
 ``tests/runtime/test_event_scheduler.py`` pins against the walking
-oracle in :mod:`repro.reference`.  A hook that declares no schedule is
-assumed to act on every tick, so nothing is ever jumped past it.
+oracle in :mod:`repro.reference`.
 Parking is invisible in the same way but for the attempts it saves
 (``blocked_attempts`` and the ``op-blocked`` / ``lock-wait`` events,
 one per attempt made): ``tests/runtime/test_park_and_wake.py`` pins it
@@ -58,13 +61,13 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Deque,
     Dict,
     FrozenSet,
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -81,36 +84,71 @@ from .system import TransactionSystem
 _DIAG_LIMIT = 20
 
 
-def periodic_wake(period: int) -> Callable[[int], Optional[int]]:
-    """A ``next_wake`` function for a hook that acts when
-    ``tick % period == 0`` (checkpoint and crash schedules).
-
-    Attach it to an ``on_tick`` hook (``hook.next_wake = ...``) so the
-    wake calendar knows the hook is a no-op between its periods.  The
-    contract for any ``next_wake(tick)``: return a tick ``> tick`` at or
-    before the hook's next possible action (or ``None`` for never) —
-    being early is safe, being late would skip the action.
-    """
-
-    def next_wake(tick: int) -> Optional[int]:
-        if not period:
-            return None
-        return ((tick // period) + 1) * period
-
-    return next_wake
+#: The kinds of fault calendar entry, each an operation of the system
+#: that :meth:`Scheduler.inject` fires: ``crash()``, ``crash_shard(k)``,
+#: ``fail_site(k)``, ``recover_site(k)`` and ``checkpoint()``; ``k``, a
+#: shard or a site, is the entry's domain.
+CRASH, CRASH_SHARD, FAIL_SITE, RECOVER_SITE, CHECKPOINT = FAULT_KINDS = (
+    "crash", "crash-shard", "fail-site", "recover-site", "checkpoint"
+)
 
 
-def schedule_wake(ticks: Iterable[int]) -> Callable[[int], Optional[int]]:
-    """A ``next_wake`` function for a hook driven by a fixed list of
-    scheduled ticks (site-crash fail/recover schedules).  Zero entries
-    (the "never recover" sentinel) are ignored."""
-    events = sorted({int(t) for t in ticks if t})
+class Fault(NamedTuple):
+    """One fault calendar entry: ``kind`` is due at ``tick``, or on every
+    tick that ``every`` divides; ``domain`` is the shard or site."""
 
-    def next_wake(tick: int) -> Optional[int]:
-        i = bisect.bisect_right(events, tick)
-        return events[i] if i < len(events) else None
+    kind: str
+    tick: int = 0
+    every: int = 0
+    domain: Optional[int] = None
 
-    return next_wake
+
+class FaultCalendar:
+    """Every crash, shard crash, site failure, site recovery and
+    checkpoint a run injects, as data.  Entries due on one tick fire in
+    calendar order.  A periodic entry is a pure function of the
+    scheduler's tick, which starts again at 0 when a run is re-entered."""
+
+    def __init__(self, entries: Iterable[Fault]):
+        self.entries = tuple(entries)
+        for f in self.entries:
+            if (
+                f.kind not in FAULT_KINDS
+                or min(f.tick, f.every) != 0
+                or max(f.tick, f.every) < 1
+                or (f.kind in (CRASH_SHARD, FAIL_SITE, RECOVER_SITE))
+                != (f.domain is not None)
+            ):
+                raise ValueError("not a fault calendar entry: %r" % (f,))
+        # Looked up on every processed tick: the due ticks and periods.
+        self._ticks = sorted({f.tick for f in self.entries if f.tick})
+        self._at = frozenset(self._ticks)
+        self._periods = sorted({f.every for f in self.entries if f.every})
+        #: the sites some entry fails, ascending.
+        self.failed_sites = sorted(
+            {f.domain for f in self.entries if f.kind == FAIL_SITE}
+        )
+
+    def due(self, tick: int) -> Sequence[Fault]:
+        """The entries due at ``tick``, in calendar order."""
+        periods = self._periods
+        if tick in self._at or (periods and any(tick % p == 0 for p in periods)):
+            return [
+                f for f in self.entries
+                if f.tick == tick or (f.every and tick % f.every == 0)
+            ]
+        return ()
+
+    def next_after(self, tick: int) -> Optional[int]:
+        """The first tick after ``tick`` with an entry due (None: none)."""
+        ticks = self._ticks
+        i = bisect.bisect_right(ticks, tick)
+        wake = ticks[i] if i < len(ticks) else None
+        for every in self._periods:
+            w = (tick // every + 1) * every
+            if wake is None or w < wake:
+                wake = w
+        return wake
 
 
 @dataclass(frozen=True)
@@ -175,7 +213,7 @@ class Scheduler:
         max_restarts: int = 25,
         max_ticks: int = 100_000,
         label: str = "",
-        on_tick=None,
+        faults: Iterable[Fault] = (),
         trace=None,
         arrivals: Optional[Mapping[str, int]] = None,
     ):
@@ -188,13 +226,8 @@ class Scheduler:
         self.max_restarts = max_restarts
         self.max_ticks = max_ticks
         self.metrics = RunMetrics(label=label)
-        #: optional hook called as ``on_tick(tick)`` after each pass; a
-        #: truthy return counts as progress (crash injectors, periodic
-        #: checkpoints and the like hang off this).  A hook that acts
-        #: only on some ticks says so with a ``next_wake(tick)``
-        #: attribute (see :func:`periodic_wake`); without one it is
-        #: called on every tick.
-        self.on_tick = on_tick
+        #: the run's :class:`FaultCalendar` (``None``: no faults).
+        self.faults = FaultCalendar(faults) if faults else None
         #: optional :class:`~repro.runtime.trace.TraceCollector`; when
         #: set, it is bound to the system's emit sites too (objects and
         #: stable logs), so one collector sees the whole run.
@@ -251,17 +284,12 @@ class Scheduler:
             # tick counter — exactly as ``metrics.ticks`` does.
             self.trace.begin_tick(0)
             self.trace.emit("run-start", self.metrics.label)
-        # A script can retire outside a scan transition (crash-time
-        # in-doubt resolution commits a done entry); sweep before the
-        # loop so re-entry after a crash starts from a clean view.
-        for entry in self._active:
-            if not entry.retired and self._is_retired(entry):
-                self._retire(entry)
-        self._compact()
         # ``next_live`` is the wake calendar's head: the earliest tick
-        # at which anything — a backoff expiry, an arrival, the on_tick
-        # hook, a hold-timer flush — can possibly happen.  Ticks before
-        # it are provably dead: no event, no RNG draw, no progress.
+        # at which anything — a backoff expiry, an arrival, a fault
+        # calendar entry, a hold-timer flush — can possibly happen.
+        # Ticks before it are provably dead: no event, no RNG draw, no
+        # progress.
+        faults = self.faults
         horizon = self.max_ticks + 1  # sentinel: no wake source ahead
         next_live = self._wake_plan(0, horizon) if self._unfinished() else 0
         converged = False
@@ -290,8 +318,10 @@ class Scheduler:
                 # — entirely, so a shuffle happens exactly on the ticks
                 # where the scan could act.
                 progressed = False
-            if self.on_tick is not None:
-                progressed = bool(self.on_tick(tick)) or progressed
+            if faults is not None:
+                due = faults.due(tick)
+                if due:
+                    progressed = self.inject(tick, due) or progressed
             # The end-of-tick phase: the system clock moves and every
             # held group-commit batch now due is forced.
             self.system.tick()
@@ -305,7 +335,43 @@ class Scheduler:
         self._harvest_force_accounting()
         if self.trace is not None:
             self.trace.emit("run-end", self.metrics.label, self.metrics.counters())
+        sites = faults.failed_sites if faults is not None else ()
+        if sites:
+            # The run ends with every copy back in service: sites still
+            # down recover, and catch-up does not wait for traffic.
+            recover = [Fault(RECOVER_SITE, domain=k) for k in sites]
+            self.inject(self.metrics.ticks, recover)
+            self.system.poll_catchup()
         return self.metrics
+
+    def inject(self, tick: int, faults: Iterable[Fault]) -> bool:
+        """Fire ``faults`` at ``tick``, in order; True when a crash, a
+        failure or a recovery fired (a checkpoint is not progress).
+
+        Victims restart through :meth:`handle_crash`.  A site's failure
+        is skipped while the site is down, its recovery while it is up.
+        """
+        system = self.system
+        progressed = False
+        for fault in faults:
+            kind = fault.kind
+            if kind == CHECKPOINT:
+                system.checkpoint()
+                continue
+            if kind == RECOVER_SITE:
+                if system.site_up(fault.domain):
+                    continue
+                system.recover_site(fault.domain)
+            elif kind == FAIL_SITE:
+                if not system.site_up(fault.domain):
+                    continue
+                self.handle_crash(system.fail_site(fault.domain), tick)
+            elif kind == CRASH_SHARD:
+                self.handle_crash(system.crash_shard(fault.domain), tick)
+            else:
+                self.handle_crash(system.crash(), tick)
+            progressed = True
+        return progressed
 
     def _cross_dead_ticks(self, tick: int, last: int) -> int:
         """Consume the dead ticks ``tick..last`` in one step and return
@@ -373,8 +439,8 @@ class Scheduler:
         tick A is admitted and runnable *at* A, so that tick itself is
         the wake), a backoff window expiring (likewise runnable *at*
         ``backoff_until``), an entry already runnable or newly released
-        from ``wait_for`` (wakes at ``tick + 1``), the ``on_tick``
-        hook's declared ``next_wake``, and the system's group-commit
+        from ``wait_for`` (wakes at ``tick + 1``), the fault calendar's
+        next entry, and the system's group-commit
         hold-timer deadline.  ``None`` means no source of future work
         exists at all.  Entries still waiting out winners contribute
         nothing: they wake via a status change, which needs a processed
@@ -396,17 +462,12 @@ class Scheduler:
                 if w <= floor:
                     return floor
                 wake = w
-        if self.on_tick is not None:
-            next_wake = getattr(self.on_tick, "next_wake", None)
-            if next_wake is None:
-                return floor  # no declared schedule: it may act every tick
-            hook = next_wake(tick)
-            if hook is not None:
-                w = max(int(hook), floor)
-                if wake is None or w < wake:
-                    if w <= floor:
-                        return floor
-                    wake = w
+        if self.faults is not None:
+            w = self.faults.next_after(tick)
+            if w is not None and (wake is None or w < wake):
+                if w <= floor:
+                    return floor
+                wake = w
         deadline = self.system.next_deadline()
         if deadline is not None:
             w = tick + max(int(deadline), 1)
@@ -491,7 +552,7 @@ class Scheduler:
         self.metrics.force_requests = requests
         self.metrics.forced_records = records
 
-    def handle_crash(self, victims, tick: Optional[int] = None) -> None:
+    def handle_crash(self, victims, tick: int) -> None:
         """Reset script instances whose transaction died in a crash.
 
         The system has already performed its crash protocol (the victims
@@ -502,7 +563,6 @@ class Scheduler:
         unwound by a :class:`~repro.runtime.faults.CrashPoint`: the next
         ``run()`` resumes the surviving scripts.
         """
-        tick = tick if tick is not None else self.metrics.ticks
         for entry in self._live:
             # The waits-for graph is discarded below, so every survivor
             # re-attempts once to record its edges afresh.

@@ -847,6 +847,14 @@ class TransactionSystem:
             self.objects[name].crash_and_restart()
         return victims
 
+    def checkpoint(self, names: Optional[Sequence[str]] = None) -> None:
+        """Checkpoint every object of ``names`` (default: all) with a
+        non-empty stable log and no lock holders (UIP needs quiescence)."""
+        for name in self.objects if names is None else names:
+            obj = self.objects[name]
+            if obj.wal is not None and not obj.locks.holders() and len(obj.wal.log):
+                obj.checkpoint()
+
     def _resolve_failure(
         self, failed: Sequence[str], event: str, *domain: int
     ) -> Set[str]:

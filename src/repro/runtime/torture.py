@@ -52,12 +52,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
-from .durability import SiteCrash, build_durable_object, run_with_site_crashes
+from .durability import SiteCrash, build_durable_object, site_faults
 from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
 from .metrics import FaultCounters
 from .parallel import Cell, ParallelRunner
 from .replication import ReplicatedSystem, ReplicationError, build_replicated_system
-from .scheduler import Scheduler, periodic_wake
+from .scheduler import CHECKPOINT, CRASH, Fault, Scheduler
 from .system import TransactionSystem
 from .wal import COMMIT_MARKERS, StableLog
 from .workloads import (
@@ -112,13 +112,7 @@ class TortureConfig:
 
     def __post_init__(self) -> None:
         # Refuse what the config's runner would silently ignore: a
-        # planted bug on the other kind of system never fires, and the
-        # site runner's tick hook leaves no room for checkpoints.
-        if self.checkpoint_every > 0 and self.sites > 1:
-            raise ValueError(
-                "checkpoint_every shapes log-fault schedules; a sites > 1 "
-                "config crashes sites instead (got %d)" % self.checkpoint_every
-            )
+        # planted bug on the other kind of system never fires.
         if self.bug == "skip-catchup" and self.sites < 2:
             raise ValueError(
                 "bug 'skip-catchup' plants a replication bug; it needs sites >= 2"
@@ -272,13 +266,15 @@ def build_system(
 
 
 def fault_free_scheduler(
-    config: TortureConfig, seed: int, trace=None, *, replicated: bool = False
+    config: TortureConfig, seed: int, trace=None, *, replicated=False, faults=()
 ) -> Scheduler:
-    """The scheduler of one fault-free run of ``config``'s workload on
-    plain stable logs: what ``repro run`` executes."""
+    """The scheduler of one run of ``config``'s workload on plain stable
+    logs under the fault calendar ``faults``: what ``repro run`` runs."""
     system, adt = build_system(config, None, replicated=replicated)
     scripts = workload_for(config, adt, random.Random(seed))
-    return Scheduler(system, scripts, seed=seed, label=config.label(), trace=trace)
+    return Scheduler(
+        system, scripts, seed=seed, label=config.label(), trace=trace, faults=faults
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +426,13 @@ def run_schedule(
     one-site config, the :class:`SiteCrash` rows of a site-crash
     schedule for a ``sites > 1`` one (see :func:`plan_campaign`).
 
-    The scheduler runs until every script commits or retires.  Under a
-    fault plan, each :class:`~repro.runtime.faults.CrashPoint` it raises
-    triggers the whole-system crash protocol, an audit, and
-    scheduler-side restart of the killed scripts.  Under a site-crash
-    schedule, sites fail and recover at their ticks (victims restart as
-    fresh incarnations), every site is back in service at the end, and
-    the replication invariants are audited.  A final clean crash
+    The scheduler runs until every script commits or retires, firing
+    the schedule's site rows and a checkpoint every ``checkpoint_every``
+    ticks.  Under a fault plan, each :class:`~repro.runtime.faults.CrashPoint`
+    unwinds the run; a whole-system crash, an audit and a re-entry follow.
+    Under a site-crash schedule, victims restart as fresh incarnations,
+    every site is back in service at the end, and the replication
+    invariants are audited.  A final clean crash
     re-audits the end state (per copy, for a replicated system) so
     schedules whose faults never fired (or were absorbed as IO errors)
     still exercise restart.
@@ -451,16 +447,11 @@ def run_schedule(
     if trace is not None:
         trace.emit("schedule-start", label, schedule)
 
-    def maybe_checkpoint(tick: int) -> bool:
-        if tick % config.checkpoint_every == 0:
-            for obj in system.objects.values():
-                # UIP checkpoints need quiescence; skip busy objects.
-                if not obj.locks.holders() and len(obj.wal.log):
-                    obj.checkpoint()
-        return False
-
-    maybe_checkpoint.next_wake = periodic_wake(config.checkpoint_every)
-
+    # A site schedule's entries fire before the checkpoint due on the
+    # same tick, so a checkpoint sees the sites as that tick leaves them.
+    faults = site_faults(plan) if sited else []
+    if config.checkpoint_every:
+        faults.append(Fault(CHECKPOINT, every=config.checkpoint_every))
     scheduler = Scheduler(
         system,
         scripts,
@@ -468,22 +459,21 @@ def run_schedule(
         max_restarts=config.max_restarts,
         max_ticks=config.max_ticks,
         label=label,
-        on_tick=maybe_checkpoint if config.checkpoint_every else None,
+        faults=faults,
         trace=trace,
     )
     try:
+        while True:
+            try:
+                scheduler.run()
+                break
+            except CrashPoint:
+                # A crash point unwinds the run: crash the whole system
+                # where the run stopped, audit the restart, re-enter.
+                scheduler.inject(scheduler.metrics.ticks, [Fault(CRASH)])
+                violations.extend(audit_recovery(system, label, schedule))
         if sited:
-            run_with_site_crashes(scheduler, plan)
             violations.extend(audit_replication(system, label, schedule))
-        else:
-            while True:
-                try:
-                    scheduler.run()
-                    break
-                except CrashPoint:
-                    victims = system.crash()
-                    violations.extend(audit_recovery(system, label, schedule))
-                    scheduler.handle_crash(victims)
         # Final clean crash: even a fault-free schedule must restart cleanly.
         system.crash()
         violations.extend(audit_recovery(system, label, schedule))

@@ -124,6 +124,21 @@ class TestScaling:
         # finishes fast; the oracle would not
         assert is_dynamic_atomic(commuting_history(12), ba)
 
+    def test_long_serial_history(self):
+        """2 000 serial committed deposits: the search walks 2 000 deep
+        on its own stack, where one frame per transaction overflowed
+        Python's recursion limit."""
+        names = ["T%04d" % i for i in range(2000)]
+        events = []
+        for txn in names:
+            events.append(invoke(inv("deposit", 1), "BA", txn))
+            events.append(respond("ok", "BA", txn))
+            events.append(commit("BA", txn))
+        h = History(events)
+        account = BankAccount("BA")
+        assert is_dynamic_atomic(h, account)
+        assert find_serialization_order(h, account) == tuple(names)
+
     def test_multi_object(self):
         ba = BankAccount("ACC1", opening=5)
         ba2 = BankAccount("ACC2", opening=5)

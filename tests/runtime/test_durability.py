@@ -13,12 +13,9 @@ from repro.adts import BankAccount, SemiQueue, SetADT
 from repro.core.atomicity import is_dynamic_atomic
 from repro.core.events import inv
 from repro.core.views import DU, UIP
-from repro.runtime.durability import (
-    build_durable_object,
-    run_with_crashes,
-)
+from repro.runtime.durability import build_durable_object
 from repro.runtime.faults import FaultPlan, FaultyStableLog
-from repro.runtime.scheduler import TransactionScript
+from repro.runtime.scheduler import CRASH, Fault, Scheduler, TransactionScript
 from repro.runtime.system import ManagedObject, TransactionSystem
 from repro.runtime.trace import TraceCollector
 from repro.runtime.wal import (
@@ -366,9 +363,11 @@ class TestCrashableSystem:
             )
             for i in range(6)
         ]
-        metrics, crashes = run_with_crashes(
-            system, scripts, seed=seed, crash_every=4
-        )
+        metrics = Scheduler(
+            system, scripts, seed=seed, max_restarts=50,
+            faults=[Fault(CRASH, every=4)],
+        ).run()
         assert metrics.committed >= 1
-        assert system.crash_count == crashes >= 1
+        assert system.crash_count >= 1
+        assert metrics.ticks // 4 == system.crash_count
         assert is_dynamic_atomic(system.history(), ba)

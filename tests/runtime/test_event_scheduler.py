@@ -27,11 +27,15 @@ from repro.reference import walk_dead_ticks
 from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.replication import build_replicated_system, copy_name
+from repro.runtime.durability import site_faults
 from repro.runtime.scheduler import (
+    CHECKPOINT,
+    CRASH,
+    FAIL_SITE,
+    Fault,
+    FaultCalendar,
     Scheduler,
     TransactionScript,
-    periodic_wake,
-    schedule_wake,
 )
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.torture import (
@@ -292,22 +296,19 @@ class TestBackoffBoundary:
 
 
 # ---------------------------------------------------------------------------
-# undeclared hooks, wake helpers
+# the fault calendar as a wake source
 # ---------------------------------------------------------------------------
 
 
 class TestModeResolution:
     def test_uncapable_hook_falls_back_to_polling(self):
+        """An entry due every tick reaches the fault method on every
+        tick: nothing is elided past it."""
         hits = []
-
-        def hook(tick):
-            hits.append(tick)
-            return False
-
-        scheduler = _arrival_scheduler(6, on_tick=hook)
+        scheduler = _arrival_scheduler(6, faults=[Fault(CHECKPOINT, every=1)])
+        scheduler.inject = lambda tick, due: hits.append(tick) or False
         metrics = scheduler.run()
         assert metrics.committed == 1
-        # no next_wake on the hook: every tick must still reach it
         assert hits == list(range(1, metrics.ticks + 1))
         assert metrics.dead_ticks_elided == 0
 
@@ -331,17 +332,39 @@ class TestModeResolution:
             _arrival_scheduler(4).run()
 
     def test_periodic_wake(self):
-        wake = periodic_wake(10)
-        assert wake(0) == 10
-        assert wake(9) == 10
-        assert wake(10) == 20
-        assert periodic_wake(0)(5) is None
+        calendar = FaultCalendar([Fault(CHECKPOINT, every=10)])
+        assert calendar.next_after(0) == 10
+        assert calendar.next_after(9) == 10
+        assert calendar.next_after(10) == 20
+        assert FaultCalendar([]).next_after(5) is None
+        assert calendar.due(20) == [Fault(CHECKPOINT, every=10)]
+        assert not calendar.due(21)
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            Fault("explode", 3),
+            Fault(CRASH),
+            Fault(CRASH, 3, every=2),
+            Fault(CRASH, -1, every=2),
+            Fault(FAIL_SITE, 3),
+            Fault(CHECKPOINT, 3, domain=0),
+        ],
+    )
+    def test_calendar_refuses_a_malformed_entry(self, fault):
+        """An entry is one known kind, due at one tick or every n ticks,
+        with a domain exactly when its kind names one."""
+        with pytest.raises(ValueError, match="not a fault calendar entry"):
+            FaultCalendar([fault])
 
     def test_schedule_wake(self):
-        wake = schedule_wake([30, 8, 0, 8])
-        assert wake(0) == 8
-        assert wake(8) == 30
-        assert wake(30) is None
+        # A 0 recovery tick (down until the end of the run) is no entry.
+        calendar = FaultCalendar(site_faults([(0, 8, 30), (1, 8, 0)]))
+        assert calendar.next_after(0) == 8
+        assert calendar.next_after(8) == 30
+        assert calendar.next_after(30) is None
+        assert [f.domain for f in calendar.due(8)] == [0, 1]
+        assert calendar.failed_sites == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -383,43 +406,48 @@ def _flush_ticks(phase, hold):
     """``[(tick, kind)]`` of one run's force requests and forces (and
     ``(0, "run")`` at each run start) when its only batch not opened by
     the transaction's own commit opens in ``phase``: before the run, in
-    the scan, in ``on_tick``, in ``_break_stall``, or before a run
-    re-entered after a crash unwound the first (the scheduler's tick
-    starts again at 0; the system clock does not)."""
+    the scan, in the fault method (``on_tick``, where the hook ran), in
+    ``_break_stall``, or before a run re-entered after a crash unwound
+    the first (the scheduler's tick starts again at 0; the system clock
+    does not).  The calendar entries only make their ticks due; the
+    fault method each phase needs is patched in."""
     ba = _durable("BA", hold)
     system = TransactionSystem([ba])
     log = ba.wal.log
     trace = TraceCollector()
     scripts = [TransactionScript("T", (("BA", inv("deposit", 1)),))]
     arrivals = {"T": 12}
-    on_tick = None
+    faults = []
+    inject = None
     if phase == "scan":
         arrivals = {"T": 2}
     elif phase == "on_tick":
+        faults = [Fault(CHECKPOINT, 3)]
 
-        def on_tick(tick):
-            if tick == 3:
-                log.request_force()
+        def inject(tick, due):
+            log.request_force()
             return False
 
-        on_tick.next_wake = schedule_wake([3])
     elif phase == "break_stall":
+        faults = [Fault(CHECKPOINT, every=1)]  # every tick is processed
 
-        def on_tick(tick):  # undeclared: every tick is processed
+        def inject(tick, due):
             return False
 
     elif phase == "re_entry":
         arrivals = {"T": 1}
+        faults = [Fault(CHECKPOINT, 2)]
 
-        def on_tick(tick):
-            if tick == 2 and not system.crash_count:
+        def inject(tick, due):
+            if not system.crash_count:
                 raise _Crash()
             return False
 
-        on_tick.next_wake = schedule_wake([2])
     scheduler = Scheduler(
-        system, scripts, arrivals=arrivals, on_tick=on_tick, trace=trace
+        system, scripts, arrivals=arrivals, faults=faults, trace=trace
     )
+    if inject is not None:
+        scheduler.inject = inject
     if phase == "break_stall":
         breaker = scheduler._break_stall
 
@@ -434,7 +462,7 @@ def _flush_ticks(phase, hold):
     if phase == "re_entry":
         with pytest.raises(_Crash):
             scheduler.run()
-        scheduler.handle_crash(system.crash())
+        scheduler.handle_crash(system.crash(), scheduler.metrics.ticks)
         log.request_force()
     scheduler.run()
     kinds = {"force-request": "request", "force": "force", "run-start": "run"}

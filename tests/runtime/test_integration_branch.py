@@ -20,8 +20,7 @@ from repro.runtime import (
     TransactionSystem,
     run_scripts,
 )
-from repro.runtime.durability import run_with_crashes
-from repro.runtime.scheduler import TransactionScript
+from repro.runtime.scheduler import CRASH, Fault, Scheduler, TransactionScript
 
 ACCOUNTS = ("ACC1", "ACC2", "ACC3")
 
@@ -110,10 +109,11 @@ def test_a_log_adds_records_not_behaviour(seed):
 def test_branch_with_crashes(seed):
     system = branch_system(durable=True)
     scripts = branch_scripts(random.Random(seed), n=8)
-    metrics, crashes = run_with_crashes(
-        system, scripts, seed=seed, crash_every=7
-    )
-    assert crashes >= 1
+    metrics = Scheduler(
+        system, scripts, seed=seed, max_restarts=50,
+        faults=[Fault(CRASH, every=7)],
+    ).run()
+    assert system.crash_count >= 1
     assert metrics.committed >= 1
     assert is_dynamic_atomic(system.history(), branch_specs())
 

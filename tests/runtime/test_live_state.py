@@ -16,10 +16,9 @@ import pytest
 
 from repro.core.events import inv
 from repro.core.history import HistoryNotKept
-from repro.runtime.durability import run_with_site_crashes
 from repro.runtime.openloop import OpenLoopConfig, _scheduler, open_loop_scripts
 from repro.runtime.replication import build_replicated_system
-from repro.runtime.scheduler import schedule_wake
+from repro.runtime.scheduler import CRASH_SHARD, Fault, FaultCalendar
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.torture import audit_recovery, audit_replication
 from repro.runtime.trace import TraceCollector
@@ -183,19 +182,9 @@ def _run(config, history, seed=0):
     scripts = open_loop_scripts(config, random.Random(seed))
     trace = TraceCollector()
     scheduler = _scheduler(system, scripts, config, seed=seed, trace=trace)
-    if config.sites > 1:
-        metrics = run_with_site_crashes(scheduler, config.site_crashes)
-    else:
-
-        def crash_shard_0(tick):
-            if tick == 60:
-                scheduler.handle_crash(system.crash_shard(0), tick)
-                return True
-            return False
-
-        crash_shard_0.next_wake = schedule_wake([60])
-        scheduler.on_tick = crash_shard_0
-        metrics = scheduler.run()
+    if config.sites == 1:
+        scheduler.faults = FaultCalendar([Fault(CRASH_SHARD, 60, domain=0)])
+    metrics = scheduler.run()
     return system, scheduler, metrics, trace
 
 

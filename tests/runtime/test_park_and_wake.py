@@ -25,7 +25,7 @@ from repro.experiments.comparisons import comparison_case, standard_configuratio
 from repro.reference import ParkedRefusalOverturned, reattempt_every_tick
 from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.replication import build_replicated_system, copy_name
-from repro.runtime.scheduler import Scheduler, TransactionScript
+from repro.runtime.scheduler import CHECKPOINT, Fault, Scheduler, TransactionScript
 from repro.runtime.torture import TortureConfig
 from repro.runtime.trace import TraceCollector, reconcile
 from repro.runtime.wal import StableLog
@@ -192,6 +192,25 @@ class TestParkedVsReattempted:
         assert all(r.ok for r in reconcile(parked[3]))
 
 
+#: Calendar entries that make ticks 1, 2 and 3 due; :func:`_at_tick_3`
+#: replaces what the fault method does on them.
+_TICKS_1_TO_3 = [Fault(CHECKPOINT, tick) for tick in (1, 2, 3)]
+
+
+def _at_tick_3(action):
+    """A fault method for ``_TICKS_1_TO_3`` that runs ``action`` — an
+    event no calendar entry offers, told to nobody — at tick 3, and
+    reports progress on every due tick, which keeps the stall-breaker
+    off the sleeper."""
+
+    def inject(tick, due):
+        if tick == 3:
+            action()
+        return True
+
+    return inject
+
+
 class TestTheOracleIsNotVacuous:
     def test_it_attempts_what_the_product_skips(self, monkeypatch):
         calls = count_invokes(monkeypatch)
@@ -256,17 +275,13 @@ class TestTheOracleIsNotVacuous:
         system = TransactionSystem([obj])
         assert system.invoke("HOLDER", "BA", inv("withdraw", 1)).ok
 
-        def restart_at_3(tick):
-            if tick == 3:
-                obj.crash_and_restart()
-            return tick <= 3  # progress: keeps the stall-breaker off T
-
         scheduler = Scheduler(
             system,
             [TransactionScript("T", (("BA", inv("deposit", 1)),))],
-            on_tick=restart_at_3,
+            faults=_TICKS_1_TO_3,
             trace=TraceCollector(),
         )
+        scheduler.inject = _at_tick_3(obj.crash_and_restart)
         metrics = scheduler.run()
         assert (metrics.committed, metrics.aborted) == (1, 0)
         assert metrics.blocked_attempts == 1  # tick 1; asleep on 2 and 3
@@ -288,21 +303,20 @@ class TestTheOracleIsNotVacuous:
         assert system.invoke("Q", "X", inv("put", "k2", "u")).ok
         assert system.commit("Q") and system.is_qualified("X")
 
-        def fail_site_1_at_3(tick):
-            if tick == 3:
-                copies = [system.objects[c].epoch for c in system.copies_of("X")]
-                assert system.fail_site(1) == {"HOLDER"}
-                assert copies == [
-                    system.objects[c].epoch for c in system.copies_of("X")
-                ]
-            return tick <= 3  # progress: keeps the stall-breaker off W
+        def fail_site_1():
+            copies = [system.objects[c].epoch for c in system.copies_of("X")]
+            assert system.fail_site(1) == {"HOLDER"}
+            assert copies == [
+                system.objects[c].epoch for c in system.copies_of("X")
+            ]
 
         scheduler = Scheduler(
             system,
             [TransactionScript("W", (("X", inv("put", "k1", "v")),))],
-            on_tick=fail_site_1_at_3,
+            faults=_TICKS_1_TO_3,
             trace=TraceCollector(),
         )
+        scheduler.inject = _at_tick_3(fail_site_1)
         metrics = scheduler.run()
         assert (metrics.committed, metrics.aborted) == (1, 0)
         assert metrics.blocked_attempts == 1

@@ -9,10 +9,22 @@ negative control plants exactly that bug and must be detected.
 
 import pytest
 
+from repro.core.events import inv
 from repro.runtime.faults import FaultPlan
+from repro.runtime.replication import build_replicated_system
+from repro.runtime.scheduler import (
+    CHECKPOINT,
+    FAIL_SITE,
+    RECOVER_SITE,
+    Fault,
+    Scheduler,
+    TransactionScript,
+)
+from repro.runtime.system import ManagedObject
 from repro.runtime.torture import (
     SiteCrash,
     TortureConfig,
+    configs_for,
     describe_site_schedule,
     plan_campaign,
     run_schedule,
@@ -98,10 +110,9 @@ def test_mixed_campaign_draws_each_config_its_own_kind_of_plan():
     [
         dict(bug="skip-catchup", sites=1),
         dict(bug="skip-commit-force", sites=2),
-        dict(checkpoint_every=5, sites=2),
         dict(bug="skip-everything", sites=2),
     ],
-    ids=["catchup-bug-one-site", "force-bug-sites", "checkpoint-sites", "unknown-bug"],
+    ids=["catchup-bug-one-site", "force-bug-sites", "unknown-bug"],
 )
 def test_config_refuses_what_its_runner_would_ignore(overrides):
     with pytest.raises(ValueError):
@@ -163,6 +174,96 @@ def test_site_schedule_emits_reconcilable_trace():
     kinds = {e["kind"] for e in trace.events}
     assert "site-failure" in kinds
     assert "site-recovery" in kinds
+
+
+# ---------------------------------------------------------------------------
+# checkpoints on the same calendar as the site crashes
+# ---------------------------------------------------------------------------
+
+
+def _count_checkpoints(monkeypatch):
+    """The names of the objects checkpointed from here on, in order."""
+    fired = []
+    checkpoint = ManagedObject.checkpoint
+
+    def counted(self):
+        fired.append(self.name)
+        checkpoint(self)
+
+    monkeypatch.setattr(ManagedObject, "checkpoint", counted)
+    return fired
+
+
+@pytest.mark.parametrize("sites", [2, 3])
+def test_checkpoints_ride_along_with_site_crashes(sites, monkeypatch):
+    fired = _count_checkpoints(monkeypatch)
+    configs = configs_for(
+        ["counter", "bank", "kv"],
+        sites=sites,
+        checkpoint_every=3,
+        group_commit=4,
+        hold=2,
+        read_mix=0.25,
+    )
+    report = run_torture(configs, schedules=40, seed=0)
+    assert report.ok, "\n".join(v.format() for v in report.violations)
+    assert report.schedules == 40
+    assert fired, "no checkpoint fired"
+
+
+def test_skip_catchup_bug_is_detected_with_checkpoints_on(monkeypatch):
+    fired = _count_checkpoints(monkeypatch)
+    configs = configs_for(
+        ["counter", "bank"], sites=3, checkpoint_every=5, bug="skip-catchup"
+    )
+    report = run_torture(configs, schedules=30, seed=0)
+    assert report.violations, "the planted catch-up bug was never detected"
+    assert fired
+
+
+def test_entries_due_on_one_tick_fire_in_calendar_order(monkeypatch):
+    """A failure, a recovery and a checkpoint due on tick 5 fire in
+    calendar order, and the checkpoint skips the copy of the site that
+    has just gone down: a down site runs nothing."""
+    system = build_replicated_system("counter", ["X"], sites=3)
+    assert system.invoke("W", "X", inv("increment", 1)).ok
+    assert system.commit("W")  # every copy's log holds W's records
+    system.fail_site(1)
+    fired = []
+    for name in ("fail_site", "recover_site"):
+
+        def recorded(site, name=name, method=getattr(system, name)):
+            fired.append((name, site))
+            return method(site)
+
+        monkeypatch.setattr(system, name, recorded)
+    checkpoint = ManagedObject.checkpoint
+
+    def recorded_checkpoint(obj):
+        fired.append(("checkpoint", obj.name))
+        checkpoint(obj)
+
+    monkeypatch.setattr(ManagedObject, "checkpoint", recorded_checkpoint)
+    scheduler = Scheduler(
+        system,
+        [TransactionScript("T", (("X", inv("increment", 1)),))],
+        arrivals={"T": 10},
+        faults=[
+            Fault(FAIL_SITE, 5, domain=2),
+            Fault(RECOVER_SITE, 5, domain=1),
+            Fault(CHECKPOINT, 5),
+        ],
+    )
+    metrics = scheduler.run()
+    assert metrics.committed == 1
+    assert fired == [
+        ("fail_site", 2),
+        ("recover_site", 1),
+        ("checkpoint", "X"),
+        ("checkpoint", "X@s1"),
+        # the run ends with every site back in service
+        ("recover_site", 2),
+    ]
 
 
 # ---------------------------------------------------------------------------

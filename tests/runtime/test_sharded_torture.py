@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.runtime.scheduler import Scheduler
+from repro.runtime.scheduler import CRASH, CRASH_SHARD, Fault, Scheduler
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.system import TransactionSystem
 from repro.runtime.torture import audit_recovery
@@ -37,19 +37,8 @@ def _build(**kwargs):
 
 def _run_with_shard_crashes(system, scripts, *, seed, crashes):
     """Drive scripts, crashing shard ``s`` at tick ``t`` per (t, s)."""
-    plan = dict(crashes)
-
-    def on_tick(tick):
-        shard = plan.pop(tick, None)
-        if shard is None:
-            return False
-        victims = system.crash_shard(shard)
-        scheduler.handle_crash(victims, tick)
-        return True
-
-    scheduler = Scheduler(
-        system, scripts, seed=seed, max_ticks=50_000, on_tick=on_tick
-    )
+    faults = [Fault(CRASH_SHARD, tick, domain=shard) for tick, shard in crashes.items()]
+    scheduler = Scheduler(system, scripts, seed=seed, max_ticks=50_000, faults=faults)
     return scheduler.run()
 
 
@@ -131,15 +120,9 @@ def test_uip_shard_crashes_preserve_invariants():
 
 
 def _run_whole_system_crashes(system, scripts, *, seed, crash_every=6):
-    def on_tick(tick):
-        if tick % crash_every == 0:
-            victims = system.crash()
-            scheduler.handle_crash(victims, tick)
-            return True
-        return False
-
     scheduler = Scheduler(
-        system, scripts, seed=seed, max_ticks=50_000, on_tick=on_tick
+        system, scripts, seed=seed, max_ticks=50_000,
+        faults=[Fault(CRASH, every=crash_every)],
     )
     return scheduler.run()
 

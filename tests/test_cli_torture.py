@@ -127,6 +127,21 @@ class TestSiteCrashCampaign:
         assert "counter/DU/x2" in out
         assert "all invariants held" in out
 
+    def test_checkpoints_run_with_sites(self, capsys):
+        code, out = run(
+            [
+                "torture",
+                "--adt", "counter,bank",
+                "--sites", "3",
+                "--schedules", "12",
+                "--checkpoint-every", "5",
+                "--read-mix", "0.25",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert "all invariants held" in out
+
     def test_skip_catchup_negative_control_exits_one(self, capsys):
         code, out = run(
             [
@@ -146,11 +161,11 @@ class TestSiteCrashCampaign:
     def test_skip_catchup_requires_sites(self, capsys):
         import pytest
 
-        with pytest.raises(SystemExit, match="needs --sites"):
+        with pytest.raises(SystemExit, match="needs sites >= 2"):
             main(["torture", "--inject-bug", "skip-catchup"])
 
     @pytest.mark.parametrize(
-        "knob", [["--checkpoint-every", "3"], ["--max-faults", "5"], ["--max-retries", "7"]]
+        "knob", [["--max-faults", "5"], ["--max-retries", "7"]], ids=["knob1", "knob2"]
     )
     def test_log_fault_knobs_rejected_with_sites(self, knob):
         with pytest.raises(SystemExit, match=knob[0] + " shapes log-fault"):
@@ -159,7 +174,7 @@ class TestSiteCrashCampaign:
     def test_log_fault_bug_rejected_with_sites(self, capsys):
         import pytest
 
-        with pytest.raises(SystemExit, match="skip-catchup"):
+        with pytest.raises(SystemExit, match="log-fault control; it needs sites == 1"):
             main(
                 [
                     "torture",

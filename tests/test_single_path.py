@@ -34,7 +34,7 @@ from repro.runtime.durability import build_durable_object
 from repro.runtime.lock_manager import LockManager
 from repro.runtime.recovery import make_recovery_manager
 from repro.runtime.replication import build_replicated_system
-from repro.runtime.scheduler import Scheduler, TransactionScript, periodic_wake
+from repro.runtime.scheduler import CHECKPOINT, Fault, Scheduler, TransactionScript
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.trace import TraceCollector
 from repro.runtime.wal import RedoOnlyLog, StableLog, UndoRedoLog
@@ -296,11 +296,12 @@ def test_no_module_writes_a_per_worker_file():
 
 
 def test_undeclared_hook_is_woken_every_tick():
-    """The hook's ``next_wake`` attribute is the whole selection: without
-    it nothing is elided and no ``calendar-wake`` is emitted; with it the
-    same run jumps the ticks before the arrival."""
+    """The fault calendar is the whole selection: an entry due every
+    tick wakes every tick, so nothing is elided and no ``calendar-wake``
+    is emitted; with one due every 100 ticks the same run jumps the
+    ticks before the arrival."""
 
-    def run(hook):
+    def run(every):
         ba = BankAccount("BA")
         system = TransactionSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP")])
         scheduler = Scheduler(
@@ -308,25 +309,17 @@ def test_undeclared_hook_is_woken_every_tick():
             [TransactionScript("T", (("BA", inv("deposit", 1)),))],
             trace=TraceCollector(),
             arrivals={"T": 9},
-            on_tick=hook,
+            faults=[Fault(CHECKPOINT, every=every)],
         )
         metrics = scheduler.run()
         wakes = [e for e in scheduler.trace.events if e["kind"] == "calendar-wake"]
         return metrics, wakes
 
-    def undeclared(tick):
-        return False
-
-    def declared(tick):
-        return False
-
-    declared.next_wake = periodic_wake(100)
-
-    metrics, wakes = run(undeclared)
+    metrics, wakes = run(1)
     assert metrics.committed == 1
     assert metrics.dead_ticks_elided == 0 and metrics.calendar_wakeups == 0
     assert wakes == []
-    metrics, wakes = run(declared)
+    metrics, wakes = run(100)
     assert metrics.committed == 1
     assert metrics.dead_ticks_elided == 8 and len(wakes) == 1
 
@@ -338,7 +331,7 @@ def test_arrivals_have_one_admission_path():
     tick nothing."""
     assert list(inspect.signature(Scheduler.__init__).parameters) == [
         "self", "system", "scripts", "seed", "max_restarts", "max_ticks",
-        "label", "on_tick", "trace", "arrivals",
+        "label", "faults", "trace", "arrivals",
     ]
     scans = []
 
@@ -934,6 +927,62 @@ def test_a_crash_is_an_operation_of_the_system():
         if (isinstance(node, ast.Attribute) and node.attr in retired)
         or (isinstance(node, ast.FunctionDef) and node.name in retired)
         or (isinstance(node, ast.Name) and node.id in retired)
+    ]
+    assert not spelled, spelled
+
+
+#: The failures and recoveries a run injects, by the name they are called by.
+FAULT_OPERATIONS = {"handle_crash", "fail_site", "recover_site", "crash_shard"}
+
+
+def test_one_injection_path():
+    """Every crash, shard crash, site failure and site recovery of a run
+    is a fault calendar entry fired by the scheduler's one fault method,
+    ``Scheduler.inject``.  It is called by ``Scheduler.run`` (the tick
+    loop and the end-of-run recovery) and by one named exception,
+    torture's ``CrashPoint`` handler, which re-enters the run.  No
+    ``on_tick`` hook and no ``next_wake`` attribute is left."""
+    callers = sorted(
+        {
+            "%s:%s" % (path.relative_to(SRC), fn.name)
+            for path, fn in _functions()
+            if _calls(fn) & FAULT_OPERATIONS
+        }
+    )
+    assert callers == ["repro/runtime/scheduler.py:inject"]
+    injectors = sorted(
+        {
+            "%s:%s" % (path.relative_to(SRC), fn.name)
+            for path, fn in _functions()
+            if "inject" in _calls(fn)
+        }
+    )
+    assert injectors == [
+        "repro/runtime/scheduler.py:run",
+        "repro/runtime/torture.py:run_schedule",
+    ]
+    (run_schedule,) = [fn for _path, fn in _functions() if fn.name == "run_schedule"]
+    calls = [
+        node for node in ast.walk(run_schedule)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "inject"
+    ]
+    handlers = [
+        node for node in ast.walk(run_schedule)
+        if isinstance(node, ast.ExceptHandler)
+        and getattr(node.type, "id", None) == "CrashPoint"
+    ]
+    assert len(calls) == len(handlers) == 1
+    assert calls[0] in list(ast.walk(handlers[0]))
+    retired = {"on_tick", "next_wake"}
+    spelled = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in retired)
+        or (isinstance(node, ast.Name) and node.id in retired)
+        or (isinstance(node, ast.arg) and node.arg in retired)
+        or (isinstance(node, ast.keyword) and node.arg in retired)
+        or (isinstance(node, ast.FunctionDef) and node.name in retired)
     ]
     assert not spelled, spelled
 
