@@ -3,9 +3,9 @@
 Section 3.4 presents dynamic atomicity as the property unifying both
 protocol families; this experiment compares them under the same
 conflict relation (NFC, over deferred-update recovery) across contention
-levels, on one instrument: the same ``TransactionSystem`` and
-``Scheduler`` (shuffle, backoff, restart budget), differing only in
-which object class is constructed.  **Pessimism wins at low
+levels, on one instrument: the same ``TransactionSystem``, ``ManagedObject``
+and ``Scheduler`` (shuffle, backoff, restart budget), differing only in
+whether the relation is enforced at each execution or ``AtCommit``.  **Pessimism wins at low
 contention** (short waits are cheaper than validation aborts, which
 discard whole transactions), and at both levels the optimistic side
 pays more aborts than the pessimistic side pays deadlock restarts.
@@ -18,13 +18,9 @@ import pytest
 
 from repro.adts import BankAccount
 from repro.core.atomicity import is_dynamic_atomic
+from repro.core.conflict import AtCommit
 from repro.core.events import inv
-from repro.runtime import (
-    ManagedObject,
-    OptimisticObject,
-    TransactionSystem,
-    run_scripts,
-)
+from repro.runtime import ManagedObject, TransactionSystem, run_scripts
 from repro.runtime.scheduler import TransactionScript
 
 
@@ -46,7 +42,7 @@ def scripts_at_contention(seed: int, balance_frac: float, n: int = 8):
 def make_object(kind: str, ba: BankAccount) -> ManagedObject:
     if kind == "pessimistic":
         return ManagedObject(ba, ba.nfc_conflict(), "DU")
-    return OptimisticObject(ba, ba.nfc_conflict())
+    return ManagedObject(ba, AtCommit(ba.nfc_conflict()), "DU")
 
 
 def run_pair(balance_frac: float, seeds=range(6)):

@@ -34,6 +34,7 @@ from .commutativity import (
     right_commutes_backward,
 )
 from .conflict import (
+    AtCommit,
     ClassifierConflict,
     ConflictRelation,
     EmptyConflict,
@@ -167,6 +168,7 @@ __all__ = [
     "PairSetConflict",
     "ClassifierConflict",
     "EmptyConflict",
+    "AtCommit",
     "TotalConflict",
     "OperationClass",
     "union",

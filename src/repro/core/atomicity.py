@@ -64,7 +64,7 @@ from typing import (
 )
 
 from .automaton_spec import StateMachineSpec
-from .events import OpSeq
+from .events import Invocation, Operation
 from .history import History, serial_history
 from .serial_spec import SerialSpec
 
@@ -119,7 +119,7 @@ class _ObjectSimulator:
             return self.spec.initial_macro_state()
         return ()
 
-    def extend(self, state, ops: OpSeq):
+    def extend(self, state, ops: Sequence[Operation]):
         """Advance by a transaction's operations; None when illegal."""
         if self._is_macro:
             return self.spec.run_macro(state, ops) or None
@@ -145,14 +145,16 @@ class _Problem:
             if a in before and b in before and a != b:
                 before[b].add(a)
         self.before = {t: frozenset(s) for t, s in before.items()}
-        self.ops_by_txn: Dict[str, Dict[str, OpSeq]] = {}
-        for txn in self.txns:
-            projected = history.project_transactions(txn)
-            per_obj = self.ops_by_txn[txn] = {}
-            for obj in projected.objects():
-                ops = projected.project_objects(obj).opseq()
-                if ops:
-                    per_obj[obj] = ops
+        # One pass, pairing each response with its transaction's pending
+        # invocation as ``History.opseq`` does.
+        pending: Dict[str, Invocation] = {}
+        self.ops_by_txn: Dict[str, Dict[str, List[Operation]]] = {t: {} for t in self.txns}
+        for e in history:
+            if e.is_invocation:
+                pending[e.txn] = e.invocation
+            elif e.is_response:
+                operation = Operation(e.obj, pending.pop(e.txn), e.response)
+                self.ops_by_txn[e.txn].setdefault(e.obj, []).append(operation)
         self.simulators: Dict[str, _ObjectSimulator] = {}
         for obj in sorted({o for per in self.ops_by_txn.values() for o in per}):
             spec = spec_map.get(obj)

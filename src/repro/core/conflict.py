@@ -148,6 +148,24 @@ class EmptyConflict(ConflictRelation):
         return False
 
 
+class AtCommit(ConflictRelation):
+    """``relation`` enforced when a transaction commits instead of when
+    each operation responds — the optimistic protocols of Section 3.4,
+    which "abort conflicting transactions when they try to commit".
+
+    The verdicts are ``relation``'s; only the enforcement point moves.
+    A :class:`~repro.runtime.system.ManagedObject` built with one never
+    blocks an execution and votes no at ``prepare`` instead (backward
+    validation), under deferred update only."""
+
+    def __init__(self, relation: ConflictRelation):
+        self.relation = relation
+        self.name = "at-commit(%s)" % relation.name
+
+    def conflicts(self, new: Operation, old: Operation) -> bool:
+        return self.relation.conflicts(new, old)
+
+
 class TotalConflict(ConflictRelation):
     """Everything conflicts — exclusive access (minimally permissive)."""
 

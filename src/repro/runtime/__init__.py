@@ -37,7 +37,6 @@ from .openloop import (
     open_loop_scripts,
     zipf_weights,
 )
-from .optimistic import OptimisticObject
 from .parallel import (
     Cell,
     CellResult,
@@ -101,7 +100,6 @@ __all__ = [
     "GroupCommitPolicy",
     "UndoRedoLog",
     "RedoOnlyLog",
-    "OptimisticObject",
     "RecoveryManager",
     "UpdateInPlaceManager",
     "DeferredUpdateManager",

@@ -23,8 +23,9 @@ Drives a set of straight-line transaction scripts against a
   allow a transaction to continue after aborting), up to a restart
   budget;
 * a script whose operations have all executed commits via the system's
-  two-phase protocol; when an object votes no (an optimistic object's
-  validation failed) the system has aborted it and it restarts likewise;
+  two-phase protocol; when an object votes no (validation failed at an
+  object built with an ``AtCommit`` relation) the system has aborted it
+  and it restarts likewise;
 * a script marked ``read_only`` bypasses all of the above: its steps are
   lock-free snapshot reads against the multiversion store, it can never
   block or deadlock, and its completion needs no two-phase commit.

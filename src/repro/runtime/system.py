@@ -29,11 +29,11 @@ performed with a two-phase protocol: every object touched by the
 transaction is asked to *prepare* (vote), and only a unanimous yes leads
 to commit events everywhere — the paper's *atomic commitment*
 assumption (Section 2), which its model presumes rather than analyzes.
-A locking object votes no only while an invocation is pending; an
-:class:`~repro.runtime.optimistic.OptimisticObject` also votes no when
-backward validation fails (Section 3.4's other protocol family).  Either
-way the event order (all responses before any commit event) matches the
-model's well-formedness constraints.
+A locking object votes no only while an invocation is pending; one
+built with an :class:`~repro.core.conflict.AtCommit` relation never
+blocks and votes no when backward validation fails (Section 3.4's
+optimistic protocols).  Either way the event order (all responses
+before any commit event) matches the model's well-formedness constraints.
 
 The history is the audit record, and only the audits read it: a system
 built with ``history=False`` (the open-loop ``drive``) stores no event,
@@ -68,7 +68,7 @@ from heapq import heappop, heappush
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..adts.base import ADT
-from ..core.conflict import ConflictRelation
+from ..core.conflict import AtCommit, ConflictRelation, EmptyConflict
 from ..core.events import Event, Invocation, Operation, abort, commit, respond
 from ..core.history import History, HistoryNotKept
 from ..core.lock_manager import LockManager
@@ -114,7 +114,10 @@ class ManagedObject:
     """One object: the automaton ``I(X, Spec, View, Conflict)`` plus a
     response choice, a version chain and, given a stable ``log``, the
     logging discipline its recovery method implies — which makes it
-    crashable."""
+    crashable.  The relation says when ``Conflict`` is enforced: as each
+    operation responds, or, an :class:`~repro.core.conflict.AtCommit`
+    one, at :meth:`prepare` — the automaton then runs under the empty
+    relation, and only deferred update (private workspaces) is taken."""
 
     def __init__(
         self,
@@ -128,8 +131,23 @@ class ManagedObject:
     ):
         self.adt = adt
         self.conflict = conflict
+        at_commit = isinstance(conflict, AtCommit)
+        if at_commit and recovery.upper() != "DU":
+            raise ValueError("%s validates private workspaces: recovery "
+                             "\"DU\", not %r" % (conflict.name, recovery))
+        #: backward validation, kept when the relation is enforced at
+        #: commit (``None`` elsewhere): txn -> the validation-log position
+        #: it started at here; the operations committed here from position
+        #: ``_validation_base`` on; txn -> its operations, from its yes
+        #: vote here until it completes, aborts or dies.
+        self._started: Optional[Dict[str, int]] = {} if at_commit else None
+        self._validation_log: Optional[List[Operation]] = [] if at_commit else None
+        self._voted: Optional[Dict[str, Tuple[Operation, ...]]] = {} if at_commit else None
+        self._validation_base = self.validation_failures = 0
         manager = make_recovery_manager(adt, recovery, uip_strategy=uip_strategy)
-        self.automaton = ObjectAutomaton(adt, manager.view, conflict, manager)
+        self.automaton = ObjectAutomaton(
+            adt, manager.view, EmptyConflict() if at_commit else conflict, manager
+        )
         #: the logging discipline over ``log``: forced intentions under
         #: deferred update, undo/redo records otherwise; ``None`` on a
         #: volatile object.
@@ -215,6 +233,10 @@ class ManagedObject:
         pending = automaton.builder.pending_invocation(txn)
         if pending is None:
             automaton.invoke(txn, invocation)
+            if self._started is not None:
+                self._started.setdefault(
+                    txn, self._validation_base + len(self._validation_log)
+                )
             if self.trace is not None:
                 self.trace.emit("op-invoke", txn, self.name, invocation)
         elif pending.invocation is not invocation and pending.invocation != invocation:
@@ -279,8 +301,8 @@ class ManagedObject:
         """Two-phase commit vote.  A transaction with a pending invocation
         cannot commit (well-formedness); a locking object has no other
         reason to refuse, because it enforced ``Conflict`` when each
-        operation executed.  A subclass that enforces it at commit time
-        instead votes no here.
+        operation executed.  An object that enforces it at commit votes
+        no here when :meth:`_validate` fails.
 
         With a log, a yes vote requests a flush of the transaction's log
         traffic (UIP operation records; DU intentions as a
@@ -289,9 +311,42 @@ class ManagedObject:
         Under group commit the flush may be deferred into a shared
         batch; :meth:`flushed` reports when it has landed."""
         vote = self.automaton.pending_invocation(txn) is None
+        if vote and self._started is not None:
+            vote = self._validate(txn)
         if vote and self.wal is not None:
             self.wal.on_prepare(txn, self.recovery.executed_of(txn))
         return vote
+
+    def _validate(self, txn: str) -> bool:
+        """Backward validation, first committer wins: no operation ``txn``
+        executed here may conflict with one committed here since it
+        started, nor with one of a yes vote here not yet completed —
+        under group commit that transaction commits first."""
+        mine = self.recovery.executed_of(txn)
+        theirs = self._validation_log[self._started[txn] - self._validation_base:]
+        for ops in self._voted.values():
+            theirs.extend(ops)
+        conflicts = self.conflict.conflicts
+        if any(conflicts(op, other) for op in mine for other in theirs):
+            self.validation_failures += 1
+            return False
+        self._voted[txn] = mine
+        return True
+
+    def _forget(self, txn: str) -> None:
+        """``txn`` finished here: drop its start and its vote."""
+        self._started.pop(txn, None)
+        self._voted.pop(txn, None)
+
+    def _log_commit(self, txn: str) -> None:
+        """``txn`` committed here: its operations join the validation
+        log, which drops the prefix no live transaction started before."""
+        self._forget(txn)
+        log = self._validation_log
+        log.extend(self.recovery.executed_of(txn))
+        keep = min(self._started.values(), default=self._validation_base + len(log))
+        del log[: keep - self._validation_base]
+        self._validation_base = keep
 
     def flushed(self, txn: str) -> bool:
         """Has ``txn``'s latest durability request — the prepare force,
@@ -317,8 +372,11 @@ class ManagedObject:
         locks, apply the volatile completion, record the commit event."""
         if self.wal is not None:
             self.wal.on_complete(txn)
-        # Advance the committed macro-state *before* the recovery manager
-        # discards the transaction's executed-operation record.
+        # Log for validation and advance the committed macro-state
+        # *before* the recovery manager discards the transaction's
+        # executed-operation record.
+        if self._started is not None:
+            self._log_commit(txn)
         self._advance_committed(txn)
         self.automaton.commit(txn)
         self.epoch += 1
@@ -339,6 +397,8 @@ class ManagedObject:
 
     def abort(self, txn: str) -> None:
         logged = self.wal is not None and self.automaton.builder.has_events(txn)
+        if self._started is not None:
+            self._forget(txn)
         self.automaton.abort(txn)
         self.epoch += 1
         if logged:
@@ -368,6 +428,8 @@ class ManagedObject:
         # recorded; don't abort twice.
         if not events.has_aborted(txn):
             events.append(abort(self.name, txn))
+        if self._started is not None:
+            self._forget(txn)  # a dead yes vote fails no later validator
 
     def crash_commit(self, txn: str) -> None:
         """Complete a commit interrupted by a crash.
@@ -386,6 +448,8 @@ class ManagedObject:
         events = self.automaton.builder
         if not events.has_committed(txn):
             events.append(commit(self.name, txn))
+        if self._started is not None:
+            self._log_commit(txn)
         # Fold the winner into the committed macro-state for the version
         # chain.  Idempotent across a crash that landed mid-completion:
         # if the volatile commit already ran here, the recovery manager
@@ -678,8 +742,8 @@ class TransactionSystem:
         """Two-phase commit across every object the transaction touched.
 
         Returns False (and aborts the transaction everywhere) if any
-        object votes no: an invocation is still pending somewhere, or an
-        optimistic object's validation failed.  ``status(txn)`` tells
+        object votes no: an invocation is still pending somewhere, or
+        validation failed at an ``AtCommit`` object.  ``status(txn)`` tells
         that refusal (``"aborted"``) from the stall below (``"active"``).
 
         Under group commit the durable work is asynchronous: prepare

@@ -497,13 +497,22 @@ def test_only_the_scheduler_compares_epochs():
 
 
 def test_the_optimistic_protocol_has_no_system_or_driver_of_its_own():
-    import repro.runtime
-    import repro.runtime.optimistic
+    """Section 3.4's optimistic protocols are a relation enforced at
+    commit (``core.conflict.AtCommit``) handed to the one object class:
+    no module, object class, system or driver of their own."""
+    import importlib.util
 
-    for module in (repro.runtime, repro.runtime.optimistic):
-        for name in ("OptimisticSystem", "run_optimistic"):
-            assert not hasattr(module, name), (module.__name__, name)
-    assert issubclass(repro.runtime.OptimisticObject, ManagedObject)
+    import repro.runtime
+
+    for name in ("OptimisticSystem", "run_optimistic", "OptimisticObject"):
+        assert not hasattr(repro.runtime, name), name
+    assert importlib.util.find_spec("repro.runtime.optimistic") is None
+    named = [
+        str(path.relative_to(SRC))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "OptimisticObject" in path.read_text()
+    ]
+    assert not named, named
 
 
 def test_one_scan_loop_names_restarts_and_shuffles():
@@ -586,13 +595,13 @@ def test_the_runtime_object_holds_the_automaton():
     """Pending invocations, the event history and which terminal events
     it holds are the automaton's ``HistoryBuilder``; no runtime object
     keeps a second copy of any of them, and none moves a half itself."""
-    from repro.runtime.optimistic import OptimisticObject
+    from repro.core.conflict import AtCommit
 
     ba = BankAccount("BA")
     for obj in (
         ManagedObject(ba, ba.nrbc_conflict(), "UIP"),
         ManagedObject(ba, ba.nrbc_conflict(), "UIP", log=StableLog()),
-        OptimisticObject(ba, ba.nfc_conflict()),
+        ManagedObject(ba, AtCommit(ba.nfc_conflict()), "DU"),
     ):
         assert isinstance(obj.automaton, ObjectAutomaton)
         assert obj.locks is obj.automaton.locks
@@ -600,7 +609,7 @@ def test_the_runtime_object_holds_the_automaton():
     mirrors = [
         "%s.%s" % (cls.name, node.attr)
         for _name, cls in _classes()
-        if cls.name in ("ManagedObject", "OptimisticObject")
+        if cls.name == "ManagedObject"
         for node in ast.walk(cls)
         if isinstance(node, ast.Attribute)
         and node.attr in ("_pending", "_events", "_recorded", "_record_end")
@@ -626,7 +635,7 @@ def test_the_automaton_has_one_candidate_loop():
     """"Which responses are free, and who blocks the rest" is one loop,
     ``ObjectAutomaton.free_candidates``: ``enabled_responses``,
     ``blocked_responses`` and ``ManagedObject.try_operation`` all ask it."""
-    objects = ("ObjectAutomaton", "ManagedObject", "OptimisticObject")
+    objects = ("ObjectAutomaton", "ManagedObject")
     loops = sorted(
         "%s:%s" % (name, fn.name)
         for name, cls in _classes()
@@ -1044,9 +1053,9 @@ def test_the_log_is_a_part_of_the_object():
     """One runtime object class, with an optional log: nothing under
     ``src/repro`` defines a second copy of the committed state
     (``committed_macro``; the object's ``committed_tip`` is the one a
-    checkpoint snapshots), and no class but the optimistic one — which
-    changes when ``Conflict`` is enforced, not what is logged —
-    subclasses ``ManagedObject``."""
+    checkpoint snapshots), and no class subclasses ``ManagedObject`` —
+    not even to change when ``Conflict`` is enforced, which is the
+    relation's to say (``AtCommit``)."""
     twins = [
         "%s:%d" % (path.relative_to(SRC), fn.lineno)
         for path, fn in _functions()
@@ -1059,7 +1068,7 @@ def test_the_log_is_a_part_of_the_object():
         if any(getattr(base, "id", getattr(base, "attr", None)) == "ManagedObject"
                for base in cls.bases)
     )
-    assert subclasses == ["repro/runtime/optimistic.py:OptimisticObject"]
+    assert subclasses == []
 
 
 def test_recovery_method_picks_the_conflict_relation_once():
