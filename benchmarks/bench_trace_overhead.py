@@ -17,8 +17,10 @@ loop behind a nullable hook: every emit site guards with
    pathological emit path (an accidentally quadratic collector).
 4. **Bounded memory** — a traced open-loop drive keeps at most
    ``MAX_BYTES_PER_EVENT`` bytes per event once its system is freed
-   (``tracemalloc``): a positional record keeps about 100, and a dict per
-   event kept about 250, so a return to dicts fails here.
+   (``tracemalloc``): the one flat column keeps about 40 (the kind, its
+   values, a tick delta where the tick moved), a tuple per event kept
+   about 100 and a dict per event about 250, so a return to either fails
+   here.
 
 Results land in ``BENCH_trace_overhead.json`` for the CI artifact
 trail.
@@ -47,7 +49,7 @@ TRANSACTIONS = 24
 OPS_PER_TXN = 3
 SEED = 11
 TIMING_ROUNDS = 5
-MAX_BYTES_PER_EVENT = 120
+MAX_BYTES_PER_EVENT = 48
 #: the ``steady_hotspot`` shape of the end-to-end benchmark, smaller
 DRIVE = OpenLoopConfig(
     adt_kind="bank", recovery="DU", objects=64, shards=2, zipf_s=1.1,
@@ -140,7 +142,7 @@ def test_tracing_observes_without_perturbing(benchmark):
         "counters": baseline.counters(),
     }
     overhead["ratio"] = overhead["traced_s"] / overhead["untraced_s"]
-    # Emitting appends one record per event; anything past this bound
+    # Emitting appends one event's slots to a list; anything past this bound
     # means the collector went super-linear, not that the constant grew.
     assert overhead["ratio"] < 25.0, overhead
     per_event = trace_bytes_per_event()

@@ -33,6 +33,9 @@ from typing import List, Optional, Sequence, Tuple
 FLOWS: Sequence[Tuple[str, Tuple[str, ...], bool]] = (
     ("compare-hotspot", ("compare", "hotspot"), False),
     ("torture", ("torture", "--seed", "0", "--schedules", "50"), True),
+    # cells run in two worker processes: pins the cross-process merge
+    ("torture-workers2", ("torture", "--seed", "0", "--schedules", "50", "--workers", "2"),
+     True),
     ("torture-sites", ("torture", "--seed", "0", "--schedules", "50", "--sites", "2"), True),
     ("torture-sites3-ro", ("torture", "--seed", "0", "--sites", "3", "--read-mix", "0.5",
                            "--schedules", "60"), True),

@@ -51,7 +51,6 @@ from .replication import ReplicatedSystem, build_replicated_system
 from .scheduler import Scheduler, TransactionScript
 from .sharding import ShardedSystem, build_sharded_system, shard_of
 from .trace import PERCENTILES, TraceCollector, _percentile
-from .workloads import _script
 
 __all__ = [
     "OpenLoopConfig",
@@ -278,20 +277,23 @@ def open_loop_scripts(
         )
     chooser = ZipfChooser(config.objects, config.zipf_s)
     arrivals = arrival_ticks(config, rng)
+    # A cross-shard transaction's second object is drawn from the names
+    # in a *different* shard than its home, when one exists.
+    shard = {n: shard_of(n, config.shards) for n in names}
+    others = (
+        {s: [n for n in names if shard[n] != s] for s in set(shard.values())}
+        if config.cross_shard > 0
+        else {}
+    )
     out: List[Tuple[TransactionScript, int]] = []
     for t, arrival in enumerate(arrivals):
         readonly = config.read_mix > 0 and rng.random() < config.read_mix
         home = names[chooser.pick(rng)]
         second: Optional[str] = None
         if config.cross_shard > 0 and rng.random() < config.cross_shard:
-            # A second object in a *different* shard, when one exists.
-            others = [
-                n
-                for n in names
-                if shard_of(n, config.shards) != shard_of(home, config.shards)
-            ]
-            if others:
-                second = others[chooser.pick(rng) % len(others)]
+            away = others[shard[home]]
+            if away:
+                second = away[chooser.pick(rng) % len(away)]
         steps = []
         for i in range(config.ops_per_txn):
             obj = home
@@ -302,12 +304,13 @@ def open_loop_scripts(
         # ``ro_mode == "locked"`` is the baseline: the *same* observer
         # scripts (identical rng draws) run through the ordinary locked
         # read path instead of the multiversion snapshot path.
-        script = _script("T%d" % t, steps)
-        if readonly and config.ro_mode == "snapshot":
-            script = TransactionScript(
-                name=script.name, steps=script.steps, read_only=True
-            )
-        out.append((script, arrival))
+        out.append((
+            TransactionScript(
+                "T%d" % t, steps,
+                read_only=readonly and config.ro_mode == "snapshot",
+            ),
+            arrival,
+        ))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Structured run tracing: tick-stamped positional event records, decoded on read.
+"""Structured run tracing: one flat column of event values, decoded on read.
 
 The EXP-C* experiments report end-of-run scalar counters
 (:class:`~repro.runtime.metrics.RunMetrics`), which say *how much*
@@ -11,14 +11,16 @@ trace layer records the event stream those counters summarize:
   the untraced hot path pays one ``is None`` test per emit site);
 * every emitter — the scheduler, the transaction system, managed
   objects, the stable logs, the crash protocol — calls
-  ``emit(kind, *values)``, and the collector stores a positional record:
-  the current scheduler tick, the kind, and the values as the site
-  passed them (raw and immutable: an ``Invocation``, not its string),
-  in the kind's :data:`EVENT_FIELDS` order;
-* records are decoded into event dicts only when read —
+  ``emit(kind, *values)``, and the collector appends to one flat list
+  the kind and the values as the site passed them (raw and immutable:
+  an ``Invocation``, not its string), in the kind's
+  :data:`EVENT_FIELDS` order; a change of tick is one ``int`` delta
+  written where a kind would be (kinds are always ``str``);
+* events are decoded into dicts only when read —
   :attr:`TraceCollector.events` is a lazy view, and
   :meth:`~TraceCollector.dump_jsonl` decodes as it writes — so a traced
-  run keeps about 100 bytes an event instead of a dict's 250;
+  drive keeps about 40 bytes an event, against 100 for a tuple per
+  event and 250 for a dict;
 * the stream exports as JSONL (one event per line) and reloads for
   offline analysis;
 * derived reports turn the stream into per-transaction commit-latency
@@ -157,10 +159,47 @@ _LAYOUT: Dict[str, Tuple[Tuple[str, ...], Tuple[Any, ...]]] = {
     for kind, fields in EVENT_FIELDS.items()
 }
 
+#: kind -> how many values its emit sites pass.
+_ARITY: Dict[str, int] = {kind: len(fields) for kind, fields in EVENT_FIELDS.items()}
 
-def _decode(tick: int, kind: str, values: Tuple[Any, ...]) -> Dict[str, Any]:
-    """One record as its event dict: the fields in emit order, a domain
-    stamp if one was appended, then ``tick`` and ``kind``."""
+
+class _Stamp(tuple):
+    """A :class:`DomainTrace`'s ``(field, domain)`` stamp.  Its own type,
+    so that a type test — not identity, which unpickling loses — tells
+    it from the next event's kind or tick delta."""
+
+    __slots__ = ()
+
+
+def _scan(record: List[Any], at: int = 0, tick: int = 0) -> Iterator[Tuple[int, int, int]]:
+    """Walk a flat record from offset ``at``, where the tick is ``tick``:
+    ``(tick, start, stop)`` per event, ``record[start]`` its kind and
+    ``record[start + 1:stop]`` its values, a stamp last if it has one.
+    Raises :class:`ValueError` where a kind or tick delta should be and
+    is not, or where the record ends inside an event."""
+    end = len(record)
+    while at < end:
+        kind = record[at]
+        if type(kind) is int:
+            tick += kind
+            at += 1
+            continue
+        arity = _ARITY.get(kind) if type(kind) is str else None
+        if arity is None or at + 1 + arity > end:
+            raise ValueError(
+                "trace record %d: %r does not start an event of its kind's arity"
+                % (at, kind)
+            )
+        stop = at + 1 + arity
+        if stop < end and type(record[stop]) is _Stamp:
+            stop += 1
+        yield tick, at, stop
+        at = stop
+
+
+def _decode(tick: int, kind: str, values: Sequence[Any]) -> Dict[str, Any]:
+    """One event as its dict: the fields in emit order, a domain stamp
+    if one was appended, then ``tick`` and ``kind``."""
     names, renders = _LAYOUT[kind]
     event: Dict[str, Any] = {}
     for name, render, value in zip(names, renders, values):
@@ -180,8 +219,8 @@ class DomainTrace:
     Bound in place of the raw collector on a domain's objects and logs,
     so ``op-invoke``/``lock-wait``/``force``/``recovery`` events carry
     their domain without the emit sites knowing about placement at all.
-    The stamp is one ``(field, domain)`` tuple, built once and appended
-    to every record.
+    The stamp is one ``(field, domain)`` :class:`_Stamp`, built once and
+    appended after every event's values.
     """
 
     __slots__ = ("_inner", "domain", "_stamp")
@@ -190,16 +229,18 @@ class DomainTrace:
     def __init__(self, inner, domain: int) -> None:
         self._inner = inner
         self.domain = domain
-        self._stamp = (self.field, domain)
+        self._stamp = _Stamp((self.field, domain))
 
-    def emit(self, kind: str, *values: Any) -> None:
-        self._inner.emit(kind, *values, self._stamp)
+    def emit(self, *event: Any) -> None:
+        self._inner.emit(*event, self._stamp)
 
 
 class TraceEvents(collections.abc.Sequence):
     """``TraceCollector.events``: a read-only view that decodes each
-    record into its event dict when read — by ``len``, iteration,
-    indexing and ``==`` (against another view or a list of dicts)."""
+    event into its dict when read — by ``len``, iteration, indexing and
+    ``==`` (against another view or a list of dicts).  ``len`` and
+    indexing read the collector's offsets index, built on first use and
+    extended over what was recorded since."""
 
     __slots__ = ("_trace",)
 
@@ -207,17 +248,20 @@ class TraceEvents(collections.abc.Sequence):
         self._trace = trace
 
     def __len__(self) -> int:
-        return len(self._trace._kinds)
+        return len(self._trace._indexed()[0])
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
-        trace = self._trace
-        return map(_decode, trace._ticks, trace._kinds, trace._values)
+        record = self._trace._record
+        for tick, start, stop in _scan(record):
+            yield _decode(tick, record[start], record[start + 1 : stop])
 
     def __getitem__(self, index):
+        starts, ticks = self._trace._indexed()
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        trace = self._trace
-        return _decode(trace._ticks[index], trace._kinds[index], trace._values[index])
+            return [self[i] for i in range(*index.indices(len(starts)))]
+        record = self._trace._record
+        tick, start, stop = next(_scan(record, starts[index], ticks[index]))
+        return _decode(tick, record[start], record[start + 1 : stop])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (TraceEvents, list)):
@@ -235,33 +279,39 @@ class TraceCollector:
 
     Bound to a :class:`~repro.runtime.scheduler.Scheduler` via its
     ``trace=`` argument, which propagates the collector to the system,
-    its managed objects and their stable logs.  Emitting stores a
-    positional record — the tick, the kind and the values the site
-    passed, in :data:`EVENT_FIELDS` order — in three columns, with no
-    dict and no rendering (about 100 bytes an event, against 250 for a
-    dict); :attr:`events` and :meth:`dump_jsonl` decode on read.
-    *Not* emitting is nearly free (each site guards with
+    its managed objects and their stable logs.  Emitting appends the
+    kind and the values the site passed, in :data:`EVENT_FIELDS` order,
+    to one flat list, and a tick that moved is one ``int`` delta before
+    the next kind — no per-event tuple, dict or rendering (about 40
+    bytes an event, against 250 for a dict);
+    :attr:`events` and :meth:`dump_jsonl` decode on read.  *Not*
+    emitting is nearly free (each site guards with
     ``if trace is not None``).
     """
 
-    __slots__ = ("tick", "_ticks", "_kinds", "_values")
+    __slots__ = ("tick", "_record", "_delta_at", "_index")
 
     def __init__(self) -> None:
+        #: the tick events are stamped with; the record's deltas sum to it
         self.tick = 0
-        self._ticks: List[int] = []
-        self._kinds: List[str] = []
-        self._values: List[Tuple[Any, ...]] = []
+        #: kinds, their values and tick deltas, in emit order
+        self._record: List[Any] = []
+        #: the record's length just after its last delta was written
+        self._delta_at = -1
+        #: ``[offset, tick, starts, ticks]``: the events before ``offset``
+        #: (where the tick is ``tick``) have their starts and ticks indexed
+        self._index: Optional[List[Any]] = None
 
     def begin_tick(self, tick: int) -> None:
         """Stamp subsequent events with ``tick`` (scheduler loop hook)."""
+        self._move(tick - self.tick)
         self.tick = tick
 
-    def emit(self, kind: str, *values: Any) -> None:
-        """Record one event: ``values`` in the kind's :data:`EVENT_FIELDS`
-        order; they must be JSON-serializable once rendered."""
-        self._ticks.append(self.tick)
-        self._kinds.append(kind)
-        self._values.append(values)
+    def emit(self, *event: Any) -> None:
+        """Record one event, ``emit(kind, *values)``: ``values`` in the
+        kind's :data:`EVENT_FIELDS` order; they must be JSON-serializable
+        once rendered."""
+        self._record.extend(event)
 
     @property
     def events(self) -> TraceEvents:
@@ -269,12 +319,42 @@ class TraceCollector:
         return TraceEvents(self)
 
     def merge(self, events: TraceEvents) -> None:
-        """Append another collector's records (a parallel cell's), as
-        they are: no event is decoded or emitted again."""
+        """Append another collector's events (a parallel cell's), as
+        they are: no event is decoded or emitted again.  Its deltas
+        count from tick 0, so a delta back to 0 goes before them and
+        one back to this collector's tick after."""
         other = events._trace
-        self._ticks.extend(other._ticks)
-        self._kinds.extend(other._kinds)
-        self._values.extend(other._values)
+        self._move(-self.tick)
+        self._record.extend(other._record)
+        self._move(self.tick - other.tick)
+
+    def _move(self, delta: int) -> None:
+        """Move the tick the record's deltas sum to by ``delta``: one
+        ``int`` in a kind's slot, or the last one changed when no event
+        has been recorded since it."""
+        if delta:
+            record = self._record
+            if self._delta_at == len(record):
+                record[-1] += delta
+            else:
+                record.append(delta)
+                self._delta_at = len(record)
+
+    def _indexed(self) -> Tuple[Sequence[int], Sequence[int]]:
+        """Every event's start offset and tick, indexed up to the end."""
+        if self._index is None:
+            # Imported here: ``array`` is a shared library (76 KiB of
+            # RSS) that a run whose trace is never indexed need not load.
+            from array import array
+
+            self._index = [0, 0, array("q"), array("q")]
+        index = self._index
+        offset, tick, starts, ticks = index
+        for tick, start, offset in _scan(self._record, offset, tick):
+            starts.append(start)
+            ticks.append(tick)
+        index[0], index[1] = offset, tick
+        return starts, ticks
 
     # -- binding ---------------------------------------------------------------
 
@@ -288,11 +368,13 @@ class TraceCollector:
     def dump_jsonl(self, path: str) -> int:
         """Write one JSON object per line, decoding as it goes; returns
         the event count."""
+        count = 0
         with open(path, "w") as fp:
             for event in self.events:
                 fp.write(json.dumps(event, sort_keys=True))
                 fp.write("\n")
-        return len(self._kinds)
+                count += 1
+        return count
 
 
 def load_jsonl(path: str) -> List[Dict[str, Any]]:

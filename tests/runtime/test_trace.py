@@ -9,8 +9,11 @@ have drifted apart.
 """
 
 import ast
+import gc
 import pathlib
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,8 +39,10 @@ from repro.runtime import (
     validate_event,
 )
 from repro.runtime.openloop import OpenLoopConfig, drive
+from repro.runtime.sharding import ShardTrace
+from repro.runtime import trace as trace_module
 from repro.runtime.torture import configs_for, run_torture
-from repro.runtime.trace import EVENT_FIELDS
+from repro.runtime.trace import EVENT_FIELDS, _scan, _Stamp
 from repro.runtime.workloads import (
     escrow_workload,
     hotspot_banking,
@@ -319,7 +324,7 @@ class TestPercentiles:
 
 
 # ---------------------------------------------------------------------------
-# positional records, decoded on read
+# one flat record per collector, decoded on read
 # ---------------------------------------------------------------------------
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -337,6 +342,20 @@ def _emit_calls():
                 and node.func.attr == "emit"
             ):
                 yield "%s:%d" % (path.relative_to(SRC), node.lineno), node
+
+
+#: one sharded and one 3-site drive: every event of their objects and
+#: logs carries a domain stamp
+STAMPED_DRIVES = pytest.mark.parametrize(
+    "config",
+    [
+        OpenLoopConfig(objects=6, shards=2, transactions=40, group_commit=2,
+                       cross_shard=0.3, read_mix=0.2),
+        OpenLoopConfig(objects=6, transactions=40, group_commit=2, read_mix=0.2,
+                       sites=3, site_crashes=((1, 5, 15),)),
+    ],
+    ids=["shards", "sites"],
+)
 
 
 def _two_segment_torture_trace():
@@ -368,23 +387,17 @@ class TestPositionalRecords:
             )
         assert literal >= 25, "the walk found too few emit sites"
 
-    @pytest.mark.parametrize(
-        "config",
-        [
-            OpenLoopConfig(objects=6, shards=2, transactions=40, group_commit=2,
-                           cross_shard=0.3, read_mix=0.2),
-            OpenLoopConfig(objects=6, transactions=40, group_commit=2, read_mix=0.2,
-                           sites=3, site_crashes=((1, 5, 15),)),
-        ],
-        ids=["shards", "sites"],
-    )
+    @STAMPED_DRIVES
     def test_recorded_arity_matches_the_kind_table(self, config):
-        """Each record holds its kind's values, plus one ``(field,
-        domain)`` stamp where a domain proxy emitted it."""
+        """Each event in the flat record is its kind and its kind's
+        values, plus one ``(field, domain)`` stamp where a domain proxy
+        emitted it; the record iterator skips only ``int`` tick deltas."""
         trace = TraceCollector()
         drive(config, seed=1, trace=trace)
+        record = trace._record
         stamped = 0
-        for kind, values in zip(trace._kinds, trace._values):
+        for _tick, start, stop in _scan(record):
+            kind, values = record[start], record[start + 1 : stop]
             arity = len(EVENT_FIELDS[kind])
             if len(values) == arity + 1:
                 field, domain = values[-1]
@@ -421,6 +434,142 @@ class TestPositionalRecords:
         merged.merge(trace.events)
         merged.merge(trace.events)
         assert list(merged.events) == list(trace.events) * 2
+
+
+def _replay(trace, steps):
+    """Emit ``(tick, kind, values, shard)`` steps; ``shard`` stamps."""
+    for tick, kind, values, shard in steps:
+        trace.begin_tick(tick)
+        emitter = trace if shard is None else ShardTrace(trace, shard)
+        emitter.emit(kind, *values)
+
+
+#: two collectors' steps whose last ticks differ (9 and 5)
+FIRST = [
+    (0, "run-start", ("a",), None),
+    (4, "op-ok", ("T1", "BA", "deposit(1)"), None),
+    (4, "force", ("BA", 1, 2), 0),
+    (9, "commit-stall", ("T1",), None),
+]
+SECOND = [
+    (0, "run-start", ("b",), None),
+    (2, "force-request", ("BA", 3), 1),
+    (5, "txn-abort", ("T2", "crash"), None),
+]
+
+
+class TestFlatRecord:
+    """One flat list per collector: kinds, values, stamps, tick deltas."""
+
+    def test_indexing_equals_the_decoded_list(self):
+        trace = TraceCollector()
+        drive(OpenLoopConfig(objects=6, shards=2, transactions=40, group_commit=2,
+                             cross_shard=0.3, read_mix=0.2), seed=1, trace=trace)
+        events = trace.events
+        decoded = list(events)
+        n = len(decoded)
+        assert len(events) == n > 100
+        for i in range(-n, n):
+            assert events[i] == decoded[i], i
+        for cut in [slice(None), slice(3, -3, 4), slice(-7, None), slice(None, None, -1),
+                    slice(5, 5), slice(n - 2, n + 9)]:
+            assert events[cut] == decoded[cut], cut
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                events[i]
+
+    def test_indexing_walks_one_event_once_the_index_is_built(self, monkeypatch):
+        _, trace = build_traced_run("hotspot", 0)
+        events = trace.events
+        n = len(events)  # builds the index
+        walked = []
+        scan = trace_module._scan
+
+        def counting(record, at=0, tick=0):
+            for step in scan(record, at, tick):
+                walked.append(step)
+                yield step
+
+        monkeypatch.setattr(trace_module, "_scan", counting)
+        for i in range(n):
+            events[-1 - i]
+        assert len(walked) == n
+        # events recorded after the index was built are indexed on demand
+        trace.begin_tick(trace.tick + 3)
+        trace.emit("commit-stall", "T9")
+        assert len(events) == n + 1
+        assert events[-1] == {"txn": "T9", "tick": trace.tick, "kind": "commit-stall"}
+
+    @pytest.mark.parametrize("shipped", [False, True], ids=["direct", "pickled"])
+    def test_merge_rebases_tick_deltas(self, shipped):
+        """A merged collector decodes as one that saw every event in
+        sequence, before and after a pickle round trip (a parallel cell's
+        collector crosses a process boundary)."""
+        first, second, sequential = TraceCollector(), TraceCollector(), TraceCollector()
+        _replay(first, FIRST)
+        _replay(second, SECOND)
+        _replay(sequential, FIRST + SECOND)
+        events = second.events
+        if shipped:
+            events = pickle.loads(pickle.dumps(events))
+        first.merge(events)
+        assert list(first.events) == list(sequential.events)
+        # the merging collector goes on at its own tick
+        first.emit("commit-stall", "T3")
+        sequential.begin_tick(9)
+        sequential.emit("commit-stall", "T3")
+        assert list(first.events) == list(sequential.events)
+        assert first.events[-1]["tick"] == 9 and first.events[-2]["tick"] == 5
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ["no-such-kind", 1],
+            ["op-ok", "T1", "BA"],
+            ["commit-stall", "T1", _Stamp(("shard", 0)), _Stamp(("shard", 0))],
+            [3, None],
+            [("txn", "T1")],
+        ],
+        ids=["unknown-kind", "cut-short", "stamp-for-a-kind", "none-for-a-kind", "tuple"],
+    )
+    def test_a_malformed_record_raises(self, record):
+        trace = TraceCollector()
+        trace._record.extend(record)
+        with pytest.raises(ValueError, match="trace record"):
+            list(trace.events)
+        with pytest.raises(ValueError, match="trace record"):
+            len(trace.events)
+
+    @STAMPED_DRIVES
+    def test_load_of_the_dump_of_a_stamped_drive(self, config, tmp_path):
+        trace = TraceCollector()
+        drive(config, seed=1, trace=trace)
+        path = str(tmp_path / "t.jsonl")
+        assert trace.dump_jsonl(path) == len(trace.events)
+        loaded = load_jsonl(path)
+        assert loaded == list(trace.events)
+        assert any("shard" in e or "site" in e for e in loaded)
+
+    def test_a_traced_drive_keeps_at_most_48_bytes_an_event(self):
+        """Retained by the collector once the drive's system is freed
+        (``tracemalloc``), on a steady drive (a contended one also keeps
+        every ``lock-wait`` event's conflict pairs);
+        ``bench_trace_overhead.py`` holds the same bound on a larger one."""
+        config = OpenLoopConfig(adt_kind="bank", objects=16, shards=2, transactions=200,
+                                arrival_rate=0.12, group_commit=2, hold=2,
+                                cross_shard=0.2, read_mix=0.2)
+        drive(config, seed=0)  # warm: lazy imports, interned operations
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = TraceCollector()
+            before = tracemalloc.get_traced_memory()[0]
+            drive(config, seed=0, trace=trace)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(trace.events) <= 48
 
 
 class TestStreaming:
