@@ -28,6 +28,14 @@ an **open-loop** arrival process:
   and per-shard traffic breakdowns.  Nothing is read back from a
   trace: an untraced drive builds no collector and emits nothing.
 
+A drive holds what is live.  The arrival ticks are drawn up front (one
+``int`` each), but each script is built from the seeded generator only
+when the scheduler pulls it on its arrival tick, and dropped when it
+finishes; the report is built from per-arrival columns (tick, home,
+read-only flag, commit tick).  The draws come in the same order as
+:func:`open_loop_scripts`, which builds the whole load as a list, so a
+streamed drive runs the very same scripts.
+
 One scheduler drives every shard, so the shard count changes what a
 shard *owns* (its objects, its share of the operations and log forces)
 and nothing that executes: counters, ticks and latencies are equal at
@@ -43,7 +51,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .durability import site_faults, validate_site_crashes
 from .metrics import RunMetrics
@@ -262,7 +270,21 @@ def open_loop_scripts(
 ) -> List[Tuple[TransactionScript, int]]:
     """The full offered load: ``(script, arrival_tick)`` per transaction.
 
-    Deterministic from ``(config, rng state)``.
+    Deterministic from ``(config, rng state)``: the stream of
+    :func:`open_loop_stream`, drained into a list.
+    """
+    _, stream = open_loop_stream(config, rng)
+    return list(stream)
+
+
+def open_loop_stream(
+    config: OpenLoopConfig, rng: random.Random
+) -> Tuple[List[int], Iterator[Tuple[TransactionScript, int]]]:
+    """The offered load as a stream: the arrival ticks, drawn from
+    ``rng`` now, and an iterator of ``(script, arrival_tick)`` pairs
+    that draws each script from ``rng`` only when it is pulled.
+
+    Nothing else may draw from ``rng`` until the stream is drained.
     """
     from ..adts.registry import make_adt
 
@@ -285,33 +307,32 @@ def open_loop_scripts(
         if config.cross_shard > 0
         else {}
     )
-    out: List[Tuple[TransactionScript, int]] = []
-    for t, arrival in enumerate(arrivals):
-        readonly = config.read_mix > 0 and rng.random() < config.read_mix
-        home = names[chooser.pick(rng)]
-        second: Optional[str] = None
-        if config.cross_shard > 0 and rng.random() < config.cross_shard:
-            away = others[shard[home]]
-            if away:
-                second = away[chooser.pick(rng) % len(away)]
-        steps = []
-        for i in range(config.ops_per_txn):
-            obj = home
-            if second is not None and i >= (config.ops_per_txn + 1) // 2:
-                obj = second
-            pool = observers if readonly else alphabet
-            steps.append((obj, rng.choice(pool)))
-        # ``ro_mode == "locked"`` is the baseline: the *same* observer
-        # scripts (identical rng draws) run through the ordinary locked
-        # read path instead of the multiversion snapshot path.
-        out.append((
-            TransactionScript(
+
+    def stream() -> Iterator[Tuple[TransactionScript, int]]:
+        for t, arrival in enumerate(arrivals):
+            readonly = config.read_mix > 0 and rng.random() < config.read_mix
+            home = names[chooser.pick(rng)]
+            second: Optional[str] = None
+            if config.cross_shard > 0 and rng.random() < config.cross_shard:
+                away = others[shard[home]]
+                if away:
+                    second = away[chooser.pick(rng) % len(away)]
+            steps = []
+            for i in range(config.ops_per_txn):
+                obj = home
+                if second is not None and i >= (config.ops_per_txn + 1) // 2:
+                    obj = second
+                pool = observers if readonly else alphabet
+                steps.append((obj, rng.choice(pool)))
+            # ``ro_mode == "locked"`` is the baseline: the *same* observer
+            # scripts (identical rng draws) run through the ordinary
+            # locked read path instead of the multiversion snapshot path.
+            yield TransactionScript(
                 "T%d" % t, steps,
                 read_only=readonly and config.ro_mode == "snapshot",
-            ),
-            arrival,
-        ))
-    return out
+            ), arrival
+
+    return arrivals, stream()
 
 
 def home_shard(script: TransactionScript, shards: int) -> int:
@@ -445,11 +466,16 @@ def drive(
     report's ``availability`` is the committed fraction of the offered
     load through the site-crash schedule.
 
-    The report comes from :meth:`Scheduler.commit_ticks` and the
-    arrivals, never from a trace: a latency is commit tick − offered
-    arrival, across restarts, and a shard's ``committed`` counts update
-    scripts by home shard.  ``trace=None`` builds no collector and emits
-    nothing; a passed collector also gets ``drive-start`` /
+    The scheduler pulls each script from :func:`open_loop_stream` on
+    its arrival tick, and keeps it until it finishes.  The report comes
+    from per-arrival columns in stream order — the arrival ticks, each
+    script's home and read-only flag (noted as it is pulled), and
+    :meth:`Scheduler.commit_ticks` — never from a trace: a latency is
+    commit tick − offered arrival, across restarts, and a shard's
+    ``committed`` counts update scripts by home shard.  A replicated
+    drive draws its homes once the stream has drained, where the whole
+    load was drawn before it.  ``trace=None`` builds no collector and
+    emits nothing; a passed collector also gets ``drive-start`` /
     ``drive-end``.
 
     Nothing audits a drive, so its system is built with
@@ -458,7 +484,7 @@ def drive(
     the same either way.
     """
     rng = random.Random(seed)
-    scripts = open_loop_scripts(config, rng)
+    arrivals, stream = open_loop_stream(config, rng)
     knobs = dict(
         recovery=config.recovery,
         group_commit=config.group_commit,
@@ -467,41 +493,61 @@ def drive(
     )
     replicated = config.sites > 1 or bool(config.site_crashes)
     if replicated:
-        homes = split_arrivals([tick for _, tick in scripts], config.sites, rng)
         system = build_replicated_system(
             config.adt_kind, config.object_names(), sites=config.sites, **knobs
         )
     else:
-        homes = [home_shard(s, config.shards) for s, _ in scripts]
         system = build_sharded_system(
             config.adt_kind, config.object_names(), shards=config.shards, **knobs
         )
     shards = 1 if replicated else config.shards
+    # The columns noted as each script is pulled, in stream order.
+    homes: List[int] = []
+    read_only = bytearray()
+    ops_by_shard: Counter = Counter()
+
+    def noted(stream: Iterator[Tuple[TransactionScript, int]]):
+        for script, tick in stream:
+            read_only.append(script.read_only)
+            if not replicated:
+                homes.append(home_shard(script, config.shards))
+                ops_by_shard.update(
+                    shard_of(obj, config.shards) for obj, _ in script.steps
+                )
+            yield script, tick
+
     if trace is not None:
         trace.emit("drive-start", config.label(), shards, config.arrival_rate)
     start = time.perf_counter()
-    scheduler = _scheduler(system, scripts, config, seed=seed, trace=trace)
+    scheduler = _scheduler(
+        system, config, arrivals, noted(stream), seed=seed, trace=trace
+    )
     metrics = scheduler.run()
     wall = time.perf_counter() - start
+    if replicated:
+        homes = split_arrivals(arrivals, config.sites, rng)
     # Latency counts from the offered arrival, across every restart;
     # ``committed`` counts update scripts by their home shard or site.
     commit_ticks = scheduler.commit_ticks()
-    done = [
-        (script, arrival, home)
-        for (script, arrival), home in zip(scripts, homes)
-        if script.name in commit_ticks
-    ]
-    latencies = sorted(commit_ticks[s.name] - arrival for s, arrival, _ in done)
-    committed = Counter(home for s, _, home in done if not s.read_only)
+    latencies = sorted(
+        tick - arrival
+        for tick, arrival in zip(commit_ticks, arrivals)
+        if tick is not None
+    )
+    committed = Counter(
+        home
+        for tick, home, ro in zip(commit_ticks, homes, read_only)
+        if tick is not None and not ro
+    )
     report = DriveReport(
         label=config.label(),
         shards=shards,
-        offered=len(scripts),
+        offered=len(arrivals),
         metrics=metrics,
         wall_s=wall,
         latencies=latencies,
         per_shard=[] if replicated else _per_shard_rows(
-            system, config, scripts, committed
+            system, ops_by_shard, committed
         ),
         sites=config.sites,
         per_site=_per_site_rows(system, homes, committed) if replicated else [],
@@ -521,41 +567,36 @@ def drive(
 
 def _scheduler(
     system,
-    scripts: Sequence[Tuple[TransactionScript, int]],
     config: OpenLoopConfig,
+    arrivals: Sequence[int],
+    stream: Iterable[Tuple[TransactionScript, int]],
     *,
     seed: int,
     trace: Optional[TraceCollector],
 ) -> Scheduler:
-    """A scheduler over ``scripts``: open-loop arrivals, site crashes."""
-    arrivals = {script.name: tick for script, tick in scripts}
-    last = max(arrivals.values(), default=0)
+    """A scheduler over the offered ``stream`` of :func:`open_loop_stream`,
+    whose arrival ticks are ``arrivals``: open-loop arrivals, site
+    crashes."""
     return Scheduler(
         system,
-        [script for script, _ in scripts],
+        (),
         seed=seed,
         label=config.label(),
         max_restarts=config.max_restarts,
         # Every offered transaction must be *able* to arrive: leave room
         # past the last arrival for it to drain.
-        max_ticks=max(config.max_ticks, last + 10_000),
+        max_ticks=max(config.max_ticks, max(arrivals, default=0) + 10_000),
         trace=trace,
-        arrivals=arrivals,
+        arrivals=stream,
         faults=site_faults(config.site_crashes),
     )
 
 
 def _per_shard_rows(
     system: ShardedSystem,
-    config: OpenLoopConfig,
-    scripts: Sequence[Tuple[TransactionScript, int]],
+    ops_by_shard: Dict[int, int],
     committed_by_shard: Dict[int, int],
 ) -> List[Dict[str, int]]:
-    ops_by_shard: Dict[int, int] = {}
-    for script, _ in scripts:
-        for obj, _inv in script.steps:
-            k = shard_of(obj, config.shards)
-            ops_by_shard[k] = ops_by_shard.get(k, 0) + 1
     rows = []
     for acc in system.force_accounting_by_shard():
         k = acc["shard"]

@@ -5,9 +5,13 @@ Drives a set of straight-line transaction scripts against a
 
 * each *tick*, every transaction in the system gets its turn (in a
   seeded random order, so interleavings vary across seeds) to attempt
-  its next operation; a script with an open-loop arrival tick waits in
-  an *arrival queue* and joins the system on that tick, so a tick costs
-  what is in the system, not what is still to come;
+  its next operation; open-loop arrivals are a stream of ``(script,
+  tick)`` pairs in tick order, and the scheduler pulls a script from it
+  on its arrival tick, so a tick costs what is in the system, not what
+  is still to come, and a script is not even built before it arrives;
+* a finished script leaves the scheduler: its commit tick is folded
+  into one record in admission order (:meth:`Scheduler.commit_ticks`)
+  and its entry is dropped, so the scheduler holds what is live;
 * a blocked attempt records waits-for edges and *parks* the transaction
   on the object's epoch (:meth:`TransactionSystem.epoch`): a refusal is
   a function of the object's lock table and view, so its turn passes
@@ -40,7 +44,7 @@ entries of the *fault calendar* (:class:`FaultCalendar`) due after each
 tick's scan, before the system clock moves.
 
 The main loop is event-driven: a *wake calendar* — fed by backoff
-windows, the head of the arrival queue, ``wait_for`` releases, the
+windows, the head of the arrival stream, ``wait_for`` releases, the
 fault calendar and the tick the earliest held
 group-commit batch is due — names the next tick at which
 anything can happen, and the stretch of provably-dead ticks before it
@@ -59,18 +63,15 @@ from __future__ import annotations
 
 import bisect
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Deque,
-    Dict,
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -173,10 +174,14 @@ class TransactionScript:
 
 @dataclass
 class _LiveTxn:
-    """Scheduler-side state of one script instance."""
+    """Scheduler-side state of one script instance, from its admission
+    to its retirement."""
 
     script: TransactionScript
     txn: str  # current transaction name (changes across restarts)
+    #: the script's position in admission order: its slot in the
+    #: scheduler's commit record.
+    seq: int = 0
     step: int = 0
     restarts: int = 0
     born_tick: int = 0  # this incarnation's start: the arrival, or a restart
@@ -192,10 +197,9 @@ class _LiveTxn:
     #: set exactly once, at the transition that finishes the script
     #: (commit success, read-only completion, restart-budget
     #: exhaustion, or crash-time in-doubt resolution): retired entries
-    #: leave the scheduler's active list and are never scanned again.
+    #: leave the scheduler's active list, are never scanned again, and
+    #: are dropped.
     retired: bool = False
-    #: the tick the scan committed this script (update or read-only).
-    commit_tick: Optional[int] = None
 
     @property
     def done(self) -> bool:
@@ -203,7 +207,14 @@ class _LiveTxn:
 
 
 class Scheduler:
-    """Run transaction scripts to completion and collect metrics."""
+    """Run transaction scripts to completion and collect metrics.
+
+    ``scripts`` are in the system from tick 0; ``arrivals`` is a finite
+    iterable of ``(script, tick)`` pairs in tick order, pulled one at a
+    time as each tick comes.  A script name is used once per run: one
+    that arrives while an entry of that name is live, or after it has
+    finished, raises :class:`ValueError`.
+    """
 
     def __init__(
         self,
@@ -216,13 +227,9 @@ class Scheduler:
         label: str = "",
         faults: Iterable[Fault] = (),
         trace=None,
-        arrivals: Optional[Mapping[str, int]] = None,
+        arrivals: Iterable[Tuple[TransactionScript, int]] = (),
     ):
-        names = [s.name for s in scripts]
-        if len(set(names)) != len(names):
-            raise ValueError("script names must be unique")
         self.system = system
-        self.scripts = tuple(scripts)
         self.rng = random.Random(seed)
         self.max_restarts = max_restarts
         self.max_ticks = max_ticks
@@ -235,44 +242,34 @@ class Scheduler:
         self.trace = trace
         if trace is not None:
             trace.bind_system(system)
-        self._live: List[_LiveTxn] = [
-            _LiveTxn(script=s, txn=s.name) for s in scripts
-        ]
-        #: open-loop arrivals (script name -> arrival tick): the script
-        #: enters the system at its arrival tick rather than at tick 1,
-        #: independent of how many earlier transactions have finished —
-        #: the open-loop property the traffic driver
-        #: (:mod:`repro.runtime.openloop`) relies on.  ``born_tick``
-        #: starts at the arrival, but each restart moves it: latency
-        #: from the arrival is measured by the caller that set it.
-        if arrivals:
-            for entry in self._live:
-                tick = int(arrivals.get(entry.script.name, 0))
-                if tick < 0:
-                    raise ValueError(
-                        "arrival tick must be >= 0 (got %d for %s)"
-                        % (tick, entry.script.name)
-                    )
-                entry.born_tick = tick
-        #: the transactions in the system: not retired (compacted lazily
-        #: when a retirement dirties the list — no per-tick re-filter,
-        #: no ``system.status`` calls) and already arrived.  The scan,
-        #: its shuffle, the runnable test, the calendar and the
-        #: stall-breaker walk this list and nothing else.
-        self._active: List[_LiveTxn] = [
-            t for t in self._live if t.born_tick <= 0
-        ]
+        #: the transactions in the system: admitted and not retired
+        #: (compacted lazily when a retirement dirties the list — no
+        #: per-tick re-filter, no ``system.status`` calls).  The scan,
+        #: its shuffle, the runnable test, the calendar, the
+        #: stall-breaker and crash handling walk this list and nothing
+        #: else; a retired entry leaves it and nothing else holds it.
+        self._active: List[_LiveTxn] = []
         self._dirty = False
-        #: scripts still to arrive, by (arrival tick, script position);
-        #: :meth:`_admit_arrivals` moves them to ``_active`` on their
-        #: tick and the head's arrival is a wake-calendar source.
-        self._arrival_queue: Deque[_LiveTxn] = deque(
-            sorted(
-                (t for t in self._live if t.born_tick > 0),
-                key=lambda t: t.born_tick,
-            )
-        )
+        #: the script names of the admitted entries not yet retired.
+        self._live_names: Set[str] = set()
+        #: per admitted script, in admission order: the tick the scan
+        #: committed it, or None (see :meth:`commit_ticks`).
+        self._commit_ticks: List[Optional[int]] = []
         self._waits = WaitsForGraph()
+        for script in scripts:
+            self._admit(script, 0)
+        #: open-loop arrivals: a script enters the system at its arrival
+        #: tick rather than at tick 1, independent of how many earlier
+        #: transactions have finished — the open-loop property the
+        #: traffic driver (:mod:`repro.runtime.openloop`) relies on.
+        #: ``born_tick`` starts at the arrival, but each restart moves
+        #: it: latency from the arrival is measured by the caller that
+        #: offered it.  The stream's head, pulled one ahead, is a
+        #: wake-calendar source; :meth:`_admit_arrivals` admits it on
+        #: its tick.
+        self._arrivals = iter(arrivals)
+        self._head: Optional[Tuple[TransactionScript, int]] = None
+        self._pull(0)
 
     # -- main loop -----------------------------------------------------------------
 
@@ -311,9 +308,13 @@ class Scheduler:
             if dead:
                 continue
             self._admit_arrivals(tick)
-            live = self._active
-            if self._any_runnable(tick, live):
-                progressed = self._tick(tick, live)
+            # ``_active`` is read afresh, never kept across ticks: a
+            # retired entry is dropped at the compaction below, and
+            # nothing else may still hold it.  (Only a crash compacts
+            # mid-tick, and a crash is progress: the stall-breaker gets
+            # the list the scan had whenever it runs.)
+            if self._any_runnable(tick, self._active):
+                progressed = self._tick(tick, self._active)
             else:
                 # Nothing runnable: skip the scan — and its RNG shuffle
                 # — entirely, so a shuffle happens exactly on the ticks
@@ -327,7 +328,7 @@ class Scheduler:
             # held group-commit batch now due is forced.
             self.system.tick()
             if not progressed:
-                self._break_stall(tick, live)
+                self._break_stall(tick, self._active)
             self._compact()
             if self._unfinished():
                 next_live = self._wake_plan(tick, horizon)
@@ -385,14 +386,54 @@ class Scheduler:
 
     def _unfinished(self) -> bool:
         """Is any script still in the system or still to arrive?"""
-        return bool(self._active or self._arrival_queue)
+        return bool(self._active) or self._head is not None
+
+    def _admit(self, script: TransactionScript, tick: int) -> None:
+        """Enter ``script`` into the system as of ``tick``.
+
+        A name is used once per run.  The check reads the system's
+        final statuses, which outlive the scheduler's entries: a script
+        whose first incarnation (named after it) has finished, committed
+        or aborted, is refused rather than merged with it."""
+        name = script.name
+        if name in self._live_names:
+            raise ValueError(
+                "script names must be unique: %s arrives while an entry "
+                "of that name is live" % name
+            )
+        if self.system.status(name) != "active":
+            raise ValueError(
+                "script names must be unique: %s arrives after an entry "
+                "of that name has finished" % name
+            )
+        self._live_names.add(name)
+        self._active.append(
+            _LiveTxn(script, name, len(self._commit_ticks), born_tick=tick)
+        )
+        self._commit_ticks.append(None)
+
+    def _pull(self, floor: int) -> None:
+        """Take the next arrival off the stream as the head (None when
+        the stream is drained); its tick may not be below ``floor``, the
+        tick of the arrival before it."""
+        head = next(self._arrivals, None)
+        if head is not None:
+            script, tick = head
+            if tick < floor:
+                raise ValueError(
+                    "arrivals must come in tick order, from tick 0: %s "
+                    "arrives at %d, after an arrival at %d"
+                    % (script.name, tick, floor)
+                )
+        self._head = head
 
     def _admit_arrivals(self, tick: int) -> None:
-        """Move every queued script whose arrival tick has come into the
-        system, in queue order, before the tick's runnable test."""
-        queue = self._arrival_queue
-        while queue and queue[0].born_tick <= tick:
-            self._active.append(queue.popleft())
+        """Admit every arrival whose tick has come, in stream order,
+        before the tick's runnable test."""
+        while self._head is not None and self._head[1] <= tick:
+            script, arrival = self._head
+            self._admit(script, arrival)
+            self._pull(arrival)
 
     def _still_waiting(self, entry: _LiveTxn) -> bool:
         """Victim-waits-for-winners: drop the finished transactions from
@@ -436,7 +477,7 @@ class Scheduler:
     def _next_wake(self, tick: int) -> Optional[int]:
         """The earliest tick after ``tick`` at which anything can happen.
 
-        Sources: the head of the arrival queue (a script arriving at
+        Sources: the head of the arrival stream (a script arriving at
         tick A is admitted and runnable *at* A, so that tick itself is
         the wake), a backoff window expiring (likewise runnable *at*
         ``backoff_until``), an entry already runnable or newly released
@@ -449,8 +490,8 @@ class Scheduler:
         """
         floor = tick + 1
         wake: Optional[int] = None
-        if self._arrival_queue:
-            wake = max(self._arrival_queue[0].born_tick, floor)
+        if self._head is not None:
+            wake = max(self._head[1], floor)
             if wake == floor:
                 return floor
         for entry in self._active:
@@ -499,6 +540,7 @@ class Scheduler:
 
     def _retire(self, entry: _LiveTxn) -> None:
         entry.retired = True
+        self._live_names.discard(entry.script.name)
         self._dirty = True
 
     def _compact(self) -> None:
@@ -512,8 +554,7 @@ class Scheduler:
         lines = [
             "scheduler did not converge within %d ticks" % self.max_ticks
         ]
-        live = [t for t in self._live if not t.retired]
-        queued = {id(t) for t in self._arrival_queue}
+        live = [t for t in self._active if not t.retired]
         lines.append("live transactions (%d):" % len(live))
         for entry in live[:_DIAG_LIMIT]:
             parts = [
@@ -521,9 +562,7 @@ class Scheduler:
                 "step=%d/%d" % (entry.step, len(entry.script.steps)),
                 "restarts=%d" % entry.restarts,
             ]
-            if id(entry) in queued:
-                parts.append("arrives=%d" % entry.born_tick)
-            elif entry.parked is not None:
+            if entry.parked is not None:
                 parts.append(
                     "parked=%s@%d"
                     % (entry.script.steps[entry.step][0], entry.parked)
@@ -537,6 +576,15 @@ class Scheduler:
             lines.append("  " + " ".join(parts))
         if len(live) > _DIAG_LIMIT:
             lines.append("  ... and %d more" % (len(live) - _DIAG_LIMIT))
+        if self._head is not None:
+            # The run is over: the rest of the stream is pulled only to
+            # be counted.
+            script, tick = self._head
+            pending = 1 + sum(1 for _ in self._arrivals)
+            lines.append(
+                "arrivals pending (%d): the next, %s, arrives=%d"
+                % (pending, script.name, tick)
+            )
         edges = sorted(self._waits.edges())
         if edges:
             lines.append("waits-for edges (%d):" % len(edges))
@@ -564,7 +612,7 @@ class Scheduler:
         unwound by a :class:`~repro.runtime.faults.CrashPoint`: the next
         ``run()`` resumes the surviving scripts.
         """
-        for entry in self._live:
+        for entry in self._active:
             # The waits-for graph is discarded below, so every survivor
             # re-attempts once to record its edges afresh.
             entry.parked = None
@@ -585,16 +633,13 @@ class Scheduler:
         self._compact()
         self._waits = WaitsForGraph()
 
-    def commit_ticks(self) -> Dict[str, int]:
-        """Script name -> the tick at which the scan committed it, over
-        update and read-only scripts alike.  A commit that crash-time
-        in-doubt resolution completed has no tick here, as it has no
-        ``txn-commit`` event."""
-        return {
-            entry.script.name: entry.commit_tick
-            for entry in self._live
-            if entry.commit_tick is not None
-        }
+    def commit_ticks(self) -> List[Optional[int]]:
+        """Per admitted script, in admission order (the ``scripts``,
+        then the arrivals as they were pulled): the tick at which the
+        scan committed it, over update and read-only scripts alike, or
+        None.  A commit that crash-time in-doubt resolution completed
+        has no tick here, as it has no ``txn-commit`` event."""
+        return list(self._commit_ticks)
 
     def _is_retired(self, live: _LiveTxn) -> bool:
         """Finished successfully, or out of restart budget."""
@@ -624,7 +669,7 @@ class Scheduler:
             if entry.done:
                 if self.system.commit(entry.txn):
                     self.metrics.committed += 1
-                    entry.commit_tick = tick
+                    self._commit_ticks[entry.seq] = tick
                     self._retire(entry)
                     self._waits.remove_transaction(entry.txn)
                     if self.trace is not None:
@@ -709,7 +754,7 @@ class Scheduler:
         if entry.done:
             self.system.finish_readonly(entry.txn)
             self.metrics.ro_committed += 1
-            entry.commit_tick = tick
+            self._commit_ticks[entry.seq] = tick
             self._retire(entry)
             self._waits.remove_transaction(entry.txn)
             if self.trace is not None:

@@ -10,7 +10,7 @@ count of ``TransactionSystem.invoke`` calls.
 import random
 
 from repro.runtime import TransactionSystem
-from repro.runtime.openloop import OpenLoopConfig, open_loop_scripts
+from repro.runtime.openloop import OpenLoopConfig, open_loop_stream
 from repro.runtime.openloop import _scheduler as drive_scheduler
 from repro.runtime.sharding import build_sharded_system
 
@@ -42,8 +42,8 @@ def scheduler_in_hand(config, seed, trace=None):
         group_commit=config.group_commit,
         hold=config.hold,
     )
-    scripts = open_loop_scripts(config, random.Random(seed))
-    return drive_scheduler(system, scripts, config, seed=seed, trace=trace)
+    arrivals, stream = open_loop_stream(config, random.Random(seed))
+    return drive_scheduler(system, config, arrivals, stream, seed=seed, trace=trace)
 
 
 def flash_crowd_scheduler(seed):

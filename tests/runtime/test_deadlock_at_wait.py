@@ -18,6 +18,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -28,8 +29,9 @@ from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.lock_manager import WaitsForGraph
 from repro.runtime.scheduler import Scheduler, TransactionScript, _LiveTxn
 from repro.runtime.torture import TortureConfig
+from repro.runtime.trace import TraceCollector
 
-from ..drive_harness import FLASH_CROWD, flash_crowd_scheduler
+from ..drive_harness import FLASH_CROWD, flash_crowd_scheduler, scheduler_in_hand
 from .test_event_scheduler import _site_cells, _torture_cells
 
 SRC = pathlib.Path(repro.__file__).parent.parent
@@ -278,7 +280,8 @@ def test_no_flash_crowd_runs_out_of_restarts():
     commits inside its restart budget, and every deadlock victim had the
     fewest restarts of its cycle."""
     for seed in range(50):
-        scheduler = flash_crowd_scheduler(seed)
+        trace = TraceCollector()
+        scheduler = scheduler_in_hand(FLASH_CROWD, seed, trace)
         chosen = []
         pick = scheduler._pick_victim
 
@@ -291,7 +294,13 @@ def test_no_flash_crowd_runs_out_of_restarts():
         scheduler._pick_victim = recording_pick
         metrics = scheduler.run()
         assert metrics.committed + metrics.ro_committed == FLASH_CROWD.transactions, seed
-        assert all(e.restarts <= scheduler.max_restarts for e in scheduler._live), seed
+        # a script's restarts: one per abort of one of its incarnations
+        restarts = Counter(
+            e["txn"].split("~")[0]
+            for e in trace.events
+            if e["kind"] in ("txn-abort", "ro-abort")
+        )
+        assert max(restarts.values()) <= scheduler.max_restarts, seed
         assert chosen and all(chosen), seed
 
 

@@ -240,13 +240,13 @@ def _one_shot_system():
 
 
 def _arrival_scheduler(arrival, **kwargs):
-    scripts = [TransactionScript("T", (("BA", inv("deposit", 1)),))]
+    script = TransactionScript("T", (("BA", inv("deposit", 1)),))
     return Scheduler(
         _one_shot_system(),
-        scripts,
+        [],
         seed=0,
         trace=TraceCollector(),
-        arrivals={"T": arrival},
+        arrivals=[(script, arrival)],
         **kwargs,
     )
 
@@ -265,7 +265,7 @@ class TestBackoffBoundary:
 
     def test_wake_is_backoff_until_not_one_off(self):
         scheduler = _arrival_scheduler(10)
-        entry = scheduler._arrival_queue[0]
+        script, _ = scheduler._head
         assert not scheduler._active  # still to arrive: not in the system
         # one before the window opens: not admitted, wake names B exactly
         scheduler._admit_arrivals(9)
@@ -274,7 +274,8 @@ class TestBackoffBoundary:
         assert scheduler._next_wake(9) == 10
         # at the boundary: admitted and runnable, the wake moves to the floor
         scheduler._admit_arrivals(10)
-        assert scheduler._active == [entry] and not scheduler._arrival_queue
+        [entry] = scheduler._active
+        assert entry.script is script and scheduler._head is None
         assert scheduler._any_runnable(10, scheduler._active)
         assert scheduler._next_wake(10) == 11
         # one after: still runnable
@@ -415,12 +416,12 @@ def _flush_ticks(phase, hold):
     system = TransactionSystem([ba])
     log = ba.wal.log
     trace = TraceCollector()
-    scripts = [TransactionScript("T", (("BA", inv("deposit", 1)),))]
-    arrivals = {"T": 12}
+    script = TransactionScript("T", (("BA", inv("deposit", 1)),))
+    arrival = 12
     faults = []
     inject = None
     if phase == "scan":
-        arrivals = {"T": 2}
+        arrival = 2
     elif phase == "on_tick":
         faults = [Fault(CHECKPOINT, 3)]
 
@@ -435,7 +436,7 @@ def _flush_ticks(phase, hold):
             return False
 
     elif phase == "re_entry":
-        arrivals = {"T": 1}
+        arrival = 1
         faults = [Fault(CHECKPOINT, 2)]
 
         def inject(tick, due):
@@ -444,7 +445,7 @@ def _flush_ticks(phase, hold):
             return False
 
     scheduler = Scheduler(
-        system, scripts, arrivals=arrivals, faults=faults, trace=trace
+        system, [], arrivals=[(script, arrival)], faults=faults, trace=trace
     )
     if inject is not None:
         scheduler.inject = inject
@@ -734,9 +735,9 @@ class TestNonConvergenceDiagnostics:
         assert message.startswith(
             "scheduler did not converge within 10 ticks"
         )
-        assert "live transactions (1):" in message
-        assert "arrives=50" in message  # still in the arrival queue
-        assert "step=0/1" in message
+        # still to arrive: not a live transaction, but the stream's head
+        assert "live transactions (0):" in message
+        assert "arrivals pending (1): the next, T, arrives=50" in message
 
     def test_report_includes_waits_for_edges(self):
         scheduler = _arrival_scheduler(0, max_ticks=5)
@@ -753,12 +754,9 @@ class TestNonConvergenceDiagnostics:
         system.invoke("HOLDER", "BA", inv("withdraw", 1))
         scheduler = Scheduler(
             system,
-            [
-                TransactionScript("T", (("BA", inv("deposit", 1)),)),
-                TransactionScript("U", (("BA", inv("deposit", 1)),)),
-            ],
+            [TransactionScript("T", (("BA", inv("deposit", 1)),))],
             seed=0,
-            arrivals={"U": 2},
+            arrivals=[(TransactionScript("U", (("BA", inv("deposit", 1)),)), 2)],
         )
         epoch = system.epoch("BA")
         scheduler._tick(1, scheduler._active)
@@ -791,10 +789,12 @@ class TestRetireBookkeeping:
         ]
         scheduler = Scheduler(system, scripts, seed=2)
         scheduler.run()
-        assert scheduler._active == []
-        assert all(t.retired for t in scheduler._live)
-        # the full entry list survives compaction for crash bookkeeping
-        assert len(scheduler._live) == 5
+        assert scheduler._active == [] and not scheduler._live_names
+        # a retired entry is dropped: only its commit tick is kept, in
+        # admission order
+        assert not hasattr(scheduler, "_live")
+        ticks = scheduler.commit_ticks()
+        assert len(ticks) == 5 and None not in ticks
 
     def test_random_matrix_smoke(self):
         """A randomized mini-fuzz across workload shapes: jumped and
@@ -812,10 +812,14 @@ class TestRetireBookkeeping:
                 )
                 for i in range(n)
             ]
-            arrivals = {
-                "T%d" % i: rng.choice([0, 0, rng.randint(1, 60)])
-                for i in range(n)
-            }
+            ticks = [rng.choice([0, 0, rng.randint(1, 60)]) for _ in range(n)]
+            # the tick-0 scripts are in the system from the start, the
+            # rest arrive in (tick, position) order
+            arrivals = sorted(
+                ((s, t) for s, t in zip(scripts, ticks) if t),
+                key=lambda pair: pair[1],
+            )
+            present = [s for s, t in zip(scripts, ticks) if not t]
             seed = rng.randint(0, 1000)
 
             def cell():
@@ -824,7 +828,7 @@ class TestRetireBookkeeping:
                     [ManagedObject(ba, ba.nrbc_conflict(), "UIP")]
                 )
                 s = Scheduler(
-                    system, scripts, seed=seed, arrivals=arrivals
+                    system, present, seed=seed, arrivals=arrivals
                 )
                 s.run()
                 return (

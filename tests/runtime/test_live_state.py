@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.events import inv
 from repro.core.history import HistoryNotKept
-from repro.runtime.openloop import OpenLoopConfig, _scheduler, open_loop_scripts
+from repro.runtime.openloop import OpenLoopConfig, _scheduler, open_loop_stream
 from repro.runtime.replication import build_replicated_system
 from repro.runtime.scheduler import CRASH_SHARD, Fault, FaultCalendar
 from repro.runtime.sharding import build_sharded_system
@@ -179,9 +179,9 @@ def _run(config, history, seed=0):
         system = build_sharded_system(
             config.adt_kind, names, shards=config.shards, **knobs
         )
-    scripts = open_loop_scripts(config, random.Random(seed))
+    arrivals, stream = open_loop_stream(config, random.Random(seed))
     trace = TraceCollector()
-    scheduler = _scheduler(system, scripts, config, seed=seed, trace=trace)
+    scheduler = _scheduler(system, config, arrivals, stream, seed=seed, trace=trace)
     if config.sites == 1:
         scheduler.faults = FaultCalendar([Fault(CRASH_SHARD, 60, domain=0)])
     metrics = scheduler.run()

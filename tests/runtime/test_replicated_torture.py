@@ -246,8 +246,8 @@ def test_entries_due_on_one_tick_fire_in_calendar_order(monkeypatch):
     monkeypatch.setattr(ManagedObject, "checkpoint", recorded_checkpoint)
     scheduler = Scheduler(
         system,
-        [TransactionScript("T", (("X", inv("increment", 1)),))],
-        arrivals={"T": 10},
+        [],
+        arrivals=[(TransactionScript("T", (("X", inv("increment", 1)),)), 10)],
         faults=[
             Fault(FAIL_SITE, 5, domain=2),
             Fault(RECOVER_SITE, 5, domain=1),

@@ -10,6 +10,7 @@ Three cooperating pieces guarantee liveness under repeated deadlocks:
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.adts import BankAccount
 from repro.core.events import inv
 from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.scheduler import Scheduler, TransactionScript, _LiveTxn
+from repro.runtime.trace import TraceCollector
 
 
 def upgrade_scripts(n: int = 3):
@@ -30,11 +32,21 @@ def upgrade_scripts(n: int = 3):
     ]
 
 
-def make_scheduler(n=3, seed=0, max_restarts=100):
+def make_scheduler(n=3, seed=0, max_restarts=100, trace=None):
     ba = BankAccount("BA", opening=10)
     system = TransactionSystem([ManagedObject(ba, ba.nfc_conflict(), "DU")])
     return system, Scheduler(
-        system, upgrade_scripts(n), seed=seed, max_restarts=max_restarts
+        system, upgrade_scripts(n), seed=seed, max_restarts=max_restarts,
+        trace=trace,
+    )
+
+
+def restarts_by_script(trace):
+    """Script name -> its restarts: one per abort of an incarnation."""
+    return Counter(
+        e["txn"].split("~")[0]
+        for e in trace.events
+        if e["kind"] in ("txn-abort", "ro-abort")
     )
 
 
@@ -56,10 +68,13 @@ class TestAgingVictimSelection:
 
     def test_rotation_across_repeated_deadlocks(self):
         """No single script absorbs all sacrifices."""
-        system, scheduler = make_scheduler(n=3, seed=2)
+        trace = TraceCollector()
+        system, scheduler = make_scheduler(n=3, seed=2, trace=trace)
         metrics = scheduler.run()
         assert metrics.committed == 3
-        restarts = [e.restarts for e in scheduler._live]
+        by_script = restarts_by_script(trace)
+        assert sum(by_script.values()) == metrics.restarts
+        restarts = [by_script["T%d" % i] for i in range(3)]
         # Aging spreads the pain: no entry restarts vastly more than others.
         assert max(restarts) - min(restarts) <= 3
 
@@ -74,8 +89,12 @@ class TestVictimWaitsForWinners:
 
     def test_wait_for_clears_when_winner_finishes(self):
         system, scheduler = make_scheduler(n=3, seed=4)
+        retired = []
+        retire = scheduler._retire
+        scheduler._retire = lambda entry: retired.append(entry) or retire(entry)
         scheduler.run()
-        for entry in scheduler._live:
+        assert len(retired) == 3
+        for entry in retired:
             assert not entry.wait_for  # all waits resolved by the end
 
     def test_all_upgrade_scripts_commit(self):
@@ -89,7 +108,7 @@ class TestVictimWaitsForWinners:
 class TestBackoffGrowth:
     def test_backoff_window_bounds(self):
         system, scheduler = make_scheduler(n=2, seed=0)
-        entry = scheduler._live[0]
+        entry = scheduler._active[0]
         entry.restarts = 0
         scheduler._abort_and_restart(entry, tick=100, reason="deadlock")
         assert entry.restarts == 1

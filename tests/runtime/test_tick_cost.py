@@ -159,11 +159,11 @@ def test_waiters_on_a_held_commit_cost_one_attempt_each(monkeypatch):
     k, h = 5, 6
     calls = count_invokes(monkeypatch)
     system = TransactionSystem([_durable("BA", hold=h)])
-    scripts = [TransactionScript("H", (("BA", inv("deposit", 1)),))] + [
-        TransactionScript("R%d" % i, (("BA", inv("balance")),))
+    scripts = [TransactionScript("H", (("BA", inv("deposit", 1)),))]
+    arrivals = [
+        (TransactionScript("R%d" % i, (("BA", inv("balance")),)), 2)
         for i in range(k)
     ]
-    arrivals = dict({"R%d" % i: 2 for i in range(k)}, H=0)
     metrics = Scheduler(system, scripts, arrivals=arrivals).run()
     assert metrics.committed == k + 1 and metrics.aborted == 0
     # the holder sat through two holds: its prepare, then its commit record

@@ -179,7 +179,7 @@ class TestCrashRestartRegression:
 
     def test_backoff_reset_on_crash_restart(self):
         scheduler = self._scheduler()
-        entry = scheduler._live[0]
+        entry = scheduler._active[0]
         entry.backoff_until = 10_000  # stale pre-crash backoff window
         entry.stall_ticks = 9
         scheduler.handle_crash({entry.txn}, tick=12)
@@ -189,7 +189,7 @@ class TestCrashRestartRegression:
 
     def test_crash_aborts_counted_separately(self):
         scheduler = self._scheduler()
-        victims = {t.txn for t in scheduler._live}
+        victims = {t.txn for t in scheduler._active}
         scheduler.handle_crash(victims, tick=1)
         assert scheduler.metrics.aborted == 2
         assert scheduler.metrics.crash_aborts == 2

@@ -306,9 +306,9 @@ def test_undeclared_hook_is_woken_every_tick():
         system = TransactionSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP")])
         scheduler = Scheduler(
             system,
-            [TransactionScript("T", (("BA", inv("deposit", 1)),))],
+            [],
             trace=TraceCollector(),
-            arrivals={"T": 9},
+            arrivals=[(TransactionScript("T", (("BA", inv("deposit", 1)),)), 9)],
             faults=[Fault(CHECKPOINT, every=every)],
         )
         metrics = scheduler.run()
@@ -325,10 +325,10 @@ def test_undeclared_hook_is_woken_every_tick():
 
 
 def test_arrivals_have_one_admission_path():
-    """No selector came with the arrival queue — the constructor takes
-    what it took — and the scan shuffles the transactions in the system
-    (``_active``) and nothing else: a script still to arrive costs a
-    tick nothing."""
+    """No selector came with the arrival stream — the constructor takes
+    what it took, ``arrivals`` now a stream of ``(script, tick)`` pairs —
+    and the scan shuffles the transactions in the system (``_active``)
+    and nothing else: a script still to arrive costs a tick nothing."""
     assert list(inspect.signature(Scheduler.__init__).parameters) == [
         "self", "system", "scripts", "seed", "max_restarts", "max_ticks",
         "label", "faults", "trace", "arrivals",
@@ -344,10 +344,11 @@ def test_arrivals_have_one_admission_path():
     ba = BankAccount("BA")
     system = TransactionSystem([ManagedObject(ba, ba.nrbc_conflict(), "UIP")])
     arrivals = {"T0": 0, "T1": 1, "T2": 7, "T3": 7, "T4": 30}
+    scripts = [TransactionScript(n, (("BA", inv("deposit", 1)),)) for n in arrivals]
     scheduler = Scheduler(
         system,
-        [TransactionScript(n, (("BA", inv("deposit", 1)),)) for n in arrivals],
-        arrivals=arrivals,
+        scripts[:1],
+        arrivals=[(s, arrivals[s.name]) for s in scripts[1:]],
     )
     scheduler.rng = RecordingRandom(0)
     assert scheduler.run().committed == 5
