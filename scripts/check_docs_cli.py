@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import importlib
 import inspect
 import pathlib
@@ -57,7 +58,7 @@ import re
 import shlex
 import sys
 import textwrap
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -231,9 +232,10 @@ def repro_classes() -> Dict[str, List[type]]:
     return classes
 
 
-def class_attributes(cls: type) -> Set[str]:
+@functools.lru_cache(maxsize=None)
+def class_attributes(cls: type) -> FrozenSet[str]:
     """What ``cls`` defines or inherits, and every ``self.attr`` its
-    body (or a ``repro`` base's) assigns."""
+    body (or a ``repro`` base's) assigns (parsed once a class)."""
     names = set(dir(cls))
     for klass in cls.__mro__:
         if not klass.__module__.startswith("repro"):
@@ -248,7 +250,7 @@ def class_attributes(cls: type) -> Set[str]:
             and isinstance(node.value, ast.Name)
             and node.value.id == "self"
         )
-    return names
+    return frozenset(names)
 
 
 def resolves(dotted: str) -> bool:

@@ -48,6 +48,7 @@ aborted effects never resurfaced.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -158,11 +159,17 @@ class FaultPlan:
                 raise ValueError("two faults scheduled at interaction %d" % event.at)
             self._by_index[event.at] = event
         self.seed = seed
-        self.rng = random.Random(seed)
         self.retry = retry or RetryPolicy()
         self.clock = 0
         #: faults that actually fired, as (event, op) pairs.
         self.fired: List[Tuple[FaultEvent, str]] = []
+
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        """The plan's own RNG (torn-force prefixes), built on first use:
+        most plans never draw, and a plan crosses to a pool worker
+        without ~2.9 KB of Mersenne state."""
+        return random.Random(self.seed)
 
     def draw(self, op: str) -> Optional[FaultEvent]:
         """Advance the interaction clock; return the fault due now, if any."""

@@ -13,12 +13,14 @@ perturbing a single number:
   name, ADT registry kind, transactions/ops/opening, a
   :class:`~repro.runtime.torture.TortureConfig`, a
   :class:`~repro.runtime.faults.FaultPlan`, …) and a seed;
-* a :class:`ParallelRunner` executes cells on ``workers`` processes in
-  configurable chunks and returns :class:`CellResult` objects **sorted
-  by cell index**, so the merge is order-independent: aggregates built
-  from the results are byte-identical to the serial path regardless of
-  which worker finished first;
-* with a ``trace`` collector passed to :meth:`ParallelRunner.run`,
+* a :class:`ParallelRunner` streams cells from an iterable over
+  ``workers`` processes in configurable chunks, two chunks a worker in
+  flight, and yields :class:`CellResult` objects **in cell order**, so
+  the merge is order-independent: aggregates built from the results are
+  byte-identical to the serial path regardless of which worker finished
+  first, and a consumer that merges each result and drops it holds a
+  bounded window of cells, however long the stream;
+* with a ``trace`` collector passed to :meth:`ParallelRunner.stream`,
   every cell records into a fresh collector of its own — inline and in
   a worker alike — its events come home on the :class:`CellResult`, and
   the runner appends them to the caller's collector in cell order: the
@@ -36,14 +38,16 @@ only.  Determinism is unaffected: a fault-free run merges exactly the
 serial results.
 
 Serial is the pool of one: ``workers=1`` (the CLI default) executes the
-same cells in-process in index order — no pool, no pickling — and is the
-only serial path a campaign has.
+same cells in-process, each when its result is pulled — no pool, no
+pickling — and is the only serial path a campaign has.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from .metrics import FaultCounters
 from .trace import TraceCollector
@@ -154,10 +158,43 @@ def _run_chunk(cells: Sequence[Cell], tracing: bool) -> List[CellResult]:
 # the runner
 # ---------------------------------------------------------------------------
 
+#: the most cells one pool task runs: with two tasks a worker in flight,
+#: a pool stream holds at most ``2 * MAX_CHUNK`` cells a worker, however
+#: long the stream.
+MAX_CHUNK = 16
 
-def _covered(chunk: Sequence[Cell], collected: Mapping[int, CellResult]) -> bool:
-    """Whether every cell of ``chunk`` already has a collected result."""
-    return all(cell.index in collected for cell in chunk)
+_DIED = "worker process died (cell retried once on a fresh worker, then abandoned)"
+
+class _Flight:
+    """One chunk of a pool stream: its cells, the future of its results
+    (None until submitted to a live pool), its results once they are
+    kept past a broken pool or it is abandoned, and how many pools it
+    has died with."""
+
+    __slots__ = ("chunk", "future", "results", "deaths")
+
+    def __init__(self, chunk: List[Cell]) -> None:
+        self.chunk = chunk
+        self.future: Any = None
+        self.results: Optional[List[CellResult]] = None
+        self.deaths = 0
+
+    def on_broken_pool(self, retries: int) -> None:
+        """Its pool broke: keep its results if they came in first, else
+        count a death, and past ``retries`` deaths report its cells
+        failed."""
+        if self.results is not None:
+            return
+        future, self.future = self.future, None
+        if future is not None and future.done() and not future.cancelled():
+            if future.exception() is None:
+                self.results = future.result()
+                return
+        self.deaths += 1
+        if self.deaths > retries:
+            self.results = [
+                CellResult(c.index, c.kind, ok=False, error=_DIED) for c in self.chunk
+            ]
 
 
 class ParallelRunner:
@@ -167,10 +204,11 @@ class ParallelRunner:
     index order — no pool, no pickling.
 
     ``chunk_size`` controls amortization: each pool task executes one
-    chunk of cells (default: enough chunks for ~4 tasks per worker, so
-    stragglers rebalance).  Retries happen at chunk granularity because
-    a dead worker takes its whole in-flight chunk with it: the chunks of
-    a broken pool are run again on a fresh one, ``retries`` times.
+    chunk of cells (default: ~4 tasks per worker for a sized sweep, so
+    stragglers rebalance, and at most :data:`MAX_CHUNK` cells).
+    Retries happen at chunk granularity because a dead worker takes its
+    whole in-flight chunk with it: the chunks of a broken pool are run
+    again on a fresh one, ``retries`` times.
     """
 
     def __init__(
@@ -195,26 +233,42 @@ class ParallelRunner:
     def run(
         self, cells: Sequence[Cell], trace: Optional[TraceCollector] = None
     ) -> List[CellResult]:
-        """Execute every cell; return results sorted by cell index.
-
-        With ``trace``, the events of every completed cell are appended
-        to it in cell order.
-        """
-        cells = list(cells)
-        indexes = [c.index for c in cells]
-        if len(set(indexes)) != len(indexes):
+        """Execute every cell; return results sorted by cell index (the
+        drained :meth:`stream` of the cells in index order)."""
+        cells = sorted(cells, key=lambda c: c.index)
+        if any(a.index == b.index for a, b in zip(cells, cells[1:])):
             raise ValueError("cell indexes must be unique")
+        return list(self.stream(cells, trace, size=len(cells)))
+
+    def stream(
+        self,
+        cells: Iterable[Cell],
+        trace: Optional[TraceCollector] = None,
+        *,
+        size: Optional[int] = None,
+    ) -> Iterator[CellResult]:
+        """Execute cells pulled from ``cells``; yield their results in
+        the order the cells came.
+
+        Inline, a cell runs when its result is pulled; over a pool, two
+        chunks a worker are in flight, and the next is pulled from
+        ``cells`` when the oldest one's results are yielded.  ``size``,
+        the number of cells when the caller knows it, sizes the chunks
+        and runs a stream of one cell inline.  With ``trace``, the events
+        of every completed cell are appended to it before its result is
+        yielded.
+        """
         tracing = trace is not None
-        if self.workers == 1 or len(cells) <= 1:
-            results = _run_chunk(sorted(cells, key=lambda c: c.index), tracing)
+        if self.workers == 1 or (size is not None and size <= 1):
+            results = (
+                result for cell in cells for result in _run_chunk((cell,), tracing)
+            )
         else:
-            results = self._run_pool(cells, tracing)
-        results.sort(key=lambda r: r.index)
-        if tracing:
-            for result in results:
-                if result.ok:
-                    trace.merge(result.events)
-        return results
+            results = self._stream_pool(self._chunks(cells, size), tracing)
+        for result in results:
+            if tracing and result.ok:
+                trace.merge(result.events)
+            yield result
 
     @staticmethod
     def failed(results: Sequence[CellResult]) -> List[CellResult]:
@@ -223,81 +277,70 @@ class ParallelRunner:
 
     # -- the pool ----------------------------------------------------------------
 
-    def _chunks(self, cells: Sequence[Cell]) -> List[List[Cell]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-len(cells) // (self.workers * 4)))
-        return [list(cells[i : i + size]) for i in range(0, len(cells), size)]
+    def _chunks(
+        self, cells: Iterable[Cell], size: Optional[int]
+    ) -> Iterator[List[Cell]]:
+        chunk = self.chunk_size
+        if chunk is None:
+            tasks = 4 * self.workers
+            chunk = MAX_CHUNK if size is None else min(MAX_CHUNK, -(-size // tasks))
+        cells = iter(cells)
+        return iter(lambda: list(itertools.islice(cells, chunk)), [])
 
-    def _run_pool(self, cells: Sequence[Cell], tracing: bool) -> List[CellResult]:
-        collected: Dict[int, CellResult] = {}
-        pending = self._chunks(cells)
-        for _attempt in range(1 + self.retries):
-            if not pending:
-                break
-            pending = self._one_wave(pending, tracing, collected)
-        for chunk in pending:
-            for cell in chunk:
-                collected[cell.index] = CellResult(
-                    cell.index,
-                    cell.kind,
-                    ok=False,
-                    error="worker process died (cell retried once on a "
-                    "fresh worker, then abandoned)",
-                )
-        return list(collected.values())
-
-    def _one_wave(
-        self,
-        chunks: List[List[Cell]],
-        tracing: bool,
-        collected: Dict[int, CellResult],
-    ) -> List[List[Cell]]:
-        """Run one fresh pool over ``chunks``; return the chunks whose
-        worker died (a wave after the first exists only because the
-        previous pool broke, so every wave builds its own)."""
+    def _stream_pool(
+        self, chunks: Iterator[List[Cell]], tracing: bool
+    ) -> Iterator[CellResult]:
+        """The chunks' results in chunk order, two chunks a worker in
+        flight.  A pool that breaks (a worker died) takes every unfinished
+        chunk with it: those run again on a fresh pool, and a chunk that
+        has died with more than ``retries`` pools is reported failed."""
         # Imported where the pool is built, so ``import repro`` and a
         # workers=1 run (always inline) never load multiprocessing.
         import multiprocessing
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            BrokenExecutor,
-            ProcessPoolExecutor,
-            wait,
-        )
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         # fork inherits the executor registry and monkeypatches; fall
         # back to the platform default elsewhere (the built-in kinds are
         # module-level, so spawn still resolves them).
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        executor = ProcessPoolExecutor(self.workers, context)
-        dead: List[List[Cell]] = []
+        window: deque[_Flight] = deque()
+        executor = None
         try:
-            futures = {
-                executor.submit(_run_chunk, chunk, tracing): chunk
-                for chunk in chunks
-            }
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for future in done:
-                    chunk = futures[future]
+            while True:
+                while len(window) < 2 * self.workers:
+                    chunk = next(chunks, None)
+                    if chunk is None:
+                        break
+                    window.append(_Flight(chunk))
+                if not window:
+                    return
+                head = window[0]
+                if head.results is None:
                     try:
-                        for result in future.result():
-                            collected[result.index] = result
+                        if executor is None:
+                            executor = ProcessPoolExecutor(self.workers, context)
+                        for flight in window:
+                            if flight.future is None and flight.results is None:
+                                flight.future = executor.submit(
+                                    _run_chunk, flight.chunk, tracing
+                                )
+                        head.results = head.future.result()
                     except (BrokenExecutor, OSError):
-                        # The worker running this chunk died (or took the
-                        # pool down with it); every unfinished chunk of
-                        # this pool will surface the same way and be
-                        # retried together on a fresh pool.
-                        dead.append(chunk)
-        except BrokenExecutor:
-            # submit() itself can raise on an already-broken pool.
-            dead = [c for c in chunks if not _covered(c, collected)]
+                        # The worker running a chunk died (or submit() met
+                        # an already-broken pool): every unfinished chunk of
+                        # this pool runs again on a fresh one.
+                        if executor is not None:
+                            executor.shutdown(wait=False, cancel_futures=True)
+                            executor = None
+                        for flight in window:
+                            flight.on_broken_pool(self.retries)
+                        continue
+                window.popleft()
+                yield from head.results
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return dead
+            if executor is not None:
+                executor.shutdown(wait=False, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

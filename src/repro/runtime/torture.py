@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
@@ -424,7 +424,7 @@ def run_schedule(
 
     ``plan`` is a :class:`~repro.runtime.faults.FaultPlan` for a
     one-site config, the :class:`SiteCrash` rows of a site-crash
-    schedule for a ``sites > 1`` one (see :func:`plan_campaign`).
+    schedule for a ``sites > 1`` one (see :func:`campaign_stream`).
 
     The scheduler runs until every script commits or retires, firing
     the schedule's site rows and a checkpoint every ``checkpoint_every``
@@ -579,15 +579,16 @@ class TortureReport:
         return "\n".join(lines)
 
 
-def plan_campaign(
+def campaign_stream(
     configs: Sequence[TortureConfig],
     *,
     schedules: int,
     seed: int = 0,
     max_faults: int = 2,
     retry: Optional[RetryPolicy] = None,
-) -> List[Tuple[TortureConfig, Schedule, int]]:
-    """The deterministic ``(config, plan, run_seed)`` assignment list.
+) -> Iterator[Tuple[TortureConfig, Schedule, int]]:
+    """The deterministic ``(config, plan, run_seed)`` assignments, each
+    drawn when it is pulled.
 
     Schedule *i* goes to ``configs[i % len(configs)]``; per-schedule
     plans are drawn from a single master RNG seeded with ``seed``, so
@@ -605,7 +606,8 @@ def plan_campaign(
     sample crashes several sites — including windows where *every* site
     is down at once, the double-failure edge.
 
-    Planning is separated from execution so the schedules can run in
+    The horizons are profiled on the first pull, before any draw.
+    Drawing is separated from execution so the schedules can run in
     any order (or on any worker): the RNG draws happen here, serially,
     and each resulting cell is self-contained.
     """
@@ -614,7 +616,6 @@ def plan_campaign(
     master = random.Random(seed)
     horizons = {c.label(): profile_horizon(c, seed=seed) for c in configs}
     sweep_pos: Dict[str, int] = {c.label(): 0 for c in configs}
-    assignments: List[Tuple[TortureConfig, Schedule, int]] = []
     for i in range(schedules):
         config = configs[i % len(configs)]
         label = config.label()
@@ -641,8 +642,15 @@ def plan_campaign(
             plan = FaultPlan.sample(
                 master, horizon, max_faults=max_faults, retry=retry
             )
-        assignments.append((config, plan, master.randrange(2**31)))
-    return assignments
+        yield config, plan, master.randrange(2**31)
+
+
+def plan_campaign(
+    configs: Sequence[TortureConfig], **knobs
+) -> List[Tuple[TortureConfig, Schedule, int]]:
+    """Every assignment of :func:`campaign_stream` (same keywords),
+    drawn into a list."""
+    return list(campaign_stream(configs, **knobs))
 
 
 def run_torture(
@@ -657,17 +665,18 @@ def run_torture(
 ) -> TortureReport:
     """Run ``schedules`` schedules round-robin over the configs.
 
-    :func:`plan_campaign` draws each config's own kind of schedule (log
-    faults for one site, site crashes for ``sites > 1``); each
+    :func:`campaign_stream` draws each config's own kind of schedule
+    (log faults for one site, site crashes for ``sites > 1``); each
     ``(config, plan, run_seed)`` is one cell of the parallel engine (see
     :mod:`repro.runtime.parallel`) running :func:`run_schedule` — inline
-    at ``workers=1``, over a process pool otherwise — merged back in
-    schedule order, so the report and the events appended to ``trace``
-    are the same bytes at every worker count.  Schedules lost to a
-    worker death are retried once and otherwise land in
-    ``report.failed``.
+    at ``workers=1``, over a process pool otherwise — and each result is
+    merged into the report (its events into ``trace``) in schedule order
+    and dropped, so the report and ``trace`` are the same bytes at every
+    worker count and the campaign holds the schedules in flight, not
+    every schedule it runs.  Schedules lost to a worker death are
+    retried once and otherwise land in ``report.failed``.
     """
-    assignments = plan_campaign(
+    assignments = campaign_stream(
         configs,
         schedules=schedules,
         seed=seed,
@@ -675,7 +684,7 @@ def run_torture(
         retry=retry,
     )
     report = TortureReport(seed=seed)
-    cells = [
+    cells = (
         Cell(
             index=i,
             kind="torture",
@@ -683,10 +692,12 @@ def run_torture(
             seed=run_seed,
         )
         for i, (config, plan, run_seed) in enumerate(assignments)
-    ]
-    for cell_result in ParallelRunner(workers).run(cells, trace):
+    )
+    for cell_result in ParallelRunner(workers).stream(
+        cells, trace, size=schedules
+    ):
         if not cell_result.ok:
-            config = assignments[cell_result.index][0]
+            config = configs[cell_result.index % len(configs)]
             report.failed.append(
                 "schedule %d (%s): %s"
                 % (cell_result.index, config.label(), cell_result.error)

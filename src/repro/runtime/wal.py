@@ -352,8 +352,8 @@ class LogDiscipline:
         The multiversion store's visibility rule anchors here: a version
         is installed only once this record is flushed, so the
         snapshot-visibility audits cross-check every installed version
-        against it."""
-        for record in reversed(self.log.records()):
+        against it.  Scans the log in place, newest first: no copy."""
+        for record in reversed(self.log._records):
             if isinstance(record, COMMIT_MARKERS) and record.txn == txn:
                 return record.lsn
         return None

@@ -14,6 +14,7 @@ Covers the three contracts of ``repro.runtime.parallel``:
 """
 
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.runtime.faults import FaultPlan
 from repro.runtime.parallel import (
     Cell,
     ParallelRunner,
+    _Flight,
     execute_cell,
     register_executor,
 )
@@ -175,6 +177,16 @@ class TestWorkerDeath:
         assert [r.ok for r in results] == [False, False]
         assert all("worker process died" in r.error for r in results)
         assert ParallelRunner.failed(results) == results
+
+    def test_results_kept_past_a_broken_pool_survive_later_breaks(self):
+        """A chunk that finished before its pool broke keeps its results,
+        however many pools break while older chunks are retried."""
+        flight = _Flight([Cell(0, "test-doomed")])
+        flight.future = Future()
+        flight.future.set_result(["finished"])
+        for _ in range(3):
+            flight.on_broken_pool(retries=1)
+        assert flight.results == ["finished"] and flight.deaths == 0
 
     def test_python_exception_is_a_failed_cell_not_a_dead_worker(self):
         def boom(cell, trace):

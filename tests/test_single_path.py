@@ -271,7 +271,7 @@ def test_serial_is_the_pool_of_one():
     )
     assert forks == [
         "runtime/parallel.py:__init__",  # ParallelRunner's
-        "runtime/parallel.py:run",
+        "runtime/parallel.py:stream",
     ]
     assert list(inspect.signature(openloop.drive).parameters) == [
         "config", "seed", "trace"
