@@ -48,6 +48,9 @@ FLOWS: Sequence[Tuple[str, Tuple[str, ...], bool]] = (
                            "--sites", "2", "--site-crash", "0@20-60"), True),
     ("run-kv-uip", ("run", "kv", "--recovery", "uip"), True),
     ("drive-shards", ("drive", "--shards", "2"), True),
+    # bursty arrivals, update-in-place, cross-shard two-phase commit
+    ("drive-bursty-uip", ("drive", "--process", "bursty", "--recovery", "uip", "--shards", "2",
+                          "--cross-shard", "0.2", "--transactions", "300"), True),
     ("drive-sites", ("drive", "--sites", "3", "--site-crash", "1@50-200"), True),
     ("drive-sites-ro", ("drive", "--sites", "3", "--read-mix", "0.5",
                         "--site-crash", "1@50-200"), True),

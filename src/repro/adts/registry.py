@@ -50,11 +50,16 @@ DEFAULT_NAMES = {
 }
 
 
-def make_adt(kind: str, name: Optional[str] = None):
+def check_kind(kind: str) -> None:
+    """``ValueError`` unless ``kind`` names a registered ADT."""
     if kind not in ADT_REGISTRY:
         raise ValueError(
             "unknown ADT %r (choose from: %s)" % (kind, ", ".join(sorted(ADT_REGISTRY)))
         )
+
+
+def make_adt(kind: str, name: Optional[str] = None):
+    check_kind(kind)
     return ADT_REGISTRY[kind](name or DEFAULT_NAMES[kind])
 
 

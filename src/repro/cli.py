@@ -63,6 +63,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .adts.registry import ADT_REGISTRY, DEFAULT_NAMES, make_adt
@@ -227,10 +228,13 @@ def cmd_compare(args) -> int:
             "unknown workload %r (choose from: %s)"
             % (args.workload, ", ".join(sorted(COMPARE_WORKLOADS)))
         )
-    _check_workload_args(args)
-    _check_min(args, (("seeds", 1), ("opening", 0)))
-    _check_parallel_args(args)
-    _check_fraction(args, "read_mix")
+    _check_min(
+        args,
+        (("transactions", 1), ("ops", 1), ("seeds", 1), ("opening", 0),
+         ("workers", 1), ("seed_base", 0)),
+    )
+    if not 0.0 <= args.read_mix <= 1.0:
+        raise SystemExit("--read-mix must be in [0, 1] (got %g)" % args.read_mix)
     seeds = tuple(range(args.seed_base, args.seed_base + args.seeds))
     knobs = dict(
         transactions=args.transactions,
@@ -257,14 +261,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _check_group_commit_args(args) -> None:
-    """Clean CLI errors for the group-commit knobs (shared by run/torture)."""
-    if args.group_commit < 1:
-        raise SystemExit("--group-commit must be >= 1 (got %d)" % args.group_commit)
-    if args.hold < 0:
-        raise SystemExit("--hold must be >= 0 (got %d)" % args.hold)
-
-
 def _check_min(args, minimums) -> None:
     """Clean CLI errors for numeric knobs: each (attr, floor) pair must
     hold, else exit with the flag name spelled the way the user typed it."""
@@ -277,50 +273,41 @@ def _check_min(args, minimums) -> None:
             )
 
 
-def _check_fraction(args, attr: str) -> None:
-    """Clean CLI error for a knob that is a share of the traffic."""
-    value = getattr(args, attr)
-    if not 0.0 <= value <= 1.0:
-        raise SystemExit(
-            "--%s must be in [0, 1] (got %g)" % (attr.replace("_", "-"), value)
-        )
-
-
-def _check_adt_kind(kind: str) -> None:
-    if kind not in ADT_REGISTRY:
-        raise SystemExit(
-            "unknown ADT %r (choose from: %s)"
-            % (kind, ", ".join(sorted(ADT_REGISTRY)))
-        )
-
-
 def _adt(kind: str, name=None):
     """An instance of a user-named kind: every command that builds one
     goes through here, so an unknown kind is the one-line exit and never
     ``make_adt``'s ``ValueError`` traceback."""
-    _check_adt_kind(kind)
-    return make_adt(kind, name)
+    try:
+        return make_adt(kind, name)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
-def _check_workload_args(args) -> None:
-    """Shared floors for the workload-shape knobs of run/compare/torture."""
-    _check_min(args, (("transactions", 1), ("ops", 1)))
+#: The config fields whose flag is not the field's name with dashes.
+FLAG_NAMES = {"adt_kind": "adt", "ops_per_txn": "ops", "zipf_s": "zipf", "bug": "inject-bug"}
 
 
-def _check_parallel_args(args) -> None:
-    """Shared floors for the execution knobs of compare/torture."""
-    _check_min(args, (("workers", 1), ("seed_base", 0)))
+def _refused(exc: ValueError, config_class) -> SystemExit:
+    """The one-line exit for a ``ValueError`` of ``config_class`` (or of
+    the site-crash rows), which validate every knob of ``run``,
+    ``drive`` and ``torture``.  A message that begins with a field of
+    the config, ``ops_per_txn must be >= 1``, begins with the flag that
+    sets it instead: ``--ops must be >= 1``."""
+    word, space, rest = str(exc).partition(" ")
+    fields = {f.name for f in dataclasses.fields(config_class)}
+    if word in fields or word == "site-crash":
+        word = "--" + FLAG_NAMES.get(word, word).replace("_", "-")
+    return SystemExit(word + space + rest)
 
 
-def _parse_site_crashes(specs, sites: int):
-    """``--site-crash`` rows as validated ``SiteCrash`` rows.
+def _site_crash_rows(specs):
+    """``--site-crash`` rows as ``(site, fail_tick, recover_tick)``
+    triples, for the config to validate.
 
     Accepts ``S@F`` (site S crashes at tick F and stays down) and
     ``S@F-R`` (recovers at tick R); ``S@F-end`` is the explicit
     spelling of "stays down", matching the torture schedule notation.
     """
-    from .runtime.durability import validate_site_crashes
-
     rows = []
     for spec in specs or ():
         text = spec[4:] if spec.startswith("site") else spec
@@ -339,17 +326,16 @@ def _parse_site_crashes(specs, sites: int):
                 "--site-crash must look like S@F (site S down from tick F "
                 "on) or S@F-R (recovering at tick R), got %r" % spec
             )
-    try:
-        return validate_site_crashes(rows, sites)
-    except ValueError as exc:
-        raise SystemExit("--%s" % exc)
+    return tuple(rows)
 
 
-def _replication_args(args):
-    """The ``--sites``/``--site-crash`` checks ``run`` and ``drive``
-    share; returns the validated site-crash rows."""
-    _check_min(args, (("sites", 1),))
-    return _parse_site_crashes(args.site_crash, args.sites)
+def _trace(args):
+    """A collector when ``--trace-out`` asks for one, else None."""
+    if not args.trace_out:
+        return None
+    from .runtime.trace import TraceCollector
+
+    return TraceCollector()
 
 
 def cmd_run(args) -> int:
@@ -357,35 +343,35 @@ def cmd_run(args) -> int:
     run metrics including the group-commit force accounting; with
     ``--sites``/``--site-crash`` the system is replicated, its sites
     fail and recover from the tick clock, and per-site rows follow."""
-    from .runtime.durability import site_faults
-    from .runtime.torture import TortureConfig, fault_free_scheduler
+    from .runtime.durability import site_faults, validate_site_crashes
+    from .runtime.torture import TortureConfig, workload_on
 
-    _check_adt_kind(args.adt)
-    _check_group_commit_args(args)
-    _check_workload_args(args)
     _check_min(args, (("seed_base", 0),))
-    site_crashes = _replication_args(args)
-    replicated = args.sites > 1 or bool(site_crashes)
+    rows = _site_crash_rows(args.site_crash)
+    try:
+        config = TortureConfig(
+            args.adt,
+            args.recovery.upper(),
+            transactions=args.transactions,
+            ops_per_txn=args.ops,
+            group_commit=args.group_commit,
+            hold=args.hold,
+            sites=args.sites,
+            # the budgets ``run`` has always run under
+            max_restarts=25,
+            max_ticks=100_000,
+        )
+        site_crashes = validate_site_crashes(rows, config.sites)
+    except ValueError as exc:
+        raise _refused(exc, TortureConfig)
+    replicated = config.sites > 1 or bool(site_crashes)
     seed = args.seed_base + args.seed
-    recovery = args.recovery.upper()
-    config = TortureConfig(
-        args.adt,
-        recovery,
-        transactions=args.transactions,
-        ops_per_txn=args.ops,
-        group_commit=args.group_commit,
-        hold=args.hold,
-        sites=args.sites,
+    trace = _trace(args)
+    system = config.build_system(replicated=replicated)
+    scheduler = config.scheduler(
+        system, workload_on(config, system, seed), seed=seed,
+        faults=site_faults(site_crashes), trace=trace,
     )
-    trace = None
-    if args.trace_out:
-        from .runtime.trace import TraceCollector
-
-        trace = TraceCollector()
-    scheduler = fault_free_scheduler(
-        config, seed, trace, replicated=replicated, faults=site_faults(site_crashes)
-    )
-    system = scheduler.system
     metrics = scheduler.run()
     print("workload          : %s" % config.label())
     print("group commit      : batch=%d hold=%d" % (args.group_commit, args.hold))
@@ -423,54 +409,35 @@ def cmd_drive(args) -> int:
     commit-latency percentiles plus per-shard traffic."""
     from .runtime.openloop import OpenLoopConfig, drive
 
-    _check_adt_kind(args.adt)
-    _check_group_commit_args(args)
-    _check_workload_args(args)
-    _check_min(args, (("seed_base", 0), ("shards", 1), ("objects", 1)))
-    if args.arrival_rate <= 0:
-        raise SystemExit(
-            "--arrival-rate must be > 0 (got %g)" % args.arrival_rate
-        )
-    _check_fraction(args, "cross_shard")
-    if args.zipf < 0:
-        raise SystemExit("--zipf must be >= 0 (got %g)" % args.zipf)
-    _check_fraction(args, "read_mix")
-    if args.sites > 1 and args.shards != 1:
-        raise SystemExit(
-            "--sites replicates whole objects and --shards partitions "
-            "them; pick one axis (use --shards 1 with --sites)"
-        )
-    site_crashes = _replication_args(args)
-    config = OpenLoopConfig(
-        adt_kind=args.adt,
-        objects=args.objects,
-        shards=args.shards,
-        transactions=args.transactions,
-        ops_per_txn=args.ops,
-        arrival_rate=args.arrival_rate,
-        process=args.process,
-        burst_factor=args.burst_factor,
-        burst_period=args.burst_period,
-        zipf_s=args.zipf,
-        cross_shard=args.cross_shard,
-        read_mix=args.read_mix,
-        ro_mode=args.ro_mode,
-        recovery=args.recovery.upper(),
-        group_commit=args.group_commit,
-        hold=args.hold,
-        sites=args.sites,
-        site_crashes=site_crashes,
-    )
-    trace = None
-    if args.trace_out:
-        from .runtime.trace import TraceCollector
-
-        trace = TraceCollector()
+    _check_min(args, (("seed_base", 0),))
+    rows = _site_crash_rows(args.site_crash)
+    trace = _trace(args)
     try:
+        config = OpenLoopConfig(
+            adt_kind=args.adt,
+            objects=args.objects,
+            shards=args.shards,
+            transactions=args.transactions,
+            ops_per_txn=args.ops,
+            arrival_rate=args.arrival_rate,
+            process=args.process,
+            burst_factor=args.burst_factor,
+            burst_period=args.burst_period,
+            zipf_s=args.zipf,
+            cross_shard=args.cross_shard,
+            read_mix=args.read_mix,
+            ro_mode=args.ro_mode,
+            recovery=args.recovery.upper(),
+            group_commit=args.group_commit,
+            hold=args.hold,
+            sites=args.sites,
+            site_crashes=rows,
+        )
+        # An observer-less ADT (fifo/semiqueue) with --read-mix is
+        # refused when the drive draws its first script.
         report = drive(config, seed=args.seed_base + args.seed, trace=trace)
     except ValueError as exc:
-        # e.g. an observer-less ADT (fifo/semiqueue) with --read-mix.
-        raise SystemExit(str(exc))
+        raise _refused(exc, OpenLoopConfig)
     print(report.format())
     if trace is not None:
         count = trace.dump_jsonl(args.trace_out)
@@ -485,22 +452,13 @@ LOG_FAULT_KNOBS = {"max_faults": 2, "max_retries": 3}
 
 def cmd_torture(args) -> int:
     from .runtime.faults import RetryPolicy
-    from .runtime.torture import configs_for, run_torture
+    from .runtime.torture import TortureConfig, configs_for, run_torture
 
-    _check_group_commit_args(args)
-    _check_workload_args(args)
-    _check_parallel_args(args)
     _check_min(
         args,
-        (
-            ("schedules", 1),
-            ("max_faults", 1),
-            ("max_retries", 0),
-            ("checkpoint_every", 0),
-        ),
+        (("workers", 1), ("seed_base", 0), ("schedules", 1), ("max_faults", 1),
+         ("max_retries", 0)),
     )
-    _check_fraction(args, "read_mix")
-    _check_min(args, (("sites", 1),))
     if args.sites > 1:
         # The site-crash campaign draws tick schedules, not log faults.
         for attr, default in LOG_FAULT_KNOBS.items():
@@ -514,8 +472,6 @@ def cmd_torture(args) -> int:
         adt_kinds = sorted(ADT_REGISTRY)
     else:
         adt_kinds = [k.strip() for k in args.adt.split(",") if k.strip()]
-        for kind in adt_kinds:
-            _check_adt_kind(kind)
     methods = {"both": ("DU", "UIP"), "du": ("DU",), "uip": ("UIP",)}[
         args.recovery
     ]
@@ -533,13 +489,9 @@ def cmd_torture(args) -> int:
             sites=args.sites,
         )
     except ValueError as exc:
-        raise SystemExit(str(exc))
+        raise _refused(exc, TortureConfig)
     seed = args.seed_base + args.seed
-    trace = None
-    if args.trace_out:
-        from .runtime.trace import TraceCollector
-
-        trace = TraceCollector()
+    trace = _trace(args)
     report = run_torture(
         configs,
         schedules=args.schedules,

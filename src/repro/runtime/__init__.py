@@ -58,6 +58,7 @@ from .sharding import (
     build_sharded_system,
     shard_of,
 )
+from .spec import SystemSpec
 from .system import ManagedObject, OperationOutcome, TransactionSystem
 from .torture import (
     TortureConfig,
@@ -108,6 +109,7 @@ __all__ = [
     "ManagedObject",
     "TransactionSystem",
     "OperationOutcome",
+    "SystemSpec",
     "Scheduler",
     "Fault",
     "FaultCalendar",

@@ -51,13 +51,14 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .durability import site_faults, validate_site_crashes
 from .metrics import RunMetrics
-from .replication import ReplicatedSystem, build_replicated_system
-from .scheduler import Scheduler, TransactionScript
-from .sharding import ShardedSystem, build_sharded_system, shard_of
+from .replication import ReplicatedSystem
+from .scheduler import TransactionScript
+from .sharding import ShardedSystem, shard_of
+from .spec import SystemSpec, at_least, fraction
 from .trace import PERCENTILES, TraceCollector, _percentile
 
 __all__ = [
@@ -75,8 +76,9 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OpenLoopConfig:
-    """One open-loop scenario (plain values only)."""
+class OpenLoopConfig(SystemSpec):
+    """One open-loop scenario: a :class:`~repro.runtime.spec.SystemSpec`
+    and its traffic (plain values only)."""
 
     adt_kind: str = "counter"
     objects: int = 16  # key-space size (one ADT object per key)
@@ -91,57 +93,39 @@ class OpenLoopConfig:
     cross_shard: float = 0.0  # fraction of two-object cross-shard txns
     read_mix: float = 0.0  # fraction of arrivals that are read-only
     ro_mode: str = "snapshot"  # "snapshot" (lock-free) | "locked" baseline
-    recovery: str = "DU"
-    group_commit: int = 1
     hold: int = 4
-    max_restarts: int = 25
     max_ticks: int = 200_000
-    #: replication width: > 1 (or any site-crash schedule) drives a
-    #: :class:`~repro.runtime.replication.ReplicatedSystem` with
-    #: ``sites`` copies of every object instead of the sharded runtime.
-    sites: int = 1
     #: ``(site, fail_tick, recover_tick)`` rows; ``recover_tick == 0``
-    #: keeps the site down until the run drains.
+    #: keeps the site down until the run drains.  Any row (or
+    #: ``sites > 1``) drives the replicated system instead of the
+    #: sharded one.
     site_crashes: Tuple[Tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.objects < 1:
-            raise ValueError("objects must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.transactions < 1:
-            raise ValueError("transactions must be >= 1")
-        if self.ops_per_txn < 1:
-            raise ValueError("ops_per_txn must be >= 1")
+        super().__post_init__()
+        for name, floor in (("objects", 1), ("shards", 1), ("transactions", 1),
+                            ("ops_per_txn", 1), ("burst_factor", 1),
+                            ("burst_period", 2), ("zipf_s", 0)):
+            at_least(self, name, floor)
         if self.arrival_rate <= 0:
-            raise ValueError("arrival_rate must be > 0")
+            raise ValueError("arrival_rate must be > 0 (got %g)" % self.arrival_rate)
         if self.process not in ("poisson", "bursty"):
             raise ValueError(
                 "process must be 'poisson' or 'bursty', not %r" % self.process
             )
-        if self.burst_factor < 1:
-            raise ValueError("burst_factor must be >= 1")
-        if self.burst_period < 2:
-            raise ValueError("burst_period must be >= 2")
-        if self.zipf_s < 0:
-            raise ValueError("zipf_s must be >= 0")
-        if not 0.0 <= self.cross_shard <= 1.0:
-            raise ValueError("cross_shard must be in [0, 1]")
-        if not 0.0 <= self.read_mix <= 1.0:
-            raise ValueError("read_mix must be in [0, 1]")
+        fraction(self, "cross_shard")
+        fraction(self, "read_mix")
         if self.ro_mode not in ("snapshot", "locked"):
             raise ValueError(
                 "ro_mode must be 'snapshot' or 'locked', not %r" % self.ro_mode
             )
-        if self.sites < 1:
-            raise ValueError("sites must be >= 1")
         if self.sites > 1 and self.shards != 1:
             raise ValueError(
-                "replication (sites > 1) and hash-sharding are separate "
-                "axes; use shards=1"
+                "sites > 1 replicates every object and shards > 1 partitions "
+                "them: pick one axis"
             )
         if self.sites > 1 and self.cross_shard > 0:
-            raise ValueError("cross_shard needs shards > 1, not replication")
+            raise ValueError("cross_shard needs shards > 1, not sites > 1")
         validate_site_crashes(self.site_crashes, self.sites)
 
     def label(self) -> str:
@@ -485,21 +469,10 @@ def drive(
     """
     rng = random.Random(seed)
     arrivals, stream = open_loop_stream(config, rng)
-    knobs = dict(
-        recovery=config.recovery,
-        group_commit=config.group_commit,
-        hold=config.hold,
-        history=False,
-    )
     replicated = config.sites > 1 or bool(config.site_crashes)
-    if replicated:
-        system = build_replicated_system(
-            config.adt_kind, config.object_names(), sites=config.sites, **knobs
-        )
-    else:
-        system = build_sharded_system(
-            config.adt_kind, config.object_names(), shards=config.shards, **knobs
-        )
+    system = config.build_system(
+        config.object_names(), shards=config.shards, replicated=replicated, history=False
+    )
     shards = 1 if replicated else config.shards
     # The columns noted as each script is pulled, in stream order.
     homes: List[int] = []
@@ -519,8 +492,9 @@ def drive(
     if trace is not None:
         trace.emit("drive-start", config.label(), shards, config.arrival_rate)
     start = time.perf_counter()
-    scheduler = _scheduler(
-        system, config, arrivals, noted(stream), seed=seed, trace=trace
+    scheduler = config.scheduler(
+        system, seed=seed, faults=site_faults(config.site_crashes), trace=trace,
+        arrivals=noted(stream), last_arrival=max(arrivals),
     )
     metrics = scheduler.run()
     wall = time.perf_counter() - start
@@ -563,33 +537,6 @@ def drive(
             lat["p99"],
         )
     return report
-
-
-def _scheduler(
-    system,
-    config: OpenLoopConfig,
-    arrivals: Sequence[int],
-    stream: Iterable[Tuple[TransactionScript, int]],
-    *,
-    seed: int,
-    trace: Optional[TraceCollector],
-) -> Scheduler:
-    """A scheduler over the offered ``stream`` of :func:`open_loop_stream`,
-    whose arrival ticks are ``arrivals``: open-loop arrivals, site
-    crashes."""
-    return Scheduler(
-        system,
-        (),
-        seed=seed,
-        label=config.label(),
-        max_restarts=config.max_restarts,
-        # Every offered transaction must be *able* to arrive: leave room
-        # past the last arrival for it to drain.
-        max_ticks=max(config.max_ticks, max(arrivals, default=0) + 10_000),
-        trace=trace,
-        arrivals=stream,
-        faults=site_faults(config.site_crashes),
-    )
 
 
 def _per_shard_rows(

@@ -52,14 +52,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
-from .durability import SiteCrash, build_durable_object, site_faults
+from .durability import SiteCrash, site_faults
 from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
 from .metrics import FaultCounters
 from .parallel import Cell, ParallelRunner
-from .replication import ReplicatedSystem, ReplicationError, build_replicated_system
-from .scheduler import CHECKPOINT, CRASH, Fault, Scheduler
+from .replication import ReplicatedSystem, ReplicationError
+from .scheduler import CHECKPOINT, CRASH, Fault, TransactionScript
+from .spec import SystemSpec, at_least, fraction
 from .system import TransactionSystem
-from .wal import COMMIT_MARKERS, StableLog
+from .wal import COMMIT_MARKERS
 from .workloads import (
     escrow_workload,
     generic_workload,
@@ -83,34 +84,34 @@ Schedule = Union[FaultPlan, Sequence[SiteCrash]]
 
 
 @dataclass(frozen=True)
-class TortureConfig:
-    """One (ADT, recovery method, workload shape) under torture."""
+class TortureConfig(SystemSpec):
+    """One (ADT, recovery method, workload shape) under torture: a
+    :class:`~repro.runtime.spec.SystemSpec` and its workload.  With
+    ``sites > 1`` the workload runs on a replicated system under
+    site-crash schedules instead of log-fault plans."""
 
-    adt_kind: str
-    recovery: str = "DU"  # "UIP" | "DU"
     restart_policy: str = "replay-winners"  # UIP only
     transactions: int = 4
     ops_per_txn: int = 2
     max_restarts: int = 8
     max_ticks: int = 20_000
     checkpoint_every: int = 0  # ticks between checkpoint attempts; 0 = never
-    group_commit: int = 1  # force-request batch size (1 = classic per-commit force)
-    hold: int = 0  # max ticks a short batch is held before flushing anyway
     #: fraction of extra read-only snapshot readers riding along (0 =
     #: none).  Readers interleave through the crash schedules on the
     #: lock-free multiversion path; observer-less ADTs (queues) simply
     #: get no readers, so mixed matrices stay runnable.
     read_mix: float = 0.0
-    #: replication width: >1 runs the workload on a
-    #: :class:`~repro.runtime.replication.ReplicatedSystem` under
-    #: site-crash schedules instead of log-fault plans.
-    sites: int = 1
     #: negative controls: "skip-commit-force" (log-fault schedules) or
     #: "skip-catchup" (site-crash schedules: recovered copies rejoin
     #: without replaying the commits they missed).
     bug: Optional[str] = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        at_least(self, "transactions", 1)
+        at_least(self, "ops_per_txn", 1)
+        at_least(self, "checkpoint_every", 0)
+        fraction(self, "read_mix")
         # Refuse what the config's runner would silently ignore: a
         # planted bug on the other kind of system never fires.
         if self.bug == "skip-catchup" and self.sites < 2:
@@ -215,65 +216,26 @@ def workload_for(config: TortureConfig, adt, rng: random.Random):
     return scripts
 
 
-def build_system(
-    config: TortureConfig,
-    plan: Optional[FaultPlan],
-    counters: Optional[FaultCounters] = None,
-    *,
-    replicated: bool = False,
-) -> Tuple[TransactionSystem, object]:
-    """The system one schedule of ``config`` runs on, and its ADT.
-
-    One site: a single-object system whose stable log injects
-    ``plan``'s faults (``plan=None``: a plain, fault-free
-    :class:`~repro.runtime.wal.StableLog`).  ``sites > 1`` (or
-    ``replicated``, for a one-site replicated system): one logical
-    object ``X`` with a copy per site.  Site crashes are driven by tick
-    schedules rather than log-interaction fault plans, so the copies use
-    plain stable logs (``plan`` is not consulted); the
-    durability-accounting invariant, which needs the fault archive, is
-    covered by the single-site matrix.
-    """
-    if config.sites > 1 or replicated:
-        system = build_replicated_system(
-            config.adt_kind,
-            ["X"],
-            sites=config.sites,
-            recovery=config.recovery,
-            group_commit=config.group_commit,
-            hold=config.hold,
-        )
-        system._skip_catchup_bug = config.bug == "skip-catchup"
-        return system, system.objects["X"].adt
-    make_log = StableLog
-    if plan is not None:
-        make_log = functools.partial(
-            FaultyStableLog,
-            plan,
-            counters=counters if counters is not None else FaultCounters(),
-            skip_commit_force=config.bug == "skip-commit-force",
-        )
-    obj = build_durable_object(
-        config.adt_kind,
-        None,
-        config.recovery,
-        config.group_commit,
-        config.hold,
-        make_log,
-        restart_policy=config.restart_policy,
-    )
-    return TransactionSystem([obj]), obj.adt
+def workload_on(config: TortureConfig, system, seed: int) -> List[TransactionScript]:
+    """:func:`workload_for` drawn from ``seed`` over the one object of a
+    system ``config`` built: the first, which on a replicated system is
+    the site-0 copy and carries the logical name."""
+    obj = next(iter(system.objects.values()))
+    return workload_for(config, obj.adt, random.Random(seed))
 
 
-def fault_free_scheduler(
-    config: TortureConfig, seed: int, trace=None, *, replicated=False, faults=()
-) -> Scheduler:
-    """The scheduler of one run of ``config``'s workload on plain stable
-    logs under the fault calendar ``faults``: what ``repro run`` runs."""
-    system, adt = build_system(config, None, replicated=replicated)
-    scripts = workload_for(config, adt, random.Random(seed))
-    return Scheduler(
-        system, scripts, seed=seed, label=config.label(), trace=trace, faults=faults
+def fault_log(config: TortureConfig, plan: FaultPlan, counters: FaultCounters):
+    """The log factory of a one-site schedule of ``config``: stable logs
+    that inject ``plan``'s faults (and drop forces under the
+    ``skip-commit-force`` control).  The copies of a ``sites > 1``
+    config log to plain stable logs — its site crashes come from tick
+    schedules — so the durability-accounting invariant, which needs the
+    fault archive, is covered by the one-site matrix."""
+    return functools.partial(
+        FaultyStableLog,
+        plan,
+        counters=counters,
+        skip_commit_force=config.bug == "skip-commit-force",
     )
 
 
@@ -439,8 +401,13 @@ def run_schedule(
     """
     sited = config.sites > 1
     counters = counters if counters is not None else FaultCounters()
-    system, adt = build_system(config, None if sited else plan, counters)
-    scripts = workload_for(config, adt, random.Random(seed))
+    if sited:
+        system = config.build_system()
+        system._skip_catchup_bug = config.bug == "skip-catchup"
+    else:
+        system = config.build_system(
+            make_log=fault_log(config, plan, counters), restart_policy=config.restart_policy
+        )
     label = config.label()
     schedule = describe_site_schedule(plan) if sited else plan.describe()
     violations: List[Violation] = []
@@ -452,15 +419,8 @@ def run_schedule(
     faults = site_faults(plan) if sited else []
     if config.checkpoint_every:
         faults.append(Fault(CHECKPOINT, every=config.checkpoint_every))
-    scheduler = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-        label=label,
-        faults=faults,
-        trace=trace,
+    scheduler = config.scheduler(
+        system, workload_on(config, system, seed), seed=seed, faults=faults, trace=trace
     )
     try:
         while True:
@@ -502,15 +462,10 @@ def profile_horizon(config: TortureConfig, *, seed: int = 0) -> int:
     fault or site crash lands where the workload actually reaches.
     """
     plan = FaultPlan(seed=seed)
-    system, adt = build_system(config, plan)
-    scripts = workload_for(config, adt, random.Random(seed))
-    metrics = Scheduler(
-        system,
-        scripts,
-        seed=seed,
-        max_restarts=config.max_restarts,
-        max_ticks=config.max_ticks,
-    ).run()
+    system = config.build_system(
+        make_log=fault_log(config, plan, FaultCounters()), restart_policy=config.restart_policy
+    )
+    metrics = config.scheduler(system, workload_on(config, system, seed), seed=seed).run()
     if config.sites > 1:
         return max(2, metrics.ticks)
     return max(1, plan.clock)

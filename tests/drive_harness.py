@@ -10,9 +10,8 @@ count of ``TransactionSystem.invoke`` calls.
 import random
 
 from repro.runtime import TransactionSystem
+from repro.runtime.durability import site_faults
 from repro.runtime.openloop import OpenLoopConfig, open_loop_stream
-from repro.runtime.openloop import _scheduler as drive_scheduler
-from repro.runtime.sharding import build_sharded_system
 
 #: shaped like ``overload_uip``: arrivals far past what 8 hot
 #: update-in-place objects can serve, so most of the crowd is refused.
@@ -31,17 +30,24 @@ FLASH_CROWD = OpenLoopConfig(
 )
 
 
+def drive_scheduler(system, config, arrivals, stream, *, seed, trace=None):
+    """The scheduler ``drive`` builds over ``system`` for the offered
+    ``stream`` of ``open_loop_stream``, whose arrival ticks are
+    ``arrivals``."""
+    return config.scheduler(
+        system,
+        seed=seed,
+        faults=site_faults(config.site_crashes),
+        trace=trace,
+        arrivals=stream,
+        last_arrival=max(arrivals),
+    )
+
+
 def scheduler_in_hand(config, seed, trace=None):
     """The scheduler a sharded drive of ``config`` builds, kept in hand
     to count on and to read histories from."""
-    system = build_sharded_system(
-        config.adt_kind,
-        config.object_names(),
-        shards=config.shards,
-        recovery=config.recovery,
-        group_commit=config.group_commit,
-        hold=config.hold,
-    )
+    system = config.build_system(config.object_names(), shards=config.shards)
     arrivals, stream = open_loop_stream(config, random.Random(seed))
     return drive_scheduler(system, config, arrivals, stream, seed=seed, trace=trace)
 

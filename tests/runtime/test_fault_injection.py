@@ -35,6 +35,7 @@ from repro.runtime.torture import (
     configs_for,
     profile_horizon,
     run_schedule,
+    workload_on,
 )
 from repro.runtime.wal import CommitRecord, OperationRecord, StableLog, UndoRedoLog
 
@@ -122,14 +123,8 @@ def test_restart_policies_agree_at_every_crash_point(kind):
     the restored macro-states.
     """
     config = TortureConfig(kind, "UIP", **SMALL)
-    counters = FaultCounters()
-    plan = FaultPlan()
-    from repro.runtime.torture import build_system, workload_for
-    from repro.runtime.scheduler import Scheduler
-
-    system, adt = build_system(config, plan, counters)
-    scripts = workload_for(config, adt, random.Random(0))
-    Scheduler(system, scripts, seed=0, max_restarts=8).run()
+    system = config.build_system(restart_policy=config.restart_policy)
+    config.scheduler(system, workload_on(config, system, 0), seed=0).run()
     (obj,) = system.objects.values()
     records = obj.wal.log.records()
     assert records, "workload produced no log traffic"

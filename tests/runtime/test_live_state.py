@@ -16,12 +16,14 @@ import pytest
 
 from repro.core.events import inv
 from repro.core.history import HistoryNotKept
-from repro.runtime.openloop import OpenLoopConfig, _scheduler, open_loop_stream
+from repro.runtime.openloop import OpenLoopConfig, open_loop_stream
 from repro.runtime.replication import build_replicated_system
 from repro.runtime.scheduler import CRASH_SHARD, Fault, FaultCalendar
 from repro.runtime.sharding import build_sharded_system
 from repro.runtime.torture import audit_recovery, audit_replication
 from repro.runtime.trace import TraceCollector
+
+from ..drive_harness import drive_scheduler
 
 
 def _assert_live(system, writers, readers):
@@ -166,22 +168,12 @@ REPLICATED = OpenLoopConfig(
 def _run(config, history, seed=0):
     """One scheduler over ``config``'s scripts; the shard crash (sharded)
     or the site schedule (replicated) fires mid-run."""
-    knobs = dict(
-        recovery=config.recovery, group_commit=config.group_commit,
-        hold=config.hold, history=history,
+    system = config.build_system(
+        config.object_names(), shards=config.shards, history=history
     )
-    names = config.object_names()
-    if config.sites > 1:
-        system = build_replicated_system(
-            config.adt_kind, names, sites=config.sites, **knobs
-        )
-    else:
-        system = build_sharded_system(
-            config.adt_kind, names, shards=config.shards, **knobs
-        )
     arrivals, stream = open_loop_stream(config, random.Random(seed))
     trace = TraceCollector()
-    scheduler = _scheduler(system, config, arrivals, stream, seed=seed, trace=trace)
+    scheduler = drive_scheduler(system, config, arrivals, stream, seed=seed, trace=trace)
     if config.sites == 1:
         scheduler.faults = FaultCalendar([Fault(CRASH_SHARD, 60, domain=0)])
     metrics = scheduler.run()

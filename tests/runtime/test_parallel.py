@@ -31,9 +31,9 @@ from repro.runtime.parallel import (
 from repro.runtime.torture import (
     TortureConfig,
     configs_for,
-    fault_free_scheduler,
     plan_campaign,
     run_torture,
+    workload_on,
 )
 from repro.runtime.trace import TraceCollector, load_jsonl, reconcile
 
@@ -79,7 +79,10 @@ class TestCompareEquality:
 
 def _fault_free_run(cell, trace):
     """What ``repro run`` executes, as a cell: RunMetrics of one durable run."""
-    return fault_free_scheduler(cell.spec["config"], cell.seed, trace).run()
+    config = cell.spec["config"]
+    system = config.build_system()
+    scripts = workload_on(config, system, cell.seed)
+    return config.scheduler(system, scripts, seed=cell.seed, trace=trace).run()
 
 
 class TestRunCellEquality:
@@ -214,7 +217,13 @@ class TestWorkerDeath:
             make_adt("nope")
         with pytest.raises(ValueError, match="unknown ADT 'nope'"):
             run_torture(configs_for(["nope"]), schedules=2)
-        spec = {"config": TortureConfig("nope", "DU"), "plan": FaultPlan()}
+        with pytest.raises(ValueError, match="unknown ADT 'nope'"):
+            TortureConfig("nope", "DU")
+        # A config is checked when it is made; plant the kind on a made
+        # one, as a cell whose body fails on it.
+        config = TortureConfig("bank", "DU")
+        object.__setattr__(config, "adt_kind", "nope")
+        spec = {"config": config, "plan": FaultPlan()}
         results = ParallelRunner(workers).run(
             [Cell(0, "torture", spec), Cell(1, "torture", spec)]
         )

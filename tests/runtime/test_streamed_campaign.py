@@ -26,6 +26,7 @@ from repro.runtime import torture
 from repro.runtime.faults import FaultPlan
 from repro.runtime.metrics import FaultCounters
 from repro.runtime.parallel import MAX_CHUNK, Cell, ParallelRunner, register_executor
+from repro.runtime.spec import SystemSpec
 from repro.runtime.torture import (
     TortureReport,
     configs_for,
@@ -87,13 +88,13 @@ def test_a_finished_schedule_is_freed_before_the_next_starts(monkeypatch):
     """By reference counting alone (the collector is off): a campaign
     keeps no plan or system of a schedule it has merged."""
     plans, systems, inside = [], [], [False]
-    real_run, real_build = torture.run_schedule, torture.build_system
+    real_run, real_build = torture.run_schedule, SystemSpec.build_system
 
     def build_system(*args, **kwargs):
-        system, adt = real_build(*args, **kwargs)
+        system = real_build(*args, **kwargs)
         if inside[0]:
             systems.append(weakref.ref(system))
-        return system, adt
+        return system
 
     def run_schedule(config, plan, **kwargs):
         assert not [ref for ref in plans + systems if ref() is not None]
@@ -105,7 +106,7 @@ def test_a_finished_schedule_is_freed_before_the_next_starts(monkeypatch):
         finally:
             inside[0] = False
 
-    monkeypatch.setattr(torture, "build_system", build_system)
+    monkeypatch.setattr(SystemSpec, "build_system", build_system)
     monkeypatch.setattr(torture, "run_schedule", run_schedule)
     enabled = gc.isenabled()
     gc.disable()

@@ -24,7 +24,6 @@ from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.durability import site_faults
 from repro.runtime.openloop import (
     OpenLoopConfig,
-    _scheduler,
     drive,
     home_shard,
     open_loop_scripts,
@@ -35,6 +34,8 @@ from repro.runtime.replication import build_replicated_system
 from repro.runtime.scheduler import Scheduler, TransactionScript
 from repro.runtime.sharding import build_sharded_system, shard_of
 from repro.runtime.trace import TraceCollector
+
+from ..drive_harness import drive_scheduler
 
 CONFIGS = {
     "sharded-cross-shard": OpenLoopConfig(
@@ -196,10 +197,8 @@ def test_the_stream_draws_the_scripts_the_whole_load_did(name):
 
 
 def _sharded_system(config):
-    return build_sharded_system(
-        config.adt_kind, config.object_names(), shards=config.shards,
-        recovery=config.recovery, group_commit=config.group_commit,
-        hold=config.hold, history=False,
+    return config.build_system(
+        config.object_names(), shards=config.shards, history=False
     )
 
 
@@ -224,7 +223,7 @@ def test_a_finished_script_is_unreachable_while_the_run_goes_on():
             refs.append(weakref.ref(script))
             yield script, tick
 
-    scheduler = _scheduler(system, config, arrivals, watched(), seed=0, trace=None)
+    scheduler = drive_scheduler(system, config, arrivals, watched(), seed=0, trace=None)
     metrics = scheduler.run()
     assert metrics.committed + metrics.ro_committed == config.transactions
     assert len(checked) == 30 and checked[-1] > 150
@@ -308,7 +307,7 @@ def test_the_nonconvergence_report_names_live_entries_and_pending_arrivals():
     config = CONFIGS["sharded-cross-shard"]
     system = _sharded_system(config)
     arrivals, stream = open_loop_stream(config, random.Random(0))
-    scheduler = _scheduler(system, config, arrivals, stream, seed=0, trace=None)
+    scheduler = drive_scheduler(system, config, arrivals, stream, seed=0, trace=None)
     scheduler.max_ticks = 40
     with pytest.raises(RuntimeError) as excinfo:
         scheduler.run()

@@ -202,6 +202,31 @@ class TestRunCommand:
         with pytest.raises(SystemExit, match="--group-commit must be >= 1"):
             main(["run", "bank", "--group-commit", "0"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        (["bank"], ["counter", "--sites", "2", "--site-crash", "1@5-15"]),
+        ids=("one-site", "sites2"),
+    )
+    def test_the_run_is_scheduled_under_its_configs_budgets(self, monkeypatch, argv):
+        """``run`` states the budgets it runs under, the scheduler's own
+        25 restarts and 100 000 ticks, and its scheduler carries them."""
+        from repro.runtime.spec import SystemSpec
+
+        made = []
+        scheduler = SystemSpec.scheduler
+
+        def kept(config, *args, **kwargs):
+            made.append((config, scheduler(config, *args, **kwargs)))
+            return made[-1][1]
+
+        monkeypatch.setattr(SystemSpec, "scheduler", kept)
+        assert main(["run", *argv, "--transactions", "4", "--ops", "2"]) == 0
+        ((config, run),) = made
+        assert (run.max_restarts, run.max_ticks) == (
+            config.max_restarts,
+            config.max_ticks,
+        ) == (25, 100_000)
+
     def test_trace_out_writes_jsonl(self, tmp_path, capsys):
         from repro.runtime.trace import load_jsonl, reconcile
 

@@ -44,6 +44,8 @@ class TestValidation:
                 ["drive", "--adt", "fifo", "--read-mix", "0.5"],
                 "no read-only observer",
             ),
+            (["drive", "--burst-factor", "0.5"], "--burst-factor must be >= 1"),
+            (["drive", "--burst-period", "1"], "--burst-period must be >= 2"),
         ],
     )
     def test_rejects_bad_arguments(self, argv, match):
@@ -170,6 +172,10 @@ class TestReplicatedDrive:
                 SMALL + ["--sites", "2", "--site-crash", "1@5",
                          "--site-crash", "1@40-60"],
                 "overlaps site1@5-end",
+            ),
+            (
+                SMALL + ["--sites", "2", "--cross-shard", "0.5"],
+                "--cross-shard needs shards > 1",
             ),
         ],
     )

@@ -7,7 +7,7 @@ only through ``repro.reference``, by tests and twin benches.
 These checks keep a selector — an environment variable, a constructor
 flag, an import of the oracle module — from coming back, and keep the
 failure-domain machinery (in-doubt resolution, the durable-object
-builder, the recovery/conflict pairing) and the two halves of an object
+builder, the system builder, the recovery/conflict pairing) and the two halves of an object
 (the lock table, the recovery managers) at one copy each — and every
 change to either half moving the epoch that refused invocations sleep on.
 """
@@ -1048,6 +1048,32 @@ def test_durable_objects_are_built_in_one_place():
         }
     )
     assert sites == ["repro/runtime/durability.py:build_durable_object"]
+
+
+def test_runs_build_their_systems_and_schedulers_in_one_place():
+    """``run``, a torture schedule and a drive each build their system
+    with ``SystemSpec.build_system`` and their scheduler with
+    ``SystemSpec.scheduler``, which passes the spec's budgets on:
+    ``Scheduler(`` is called under ``src/repro`` only there and in
+    ``run_scripts``, and no other function under ``repro/runtime``
+    calls ``build_sharded_system``, ``build_replicated_system`` or
+    ``TransactionSystem(``."""
+
+    def callers(names, under):
+        return sorted(
+            {
+                "%s:%s" % (path.relative_to(SRC), fn.name)
+                for path, fn in _functions()
+                if path.is_relative_to(under) and _calls(fn) & names
+            }
+        )
+
+    assert callers({"Scheduler"}, PACKAGE) == [
+        "repro/runtime/scheduler.py:run_scripts",
+        "repro/runtime/spec.py:scheduler",
+    ]
+    builders = {"build_sharded_system", "build_replicated_system", "TransactionSystem"}
+    assert callers(builders, PACKAGE / "runtime") == ["repro/runtime/spec.py:build_system"]
 
 
 def test_the_log_is_a_part_of_the_object():
