@@ -74,8 +74,8 @@ class CrashPoint(Exception):
 
     Deliberately *not* a :class:`RuntimeModelError`: a crash is not a
     model violation, and nothing in the runtime may catch it by
-    accident.  Only the torture harness (or a test) catches it and runs
-    the crash/recovery protocol.
+    accident.  Only :meth:`~repro.runtime.scheduler.Scheduler.run`
+    catches it, and fires a whole-system crash at that tick.
     """
 
     def __init__(self, kind: str, interaction: int, op: str):
@@ -139,7 +139,7 @@ class FaultPlan:
     The plan keeps a global interaction clock: every append, force and
     truncate on any :class:`FaultyStableLog` sharing the plan advances
     it by one.  A fault fires when the clock reaches its index — at most
-    once, so a restarted run continues past it.  Everything random
+    once, so the run goes on past it after the crash.  Everything random
     (torn-force prefix lengths, sampled schedules) flows from explicit
     seeds, so a failing schedule is reproducible from ``(seed, events)``
     alone.

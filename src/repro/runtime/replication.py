@@ -633,13 +633,14 @@ def build_replicated_system(
     group_commit: int = 1,
     hold: int = 4,
     history: bool = True,
+    **durable_options,
 ) -> ReplicatedSystem:
     """A replicated system of ``adt_kind`` objects, ``sites`` copies each.
 
     Every copy gets its own fresh :class:`~repro.runtime.wal.StableLog`
-    under the group-commit policy; its conflict relation is its table,
-    which restarts after a crash reuse.  ``history=False`` keeps no
-    audit record (see :class:`ReplicatedSystem`).
+    under the group-commit policy and ``durable_options``; its conflict
+    relation is its table, which restarts after a crash reuse.
+    ``history=False`` keeps no audit record (see :class:`ReplicatedSystem`).
     """
     return ReplicatedSystem(
         [
@@ -651,6 +652,7 @@ def build_replicated_system(
                     group_commit,
                     hold,
                     StableLog,
+                    **durable_options,
                 )
                 for site in range(sites)
             ]

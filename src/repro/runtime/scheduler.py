@@ -41,7 +41,8 @@ differences in the metrics are attributable to the
 
 Failures are events of the run: :meth:`Scheduler.inject` fires the
 entries of the *fault calendar* (:class:`FaultCalendar`) due after each
-tick's scan, before the system clock moves.
+tick's scan, before the system clock moves; a
+:class:`~repro.runtime.faults.CrashPoint` is a crash fired where it lands.
 
 The main loop is event-driven: a *wake calendar* — fed by backoff
 windows, the head of the arrival stream, ``wait_for`` releases, the
@@ -65,6 +66,7 @@ import bisect
 import random
 from dataclasses import dataclass
 from typing import (
+    Callable,
     FrozenSet,
     Iterable,
     List,
@@ -77,6 +79,7 @@ from typing import (
 
 from ..core.events import Invocation
 from .errors import InvalidTransactionState
+from .faults import CrashPoint
 from .lock_manager import WaitsForGraph
 from .metrics import RunMetrics
 from .system import TransactionSystem
@@ -108,8 +111,7 @@ class Fault(NamedTuple):
 class FaultCalendar:
     """Every crash, shard crash, site failure, site recovery and
     checkpoint a run injects, as data.  Entries due on one tick fire in
-    calendar order.  A periodic entry is a pure function of the
-    scheduler's tick, which starts again at 0 when a run is re-entered."""
+    calendar order; a periodic entry is a pure function of the tick."""
 
     def __init__(self, entries: Iterable[Fault]):
         self.entries = tuple(entries)
@@ -213,7 +215,7 @@ class Scheduler:
     iterable of ``(script, tick)`` pairs in tick order, pulled one at a
     time as each tick comes.  A script name is used once per run: one
     that arrives while an entry of that name is live, or after it has
-    finished, raises :class:`ValueError`.
+    finished, raises :class:`ValueError`.  ``audit`` is called after each crash point.
     """
 
     def __init__(
@@ -228,8 +230,10 @@ class Scheduler:
         faults: Iterable[Fault] = (),
         trace=None,
         arrivals: Iterable[Tuple[TransactionScript, int]] = (),
+        audit: Optional[Callable[[], None]] = None,
     ):
         self.system = system
+        self.audit = audit
         self.rng = random.Random(seed)
         self.max_restarts = max_restarts
         self.max_ticks = max_ticks
@@ -276,11 +280,6 @@ class Scheduler:
     def run(self) -> RunMetrics:
         """Run until every script commits or exhausts its restart budget."""
         if self.trace is not None:
-            # Stamp run-start (and a possible instant run-end) with tick
-            # 0: on torture re-entry the collector still carries the
-            # crashed run's last tick, and the loop below restarts its
-            # tick counter — exactly as ``metrics.ticks`` does.
-            self.trace.begin_tick(0)
             self.trace.emit("run-start", self.metrics.label)
         # ``next_live`` is the wake calendar's head: the earliest tick
         # at which anything — a backoff expiry, an arrival, a fault
@@ -308,27 +307,35 @@ class Scheduler:
             if dead:
                 continue
             self._admit_arrivals(tick)
-            # ``_active`` is read afresh, never kept across ticks: a
-            # retired entry is dropped at the compaction below, and
-            # nothing else may still hold it.  (Only a crash compacts
-            # mid-tick, and a crash is progress: the stall-breaker gets
-            # the list the scan had whenever it runs.)
-            if self._any_runnable(tick, self._active):
-                progressed = self._tick(tick, self._active)
-            else:
-                # Nothing runnable: skip the scan — and its RNG shuffle
-                # — entirely, so a shuffle happens exactly on the ticks
-                # where the scan could act.
-                progressed = False
-            if faults is not None:
-                due = faults.due(tick)
-                if due:
-                    progressed = self.inject(tick, due) or progressed
-            # The end-of-tick phase: the system clock moves and every
-            # held group-commit batch now due is forced.
-            self.system.tick()
-            if not progressed:
-                self._break_stall(tick, self._active)
+            ended = False
+            try:
+                # ``_active`` is read afresh, never kept across ticks: a
+                # retired entry is dropped at the compaction below, and
+                # nothing else may still hold it.  (Only a crash compacts
+                # mid-tick, and a crash is progress.)
+                if self._any_runnable(tick, self._active):
+                    progressed = self._tick(tick, self._active)
+                else:
+                    # Nothing runnable: skip the scan and its RNG shuffle.
+                    progressed = False
+                if faults is not None:
+                    due = faults.due(tick)
+                    if due:
+                        progressed = self.inject(tick, due) or progressed
+                # The end-of-tick phase: the system clock moves and every
+                # held group-commit batch now due is forced.
+                ended = True
+                self.system.tick()
+                if not progressed:
+                    self._break_stall(tick, self._active)
+            except CrashPoint:
+                # The process died at a log interaction: the rest of the
+                # tick is skipped and the tick still ends once.
+                self.inject(tick, [Fault(CRASH)])
+                if self.audit is not None:
+                    self.audit()
+                if not ended:
+                    self.system.tick()
             self._compact()
             if self._unfinished():
                 next_live = self._wake_plan(tick, horizon)
@@ -607,10 +614,7 @@ class Scheduler:
         The system has already performed its crash protocol (the victims
         are aborted there); this is the scheduler-side bookkeeping —
         dead incarnations restart as fresh transactions, like deadlock
-        victims, and the waits-for graph (volatile lock state) is
-        discarded.  Safe to call after :class:`Scheduler.run` was
-        unwound by a :class:`~repro.runtime.faults.CrashPoint`: the next
-        ``run()`` resumes the surviving scripts.
+        victims, and the waits-for graph (volatile lock state) is discarded.
         """
         for entry in self._active:
             # The waits-for graph is discarded below, so every survivor

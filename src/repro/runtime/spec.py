@@ -14,7 +14,7 @@ drive each make the same two calls: :meth:`SystemSpec.build_system` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from ..adts.registry import check_kind
 from .durability import build_durable_object
@@ -81,15 +81,16 @@ class SystemSpec:
         (``names=None``: one object under the ADT's default name), its
         objects on ``make_log(policy=...)`` logs — ``StableLog`` or a
         partial ``FaultyStableLog`` — with ``durable_options``
-        (``restart_policy=``).  Replicated and sharded objects log to
-        plain stable logs.  ``history=False`` keeps no audit record."""
+        (``restart_policy=``), which replicated objects take too.
+        Replicated and sharded objects log to plain stable logs.
+        ``history=False`` keeps no audit record."""
         knobs = dict(
             recovery=self.recovery, group_commit=self.group_commit, hold=self.hold,
             history=history,
         )
         if replicated or self.sites > 1:
             return build_replicated_system(
-                self.adt_kind, names or ["X"], sites=self.sites, **knobs
+                self.adt_kind, names or ["X"], sites=self.sites, **knobs, **durable_options
             )
         if shards:
             return build_sharded_system(self.adt_kind, names, shards=shards, **knobs)
@@ -106,17 +107,19 @@ class SystemSpec:
         self, system: TransactionSystem, scripts: Sequence[TransactionScript] = (),
         *, seed: int, faults: Iterable[Fault] = (), trace=None,
         arrivals: Iterable[Tuple[TransactionScript, int]] = (), last_arrival: int = 0,
+        audit: Optional[Callable[[], None]] = None,
     ) -> Scheduler:
         """The scheduler of one run over ``system`` — ``scripts`` from
         tick 0, the ``(script, tick)`` stream ``arrivals``, the fault
-        calendar ``faults`` — under the spec's ``max_restarts`` and
-        ``max_ticks``, stretched to :data:`DRAIN_TICKS` past
-        ``last_arrival``, the tick of the last arrival."""
+        calendar ``faults``, the ``audit`` hook of each crash point —
+        under the spec's ``max_restarts`` and ``max_ticks``, stretched to
+        :data:`DRAIN_TICKS` past ``last_arrival``, the tick of the last
+        arrival."""
         max_ticks = self.max_ticks
         if last_arrival:
             max_ticks = max(max_ticks, last_arrival + DRAIN_TICKS)
         return Scheduler(
             system, scripts, seed=seed, max_restarts=self.max_restarts,
             max_ticks=max_ticks, label=self.label(), faults=faults, trace=trace,
-            arrivals=arrivals,
+            arrivals=arrivals, audit=audit,
         )

@@ -561,11 +561,11 @@ class ManagedObject:
 
 class SystemClock:
     """A transaction system's one clock — end-of-tick phases elapsed,
-    over every run on the system (a scheduler's own tick restarts at
-    each run) — and the heap of ``(due, log position)`` its held
-    group-commit batches book into.  An entry is live while that log's
-    ``due`` is still that tick; one whose batch filled, was forced or
-    died in a crash is stale and is popped when it reaches the head.
+    over every run on the system — and the heap of ``(due, log
+    position)`` its held group-commit batches book into.  An entry is
+    live while that log's ``due`` is still that tick; one whose batch
+    filled, was forced or died in a crash is stale and is popped when it
+    reaches the head.
     The clock holds no log and no system, so a log's booking hook
     closes no reference cycle: a finished system is freed at once."""
 

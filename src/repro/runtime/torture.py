@@ -53,14 +53,14 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..adts.registry import make_adt
 from ..core.atomicity import is_dynamic_atomic
 from .durability import SiteCrash, site_faults
-from .faults import CrashPoint, FaultPlan, FaultyStableLog, RetryPolicy
+from .faults import FaultPlan, FaultyStableLog, RetryPolicy
 from .metrics import FaultCounters
 from .parallel import Cell, ParallelRunner
 from .replication import ReplicatedSystem, ReplicationError
-from .scheduler import CHECKPOINT, CRASH, Fault, TransactionScript
+from .scheduler import CHECKPOINT, Fault, TransactionScript
 from .spec import SystemSpec, at_least, fraction
 from .system import TransactionSystem
-from .wal import COMMIT_MARKERS
+from .wal import COMMIT_MARKERS, StableLog
 from .workloads import (
     escrow_workload,
     generic_workload,
@@ -151,6 +151,8 @@ def configs_for(
     undo, only ``replay-winners`` otherwise; DU has a single restart
     algorithm.
     """
+    if not adt_kinds:
+        raise ValueError("adt_kind must name at least one ADT")
     configs = []
     for kind in adt_kinds:
         adt = make_adt(kind)
@@ -388,26 +390,25 @@ def run_schedule(
     one-site config, the :class:`SiteCrash` rows of a site-crash
     schedule for a ``sites > 1`` one (see :func:`campaign_stream`).
 
-    The scheduler runs until every script commits or retires, firing
-    the schedule's site rows and a checkpoint every ``checkpoint_every``
-    ticks.  Under a fault plan, each :class:`~repro.runtime.faults.CrashPoint`
-    unwinds the run; a whole-system crash, an audit and a re-entry follow.
+    The scheduler runs once, until every script commits or retires,
+    firing the schedule's site rows and a checkpoint every
+    ``checkpoint_every`` ticks; it fires each
+    :class:`~repro.runtime.faults.CrashPoint` as a whole-system crash
+    where it lands, with :func:`audit_recovery` as its audit hook.
     Under a site-crash schedule, victims restart as fresh incarnations,
     every site is back in service at the end, and the replication
-    invariants are audited.  A final clean crash
-    re-audits the end state (per copy, for a replicated system) so
-    schedules whose faults never fired (or were absorbed as IO errors)
-    still exercise restart.
+    invariants are audited.  A final clean crash re-audits the end state
+    (per copy, for a replicated system) so schedules whose faults never
+    fired (or were absorbed as IO errors) still exercise restart.
     """
     sited = config.sites > 1
     counters = counters if counters is not None else FaultCounters()
+    system = config.build_system(
+        make_log=StableLog if sited else fault_log(config, plan, counters),
+        restart_policy=config.restart_policy,
+    )
     if sited:
-        system = config.build_system()
         system._skip_catchup_bug = config.bug == "skip-catchup"
-    else:
-        system = config.build_system(
-            make_log=fault_log(config, plan, counters), restart_policy=config.restart_policy
-        )
     label = config.label()
     schedule = describe_site_schedule(plan) if sited else plan.describe()
     violations: List[Violation] = []
@@ -420,18 +421,11 @@ def run_schedule(
     if config.checkpoint_every:
         faults.append(Fault(CHECKPOINT, every=config.checkpoint_every))
     scheduler = config.scheduler(
-        system, workload_on(config, system, seed), seed=seed, faults=faults, trace=trace
+        system, workload_on(config, system, seed), seed=seed, faults=faults, trace=trace,
+        audit=lambda: violations.extend(audit_recovery(system, label, schedule)),
     )
     try:
-        while True:
-            try:
-                scheduler.run()
-                break
-            except CrashPoint:
-                # A crash point unwinds the run: crash the whole system
-                # where the run stopped, audit the restart, re-enter.
-                scheduler.inject(scheduler.metrics.ticks, [Fault(CRASH)])
-                violations.extend(audit_recovery(system, label, schedule))
+        scheduler.run()
         if sited:
             violations.extend(audit_replication(system, label, schedule))
         # Final clean crash: even a fault-free schedule must restart cleanly.

@@ -446,15 +446,13 @@ class _Tally:
 
     def __init__(self) -> None:
         self.counters = {name: 0 for name in COUNTER_FIELDS}
-        #: the largest tick stamp since the last ``run-start``
+        #: the largest tick stamp so far
         self.max_tick = 0
 
     def add(self, event: Dict[str, Any]) -> None:
         kind = event["kind"]
         tick = event.get("tick", 0)
-        if kind == "run-start":
-            self.max_tick = tick
-        elif tick > self.max_tick:
+        if tick > self.max_tick:
             self.max_tick = tick
         counters = self.counters
         name = _COUNTED.get(kind)
@@ -481,9 +479,7 @@ def reconstruct_counters(events: Iterable[Dict[str, Any]]) -> Dict[str, int]:
     ``events`` must cover exactly one run segment (everything between a
     ``schedule-start``/stream start and its ``run-end``, inclusive) —
     use :func:`reconcile` to handle multi-segment streams.  ``ticks`` is
-    the maximum tick stamp after the *last* ``run-start`` (a crash
-    unwinds the scheduler loop, and the resumed run restarts its tick
-    counter — mirroring how ``RunMetrics.ticks`` is maintained).
+    the largest tick stamp.
     """
     tally = _Tally()
     for event in events:

@@ -15,6 +15,7 @@ flush tick of a batch opened in each phase of a tick), and the
 non-convergence diagnostic snapshot.
 """
 
+import functools
 import gc
 import random
 import weakref
@@ -28,6 +29,7 @@ from repro.runtime import ManagedObject, TransactionSystem
 from repro.runtime.openloop import OpenLoopConfig, drive
 from repro.runtime.replication import build_replicated_system, copy_name
 from repro.runtime.durability import site_faults
+from repro.runtime.faults import FaultPlan, FaultyStableLog
 from repro.runtime.scheduler import (
     CHECKPOINT,
     CRASH,
@@ -373,13 +375,13 @@ class TestModeResolution:
 # ---------------------------------------------------------------------------
 
 
-def _durable(name, hold, batch=8):
+def _durable(name, hold, batch=8, make_log=StableLog):
     account = BankAccount(name)
     return ManagedObject(
         account,
         account.nfc_conflict(),
         "DU",
-        log=StableLog(
+        log=make_log(
             policy=GroupCommitPolicy(batch_size=batch, max_hold=hold)
         ),
     )
@@ -399,20 +401,20 @@ def _check_heap(system):
     return deadline
 
 
-class _Crash(Exception):
-    """Unwinds ``Scheduler.run`` the way a torture crash point does."""
-
-
 def _flush_ticks(phase, hold):
     """``[(tick, kind)]`` of one run's force requests and forces (and
-    ``(0, "run")`` at each run start) when its only batch not opened by
+    ``(0, "run")`` at the run's start) when its only batch not opened by
     the transaction's own commit opens in ``phase``: before the run, in
     the scan, in the fault method (``on_tick``, where the hook ran), in
-    ``_break_stall``, or before a run re-entered after a crash unwound
-    the first (the scheduler's tick starts again at 0; the system clock
-    does not).  The calendar entries only make their ticks due; the
-    fault method each phase needs is patched in."""
-    ba = _durable("BA", hold)
+    ``_break_stall``, or in the audit hook of a crash point that killed
+    the scan (``re_entry``: the crash is fired at that tick and the tick
+    still ends once).  The calendar entries only make their ticks due;
+    the fault method each phase needs is patched in."""
+    make_log = StableLog
+    if phase == "re_entry":
+        # Dies at the log's first interaction: the prepare record, tick 2.
+        make_log = functools.partial(FaultyStableLog, FaultPlan.crash_at(0))
+    ba = _durable("BA", hold, make_log=make_log)
     system = TransactionSystem([ba])
     log = ba.wal.log
     trace = TraceCollector()
@@ -420,6 +422,7 @@ def _flush_ticks(phase, hold):
     arrival = 12
     faults = []
     inject = None
+    audit = None
     if phase == "scan":
         arrival = 2
     elif phase == "on_tick":
@@ -437,15 +440,11 @@ def _flush_ticks(phase, hold):
 
     elif phase == "re_entry":
         arrival = 1
-        faults = [Fault(CHECKPOINT, 2)]
-
-        def inject(tick, due):
-            if not system.crash_count:
-                raise _Crash()
-            return False
+        audit = log.request_force
 
     scheduler = Scheduler(
-        system, [], arrivals=[(script, arrival)], faults=faults, trace=trace
+        system, [], arrivals=[(script, arrival)], faults=faults, trace=trace,
+        audit=audit,
     )
     if inject is not None:
         scheduler.inject = inject
@@ -459,11 +458,6 @@ def _flush_ticks(phase, hold):
 
         scheduler._break_stall = break_stall
     if phase == "before_run":
-        log.request_force()
-    if phase == "re_entry":
-        with pytest.raises(_Crash):
-            scheduler.run()
-        scheduler.handle_crash(system.crash(), scheduler.metrics.ticks)
         log.request_force()
     scheduler.run()
     kinds = {"force-request": "request", "force": "force", "run-start": "run"}
@@ -490,11 +484,12 @@ FLUSH_TICKS = {
                          (13, "force"), (14, "request"), (14, "force")],
     ("break_stall", 2): [(0, "run"), (3, "request"), (6, "force"), (13, "request"),
                          (15, "force"), (16, "request"), (18, "force")],
-    ("re_entry", 0): [(0, "run"), (2, "request"), (2, "request"), (0, "run"),
-                      (1, "force"), (2, "request"), (2, "force"), (3, "request"),
-                      (3, "force")],
-    ("re_entry", 2): [(0, "run"), (2, "request"), (2, "request"), (0, "run"),
-                      (2, "request"), (3, "force"), (4, "request"), (6, "force")],
+    # The crash tick 2 ends once, forcing the hook's batch at hold 0;
+    # the restarted transaction acts from tick 3.
+    ("re_entry", 0): [(0, "run"), (2, "request"), (2, "force"), (4, "request"),
+                      (4, "force"), (5, "request"), (5, "force")],
+    ("re_entry", 2): [(0, "run"), (2, "request"), (4, "request"), (4, "force"),
+                      (5, "request"), (7, "force")],
 }
 
 

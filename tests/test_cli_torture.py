@@ -64,6 +64,11 @@ class TestTortureCommand:
         else:
             raise AssertionError("unknown ADT was accepted")
 
+    def test_empty_adt_list_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["torture", "--adt", ",", "--schedules", "1"])
+        assert str(exc.value) == "--adt must name at least one ADT"
+
     def test_same_seed_is_reproducible(self, capsys):
         argv = ["torture", "--adt", "set", "--schedules", "9", "--seed", "77"]
         _, first = run(argv, capsys)

@@ -326,12 +326,13 @@ def test_undeclared_hook_is_woken_every_tick():
 
 def test_arrivals_have_one_admission_path():
     """No selector came with the arrival stream — the constructor takes
-    what it took, ``arrivals`` now a stream of ``(script, tick)`` pairs —
-    and the scan shuffles the transactions in the system (``_active``)
-    and nothing else: a script still to arrive costs a tick nothing."""
+    what it took, ``arrivals`` now a stream of ``(script, tick)`` pairs,
+    and the one ``audit`` hook a crash point calls — and the scan
+    shuffles the transactions in the system (``_active``) and nothing
+    else: a script still to arrive costs a tick nothing."""
     assert list(inspect.signature(Scheduler.__init__).parameters) == [
         "self", "system", "scripts", "seed", "max_restarts", "max_ticks",
-        "label", "faults", "trace", "arrivals",
+        "label", "faults", "trace", "arrivals", "audit",
     ]
     scans = []
 
@@ -948,10 +949,10 @@ FAULT_OPERATIONS = {"handle_crash", "fail_site", "recover_site", "crash_shard"}
 def test_one_injection_path():
     """Every crash, shard crash, site failure and site recovery of a run
     is a fault calendar entry fired by the scheduler's one fault method,
-    ``Scheduler.inject``.  It is called by ``Scheduler.run`` (the tick
-    loop and the end-of-run recovery) and by one named exception,
-    torture's ``CrashPoint`` handler, which re-enters the run.  No
-    ``on_tick`` hook and no ``next_wake`` attribute is left."""
+    ``Scheduler.inject``.  It is called by ``Scheduler.run`` alone: the
+    tick loop, the crash a ``CrashPoint`` fires where it lands, and the
+    end-of-run recovery.  No ``CrashPoint`` handler is left outside the
+    scheduler, and no ``on_tick`` hook or ``next_wake`` attribute."""
     callers = sorted(
         {
             "%s:%s" % (path.relative_to(SRC), fn.name)
@@ -967,22 +968,16 @@ def test_one_injection_path():
             if "inject" in _calls(fn)
         }
     )
-    assert injectors == [
-        "repro/runtime/scheduler.py:run",
-        "repro/runtime/torture.py:run_schedule",
-    ]
-    (run_schedule,) = [fn for _path, fn in _functions() if fn.name == "run_schedule"]
-    calls = [
-        node for node in ast.walk(run_schedule)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "inject"
-    ]
+    assert injectors == ["repro/runtime/scheduler.py:run"]
     handlers = [
-        node for node in ast.walk(run_schedule)
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path, tree in _modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.ExceptHandler)
-        and getattr(node.type, "id", None) == "CrashPoint"
+        and node.type is not None
+        and "CrashPoint" in {getattr(n, "id", None) for n in ast.walk(node.type)}
     ]
-    assert len(calls) == len(handlers) == 1
-    assert calls[0] in list(ast.walk(handlers[0]))
+    assert [h.split(":")[0] for h in handlers] == ["repro/runtime/scheduler.py"], handlers
     retired = {"on_tick", "next_wake"}
     spelled = [
         "%s:%d" % (path.relative_to(SRC), node.lineno)
